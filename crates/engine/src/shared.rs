@@ -8,14 +8,17 @@
 //! [`GenerationCell`], so
 //!
 //! - any number of reader threads take an [`EngineSnapshot`] without
-//!   blocking and open plain [`Session`]s against it — a snapshot pins
-//!   one generation end to end, so a scan never observes a half-applied
-//!   write, and two queries on the same snapshot see identical data;
+//!   waiting for a write and open plain [`Session`]s against it — a
+//!   snapshot pins one generation end to end, so a scan never observes
+//!   a half-applied write, and two queries on the same snapshot see
+//!   identical data;
 //! - writes ([`SharedEngine::insert`]) serialize on the cell's writer
-//!   latch, clone the current generation, apply the mutation to the
-//!   heap *and* to every built configuration, and publish the copy
-//!   atomically — heaps and indexes can never diverge within a
-//!   generation.
+//!   latch, clone the current generation (tables, statistics, indexes
+//!   and view contents are `Arc`-shared, so the clone is refcount
+//!   bumps), apply the mutation to the heap *and* to every built
+//!   configuration — which copies the inserted table and the indexes
+//!   on it, nothing else — and publish the result atomically: heaps
+//!   and indexes can never diverge within a generation.
 //!
 //! Costs stay deterministic per request: a query's plan, cost units,
 //! and verdict are a pure function of the generation it ran against,
@@ -191,7 +194,7 @@ impl From<WalError> for RecoverError {
     }
 }
 
-/// The concurrent engine: an [`EngineState`] behind an epoch-published
+/// The concurrent engine: an [`EngineState`] published through a
 /// [`GenerationCell`]. Shared across serving threads as
 /// `Arc<SharedEngine>`; see the module docs for the isolation contract.
 #[derive(Debug)]
@@ -320,7 +323,8 @@ impl SharedEngine {
         self.wal.is_some()
     }
 
-    /// Pin the newest generation for reading. Never blocks.
+    /// Pin the newest generation for reading. Never waits for an
+    /// insert in progress, only for the pointer swap that ends one.
     pub fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot {
             snap: self.cell.snapshot(),
@@ -329,12 +333,14 @@ impl SharedEngine {
 
     /// Apply one insertion and publish the result as a new generation.
     ///
-    /// Copy-on-write under the writer latch: the current generation is
-    /// cloned, the row is appended to the copy's heap, **every** built
-    /// configuration of the copy is maintained (indexes descended,
-    /// dependent views marked stale), and the copy is published with
-    /// one atomic store. On a durable engine the record is appended to
-    /// the WAL and fsynced *before* that store — ack implies durable.
+    /// Copy-on-write under the writer latch: the next generation starts
+    /// as a structure-sharing clone of the current one, the row is
+    /// appended to its own copy of the inserted table's heap, **every**
+    /// built configuration is maintained (the indexes on that table
+    /// copied and descended, dependent views marked stale), and the
+    /// result is published with one pointer swap. On a durable engine
+    /// the record is appended to the WAL and fsynced *before* that swap
+    /// — ack implies durable.
     /// Readers keep their pinned snapshots; snapshots taken after this
     /// call returns see the new row everywhere.
     ///
@@ -451,9 +457,10 @@ impl SharedEngine {
         })
     }
 
-    /// Validate and apply one insert to a copy of `state` (no publish,
-    /// no logging) — the single apply path normal serving, keyed
-    /// serving, and recovery replay all share.
+    /// Validate and apply one insert to a clone of `state` that shares
+    /// everything the insert does not write (no publish, no logging) —
+    /// the single apply path normal serving, keyed serving, and
+    /// recovery replay all share.
     fn build_next(
         state: &EngineState,
         insert: &Insert,
@@ -645,6 +652,76 @@ mod tests {
         );
         let rows = s.run(&q, None).unwrap().rows.unwrap();
         assert_eq!(rows, vec![vec![Value::Int(3), Value::Int(1)]]);
+    }
+
+    /// An insert copies what it writes and shares the rest with the
+    /// generation before it.
+    #[test]
+    fn insert_copies_only_the_touched_table_and_its_indexes() {
+        let mut state = state();
+        let mut u = Table::new(TableSchema::new(
+            "u",
+            vec![ColumnDef::new("k", ColType::Int)],
+        ));
+        for i in 0..100i64 {
+            u.insert(vec![Value::Int(i)]);
+        }
+        state.db.add_table(u);
+        state.db.collect_stats();
+        let mut cfg = Configuration::named("mv");
+        cfg.indexes.push(IndexSpec::new("t", vec![1]));
+        cfg.indexes.push(IndexSpec::new("u", vec![0]));
+        cfg.mviews.push(tab_storage::MViewDef {
+            spec: tab_storage::MViewSpec::projection_of("t_g", "t", vec![1]),
+            indexes: vec![vec![0]],
+        });
+        let mv = BuiltConfiguration::build(cfg, &state.db);
+        let engine = SharedEngine::new(state.with_config("mv", mv));
+
+        let before = engine.snapshot();
+        engine
+            .insert(&insert_of("INSERT INTO t VALUES (1000, 0)"), "mv")
+            .unwrap();
+        let after = engine.snapshot();
+        let (old, new) = (before.state(), after.state());
+
+        // Untouched: table `u`, its statistics (and those of `t`: an
+        // insert does not refresh statistics), the index on `u`, and the
+        // view's contents and index — although the view went stale.
+        assert!(std::ptr::eq(
+            old.db.table("u").unwrap(),
+            new.db.table("u").unwrap()
+        ));
+        for name in ["t", "u"] {
+            assert!(std::ptr::eq(
+                old.db.stats(name).unwrap(),
+                new.db.stats(name).unwrap()
+            ));
+        }
+        let (old_mv, new_mv) = (&old.configs["mv"], &new.configs["mv"]);
+        assert!(Arc::ptr_eq(&old_mv.indexes[1], &new_mv.indexes[1]));
+        let ((old_view, old_vix), (new_view, new_vix)) = (&old_mv.mviews[0], &new_mv.mviews[0]);
+        assert!(!old_view.stale && new_view.stale);
+        assert!(Arc::ptr_eq(&old_view.table, &new_view.table));
+        assert!(Arc::ptr_eq(&old_view.stats, &new_view.stats));
+        assert!(Arc::ptr_eq(&old_vix[0], &new_vix[0]));
+
+        // Copied: table `t` and every index on it, in every configuration.
+        assert!(!std::ptr::eq(
+            old.db.table("t").unwrap(),
+            new.db.table("t").unwrap()
+        ));
+        assert!(!Arc::ptr_eq(&old_mv.indexes[0], &new_mv.indexes[0]));
+        assert!(!Arc::ptr_eq(
+            &old.configs["ix"].indexes[0],
+            &new.configs["ix"].indexes[0]
+        ));
+        assert_eq!(
+            count(&before, "ix"),
+            1_000,
+            "the pinned generation is whole"
+        );
+        assert_eq!(count(&after, "ix"), 1_001);
     }
 
     fn temp_wal(tag: &str) -> std::path::PathBuf {

@@ -33,10 +33,10 @@ impl Client {
 
     /// Send one raw request line and return the raw response line
     /// (trailing newline stripped). An empty read means the server
-    /// closed the connection.
+    /// closed the connection. The request leaves in one `write` — line
+    /// and newline in one segment, not two.
     pub fn request_line(&mut self, line: &str) -> std::io::Result<String> {
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()?;
+        self.writer.write_all(format!("{line}\n").as_bytes())?;
         let mut response = String::new();
         let n = self.reader.read_line(&mut response)?;
         if n == 0 {

@@ -9,7 +9,8 @@
 //! Division of labor:
 //!
 //! - [`tab_storage::GenerationCell`] publishes immutable generations
-//!   (snapshot reads never block, never see torn state);
+//!   (snapshot reads never wait for a writer's build, never see torn
+//!   state);
 //! - [`tab_engine::SharedEngine`] gives those generations engine
 //!   meaning (database + built configurations, latched copy-on-write
 //!   inserts);

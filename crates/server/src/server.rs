@@ -236,7 +236,6 @@ fn accept_loop(
                 workers.retain(|h| !h.is_finished());
                 if opts.max_connections > 0 && workers.len() >= opts.max_connections {
                     counters.conns_refused.fetch_add(1, Ordering::Relaxed);
-                    let mut stream = stream;
                     let bye = ResponseBuilder::retryable_error(
                         &format!(
                             "connection limit reached ({} live), try again later",
@@ -244,7 +243,7 @@ fn accept_loop(
                         ),
                         "overloaded",
                     );
-                    let _ = writeln!(stream, "{bye}");
+                    let _ = send_line(&stream, bye);
                     continue;
                 }
                 counters.accepted.fetch_add(1, Ordering::Relaxed);
@@ -275,6 +274,16 @@ fn accept_loop(
     }
 }
 
+/// Send one response line as one `write`: the line and its newline
+/// leave in one segment. Written separately, the newline is a second
+/// small segment that Nagle's algorithm holds until the peer
+/// acknowledges the first — and a peer with nothing to send delays that
+/// acknowledgement by tens of milliseconds.
+fn send_line(mut out: &TcpStream, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    out.write_all(line.as_bytes())
+}
+
 /// Reads lines off one connection and answers them until QUIT,
 /// SHUTDOWN, EOF, idle timeout, or server stop.
 fn serve_connection(
@@ -285,8 +294,9 @@ fn serve_connection(
     counters: &ServerCounters,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(POLL_TICK))?;
+    stream.set_nodelay(true)?;
     let mut reader = LineReader::new(stream.try_clone()?);
-    let mut out = stream;
+    let mut out = &stream;
     let mut last_activity = Instant::now();
     loop {
         if stop.load(Ordering::Relaxed) {
@@ -294,7 +304,7 @@ fn serve_connection(
         }
         if last_activity.elapsed() > opts.idle_timeout {
             let bye = ResponseBuilder::error("idle timeout, closing connection");
-            let _ = writeln!(out, "{bye}");
+            let _ = send_line(out, bye);
             return Ok(());
         }
         let line = match reader.poll_line()? {
@@ -331,8 +341,7 @@ fn serve_connection(
             }
             None => {}
         }
-        writeln!(out, "{response}")?;
-        out.flush()?;
+        send_line(out, response)?;
         match control {
             Control::Continue => {}
             Control::CloseConnection => return Ok(()),

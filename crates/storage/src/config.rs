@@ -8,6 +8,7 @@
 //! the §4.4 experiment.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::db::Database;
 use crate::index::{BTreeIndex, IndexSpec};
@@ -89,19 +90,21 @@ impl BuildReport {
 
 /// A configuration physically built against a database.
 ///
-/// Cloning deep-copies the built structures; the concurrent engine's
-/// copy-on-write write path clones every built configuration of a
-/// generation alongside the database, maintains the copies, and
-/// publishes them together so a snapshot's indexes always match its
-/// heaps.
+/// Cloning shares every index and every view's contents with the
+/// original; [`BuiltConfiguration::apply_insert`] copies an index the
+/// first time a clone writes to it. The concurrent engine's write path
+/// clones every built configuration of a generation alongside the
+/// database, maintains the clones, and publishes them together — so a
+/// snapshot's indexes always match its heaps, and the next generation
+/// copies only the indexes on the inserted table.
 #[derive(Debug, Clone)]
 pub struct BuiltConfiguration {
     /// The declarative description.
     pub config: Configuration,
     /// Built base-table indexes.
-    pub indexes: Vec<BTreeIndex>,
+    pub indexes: Vec<Arc<BTreeIndex>>,
     /// Built views, each with its indexes.
-    pub mviews: Vec<(MaterializedView, Vec<BTreeIndex>)>,
+    pub mviews: Vec<(MaterializedView, Vec<Arc<BTreeIndex>>)>,
     /// Build cost and size.
     pub report: BuildReport,
     /// Per-table index positions for fast maintenance lookups.
@@ -130,7 +133,7 @@ impl BuiltConfiguration {
                 .entry(spec.table.clone())
                 .or_default()
                 .push(indexes.len());
-            indexes.push(idx);
+            indexes.push(Arc::new(idx));
         }
         let mut mviews = Vec::with_capacity(config.mviews.len());
         for def in &config.mviews {
@@ -151,7 +154,7 @@ impl BuiltConfiguration {
                 let (idx, icost) = mv.build_index(cols.clone());
                 pages_written += icost;
                 aux_pages += idx.n_pages();
-                mv_indexes.push(idx);
+                mv_indexes.push(Arc::new(idx));
             }
             mviews.push((mv, mv_indexes));
         }
@@ -175,17 +178,17 @@ impl BuiltConfiguration {
             .get(&table)
             .into_iter()
             .flatten()
-            .map(|&i| &self.indexes[i]);
+            .map(|&i| &*self.indexes[i]);
         let views = self
             .mviews
             .iter()
             .filter(move |(mv, _)| mv.spec.name == table)
-            .flat_map(|(_, idxs)| idxs.iter());
+            .flat_map(|(_, idxs)| idxs.iter().map(Arc::as_ref));
         base.chain(views)
     }
 
     /// Non-stale materialized views.
-    pub fn fresh_mviews(&self) -> impl Iterator<Item = &(MaterializedView, Vec<BTreeIndex>)> {
+    pub fn fresh_mviews(&self) -> impl Iterator<Item = &(MaterializedView, Vec<Arc<BTreeIndex>>)> {
         self.mviews.iter().filter(|(mv, _)| !mv.stale)
     }
 
@@ -202,7 +205,7 @@ impl BuiltConfiguration {
         let mut pages = 1; // heap page write (worst-case, uncached)
         if let Some(positions) = self.by_table.get(table) {
             for &p in positions {
-                pages += self.indexes[p].insert(row, id);
+                pages += Arc::make_mut(&mut self.indexes[p]).insert(row, id);
             }
         }
         for (mv, _) in &mut self.mviews {

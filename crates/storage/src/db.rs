@@ -1,6 +1,7 @@
 //! The database: named tables plus collected statistics.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::stats::TableStats;
 use crate::table::Table;
@@ -12,13 +13,15 @@ use crate::table::Table;
 /// statistics before obtaining the recommendations and before running
 /// the queries" (§3.2.3).
 ///
-/// Cloning deep-copies tables and statistics; the concurrent engine's
-/// copy-on-write write path ([`crate::snapshot::GenerationCell`]) clones
-/// the current generation, applies the mutation, and publishes the copy.
+/// Cloning shares every table and its statistics with the original (one
+/// refcount bump each); [`Database::table_mut`] copies a table the first
+/// time a clone writes to it. The concurrent engine's write path
+/// ([`crate::snapshot::GenerationCell`]) relies on this: the next
+/// generation copies only the table an insert touches.
 #[derive(Debug, Default, Clone)]
 pub struct Database {
-    tables: BTreeMap<String, Table>,
-    stats: BTreeMap<String, TableStats>,
+    tables: BTreeMap<String, Arc<Table>>,
+    stats: BTreeMap<String, Arc<TableStats>>,
 }
 
 impl Database {
@@ -29,17 +32,19 @@ impl Database {
 
     /// Add (or replace) a table under its schema name.
     pub fn add_table(&mut self, table: Table) {
-        self.tables.insert(table.schema().name.clone(), table);
+        self.tables
+            .insert(table.schema().name.clone(), Arc::new(table));
     }
 
     /// Look up a table.
     pub fn table(&self, name: &str) -> Option<&Table> {
-        self.tables.get(name)
+        self.tables.get(name).map(Arc::as_ref)
     }
 
-    /// Mutable access to a table (used by the insertion experiment).
+    /// Mutable access to a table, copying it first if a clone of this
+    /// database still shares it.
     pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
-        self.tables.get_mut(name)
+        self.tables.get_mut(name).map(Arc::make_mut)
     }
 
     /// All table names in deterministic order.
@@ -49,7 +54,7 @@ impl Database {
 
     /// All tables in deterministic order.
     pub fn tables(&self) -> impl Iterator<Item = &Table> {
-        self.tables.values()
+        self.tables.values().map(Arc::as_ref)
     }
 
     /// Collect statistics on every table, replacing any previous stats.
@@ -57,23 +62,23 @@ impl Database {
         self.stats = self
             .tables
             .iter()
-            .map(|(n, t)| (n.clone(), TableStats::collect(t)))
+            .map(|(n, t)| (n.clone(), Arc::new(TableStats::collect(t))))
             .collect();
     }
 
     /// Statistics for a table, if collected.
     pub fn stats(&self, name: &str) -> Option<&TableStats> {
-        self.stats.get(name)
+        self.stats.get(name).map(Arc::as_ref)
     }
 
     /// Total heap size in pages across all tables.
     pub fn heap_pages(&self) -> u64 {
-        self.tables.values().map(Table::n_pages).sum()
+        self.tables().map(Table::n_pages).sum()
     }
 
     /// Total heap size in bytes.
     pub fn heap_bytes(&self) -> u64 {
-        self.tables.values().map(Table::n_bytes).sum()
+        self.tables().map(Table::n_bytes).sum()
     }
 
     /// Verify foreign keys reference existing tables and columns.
@@ -81,7 +86,7 @@ impl Database {
     /// Returns the list of violations as messages (empty means valid).
     pub fn validate(&self) -> Vec<String> {
         let mut errs = Vec::new();
-        for t in self.tables.values() {
+        for t in self.tables() {
             for fk in &t.schema().foreign_keys {
                 match self.tables.get(&fk.ref_table) {
                     None => errs.push(format!(

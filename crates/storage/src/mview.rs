@@ -14,6 +14,7 @@ use crate::stats::TableStats;
 use crate::table::Table;
 use crate::value::Value;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Definition of a materialized view.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -71,14 +72,17 @@ impl MViewSpec {
 }
 
 /// A materialized view: its spec, materialized rows, and statistics.
+///
+/// The contents are never written after materialization (a base-table
+/// insert only sets [`MaterializedView::stale`]), so clones share them.
 #[derive(Debug, Clone)]
 pub struct MaterializedView {
     /// The defining spec.
     pub spec: MViewSpec,
     /// Materialized contents.
-    pub table: Table,
+    pub table: Arc<Table>,
     /// Statistics over the materialized contents.
-    pub stats: TableStats,
+    pub stats: Arc<TableStats>,
     /// Set when base tables changed after materialization; a stale view
     /// is skipped by the optimizer.
     pub stale: bool,
@@ -148,8 +152,8 @@ impl MaterializedView {
         (
             MaterializedView {
                 spec,
-                table: out,
-                stats,
+                table: Arc::new(out),
+                stats: Arc::new(stats),
                 stale: false,
             },
             cost,

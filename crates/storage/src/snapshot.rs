@@ -5,50 +5,28 @@
 //! configurations). Readers take an [`Snapshot`] — an `Arc` pin of one
 //! fully published generation — and work against it for as long as they
 //! like; writers serialize on an internal latch, build the next
-//! generation off to the side, and publish it with a single
-//! release-store. The result is the classic epoch/arc-swap discipline:
+//! generation off to the side, and publish it by swapping one pointer:
 //!
-//! - **readers never block** — taking a snapshot is an atomic load plus
-//!   an `Arc` clone; there is no reader-side lock to contend on, and a
-//!   writer mid-publish never makes a reader wait;
-//! - **readers never see torn state** — a generation is created fully
-//!   initialized *before* the index that makes it reachable is stored
-//!   (release/acquire pairing via [`OnceLock`] + the `current` index),
-//!   so every snapshot is internally consistent end to end;
+//! - **readers never wait for a build** — taking a snapshot is a read
+//!   lock held for one `Arc` clone. The write side of that lock is held
+//!   only for the pointer swap itself, never while a writer builds,
+//!   logs or fsyncs the next generation, and never while an old
+//!   generation is freed;
+//! - **readers never see torn state** — a generation is fully built
+//!   before the swap makes it reachable, and is never mutated after, so
+//!   every snapshot is internally consistent end to end;
 //! - **writers are latched** — [`GenerationCell::update`] holds a mutex
 //!   for the read-copy-update cycle, so concurrent writers serialize and
 //!   no update is lost.
 //!
-//! Old generations stay alive exactly as long as some snapshot pins
-//! them; the cell itself retains the `Arc`s in an append-only segment
-//! chain (a handful of machine words per generation once the payload is
-//! dropped elsewhere — the cell is designed for serving workloads whose
-//! write rate is human-scale, not for millions of publishes).
+//! The cell holds the newest generation only. Generation *n* is dropped
+//! as soon as *n + 1* is published and the last [`Snapshot`] of *n* is
+//! gone, so a long-lived server retains what its readers pin, not its
+//! history.
 //!
 //! See `DESIGN.md` §14 for how the serving front end builds on this.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// Generations per segment of the append-only slot chain.
-const SEG_SIZE: usize = 64;
-
-/// One fixed-size block of publish slots. Blocks are chained through a
-/// `OnceLock` so the chain can grow without ever moving a published
-/// slot (readers hold plain references into it).
-struct Segment<T> {
-    slots: [OnceLock<Arc<T>>; SEG_SIZE],
-    next: OnceLock<Box<Segment<T>>>,
-}
-
-impl<T> Segment<T> {
-    fn boxed() -> Box<Self> {
-        Box::new(Segment {
-            slots: std::array::from_fn(|_| OnceLock::new()),
-            next: OnceLock::new(),
-        })
-    }
-}
+use std::sync::{Arc, Mutex, RwLock};
 
 /// A pinned, immutable generation handed out by
 /// [`GenerationCell::snapshot`]. Cloning is an `Arc` clone; the
@@ -89,15 +67,12 @@ impl<T> std::ops::Deref for Snapshot<T> {
     }
 }
 
-/// An epoch-published cell: lock-free snapshot reads over an
-/// append-only chain of immutable generations, with a latched write
-/// path. See the module docs for the full contract.
+/// A published-pointer cell: snapshot reads of the newest immutable
+/// generation, with a latched write path. See the module docs for the
+/// full contract.
 pub struct GenerationCell<T> {
-    head: Box<Segment<T>>,
-    /// Index of the newest fully published generation. Stored with
-    /// `Release` after the slot it names is initialized; loaded with
-    /// `Acquire` by readers.
-    current: AtomicU64,
+    /// The newest published generation. Write-locked only to swap it.
+    current: RwLock<Snapshot<T>>,
     /// The writer latch: serializes read-copy-update cycles.
     writer: Mutex<()>,
 }
@@ -105,7 +80,7 @@ pub struct GenerationCell<T> {
 impl<T: std::fmt::Debug> std::fmt::Debug for GenerationCell<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GenerationCell")
-            .field("seq", &self.current.load(Ordering::Acquire))
+            .field("seq", &self.seq())
             .finish_non_exhaustive()
     }
 }
@@ -113,54 +88,39 @@ impl<T: std::fmt::Debug> std::fmt::Debug for GenerationCell<T> {
 impl<T> GenerationCell<T> {
     /// A cell holding `initial` as generation 0.
     pub fn new(initial: T) -> Self {
-        let head = Segment::boxed();
-        head.slots[0]
-            .set(Arc::new(initial))
-            .unwrap_or_else(|_| unreachable!("fresh segment slot 0 is empty"));
         GenerationCell {
-            head,
-            current: AtomicU64::new(0),
+            current: RwLock::new(Snapshot {
+                seq: 0,
+                data: Arc::new(initial),
+            }),
             writer: Mutex::new(()),
         }
     }
 
-    /// The slot for generation `seq`, growing the segment chain as
-    /// needed. Readers only ever reach slots at or below `current`,
-    /// whose segments already exist; the `get_or_init` only allocates
-    /// on the (latched) write path.
-    fn slot(&self, seq: u64) -> &OnceLock<Arc<T>> {
-        let mut seg: &Segment<T> = &self.head;
-        let mut idx = seq as usize;
-        while idx >= SEG_SIZE {
-            seg = seg.next.get_or_init(Segment::boxed);
-            idx -= SEG_SIZE;
-        }
-        &seg.slots[idx]
+    /// Read access to the published generation. Tolerates poison: the
+    /// only write section is the two assignments in `publish_locked`,
+    /// which cannot panic.
+    fn current(&self) -> std::sync::RwLockReadGuard<'_, Snapshot<T>> {
+        self.current.read().unwrap_or_else(|p| p.into_inner())
     }
 
     /// The newest published generation number. Monotonically
     /// non-decreasing; a snapshot taken afterwards sees at least this
     /// generation.
     pub fn seq(&self) -> u64 {
-        self.current.load(Ordering::Acquire)
+        self.current().seq
     }
 
-    /// Pin the newest published generation. Never blocks: an atomic
-    /// load, a segment-chain walk, and an `Arc` clone.
+    /// Pin the newest published generation: a read lock held for one
+    /// `Arc` clone.
     pub fn snapshot(&self) -> Snapshot<T> {
-        let seq = self.current.load(Ordering::Acquire);
-        let data = self
-            .slot(seq)
-            .get()
-            .expect("generation at or below `current` is published")
-            .clone();
-        Snapshot { seq, data }
+        self.current().clone()
     }
 
     /// Acquire the writer latch, tolerating poison: publication is a
-    /// single release-store that only happens after an update closure
+    /// single pointer swap that only happens after an update closure
     /// returns `Ok`, so a panicking writer (e.g. an injected
-    /// `panic:wal:append` fault) leaves the published chain fully
+    /// `panic:wal:append` fault) leaves the published generation fully
     /// consistent — the next writer may safely proceed.
     fn latch(&self) -> std::sync::MutexGuard<'_, ()> {
         self.writer
@@ -179,28 +139,26 @@ impl<T> GenerationCell<T> {
     /// Latched read-copy-update: `f` sees the newest generation and
     /// returns the next one (plus a caller-visible result); an `Err`
     /// publishes nothing. Writers serialize here, so no update is lost;
-    /// readers keep snapshotting the old generation until the single
-    /// release-store that publishes the new one.
+    /// readers keep snapshotting the old generation — unblocked — until
+    /// the swap that publishes the new one.
     pub fn update<R, E>(&self, f: impl FnOnce(&T) -> Result<(T, R), E>) -> Result<(u64, R), E> {
         let _latch = self.latch();
-        let seq = self.current.load(Ordering::Relaxed);
-        let cur = self
-            .slot(seq)
-            .get()
-            .expect("current generation is published");
-        let (next, out) = f(cur)?;
+        let cur = self.snapshot();
+        let (next, out) = f(&cur)?;
         Ok((self.publish_locked(next), out))
     }
 
     /// Publish while holding the writer latch.
     fn publish_locked(&self, value: T) -> u64 {
-        let seq = self.current.load(Ordering::Relaxed) + 1;
-        if self.slot(seq).set(Arc::new(value)).is_err() {
-            unreachable!("generation {seq} published twice");
-        }
-        // The slot write above happens-before this store; a reader that
-        // acquires the new index therefore sees the initialized slot.
-        self.current.store(seq, Ordering::Release);
+        let next = Arc::new(value);
+        let (seq, superseded) = {
+            let mut current = self.current.write().unwrap_or_else(|p| p.into_inner());
+            current.seq += 1;
+            (current.seq, std::mem::replace(&mut current.data, next))
+        };
+        // Outside the lock: if no snapshot pins it, this frees the old
+        // generation, and readers must not wait for that.
+        drop(superseded);
         seq
     }
 }
@@ -208,7 +166,7 @@ impl<T> GenerationCell<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::thread;
 
     #[test]
@@ -245,14 +203,40 @@ mod tests {
         assert_eq!(cell.seq(), 1);
     }
 
-    #[test]
-    fn chain_grows_past_one_segment() {
-        let cell = GenerationCell::new(0usize);
-        for i in 1..=(SEG_SIZE * 3) {
-            assert_eq!(cell.publish(i), i as u64);
+    /// Counts its own drops, so a test can tell a released generation
+    /// from a retained one.
+    struct Counted(Arc<AtomicUsize>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
         }
-        assert_eq!(*cell.snapshot().get(), SEG_SIZE * 3);
-        assert_eq!(cell.seq(), (SEG_SIZE * 3) as u64);
+    }
+
+    #[test]
+    fn superseded_generations_are_dropped_once_unpinned() {
+        let drops: Vec<_> = (0..3).map(|_| Arc::new(AtomicUsize::new(0))).collect();
+        let dropped = |g: usize| drops[g].load(Ordering::SeqCst);
+        let cell = GenerationCell::new(Counted(Arc::clone(&drops[0])));
+        let pin0 = cell.snapshot();
+        let pin0_again = pin0.clone();
+        assert_eq!(cell.publish(Counted(Arc::clone(&drops[1]))), 1);
+        assert_eq!(dropped(0), 0, "generation 0 is still pinned");
+        let pin1 = cell.snapshot();
+        assert_eq!(cell.publish(Counted(Arc::clone(&drops[2]))), 2);
+        drop(pin0);
+        assert_eq!(dropped(0), 0, "one snapshot of generation 0 remains");
+        drop(pin0_again);
+        assert_eq!(dropped(0), 1, "released with its last snapshot");
+        assert_eq!(dropped(1), 0, "generation 1 is still pinned");
+        drop(pin1);
+        assert_eq!(dropped(1), 1);
+        // An unpinned generation goes the moment its successor is
+        // published, however many there are.
+        for g in 3..=200 {
+            assert_eq!(cell.publish(Counted(Arc::new(AtomicUsize::new(0)))), g);
+        }
+        assert_eq!((dropped(0), dropped(1), dropped(2)), (1, 1, 1));
     }
 
     /// The tentpole invariant: a reader never observes a torn

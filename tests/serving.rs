@@ -9,7 +9,7 @@ use tab_bench::datagen::{generate_nref, NrefParams};
 use tab_bench::engine::{EngineState, Outcome, Session, SharedEngine};
 use tab_bench::eval::{build_1c, build_p};
 use tab_bench::families::Family;
-use tab_bench::server::{Client, RetryClient, ServeOptions, Server};
+use tab_bench::server::{Client, Response, RetryClient, ServeOptions, Server};
 use tab_bench::storage::{Database, FaultPlan};
 use tab_bench_harness::serve_bench::{
     run_serve_bench, LoadMode, RequestOutcome, ServeBenchOptions,
@@ -122,6 +122,33 @@ fn error_envelopes_do_not_kill_the_connection() {
     // The same connection still works after six failures.
     let r = client.ping().expect("ping");
     assert!(r.is_ok());
+    server.shutdown();
+}
+
+/// A response leaves as one segment. With the line and its newline in
+/// two writes, Nagle's algorithm held the newline until this client —
+/// which has not set `TCP_NODELAY` and has nothing to send meanwhile —
+/// delayed-ACKed the line: ~40 ms a reply, 2 s for the fifty below.
+#[test]
+fn replies_do_not_wait_for_a_delayed_ack() {
+    use std::io::{BufRead, BufReader, Write};
+    let db = nref(300);
+    let (_engine, mut server) = start_server(&db);
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let started = std::time::Instant::now();
+    for _ in 0..50 {
+        stream.write_all(b"PING\n").expect("send");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("a reply");
+        let r = Response::parse(line.trim_end()).expect("the reply parses");
+        assert_eq!(r.str_field("verb").as_deref(), Some("ping"), "{line}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "50 PINGs on one connection took {elapsed:?}"
+    );
     server.shutdown();
 }
 
