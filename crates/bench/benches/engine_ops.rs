@@ -237,6 +237,63 @@ fn bench_buffer_pool(c: &mut Criterion) {
     }
 }
 
+/// The index layer (DESIGN.md §3): building over an unsorted `Int`
+/// column, over a skewed string column whose equal values share one
+/// `Arc<str>`, and over a three-column composite; and the maintenance
+/// insert as `SharedEngine::insert` pays it — clone the shared index,
+/// then insert into the copy (`Arc::make_mut`).
+fn bench_index(c: &mut Criterion) {
+    use std::sync::Arc;
+    use tab_storage::BTreeIndex;
+    let names: Vec<Value> = (0..64)
+        .map(|i| Value::str(format!("name-{i:02}")))
+        .collect();
+    let row = |i: usize| {
+        let u = (i as u64).wrapping_mul(2_654_435_761) % (1 << 32);
+        let skewed = (u as f64 / (1u64 << 32) as f64).powi(3);
+        vec![
+            Value::Int(u as i64),
+            names[(skewed * 64.0) as usize].clone(),
+            Value::Int((i % 100) as i64),
+        ]
+    };
+    let table = |n: usize| {
+        let cols = [
+            ("k", ColType::Int),
+            ("s", ColType::Str),
+            ("g", ColType::Int),
+        ];
+        let cols = cols.map(|(name, ty)| ColumnDef::new(name, ty)).to_vec();
+        let mut t = Table::new(TableSchema::new("t", cols));
+        for i in 0..n {
+            t.insert(row(i));
+        }
+        t
+    };
+    for (label, n) in [("1k", 1_000), ("10k", 10_000), ("100k", 100_000)] {
+        let t = table(n);
+        for (shape, cols) in [
+            ("int", vec![0]),
+            ("shared_str", vec![1]),
+            ("composite", vec![2, 1, 0]),
+        ] {
+            c.bench_function(&format!("index_build_{label}_{shape}"), |b| {
+                b.iter(|| black_box(BTreeIndex::build(IndexSpec::new("t", cols.clone()), &t).1))
+            });
+        }
+    }
+    c.bench_function("index_insert_shared", |b| {
+        let n = 100_000;
+        let shared = Arc::new(BTreeIndex::build(IndexSpec::new("t", vec![0]), &table(n)).0);
+        let mut i = n;
+        b.iter(|| {
+            i += 1;
+            let mut next = Arc::clone(&shared);
+            black_box(Arc::make_mut(&mut next).insert(&row(i), i as u32))
+        })
+    });
+}
+
 fn configured() -> Criterion {
     // Keep full-workspace bench runs to minutes, not hours: these are
     // coarse-grained operations (whole queries, whole advisor searches),
@@ -247,5 +304,5 @@ fn configured() -> Criterion {
         .warm_up_time(Duration::from_secs(1))
 }
 
-criterion_group!(name = benches; config = configured(); targets = bench_engine, bench_batch_operators, bench_exec_morsels, bench_buffer_pool);
+criterion_group!(name = benches; config = configured(); targets = bench_engine, bench_batch_operators, bench_exec_morsels, bench_buffer_pool, bench_index);
 criterion_main!(benches);

@@ -20,7 +20,7 @@ use tab_core::report::{
     cfc_csv_rows, render_cfc_ascii, render_histogram_ascii, write_bytes_with, write_csv_with,
 };
 use tab_core::{
-    advisor_bench_json, bench_json, build_1c, build_p, estimate_workload_hypothetical_with,
+    advisor_bench_json, bench_json, build_1c_par, build_p, estimate_workload_hypothetical_with,
     estimate_workload_with, improvement_ratios, insertion_breakeven, io_bench_json,
     prepare_workload_db_with, run_grid_checkpointed, space_budget, table1_row, timings_json,
     AdvisorBenchRecord, CellTiming, Cfc, CheckpointError, CheckpointJournal, FaultPlan, Faults,
@@ -542,7 +542,8 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
     ctx.mark("generate");
     ctx.log("NREF: building P and 1C");
     let p = build_p(nref, "NREF");
-    let c1 = build_1c(nref, "NREF");
+    let c1 = build_1c_par(nref, "NREF", par);
+    ctx.mark("build");
     let budget = space_budget(nref, "NREF");
     ctx.log(&format!("NREF budget = {} MiB", budget / (1 << 20)));
 
@@ -630,10 +631,11 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
         c.name = name.to_string();
         c
     };
-    let a2 = a2_cfg.map(|c| BuiltConfiguration::build(named(c, "A_NREF2J_R"), nref));
-    let b2 = BuiltConfiguration::build(named(b2_cfg, "B_NREF2J_R"), nref);
-    let b3 = BuiltConfiguration::build(named(b3_cfg, "B_NREF3J_R"), nref);
     ctx.mark("recommend");
+    let a2 = a2_cfg.map(|c| BuiltConfiguration::build_par(named(c, "A_NREF2J_R"), nref, par));
+    let b2 = BuiltConfiguration::build_par(named(b2_cfg, "B_NREF2J_R"), nref, par);
+    let b3 = BuiltConfiguration::build_par(named(b3_cfg, "B_NREF3J_R"), nref, par);
+    ctx.mark("build");
 
     ctx.log("NREF: running the NREF2J/NREF3J x P/1C/R grid");
     let timeout = ctx.timeout;
@@ -1170,7 +1172,8 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
         ctx.mark("generate");
         ctx.log(&format!("{label}: building P and 1C"));
         let p = build_p(db, label);
-        let c1 = build_1c(db, label);
+        let c1 = build_1c_par(db, label, par);
+        ctx.mark("build");
         let budget = space_budget(db, label);
         let tpch_pager = build_pager(label, db, cfg.params.buffer_pages)?;
         ctx.mark("prepare");
@@ -1206,8 +1209,9 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
             ctx.advisor_record("C", fam.name(), rec.is_some(), &rec_stats);
             let rec = rec.expect("C always recommends");
             let rec_name = format!("C_{}_R", fam.name());
-            let built = BuiltConfiguration::build(named(rec, &rec_name), db);
             ctx.mark("recommend");
+            let built = BuiltConfiguration::build_par(named(rec, &rec_name), db, par);
+            ctx.mark("build");
             preps.push((fam, w, built));
         }
 

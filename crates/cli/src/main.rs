@@ -183,7 +183,7 @@ fn load_db(args: &Args) -> Result<(Database, String), String> {
 fn load_config(args: &Args, db: &Database, label: &str) -> Result<BuiltConfiguration, String> {
     match args.get("config").unwrap_or("p") {
         "p" | "P" => Ok(tab_core::build_p(db, label)),
-        "1c" | "1C" => Ok(tab_core::build_1c(db, label)),
+        "1c" | "1C" => Ok(tab_core::build_1c_par(db, label, par_of(args)?)),
         other => Err(format!("unknown config `{other}` (use p or 1c)")),
     }
 }
@@ -536,7 +536,7 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     for name in configs.split(',') {
         let built = match name.trim() {
             "p" | "P" => tab_core::build_p(&db, &label),
-            "1c" | "1C" => tab_core::build_1c(&db, &label),
+            "1c" | "1C" => tab_core::build_1c_par(&db, &label, par_of(args)?),
             other => return Err(format!("unknown config `{other}`")),
         };
         let run = run_workload_with(&db, &built, &w, timeout_units, par_of(args)?);
@@ -564,7 +564,7 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let (db, label) = load_db(args)?;
     let p = tab_core::build_p(&db, &label);
-    let c1 = tab_core::build_1c(&db, &label);
+    let c1 = tab_core::build_1c_par(&db, &label, par_of(args)?);
     let timeout_units = args
         .get_parsed::<f64>("timeout-secs")?
         .map(|s| s / tab_engine::SIM_SECONDS_PER_UNIT)

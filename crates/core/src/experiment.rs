@@ -7,12 +7,12 @@
 //! family, and the measurement protocol (30-minute timeout, statistics
 //! collected before recommending and before running).
 
-use tab_advisor::{one_column_budget_bytes, one_column_configuration, p_configuration};
+use tab_advisor::{one_column_configuration, p_configuration};
 use tab_datagen::{generate_nref, generate_tpch, Distribution, NrefParams, TpchParams};
 use tab_engine::{ChargePolicy, RANDOM_PAGE_COST, SEQ_PAGE_COST};
 use tab_families::{sample_preserving_par, Family};
 use tab_sqlq::Query;
-use tab_storage::{par_run, BuiltConfiguration, Database, Parallelism};
+use tab_storage::{par_run, BuiltConfiguration, Database, Parallelism, PAGE_SIZE};
 
 use crate::measure::WorkloadRun;
 
@@ -194,14 +194,21 @@ pub fn build_p(db: &Database, label: &str) -> BuiltConfiguration {
 
 /// Build the `1C` configuration for a database label.
 pub fn build_1c(db: &Database, label: &str) -> BuiltConfiguration {
-    BuiltConfiguration::build(one_column_configuration(db, format!("{label}_1C")), db)
+    build_1c_par(db, label, Parallelism::sequential())
 }
 
-/// The paper's space budget for recommendations on this database.
+/// [`build_1c`] with its index builds (34 on NREF, 46 on TPC-H; `P` has
+/// one per table) fanned out over `par`.
+pub fn build_1c_par(db: &Database, label: &str, par: Parallelism) -> BuiltConfiguration {
+    BuiltConfiguration::build_par(one_column_configuration(db, format!("{label}_1C")), db, par)
+}
+
+/// The paper's space budget for recommendations on this database: the
+/// size of `1C` minus the size of `P` (§3.2.3), from row counts and
+/// schema widths — neither configuration is built.
 pub fn space_budget(db: &Database, label: &str) -> u64 {
-    let p = build_p(db, label);
-    let c1 = build_1c(db, label);
-    one_column_budget_bytes(&p, &c1)
+    let one_c = one_column_configuration(db, label).index_pages(db);
+    one_c.saturating_sub(p_configuration(db, label).index_pages(db)) * PAGE_SIZE as u64
 }
 
 /// Enumerate a family and sample the benchmark workload from it,
@@ -359,8 +366,8 @@ mod tests {
     use super::*;
     use tab_engine::Outcome;
 
-    fn tiny_suite() -> Suite {
-        Suite::build(SuiteParams {
+    fn tiny_params() -> SuiteParams {
+        SuiteParams {
             nref_proteins: 400,
             tpch_scale: 0.002,
             workload_size: 10,
@@ -368,7 +375,11 @@ mod tests {
             seed: 7,
             par: Parallelism::sequential(),
             ..SuiteParams::small()
-        })
+        }
+    }
+
+    fn tiny_suite() -> Suite {
+        Suite::build(tiny_params())
     }
 
     #[test]
@@ -425,6 +436,29 @@ mod tests {
         assert!(r1.size_mib > rp.size_mib);
         assert!(r1.build_sim_minutes > rp.build_sim_minutes);
         assert!(space_budget(&s.nref, "NREF") > 0);
+    }
+
+    #[test]
+    fn space_budget_equals_the_built_difference() {
+        for (nref_proteins, tpch_scale) in [(150, 0.001), (400, 0.003)] {
+            let s = Suite::build(SuiteParams {
+                nref_proteins,
+                tpch_scale,
+                ..tiny_params()
+            });
+            for (db, label) in [(&s.nref, "NREF"), (&s.skth, "SkTH"), (&s.unth, "UnTH")] {
+                let built = tab_advisor::one_column_budget_bytes(
+                    &build_p(db, label),
+                    &build_1c_par(db, label, Parallelism::new(3)),
+                );
+                assert!(built > 0, "{label} at {nref_proteins}/{tpch_scale}");
+                assert_eq!(
+                    space_budget(db, label),
+                    built,
+                    "{label} at {nref_proteins}/{tpch_scale}"
+                );
+            }
+        }
     }
 
     #[test]

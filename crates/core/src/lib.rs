@@ -41,9 +41,9 @@ pub use convergence::{
 };
 pub use exec_bench::{exec_bench_json, measure_exec, ExecBenchEntry, OpBench};
 pub use experiment::{
-    build_1c, build_p, insertion_breakeven, per_insert_cost, prepare_workload, prepare_workload_db,
-    prepare_workload_db_with, space_budget, table1_row, InsertionAnalysis, Suite, SuiteParams,
-    Table1Row,
+    build_1c, build_1c_par, build_p, insertion_breakeven, per_insert_cost, prepare_workload,
+    prepare_workload_db, prepare_workload_db_with, space_budget, table1_row, InsertionAnalysis,
+    Suite, SuiteParams, Table1Row,
 };
 pub use goal::{improvement_ratio, Goal};
 pub use grid::{

@@ -75,8 +75,10 @@ pub fn count_tiers(table: &Table, col: usize) -> Vec<i64> {
     for (_, f) in &freqs {
         *mass.entry(*f).or_insert(0) += *f;
     }
+    // Ties on mass are the rule on uniform data: break them on the count,
+    // or `masses[0]` and the `min_by` winners follow the hash seed.
     let mut masses: Vec<(u64, u64)> = mass.into_iter().collect();
-    masses.sort_by_key(|&(_, m)| m);
+    masses.sort_by_key(|&(c, m)| (m, c));
     let (c1, m1) = masses[0];
     let mut out = vec![c1 as i64];
     for mag in [10.0, 100.0] {
@@ -157,6 +159,31 @@ mod tests {
         // freq 100: one value (mass 100).
         let tiers = count_tiers(&tiered_table(), 0);
         assert_eq!(tiers, vec![1, 10, 100]);
+    }
+
+    #[test]
+    fn count_tiers_break_mass_ties_on_the_count() {
+        // Counts 2, 3, 4, 6 all have mass 12 (six pairs, four triples,
+        // three quadruples, two sextuples); counts 20, 30, 40 all have
+        // mass 120. Every tier is a tie, and every `HashMap` built here
+        // has its own seed, so repeated calls visit the ties in different
+        // orders.
+        let mut t = Table::new(TableSchema::new(
+            "t",
+            vec![ColumnDef::new("a", ColType::Int)],
+        ));
+        let mut next = 0;
+        for (count, values) in [(2, 6), (3, 4), (4, 3), (6, 2), (20, 6), (30, 4), (40, 3)] {
+            for _ in 0..values {
+                next += 1;
+                for _ in 0..count {
+                    t.insert(vec![Value::Int(next)]);
+                }
+            }
+        }
+        for _ in 0..64 {
+            assert_eq!(count_tiers(&t, 0), vec![2, 20]);
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@ use std::sync::Arc;
 use crate::db::Database;
 use crate::index::{BTreeIndex, IndexSpec};
 use crate::mview::{MViewSpec, MaterializedView};
+use crate::par::{par_map, Parallelism};
 use crate::table::{RowId, PAGE_SIZE};
 use crate::value::Value;
 
@@ -60,6 +61,22 @@ impl Configuration {
             .count()
     }
 
+    /// Pages the base-table indexes will occupy once built against `db`,
+    /// from row counts and schema widths alone: the same integers the
+    /// built indexes report as [`BuildReport::aux_pages`]. Views, which
+    /// must be materialized to be sized, are not counted.
+    ///
+    /// # Panics
+    /// Panics if a spec references a table `db` does not have.
+    pub fn index_pages(&self, db: &Database) -> u64 {
+        let pages = |spec: &IndexSpec| {
+            let table = db.table(&spec.table).expect("index on missing table");
+            let width = BTreeIndex::entry_width(table.schema(), &spec.columns);
+            BTreeIndex::pages_for(width, table.n_rows() as u64)
+        };
+        self.indexes.iter().map(pages).sum()
+    }
+
     /// Deduplicate indexes and drop those subsumed by a wider index with
     /// the same prefix.
     pub fn normalize(&mut self) {
@@ -85,6 +102,13 @@ impl BuildReport {
     /// Auxiliary size in bytes.
     pub fn aux_bytes(&self) -> u64 {
         self.aux_pages * PAGE_SIZE as u64
+    }
+
+    /// Account for one built index and wrap it for sharing.
+    fn add_index(&mut self, (idx, cost): (BTreeIndex, u64)) -> Arc<BTreeIndex> {
+        self.pages_written += cost;
+        self.aux_pages += idx.n_pages();
+        Arc::new(idx)
     }
 }
 
@@ -112,60 +136,57 @@ pub struct BuiltConfiguration {
 }
 
 impl BuiltConfiguration {
-    /// Build `config` against `db`.
+    /// Build `config` against `db` on the calling thread.
     ///
     /// # Panics
     /// Panics if a spec references a missing table or column — configs
     /// are produced by in-repo advisors against the same database.
     pub fn build(config: Configuration, db: &Database) -> Self {
-        let mut pages_written = 0u64;
-        let mut aux_pages = 0u64;
-        let mut indexes = Vec::with_capacity(config.indexes.len());
-        let mut by_table: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        for spec in &config.indexes {
-            let table = db
-                .table(&spec.table)
-                .unwrap_or_else(|| panic!("index on missing table `{}`", spec.table));
-            let (idx, cost) = BTreeIndex::build(spec.clone(), table);
-            pages_written += cost;
-            aux_pages += idx.n_pages();
-            by_table
-                .entry(spec.table.clone())
-                .or_default()
-                .push(indexes.len());
-            indexes.push(Arc::new(idx));
-        }
-        let mut mviews = Vec::with_capacity(config.mviews.len());
-        for def in &config.mviews {
-            let bases: Vec<_> = def
-                .spec
-                .base
-                .iter()
-                .map(|n| {
-                    db.table(n)
-                        .unwrap_or_else(|| panic!("mview on missing table `{n}`"))
-                })
-                .collect();
+        Self::build_par(config, db, Parallelism::sequential())
+    }
+
+    /// [`BuiltConfiguration::build`] with the independent pieces — each
+    /// base-table index, each view with its indexes — built on up to
+    /// `par` threads. Pieces are collected in spec order and costs are
+    /// integer sums, so the result is identical at any thread count.
+    pub fn build_par(config: Configuration, db: &Database, par: Parallelism) -> Self {
+        let table = |name: &str, what: &str| {
+            db.table(name)
+                .unwrap_or_else(|| panic!("{what} on missing table `{name}`"))
+        };
+        let built = par_map(par, &config.indexes, |spec| {
+            BTreeIndex::build(spec.clone(), table(&spec.table, "index"))
+        });
+        let views = par_map(par, &config.mviews, |def| {
+            let bases: Vec<_> = def.spec.base.iter().map(|n| table(n, "mview")).collect();
             let (mv, cost) = MaterializedView::materialize(def.spec.clone(), &bases);
-            pages_written += cost;
-            aux_pages += mv.table.n_pages();
-            let mut mv_indexes = Vec::with_capacity(def.indexes.len());
-            for cols in &def.indexes {
-                let (idx, icost) = mv.build_index(cols.clone());
-                pages_written += icost;
-                aux_pages += idx.n_pages();
-                mv_indexes.push(Arc::new(idx));
-            }
-            mviews.push((mv, mv_indexes));
+            let indexes: Vec<_> = def
+                .indexes
+                .iter()
+                .map(|cols| mv.build_index(cols.clone()))
+                .collect();
+            (mv, cost, indexes)
+        });
+        let mut report = BuildReport::default();
+        let indexes = built.into_iter().map(|b| report.add_index(b)).collect();
+        let mviews = views
+            .into_iter()
+            .map(|(mv, cost, mv_indexes)| {
+                report.pages_written += cost;
+                report.aux_pages += mv.table.n_pages();
+                let mv_indexes = mv_indexes.into_iter().map(|b| report.add_index(b));
+                (mv, mv_indexes.collect())
+            })
+            .collect();
+        let mut by_table: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+        for (i, spec) in config.indexes.iter().enumerate() {
+            by_table.entry(spec.table.clone()).or_default().push(i);
         }
         BuiltConfiguration {
             config,
             indexes,
             mviews,
-            report: BuildReport {
-                pages_written,
-                aux_pages,
-            },
+            report,
             by_table,
         }
     }
@@ -278,6 +299,34 @@ mod tests {
         assert_eq!(built.mviews.len(), 1);
         assert!(built.mviews[0].0.table.n_rows() > 0);
         assert_eq!(built.indexes_on("v").count(), 1);
+    }
+
+    #[test]
+    fn parallel_build_matches_sequential() {
+        let db = db();
+        let mut cfg = Configuration::named("par");
+        for cols in [vec![0], vec![1], vec![0, 1]] {
+            cfg.indexes.push(IndexSpec::new("t", cols));
+        }
+        cfg.indexes.push(IndexSpec::new("u", vec![1]));
+        cfg.mviews.push(MViewDef {
+            spec: MViewSpec::join_of("v", "t", "u", vec![(0, 0)], vec![(0, 1), (1, 1)]),
+            indexes: vec![vec![0], vec![1, 0]],
+        });
+        let groups = |i: &BTreeIndex| format!("{:?} {:?}", i.spec(), i.scan().collect::<Vec<_>>());
+        let all = |b: &BuiltConfiguration| -> Vec<String> {
+            let views = b.mviews.iter().flat_map(|(_, idxs)| idxs);
+            b.indexes.iter().chain(views).map(|i| groups(i)).collect()
+        };
+        let seq = BuiltConfiguration::build(cfg.clone(), &db);
+        for threads in [2, 8] {
+            let par = BuiltConfiguration::build_par(cfg.clone(), &db, Parallelism::new(threads));
+            assert_eq!(par.report.pages_written, seq.report.pages_written);
+            assert_eq!(par.report.aux_pages, seq.report.aux_pages);
+            assert_eq!(all(&par), all(&seq), "threads={threads}");
+            assert_eq!(par.indexes_on("t").count(), 3);
+            assert_eq!(par.indexes_on("v").count(), 2);
+        }
     }
 
     #[test]

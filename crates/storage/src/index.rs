@@ -7,11 +7,21 @@
 //! the optimizer skip heap fetches when the index contains every column a
 //! query needs — the mechanism behind the multi-column covering indexes
 //! that the paper's recommenders favour (Tables 2–3).
+//!
+//! In memory the index is one flat sorted run, not a tree: row ids
+//! sorted by (key, arrival order), each *distinct* key stored once, a
+//! group-offset array, and each group's build-time leaf position. Build
+//! is one stable sort plus one linear pass; a probe is a binary search
+//! over the distinct keys plus one slice copy; a maintenance insert is a
+//! binary search plus an O(n) 4-byte `memmove`, and the copy-on-write
+//! clone a shared insert pays first is four flat vector copies. The type
+//! keeps its name because everything it *charges* — entries per page,
+//! height, descent pages, leaf positions — is a B+tree's page-cost model.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::fmt;
-use std::ops::Bound;
 
+use crate::schema::TableSchema;
 use crate::table::{RowId, Table, PAGE_SIZE};
 use crate::value::Value;
 
@@ -44,14 +54,6 @@ impl IndexSpec {
         }
     }
 
-    /// Stable display name, e.g. `idx_source(1,4)`, as a borrowed
-    /// display form: nothing is allocated until the caller actually
-    /// formats it (planner/resolver loops format specs per candidate,
-    /// so the old `String`-returning version allocated per call).
-    pub fn name(&self) -> impl fmt::Display + '_ {
-        self
-    }
-
     /// Whether this index's key starts with the other's key (so it can
     /// answer every probe the other can).
     pub fn subsumes(&self, other: &IndexSpec) -> bool {
@@ -74,9 +76,6 @@ impl fmt::Display for IndexSpec {
     }
 }
 
-/// Composite index key.
-pub type Key = Vec<Value>;
-
 /// Result of an index probe: matching row ids plus the I/O charged.
 #[derive(Debug, Clone)]
 pub struct Probe {
@@ -91,19 +90,23 @@ pub struct Probe {
     pub first_leaf: u64,
 }
 
-/// An in-memory B+tree index with a page-cost model.
+/// A secondary index: a flat sorted run with a B+tree's page-cost model.
 #[derive(Debug, Clone)]
 pub struct BTreeIndex {
     spec: IndexSpec,
-    map: BTreeMap<Key, Vec<RowId>>,
-    /// Cumulative entry count before each distinct key (in key order),
-    /// giving every key a stable leaf-page position for the buffer
-    /// pool's page identities. Computed at build time; maintenance
-    /// inserts do not rebuild it (an inserted key inherits the position
-    /// of its nearest predecessor — approximate page identity, exact
-    /// page *counts*).
-    leaf_starts: BTreeMap<Key, u64>,
-    n_entries: u64,
+    /// Row ids sorted by (key, arrival order); group `g` owns
+    /// `ids[offsets[g]..offsets[g + 1]]`.
+    ids: Vec<RowId>,
+    /// The distinct keys in key order, `spec.columns.len()` values each,
+    /// spelled as first inserted (`Int(1)` or `Float(1.0)`).
+    keys: Vec<Value>,
+    /// Each group's start in `ids`, then `ids.len()`.
+    offsets: Vec<u32>,
+    /// Entries before each group *at build time*: a stable leaf-page
+    /// position for the buffer pool's page identities. Inserts never
+    /// shift it, and a key that postdates the build inherits its
+    /// predecessor's (approximate page identity, exact page *counts*).
+    leaf_starts: Vec<u32>,
     entry_width: u32,
     clustering: f64,
 }
@@ -114,55 +117,56 @@ impl BTreeIndex {
     /// Returns the index together with its build cost in pages written
     /// (the sort + write cost model used for Table 1's build times).
     pub fn build(spec: IndexSpec, table: &Table) -> (Self, u64) {
-        let key_width: u32 = spec
-            .columns
-            .iter()
-            .map(|&c| table.schema().columns[c].byte_width)
-            .sum();
-        // Key bytes + row-id pointer + entry header.
-        let entry_width = key_width + 8 + 4;
-        let mut map: BTreeMap<Key, Vec<RowId>> = BTreeMap::new();
-        for (id, row) in table.iter() {
-            let key: Key = spec.columns.iter().map(|&c| row[c].clone()).collect();
-            map.entry(key).or_default().push(id);
-        }
-        let n_entries = table.n_rows() as u64;
-        // Clustering factor (Oracle-style): walk the index in key order
-        // and count heap-page switches; divide by entries. Near zero when
-        // index order matches heap order (each page serves many entries),
-        // 1.0 when every entry lands on a different page.
-        let mut page_switches = 0u64;
-        let mut last_page: Option<u64> = None;
-        for ids in map.values() {
-            for &id in ids {
-                let pg = table.page_of(id);
-                if last_page != Some(pg) {
-                    page_switches += 1;
-                    last_page = Some(pg);
-                }
-            }
-        }
-        let clustering = if n_entries == 0 {
-            1.0
-        } else {
-            (page_switches as f64 / n_entries as f64).clamp(0.0, 1.0)
+        // Each row's leading key cell rides beside its id, so the sort
+        // compares contiguous memory; only ties on it reach into the
+        // heap for the remaining columns.
+        let (lead, rest) = (spec.columns[0], &spec.columns[1..]);
+        let cmp = |a: &(Value, RowId), b: &(Value, RowId)| {
+            let by_col = |&c: &usize| table.value(a.1, c).cmp(table.value(b.1, c));
+            let tie = || rest.iter().map(by_col).find(|o| o.is_ne());
+            a.0.cmp(&b.0).then_with(|| tie().unwrap_or(Ordering::Equal))
         };
-        let mut leaf_starts = BTreeMap::new();
-        let mut cum = 0u64;
-        for (k, ids) in &map {
-            leaf_starts.insert(k.clone(), cum);
-            cum += ids.len() as u64;
+        let key_of = |id| {
+            spec.columns
+                .iter()
+                .map(move |&c| table.value(id, c).clone())
+        };
+        let mut run: Vec<_> = table.iter().map(|(id, r)| (r[lead].clone(), id)).collect();
+        run.sort_by(cmp);
+        // One pass over the run: group boundaries, and the clustering
+        // factor (Oracle-style) — heap-page switches in key order divided
+        // by entries. Near zero when index order matches heap order (each
+        // page serves many entries), 1.0 when every entry lands on a
+        // different page.
+        let (mut keys, mut offsets) = (Vec::new(), Vec::new());
+        let mut page_switches = 0u64;
+        let mut last_page = None;
+        for (pos, entry) in run.iter().enumerate() {
+            if pos == 0 || cmp(&run[pos - 1], entry).is_ne() {
+                keys.extend(key_of(entry.1));
+                offsets.push(pos as u32);
+            }
+            let page = Some(table.page_of(entry.1));
+            page_switches += u64::from(last_page != page);
+            last_page = page;
         }
+        let clustering = match run.len() {
+            0 => 1.0,
+            n => (page_switches as f64 / n as f64).clamp(0.0, 1.0),
+        };
+        let leaf_starts = offsets.clone();
+        offsets.push(run.len() as u32);
         let idx = BTreeIndex {
+            entry_width: Self::entry_width(table.schema(), &spec.columns),
             spec,
-            map,
+            ids: run.into_iter().map(|(_, id)| id).collect(),
+            keys,
+            offsets,
             leaf_starts,
-            n_entries,
-            entry_width,
             clustering,
         };
         // Build cost: read the heap once, sort (log factor), write leaves.
-        let sort_factor = (n_entries.max(2) as f64).log2().ceil() as u64;
+        let sort_factor = (idx.n_entries().max(2) as f64).log2().ceil() as u64;
         let build_pages = table.n_pages() * sort_factor.max(1) / 4 + idx.n_pages();
         (idx, build_pages.max(1))
     }
@@ -172,19 +176,32 @@ impl BTreeIndex {
         &self.spec
     }
 
+    /// Bytes per entry under the page model: key bytes + row-id pointer
+    /// + entry header.
+    pub fn entry_width(schema: &TableSchema, columns: &[usize]) -> u32 {
+        let key_width: u32 = columns.iter().map(|&c| schema.columns[c].byte_width).sum();
+        key_width + 8 + 4
+    }
+
+    /// Leaf pages holding `n_entries` entries of `entry_width` bytes: the
+    /// one sizing formula, for a built index ([`BTreeIndex::n_pages`]) and
+    /// for sizing one from a row count without building it.
+    pub fn pages_for(entry_width: u32, n_entries: u64) -> u64 {
+        n_entries.div_ceil(Self::per_page(entry_width)).max(1)
+    }
+
+    fn per_page(entry_width: u32) -> u64 {
+        (PAGE_SIZE / entry_width.max(1)).max(1) as u64
+    }
+
     /// Entries per leaf page under the page model.
     pub fn entries_per_page(&self) -> u64 {
-        (PAGE_SIZE / self.entry_width.max(1)).max(1) as u64
+        Self::per_page(self.entry_width)
     }
 
     /// Leaf-level size in pages.
     pub fn n_pages(&self) -> u64 {
-        self.n_entries.div_ceil(self.entries_per_page()).max(1)
-    }
-
-    /// Nominal byte size.
-    pub fn n_bytes(&self) -> u64 {
-        self.n_pages() * PAGE_SIZE as u64
+        Self::pages_for(self.entry_width, self.n_entries())
     }
 
     /// Height of the tree (descent cost per probe).
@@ -201,46 +218,52 @@ impl BTreeIndex {
         h
     }
 
+    fn key(&self, group: usize) -> &[Value] {
+        let w = self.spec.columns.len();
+        &self.keys[group * w..(group + 1) * w]
+    }
+
+    /// First group at or after `from` whose key fails `pred`; `pred` must
+    /// hold for a (possibly empty) head of the groups from `from` on.
+    fn partition(&self, from: usize, pred: impl Fn(&[Value]) -> bool) -> usize {
+        let (mut lo, mut hi) = (from, self.n_distinct_keys());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if pred(self.key(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// The probe result for groups `lo..hi`: one contiguous slice of ids,
+    /// scanned from the leaf page holding group `lo`'s first entry.
+    fn span(&self, lo: usize, hi: usize) -> Probe {
+        let ids = &self.ids[self.offsets[lo] as usize..self.offsets[hi] as usize];
+        let leaf_pages = (ids.len() as u64).div_ceil(self.entries_per_page()).max(1);
+        let leaf =
+            |g| (self.leaf_starts[g] as u64 / self.entries_per_page()).min(self.n_pages() - 1);
+        Probe {
+            row_ids: ids.to_vec(),
+            pages_touched: self.height() + leaf_pages,
+            first_leaf: if ids.is_empty() { 0 } else { leaf(lo) },
+        }
+    }
+
     /// Point/prefix probe: all rows whose key starts with `prefix`.
     ///
     /// `prefix` may bind fewer columns than the key has, in which case
     /// this is a range scan over the bound prefix.
     pub fn probe(&self, prefix: &[Value]) -> Probe {
+        let n = prefix.len();
         assert!(
-            !prefix.is_empty() && prefix.len() <= self.spec.columns.len(),
+            n > 0 && n <= self.spec.columns.len(),
             "probe prefix must bind 1..=key_len columns"
         );
-        let lo: Key = prefix.to_vec();
-        let mut row_ids = Vec::new();
-        let mut entries = 0u64;
-        let mut first_leaf = 0u64;
-        for (k, ids) in self.map.range((Bound::Included(lo), Bound::Unbounded)) {
-            if k[..prefix.len()] != prefix[..] {
-                break;
-            }
-            if entries == 0 {
-                first_leaf = self.leaf_of(k);
-            }
-            entries += ids.len() as u64;
-            row_ids.extend_from_slice(ids);
-        }
-        let leaf_pages = entries.div_ceil(self.entries_per_page()).max(1);
-        Probe {
-            row_ids,
-            pages_touched: self.height() + leaf_pages,
-            first_leaf,
-        }
-    }
-
-    /// Leaf page holding the first entry of `key` (its nearest
-    /// predecessor's position if the key postdates the build).
-    fn leaf_of(&self, key: &Key) -> u64 {
-        let cum = self
-            .leaf_starts
-            .range::<Key, _>((Bound::Unbounded, Bound::Included(key)))
-            .next_back()
-            .map_or(0, |(_, &c)| c);
-        (cum / self.entries_per_page()).min(self.n_pages() - 1)
+        let lo = self.partition(0, |k| k[..n] < *prefix);
+        self.span(lo, self.partition(lo, |k| k[..n] == *prefix))
     }
 
     /// Index page numbers (within this index's relation) of the tree
@@ -264,8 +287,10 @@ impl BTreeIndex {
     }
 
     /// Iterate all `(key, row_ids)` groups in key order (full index scan).
-    pub fn scan(&self) -> impl Iterator<Item = (&Key, &Vec<RowId>)> {
-        self.map.iter()
+    pub fn scan(&self) -> impl Iterator<Item = (&[Value], &[RowId])> {
+        let keys = self.keys.chunks_exact(self.spec.columns.len());
+        let ids = |o: &[u32]| &self.ids[o[0] as usize..o[1] as usize];
+        keys.zip(self.offsets.windows(2).map(ids))
     }
 
     /// Range probe on the leading key column: all rows whose first key
@@ -276,39 +301,14 @@ impl BTreeIndex {
         lo: Option<(&Value, bool)>,
         hi: Option<(&Value, bool)>,
     ) -> Probe {
-        let mut row_ids = Vec::new();
-        let mut entries = 0u64;
-        let mut first_leaf = 0u64;
-        let start: Bound<Key> = match lo {
-            // `[v]` sorts before `[v, ...]`, so Included(vec![v]) starts
-            // exactly at the first key whose head is v.
-            Some((v, _)) => Bound::Included(vec![v.clone()]),
-            None => Bound::Unbounded,
+        // Groups whose head is below `v`, or equal to it if `or_equal`:
+        // what a strict `lo` skips and an inclusive `hi` keeps.
+        let below = |from, v: &Value, or_equal: bool| {
+            self.partition(from, |k| k[0] < *v || (or_equal && k[0] == *v))
         };
-        for (k, ids) in self.map.range((start, Bound::Unbounded)) {
-            let head = &k[0];
-            if let Some((v, strict)) = lo {
-                if strict && head == v {
-                    continue; // lo-exclusive: skip heads equal to v
-                }
-            }
-            if let Some((v, strict)) = hi {
-                if head > v || (strict && head == v) {
-                    break;
-                }
-            }
-            if entries == 0 {
-                first_leaf = self.leaf_of(k);
-            }
-            entries += ids.len() as u64;
-            row_ids.extend_from_slice(ids);
-        }
-        let leaf_pages = entries.div_ceil(self.entries_per_page()).max(1);
-        Probe {
-            row_ids,
-            pages_touched: self.height() + leaf_pages,
-            first_leaf,
-        }
+        let start = lo.map_or(0, |(v, strict)| below(0, v, strict));
+        let end = |(v, strict): (&Value, bool)| below(start, v, !strict);
+        self.span(start, hi.map_or(self.n_distinct_keys(), end))
     }
 
     /// Insert a table row that was just appended (index maintenance).
@@ -316,15 +316,23 @@ impl BTreeIndex {
     /// Returns pages written (descent + leaf update) for the insertion
     /// cost model of §4.4.
     pub fn insert(&mut self, row: &[Value], id: RowId) -> u64 {
-        let key: Key = self.spec.columns.iter().map(|&c| row[c].clone()).collect();
-        self.map.entry(key).or_default().push(id);
-        self.n_entries += 1;
+        let key: Vec<Value> = self.spec.columns.iter().map(|&c| row[c].clone()).collect();
+        let g = self.partition(0, |k| k < &key[..]);
+        if g == self.n_distinct_keys() || self.key(g) != &key[..] {
+            let inherited = g.checked_sub(1).map_or(0, |prev| self.leaf_starts[prev]);
+            self.leaf_starts.insert(g, inherited);
+            self.offsets.insert(g, self.offsets[g]);
+            self.keys.splice(g * key.len()..g * key.len(), key);
+        }
+        // The id joins the end of its group; later groups move up one.
+        self.ids.insert(self.offsets[g + 1] as usize, id);
+        self.offsets[g + 1..].iter_mut().for_each(|o| *o += 1);
         self.height() + 1
     }
 
     /// Total number of entries.
     pub fn n_entries(&self) -> u64 {
-        self.n_entries
+        self.ids.len() as u64
     }
 
     /// Measured clustering factor: average heap pages per matching row
@@ -335,7 +343,7 @@ impl BTreeIndex {
 
     /// Number of distinct keys.
     pub fn n_distinct_keys(&self) -> usize {
-        self.map.len()
+        self.leaf_starts.len()
     }
 }
 
@@ -574,5 +582,263 @@ mod range_probe_tests {
         let lo = Value::Int(50);
         let p = idx.probe_leading_range(Some((&lo, false)), None);
         assert!(p.row_ids.is_empty());
+    }
+}
+
+/// The flat index against the representation it replaced: a
+/// `BTreeMap<Vec<Value>, Vec<RowId>>` plus a frozen key → leaf-position
+/// map, probed by the code the index used to run. Seeded, so a failure
+/// names its trial.
+#[cfg(test)]
+mod model_tests {
+    use super::*;
+    use crate::schema::{ColType, ColumnDef, TableSchema};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
+    use std::ops::Bound;
+
+    type Key = Vec<Value>;
+    /// `Probe` as a comparable triple.
+    type Seen = (Vec<RowId>, u64, u64);
+
+    struct Model {
+        cols: Vec<usize>,
+        map: BTreeMap<Key, Vec<RowId>>,
+        leaf_starts: BTreeMap<Key, u64>,
+        clustering: f64,
+    }
+
+    impl Model {
+        fn build(cols: &[usize], table: &Table) -> Self {
+            let mut map: BTreeMap<Key, Vec<RowId>> = BTreeMap::new();
+            for (id, row) in table.iter() {
+                let key = cols.iter().map(|&c| row[c].clone()).collect();
+                map.entry(key).or_default().push(id);
+            }
+            let mut switches = 0u64;
+            let mut last_page = None;
+            for &id in map.values().flatten() {
+                if last_page != Some(table.page_of(id)) {
+                    switches += 1;
+                    last_page = Some(table.page_of(id));
+                }
+            }
+            let mut leaf_starts = BTreeMap::new();
+            let mut cum = 0u64;
+            for (k, ids) in &map {
+                leaf_starts.insert(k.clone(), cum);
+                cum += ids.len() as u64;
+            }
+            Model {
+                cols: cols.to_vec(),
+                map,
+                leaf_starts,
+                clustering: match table.n_rows() {
+                    0 => 1.0,
+                    n => (switches as f64 / n as f64).clamp(0.0, 1.0),
+                },
+            }
+        }
+
+        /// Page arithmetic is the index's own (it is not what changed);
+        /// which groups match, in what order, from which leaf, is the
+        /// model's.
+        fn seen<'a>(
+            &self,
+            idx: &BTreeIndex,
+            groups: impl Iterator<Item = (&'a Key, &'a Vec<RowId>)>,
+        ) -> Seen {
+            let mut row_ids = Vec::new();
+            let mut first_leaf = 0;
+            for (k, ids) in groups {
+                if row_ids.is_empty() {
+                    let cum = self
+                        .leaf_starts
+                        .range::<Key, _>((Bound::Unbounded, Bound::Included(k)))
+                        .next_back()
+                        .map_or(0, |(_, &c)| c);
+                    first_leaf = (cum / idx.entries_per_page()).min(idx.n_pages() - 1);
+                }
+                row_ids.extend_from_slice(ids);
+            }
+            let leaf_pages = (row_ids.len() as u64)
+                .div_ceil(idx.entries_per_page())
+                .max(1);
+            (row_ids, idx.height() + leaf_pages, first_leaf)
+        }
+
+        fn probe(&self, idx: &BTreeIndex, prefix: &[Value]) -> Seen {
+            let from = (Bound::Included(prefix.to_vec()), Bound::Unbounded);
+            let groups = self.map.range(from);
+            self.seen(
+                idx,
+                groups.take_while(|(k, _)| k[..prefix.len()] == *prefix),
+            )
+        }
+
+        fn range(
+            &self,
+            idx: &BTreeIndex,
+            lo: Option<(&Value, bool)>,
+            hi: Option<(&Value, bool)>,
+        ) -> Seen {
+            let start = match lo {
+                Some((v, _)) => Bound::Included(vec![v.clone()]),
+                None => Bound::Unbounded,
+            };
+            let groups = self
+                .map
+                .range((start, Bound::Unbounded))
+                .filter(|(k, _)| !lo.is_some_and(|(v, strict)| strict && k[0] == *v))
+                .take_while(|(k, _)| {
+                    !hi.is_some_and(|(v, strict)| k[0] > *v || (strict && k[0] == *v))
+                });
+            self.seen(idx, groups)
+        }
+
+        fn insert(&mut self, row: &[Value], id: RowId) {
+            let key = self.cols.iter().map(|&c| row[c].clone()).collect();
+            self.map.entry(key).or_default().push(id);
+        }
+    }
+
+    fn seen(p: Probe) -> Seen {
+        (p.row_ids, p.pages_touched, p.first_leaf)
+    }
+
+    /// `Int(1) == Float(1.0)`, so compare spellings, not values.
+    fn spelled(k: &[Value]) -> String {
+        format!("{k:?}")
+    }
+
+    /// One cell from a domain of `d` values per kind; `nulls` allows NULL.
+    fn cell(rng: &mut StdRng, d: i64, nulls: bool) -> Value {
+        let i = rng.random_range(0..d);
+        match rng.random_range(0..if nulls { 8 } else { 7 }) {
+            0..=2 => Value::Int(i),
+            3 => Value::Float(i as f64),
+            4 => Value::Float(i as f64 + 0.5),
+            5 | 6 => Value::str(format!("s{i:04}")),
+            _ => Value::Null,
+        }
+    }
+
+    fn check(idx: &BTreeIndex, model: &Model, rng: &mut StdRng, d: i64, ctx: &str) {
+        let w = model.cols.len();
+        assert_eq!(idx.n_distinct_keys(), model.map.len(), "{ctx}");
+        let total: usize = model.map.values().map(Vec::len).sum();
+        assert_eq!(idx.n_entries(), total as u64, "{ctx}");
+        assert_eq!(
+            idx.clustering().to_bits(),
+            model.clustering.to_bits(),
+            "{ctx}"
+        );
+        let groups: Vec<_> = idx.scan().map(|(k, ids)| (spelled(k), ids)).collect();
+        let expect: Vec<_> = model
+            .map
+            .iter()
+            .map(|(k, ids)| (spelled(k), &ids[..]))
+            .collect();
+        assert_eq!(groups, expect, "{ctx}: scan");
+
+        // Every stored key (up to a cap) at every prefix length, then
+        // keys that are not there: below, between, above, and NULL.
+        let step = (model.map.len() / 48).max(1);
+        let mut keys: Vec<Key> = model.map.keys().step_by(step).cloned().collect();
+        for _ in 0..16 {
+            keys.push((0..w).map(|_| cell(rng, d + 2, true)).collect());
+        }
+        keys.push(vec![Value::Int(-7); w]);
+        keys.push(vec![Value::Float(0.25); w]);
+        keys.push(vec![Value::str("~"); w]);
+        keys.push(vec![Value::Null; w]);
+        for k in &keys {
+            for n in 1..=w {
+                let got = seen(idx.probe(&k[..n]));
+                assert_eq!(got, model.probe(idx, &k[..n]), "{ctx}: probe {:?}", &k[..n]);
+            }
+        }
+        for (a, b) in keys.iter().zip(keys.iter().rev()) {
+            let (a, b) = (&a[0], &b[0]);
+            for (ls, hs) in [(false, false), (false, true), (true, false), (true, true)] {
+                for (lo, hi) in [
+                    (Some((a, ls)), Some((b, hs))),
+                    (Some((a, ls)), None),
+                    (None, Some((b, hs))),
+                    (None, None),
+                ] {
+                    let got = seen(idx.probe_leading_range(lo, hi));
+                    assert_eq!(got, model.range(idx, lo, hi), "{ctx}: range {lo:?}..{hi:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn flat_index_matches_btreemap_model() {
+        // Which kinds of maintenance insert the trials exercised.
+        let (mut existing, mut smallest, mut largest, mut middle) = (0, 0, 0, 0);
+        for trial in 0..24u64 {
+            let rng = &mut StdRng::seed_from_u64(0x1C_2005 + trial);
+            let n_cols = 4;
+            let w = 1 + (trial % 4) as usize;
+            // Wide columns: few entries per page, so even small tables
+            // have many leaves and (past ~40 leaves) a second level.
+            let columns = (0..n_cols)
+                .map(|c| ColumnDef::new(format!("c{c}"), ColType::Int).width(60 * (c + 1)))
+                .collect();
+            let mut table = Table::new(TableSchema::new("t", columns));
+            let n_rows = [0, 1, 40, 700, 2500][trial as usize % 5];
+            // Heavy duplicates, moderate, or (nearly) all distinct.
+            let d = [3, 40, 1_000_000][trial as usize % 3];
+            let nulls = trial % 2 == 1;
+            for _ in 0..n_rows {
+                let row: Vec<Value> = (0..n_cols).map(|_| cell(rng, d, nulls)).collect();
+                table.insert(row);
+            }
+            let mut cols: Vec<usize> = (0..n_cols as usize).collect();
+            cols.rotate_left(trial as usize % 4);
+            cols.truncate(w);
+            let ctx = format!("trial {trial}: {n_rows} rows, key {cols:?}, domain {d}");
+
+            let (mut idx, _) = BTreeIndex::build(IndexSpec::new("t", cols.clone()), &table);
+            let mut model = Model::build(&cols, &table);
+            check(&idx, &model, rng, d, &ctx);
+
+            for j in 0..40i64 {
+                let mut row: Vec<Value> = (0..n_cols).map(|_| cell(rng, d + 2, nulls)).collect();
+                match j % 4 {
+                    0 => row[cols[0]] = Value::Int(-1 - j),
+                    1 => row[cols[0]] = Value::str(format!("~{j:04}")),
+                    2 => {
+                        if let Some(k) = model.map.keys().nth(j as usize % model.map.len().max(1)) {
+                            cols.iter().zip(k).for_each(|(&c, v)| row[c] = v.clone());
+                        }
+                    }
+                    _ => {}
+                }
+                let key: Key = cols.iter().map(|&c| row[c].clone()).collect();
+                if model.map.contains_key(&key) {
+                    existing += 1;
+                } else if model.map.keys().next().is_some_and(|k| key < *k) {
+                    smallest += 1;
+                } else if model.map.keys().next_back().is_some_and(|k| key > *k) {
+                    largest += 1;
+                } else {
+                    middle += 1;
+                }
+                let id = (n_rows as i64 + j) as RowId;
+                model.insert(&row, id);
+                assert_eq!(idx.insert(&row, id), idx.height() + 1, "{ctx}");
+            }
+            check(&idx, &model, rng, d, &format!("{ctx}, after inserts"));
+        }
+        for (kind, hits) in [("an existing", existing), ("a new smallest", smallest)] {
+            assert!(hits > 20, "too few inserts of {kind} key: {hits}");
+        }
+        for (kind, hits) in [("a new largest", largest), ("a new middle", middle)] {
+            assert!(hits > 20, "too few inserts of {kind} key: {hits}");
+        }
     }
 }
