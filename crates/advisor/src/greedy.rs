@@ -19,8 +19,7 @@ use std::time::Instant;
 use tab_engine::stats_view::{HypotheticalStats, StatsView};
 use tab_sqlq::Query;
 use tab_storage::{
-    par_map, BuiltConfiguration, Configuration, Database, Parallelism, StderrTraceSink, Trace,
-    TraceEvent, PAGE_SIZE,
+    par_map, BuiltConfiguration, Configuration, Database, Parallelism, Trace, TraceEvent, PAGE_SIZE,
 };
 
 use crate::candidates::Candidate;
@@ -111,8 +110,7 @@ pub struct RoundStats {
     pub cache_hits: u64,
 }
 
-/// Instrumentation from one greedy search, reported in
-/// `BENCH_advisor.json`.
+/// Instrumentation from one greedy search.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SearchStats {
     /// Number of candidate structures considered.
@@ -190,48 +188,13 @@ pub fn candidate_bytes(db: &Database, current: &BuiltConfiguration, cand: &Candi
 /// Greedily select candidates maximizing estimated workload benefit per
 /// byte, subject to `budget_bytes`. Returns the recommended
 /// configuration (the current configuration's structures plus the
-/// selected candidates).
-pub fn greedy_select(
-    db: &Database,
-    current: &BuiltConfiguration,
-    workload: &[Query],
-    candidates: Vec<Candidate>,
-    budget_bytes: u64,
-    name: &str,
-    opts: GreedyOptions,
-) -> Configuration {
-    greedy_select_with_stats(db, current, workload, candidates, budget_bytes, name, opts).0
-}
-
-/// [`greedy_select`], also returning the search's [`SearchStats`].
-pub fn greedy_select_with_stats(
-    db: &Database,
-    current: &BuiltConfiguration,
-    workload: &[Query],
-    candidates: Vec<Candidate>,
-    budget_bytes: u64,
-    name: &str,
-    opts: GreedyOptions,
-) -> (Configuration, SearchStats) {
-    greedy_select_traced(
-        db,
-        current,
-        workload,
-        candidates,
-        budget_bytes,
-        name,
-        opts,
-        Trace::disabled(),
-    )
-}
-
-/// [`greedy_select_with_stats`] with a [`Trace`] emitting structured
-/// `advisor_begin` / `advisor_round` / `advisor_stop` / `advisor_end`
-/// events. With tracing disabled, setting `TAB_ADVISOR_DEBUG` routes the
-/// same events to stderr (the structured successor of the old ad-hoc
-/// narration). Tracing never changes the recommendation.
+/// selected candidates) and the search's [`SearchStats`].
+///
+/// `trace` receives structured `advisor_begin` / `advisor_round` /
+/// `advisor_stop` / `advisor_end` events. Tracing never changes the
+/// recommendation.
 #[allow(clippy::too_many_arguments)]
-pub fn greedy_select_traced(
+pub fn greedy_select(
     db: &Database,
     current: &BuiltConfiguration,
     workload: &[Query],
@@ -241,12 +204,6 @@ pub fn greedy_select_traced(
     opts: GreedyOptions,
     trace: Trace<'_>,
 ) -> (Configuration, SearchStats) {
-    let stderr_sink = StderrTraceSink;
-    let trace = if !trace.is_enabled() && std::env::var_os("TAB_ADVISOR_DEBUG").is_some() {
-        Trace::to(&stderr_sink)
-    } else {
-        trace
-    };
     let t_start = Instant::now();
     let mut chosen = current.config.clone();
     chosen.name = name.to_string();
@@ -487,7 +444,7 @@ mod tests {
             })
             .collect();
         let cands = generate(&db, &w, CandidateStyle::SingleColumn);
-        let cfg = greedy_select(
+        let (cfg, _) = greedy_select(
             &db,
             &p,
             &w,
@@ -495,6 +452,7 @@ mod tests {
             50 * 1024 * 1024,
             "R",
             GreedyOptions::default(),
+            Trace::disabled(),
         );
         assert!(
             cfg.indexes.contains(&IndexSpec::new("t", vec![1])),
@@ -509,7 +467,8 @@ mod tests {
         let p = BuiltConfiguration::build(p_configuration(&db, "P"), &db);
         let w = vec![parse("SELECT t.g, COUNT(*) FROM t WHERE t.a = 1 GROUP BY t.g").unwrap()];
         let cands = generate(&db, &w, CandidateStyle::SingleColumn);
-        let cfg = greedy_select(&db, &p, &w, cands, 0, "R", GreedyOptions::default());
+        let opts = GreedyOptions::default();
+        let (cfg, _) = greedy_select(&db, &p, &w, cands, 0, "R", opts, Trace::disabled());
         assert_eq!(cfg.indexes, p.config.indexes);
     }
 
@@ -535,7 +494,7 @@ mod tests {
             })
             .collect();
         let cands = generate(&db, &w, CandidateStyle::SingleColumn);
-        let (_, full) = greedy_select_with_stats(
+        let (_, full) = greedy_select(
             &db,
             &p,
             &w,
@@ -543,6 +502,7 @@ mod tests {
             50 * 1024 * 1024,
             "R",
             GreedyOptions::default(),
+            Trace::disabled(),
         );
         assert!(!full.rounds.is_empty());
         assert!(full.initial_objective > 0.0);
@@ -559,7 +519,7 @@ mod tests {
         // A budget below the initial pricing cost stops before round 1,
         // and any budgeted run picks a prefix of the unbudgeted rounds.
         for budget in [1, full.rounds[0].whatif_calls] {
-            let (_, b) = greedy_select_with_stats(
+            let (_, b) = greedy_select(
                 &db,
                 &p,
                 &w,
@@ -570,13 +530,14 @@ mod tests {
                     max_whatif_calls: Some(budget),
                     ..GreedyOptions::default()
                 },
+                Trace::disabled(),
             );
             assert!(b.rounds.len() <= full.rounds.len());
             for (br, fr) in b.rounds.iter().zip(&full.rounds) {
                 assert_eq!(br.candidate, fr.candidate, "budgeted picks a prefix");
             }
         }
-        let (_, tiny) = greedy_select_with_stats(
+        let (_, tiny) = greedy_select(
             &db,
             &p,
             &w,
@@ -587,6 +548,7 @@ mod tests {
                 max_whatif_calls: Some(1),
                 ..GreedyOptions::default()
             },
+            Trace::disabled(),
         );
         assert!(tiny.rounds.is_empty(), "{tiny:?}");
     }
@@ -632,7 +594,7 @@ mod tests {
             })
             .collect();
         let cands = generate(&db, &w, CandidateStyle::SingleColumn);
-        let (cfg, stats) = greedy_select_with_stats(
+        let (cfg, stats) = greedy_select(
             &db,
             &p,
             &w,
@@ -640,6 +602,7 @@ mod tests {
             50 * 1024 * 1024,
             "R",
             GreedyOptions::default(),
+            Trace::disabled(),
         );
         assert_eq!(stats.candidates, cands.len());
         assert_eq!(stats.planner_calls + stats.cache_hits, stats.whatif_calls);
@@ -654,7 +617,7 @@ mod tests {
 
         // Disabling the cache prices every request through the planner
         // and picks the identical configuration.
-        let (cfg_nc, stats_nc) = greedy_select_with_stats(
+        let (cfg_nc, stats_nc) = greedy_select(
             &db,
             &p,
             &w,
@@ -665,6 +628,7 @@ mod tests {
                 cache: false,
                 ..GreedyOptions::default()
             },
+            Trace::disabled(),
         );
         assert_eq!(cfg, cfg_nc);
         assert_eq!(stats_nc.cache_hits, 0);

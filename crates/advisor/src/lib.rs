@@ -24,8 +24,7 @@ pub mod whatif;
 pub use candidates::{generate as generate_candidates, Candidate, CandidateStyle};
 pub use config_builders::{one_column_budget_bytes, one_column_configuration, p_configuration};
 pub use greedy::{
-    candidate_bytes, greedy_select, greedy_select_traced, greedy_select_with_stats, GreedyOptions,
-    Objective, RoundStats, SearchStats,
+    candidate_bytes, greedy_select, GreedyOptions, Objective, RoundStats, SearchStats,
 };
 pub use profiles::{AdvisorInput, Recommender, SearchLimits, SystemA, SystemB, SystemC};
 pub use whatif::{WhatIfService, WhatIfStats};

@@ -23,7 +23,7 @@ use tab_sqlq::Query;
 use tab_storage::{BuiltConfiguration, Configuration, Database, Parallelism, Trace};
 
 use crate::candidates::{generate, CandidateStyle};
-use crate::greedy::{greedy_select_traced, GreedyOptions, SearchStats};
+use crate::greedy::{greedy_select, GreedyOptions, SearchStats};
 
 /// Input to a recommendation request (§2.1's task definition).
 pub struct AdvisorInput<'a> {
@@ -137,7 +137,7 @@ impl Recommender for SystemA {
             // exactly as observed for NREF3J at 100 queries.
             return (None, SearchStats::default());
         }
-        let (cfg, stats) = greedy_select_traced(
+        let (cfg, stats) = greedy_select(
             input.db,
             input.current,
             input.workload,
@@ -166,7 +166,7 @@ impl Recommender for SystemB {
         limits: SearchLimits,
     ) -> (Option<Configuration>, SearchStats) {
         let cands = generate(input.db, input.workload, CandidateStyle::Covering);
-        let (cfg, stats) = greedy_select_traced(
+        let (cfg, stats) = greedy_select(
             input.db,
             input.current,
             input.workload,
@@ -196,7 +196,7 @@ impl Recommender for SystemC {
         limits: SearchLimits,
     ) -> (Option<Configuration>, SearchStats) {
         let cands = generate(input.db, input.workload, CandidateStyle::CoveringWithViews);
-        let (cfg, stats) = greedy_select_traced(
+        let (cfg, stats) = greedy_select(
             input.db,
             input.current,
             input.workload,

@@ -16,7 +16,7 @@ use tab_advisor::{
 };
 use tab_datagen::{generate_nref, NrefParams};
 use tab_sqlq::parse;
-use tab_storage::BuiltConfiguration;
+use tab_storage::{BuiltConfiguration, Trace};
 
 fn bench_ablations(c: &mut Criterion) {
     let db = generate_nref(NrefParams {
@@ -44,9 +44,19 @@ fn bench_ablations(c: &mut Criterion) {
         c.bench_function(name, move |b| {
             b.iter(|| {
                 black_box(
-                    greedy_select(db, p, workload, cands.clone(), 64 << 20, "R", opts)
-                        .indexes
-                        .len(),
+                    greedy_select(
+                        db,
+                        p,
+                        workload,
+                        cands.clone(),
+                        64 << 20,
+                        "R",
+                        opts,
+                        Trace::disabled(),
+                    )
+                    .0
+                    .indexes
+                    .len(),
                 )
             })
         });

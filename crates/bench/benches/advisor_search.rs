@@ -8,12 +8,11 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use tab_advisor::{
-    generate_candidates, greedy_select, greedy_select_with_stats, p_configuration, CandidateStyle,
-    GreedyOptions,
+    generate_candidates, greedy_select, p_configuration, CandidateStyle, GreedyOptions,
 };
 use tab_datagen::{generate_nref, NrefParams};
 use tab_sqlq::parse;
-use tab_storage::{BuiltConfiguration, Parallelism};
+use tab_storage::{BuiltConfiguration, Parallelism, Trace};
 
 fn bench_advisor(c: &mut Criterion) {
     let db = generate_nref(NrefParams {
@@ -87,10 +86,19 @@ fn bench_advisor(c: &mut Criterion) {
     // One-shot report: planner invocations with the what-if cost cache
     // off vs on (uncached, every what-if call plans). The selected
     // configuration must be identical either way.
+    let run = |opts: GreedyOptions| {
+        greedy_select(
+            &db,
+            &p,
+            &workload,
+            cands.clone(),
+            512 << 20,
+            "R",
+            opts,
+            Trace::disabled(),
+        )
+    };
     {
-        let run = |opts: GreedyOptions| {
-            greedy_select_with_stats(&db, &p, &workload, cands.clone(), 512 << 20, "R", opts)
-        };
         let (cfg_off, off) = run(GreedyOptions {
             cache: false,
             ..GreedyOptions::default()
@@ -115,40 +123,15 @@ fn bench_advisor(c: &mut Criterion) {
         b.iter(|| black_box(generate_candidates(&db, &workload, CandidateStyle::Covering).len()))
     });
     c.bench_function("greedy_whatif_selection", |b| {
-        b.iter(|| {
-            black_box(
-                greedy_select(
-                    &db,
-                    &p,
-                    &workload,
-                    cands.clone(),
-                    512 << 20,
-                    "R",
-                    GreedyOptions::default(),
-                )
-                .indexes
-                .len(),
-            )
-        })
+        b.iter(|| black_box(run(GreedyOptions::default()).0.indexes.len()))
     });
     c.bench_function("greedy_whatif_selection_8threads", |b| {
         b.iter(|| {
-            black_box(
-                greedy_select(
-                    &db,
-                    &p,
-                    &workload,
-                    cands.clone(),
-                    512 << 20,
-                    "R",
-                    GreedyOptions {
-                        par: Parallelism::new(8),
-                        ..GreedyOptions::default()
-                    },
-                )
-                .indexes
-                .len(),
-            )
+            let opts = GreedyOptions {
+                par: Parallelism::new(8),
+                ..GreedyOptions::default()
+            };
+            black_box(run(opts).0.indexes.len())
         })
     });
 }

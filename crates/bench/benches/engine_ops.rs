@@ -67,7 +67,9 @@ fn bench_engine(c: &mut Criterion) {
         let resolver = Resolver::new(&db, &ix);
         b.iter(|| {
             let mut m = CostMeter::unbounded();
-            black_box(tab_engine::execute(&plan, &resolver, &mut m).unwrap().len())
+            let rows =
+                tab_engine::execute(&plan, &resolver, &mut m, &ExecOpts::default(), None, None);
+            black_box(rows.unwrap().len())
         })
     });
 }

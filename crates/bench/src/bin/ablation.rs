@@ -14,14 +14,12 @@
 //! cargo run --release -p tab-bench-harness --bin ablation
 //! ```
 
-use tab_advisor::{
-    generate_candidates, greedy_select_with_stats, CandidateStyle, GreedyOptions, Objective,
-};
+use tab_advisor::{generate_candidates, greedy_select, CandidateStyle, GreedyOptions, Objective};
 use tab_core::{
     build_1c, build_p, prepare_workload, run_workload, space_budget, Suite, SuiteParams,
 };
 use tab_families::Family;
-use tab_storage::BuiltConfiguration;
+use tab_storage::{BuiltConfiguration, Parallelism, Trace};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -48,8 +46,9 @@ fn main() {
     let w = prepare_workload(&suite, Family::Nref3J, &p);
     let cands = generate_candidates(db, &w, CandidateStyle::Covering);
 
-    let run_p = run_workload(db, &p, &w, params.timeout_units);
-    let run_1c = run_workload(db, &c1, &w, params.timeout_units);
+    let seq = Parallelism::sequential();
+    let run_p = run_workload(db, &p, &w, params.timeout_units, seq);
+    let run_1c = run_workload(db, &c1, &w, params.timeout_units, seq);
     println!(
         "{:<22} total_lb(s) {:>9.0}  timeouts {:>3}",
         "P",
@@ -85,10 +84,19 @@ fn main() {
         ),
     ];
     for (name, opts) in variants {
-        let (cfg, stats) = greedy_select_with_stats(db, &p, &w, cands.clone(), budget, name, opts);
+        let (cfg, stats) = greedy_select(
+            db,
+            &p,
+            &w,
+            cands.clone(),
+            budget,
+            name,
+            opts,
+            Trace::disabled(),
+        );
         let n_idx = cfg.indexes.len();
         let built = BuiltConfiguration::build(cfg, db);
-        let run = run_workload(db, &built, &w, params.timeout_units);
+        let run = run_workload(db, &built, &w, params.timeout_units, seq);
         println!(
             "{:<22} total_lb(s) {:>9.0}  timeouts {:>3}  indexes {:>2}               whatif {:>6} (planner {:>6}, {:>3.0}% cached, {:.2}s)",
             name,

@@ -9,7 +9,7 @@ use tab_core::{
     SuiteParams, Trace,
 };
 use tab_families::Family;
-use tab_storage::BuiltConfiguration;
+use tab_storage::{BuiltConfiguration, Parallelism};
 
 fn main() {
     let t0 = Instant::now();
@@ -67,6 +67,7 @@ fn main() {
     }
 
     let db = &suite.nref;
+    let seq = Parallelism::sequential();
     let p = build_p(db, "NREF");
     eprintln!(
         "[{:?}] P built (aux {} MiB)",
@@ -93,14 +94,14 @@ fn main() {
         let w = prepare_workload(&suite, fam, &p);
         eprintln!("[{:?}] workload sampled: {}", t0.elapsed(), w.len());
 
-        let run_p = run_workload(db, &p, &w, params.timeout_units);
+        let run_p = run_workload(db, &p, &w, params.timeout_units, seq);
         eprintln!(
             "[{:?}] P run: timeouts {}, total_lb {:.0}s",
             t0.elapsed(),
             run_p.timeout_count(),
             run_p.total_lower_bound_sim_seconds()
         );
-        let run_1c = run_workload(db, &c1, &w, params.timeout_units);
+        let run_1c = run_workload(db, &c1, &w, params.timeout_units, seq);
         eprintln!(
             "[{:?}] 1C run: timeouts {}, total_lb {:.0}s",
             t0.elapsed(),
@@ -163,7 +164,7 @@ fn main() {
                             .collect::<Vec<_>>()
                     );
                     let built = BuiltConfiguration::build(cfg, db);
-                    let run_r = run_workload(db, &built, &w, params.timeout_units);
+                    let run_r = run_workload(db, &built, &w, params.timeout_units, seq);
                     eprintln!(
                         "[{:?}]  {name} R run: timeouts {}, total_lb {:.0}s",
                         t0.elapsed(),
@@ -183,6 +184,7 @@ fn main() {
 }
 
 fn tpch_pilot(suite: &Suite, params: SuiteParams, t0: Instant, trace: Trace<'_>) {
+    let seq = Parallelism::sequential();
     use tab_advisor::SystemC;
     for (db, label, fams) in [
         (&suite.skth, "SkTH", vec![Family::SkTH3Js, Family::SkTH3J]),
@@ -213,14 +215,14 @@ fn tpch_pilot(suite: &Suite, params: SuiteParams, t0: Instant, trace: Trace<'_>)
                 all.len()
             );
             let w = prepare_workload(suite, fam, &p);
-            let run_p = run_workload(db, &p, &w, params.timeout_units);
+            let run_p = run_workload(db, &p, &w, params.timeout_units, seq);
             eprintln!(
                 "[{:?}] P run: timeouts {}, total_lb {:.0}s",
                 t0.elapsed(),
                 run_p.timeout_count(),
                 run_p.total_lower_bound_sim_seconds()
             );
-            let run_1c = run_workload(db, &c1, &w, params.timeout_units);
+            let run_1c = run_workload(db, &c1, &w, params.timeout_units, seq);
             eprintln!(
                 "[{:?}] 1C run: timeouts {}, total_lb {:.0}s",
                 t0.elapsed(),
@@ -262,7 +264,7 @@ fn tpch_pilot(suite: &Suite, params: SuiteParams, t0: Instant, trace: Trace<'_>)
                             .collect::<Vec<_>>()
                     );
                     let built = BuiltConfiguration::build(cfg, db);
-                    let run_r = run_workload(db, &built, &w, params.timeout_units);
+                    let run_r = run_workload(db, &built, &w, params.timeout_units, seq);
                     eprintln!(
                         "[{:?}]  C R run: timeouts {}, total_lb {:.0}s",
                         t0.elapsed(),

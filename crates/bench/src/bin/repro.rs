@@ -16,8 +16,8 @@
 //! - `--morsel-rows N`    rows per morsel for the parallel executor
 //!   (default 4096); results are identical at any setting
 //! - `--check`        exit non-zero if any shape claim diverges (CI mode)
-//! - `--expect FILE`  with `--check`: compare claim verdicts against an
-//!   `id,status` baseline instead of demanding all-HOLDS (some paper
+//! - `--expect FILE`  implies `--check`: compare claim verdicts against
+//!   an `id,status` baseline instead of demanding all-HOLDS (some paper
 //!   claims diverge by design at reduced scale — see EXPERIMENTS.md)
 //! - `--out DIR`      override the output directory
 //! - `--trace FILE`   write a `tab-trace-v1` JSONL trace of every grid
@@ -105,7 +105,10 @@ fn main() -> ExitCode {
                 }));
             }
             "--out" => out = Some(args.next().unwrap_or_else(|| usage())),
-            "--expect" => expect = Some(args.next().unwrap_or_else(|| usage())),
+            "--expect" => {
+                expect = Some(args.next().unwrap_or_else(|| usage()));
+                check = true;
+            }
             "--trace" => trace = Some(args.next().unwrap_or_else(|| usage())),
             "--faults" => faults = Some(args.next().unwrap_or_else(|| usage())),
             _ => usage(),

@@ -10,22 +10,20 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use crate::converge::{run_convergence, ConvergenceSpec};
-use tab_advisor::{AdvisorInput, Recommender, SearchStats, SystemA, SystemB, SystemC};
+use tab_advisor::{AdvisorInput, Recommender, SystemA, SystemB, SystemC};
 use tab_core::convergence::{
     convergence_csv_rows, convergence_json, fig12_csv_rows, render_convergence_curve,
     render_convergence_table, CSV_HEADER, FIG12_HEADER,
 };
-use tab_core::exec_bench::{exec_bench_json, measure_exec};
 use tab_core::report::{
-    cfc_csv_rows, render_cfc_ascii, render_histogram_ascii, write_bytes_with, write_csv_with,
+    cfc_csv_rows, render_cfc_ascii, render_histogram_ascii, write_bytes, write_csv,
 };
 use tab_core::{
-    advisor_bench_json, bench_json, build_1c_par, build_p, estimate_workload_hypothetical_with,
-    estimate_workload_with, improvement_ratios, insertion_breakeven, io_bench_json,
-    prepare_workload_db_with, run_grid_checkpointed, space_budget, table1_row, timings_json,
-    AdvisorBenchRecord, CellTiming, Cfc, CheckpointError, CheckpointJournal, FaultPlan, Faults,
-    FileTraceSink, Goal, GridCell, GridError, IoBenchCell, LogHistogram, PhaseTiming,
-    RatioHistogram, SuiteParams, Trace, WorkloadRun,
+    build_1c_par, build_p, estimate_workload, estimate_workload_hypothetical, improvement_ratios,
+    insertion_breakeven, io_bench_json, prepare_workload_db_with, run_grid, space_budget,
+    table1_row, timings_json, CellTiming, Cfc, CheckpointError, CheckpointJournal, FaultPlan,
+    Faults, FileTraceSink, Goal, GridCell, GridError, IoBenchCell, LogHistogram, RatioHistogram,
+    SuiteParams, Trace, WorkloadRun,
 };
 use tab_datagen::{
     generate_nref_checked, generate_tpch_checked, Distribution, NrefParams, TpchParams,
@@ -270,50 +268,29 @@ struct Ctx<'a> {
     claims: Vec<Claim>,
     figures: String,
     timings: Vec<CellTiming>,
-    /// Coarse (phase name, wall seconds) spans for `BENCH_repro_*.json`,
-    /// in first-seen order, accumulated across sections.
-    phases: Vec<(&'static str, f64)>,
-    /// Per-recommendation what-if search instrumentation for
-    /// `BENCH_advisor.json`.
-    advisor: Vec<AdvisorBenchRecord>,
     /// Per-cell buffer-pool traffic for `BENCH_io.json`, in grid
     /// completion order (deterministic: cells finish in issue order).
     io_cells: Vec<IoBenchCell>,
     t0: Instant,
-    /// When the span being attributed to the *next* [`Ctx::mark`] began.
-    last_mark: Instant,
 }
 
 impl Ctx<'_> {
     /// Write one CSV artifact atomically, with the per-file fault probe.
     fn csv(&self, file: &str, header: &[&str], rows: &[Vec<String>]) -> Result<(), ReproError> {
         let path = self.out.join(file);
-        write_csv_with(&path, header, rows, self.faults)
+        write_csv(&path, header, rows, self.faults)
             .map_err(|source| ReproError::Artifact { path, source })
     }
 
     /// Write one non-CSV artifact atomically, with the fault probe.
     fn bytes(&self, file: &str, bytes: &[u8]) -> Result<(), ReproError> {
         let path = self.out.join(file);
-        write_bytes_with(&path, bytes, self.faults)
+        write_bytes(&path, bytes, self.faults)
             .map_err(|source| ReproError::Artifact { path, source })
     }
 
     fn log(&self, msg: &str) {
         eprintln!("[{:8.1?}] {msg}", self.t0.elapsed());
-    }
-
-    /// Attribute the wall-clock since the previous mark to `phase`. The
-    /// NREF and TPC-H sections run the same phases in turn, so repeated
-    /// marks accumulate into one entry per phase name.
-    fn mark(&mut self, phase: &'static str) {
-        let now = Instant::now();
-        let secs = now.duration_since(self.last_mark).as_secs_f64();
-        self.last_mark = now;
-        match self.phases.iter_mut().find(|(n, _)| *n == phase) {
-            Some(e) => e.1 += secs,
-            None => self.phases.push((phase, secs)),
-        }
     }
 
     fn claim(&mut self, id: &str, statement: &str, holds: bool, evidence: String) {
@@ -326,21 +303,6 @@ impl Ctx<'_> {
             statement: statement.to_string(),
             holds,
             evidence,
-        });
-    }
-
-    /// Record one recommendation's what-if instrumentation.
-    fn advisor_record(&mut self, system: &str, family: &str, recommended: bool, s: &SearchStats) {
-        self.advisor.push(AdvisorBenchRecord {
-            system: system.to_string(),
-            family: family.to_string(),
-            recommended,
-            candidates: s.candidates,
-            picks: s.rounds.len(),
-            whatif_calls: s.whatif_calls,
-            planner_calls: s.planner_calls,
-            cache_hits: s.cache_hits,
-            wall_seconds: s.wall_seconds,
         });
     }
 
@@ -403,7 +365,7 @@ fn grid_step(
     faults: Faults<'_>,
     journal: &CheckpointJournal,
 ) -> Result<Vec<(WorkloadRun, CellTiming)>, ReproError> {
-    run_grid_checkpointed(cells, par, trace, faults, Some(journal)).map_err(|e| match e {
+    run_grid(cells, par, trace, faults, Some(journal)).map_err(|e| match e {
         GridError::Poisoned { .. } => ReproError::Grid {
             message: e.to_string(),
         },
@@ -451,11 +413,8 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
         claims: Vec::new(),
         figures: String::new(),
         timings: Vec::new(),
-        phases: Vec::new(),
-        advisor: Vec::new(),
         io_cells: Vec::new(),
         t0,
-        last_mark: t0,
     };
     let timeout_s = tab_engine::units_to_sim_seconds(cfg.params.timeout_units);
     let par = cfg.params.par;
@@ -539,11 +498,9 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
         )
     })?;
     let nref = &nref_db;
-    ctx.mark("generate");
     ctx.log("NREF: building P and 1C");
     let p = build_p(nref, "NREF");
     let c1 = build_1c_par(nref, "NREF", par);
-    ctx.mark("build");
     let budget = space_budget(nref, "NREF");
     ctx.log(&format!("NREF budget = {} MiB", budget / (1 << 20)));
 
@@ -564,7 +521,6 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
         cfg.params.seed,
         par,
     );
-    ctx.mark("prepare");
 
     let input2 = AdvisorInput {
         db: nref,
@@ -584,11 +540,9 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
     };
 
     ctx.log("NREF: System A recommending for NREF2J");
-    let (a2_cfg, a2_stats) = SystemA::default().recommend_with_stats(&input2);
-    ctx.advisor_record("A", "NREF2J", a2_cfg.is_some(), &a2_stats);
+    let a2_cfg = SystemA::default().recommend(&input2);
     ctx.log("NREF: System A recommending for NREF3J (expected to fail)");
-    let (a3_cfg, a3_stats) = SystemA::default().recommend_with_stats(&input3);
-    ctx.advisor_record("A", "NREF3J", a3_cfg.is_some(), &a3_stats);
+    let a3_cfg = SystemA::default().recommend(&input3);
     ctx.claim(
         "sec4.2-a-fails-nref3j",
         "System A produces no recommendation for the 100-query NREF3J workload",
@@ -600,7 +554,7 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
     );
     // ... but succeeds on smaller NREF3J workloads (the paper tried 25/12/6/3).
     let small3: Vec<Query> = w3.iter().take(25).cloned().collect();
-    let (a3_small, a3_small_stats) = SystemA::default().recommend_with_stats(&AdvisorInput {
+    let a3_small = SystemA::default().recommend(&AdvisorInput {
         db: nref,
         current: &p,
         workload: &small3,
@@ -608,7 +562,6 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
         par,
         trace,
     });
-    ctx.advisor_record("A", "NREF3J-25q", a3_small.is_some(), &a3_small_stats);
     ctx.claim(
         "sec4.2-a-small-workloads",
         "System A can produce recommendations for smaller NREF3J workloads",
@@ -620,22 +573,16 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
     );
 
     ctx.log("NREF: System B recommending for NREF2J and NREF3J");
-    let (b2_cfg, b2_stats) = SystemB.recommend_with_stats(&input2);
-    ctx.advisor_record("B", "NREF2J", b2_cfg.is_some(), &b2_stats);
-    let b2_cfg = b2_cfg.expect("B always recommends");
-    let (b3_cfg, b3_stats) = SystemB.recommend_with_stats(&input3);
-    ctx.advisor_record("B", "NREF3J", b3_cfg.is_some(), &b3_stats);
-    let b3_cfg = b3_cfg.expect("B always recommends");
+    let b2_cfg = SystemB.recommend(&input2).expect("B always recommends");
+    let b3_cfg = SystemB.recommend(&input3).expect("B always recommends");
 
     let named = |mut c: Configuration, name: &str| {
         c.name = name.to_string();
         c
     };
-    ctx.mark("recommend");
     let a2 = a2_cfg.map(|c| BuiltConfiguration::build_par(named(c, "A_NREF2J_R"), nref, par));
     let b2 = BuiltConfiguration::build_par(named(b2_cfg, "B_NREF2J_R"), nref, par);
     let b3 = BuiltConfiguration::build_par(named(b3_cfg, "B_NREF3J_R"), nref, par);
-    ctx.mark("build");
 
     ctx.log("NREF: running the NREF2J/NREF3J x P/1C/R grid");
     let timeout = ctx.timeout;
@@ -671,7 +618,6 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
     let mut grid: std::collections::VecDeque<(WorkloadRun, CellTiming)> =
         grid_step(&cells, par, trace, faults, &journal)?.into();
     drop(cells);
-    ctx.mark("measurement-grid");
     let mut take = |ctx: &mut Ctx| -> WorkloadRun {
         let (run, timing) = grid.pop_front().expect("one result per grid cell");
         ctx.io_cells.push(IoBenchCell {
@@ -876,11 +822,11 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
     // Figure 10: estimate curves for NREF3J on System B.
     ctx.log("NREF: computing Figure 10 estimate curves");
     {
-        let ep = estimate_workload_with(nref, &p, &w3, par);
-        let er = estimate_workload_with(nref, &b3, &w3, par);
-        let e1c = estimate_workload_with(nref, &c1, &w3, par);
-        let hr = estimate_workload_hypothetical_with(nref, &p, &b3.config, &w3, par);
-        let h1c = estimate_workload_hypothetical_with(nref, &p, &c1.config, &w3, par);
+        let ep = estimate_workload(nref, &p, &w3, par);
+        let er = estimate_workload(nref, &b3, &w3, par);
+        let e1c = estimate_workload(nref, &c1, &w3, par);
+        let hr = estimate_workload_hypothetical(nref, &p, &b3.config, &w3, par);
+        let h1c = estimate_workload_hypothetical(nref, &p, &c1.config, &w3, par);
         let curves: Vec<(&str, Cfc)> = vec![
             ("EP", Cfc::from_values(&ep)),
             ("ER", Cfc::from_values(&er)),
@@ -1083,13 +1029,12 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
     drop(b2);
     drop(b3);
     drop(c1);
-    ctx.mark("analysis");
 
     // Convergence harness: profiles A/B/C over the default what-if
     // budget ladder on NREF2J (the one family every profile can
     // handle). Each budgeted search picks a prefix of the unbudgeted
-    // one, so the curves — unlike the `BENCH_*` timing records — carry
-    // no wall-clock and byte-compare across runs and thread counts.
+    // one, so the curves carry no wall-clock and byte-compare across
+    // runs and thread counts.
     ctx.log("NREF: convergence harness (profiles A/B/C x what-if ladder on NREF2J)");
     trace.span_begin("convergence");
     let convergence = run_convergence(
@@ -1108,39 +1053,6 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
         "Convergence: objective vs what-if budget, NREF2J (profiles A/B/C)",
         &render_convergence_table(&convergence),
     );
-    ctx.mark("convergence");
-
-    // Executor micro-bench: wall-clock the morsel-driven executor on a
-    // sample of NREF queries under P (scalar/1t vs vectorized/1t vs
-    // vectorized/Nt). The record carries wall-clock, so it lands in
-    // `BENCH_exec.json` and is excluded from determinism byte-compares;
-    // `measure_exec` itself asserts that every variant produces the
-    // same outcome.
-    ctx.log("NREF: executor bench (morsel parallelism + vectorization)");
-    trace.span_begin("exec-bench");
-    let exec_bench_queries: Vec<(String, Query)> = w2
-        .iter()
-        .take(2)
-        .enumerate()
-        .map(|(i, q)| (format!("NREF2J/q{i}"), q.clone()))
-        .chain(
-            w3.iter()
-                .take(2)
-                .enumerate()
-                .map(|(i, q)| (format!("NREF3J/q{i}"), q.clone())),
-        )
-        .collect();
-    let exec_bench_threads = par.threads().max(cfg.params.query_par.threads());
-    let exec_bench = measure_exec(
-        nref,
-        &p,
-        &exec_bench_queries,
-        exec_bench_threads,
-        cfg.params.morsel_rows,
-        3,
-    );
-    trace.span_end("exec-bench");
-    ctx.mark("exec-bench");
 
     drop(p);
     drop(nref_pager);
@@ -1169,14 +1081,11 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
             )
         })?;
         let db = &tpch_db;
-        ctx.mark("generate");
         ctx.log(&format!("{label}: building P and 1C"));
         let p = build_p(db, label);
         let c1 = build_1c_par(db, label, par);
-        ctx.mark("build");
         let budget = space_budget(db, label);
         let tpch_pager = build_pager(label, db, cfg.params.buffer_pages)?;
-        ctx.mark("prepare");
         let mut family_runs: BTreeMap<&'static str, (WorkloadRun, WorkloadRun, WorkloadRun)> =
             BTreeMap::new();
 
@@ -1193,25 +1102,22 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
                 cfg.params.seed,
                 par,
             );
-            ctx.mark("prepare");
             ctx.log(&format!(
                 "{label}: System C recommending for {}",
                 fam.name()
             ));
-            let (rec, rec_stats) = SystemC.recommend_with_stats(&AdvisorInput {
-                db,
-                current: &p,
-                workload: &w,
-                budget_bytes: budget,
-                par,
-                trace,
-            });
-            ctx.advisor_record("C", fam.name(), rec.is_some(), &rec_stats);
-            let rec = rec.expect("C always recommends");
+            let rec = SystemC
+                .recommend(&AdvisorInput {
+                    db,
+                    current: &p,
+                    workload: &w,
+                    budget_bytes: budget,
+                    par,
+                    trace,
+                })
+                .expect("C always recommends");
             let rec_name = format!("C_{}_R", fam.name());
-            ctx.mark("recommend");
             let built = BuiltConfiguration::build_par(named(rec, &rec_name), db, par);
-            ctx.mark("build");
             preps.push((fam, w, built));
         }
 
@@ -1236,7 +1142,6 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
             .collect();
         let mut grid = grid_step(&cells, par, trace, faults, &journal)?.into_iter();
         drop(cells);
-        ctx.mark("measurement-grid");
 
         for (fam, _w, built) in &preps {
             let mut next = || {
@@ -1352,7 +1257,6 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
                 ),
             );
         }
-        ctx.mark("analysis");
         trace.span_end(label);
     }
 
@@ -1386,9 +1290,9 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
     // Convergence curves (profiles x what-if ladder). Both artifacts
     // carry no wall-clock: `convergence.csv` participates in the
     // determinism byte-compare like every other CSV, and
-    // `BENCH_convergence.json` is the one `BENCH_*` file that is
-    // deterministic too (covered by an explicit test, since `BENCH_*`
-    // names are skipped by the generic byte-compare).
+    // `BENCH_convergence.json` is deterministic too (covered by an
+    // explicit test, since `BENCH_*` names are skipped by the generic
+    // byte-compare).
     ctx.csv(
         "convergence.csv",
         &CSV_HEADER,
@@ -1413,14 +1317,6 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
         "Figure 12: convergence curves, objective vs what-if calls (NREF2J)",
         &render_convergence_curve(&convergence),
     );
-
-    // Executor bench record (schema `tab-exec-bench-v1`): wall-clock of
-    // the morsel-driven executor variants measured in the NREF section.
-    // Wall-clock ⇒ `BENCH_` prefix ⇒ excluded from byte-compares.
-    ctx.bytes(
-        "BENCH_exec.json",
-        exec_bench_json(exec_bench_threads, cfg.params.morsel_rows, &exec_bench).as_bytes(),
-    )?;
 
     let claim_rows: Vec<Vec<String>> = ctx
         .claims
@@ -1448,52 +1344,11 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
     let timings = timings_json(par.threads(), ctx.t0.elapsed().as_secs_f64(), &ctx.timings);
     ctx.bytes("timings.json", timings.as_bytes())?;
 
-    // Per-phase performance record (schema documented on `bench_json`).
-    // The measurement grid is the only phase running metered queries,
-    // so it carries the run's entire cost-unit total; the remaining
-    // wall-clock since the last mark (tables, summary files) is folded
-    // into `report`. Like `timings.json`, `BENCH_*` files hold
-    // wall-clock and are skipped by determinism comparisons.
-    ctx.mark("report");
-    let scale = if cfg.params.nref_proteins < SuiteParams::default().nref_proteins {
-        "small"
-    } else {
-        "full"
-    };
-    let grid_units: f64 = ctx.timings.iter().map(|t| t.cost_units).sum();
-    let phases: Vec<PhaseTiming> = ctx
-        .phases
-        .iter()
-        .map(|&(name, wall_seconds)| PhaseTiming {
-            name: name.to_string(),
-            wall_seconds,
-            cost_units: if name == "measurement-grid" {
-                grid_units
-            } else {
-                0.0
-            },
-        })
-        .collect();
-    let bench = bench_json(
-        scale,
-        par.threads(),
-        ctx.t0.elapsed().as_secs_f64(),
-        &phases,
-    );
-    ctx.bytes(&format!("BENCH_repro_{scale}.json"), bench.as_bytes())?;
-
-    // Per-recommendation what-if instrumentation (schema documented on
-    // `advisor_bench_json`). Also a `BENCH_*` file: wall-clock varies,
-    // everything else is deterministic at any thread count.
-    let advisor = advisor_bench_json(par.threads(), &ctx.advisor);
-    ctx.bytes("BENCH_advisor.json", advisor.as_bytes())?;
-
     // Buffer-pool traffic per grid cell (schema `tab-io-bench-v1`,
-    // documented on `io_bench_json`). Unlike most `BENCH_*` artifacts
-    // this one is wall-clock-free: eviction is a pure function of the
-    // logical access stream, so the file byte-compares across thread
-    // counts (`tests/determinism.rs` holds us to it, like
-    // `BENCH_convergence.json`).
+    // documented on `io_bench_json`). Wall-clock-free: eviction is a
+    // pure function of the logical access stream, so the file
+    // byte-compares across thread counts (`tests/determinism.rs` holds
+    // us to it, like `BENCH_convergence.json`).
     let io_bench = io_bench_json(cfg.params.buffer_pages, cfg.params.charge, &ctx.io_cells);
     ctx.bytes("BENCH_io.json", io_bench.as_bytes())?;
 

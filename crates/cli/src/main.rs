@@ -28,7 +28,7 @@ use tab_core::convergence::{
     convergence_csv_rows, convergence_json, render_convergence_table, CSV_HEADER,
 };
 use tab_core::report::render_cfc_ascii;
-use tab_core::{run_workload_with, Goal, Parallelism};
+use tab_core::{run_workload, Goal, Parallelism};
 use tab_datagen::{generate_nref, generate_tpch, Distribution, NrefParams, TpchParams};
 use tab_engine::{
     apply_insert, ChargePolicy, EngineState, ExecOpts, PoolOpts, Session, SharedEngine,
@@ -332,12 +332,10 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
     let (plan, expl) = session
         .plan_query_explained(&q)
         .map_err(|e| e.to_string())?;
-    let (r, acts) = session
-        .run_instrumented(&q, timeout)
-        .map_err(|e| e.to_string())?;
+    let r = session.run(&q, timeout).map_err(|e| e.to_string())?;
     print!(
         "{}",
-        tab_engine::render_explain(&plan, Some(&acts), Some(&expl))
+        tab_engine::render_explain(&plan, Some(&r.ops), Some(&expl))
     );
     if !r.io.is_zero() {
         println!(
@@ -539,7 +537,7 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
             "1c" | "1C" => tab_core::build_1c_par(&db, &label, par_of(args)?),
             other => return Err(format!("unknown config `{other}`")),
         };
-        let run = run_workload_with(&db, &built, &w, timeout_units, par_of(args)?);
+        let run = run_workload(&db, &built, &w, timeout_units, par_of(args)?);
         println!(
             "{:>4}: total (lower bound) {:.0}s, timeouts {}/{}",
             name,
@@ -818,8 +816,13 @@ fn cmd_converge(args: &Args) -> Result<(), String> {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
         let csv = dir.join("convergence.csv");
-        tab_core::report::write_csv(&csv, &CSV_HEADER, &convergence_csv_rows(&curves))
-            .map_err(|e| format!("cannot write {}: {e}", csv.display()))?;
+        tab_core::report::write_csv(
+            &csv,
+            &CSV_HEADER,
+            &convergence_csv_rows(&curves),
+            tab_core::Faults::disabled(),
+        )
+        .map_err(|e| format!("cannot write {}: {e}", csv.display()))?;
         let json = dir.join("BENCH_convergence.json");
         std::fs::write(&json, convergence_json(&curves))
             .map_err(|e| format!("cannot write {}: {e}", json.display()))?;
@@ -835,7 +838,7 @@ fn cmd_goal(args: &Args) -> Result<(), String> {
     let p = tab_core::build_p(&db, &label);
     let built = load_config(args, &db, &label)?;
     let w = workload_for(args, &db, &p, family)?;
-    let run = run_workload_with(
+    let run = run_workload(
         &db,
         &built,
         &w,

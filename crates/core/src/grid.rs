@@ -23,6 +23,7 @@ use std::time::Instant;
 
 use tab_engine::{ChargePolicy, ExecOpts, Outcome, PoolOpts, Session};
 use tab_sqlq::Query;
+use tab_storage::trace::json_escape;
 use tab_storage::{
     par_map_catch, BuiltConfiguration, Database, Faults, JobPanic, Pager, Parallelism, PoolStats,
     Trace, TraceEvent,
@@ -83,39 +84,6 @@ pub struct CellTiming {
     /// Modeled cost units, timeouts charged at the budget (the §4.3
     /// lower bound).
     pub cost_units: f64,
-}
-
-/// Execute every cell of the grid and return, per cell in input order,
-/// the workload run and its timing.
-pub fn run_grid(cells: &[GridCell<'_>], par: Parallelism) -> Vec<(WorkloadRun, CellTiming)> {
-    run_grid_traced(cells, par, Trace::disabled())
-}
-
-/// [`run_grid`], additionally emitting one `query` event and a set of
-/// per-operator `operator` events per (cell, query) job to `trace`.
-///
-/// Tracing is observational only: the outcomes, timings, and every
-/// downstream benchmark output are byte-identical to an untraced run.
-/// Parallel workers interleave event lines, so every event carries the
-/// `family`/`config`/`query` fields needed to regroup it.
-///
-/// A panic inside any job propagates here (after the remaining jobs
-/// finish), preserving the historical contract; callers that want
-/// per-cell failure isolation use [`run_grid_checkpointed`].
-pub fn run_grid_traced(
-    cells: &[GridCell<'_>],
-    par: Parallelism,
-    trace: Trace<'_>,
-) -> Vec<(WorkloadRun, CellTiming)> {
-    match run_grid_checkpointed(cells, par, trace, Faults::disabled(), None) {
-        Ok(out) => out,
-        Err(GridError::Poisoned { mut failed, .. }) => {
-            failed.remove(0).panic.resume() // re-raise the original payload
-        }
-        Err(GridError::Journal(e)) => {
-            unreachable!("no journal attached, yet it failed: {e}")
-        }
-    }
 }
 
 /// One grid cell that failed because a job inside it panicked —
@@ -186,11 +154,15 @@ struct Slab {
     done: Option<(WorkloadRun, CellTiming)>,
 }
 
-/// The fault-aware, crash-consistent grid executor every other grid
-/// entry point wraps.
+/// Execute every cell of the grid and return, per cell in input order,
+/// the workload run and its timing — fault-aware and crash-consistent.
 ///
-/// Semantics on top of [`run_grid_traced`]:
-///
+/// - **Trace**: one `query` event and a set of per-operator `operator`
+///   events per (cell, query) job go to `trace`. Tracing is
+///   observational only: the outcomes, timings, and every downstream
+///   benchmark output are byte-identical to an untraced run. Parallel
+///   workers interleave event lines, so every event carries the
+///   `family`/`config`/`query` fields needed to regroup it.
 /// - **Replay**: cells present in `journal` (matched by
 ///   `(family, config)` and query count) are *not* executed; their
 ///   journaled outcomes are returned bit-exactly. Replayed cells emit
@@ -203,10 +175,10 @@ struct Slab {
 ///   sibling cells run to completion and are journaled. The failure
 ///   surfaces as [`GridError::Poisoned`].
 ///
-/// The per-cell ordering of outcomes, the wall-clock summation order,
-/// and therefore every downstream artifact are identical to the
-/// historical implementation at any thread count.
-pub fn run_grid_checkpointed(
+/// The per-cell ordering of outcomes and the wall-clock summation order,
+/// and therefore every downstream artifact, are identical at any thread
+/// count.
+pub fn run_grid(
     cells: &[GridCell<'_>],
     par: Parallelism,
     trace: Trace<'_>,
@@ -264,7 +236,7 @@ pub fn run_grid_checkpointed(
             // deterministic.
             faults.panic_if_armed(&format!("cell:{}/{}", cell.family, cell.built.config.name));
         }
-        let (outcome, wall, io) = execute_query(cell, q, trace, faults);
+        let (outcome, wall, io) = run_query(cell, q, trace, faults);
         let mut slab = slabs[c].lock().expect("cell slab poisoned");
         slab.got[q] = Some((outcome, wall, io));
         slab.filled += 1;
@@ -342,11 +314,11 @@ pub fn run_grid_checkpointed(
     Ok(out)
 }
 
-/// Execute one (cell, query) job, optionally tracing it. Extracted from
-/// the original `run_grid_traced` body verbatim, plus the morsel-driven
-/// [`ExecOpts`] and the `panic:morsel:<family>/<config>` fault site
-/// armed inside the executor's morsel workers.
-fn execute_query(
+/// Execute one (cell, query) job, optionally tracing it, under the
+/// cell's morsel-driven [`ExecOpts`] with the
+/// `panic:morsel:<family>/<config>` fault site armed inside the
+/// executor's morsel workers.
+fn run_query(
     cell: &GridCell<'_>,
     q: usize,
     trace: Trace<'_>,
@@ -382,10 +354,10 @@ fn execute_query(
     };
     let session = Session::new(cell.db, cell.built).with_exec(exec);
     let t0 = Instant::now();
-    let (outcome, io) = if trace.is_enabled() {
-        let (result, acts) = session
-            .run_instrumented(&cell.workload[q], Some(cell.timeout_units))
-            .expect("grid workloads bind against their databases");
+    let result = session
+        .run(&cell.workload[q], Some(cell.timeout_units))
+        .expect("grid workloads bind against their databases");
+    if trace.is_enabled() {
         let config = cell.built.config.name.as_str();
         let labels = result.plan.op_labels();
         for (op, label) in labels.iter().enumerate() {
@@ -399,7 +371,7 @@ fn execute_query(
                 if let Some(est) = result.plan.op_ests.get(op) {
                     ev = ev.num("est_cost", est.cost).num("est_rows", est.rows);
                 }
-                if let Some(act) = acts.get(op) {
+                if let Some(act) = result.ops.get(op) {
                     ev = ev
                         .int("rows_in", act.rows_in)
                         .int("rows_out", act.rows_out)
@@ -430,30 +402,8 @@ fn execute_query(
                 .str("outcome", label)
                 .num("units", units)
         });
-        (result.outcome, result.io)
-    } else {
-        let r = session
-            .run(&cell.workload[q], Some(cell.timeout_units))
-            .expect("grid workloads bind against their databases");
-        (r.outcome, r.io)
-    };
-    (outcome, t0.elapsed().as_secs_f64(), io)
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
-    out
+    (result.outcome, t0.elapsed().as_secs_f64(), result.io)
 }
 
 /// Render cell timings as a `timings.json` document:
@@ -483,149 +433,6 @@ pub fn timings_json(threads: usize, total_wall_seconds: f64, cells: &[CellTiming
             c.wall_seconds,
             c.cost_units,
             if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// One coarse phase of a reproduction run, aggregated across sections
-/// (e.g. `generate` sums NREF and both TPC-H generations).
-#[derive(Debug, Clone)]
-pub struct PhaseTiming {
-    /// Phase name, e.g. `measurement-grid`.
-    pub name: String,
-    /// Real wall-clock seconds attributed to the phase.
-    pub wall_seconds: f64,
-    /// Modeled cost units consumed by the phase's metered query
-    /// executions, `0` for phases that run no metered queries.
-    pub cost_units: f64,
-}
-
-/// Render per-phase timings as a `BENCH_repro_<scale>.json` document,
-/// the machine-readable performance record a repro run leaves next to
-/// `timings.json`.
-///
-/// Schema (`tab-bench-phases-v1`):
-///
-/// ```json
-/// {
-///   "schema": "tab-bench-phases-v1",
-///   "scale": "small",            // SuiteParams preset: "small" | "full"
-///   "threads": 1,                // worker threads the run used
-///   "total_wall_seconds": 7.980, // elapsed time of the whole run
-///   "phases": [                  // in execution order, wall-clock sums
-///     {"name": "generate", "wall_seconds": 0.51, "cost_units": 0.0},
-///     {"name": "measurement-grid", "wall_seconds": 5.2, "cost_units": 1.9e6}
-///   ]
-/// }
-/// ```
-///
-/// `wall_seconds` vary run to run, so determinism checks must skip
-/// `BENCH_*` files; `cost_units` are deterministic and comparable
-/// across machines.
-pub fn bench_json(
-    scale: &str,
-    threads: usize,
-    total_wall_seconds: f64,
-    phases: &[PhaseTiming],
-) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"tab-bench-phases-v1\",\n");
-    s.push_str(&format!("  \"scale\": \"{}\",\n", json_escape(scale)));
-    s.push_str(&format!("  \"threads\": {threads},\n"));
-    s.push_str(&format!(
-        "  \"total_wall_seconds\": {total_wall_seconds:.3},\n"
-    ));
-    s.push_str("  \"phases\": [\n");
-    for (i, p) in phases.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"wall_seconds\": {:.3}, \"cost_units\": {:.3}}}{}\n",
-            json_escape(&p.name),
-            p.wall_seconds,
-            p.cost_units,
-            if i + 1 < phases.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// One recommendation's what-if search instrumentation, reported in
-/// `BENCH_advisor.json`.
-#[derive(Debug, Clone)]
-pub struct AdvisorBenchRecord {
-    /// Recommender profile name (`A`, `B`, or `C`).
-    pub system: String,
-    /// The workload/scenario label, e.g. `NREF2J` or `SkTH-uniform`.
-    pub family: String,
-    /// Whether the tool produced a recommendation (System A declines
-    /// over-capacity workloads).
-    pub recommended: bool,
-    /// Candidate structures considered.
-    pub candidates: usize,
-    /// Structures accepted by the greedy search.
-    pub picks: usize,
-    /// Total what-if cost requests issued.
-    pub whatif_calls: u64,
-    /// Requests that invoked the planner (cache misses).
-    pub planner_calls: u64,
-    /// Requests answered from the what-if cost cache.
-    pub cache_hits: u64,
-    /// Wall-clock seconds spent in the search.
-    pub wall_seconds: f64,
-}
-
-/// Render per-recommendation advisor instrumentation as a
-/// `BENCH_advisor.json` document, alongside `BENCH_repro_<scale>.json`.
-///
-/// Schema (`tab-advisor-bench-v1`):
-///
-/// ```json
-/// {
-///   "schema": "tab-advisor-bench-v1",
-///   "threads": 2,                  // advisor fan-out thread budget
-///   "recommendations": [           // in execution order
-///     {"system": "A", "family": "NREF2J", "recommended": true,
-///      "candidates": 40, "picks": 6,
-///      "whatif_calls": 1200, "planner_calls": 300, "cache_hits": 900,
-///      "cache_hit_rate": 0.750, "wall_seconds": 0.412}
-///   ]
-/// }
-/// ```
-///
-/// `wall_seconds` vary run to run, so determinism checks must skip
-/// `BENCH_*` files; every other field is deterministic at any thread
-/// count.
-pub fn advisor_bench_json(threads: usize, records: &[AdvisorBenchRecord]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"tab-advisor-bench-v1\",\n");
-    s.push_str(&format!("  \"threads\": {threads},\n"));
-    s.push_str("  \"recommendations\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let hit_rate = if r.whatif_calls == 0 {
-            0.0
-        } else {
-            r.cache_hits as f64 / r.whatif_calls as f64
-        };
-        s.push_str(&format!(
-            "    {{\"system\": \"{}\", \"family\": \"{}\", \"recommended\": {}, \
-             \"candidates\": {}, \"picks\": {}, \"whatif_calls\": {}, \
-             \"planner_calls\": {}, \"cache_hits\": {}, \"cache_hit_rate\": {:.3}, \
-             \"wall_seconds\": {:.3}}}{}\n",
-            json_escape(&r.system),
-            json_escape(&r.family),
-            r.recommended,
-            r.candidates,
-            r.picks,
-            r.whatif_calls,
-            r.planner_calls,
-            r.cache_hits,
-            hit_rate,
-            r.wall_seconds,
-            if i + 1 < records.len() { "," } else { "" }
         ));
     }
     s.push_str("  ]\n}\n");
@@ -767,12 +574,20 @@ mod tests {
                 pager: None,
             },
         ];
+        let seq = Parallelism::sequential();
         let serial: Vec<WorkloadRun> = cells
             .iter()
-            .map(|c| run_workload(c.db, c.built, c.workload, c.timeout_units))
+            .map(|c| run_workload(c.db, c.built, c.workload, c.timeout_units, seq))
             .collect();
         for threads in [1, 2, 4] {
-            let grid = run_grid(&cells, Parallelism::new(threads));
+            let grid = run_grid(
+                &cells,
+                Parallelism::new(threads),
+                Trace::disabled(),
+                Faults::disabled(),
+                None,
+            )
+            .expect("clean grid");
             assert_eq!(grid.len(), serial.len());
             for ((run, timing), want) in grid.iter().zip(&serial) {
                 assert_eq!(run.config, want.config);
@@ -804,9 +619,12 @@ mod tests {
             charge: ChargePolicy::Observed,
             pager: None,
         }];
-        let plain = run_grid(&cells, Parallelism::sequential());
+        let seq = Parallelism::sequential();
+        let plain =
+            run_grid(&cells, seq, Trace::disabled(), Faults::disabled(), None).expect("clean grid");
         let sink = tab_storage::MemoryTraceSink::new();
-        let traced = run_grid_traced(&cells, Parallelism::sequential(), Trace::to(&sink));
+        let traced =
+            run_grid(&cells, seq, Trace::to(&sink), Faults::disabled(), None).expect("clean grid");
         for ((a, ta), (b, tb)) in plain.iter().zip(&traced) {
             assert_eq!(format!("{:?}", a.outcomes), format!("{:?}", b.outcomes));
             assert_eq!(ta.cost_units, tb.cost_units);
@@ -871,7 +689,14 @@ mod tests {
                 pager: None,
             },
         ];
-        let clean = run_grid(&cells, Parallelism::sequential());
+        let clean = run_grid(
+            &cells,
+            Parallelism::sequential(),
+            Trace::disabled(),
+            Faults::disabled(),
+            None,
+        )
+        .expect("clean grid");
 
         let path = std::env::temp_dir().join(format!("tab_grid_ckpt_{}.jsonl", std::process::id()));
         std::fs::remove_file(&path).ok();
@@ -879,7 +704,7 @@ mod tests {
         for threads in [1, 4] {
             // Crash: the poisoned cell fails, siblings are journaled.
             let journal = CheckpointJournal::open(&path, "t", false).expect("open journal");
-            let err = run_grid_checkpointed(
+            let err = run_grid(
                 &cells,
                 Parallelism::new(threads),
                 Trace::disabled(),
@@ -904,7 +729,7 @@ mod tests {
             // outcome-for-outcome.
             let journal = CheckpointJournal::open(&path, "t", true).expect("reopen");
             assert_eq!(journal.cells(), 2);
-            let resumed = run_grid_checkpointed(
+            let resumed = run_grid(
                 &cells,
                 Parallelism::new(threads),
                 Trace::disabled(),
@@ -920,37 +745,6 @@ mod tests {
             }
             journal.finish().expect("journal removed after success");
             assert!(!path.exists());
-        }
-    }
-
-    #[test]
-    fn checkpointed_with_no_journal_matches_run_grid() {
-        let (db, qs) = setup();
-        let p = build_p(&db, "NREF");
-        let cells = [GridCell {
-            family: "F1",
-            db: &db,
-            built: &p,
-            workload: &qs,
-            timeout_units: 500.0,
-            query_par: Parallelism::sequential(),
-            morsel_rows: DEFAULT_MORSEL_ROWS,
-            buffer_pages: 0,
-            charge: ChargePolicy::Observed,
-            pager: None,
-        }];
-        let plain = run_grid(&cells, Parallelism::sequential());
-        let bare = run_grid_checkpointed(
-            &cells,
-            Parallelism::new(2),
-            Trace::disabled(),
-            Faults::disabled(),
-            None,
-        )
-        .expect("clean grid");
-        for ((a, ta), (b, tb)) in bare.iter().zip(&plain) {
-            assert_eq!(a.outcomes, b.outcomes);
-            assert_eq!(ta.cost_units, tb.cost_units);
         }
     }
 
@@ -980,70 +774,6 @@ mod tests {
         assert!(j.contains("\"family\": \"NREF2J\""));
         assert!(j.contains("SkTH_\\\"q\\\""));
         // A comma between the two cell objects, none trailing.
-        assert!(j.contains("},\n"));
-        assert!(!j.contains("},\n  ]"));
-    }
-
-    #[test]
-    fn bench_json_shape() {
-        let phases = vec![
-            PhaseTiming {
-                name: "generate".into(),
-                wall_seconds: 0.5,
-                cost_units: 0.0,
-            },
-            PhaseTiming {
-                name: "measurement-grid".into(),
-                wall_seconds: 5.25,
-                cost_units: 1234.5,
-            },
-        ];
-        let j = bench_json("small", 2, 7.98, &phases);
-        assert!(j.contains("\"schema\": \"tab-bench-phases-v1\""));
-        assert!(j.contains("\"scale\": \"small\""));
-        assert!(j.contains("\"threads\": 2"));
-        assert!(j.contains("\"total_wall_seconds\": 7.980"));
-        assert!(j.contains(
-            "\"name\": \"measurement-grid\", \"wall_seconds\": 5.250, \"cost_units\": 1234.500"
-        ));
-        assert!(j.contains("},\n"));
-        assert!(!j.contains("},\n  ]"));
-    }
-
-    #[test]
-    fn advisor_bench_json_shape() {
-        let records = vec![
-            AdvisorBenchRecord {
-                system: "A".into(),
-                family: "NREF2J".into(),
-                recommended: true,
-                candidates: 40,
-                picks: 6,
-                whatif_calls: 1200,
-                planner_calls: 300,
-                cache_hits: 900,
-                wall_seconds: 0.4125,
-            },
-            AdvisorBenchRecord {
-                system: "A".into(),
-                family: "NREF3J".into(),
-                recommended: false,
-                candidates: 0,
-                picks: 0,
-                whatif_calls: 0,
-                planner_calls: 0,
-                cache_hits: 0,
-                wall_seconds: 0.0,
-            },
-        ];
-        let j = advisor_bench_json(2, &records);
-        assert!(j.contains("\"schema\": \"tab-advisor-bench-v1\""));
-        assert!(j.contains("\"threads\": 2"));
-        assert!(j.contains("\"system\": \"A\", \"family\": \"NREF2J\", \"recommended\": true"));
-        assert!(j.contains("\"cache_hit_rate\": 0.750"));
-        // Zero what-if calls must not divide by zero.
-        assert!(j.contains("\"recommended\": false"));
-        assert!(j.contains("\"cache_hit_rate\": 0.000"));
         assert!(j.contains("},\n"));
         assert!(!j.contains("},\n  ]"));
     }

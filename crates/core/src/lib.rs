@@ -25,7 +25,6 @@
 pub mod cfc;
 pub mod checkpoint;
 pub mod convergence;
-pub mod exec_bench;
 pub mod experiment;
 pub mod goal;
 pub mod grid;
@@ -39,7 +38,6 @@ pub use convergence::{
     convergence_csv_rows, convergence_json, fig12_csv_rows, render_convergence_curve,
     render_convergence_table, ConvergenceCurve, CurvePoint, FIG12_HEADER,
 };
-pub use exec_bench::{exec_bench_json, measure_exec, ExecBenchEntry, OpBench};
 pub use experiment::{
     build_1c, build_1c_par, build_p, insertion_breakeven, per_insert_cost, prepare_workload,
     prepare_workload_db, prepare_workload_db_with, space_budget, table1_row, InsertionAnalysis,
@@ -47,19 +45,14 @@ pub use experiment::{
 };
 pub use goal::{improvement_ratio, Goal};
 pub use grid::{
-    advisor_bench_json, bench_json, io_bench_json, run_grid, run_grid_checkpointed,
-    run_grid_traced, timings_json, AdvisorBenchRecord, CellTiming, FailedCell, GridCell, GridError,
-    IoBenchCell, PhaseTiming,
+    io_bench_json, run_grid, timings_json, CellTiming, FailedCell, GridCell, GridError, IoBenchCell,
 };
 pub use histogram::{LogHistogram, RatioHistogram};
 pub use measure::{
-    estimate_workload, estimate_workload_hypothetical, estimate_workload_hypothetical_with,
-    estimate_workload_with, improvement_ratios, run_update_workload, run_workload,
-    run_workload_with, UpdateWorkloadRun, WorkloadOp, WorkloadRun,
+    estimate_workload, estimate_workload_hypothetical, improvement_ratios, run_update_workload,
+    run_workload, UpdateWorkloadRun, WorkloadOp, WorkloadRun,
 };
 pub use tab_storage::Parallelism;
 pub use tab_storage::{atomic_write, FaultPlan, Faults, JobPanic};
 pub use tab_storage::{read_trace, SkippedLine, TraceDoc, TraceRecord};
-pub use tab_storage::{
-    FileTraceSink, MemoryTraceSink, StderrTraceSink, Trace, TraceEvent, TraceSink,
-};
+pub use tab_storage::{FileTraceSink, MemoryTraceSink, Trace, TraceEvent, TraceSink};

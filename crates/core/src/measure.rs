@@ -54,34 +54,18 @@ impl WorkloadRun {
 
     /// The same conservative total in raw cost units: actual units for
     /// completed queries, the budget for timed-out ones. This is the
-    /// quantity the grid timings and `BENCH_repro_*.json` aggregate.
+    /// quantity the grid timings aggregate.
     pub fn total_lower_bound_units(&self) -> f64 {
         self.outcomes.iter().map(Outcome::units_lower_bound).sum()
     }
 }
 
 /// Execute a workload on a configuration with the given timeout budget
-/// (in cost units). The paper's `A(W, C)` measurement loop.
+/// (in cost units), fanned out over queries. The paper's `A(W, C)`
+/// measurement loop. Queries are independent (sessions are read-only
+/// views over `db` and `built`) and outcomes are collected in workload
+/// order, so the result is identical at any thread count.
 pub fn run_workload(
-    db: &Database,
-    built: &BuiltConfiguration,
-    workload: &[Query],
-    timeout_units: f64,
-) -> WorkloadRun {
-    run_workload_with(
-        db,
-        built,
-        workload,
-        timeout_units,
-        Parallelism::sequential(),
-    )
-}
-
-/// [`run_workload`] fanned out over queries. Queries are independent
-/// (sessions are read-only views over `db` and `built`) and outcomes are
-/// collected in workload order, so the result is identical at any
-/// thread count.
-pub fn run_workload_with(
     db: &Database,
     built: &BuiltConfiguration,
     workload: &[Query],
@@ -110,17 +94,9 @@ pub fn run_workload_with(
     }
 }
 
-/// Per-query optimizer estimates `E(q, C)` in the built configuration.
+/// Per-query optimizer estimates `E(q, C)` in the built configuration,
+/// fanned out over queries, order-preserving.
 pub fn estimate_workload(
-    db: &Database,
-    built: &BuiltConfiguration,
-    workload: &[Query],
-) -> Vec<f64> {
-    estimate_workload_with(db, built, workload, Parallelism::sequential())
-}
-
-/// [`estimate_workload`] fanned out over queries, order-preserving.
-pub fn estimate_workload_with(
     db: &Database,
     built: &BuiltConfiguration,
     workload: &[Query],
@@ -132,19 +108,9 @@ pub fn estimate_workload_with(
     })
 }
 
-/// Per-query hypothetical estimates `H(q, Ch, Ca)`.
+/// Per-query hypothetical estimates `H(q, Ch, Ca)`, fanned out over
+/// queries, order-preserving.
 pub fn estimate_workload_hypothetical(
-    db: &Database,
-    current: &BuiltConfiguration,
-    hyp: &Configuration,
-    workload: &[Query],
-) -> Vec<f64> {
-    estimate_workload_hypothetical_with(db, current, hyp, workload, Parallelism::sequential())
-}
-
-/// [`estimate_workload_hypothetical`] fanned out over queries,
-/// order-preserving.
-pub fn estimate_workload_hypothetical_with(
     db: &Database,
     current: &BuiltConfiguration,
     hyp: &Configuration,

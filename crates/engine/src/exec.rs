@@ -627,64 +627,29 @@ pub struct OpActuals {
 /// Row order is deterministic for a fixed plan (morsel outputs are
 /// concatenated in morsel index order) but unspecified to callers;
 /// callers that compare results should sort.
+///
+/// `opts` carries intra-query parallelism, morsel size, vectorization,
+/// fault injection and the optional buffer pool;
+/// `&ExecOpts::default()` is sequential, vectorized and pool-less.
+///
+/// When `ops` is supplied it receives one [`OpActuals`] per operator
+/// slot (layout `[FreqSetup, driver, step…, output]`, matching
+/// [`PhysicalPlan::op_labels`]). On timeout the vector holds the slots
+/// that completed before the budget ran out. Instrumentation is
+/// observational only: the meter sees identical charges either way.
+///
+/// When `io_out` is supplied and [`ExecOpts::pool`] configures a pool,
+/// it receives the buffer-pool counters. With no pool the counters stay
+/// zero and execution is byte-identical to the historical path. On
+/// timeout `io_out` is left untouched — partial pool counters are *not*
+/// reported, because how far a morsel region progressed past the budget
+/// is thread-timing dependent while the verdict itself is not.
 pub fn execute(
     plan: &PhysicalPlan,
     resolver: &Resolver<'_>,
     meter: &mut CostMeter,
-) -> Result<Vec<Vec<Value>>, TimedOut> {
-    execute_instrumented_with(plan, resolver, meter, None, &ExecOpts::default())
-}
-
-/// [`execute`] with explicit [`ExecOpts`] (intra-query parallelism,
-/// morsel size, vectorization, fault injection).
-pub fn execute_with(
-    plan: &PhysicalPlan,
-    resolver: &Resolver<'_>,
-    meter: &mut CostMeter,
     opts: &ExecOpts<'_>,
-) -> Result<Vec<Vec<Value>>, TimedOut> {
-    execute_instrumented_with(plan, resolver, meter, None, opts)
-}
-
-/// Execute `plan` like [`execute`], additionally recording one
-/// [`OpActuals`] per operator slot when `ops` is supplied (layout
-/// `[FreqSetup, driver, step…, output]`, matching
-/// [`PhysicalPlan::op_labels`]). On timeout the vector holds the slots
-/// that completed before the budget ran out. Instrumentation is
-/// observational only: the meter sees identical charges either way.
-pub fn execute_instrumented(
-    plan: &PhysicalPlan,
-    resolver: &Resolver<'_>,
-    meter: &mut CostMeter,
-    ops: Option<&mut Vec<OpActuals>>,
-) -> Result<Vec<Vec<Value>>, TimedOut> {
-    execute_instrumented_with(plan, resolver, meter, ops, &ExecOpts::default())
-}
-
-/// [`execute_instrumented`] with explicit [`ExecOpts`].
-pub fn execute_instrumented_with(
-    plan: &PhysicalPlan,
-    resolver: &Resolver<'_>,
-    meter: &mut CostMeter,
-    ops: Option<&mut Vec<OpActuals>>,
-    opts: &ExecOpts<'_>,
-) -> Result<Vec<Vec<Value>>, TimedOut> {
-    execute_instrumented_pooled(plan, resolver, meter, ops, opts, None)
-}
-
-/// [`execute_instrumented_with`] additionally reporting buffer-pool
-/// counters into `io_out` when [`ExecOpts::pool`] configures a pool.
-/// With no pool the counters stay zero and execution is byte-identical
-/// to the historical path. On timeout `io_out` is left untouched —
-/// partial pool counters are *not* reported, because how far a morsel
-/// region progressed past the budget is thread-timing dependent while
-/// the verdict itself is not.
-pub fn execute_instrumented_pooled(
-    plan: &PhysicalPlan,
-    resolver: &Resolver<'_>,
-    meter: &mut CostMeter,
     mut ops: Option<&mut Vec<OpActuals>>,
-    opts: &ExecOpts<'_>,
     io_out: Option<&mut PoolStats>,
 ) -> Result<Vec<Vec<Value>>, TimedOut> {
     let q = &plan.query;

@@ -190,6 +190,8 @@ fn choice_list(choices: &[crate::planner::PlanChoice], indent: usize) -> String 
 mod tests {
     use super::*;
     use crate::catalog::bind;
+    use crate::cost::CostMeter;
+    use crate::exec::{execute, ExecOpts, Resolver};
     use crate::planner::plan_explained;
     use crate::session::Session;
     use crate::stats_view::RealStats;
@@ -226,9 +228,10 @@ mod tests {
         let bound = bind(&q, &db).unwrap();
         let (plan, expl) = plan_explained(&bound, &RealStats::new(&db, &built));
         let session = Session::new(&db, &built);
-        let (result, ops) = session.run_instrumented(&q, None).unwrap();
+        let result = session.run(&q, None).unwrap();
+        let ops = &result.ops;
         assert_eq!(ops.len(), plan.op_labels().len());
-        let text = render_explain(&plan, Some(&ops), Some(&expl));
+        let text = render_explain(&plan, Some(ops), Some(&expl));
         // The chosen access path, both cost columns, and the losing
         // alternative all appear.
         assert!(text.contains("IndexScan(t cols=[0]"), "{text}");
@@ -246,12 +249,17 @@ mod tests {
     fn instrumentation_does_not_change_costs() {
         let db = db();
         let built = BuiltConfiguration::build(Configuration::named("p"), &db);
-        let session = Session::new(&db, &built);
         let q = parse("SELECT t.g, COUNT(*) FROM t GROUP BY t.g").unwrap();
-        let plain = session.run(&q, None).unwrap();
-        let (instr, ops) = session.run_instrumented(&q, None).unwrap();
-        assert_eq!(plain.outcome.units(), instr.outcome.units());
-        assert_eq!(plain.rows, instr.rows);
+        let plan = Session::new(&db, &built).plan_query(&q).unwrap();
+        let resolver = Resolver::new(&db, &built);
+        let opts = ExecOpts::default();
+        let mut plain_meter = CostMeter::unbounded();
+        let plain = execute(&plan, &resolver, &mut plain_meter, &opts, None, None).unwrap();
+        let mut ops = Vec::new();
+        let mut meter = CostMeter::unbounded();
+        let instr = execute(&plan, &resolver, &mut meter, &opts, Some(&mut ops), None).unwrap();
+        assert_eq!(plain_meter.units(), meter.units());
+        assert_eq!(plain, instr);
         assert!(!ops.is_empty());
     }
 }

@@ -34,17 +34,11 @@ pub use cost::{
     RANDOM_PAGE_COST, ROW_COST, SEQ_PAGE_COST, SIM_SECONDS_PER_UNIT,
 };
 pub use dml::{apply_insert, validate_insert, InsertOutcome};
-pub use exec::{
-    execute, execute_instrumented, execute_instrumented_pooled, execute_instrumented_with,
-    execute_with, ExecOpts, OpActuals, PoolOpts, Resolver, DEFAULT_MORSEL_ROWS,
-};
+pub use exec::{execute, ExecOpts, OpActuals, PoolOpts, Resolver, DEFAULT_MORSEL_ROWS};
 pub use explain::render_explain;
 pub use plan::{OpEstimate, PhysicalPlan};
 pub use planner::{plan, plan_explained, PlanChoice, PlanExplanation};
-pub use session::{
-    estimate_hypothetical, estimate_hypothetical_layered, estimate_hypothetical_perfect, RunResult,
-    Session,
-};
+pub use session::{estimate_hypothetical, estimate_hypothetical_layered, RunResult, Session};
 pub use shared::{
     EngineSnapshot, EngineState, KeyedInsert, RecoverError, SharedEngine, SharedInsert,
     WalRecoveryReport,

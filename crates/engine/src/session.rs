@@ -13,7 +13,7 @@ use tab_storage::{
 
 use crate::catalog::{bind, BindError};
 use crate::cost::{CostMeter, Outcome};
-use crate::exec::{execute_instrumented_pooled, ExecOpts, OpActuals, Resolver};
+use crate::exec::{execute, ExecOpts, OpActuals, Resolver};
 use crate::plan::PhysicalPlan;
 use crate::planner::{plan, plan_explained, PlanExplanation};
 use crate::stats_view::{HypotheticalStats, RealStats};
@@ -27,6 +27,11 @@ pub struct RunResult {
     pub rows: Option<Vec<Vec<Value>>>,
     /// The plan that was executed.
     pub plan: PhysicalPlan,
+    /// The executor's per-operator actuals (layout
+    /// `[FreqSetup, driver, step…, output]`, matching
+    /// [`PhysicalPlan::op_labels`]). On timeout the vector holds only
+    /// the operators that completed.
+    pub ops: Vec<OpActuals>,
     /// Buffer-pool traffic for this query. All-zero when the session
     /// runs without a pool ([`ExecOpts::pool`] unset) and on timeout —
     /// a timed-out query's partial traffic is discarded so outputs
@@ -89,40 +94,22 @@ impl<'a> Session<'a> {
 
     /// Execute a query with an optional cost budget (the timeout).
     pub fn run(&self, q: &Query, budget: Option<f64>) -> Result<RunResult, BindError> {
-        self.run_inner(q, budget, None)
-    }
-
-    /// Execute a query like [`Session::run`], additionally returning the
-    /// executor's per-operator actuals (layout
-    /// `[FreqSetup, driver, step…, output]`, matching
-    /// [`PhysicalPlan::op_labels`]). On timeout the vector holds only the
-    /// operators that completed. Costs and results are identical to an
-    /// uninstrumented run.
-    pub fn run_instrumented(
-        &self,
-        q: &Query,
-        budget: Option<f64>,
-    ) -> Result<(RunResult, Vec<OpActuals>), BindError> {
-        let mut ops = Vec::new();
-        let r = self.run_inner(q, budget, Some(&mut ops))?;
-        Ok((r, ops))
-    }
-
-    fn run_inner(
-        &self,
-        q: &Query,
-        budget: Option<f64>,
-        ops: Option<&mut Vec<OpActuals>>,
-    ) -> Result<RunResult, BindError> {
         let p = self.plan_query(q)?;
         let mut meter = match budget {
             Some(b) => CostMeter::with_budget(b),
             None => CostMeter::unbounded(),
         };
         let resolver = Resolver::new(self.db, self.built);
+        let mut ops = Vec::new();
         let mut io = PoolStats::default();
-        match execute_instrumented_pooled(&p, &resolver, &mut meter, ops, &self.exec, Some(&mut io))
-        {
+        match execute(
+            &p,
+            &resolver,
+            &mut meter,
+            &self.exec,
+            Some(&mut ops),
+            Some(&mut io),
+        ) {
             Ok(rows) => Ok(RunResult {
                 outcome: Outcome::Done {
                     units: meter.units(),
@@ -130,6 +117,7 @@ impl<'a> Session<'a> {
                 },
                 rows: Some(rows),
                 plan: p,
+                ops,
                 io,
             }),
             Err(_) => Ok(RunResult {
@@ -138,6 +126,7 @@ impl<'a> Session<'a> {
                 },
                 rows: None,
                 plan: p,
+                ops,
                 // Deliberately zeroed: `io` is only written on success.
                 io: PoolStats::default(),
             }),
@@ -174,20 +163,6 @@ pub fn estimate_hypothetical(
 ) -> Result<f64, BindError> {
     let bound = bind(q, db)?;
     let stats = HypotheticalStats::new(db, current, hyp);
-    Ok(plan(&bound, &stats).est_cost)
-}
-
-/// Ablation variant of [`estimate_hypothetical`]: hypothetical
-/// structures get full distribution statistics (the "observe" step the
-/// paper's conclusion calls for).
-pub fn estimate_hypothetical_perfect(
-    db: &Database,
-    current: &BuiltConfiguration,
-    hyp: &Configuration,
-    q: &Query,
-) -> Result<f64, BindError> {
-    let bound = bind(q, db)?;
-    let stats = HypotheticalStats::with_perfect_distributions(db, current, hyp);
     Ok(plan(&bound, &stats).est_cost)
 }
 

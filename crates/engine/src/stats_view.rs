@@ -344,25 +344,6 @@ impl<'a> HypotheticalStats<'a> {
         }
     }
 
-    /// Ablation variant: hypothetical structures get *full* distribution
-    /// statistics, as if the "observe" step the paper's conclusion calls
-    /// for had run. Used to quantify how much of the recommenders'
-    /// failure §5 attributes to estimation error.
-    pub fn with_perfect_distributions(
-        db: &'a Database,
-        current: &'a BuiltConfiguration,
-        hyp: &'a Configuration,
-    ) -> Self {
-        HypotheticalStats {
-            db,
-            current,
-            hyp,
-            extra_indexes: &[],
-            extra_mviews: &[],
-            perfect_distributions: true,
-        }
-    }
-
     /// All hypothetical index specs: base first, then the overlay.
     fn all_indexes(&self) -> impl Iterator<Item = &IndexSpec> {
         self.hyp.indexes.iter().chain(self.extra_indexes)

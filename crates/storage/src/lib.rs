@@ -39,7 +39,7 @@ pub use fault::{atomic_write, FaultKind, FaultPlan, Faults, TraceFault, WireFaul
 pub use index::{BTreeIndex, IndexSpec, Probe};
 pub use mview::{MViewSpec, MaterializedView};
 pub use pager::Pager;
-pub use par::{par_map, par_map_catch, par_run, par_run_catch, Job, JobPanic, Parallelism};
+pub use par::{par_map, par_map_catch, par_run, Job, JobPanic, Parallelism};
 pub use pool::{
     index_rel_id, table_rel_id, temp_rel_id, BufferPool, Fetched, PageHint, PageKey, PoolStats,
 };
@@ -47,7 +47,7 @@ pub use schema::{ColType, ColumnDef, ForeignKey, TableSchema};
 pub use snapshot::{GenerationCell, Snapshot};
 pub use stats::{ColumnStats, TableStats};
 pub use table::{Row, RowId, Table, PAGE_SIZE};
-pub use trace::{FileTraceSink, MemoryTraceSink, StderrTraceSink, Trace, TraceEvent, TraceSink};
+pub use trace::{FileTraceSink, MemoryTraceSink, Trace, TraceEvent, TraceSink};
 pub use trace_reader::{read_trace, SkippedLine, TraceDoc, TraceRecord};
 pub use value::Value;
 pub use wal::{Wal, WalError, WalRecord, WalRecovery, WAL_SCHEMA_PREFIX};

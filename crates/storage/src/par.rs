@@ -170,23 +170,9 @@ pub type Job<'a, U> = Box<dyn FnOnce() -> U + Send + 'a>;
 /// returning their results in job order. Used for coarse-grained
 /// fan-out such as building several databases at once.
 pub fn par_run<U: Send>(par: Parallelism, jobs: Vec<Job<'_, U>>) -> Vec<U> {
-    let mut out = Vec::with_capacity(jobs.len());
-    for r in par_run_catch(par, jobs) {
-        match r {
-            Ok(v) => out.push(v),
-            Err(p) => p.resume(),
-        }
-    }
-    out
-}
-
-/// [`par_run`] with per-job panic isolation (see [`par_map_catch`]):
-/// a panicking job yields `Err(JobPanic)` in its slot while the
-/// remaining jobs run to completion.
-pub fn par_run_catch<U: Send>(par: Parallelism, jobs: Vec<Job<'_, U>>) -> Vec<Result<U, JobPanic>> {
     let slots: Vec<Mutex<Option<Job<'_, U>>>> =
         jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    par_map_catch(par, &slots, |slot| {
+    par_map(par, &slots, |slot| {
         let job = slot
             .lock()
             .expect("job mutex poisoned")
@@ -278,31 +264,6 @@ mod tests {
             err.downcast_ref::<String>().map(String::as_str),
             Some("boom 5")
         );
-    }
-
-    #[test]
-    fn par_run_catch_isolates_and_orders() {
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..6usize)
-            .map(|i| {
-                Box::new(move || {
-                    if i == 2 {
-                        panic!("job {i} died");
-                    }
-                    i * 10
-                }) as Box<dyn FnOnce() -> usize + Send>
-            })
-            .collect();
-        let got = par_run_catch(Parallelism::new(3), jobs);
-        assert_eq!(got.len(), 6);
-        for (i, r) in got.iter().enumerate() {
-            match r {
-                Ok(v) => assert_eq!(*v, i * 10),
-                Err(p) => {
-                    assert_eq!(i, 2);
-                    assert_eq!(p.message, "job 2 died");
-                }
-            }
-        }
     }
 
     #[test]

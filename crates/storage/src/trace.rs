@@ -300,17 +300,6 @@ impl TraceSink for FileTraceSink {
     }
 }
 
-/// A sink writing each event line to stderr — the structured replacement
-/// for the old ad-hoc `TAB_ADVISOR_DEBUG` narration.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct StderrTraceSink;
-
-impl TraceSink for StderrTraceSink {
-    fn emit(&self, line: &str) {
-        eprintln!("{line}");
-    }
-}
-
 /// A sink collecting lines in memory, for tests and the CLI.
 #[derive(Debug, Default)]
 pub struct MemoryTraceSink {
@@ -343,7 +332,6 @@ const _: () = {
     _assert_send_sync::<Trace<'static>>();
     _assert_send_sync::<FileTraceSink>();
     _assert_send_sync::<MemoryTraceSink>();
-    _assert_send_sync::<StderrTraceSink>();
 };
 
 #[cfg(test)]

@@ -9,7 +9,7 @@ use tab_bench::advisor::{
     one_column_budget_bytes, AdvisorInput, Recommender, SystemA, SystemB, SystemC,
 };
 use tab_bench::eval::report::render_cfc_ascii;
-use tab_bench::eval::{build_1c, build_p, run_workload, Suite, SuiteParams};
+use tab_bench::eval::{build_1c, build_p, run_workload, Parallelism, Suite, SuiteParams};
 use tab_bench::families::Family;
 use tab_bench::storage::BuiltConfiguration;
 
@@ -32,8 +32,9 @@ fn main() {
     let workload = tab_bench::eval::prepare_workload(&suite, Family::SkTH3Js, &p);
     println!("workload: {} SkTH3Js queries", workload.len());
 
-    let run_p = run_workload(db, &p, &workload, params.timeout_units);
-    let run_1c = run_workload(db, &one_c, &workload, params.timeout_units);
+    let seq = Parallelism::sequential();
+    let run_p = run_workload(db, &p, &workload, params.timeout_units, seq);
+    let run_1c = run_workload(db, &one_c, &workload, params.timeout_units, seq);
     let mut curves = vec![
         ("P".to_string(), run_p.cfc()),
         ("1".to_string(), run_1c.cfc()),
@@ -62,7 +63,7 @@ fn main() {
                     stats.wall_seconds
                 );
                 let built = BuiltConfiguration::build(cfg, db);
-                let run = run_workload(db, &built, &workload, params.timeout_units);
+                let run = run_workload(db, &built, &workload, params.timeout_units, seq);
                 println!(
                     "  total (lower bound): {:.0}s, timeouts {}",
                     run.total_lower_bound_sim_seconds(),

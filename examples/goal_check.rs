@@ -8,7 +8,7 @@
 //! cargo run --release --example goal_check
 //! ```
 
-use tab_bench::eval::{build_1c, build_p, run_workload, Goal, Suite, SuiteParams};
+use tab_bench::eval::{build_1c, build_p, run_workload, Goal, Parallelism, Suite, SuiteParams};
 use tab_bench::families::Family;
 
 fn main() {
@@ -33,7 +33,13 @@ fn main() {
     }
 
     for (label, cfg) in [("P", &p), ("1C", &one_c)] {
-        let run = run_workload(db, cfg, &workload, params.timeout_units);
+        let run = run_workload(
+            db,
+            cfg,
+            &workload,
+            params.timeout_units,
+            Parallelism::sequential(),
+        );
         let cfc = run.cfc();
         let verdict = if goal.satisfied_by(&cfc) {
             "SATISFIED"

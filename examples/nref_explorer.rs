@@ -8,7 +8,9 @@
 
 use tab_bench::engine::Session;
 use tab_bench::eval::report::render_histogram_ascii;
-use tab_bench::eval::{build_1c, build_p, run_workload, LogHistogram, Suite, SuiteParams};
+use tab_bench::eval::{
+    build_1c, build_p, run_workload, LogHistogram, Parallelism, Suite, SuiteParams,
+};
 use tab_bench::families::Family;
 use tab_bench::sqlq::parse;
 
@@ -61,7 +63,13 @@ fn main() {
     let workload = tab_bench::eval::prepare_workload(&suite, Family::Nref2J, &p);
     println!("\n{} exploratory queries from NREF2J:", workload.len());
     for (label, cfg) in [("initial (P)", &p), ("single-column (1C)", &one_c)] {
-        let run = run_workload(db, cfg, &workload, params.timeout_units);
+        let run = run_workload(
+            db,
+            cfg,
+            &workload,
+            params.timeout_units,
+            Parallelism::sequential(),
+        );
         let hist = LogHistogram::new(&run.sim_seconds(), 0.1, 1800.0, 1);
         println!("\n--- response times on the {label} configuration ---");
         print!("{}", render_histogram_ascii(&hist, 40));

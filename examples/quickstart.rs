@@ -6,7 +6,7 @@
 //! ```
 
 use tab_bench::eval::report::render_cfc_ascii;
-use tab_bench::eval::{build_1c, build_p, run_workload, Suite, SuiteParams};
+use tab_bench::eval::{build_1c, build_p, run_workload, Parallelism, Suite, SuiteParams};
 use tab_bench::families::Family;
 
 fn main() {
@@ -39,8 +39,9 @@ fn main() {
     );
 
     // 4. Execute on both configurations with the timeout.
-    let run_p = run_workload(&suite.nref, &p, &workload, params.timeout_units);
-    let run_1c = run_workload(&suite.nref, &one_c, &workload, params.timeout_units);
+    let seq = Parallelism::sequential();
+    let run_p = run_workload(&suite.nref, &p, &workload, params.timeout_units, seq);
+    let run_1c = run_workload(&suite.nref, &one_c, &workload, params.timeout_units, seq);
 
     // 5. Compare with cumulative frequency curves (the paper's Figure 3).
     let cfc_p = run_p.cfc();

@@ -3,13 +3,11 @@
 //! per-round gains and objective values — with the cost cache on or
 //! off, at any thread count.
 
-use tab_advisor::{
-    generate_candidates, greedy_select_with_stats, CandidateStyle, GreedyOptions, SearchStats,
-};
+use tab_advisor::{generate_candidates, greedy_select, CandidateStyle, GreedyOptions, SearchStats};
 use tab_core::{build_p, prepare_workload_db_with, space_budget};
 use tab_datagen::{generate_nref, generate_tpch, Distribution, NrefParams, TpchParams};
 use tab_families::Family;
-use tab_storage::{Configuration, Database, Parallelism};
+use tab_storage::{Configuration, Database, Parallelism, Trace};
 
 fn check_equivalence(db: &Database, label: &str, family: Family, style: CandidateStyle) {
     let p = build_p(db, label);
@@ -19,7 +17,7 @@ fn check_equivalence(db: &Database, label: &str, family: Family, style: Candidat
     assert!(!cands.is_empty(), "{label}: no candidates generated");
 
     let run = |cache: bool, threads: usize| -> (Configuration, SearchStats) {
-        greedy_select_with_stats(
+        greedy_select(
             db,
             &p,
             &w,
@@ -31,6 +29,7 @@ fn check_equivalence(db: &Database, label: &str, family: Family, style: Candidat
                 par: Parallelism::new(threads),
                 ..GreedyOptions::default()
             },
+            Trace::disabled(),
         )
     };
 

@@ -13,7 +13,9 @@
 
 use tab_bench::advisor::{one_column_configuration, p_configuration};
 use tab_bench::datagen::{generate_nref, generate_tpch, Distribution, NrefParams, TpchParams};
-use tab_bench::engine::{bind, naive, ChargePolicy, ExecOpts, PoolOpts, Session};
+use tab_bench::engine::{
+    bind, execute, naive, ChargePolicy, CostMeter, ExecOpts, PoolOpts, Resolver, Session,
+};
 use tab_bench::families::Family;
 use tab_bench::storage::{BuiltConfiguration, Database, Parallelism, Table};
 
@@ -30,6 +32,37 @@ fn truncate_db(db: &Database, cap: usize) -> Database {
     }
     out.collect_stats();
     out
+}
+
+/// The executor settings every query is checked under. Morsel rows:
+/// every (query-threads, morsel-rows) pairing and the scalar predicate
+/// path. Pool rows: the 8-frame floor in Metered charge mode, where the
+/// clock hand evicts on nearly every fetch and neither the rows nor the
+/// unit total may move — eviction is bookkeeping, never semantics.
+fn exec_table() -> Vec<ExecOpts<'static>> {
+    let row = |threads, morsel_rows, vectorize, pool_frames| ExecOpts {
+        par: Parallelism::new(threads),
+        morsel_rows,
+        vectorize,
+        pool: (pool_frames > 0).then(|| {
+            let mut pool = PoolOpts::new(pool_frames);
+            pool.policy = ChargePolicy::Metered;
+            pool
+        }),
+        ..ExecOpts::default()
+    };
+    vec![
+        row(1, 64, true, 0),
+        row(2, 64, true, 0),
+        row(2, 4096, true, 0),
+        row(8, 64, true, 0),
+        row(8, 4096, true, 0),
+        row(2, 64, false, 0),
+        row(1, 64, true, 8),
+        row(4, 64, true, 8),
+        row(1, 64, false, 8),
+        row(2, 64, true, 8),
+    ]
 }
 
 /// Queries per family to push through the interpreter.
@@ -84,80 +117,35 @@ fn check_family(family: Family, db: &Database) {
                 "{} query {qi} under {cname}: cost-unit total not reproducible",
                 family.name()
             );
-            // Morsel-driven executor: every (query-threads, morsel-rows)
-            // pairing — and the scalar predicate path — must reproduce
-            // the same rows and bit-identical cost units as the default
+            // Every row of the executor table must reproduce the same
+            // rows and bit-identical cost units as the default
             // sequential run above.
-            for (threads, morsel_rows, vectorize) in [
-                (1, 64, true),
-                (2, 64, true),
-                (2, 4096, true),
-                (8, 64, true),
-                (8, 4096, true),
-                (2, 64, false),
-            ] {
-                let exec = ExecOpts {
-                    par: Parallelism::new(threads),
-                    morsel_rows,
-                    vectorize,
-                    ..ExecOpts::default()
-                };
-                let rp = Session::new(db, built)
-                    .with_exec(exec)
-                    .run(q, None)
-                    .expect("morsel variant executes");
-                let mut got = rp.rows.clone().expect("unbounded run returns rows");
+            let plan = session.plan_query(q).expect("family query plans");
+            let resolver = Resolver::new(db, built);
+            for opts in exec_table() {
+                let label = format!(
+                    "{} query-threads, morsel {}, vectorize={}, pool frames {:?}",
+                    opts.par.threads(),
+                    opts.morsel_rows,
+                    opts.vectorize,
+                    opts.pool.map(|p| p.pages)
+                );
+                let mut meter = CostMeter::unbounded();
+                let mut got = execute(&plan, &resolver, &mut meter, &opts, None, None)
+                    .expect("unbounded run completes");
                 if q.order_by.is_empty() {
                     got.sort();
                 }
                 assert_eq!(
                     expect,
                     got,
-                    "{} query {qi} under {cname} diverges at {threads} query-threads, \
-                     morsel {morsel_rows}, vectorize={vectorize}:\n{q}",
+                    "{} query {qi} under {cname} diverges at {label}:\n{q}",
                     family.name()
                 );
                 assert_eq!(
-                    rp.outcome.units(),
-                    Some(units),
-                    "{} query {qi} under {cname}: cost units drift at {threads} \
-                     query-threads, morsel {morsel_rows}, vectorize={vectorize}",
-                    family.name()
-                );
-            }
-            // Tiny buffer pool at the 8-frame floor in Metered charge
-            // mode: the clock hand evicts on nearly every fetch, and
-            // neither the rows nor the bit-identical unit total may
-            // move — eviction is bookkeeping, never semantics.
-            for threads in [1, 4] {
-                let mut pool = PoolOpts::new(8);
-                pool.policy = ChargePolicy::Metered;
-                let exec = ExecOpts {
-                    par: Parallelism::new(threads),
-                    morsel_rows: 64,
-                    pool: Some(pool),
-                    ..ExecOpts::default()
-                };
-                let rp = Session::new(db, built)
-                    .with_exec(exec)
-                    .run(q, None)
-                    .expect("tiny-pool variant executes");
-                let mut got = rp.rows.clone().expect("unbounded run returns rows");
-                if q.order_by.is_empty() {
-                    got.sort();
-                }
-                assert_eq!(
-                    expect,
-                    got,
-                    "{} query {qi} under {cname} diverges with an 8-frame pool \
-                     at {threads} query-threads:\n{q}",
-                    family.name()
-                );
-                assert_eq!(
-                    rp.outcome.units(),
-                    Some(units),
-                    "{} query {qi} under {cname}: metered units drift with an \
-                     8-frame pool at {threads} query-threads",
+                    meter.units(),
+                    units,
+                    "{} query {qi} under {cname}: cost units drift at {label}",
                     family.name()
                 );
             }

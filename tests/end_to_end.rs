@@ -4,8 +4,8 @@
 use tab_bench::advisor::{AdvisorInput, Recommender, SystemB, SystemC};
 use tab_bench::engine::Session;
 use tab_bench::eval::{
-    build_1c, build_p, estimate_workload, prepare_workload, run_workload, space_budget, Suite,
-    SuiteParams,
+    build_1c, build_p, estimate_workload, prepare_workload, run_workload, space_budget,
+    Parallelism, Suite, SuiteParams,
 };
 use tab_bench::families::Family;
 use tab_bench::storage::BuiltConfiguration;
@@ -23,13 +23,14 @@ fn small_suite() -> Suite {
 
 #[test]
 fn one_c_beats_p_on_nref2j() {
+    let seq = Parallelism::sequential();
     let suite = small_suite();
     let db = &suite.nref;
     let p = build_p(db, "NREF");
     let c1 = build_1c(db, "NREF");
     let w = prepare_workload(&suite, Family::Nref2J, &p);
-    let run_p = run_workload(db, &p, &w, suite.params.timeout_units);
-    let run_1c = run_workload(db, &c1, &w, suite.params.timeout_units);
+    let run_p = run_workload(db, &p, &w, suite.params.timeout_units, seq);
+    let run_1c = run_workload(db, &c1, &w, suite.params.timeout_units, seq);
     let total_p = run_p.total_lower_bound_sim_seconds();
     let total_1c = run_1c.total_lower_bound_sim_seconds();
     assert!(
@@ -96,13 +97,14 @@ fn recommended_configuration_stays_within_budget() {
 
 #[test]
 fn estimates_rank_1c_at_or_below_p() {
+    let seq = Parallelism::sequential();
     let suite = small_suite();
     let db = &suite.nref;
     let p = build_p(db, "NREF");
     let c1 = build_1c(db, "NREF");
     let w = prepare_workload(&suite, Family::Nref2J, &p);
-    let e_p: f64 = estimate_workload(db, &p, &w).iter().sum();
-    let e_1c: f64 = estimate_workload(db, &c1, &w).iter().sum();
+    let e_p: f64 = estimate_workload(db, &p, &w, seq).iter().sum();
+    let e_1c: f64 = estimate_workload(db, &c1, &w, seq).iter().sum();
     assert!(
         e_1c <= e_p,
         "optimizer should never estimate 1C above P in total: {e_1c} vs {e_p}"
@@ -111,12 +113,13 @@ fn estimates_rank_1c_at_or_below_p() {
 
 #[test]
 fn timeouts_abort_and_are_reported() {
+    let seq = Parallelism::sequential();
     let suite = small_suite();
     let db = &suite.nref;
     let p = build_p(db, "NREF");
     let w = prepare_workload(&suite, Family::Nref2J, &p);
     // A budget so small everything times out.
-    let run = run_workload(db, &p, &w, 0.01);
+    let run = run_workload(db, &p, &w, 0.01, seq);
     assert_eq!(run.timeout_count(), w.len());
     assert_eq!(run.cfc().completed_fraction(), 0.0);
 }

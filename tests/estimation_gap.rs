@@ -3,8 +3,8 @@
 //! skewed data, and the gap shrinks on uniform data.
 
 use tab_bench::eval::{
-    build_1c, build_p, estimate_workload, estimate_workload_hypothetical, prepare_workload, Suite,
-    SuiteParams,
+    build_1c, build_p, estimate_workload, estimate_workload_hypothetical, prepare_workload,
+    Parallelism, Suite, SuiteParams,
 };
 use tab_bench::families::Family;
 
@@ -33,6 +33,7 @@ fn quantile(v: &[f64], q: f64) -> f64 {
 
 #[test]
 fn hypothetical_1c_more_conservative_than_real_1c() {
+    let seq = Parallelism::sequential();
     // Figure 10's key contrast: H1C is "much more conservative about the
     // advantages of 1C than E1C".
     let s = suite();
@@ -41,8 +42,8 @@ fn hypothetical_1c_more_conservative_than_real_1c() {
     let c1 = build_1c(db, "NREF");
     let w = prepare_workload(&s, Family::Nref3J, &p);
 
-    let e1c = estimate_workload(db, &c1, &w);
-    let h1c = estimate_workload_hypothetical(db, &p, &c1.config, &w);
+    let e1c = estimate_workload(db, &c1, &w, seq);
+    let h1c = estimate_workload_hypothetical(db, &p, &c1.config, &w, seq);
     // Figure 10 contrasts paired per-query estimates: for the typical
     // query the uniformity assumption overstates 1C's cost (selective
     // constants look average), so per-query H1C/E1C sits above 1.
@@ -61,6 +62,7 @@ fn hypothetical_1c_more_conservative_than_real_1c() {
 
 #[test]
 fn estimates_order_p_above_1c() {
+    let seq = Parallelism::sequential();
     // Figure 10: "The optimizer correctly estimates that the behavior of
     // R improves over P and that 1C improves even further."
     let s = suite();
@@ -70,8 +72,8 @@ fn estimates_order_p_above_1c() {
     let w = prepare_workload(&s, Family::Nref3J, &p);
     // At the selective quartile the probe-based 1C plans are estimated
     // far cheaper than P's scans (the head of Figure 10's curves).
-    let ep = quantile(&estimate_workload(db, &p, &w), 0.25);
-    let e1c = quantile(&estimate_workload(db, &c1, &w), 0.25);
+    let ep = quantile(&estimate_workload(db, &p, &w, seq), 0.25);
+    let e1c = quantile(&estimate_workload(db, &c1, &w, seq), 0.25);
     assert!(
         e1c < ep,
         "q25 E1C ({e1c:.0}) should be below q25 EP ({ep:.0})"
@@ -80,6 +82,7 @@ fn estimates_order_p_above_1c() {
 
 #[test]
 fn hypothetical_gap_smaller_on_uniform_data() {
+    let seq = Parallelism::sequential();
     // The uniformity assumption is *correct* on UnTH, so H should track
     // E much more closely there than on NREF (skewed).
     let s = suite();
@@ -90,8 +93,8 @@ fn hypothetical_gap_smaller_on_uniform_data() {
         let p = build_p(db, label);
         let c1 = build_1c(db, label);
         let w = prepare_workload(&s, fam, &p);
-        let e = estimate_workload(db, &c1, &w);
-        let h = estimate_workload_hypothetical(db, &p, &c1.config, &w);
+        let e = estimate_workload(db, &c1, &w, seq);
+        let h = estimate_workload_hypothetical(db, &p, &c1.config, &w, seq);
         let devs: Vec<f64> = e
             .iter()
             .zip(&h)

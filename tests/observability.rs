@@ -41,7 +41,7 @@ fn explain_shows_index_scan_under_1c_but_not_p() {
     let mut renders = Vec::new();
     for s in [&sp, &s1] {
         let (plan, expl) = s.plan_query_explained(q).expect("plan");
-        let (_, acts) = s.run_instrumented(q, Some(2_000.0)).expect("run");
+        let acts = s.run(q, Some(2_000.0)).expect("run").ops;
         renders.push(render_explain(&plan, Some(&acts), Some(&expl)));
     }
     let (rp, r1) = (&renders[0], &renders[1]);
@@ -98,7 +98,7 @@ fn explain_is_identical_at_one_and_four_query_threads() {
             };
             let s = Session::new(&db, &c1).with_exec(exec);
             let (plan, expl) = s.plan_query_explained(q).expect("plan");
-            let (_, acts) = s.run_instrumented(q, Some(2_000.0)).expect("run");
+            let acts = s.run(q, Some(2_000.0)).expect("run").ops;
             renders.push(render_explain(&plan, Some(&acts), Some(&expl)));
         }
         assert_eq!(
@@ -126,8 +126,8 @@ fn tiny(out: &Path) -> ReproConfig {
     }
 }
 
-/// Read every output file, excluding `timings.json` and the `BENCH_*`
-/// records — both hold wall-clock, which varies run to run.
+/// Read every output file, excluding `timings.json` (wall-clock, which
+/// varies run to run) and the `BENCH_*` records, compared by name below.
 fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     let mut out = BTreeMap::new();
     for entry in std::fs::read_dir(dir).expect("read output dir") {
@@ -137,25 +137,6 @@ fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
             continue;
         }
         out.insert(name, std::fs::read(entry.path()).expect("read output file"));
-    }
-    out
-}
-
-/// Drop the wall-clock numbers from a `BENCH_*` document so the
-/// deterministic remainder (names, counters, cost units) can be compared
-/// across runs.
-fn strip_wall_clock(doc: &str) -> String {
-    let mut out = String::new();
-    for piece in doc.split(
-        // Both bench schemas render wall-clock as `"…wall_seconds": N`.
-        "wall_seconds\": ",
-    ) {
-        out.push_str(
-            piece
-                .split_once(|c: char| !c.is_ascii_digit() && c != '.')
-                .map(|(_, rest)| rest)
-                .unwrap_or(""),
-        );
     }
     out
 }
@@ -185,12 +166,12 @@ fn traced_repro_outputs_are_byte_identical_to_untraced() {
             "{name} differs between traced and untraced runs"
         );
     }
-    // The BENCH_* records agree once wall-clock is stripped: tracing
-    // must not change phase structure, counters, or cost units.
-    for name in ["BENCH_repro_small.json", "BENCH_advisor.json"] {
-        let a = std::fs::read_to_string(plain_dir.join(name)).expect("plain bench");
-        let b = std::fs::read_to_string(traced_dir.join(name)).expect("traced bench");
-        assert_eq!(strip_wall_clock(&a), strip_wall_clock(&b), "{name} differs");
+    // The wall-clock-free BENCH_* records are byte-identical too:
+    // tracing must not change pool traffic or search counters.
+    for name in ["BENCH_io.json", "BENCH_convergence.json"] {
+        let a = std::fs::read(plain_dir.join(name)).expect("plain bench");
+        let b = std::fs::read(traced_dir.join(name)).expect("traced bench");
+        assert_eq!(a, b, "{name} differs");
     }
 
     // The trace itself carries every event family of the schema.

@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use tab_bench::engine::{bind, naive, CostMeter, Resolver};
+use tab_bench::engine::{bind, naive, CostMeter, ExecOpts, Resolver};
 use tab_bench::sqlq::{parse, CmpOp, ColRef, Predicate, Query, RangeOp, SelectItem, TableRef};
 use tab_bench::storage::{
     BuiltConfiguration, ColType, ColumnDef, Configuration, Database, IndexSpec, Table, TableSchema,
@@ -298,8 +298,9 @@ fn execution_is_deterministic() {
         let resolver = Resolver::new(&db, &built);
         let mut m1 = CostMeter::unbounded();
         let mut m2 = CostMeter::unbounded();
-        tab_bench::engine::execute(&plan, &resolver, &mut m1).unwrap();
-        tab_bench::engine::execute(&plan, &resolver, &mut m2).unwrap();
+        let opts = ExecOpts::default();
+        tab_bench::engine::execute(&plan, &resolver, &mut m1, &opts, None, None).unwrap();
+        tab_bench::engine::execute(&plan, &resolver, &mut m2, &opts, None, None).unwrap();
         assert_eq!(m1.units(), m2.units(), "case {case}: shape {shape:?}");
     }
 }

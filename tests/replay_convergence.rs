@@ -10,9 +10,9 @@
 
 use tab_bench::datagen::{generate_nref, NrefParams};
 use tab_bench::engine::{ChargePolicy, Session};
-use tab_bench::eval::{build_1c, build_p, run_grid_traced, GridCell};
+use tab_bench::eval::{build_1c, build_p, run_grid, GridCell};
 use tab_bench::families::Family;
-use tab_bench::storage::{FaultPlan, FileTraceSink, MemoryTraceSink, Parallelism, Trace};
+use tab_bench::storage::{FaultPlan, Faults, FileTraceSink, MemoryTraceSink, Parallelism, Trace};
 use tab_bench_harness::replay::{diff, replay_str, DiffOptions, ReplayError};
 use tab_bench_harness::trace_summary::summarize;
 
@@ -55,7 +55,14 @@ fn traced_grid_text(threads: usize) -> String {
             pager: None,
         },
     ];
-    run_grid_traced(&cells, Parallelism::new(threads), Trace::to(&sink));
+    run_grid(
+        &cells,
+        Parallelism::new(threads),
+        Trace::to(&sink),
+        Faults::disabled(),
+        None,
+    )
+    .expect("clean grid");
     sink.lines().join("\n") + "\n"
 }
 
@@ -78,7 +85,8 @@ fn replay_round_trips_live_instrumented_actuals() {
         assert_eq!(cell.queries.len(), w.len());
         let session = Session::new(&db, &built);
         for (qi, q) in w.iter().enumerate() {
-            let (result, acts) = session.run_instrumented(q, Some(TIMEOUT)).expect("run");
+            let result = session.run(q, Some(TIMEOUT)).expect("run");
+            let acts = &result.ops;
             let rq = &cell.queries[&(qi as u64)];
             // Plan shape: the full label sequence, even past a timeout
             // cutoff (labels come from the plan, actuals from execution).
