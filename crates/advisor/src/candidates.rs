@@ -40,17 +40,6 @@ pub enum Candidate {
     MView(MViewDef),
 }
 
-impl Candidate {
-    /// Tables this candidate is relevant to (queries touching any of
-    /// them may benefit).
-    pub fn tables(&self) -> Vec<&str> {
-        match self {
-            Candidate::Index(i) => vec![&i.table],
-            Candidate::MView(m) => m.spec.base.iter().map(String::as_str).collect(),
-        }
-    }
-}
-
 /// Per-relation predicate columns extracted from one bound query.
 #[derive(Debug, Default, Clone)]
 struct RelCols {

@@ -64,10 +64,6 @@ pub struct GreedyOptions {
     /// Thread budget for the candidate fan-out. The recommendation is
     /// identical at any setting; only wall-clock changes.
     pub par: Parallelism,
-    /// Whether to memoize what-if costs by relevant-structure signature.
-    /// Costs are identical either way; `false` exists for the
-    /// cache-equivalence tests and ablations.
-    pub cache: bool,
     /// Stop before a round whose preceding what-if call count has
     /// reached this budget (the convergence harness's planner-invocation
     /// ladder). The check runs between rounds on the service's
@@ -85,14 +81,13 @@ impl Default for GreedyOptions {
             objective: Objective::TotalCost,
             perfect_estimates: false,
             par: Parallelism::sequential(),
-            cache: true,
             max_whatif_calls: None,
         }
     }
 }
 
 /// One accepted structure in a greedy search, for diagnostics and the
-/// cache-equivalence tests.
+/// differential-oracle tests.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundStats {
     /// Index of the picked candidate in the input candidate vector.
@@ -208,14 +203,7 @@ pub fn greedy_select(
     let mut chosen = current.config.clone();
     chosen.name = name.to_string();
 
-    let svc = WhatIfService::new(
-        db,
-        current,
-        workload,
-        &candidates,
-        opts.perfect_estimates,
-        opts.cache,
-    );
+    let svc = WhatIfService::new(db, current, workload, &candidates, opts.perfect_estimates);
     // Ids (candidate-vector indices) of the picks appended to `chosen`,
     // in pick order: the cache-signature input.
     let mut chosen_ids: Vec<u32> = Vec::new();
@@ -594,17 +582,18 @@ mod tests {
             })
             .collect();
         let cands = generate(&db, &w, CandidateStyle::SingleColumn);
+        let n_cands = cands.len();
         let (cfg, stats) = greedy_select(
             &db,
             &p,
             &w,
-            cands.clone(),
+            cands,
             50 * 1024 * 1024,
             "R",
             GreedyOptions::default(),
             Trace::disabled(),
         );
-        assert_eq!(stats.candidates, cands.len());
+        assert_eq!(stats.candidates, n_cands);
         assert_eq!(stats.planner_calls + stats.cache_hits, stats.whatif_calls);
         assert!(
             stats.cache_hits > 0,
@@ -614,25 +603,5 @@ mod tests {
             stats.rounds.len(),
             cfg.indexes.len() - p.config.indexes.len()
         );
-
-        // Disabling the cache prices every request through the planner
-        // and picks the identical configuration.
-        let (cfg_nc, stats_nc) = greedy_select(
-            &db,
-            &p,
-            &w,
-            cands,
-            50 * 1024 * 1024,
-            "R",
-            GreedyOptions {
-                cache: false,
-                ..GreedyOptions::default()
-            },
-            Trace::disabled(),
-        );
-        assert_eq!(cfg, cfg_nc);
-        assert_eq!(stats_nc.cache_hits, 0);
-        assert_eq!(stats_nc.planner_calls, stats_nc.whatif_calls);
-        assert_eq!(stats_nc.whatif_calls, stats.whatif_calls);
     }
 }

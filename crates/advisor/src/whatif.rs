@@ -3,11 +3,15 @@
 //! The greedy search prices O(rounds × candidates × affected-queries)
 //! hypothetical configurations through the optimizer's what-if
 //! interface. Most of those calls are redundant: a structure can only
-//! change a query's plan if it is *relevant* to that query — an index
-//! on one of the query's own tables, or a materialized view whose base
-//! pair is one of the query's join edges. [`WhatIfService`] exploits
-//! that with a cost cache keyed by
-//! `(query index, sorted relevant-candidate-id signature)`:
+//! change a query's plan if it is *relevant* to that query, meaning the
+//! planner could use it. The rule is the planner's own —
+//! [`tab_engine::planner::index_usable`] (the index's leading column is
+//! a filter, join or frequency-subquery column of the query) and
+//! [`tab_engine::planner::view_usable`] (some join edge rewrites onto
+//! the view) — the same one each plan filters its index lists through,
+//! so an irrelevant structure leaves the estimate bit-identical by
+//! construction. [`WhatIfService`] exploits that with a cost cache keyed
+//! by `(query index, sorted relevant-candidate-id signature)`:
 //!
 //! * Within a round, a trial candidate irrelevant to a query reuses the
 //!   query's current cost without invoking the planner at all.
@@ -31,6 +35,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use tab_engine::planner::{index_usable, view_usable};
 use tab_engine::{bind, estimate_hypothetical_layered, BoundQuery};
 use tab_sqlq::Query;
 use tab_storage::{BuiltConfiguration, Configuration, Database, IndexSpec, MViewDef};
@@ -91,38 +96,39 @@ pub struct WhatIfService<'a> {
     /// (estimated as `f64::INFINITY`, matching `estimate_hypothetical`).
     bound: Vec<Option<BoundQuery>>,
     /// For each candidate, the sorted indices of workload queries it can
-    /// affect (queries touching any of the candidate's tables).
+    /// affect (queries the planner could use it for).
     affected: Vec<Vec<usize>>,
     perfect: bool,
-    /// Sharded by `qi % SHARDS`; `None` disables memoization.
-    cache: Option<Box<[Shard]>>,
+    /// Sharded by `qi % SHARDS`.
+    cache: Box<[Shard]>,
     calls: AtomicU64,
     hits: AtomicU64,
     plans: AtomicU64,
 }
 
 impl<'a> WhatIfService<'a> {
-    /// Build a service for one greedy search. `cache: false` disables
-    /// memoization (every request invokes the planner) — used by the
-    /// cache-equivalence tests.
+    /// Build a service for one greedy search.
     pub fn new(
         db: &'a Database,
         current: &'a BuiltConfiguration,
         workload: &[Query],
         candidates: &'a [Candidate],
         perfect: bool,
-        cache: bool,
     ) -> Self {
-        let bound = workload.iter().map(|q| bind(q, db).ok()).collect();
+        let bound: Vec<Option<BoundQuery>> = workload.iter().map(|q| bind(q, db).ok()).collect();
         let affected = candidates
             .iter()
             .map(|c| {
-                let tables = c.tables();
-                workload
+                bound
                     .iter()
                     .enumerate()
-                    .filter(|(_, q)| q.from.iter().any(|t| tables.contains(&t.table.as_str())))
-                    .map(|(i, _)| i)
+                    .filter(|(_, b)| {
+                        b.as_ref().is_some_and(|b| match c {
+                            Candidate::Index(i) => index_usable(b, &i.table, &i.columns),
+                            Candidate::MView(m) => view_usable(b, &m.spec),
+                        })
+                    })
+                    .map(|(qi, _)| qi)
                     .collect()
             })
             .collect();
@@ -133,7 +139,7 @@ impl<'a> WhatIfService<'a> {
             bound,
             affected,
             perfect,
-            cache: cache.then(|| (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect()),
+            cache: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             calls: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             plans: AtomicU64::new(0),
@@ -183,15 +189,11 @@ impl<'a> WhatIfService<'a> {
         qi: usize,
     ) -> f64 {
         self.calls.fetch_add(1, Ordering::Relaxed);
-        let shard = self.cache.as_ref().map(|shards| &shards[qi % SHARDS]);
-        let key = shard
-            .as_ref()
-            .map(|_| (qi as u32, self.signature(chosen_ids, trial, qi)));
-        if let (Some(shard), Some(key)) = (&shard, &key) {
-            if let Some(&c) = shard.lock().expect("whatif cache poisoned").get(key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return c;
-            }
+        let shard = &self.cache[qi % SHARDS];
+        let key = (qi as u32, self.signature(chosen_ids, trial, qi));
+        if let Some(&c) = shard.lock().expect("whatif cache poisoned").get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return c;
         }
         let cost = match &self.bound[qi] {
             None => f64::INFINITY,
@@ -214,12 +216,10 @@ impl<'a> WhatIfService<'a> {
                 )
             }
         };
-        if let (Some(shard), Some(key)) = (shard, key) {
-            shard
-                .lock()
-                .expect("whatif cache poisoned")
-                .insert(key, cost);
-        }
+        shard
+            .lock()
+            .expect("whatif cache poisoned")
+            .insert(key, cost);
         cost
     }
 
@@ -277,7 +277,7 @@ mod tests {
             .iter()
             .position(|c| matches!(c, Candidate::Index(i) if i.table == "t"))
             .expect("an index candidate on t");
-        let svc = WhatIfService::new(&db, &p, &w, &cands, false, true);
+        let svc = WhatIfService::new(&db, &p, &w, &cands, false);
 
         let base = p.config.clone();
         // Query 1 (on `u`) is unaffected by an index on `t`: after the
@@ -299,23 +299,5 @@ mod tests {
         }
         let materialized = estimate_hypothetical(&db, &p, &trial, &w[0]).unwrap();
         assert_eq!(layered.to_bits(), materialized.to_bits());
-    }
-
-    #[test]
-    fn counters_add_up_and_disabled_cache_never_hits() {
-        let db = db();
-        let p = BuiltConfiguration::build(p_configuration(&db, "P"), &db);
-        let w = vec![parse("SELECT t.a, COUNT(*) FROM t WHERE t.a = 3 GROUP BY t.a").unwrap()];
-        let cands = generate(&db, &w, CandidateStyle::SingleColumn);
-        let svc = WhatIfService::new(&db, &p, &w, &cands, false, false);
-        let base = p.config.clone();
-        for _ in 0..3 {
-            svc.estimate(&base, &[], None, 0);
-        }
-        let s = svc.stats();
-        assert_eq!(s.whatif_calls, 3);
-        assert_eq!(s.planner_calls, 3);
-        assert_eq!(s.cache_hits, 0);
-        assert_eq!(s.planner_calls + s.cache_hits, s.whatif_calls);
     }
 }

@@ -1,7 +1,6 @@
 //! Recommender search benchmarks: candidate generation and greedy
 //! what-if selection, sequential and with the 8-thread candidate
-//! fan-out, plus a one-shot report of the what-if cache's planner-call
-//! reduction.
+//! fan-out, plus a one-shot report of the what-if cache's hit rate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -83,9 +82,6 @@ fn bench_advisor(c: &mut Criterion) {
     let workload: Vec<_> = shapes.iter().map(|q| parse(q).unwrap()).collect();
     let cands = generate_candidates(&db, &workload, CandidateStyle::Covering);
 
-    // One-shot report: planner invocations with the what-if cost cache
-    // off vs on (uncached, every what-if call plans). The selected
-    // configuration must be identical either way.
     let run = |opts: GreedyOptions| {
         greedy_select(
             &db,
@@ -98,26 +94,18 @@ fn bench_advisor(c: &mut Criterion) {
             Trace::disabled(),
         )
     };
-    {
-        let (cfg_off, off) = run(GreedyOptions {
-            cache: false,
-            ..GreedyOptions::default()
-        });
-        let (cfg_on, on) = run(GreedyOptions::default());
-        assert_eq!(cfg_off, cfg_on, "cache must not change the recommendation");
-        assert_eq!(off.whatif_calls, on.whatif_calls);
-        eprintln!(
-            "[advisor_search] {} what-if calls: {} planner invocations uncached \
-             vs {} cached ({:.1}x fewer, {:.0}% hit rate); {} cores available \
-             (the 8-thread fan-out only beats sequential wall-clock on multi-core hosts)",
-            on.whatif_calls,
-            off.planner_calls,
-            on.planner_calls,
-            off.planner_calls as f64 / on.planner_calls.max(1) as f64,
-            on.cache_hit_rate() * 100.0,
-            std::thread::available_parallelism().map_or(1, |n| n.get()),
-        );
-    }
+    // One-shot report: how many of the search's what-if requests reached
+    // the planner.
+    let (_, stats) = run(GreedyOptions::default());
+    eprintln!(
+        "[advisor_search] {} what-if calls: {} planner invocations \
+         ({:.0}% hit rate); {} cores available \
+         (the 8-thread fan-out only beats sequential wall-clock on multi-core hosts)",
+        stats.whatif_calls,
+        stats.planner_calls,
+        stats.cache_hit_rate() * 100.0,
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+    );
 
     c.bench_function("candidate_generation_covering", |b| {
         b.iter(|| black_box(generate_candidates(&db, &workload, CandidateStyle::Covering).len()))

@@ -11,9 +11,9 @@
 use std::collections::BTreeSet;
 
 use tab_sqlq::RangeOp;
-use tab_storage::Value;
+use tab_storage::{MViewSpec, Value};
 
-use crate::catalog::{BoundQuery, BoundRel, JoinEdge};
+use crate::catalog::{BoundQuery, BoundRel, FreqFilter, JoinEdge};
 use crate::cost::{RANDOM_PAGE_COST, ROW_COST, SEQ_PAGE_COST};
 use crate::plan::{
     access_desc, Access, JoinMethod, JoinStep, OpEstimate, PhysicalPlan, ProbeSource, RelOp,
@@ -52,22 +52,7 @@ pub struct PlanExplanation {
 /// # Panics
 /// Panics if the query has more than [`MAX_RELATIONS`] relations.
 pub fn plan(bound: &BoundQuery, stats: &dyn StatsView) -> PhysicalPlan {
-    assert!(
-        bound.rels.len() <= MAX_RELATIONS,
-        "planner supports at most {MAX_RELATIONS} relations"
-    );
-    let mut candidates = vec![(bound.clone(), Vec::new())];
-    for (rewritten, view) in mv_rewrites(bound, stats) {
-        candidates.push((rewritten, vec![view]));
-    }
-    let mut best: Option<PhysicalPlan> = None;
-    for (cand, views) in candidates {
-        let p = best_for_candidate(&cand, stats, views);
-        if best.as_ref().is_none_or(|b| p.est_cost < b.est_cost) {
-            best = Some(p);
-        }
-    }
-    best.expect("at least the original candidate plans")
+    search(bound, stats, None)
 }
 
 /// Plan a bound query and record the planner's decision trace: the cost
@@ -82,52 +67,68 @@ pub fn plan_explained(
     bound: &BoundQuery,
     stats: &dyn StatsView,
 ) -> (PhysicalPlan, PlanExplanation) {
-    assert!(
-        bound.rels.len() <= MAX_RELATIONS,
-        "planner supports at most {MAX_RELATIONS} relations"
-    );
-    let mut candidates = vec![(bound.clone(), Vec::new(), "original query".to_string())];
-    for (rewritten, view) in mv_rewrites(bound, stats) {
-        let desc = format!("rewrite using view `{view}`");
-        candidates.push((rewritten, vec![view], desc));
-    }
-    let mut best: Option<PhysicalPlan> = None;
-    let mut cand_choices = Vec::new();
-    let mut best_idx = 0usize;
-    for (i, (cand, views, desc)) in candidates.into_iter().enumerate() {
-        let p = best_for_candidate(&cand, stats, views);
-        cand_choices.push(PlanChoice {
-            description: desc,
-            cost: p.est_cost,
-            chosen: false,
-        });
-        if best.as_ref().is_none_or(|b| p.est_cost < b.est_cost) {
-            best_idx = i;
-            best = Some(p);
-        }
-    }
-    cand_choices[best_idx].chosen = true;
-    let plan = best.expect("at least the original candidate plans");
-
-    // Re-cost the winning plan's join order with logging on: the search
-    // is deterministic, so the per-slot winners match the plan exactly.
-    let need = plan.query.needed_columns();
-    let mut perm = Vec::with_capacity(plan.steps.len() + 1);
-    perm.push(plan.driver.rel);
-    perm.extend(plan.steps.iter().map(|s| s.inner.rel));
-    let mut per_op = Vec::new();
-    let _ = cost_perm(&plan.query, stats, &need, &perm, Some(&mut per_op));
-    (
-        plan,
-        PlanExplanation {
-            candidates: cand_choices,
-            per_op,
-        },
-    )
+    let mut explanation = PlanExplanation {
+        candidates: Vec::new(),
+        per_op: Vec::new(),
+    };
+    let plan = search(bound, stats, Some(&mut explanation));
+    (plan, explanation)
 }
 
 /// Maximum relations per query (the families use at most 3).
 pub const MAX_RELATIONS: usize = 6;
+
+/// Whether some plan of `bound` could read an index on `table` with key
+/// `columns` — the planner's own usability rule, and the what-if
+/// search's relevance test. Every index loop below needs a usable
+/// *leading* column, so the index is usable iff `columns[0]` is
+///
+/// * an equality-filter, range-filter, self-referential
+///   frequency-filter or join column of some relation scanning `table`
+///   (`rel_can_lead`, through which each plan candidate filters its
+///   per-relation index lists before any loop runs), or
+/// * the grouped column of some frequency subquery over `table`
+///   (`freq_eval_cost`'s index-only path).
+///
+/// Covering alone is not an access path here. An index that is not
+/// usable leaves the query's estimated cost bit-identical.
+pub fn index_usable(bound: &BoundQuery, table: &str, columns: &[usize]) -> bool {
+    let Some(&lead) = columns.first() else {
+        return false;
+    };
+    bound
+        .freqs
+        .iter()
+        .any(|f| f.sub_table == table && f.sub_col == lead)
+        || bound
+            .rels
+            .iter()
+            .enumerate()
+            .any(|(r, rel)| rel.source == table && rel_can_lead(bound, r, lead))
+}
+
+/// Whether relation `rel` carries a predicate an index on its source
+/// led by column `lead` could serve.
+fn rel_can_lead(bound: &BoundQuery, rel: usize, lead: usize) -> bool {
+    let source = &bound.rels[rel].source;
+    bound.filters.iter().any(|f| f.rel == rel && f.col == lead)
+        || bound.ranges.iter().any(|f| f.rel == rel && f.col == lead)
+        || bound
+            .freqs
+            .iter()
+            .any(|f| f.rel == rel && f.col == lead && f.sub_table == *source && f.sub_col == lead)
+        || bound.joins.iter().any(|e| {
+            (e.a == rel && e.cols.iter().any(|&(ca, _)| ca == lead))
+                || (e.b == rel && e.cols.iter().any(|&(_, cb)| cb == lead))
+        })
+}
+
+/// Whether some plan of `bound` could scan materialized view `spec` in
+/// place of one of its join edges — [`index_usable`]'s counterpart for
+/// views: the planner enumerates exactly these rewrites.
+pub fn view_usable(bound: &BoundQuery, spec: &MViewSpec) -> bool {
+    rewrites_with(bound, spec).next().is_some()
+}
 
 /// Outcome of costing one relation's access.
 struct CostedRelOp {
@@ -137,34 +138,256 @@ struct CostedRelOp {
     out_rows: f64,
 }
 
-/// What costing one relation order yields: total cost, driver, join
-/// steps, output row estimate, and the per-slot estimates.
-type PermPlan = (f64, RelOp, Vec<JoinStep>, f64, Vec<OpEstimate>);
+/// One usable index of a relation, resolved once per plan candidate.
+struct RelIndex {
+    meta: IndexMeta,
+    /// Whether the index holds every column the plan needs from the
+    /// relation (no heap fetches).
+    covering: bool,
+}
 
-fn best_for_candidate(
-    bound: &BoundQuery,
-    stats: &dyn StatsView,
-    mviews_used: Vec<String>,
-) -> PhysicalPlan {
-    let need = bound.needed_columns();
-    let freq_cost: f64 = bound
-        .freqs
-        .iter()
-        .map(|f| freq_eval_cost(&f.sub_table, f.sub_col, stats))
-        .sum();
+impl RelIndex {
+    /// Label of a priced option over this index, e.g.
+    /// `IndexScan(protein cols=[3] covering)`.
+    fn describe(&self, kind: &str, source: &str) -> String {
+        format!(
+            "{kind}({source} cols={:?}{})",
+            self.meta.columns,
+            if self.covering { " covering" } else { "" }
+        )
+    }
+}
 
-    let n = bound.rels.len();
-    let mut best: Option<PermPlan> = None;
-    for perm in permutations(n) {
-        if let Some((cost, driver, steps, rows, ests)) = cost_perm(bound, stats, &need, perm, None)
-        {
-            let total = cost + freq_cost;
-            if best.as_ref().is_none_or(|(c, ..)| total < *c) {
-                best = Some((total, driver, steps, rows, ests));
-            }
+/// Everything about one relation that does not depend on the join order.
+struct RelCtx {
+    rows: f64,
+    pages: f64,
+    /// The source's indexes that pass [`rel_can_lead`], in the
+    /// statistics view's order.
+    indexes: Vec<RelIndex>,
+    /// The relation's constant filters `(col, value)`.
+    filters: Vec<(usize, Value)>,
+    /// Selectivity of each of `filters`.
+    eq_sels: Vec<f64>,
+    /// The relation's range filters `(col, op, value)`.
+    ranges: Vec<(usize, RangeOp, Value)>,
+    /// Selectivity of each of `ranges`.
+    range_sels: Vec<f64>,
+    /// Indices into `BoundQuery::freqs` of the relation's frequency
+    /// filters.
+    freqs: Vec<usize>,
+    /// Qualifying fraction of each of `freqs`.
+    freq_fracs: Vec<f64>,
+    /// Product of `eq_sels` then `range_sels`.
+    filter_sel: f64,
+    /// Product of `freq_fracs`.
+    freq_sel: f64,
+}
+
+/// What the join-order search of one plan candidate reads: the
+/// order-independent facts about each relation and each relation's best
+/// single-relation access, computed once up front. The permutation loop
+/// prices a join order from these and never asks the statistics view
+/// for an index list again.
+struct Ctx<'a> {
+    bound: &'a BoundQuery,
+    stats: &'a dyn StatsView,
+    rels: Vec<RelCtx>,
+    /// `best_rel_op` of each relation (driver and hash-join inner use
+    /// the same access).
+    best: Vec<CostedRelOp>,
+}
+
+impl<'a> Ctx<'a> {
+    fn new(bound: &'a BoundQuery, stats: &'a dyn StatsView) -> Self {
+        let need = bound.needed_columns();
+        let rels: Vec<RelCtx> = (0..bound.rels.len())
+            .map(|rel| RelCtx::new(bound, stats, rel, &need[rel]))
+            .collect();
+        let best = (0..rels.len())
+            .map(|rel| best_rel_op(bound, stats, rel, &rels[rel], None))
+            .collect();
+        Ctx {
+            bound,
+            stats,
+            rels,
+            best,
         }
     }
-    let (mut total, driver, steps, mut rows, pipeline_ests) = best.expect("some permutation");
+}
+
+impl RelCtx {
+    fn new(bound: &BoundQuery, stats: &dyn StatsView, rel: usize, need: &BTreeSet<usize>) -> Self {
+        let source = &bound.rels[rel].source;
+        let filters: Vec<(usize, Value)> = bound
+            .filters
+            .iter()
+            .filter(|f| f.rel == rel)
+            .map(|f| (f.col, f.value.clone()))
+            .collect();
+        let ranges: Vec<(usize, RangeOp, Value)> = bound
+            .ranges
+            .iter()
+            .filter(|f| f.rel == rel)
+            .map(|f| (f.col, f.op, f.value.clone()))
+            .collect();
+        let freqs: Vec<usize> = bound
+            .freqs
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| f.rel == rel)
+            .map(|(i, _)| i)
+            .collect();
+        let eq_sels: Vec<f64> = filters
+            .iter()
+            .map(|(c, v)| stats.eq_selectivity(source, *c, v))
+            .collect();
+        let range_sels: Vec<f64> = ranges
+            .iter()
+            .map(|(c, op, v)| stats.range_selectivity(source, *c, *op, v))
+            .collect();
+        let filter_sel = eq_sels
+            .iter()
+            .chain(&range_sels)
+            .fold(1.0, |acc, s| acc * s);
+        let freq_fracs: Vec<f64> = freqs
+            .iter()
+            .map(|&fi| {
+                let f = &bound.freqs[fi];
+                stats.freq_fraction(&f.sub_table, f.sub_col, f.op, f.k)
+            })
+            .collect();
+        let freq_sel = freq_fracs.iter().fold(1.0, |acc, s| acc * s);
+        let indexes = stats
+            .indexes_on(source)
+            .into_iter()
+            .filter(|m| {
+                m.columns
+                    .first()
+                    .is_some_and(|&c| rel_can_lead(bound, rel, c))
+            })
+            .map(|meta| RelIndex {
+                covering: need.iter().all(|c| meta.columns.contains(c)),
+                meta,
+            })
+            .collect();
+        RelCtx {
+            rows: stats.rel_rows(source),
+            pages: stats.rel_pages(source),
+            indexes,
+            filters,
+            eq_sels,
+            ranges,
+            range_sels,
+            freqs,
+            freq_fracs,
+            filter_sel,
+            freq_sel,
+        }
+    }
+}
+
+/// A plan candidate's winning join order and its full-plan estimates.
+struct Costed {
+    /// Total estimated cost, aggregation and sort included.
+    total: f64,
+    /// Estimated output rows.
+    rows: f64,
+    freq_cost: f64,
+    perm: &'static [usize],
+}
+
+/// The one search behind [`plan`] and [`plan_explained`]: cost the
+/// original query and every view rewrite, then build the
+/// [`PhysicalPlan`] once, for the winner.
+fn search(
+    bound: &BoundQuery,
+    stats: &dyn StatsView,
+    mut explain: Option<&mut PlanExplanation>,
+) -> PhysicalPlan {
+    assert!(
+        bound.rels.len() <= MAX_RELATIONS,
+        "planner supports at most {MAX_RELATIONS} relations"
+    );
+    let rewrites = mv_rewrites(bound, stats);
+    let candidates =
+        std::iter::once((bound, None)).chain(rewrites.iter().map(|(q, view)| (q, Some(view))));
+    let mut best: Option<(usize, Ctx<'_>, Costed, Option<&String>)> = None;
+    for (i, (cand, view)) in candidates.enumerate() {
+        let ctx = Ctx::new(cand, stats);
+        let costed = cost_candidate(&ctx);
+        if let Some(ex) = explain.as_deref_mut() {
+            ex.candidates.push(PlanChoice {
+                description: match view {
+                    None => "original query".to_string(),
+                    Some(view) => format!("rewrite using view `{view}`"),
+                },
+                cost: costed.total,
+                chosen: false,
+            });
+        }
+        if best
+            .as_ref()
+            .is_none_or(|(_, _, b, _)| costed.total < b.total)
+        {
+            best = Some((i, ctx, costed, view));
+        }
+    }
+    let (i, ctx, costed, view) = best.expect("at least the original candidate plans");
+    if let Some(ex) = explain.as_deref_mut() {
+        ex.candidates[i].chosen = true;
+    }
+
+    // Re-cost the winning join order with materialisation (and, for
+    // `plan_explained`, logging) on: the search is deterministic, so the
+    // per-slot winners are the ones the cost came from.
+    let mut built = PermBuild {
+        steps: Vec::new(),
+        ests: Vec::new(),
+        logs: explain.map(|ex| &mut ex.per_op),
+    };
+    let _ = cost_perm(&ctx, costed.perm, Some(&mut built));
+
+    // Operator-slot estimates: whatever `total` carries beyond the freq
+    // setup and the join pipeline is attributed to the output operator
+    // (aggregation / sort), matching the executor's actuals layout.
+    let pipeline_cost: f64 = built.ests.iter().map(|e| e.cost).sum();
+    let mut op_ests = Vec::with_capacity(built.ests.len() + 2);
+    op_ests.push(OpEstimate {
+        cost: costed.freq_cost,
+        rows: 0.0,
+    });
+    op_ests.extend(built.ests);
+    op_ests.push(OpEstimate {
+        cost: costed.total - costed.freq_cost - pipeline_cost,
+        rows: costed.rows,
+    });
+    PhysicalPlan {
+        query: ctx.bound.clone(),
+        driver: ctx.best[costed.perm[0]].op.clone(),
+        steps: built.steps,
+        est_cost: costed.total,
+        est_rows: costed.rows,
+        mviews_used: view.into_iter().cloned().collect(),
+        op_ests,
+    }
+}
+
+/// Search one candidate's join orders and add what sits on top of the
+/// pipeline (frequency subqueries, aggregation, sort, limit).
+fn cost_candidate(ctx: &Ctx<'_>) -> Costed {
+    let (bound, stats) = (ctx.bound, ctx.stats);
+    let freq_cost: f64 = bound.freqs.iter().map(|f| freq_eval_cost(f, stats)).sum();
+
+    let mut best: Option<(f64, f64, &'static [usize])> = None;
+    for perm in permutations(bound.rels.len()) {
+        let (cost, rows) = cost_perm(ctx, perm, None);
+        let total = cost + freq_cost;
+        if best.is_none_or(|(c, ..)| total < c) {
+            best = Some((total, rows, perm.as_slice()));
+        }
+    }
+    let (mut total, mut rows, perm) = best.expect("some permutation");
 
     // Aggregation on top.
     if !bound.aggs.is_empty() || !bound.group_by.is_empty() {
@@ -198,78 +421,71 @@ fn best_for_candidate(
     if let Some(limit) = bound.limit {
         rows = rows.min(limit as f64);
     }
-
-    // Operator-slot estimates: whatever `total` carries beyond the freq
-    // setup and the join pipeline is attributed to the output operator
-    // (aggregation / sort), matching the executor's actuals layout.
-    let pipeline_cost: f64 = pipeline_ests.iter().map(|e| e.cost).sum();
-    let mut op_ests = Vec::with_capacity(pipeline_ests.len() + 2);
-    op_ests.push(OpEstimate {
-        cost: freq_cost,
-        rows: 0.0,
-    });
-    op_ests.extend(pipeline_ests);
-    op_ests.push(OpEstimate {
-        cost: total - freq_cost - pipeline_cost,
+    Costed {
+        total,
         rows,
-    });
-
-    PhysicalPlan {
-        query: bound.clone(),
-        driver,
-        steps,
-        est_cost: total,
-        est_rows: rows,
-        mviews_used,
-        op_ests,
+        freq_cost,
+        perm,
     }
 }
 
-/// Cost a fixed relation order. Returns
-/// `(cost, driver, steps, out_rows, per-slot estimates)`. When `logs` is
-/// supplied, every access path and join method priced for each pipeline
-/// slot is appended to it (one inner `Vec` per slot: driver first, then
-/// each join step) — the hot paths pass `None` and pay nothing.
-fn cost_perm(
-    bound: &BoundQuery,
-    stats: &dyn StatsView,
-    need: &[BTreeSet<usize>],
-    perm: &[usize],
-    mut logs: Option<&mut Vec<Vec<PlanChoice>>>,
-) -> Option<PermPlan> {
-    let mut dlog = logs.as_deref_mut().map(|_| Vec::new());
-    let d = best_rel_op(bound, stats, need, perm[0], dlog.as_mut());
-    if let (Some(ls), Some(dl)) = (logs.as_deref_mut(), dlog) {
-        ls.push(dl);
+/// What [`cost_perm`] materialises for the winning join order only.
+struct PermBuild<'l> {
+    steps: Vec<JoinStep>,
+    /// Per-slot estimates: driver first, then each join step.
+    ests: Vec<OpEstimate>,
+    /// When supplied, every access path and join method priced for each
+    /// pipeline slot is appended (one inner `Vec` per slot, in `ests`
+    /// order).
+    logs: Option<&'l mut Vec<Vec<PlanChoice>>>,
+}
+
+/// Cost a fixed relation order from the candidate's context. Returns
+/// `(cost, out_rows)`. The search passes `build: None` and builds no
+/// operator; the winner is re-costed with `Some` to materialise its own.
+fn cost_perm(ctx: &Ctx<'_>, perm: &[usize], mut build: Option<&mut PermBuild<'_>>) -> (f64, f64) {
+    let d = &ctx.best[perm[0]];
+    if let Some(b) = build.as_deref_mut() {
+        if let Some(ls) = b.logs.as_deref_mut() {
+            // Re-price the driver with logging on, to list every option
+            // in pricing order.
+            let mut log = Vec::new();
+            let rc = &ctx.rels[perm[0]];
+            best_rel_op(ctx.bound, ctx.stats, perm[0], rc, Some(&mut log));
+            ls.push(log);
+        }
+        b.ests.push(OpEstimate {
+            cost: d.cost,
+            rows: d.out_rows,
+        });
     }
     let mut total = d.cost;
     let mut tuples = d.out_rows;
-    let mut ests = vec![OpEstimate {
-        cost: d.cost,
-        rows: d.out_rows,
-    }];
-    let mut steps = Vec::new();
-    let mut placed = vec![perm[0]];
 
-    for &r in &perm[1..] {
-        // All join pairs connecting r to placed relations.
-        let mut pairs: Vec<((usize, usize), usize)> = Vec::new();
-        for e in &bound.joins {
-            collect_pairs(e, r, &placed, &mut pairs);
+    let mut pairs: Vec<((usize, usize), usize)> = Vec::new();
+    for k in 1..perm.len() {
+        let r = perm[k];
+        // All join pairs connecting r to the relations placed so far.
+        pairs.clear();
+        for e in &ctx.bound.joins {
+            collect_pairs(e, r, &perm[..k], &mut pairs);
         }
-        let mut slog = logs.as_deref_mut().map(|_| Vec::new());
-        let (step, cost, out) =
-            best_join_step(bound, stats, need, r, &pairs, tuples, slog.as_mut())?;
-        if let (Some(ls), Some(sl)) = (logs.as_deref_mut(), slog) {
-            ls.push(sl);
+        let mut log = build
+            .as_deref()
+            .is_some_and(|b| b.logs.is_some())
+            .then(Vec::new);
+        let (pick, cost, out) = best_join_step(ctx, r, &pairs, tuples, log.as_mut());
+        if let Some(b) = build.as_deref_mut() {
+            if let (Some(ls), Some(log)) = (b.logs.as_deref_mut(), log) {
+                ls.push(log);
+            }
+            b.steps.push(join_step(ctx, r, &pairs, pick));
+            b.ests.push(OpEstimate { cost, rows: out });
         }
         total += cost;
         tuples = out;
-        ests.push(OpEstimate { cost, rows: out });
-        steps.push(step);
-        placed.push(r);
     }
-    Some((total, d.op, steps, tuples, ests))
+    (total, tuples)
 }
 
 fn collect_pairs(
@@ -295,226 +511,131 @@ fn collect_pairs(
 fn best_rel_op(
     bound: &BoundQuery,
     stats: &dyn StatsView,
-    need: &[BTreeSet<usize>],
     rel: usize,
+    rc: &RelCtx,
     mut log: Option<&mut Vec<PlanChoice>>,
 ) -> CostedRelOp {
     let source = &bound.rels[rel].source;
-    let rows = stats.rel_rows(source);
-    let pages = stats.rel_pages(source);
-    let filters: Vec<(usize, Value)> = bound
-        .filters
-        .iter()
-        .filter(|f| f.rel == rel)
-        .map(|f| (f.col, f.value.clone()))
-        .collect();
-    let freqs: Vec<usize> = bound
-        .freqs
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.rel == rel)
-        .map(|(i, _)| i)
-        .collect();
-    let ranges: Vec<(usize, RangeOp, Value)> = bound
-        .ranges
-        .iter()
-        .filter(|f| f.rel == rel)
-        .map(|f| (f.col, f.op, f.value.clone()))
-        .collect();
-
-    let mut sel_all = 1.0;
-    for (c, v) in &filters {
-        sel_all *= stats.eq_selectivity(source, *c, v);
-    }
-    for (c, op, v) in &ranges {
-        sel_all *= stats.range_selectivity(source, *c, *op, v);
-    }
-    for &fi in &freqs {
-        let f = &bound.freqs[fi];
-        sel_all *= stats.freq_fraction(&f.sub_table, f.sub_col, f.op, f.k);
-    }
-    let out_rows = rows * sel_all;
-
-    // Sequential scan baseline.
-    let seq_cost = pages * SEQ_PAGE_COST + rows * ROW_COST;
-    if let Some(l) = log.as_deref_mut() {
+    let (rows, pages) = (rc.rows, rc.pages);
+    let out_rows = rows * rc.freq_fracs.iter().fold(rc.filter_sel, |acc, s| acc * s);
+    // Appends one priced option to the log; returns its position.
+    let mut note = |kind: &str, idx: Option<&RelIndex>, cost: f64| -> Option<usize> {
+        let l = log.as_deref_mut()?;
         l.push(PlanChoice {
-            description: format!("SeqScan({source})"),
-            cost: seq_cost,
+            description: match idx {
+                None => format!("{kind}({source})"),
+                Some(idx) => idx.describe(kind, source),
+            },
+            cost,
             chosen: false,
         });
-    }
-    let mut best_log = 0usize;
-    let mut best = CostedRelOp {
-        op: RelOp {
-            rel,
-            access: Access::Seq,
-            filters: filters.clone(),
-            ranges: ranges.clone(),
-            freqs: freqs.clone(),
-        },
-        cost: seq_cost,
-        out_rows,
+        Some(l.len() - 1)
     };
+
+    // Sequential scan baseline.
+    let mut best_cost = pages * SEQ_PAGE_COST + rows * ROW_COST;
+    let mut best_access = Access::Seq;
+    let mut best_log = note("SeqScan", None, best_cost);
 
     // Index-filtered frequency scans: an index whose leading column
     // carries a frequency filter reads only the qualifying entries'
     // rows, skipping the heap for everything else.
-    for idx in stats.indexes_on(source) {
-        let Some(&lead) = idx.columns.first() else {
+    for idx in &rc.indexes {
+        let lead = idx.meta.columns[0];
+        let Some(pos) = rc.freqs.iter().position(|&fi| bound.freqs[fi].col == lead) else {
             continue;
         };
-        let Some((fi, f)) = freqs
-            .iter()
-            .map(|&fi| (fi, &bound.freqs[fi]))
-            .find(|(_, f)| f.col == lead)
-        else {
-            continue;
-        };
+        let fi = rc.freqs[pos];
+        let f = &bound.freqs[fi];
         // Only self-referential filters (subquery over this very column)
         // can drive the scan: the qualifying key set is then exactly the
         // index's own leading-key groups.
         if f.sub_table != *source || f.sub_col != lead {
             continue;
         }
-        let frac = stats.freq_fraction(&f.sub_table, f.sub_col, f.op, f.k);
-        let qual_rows = rows * frac;
-        let covering = need[rel].iter().all(|c| idx.columns.contains(c));
+        let qual_rows = rows * rc.freq_fracs[pos];
         let distinct = stats.n_distinct(source, lead);
-        let fetch = if covering {
+        let fetch = if idx.covering {
             0.0
         } else {
-            (qual_rows * idx.clustering).ceil().min(pages)
+            (qual_rows * idx.meta.clustering).ceil().min(pages)
         };
-        let cost = idx.pages * SEQ_PAGE_COST
+        let cost = idx.meta.pages * SEQ_PAGE_COST
             + (distinct + qual_rows) * ROW_COST
             + fetch * RANDOM_PAGE_COST;
-        let entry = log.as_deref_mut().map(|l| {
-            l.push(PlanChoice {
-                description: format!(
-                    "IndexFreqScan({source} cols={:?}{})",
-                    idx.columns,
-                    if covering { " covering" } else { "" }
-                ),
-                cost,
-                chosen: false,
-            });
-            l.len() - 1
-        });
-        if cost < best.cost {
-            if let Some(e) = entry {
-                best_log = e;
-            }
-            best = CostedRelOp {
-                op: RelOp {
-                    rel,
-                    access: Access::IndexFreqScan {
-                        columns: idx.columns.clone(),
-                        freq: fi,
-                        covering,
-                    },
-                    filters: filters.clone(),
-                    ranges: ranges.clone(),
-                    freqs: freqs.clone(),
-                },
-                cost,
-                out_rows,
+        let entry = note("IndexFreqScan", Some(idx), cost);
+        if cost < best_cost {
+            (best_cost, best_log) = (cost, entry);
+            best_access = Access::IndexFreqScan {
+                columns: idx.meta.columns.clone(),
+                freq: fi,
+                covering: idx.covering,
             };
         }
     }
 
     // Index range scans: an index whose leading column carries a range
     // filter reads only the qualifying key span.
-    for idx in stats.indexes_on(source) {
-        let Some(&lead) = idx.columns.first() else {
-            continue;
-        };
-        let leading_ranges: Vec<&(usize, RangeOp, Value)> =
-            ranges.iter().filter(|(c, _, _)| *c == lead).collect();
-        if leading_ranges.is_empty() {
-            continue;
-        }
+    for idx in &rc.indexes {
+        let lead = idx.meta.columns[0];
         // Tightest bounds over the leading column.
-        let mut lo: Option<(Value, bool)> = None;
-        let mut hi: Option<(Value, bool)> = None;
+        let mut lo: Option<(&Value, bool)> = None;
+        let mut hi: Option<(&Value, bool)> = None;
         let mut span_sel = 1.0;
-        for (c, op, v) in &leading_ranges
+        for ((_, op, v), sel) in rc
+            .ranges
             .iter()
-            .map(|r| (*r).clone())
-            .collect::<Vec<_>>()
+            .zip(&rc.range_sels)
+            .filter(|((c, ..), _)| *c == lead)
         {
-            span_sel *= stats.range_selectivity(source, *c, *op, v);
+            span_sel *= sel;
             match op {
                 RangeOp::Gt | RangeOp::Ge => {
-                    let strict = matches!(op, RangeOp::Gt);
-                    if lo.as_ref().is_none_or(|(cur, _)| v > cur) {
-                        lo = Some((v.clone(), strict));
+                    if lo.is_none_or(|(cur, _)| v > cur) {
+                        lo = Some((v, matches!(op, RangeOp::Gt)));
                     }
                 }
                 RangeOp::Lt | RangeOp::Le => {
-                    let strict = matches!(op, RangeOp::Lt);
-                    if hi.as_ref().is_none_or(|(cur, _)| v < cur) {
-                        hi = Some((v.clone(), strict));
+                    if hi.is_none_or(|(cur, _)| v < cur) {
+                        hi = Some((v, matches!(op, RangeOp::Lt)));
                     }
                 }
             }
         }
+        if lo.is_none() && hi.is_none() {
+            continue;
+        }
         let matches = rows * span_sel;
-        let covering = need[rel].iter().all(|c| idx.columns.contains(c));
-        let leaf = (matches / idx.entries_per_page).ceil().max(1.0);
-        let fetch = if covering {
+        let leaf = (matches / idx.meta.entries_per_page).ceil().max(1.0);
+        let fetch = if idx.covering {
             0.0
         } else {
-            (matches * idx.clustering).ceil().min(pages)
+            (matches * idx.meta.clustering).ceil().min(pages)
         };
-        let cost =
-            (idx.height + leaf) * RANDOM_PAGE_COST + fetch * RANDOM_PAGE_COST + matches * ROW_COST;
-        let entry = log.as_deref_mut().map(|l| {
-            l.push(PlanChoice {
-                description: format!(
-                    "IndexRangeScan({source} cols={:?}{})",
-                    idx.columns,
-                    if covering { " covering" } else { "" }
-                ),
-                cost,
-                chosen: false,
-            });
-            l.len() - 1
-        });
-        if cost < best.cost {
-            if let Some(e) = entry {
-                best_log = e;
-            }
-            best = CostedRelOp {
-                op: RelOp {
-                    rel,
-                    access: Access::IndexRange {
-                        columns: idx.columns.clone(),
-                        lo: lo.clone(),
-                        hi: hi.clone(),
-                        covering,
-                    },
-                    filters: filters.clone(),
-                    ranges: ranges.clone(),
-                    freqs: freqs.clone(),
-                },
-                cost,
-                out_rows,
+        let cost = (idx.meta.height + leaf) * RANDOM_PAGE_COST
+            + fetch * RANDOM_PAGE_COST
+            + matches * ROW_COST;
+        let entry = note("IndexRangeScan", Some(idx), cost);
+        if cost < best_cost {
+            (best_cost, best_log) = (cost, entry);
+            best_access = Access::IndexRange {
+                columns: idx.meta.columns.clone(),
+                lo: lo.map(|(v, strict)| (v.clone(), strict)),
+                hi: hi.map(|(v, strict)| (v.clone(), strict)),
+                covering: idx.covering,
             };
         }
     }
 
     // Index probes on constant-filter prefixes.
-    for idx in stats.indexes_on(source) {
+    for idx in &rc.indexes {
         let mut prefix = Vec::new();
         let mut prefix_sel = 1.0;
-        let mut used = BTreeSet::new();
-        for &col in &idx.columns {
-            match filters.iter().find(|(c, _)| *c == col) {
-                Some((_, v)) => {
-                    prefix_sel *= stats.eq_selectivity(source, col, v);
-                    prefix.push(v.clone());
-                    used.insert(col);
+        for &col in &idx.meta.columns {
+            match rc.filters.iter().position(|(c, _)| *c == col) {
+                Some(p) => {
+                    prefix_sel *= rc.eq_sels[p];
+                    prefix.push(&rc.filters[p].1);
                 }
                 None => break,
             }
@@ -522,51 +643,45 @@ fn best_rel_op(
         if prefix.is_empty() {
             continue;
         }
-        let covering = need[rel].iter().all(|c| idx.columns.contains(c));
-        let matches = rows * prefix_sel;
-        let cost = probe_cost(&idx, matches, pages, covering);
-        let entry = log.as_deref_mut().map(|l| {
-            l.push(PlanChoice {
-                description: format!(
-                    "IndexScan({source} cols={:?}{})",
-                    idx.columns,
-                    if covering { " covering" } else { "" }
-                ),
-                cost,
-                chosen: false,
-            });
-            l.len() - 1
-        });
-        if cost < best.cost {
-            if let Some(e) = entry {
-                best_log = e;
-            }
-            let residual: Vec<(usize, Value)> = filters
-                .iter()
-                .filter(|(c, _)| !used.contains(c))
-                .cloned()
-                .collect();
-            best = CostedRelOp {
-                op: RelOp {
-                    rel,
-                    access: Access::Index {
-                        columns: idx.columns.clone(),
-                        prefix,
-                        covering,
-                    },
-                    filters: residual,
-                    ranges: ranges.clone(),
-                    freqs: freqs.clone(),
-                },
-                cost,
-                out_rows,
+        let cost = probe_cost(&idx.meta, rows * prefix_sel, pages, idx.covering);
+        let entry = note("IndexScan", Some(idx), cost);
+        if cost < best_cost {
+            (best_cost, best_log) = (cost, entry);
+            best_access = Access::Index {
+                columns: idx.meta.columns.clone(),
+                prefix: prefix.into_iter().cloned().collect(),
+                covering: idx.covering,
             };
         }
     }
-    if let Some(l) = log {
-        l[best_log].chosen = true;
+    if let (Some(l), Some(e)) = (log, best_log) {
+        l[e].chosen = true;
     }
-    best
+    // A constant-prefix probe consumes the filters on its bound columns;
+    // every other access leaves them all residual.
+    let bound_cols: &[usize] = match &best_access {
+        Access::Index {
+            columns, prefix, ..
+        } => &columns[..prefix.len()],
+        _ => &[],
+    };
+    let filters = rc
+        .filters
+        .iter()
+        .filter(|(c, _)| !bound_cols.contains(c))
+        .cloned()
+        .collect();
+    CostedRelOp {
+        op: RelOp {
+            rel,
+            access: best_access,
+            filters,
+            ranges: rc.ranges.clone(),
+            freqs: rc.freqs.clone(),
+        },
+        cost: best_cost,
+        out_rows,
+    }
 }
 
 /// Cost of one index probe returning `matches` rows. Heap fetches are
@@ -582,21 +697,22 @@ fn probe_cost(idx: &IndexMeta, matches: f64, heap_pages: f64, covering: bool) ->
     (idx.height + leaf + heap) * RANDOM_PAGE_COST + matches * ROW_COST
 }
 
-/// Choose the cheapest join method bringing `rel` into the pipeline.
-/// When `log` is supplied, every priced option is appended as a
-/// [`PlanChoice`], with the winner marked `chosen`.
+/// Choose the cheapest join method bringing `rel` into the pipeline:
+/// `None` is a hash join over the relation's best access, `Some(i)` an
+/// index nested-loops join over `ctx.rels[rel].indexes[i]`. Returns
+/// `(pick, cost, out_rows)`; [`join_step`] turns the pick into an
+/// operator. When `log` is supplied, every priced option is appended as
+/// a [`PlanChoice`], with the winner marked `chosen`.
 fn best_join_step(
-    bound: &BoundQuery,
-    stats: &dyn StatsView,
-    need: &[BTreeSet<usize>],
+    ctx: &Ctx<'_>,
     rel: usize,
     pairs: &[((usize, usize), usize)],
     outer_rows: f64,
     mut log: Option<&mut Vec<PlanChoice>>,
-) -> Option<(JoinStep, f64, f64)> {
+) -> (Option<usize>, f64, f64) {
+    let (bound, stats) = (ctx.bound, ctx.stats);
     let source = &bound.rels[rel].source;
-    let rows = stats.rel_rows(source);
-    let pages = stats.rel_pages(source);
+    let rc = &ctx.rels[rel];
 
     // Join selectivity over all pairs, used for output estimation.
     let mut join_sel = 1.0;
@@ -608,7 +724,7 @@ fn best_join_step(
 
     // Hash join with best inner access, spilling when the build side
     // exceeds working memory.
-    let inner = best_rel_op(bound, stats, need, rel, None);
+    let inner = &ctx.best[rel];
     let out = (outer_rows * inner.out_rows * join_sel).max(0.0);
     let spill =
         crate::cost::spill_pages(inner.out_rows as u64, outer_rows as u64) as f64 * SEQ_PAGE_COST;
@@ -622,67 +738,19 @@ fn best_join_step(
         });
     }
     let mut best_log = 0usize;
-    let mut best = (
-        JoinStep {
-            inner: inner.op,
-            method: JoinMethod::Hash,
-            pairs: pairs.to_vec(),
-        },
-        hash_cost,
-        out,
-    );
+    let mut best = (None, hash_cost, out);
 
     // Index nested-loops over each index whose prefix can be bound from
     // join columns and constant filters.
-    let filters: Vec<(usize, Value)> = bound
-        .filters
-        .iter()
-        .filter(|f| f.rel == rel)
-        .map(|f| (f.col, f.value.clone()))
-        .collect();
-    let freqs: Vec<usize> = bound
-        .freqs
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.rel == rel)
-        .map(|(i, _)| i)
-        .collect();
-    let ranges: Vec<(usize, RangeOp, Value)> = bound
-        .ranges
-        .iter()
-        .filter(|f| f.rel == rel)
-        .map(|f| (f.col, f.op, f.value.clone()))
-        .collect();
-    let mut filter_sel = 1.0;
-    for (c, v) in &filters {
-        filter_sel *= stats.eq_selectivity(source, *c, v);
-    }
-    for (c, op, v) in &ranges {
-        filter_sel *= stats.range_selectivity(source, *c, *op, v);
-    }
-    let mut freq_sel = 1.0;
-    for &fi in &freqs {
-        let f = &bound.freqs[fi];
-        freq_sel *= stats.freq_fraction(&f.sub_table, f.sub_col, f.op, f.k);
-    }
-
-    for idx in stats.indexes_on(source) {
-        let mut probe = Vec::new();
+    for (i, idx) in rc.indexes.iter().enumerate() {
         let mut probe_sel = 1.0;
-        // Only columns bound from a *constant* may drop their filter from
-        // the residual list; a column bound from the outer join value
-        // still needs its constant filter re-checked after the probe.
-        let mut used_const_cols = BTreeSet::new();
         let mut has_outer = false;
-        for &col in &idx.columns {
-            if let Some(&((orel, ocol), _)) = pairs.iter().find(|(_, ic)| *ic == col) {
-                probe.push(ProbeSource::Outer(orel, ocol));
+        for &col in &idx.meta.columns {
+            if pairs.iter().any(|(_, ic)| *ic == col) {
                 probe_sel /= stats.n_distinct(source, col).max(1.0);
                 has_outer = true;
-            } else if let Some((_, v)) = filters.iter().find(|(c, _)| *c == col) {
-                probe.push(ProbeSource::Const(v.clone()));
-                probe_sel *= stats.eq_selectivity(source, col, v);
-                used_const_cols.insert(col);
+            } else if let Some(p) = rc.filters.iter().position(|(c, _)| *c == col) {
+                probe_sel *= rc.eq_sels[p];
             } else {
                 break;
             }
@@ -690,17 +758,12 @@ fn best_join_step(
         if !has_outer {
             continue;
         }
-        let covering = need[rel].iter().all(|c| idx.columns.contains(c));
-        let matches_pp = rows * probe_sel;
-        let cost = outer_rows * probe_cost(&idx, matches_pp, pages, covering)
+        let matches_pp = rc.rows * probe_sel;
+        let cost = outer_rows * probe_cost(&idx.meta, matches_pp, rc.pages, idx.covering)
             + outer_rows * matches_pp * ROW_COST;
         let entry = log.as_deref_mut().map(|l| {
             l.push(PlanChoice {
-                description: format!(
-                    "IndexNLJoin({source} cols={:?}{})",
-                    idx.columns,
-                    if covering { " covering" } else { "" }
-                ),
+                description: idx.describe("IndexNLJoin", source),
                 cost,
                 chosen: false,
             });
@@ -710,53 +773,86 @@ fn best_join_step(
             if let Some(e) = entry {
                 best_log = e;
             }
-            let residual: Vec<(usize, Value)> = filters
-                .iter()
-                .filter(|(c, _)| !used_const_cols.contains(c))
-                .cloned()
-                .collect();
-            let out = (outer_rows * rows * join_sel * filter_sel * freq_sel).max(0.0);
-            best = (
-                JoinStep {
-                    inner: RelOp {
-                        rel,
-                        access: Access::Seq, // unused for IndexNl
-                        filters: residual,
-                        ranges: ranges.clone(),
-                        freqs: freqs.clone(),
-                    },
-                    method: JoinMethod::IndexNl {
-                        columns: idx.columns.clone(),
-                        probe,
-                        covering,
-                    },
-                    pairs: pairs.to_vec(),
-                },
-                cost,
-                out,
-            );
+            let out = (outer_rows * rc.rows * join_sel * rc.filter_sel * rc.freq_sel).max(0.0);
+            best = (Some(i), cost, out);
         }
     }
     if let Some(l) = log {
         l[best_log].chosen = true;
     }
-    Some(best)
+    best
+}
+
+/// Materialise the join step [`best_join_step`] picked.
+fn join_step(
+    ctx: &Ctx<'_>,
+    rel: usize,
+    pairs: &[((usize, usize), usize)],
+    pick: Option<usize>,
+) -> JoinStep {
+    let rc = &ctx.rels[rel];
+    let Some(i) = pick else {
+        return JoinStep {
+            inner: ctx.best[rel].op.clone(),
+            method: JoinMethod::Hash,
+            pairs: pairs.to_vec(),
+        };
+    };
+    let idx = &rc.indexes[i];
+    let mut probe = Vec::new();
+    // Only columns bound from a *constant* may drop their filter from
+    // the residual list; a column bound from the outer join value
+    // still needs its constant filter re-checked after the probe.
+    let mut used_const_cols = BTreeSet::new();
+    for &col in &idx.meta.columns {
+        if let Some(&((orel, ocol), _)) = pairs.iter().find(|(_, ic)| *ic == col) {
+            probe.push(ProbeSource::Outer(orel, ocol));
+        } else if let Some((_, v)) = rc.filters.iter().find(|(c, _)| *c == col) {
+            probe.push(ProbeSource::Const(v.clone()));
+            used_const_cols.insert(col);
+        } else {
+            break;
+        }
+    }
+    JoinStep {
+        inner: RelOp {
+            rel,
+            access: Access::Seq, // unused for IndexNl
+            filters: rc
+                .filters
+                .iter()
+                .filter(|(c, _)| !used_const_cols.contains(c))
+                .cloned()
+                .collect(),
+            ranges: rc.ranges.clone(),
+            freqs: rc.freqs.clone(),
+        },
+        method: JoinMethod::IndexNl {
+            columns: idx.meta.columns.clone(),
+            probe,
+            covering: idx.covering,
+        },
+        pairs: pairs.to_vec(),
+    }
 }
 
 /// Cost of evaluating a frequency subquery once. With an index leading
 /// on the grouped column the group sizes are read off the leaf level —
 /// one operation per *distinct key*, not per row; without one, the
 /// whole table is scanned and hashed.
-fn freq_eval_cost(sub_table: &str, sub_col: usize, stats: &dyn StatsView) -> f64 {
-    let rows = stats.rel_rows(sub_table);
-    let pages = stats.rel_pages(sub_table);
+fn freq_eval_cost(f: &FreqFilter, stats: &dyn StatsView) -> f64 {
     let index_only = stats
-        .indexes_on(sub_table)
+        .indexes_on(&f.sub_table)
         .into_iter()
-        .find(|i| i.columns.first() == Some(&sub_col));
+        .find(|i| i.columns.first() == Some(&f.sub_col));
     match index_only {
-        Some(idx) => idx.pages * SEQ_PAGE_COST + stats.n_distinct(sub_table, sub_col) * ROW_COST,
-        None => pages * SEQ_PAGE_COST + 2.0 * rows * ROW_COST,
+        Some(idx) => {
+            idx.pages * SEQ_PAGE_COST + stats.n_distinct(&f.sub_table, f.sub_col) * ROW_COST
+        }
+        None => {
+            stats.rel_pages(&f.sub_table) * SEQ_PAGE_COST
+                + 2.0 * stats.rel_rows(&f.sub_table) * ROW_COST
+        }
     }
 }
 
@@ -802,27 +898,36 @@ fn enumerate_permutations(n: usize) -> Vec<Vec<usize>> {
 /// `stats`. Each result replaces one join edge (two relations) with a
 /// scan of the view.
 fn mv_rewrites(bound: &BoundQuery, stats: &dyn StatsView) -> Vec<(BoundQuery, String)> {
-    let mut out = Vec::new();
-    for meta in stats.mviews() {
-        if meta.spec.base.len() != 2 {
-            continue;
-        }
-        for e in &bound.joins {
-            for flip in [false, true] {
-                if let Some(rw) = try_rewrite(bound, &meta.spec, e, flip) {
-                    out.push((rw, meta.spec.name.clone()));
-                }
-            }
-        }
-    }
-    out
+    let views = stats.mviews();
+    views
+        .iter()
+        .flat_map(|m| rewrites_with(bound, &m.spec).map(|rw| (rw, m.spec.name.clone())))
+        .collect()
+}
+
+/// Every rewrite of `bound` that replaces one join edge with a scan of
+/// the two-table join view `spec`, in either orientation.
+fn rewrites_with<'a>(
+    bound: &'a BoundQuery,
+    spec: &'a MViewSpec,
+) -> impl Iterator<Item = BoundQuery> + 'a {
+    let edges: &[JoinEdge] = if spec.base.len() == 2 {
+        &bound.joins
+    } else {
+        &[]
+    };
+    edges.iter().flat_map(move |e| {
+        [false, true]
+            .into_iter()
+            .filter_map(move |flip| try_rewrite(bound, spec, e, flip))
+    })
 }
 
 /// Try to replace edge `e` (rels `e.a`, `e.b`) with view `spec`.
 /// `flip=false` maps `e.a → base[0]`; `flip=true` maps `e.a → base[1]`.
 fn try_rewrite(
     bound: &BoundQuery,
-    spec: &tab_storage::MViewSpec,
+    spec: &MViewSpec,
     e: &JoinEdge,
     flip: bool,
 ) -> Option<BoundQuery> {

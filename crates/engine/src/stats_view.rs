@@ -29,8 +29,6 @@ use tab_storage::{
 /// Size and shape of one (real or hypothetical) index, for costing.
 #[derive(Debug, Clone)]
 pub struct IndexMeta {
-    /// Source (table or view) the index is on.
-    pub table: String,
     /// Key column positions.
     pub columns: Vec<usize>,
     /// Leaf pages.
@@ -114,7 +112,7 @@ fn range_sel_from_stats(stats: &ColumnStats, op: RangeOp, value: &Value) -> f64 
 
 /// Estimate index geometry from schema widths and a row count, the same
 /// formulas `BTreeIndex` uses, applied without building anything.
-pub fn estimate_index_meta(table: &str, columns: &[usize], key_width: u32, rows: f64) -> IndexMeta {
+pub fn estimate_index_meta(columns: &[usize], key_width: u32, rows: f64) -> IndexMeta {
     let entry_width = (key_width + 12).max(1) as f64;
     let entries_per_page = (PAGE_SIZE as f64 / entry_width).max(1.0).floor();
     let pages = (rows / entries_per_page).ceil().max(1.0);
@@ -126,7 +124,6 @@ pub fn estimate_index_meta(table: &str, columns: &[usize], key_width: u32, rows:
         height += 1.0;
     }
     IndexMeta {
-        table: table.to_string(),
         columns: columns.to_vec(),
         pages,
         height,
@@ -267,7 +264,6 @@ impl StatsView for RealStats<'_> {
         self.built
             .indexes_on(source)
             .map(|idx| IndexMeta {
-                table: source.to_string(),
                 columns: idx.spec().columns.clone(),
                 pages: idx.n_pages() as f64,
                 height: idx.height() as f64,
@@ -434,7 +430,7 @@ impl StatsView for HypotheticalStats<'_> {
         if let Some(s) = self.db.stats(source) {
             return s.n_pages as f64;
         }
-        if let (Some(spec), Some(_)) = (self.hyp_view(source), Some(())) {
+        if let Some(spec) = self.hyp_view(source) {
             let rows = self.est_view_rows(spec);
             let width: u32 = spec
                 .projection
@@ -520,15 +516,13 @@ impl StatsView for HypotheticalStats<'_> {
         let rows = self.rel_rows(source);
         self.all_indexes()
             .filter(|s| s.table == source)
-            .map(|s| {
-                estimate_index_meta(source, &s.columns, self.key_width(source, &s.columns), rows)
-            })
+            .map(|s| estimate_index_meta(&s.columns, self.key_width(source, &s.columns), rows))
             .chain(
                 self.all_mviews()
                     .filter(|d| d.spec.name == source)
                     .flat_map(|d| {
                         d.indexes.iter().map(|cols| {
-                            estimate_index_meta(source, cols, self.key_width(source, cols), rows)
+                            estimate_index_meta(cols, self.key_width(source, cols), rows)
                         })
                     }),
             )
