@@ -151,6 +151,62 @@ fn bench_batch_operators(c: &mut Criterion) {
     }
 }
 
+/// The shapes the paper's families actually run (§3.2.2), which the
+/// `Int`-only `batch_db` does not have: a group-by over two string and
+/// two integer columns into thousands of groups with a `COUNT(DISTINCT)`
+/// beside the `COUNT(*)`, and an equi-join on a string column — the
+/// general (non-`Int`) join path, probe and build dictionaries distinct.
+fn bench_family_shapes(c: &mut Criterion) {
+    let group_q = parse(
+        "SELECT f.s1, f.s2, f.i1, f.i2, COUNT(*), COUNT(DISTINCT f.d) FROM fact f \
+         GROUP BY f.s1, f.s2, f.i1, f.i2",
+    )
+    .unwrap();
+    let join_q = parse("SELECT COUNT(*) FROM fact f, dim d WHERE f.name = d.name").unwrap();
+    for (label, n) in [("10k", 10_000usize), ("100k", 100_000)] {
+        let mut db = Database::new();
+        let col = |name: &str, ty| ColumnDef::new(name, ty);
+        let (int, text) = (ColType::Int, ColType::Str);
+        let fact_cols = [
+            col("s1", text),
+            col("s2", text),
+            col("i1", int),
+            col("i2", int),
+            col("d", int),
+            col("name", text),
+        ];
+        let mut fact = Table::new(TableSchema::new("fact", fact_cols.to_vec()));
+        let n_dim = n / 10;
+        for i in 0..n {
+            // 8 x 6 x 10 x 7 = 3360 groups, each seen at both scales.
+            fact.insert(vec![
+                Value::str(format!("lineage-{}", i % 8)),
+                Value::str(format!("source-{}", i / 8 % 6)),
+                Value::Int((i / 48 % 10) as i64),
+                Value::Int((i / 480 % 7) as i64),
+                Value::Int((i % 1000) as i64),
+                Value::str(format!("name-{}", i % n_dim)),
+            ]);
+        }
+        let dim_cols = [col("name", text), col("w", int)];
+        let mut dim = Table::new(TableSchema::new("dim", dim_cols.to_vec()));
+        for i in 0..n_dim {
+            dim.insert(vec![Value::str(format!("name-{i}")), Value::Int(i as i64)]);
+        }
+        db.add_table(fact);
+        db.add_table(dim);
+        db.collect_stats();
+        let p = BuiltConfiguration::build(Configuration::named("p"), &db);
+        let s = Session::new(&db, &p);
+        c.bench_function(&format!("group_by_family_{label}"), |b| {
+            b.iter(|| black_box(s.run(&group_q, None).unwrap().outcome.units()))
+        });
+        c.bench_function(&format!("hash_join_str_{label}"), |b| {
+            b.iter(|| black_box(s.run(&join_q, None).unwrap().outcome.units()))
+        });
+    }
+}
+
 /// The morsel-driven executor (DESIGN.md §12) on its two hot shapes —
 /// a filtered scan and a hash-join probe — at 10^4 and 10^5 rows, each
 /// through three executor variants: `scalar_1t` (row-at-a-time
@@ -306,5 +362,5 @@ fn configured() -> Criterion {
         .warm_up_time(Duration::from_secs(1))
 }
 
-criterion_group!(name = benches; config = configured(); targets = bench_engine, bench_batch_operators, bench_exec_morsels, bench_buffer_pool, bench_index);
+criterion_group!(name = benches; config = configured(); targets = bench_engine, bench_batch_operators, bench_family_shapes, bench_exec_morsels, bench_buffer_pool, bench_index);
 criterion_main!(benches);

@@ -272,6 +272,27 @@ struct Ctx<'a> {
     /// completion order (deterministic: cells finish in issue order).
     io_cells: Vec<IoBenchCell>,
     t0: Instant,
+    /// The process's minor-fault count at the last section end.
+    minor_faults: u64,
+}
+
+/// A field of `/proc/self/status` (`VmHWM`, in kB); `None` off Linux.
+fn proc_status_kb(field: &str) -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix(field))?;
+    line.trim_start_matches(':')
+        .split_whitespace()
+        .next()?
+        .parse()
+        .ok()
+}
+
+/// Minor page faults so far (`/proc/self/stat`, the tenth field: the
+/// eighth after the parenthesised command name); `None` off Linux.
+fn proc_minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    let after_comm = &stat[stat.rfind(')')? + 1..];
+    after_comm.split_whitespace().nth(7)?.parse().ok()
 }
 
 impl Ctx<'_> {
@@ -291,6 +312,18 @@ impl Ctx<'_> {
 
     fn log(&self, msg: &str) {
         eprintln!("[{:8.1?}] {msg}", self.t0.elapsed());
+    }
+
+    /// Log the end of a section with what it cost: the process's peak
+    /// resident set so far and the minor faults taken since the previous
+    /// section end. Stderr only; silently bare where `/proc` is absent.
+    fn log_section_end(&mut self, msg: &str) {
+        let cost = proc_status_kb("VmHWM").zip(proc_minor_faults());
+        let note = cost.map_or(String::new(), |(hwm_kb, faults)| {
+            let since = faults.saturating_sub(std::mem::replace(&mut self.minor_faults, faults));
+            format!(" [VmHWM {} MB, +{since} minor faults]", hwm_kb / 1024)
+        });
+        self.log(&format!("{msg}{note}"));
     }
 
     fn claim(&mut self, id: &str, statement: &str, holds: bool, evidence: String) {
@@ -415,6 +448,7 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
         timings: Vec::new(),
         io_cells: Vec::new(),
         t0,
+        minor_faults: 0,
     };
     let timeout_s = tab_engine::units_to_sim_seconds(cfg.params.timeout_units);
     let par = cfg.params.par;
@@ -1058,6 +1092,7 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
     drop(nref_pager);
     drop(nref_db);
     trace.span_end("NREF");
+    ctx.log_section_end("NREF: section done");
 
     // ================= TPC-H (System C) =================
     for (dist, label, families) in [
@@ -1258,6 +1293,7 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
             );
         }
         trace.span_end(label);
+        ctx.log_section_end(&format!("{label}: section done"));
     }
 
     // ================= Tables and summary files =================
@@ -1373,7 +1409,7 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
         source,
     })?;
 
-    ctx.log(&format!(
+    ctx.log_section_end(&format!(
         "done: {}/{} claims hold",
         ctx.claims.iter().filter(|c| c.holds).count(),
         ctx.claims.len()

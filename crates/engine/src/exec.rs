@@ -12,15 +12,17 @@
 //! bound query — stored back to back in a flat `Arena`. Joins append
 //! row ids; column values are fetched from base tables (or materialized
 //! views) only at predicate evaluation, join-key extraction, and final
-//! projection/aggregation, through [`Table::value`]. This removes the
-//! per-step `clone` + `extend` of value vectors that dominated the old
-//! executor's profile.
+//! projection/aggregation. This removes the per-step `clone` + `extend`
+//! of value vectors that dominated the old executor's profile.
 //!
-//! Join and group-by keys are interned to dense `u64` ids via a
-//! per-operation value dictionary (`KeyInterner`); hash buckets and
-//! group states are indexed by id. Single-column integer equi-joins —
-//! every join in the NREF2J/NREF3J/TH3J families — take a
-//! zero-allocation fast path keyed directly on `i64`.
+//! Join keys, group-by keys, `COUNT(DISTINCT)` operands, equality
+//! filters and frequency-set members are never `Value`s: they are the
+//! `u64` keys of the base tables' typed columns ([`Column::key`] — the
+//! `i64` itself, a float's bits, a string's dictionary code), compared
+//! and hashed as fixed-width integer tuples in a [`CodeTable`]. A value
+//! crossing from one column to another (a join's probe side, a frequency
+//! subquery's result) is translated once through [`Column::key_from`];
+//! a value the other column has never seen matches nothing.
 //!
 //! # Morsel-driven intra-query parallelism
 //!
@@ -45,13 +47,12 @@
 //! verdict (from the ordered reduction) is unaffected.
 //!
 //! Predicate evaluation over a morsel takes a columnar fast path when
-//! every constant in the relation's filters and ranges is an `Int`: the
-//! referenced columns are gathered into flat `i64` buffers plus a
-//! validity mask and the predicates are evaluated branch-reduced over
-//! the buffers. A morsel containing any non-`Int`, non-NULL cell in a
-//! predicate column falls back to the scalar row-at-a-time path, whose
-//! semantics the vectorized path reproduces exactly (`Int`/`Int`
-//! comparisons are exact in both).
+//! every constant in the relation's filters and ranges is an `Int` and
+//! every column they name is stored as `i64`s: the predicates are swept
+//! branch-reduced over the column slices and their NULL masks. Anything
+//! else takes the scalar row-at-a-time path, whose semantics the
+//! vectorized path reproduces exactly (`Int`/`Int` comparisons are exact
+//! in both).
 //!
 //! # Cost accounting is execution-strategy independent
 //!
@@ -63,18 +64,17 @@
 //! the budget check is monotone — see the invariant note on
 //! [`CostMeter`].
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 use tab_sqlq::{CmpOp, RangeOp};
 use tab_storage::{
-    index_rel_id, par_map, table_rel_id, temp_rel_id, BTreeIndex, BufferPool, BuiltConfiguration,
-    Database, Faults, Fetched, PageHint, PageKey, Pager, Parallelism, PoolStats, RowId, Table,
-    Trace, Value,
+    index_rel_id, key_tuple, par_map, table_rel_id, temp_rel_id, BTreeIndex, BufferPool,
+    BuiltConfiguration, CodeTable, Column, Database, Faults, Fetched, NullMask, PageHint, PageKey,
+    Pager, Parallelism, PoolStats, RowBuckets, RowId, Table, Trace, Value,
 };
 
-use crate::catalog::{BoundAgg, BoundItem, BoundQuery, FreqFilter};
+use crate::catalog::{BoundAgg, BoundItem, BoundQuery};
 use crate::cost::{
     ChargePolicy, CostMeter, TimedOut, BUDGET_ROW_CAP, HASH_SPILL_ROWS, RANDOM_PAGE_COST, ROW_COST,
     SEQ_PAGE_COST, SPILL_ROWS_PER_PAGE,
@@ -118,12 +118,6 @@ impl<'a> Resolver<'a> {
 /// a timed-out join cannot materialize an unbounded intermediate before
 /// the meter notices (cf. [`crate::cost::BUDGET_ROW_CAP`]).
 const ROW_CHARGE_BATCH: u64 = 4096;
-
-/// Largest magnitude whose `i64 -> f64` cast is exact; the integer fast
-/// path is restricted to keys in this range so `Int`/`Float` cross-type
-/// equality (which compares through `f64`) cannot diverge from exact
-/// `i64` equality.
-const INT_EXACT_ABS: u64 = 1 << 53;
 
 /// Default rows per execution morsel. Large enough that per-morsel
 /// bookkeeping is noise, small enough that the dynamic scheduler can
@@ -353,6 +347,18 @@ fn region_par(opts: &ExecOpts<'_>, items: usize) -> Parallelism {
     }
 }
 
+/// The ranges the workers of a *merging* operator (hash build, group-by)
+/// take: the morsels — or, on one thread, the whole input at once.
+/// Per-morsel states exist to be merged in morsel order, which replays
+/// every key a second time; one worker has nothing to merge. The merged
+/// state is the same either way (first-seen order is input order).
+fn merge_ranges(region: Parallelism, morsels: &[(usize, usize)]) -> Vec<(usize, usize)> {
+    match (region.threads(), morsels.last()) {
+        (1, Some(&(_, n))) => vec![(0, n)],
+        _ => morsels.to_vec(),
+    }
+}
+
 /// Fire the armed `panic:morsel:*` fault, if any. Called at the start
 /// of every morsel job so a poisoned worker is deterministic at any
 /// thread count and morsel size.
@@ -497,81 +503,19 @@ impl Arena {
     }
 }
 
-/// Per-operation dictionary interning composite key values to dense ids.
-///
-/// Lookups take a borrowed `&[Value]` (the caller's reused scratch
-/// buffer), so probing allocates nothing; a key is copied into the
-/// dictionary only the first time it is seen.
-struct KeyInterner {
-    dict: HashMap<Arc<[Value]>, u64>,
-    keys: Vec<Arc<[Value]>>,
+/// One frequency filter's value set, in the key space of the *outer*
+/// column the filter tests.
+struct FreqSet {
+    /// Keys of the outer column whose value qualifies.
+    members: CodeTable,
+    /// Distinct values of the subquery's column that qualify.
+    n_values: u64,
 }
 
-impl KeyInterner {
-    fn new() -> Self {
-        KeyInterner {
-            dict: HashMap::new(),
-            keys: Vec::new(),
-        }
-    }
-
-    /// Id for `key`, assigning the next dense id on first sight.
-    fn intern(&mut self, key: &[Value]) -> u64 {
-        if let Some(&id) = self.dict.get(key) {
-            return id;
-        }
-        let stored: Arc<[Value]> = key.to_vec().into();
-        let id = self.keys.len() as u64;
-        self.keys.push(Arc::clone(&stored));
-        self.dict.insert(stored, id);
-        id
-    }
-
-    /// Id for `key` if it has been interned.
+impl FreqSet {
     #[inline]
-    fn lookup(&self, key: &[Value]) -> Option<u64> {
-        self.dict.get(key).copied()
-    }
-
-    /// The key values behind an id (first-seen order).
-    fn key(&self, id: u64) -> &[Value] {
-        &self.keys[id as usize]
-    }
-}
-
-/// Hash-join build table: interned general keys, or the zero-allocation
-/// single-column integer fast path.
-enum BuildTable {
-    /// All build keys are `Int` with magnitude ≤ 2^53.
-    Int(HashMap<i64, Vec<RowId>>),
-    /// Arbitrary composite keys, interned.
-    General {
-        interner: KeyInterner,
-        buckets: Vec<Vec<RowId>>,
-    },
-}
-
-/// Build-side admission to the integer fast path: exact small ints only.
-#[inline]
-fn build_int_key(v: &Value) -> Option<i64> {
-    match v {
-        Value::Int(i) if i.unsigned_abs() <= INT_EXACT_ABS => Some(*i),
-        _ => None,
-    }
-}
-
-/// Probe-side conversion for the integer fast path. A probe value can
-/// only match an admitted build key if it equals a small integer under
-/// the cross-type numeric equality of [`Value`]; anything else — a
-/// fractional or non-finite float, a string — matches nothing.
-#[inline]
-fn probe_int_key(v: &Value) -> Option<i64> {
-    match v {
-        Value::Int(i) => Some(*i),
-        Value::Float(f) if f.is_finite() && *f == f.trunc() && f.abs() <= INT_EXACT_ABS as f64 => {
-            Some(*f as i64)
-        }
-        _ => None,
+    fn contains(&self, key: Option<u64>) -> bool {
+        key.is_some_and(|k| self.members.lookup(&[k]).is_some())
     }
 }
 
@@ -580,14 +524,30 @@ fn probe_int_key(v: &Value) -> Option<i64> {
 struct Exec<'a> {
     q: &'a BoundQuery,
     tables: Vec<&'a Table>,
-    freq_sets: Vec<HashSet<Value>>,
+    freq_sets: Vec<FreqSet>,
 }
 
 impl<'a> Exec<'a> {
-    /// Borrow the value of `(rel, col)` for a tuple.
+    /// The column `(rel, col)` of the bound query.
     #[inline]
-    fn val(&self, tuple: &[RowId], rel: usize, col: usize) -> &'a Value {
+    fn col(&self, rel: usize, col: usize) -> &'a Column {
+        self.tables[rel].column(col)
+    }
+
+    /// The value of `(rel, col)` for a tuple.
+    #[inline]
+    fn val(&self, tuple: &[RowId], rel: usize, col: usize) -> Value {
         self.tables[rel].value(tuple[rel], col)
+    }
+
+    /// Whether row `id` of relation `rel` passes the frequency filters
+    /// `freqs` (positions into the query's list) applied there.
+    #[inline]
+    fn passes_freqs(&self, rel: usize, id: RowId, freqs: &[usize]) -> bool {
+        freqs.iter().all(|&fi| {
+            let key = self.col(rel, self.q.freqs[fi].col).key(id);
+            self.freq_sets[fi].contains(key)
+        })
     }
 }
 
@@ -654,16 +614,17 @@ pub fn execute(
 ) -> Result<Vec<Vec<Value>>, TimedOut> {
     let q = &plan.query;
     let mut ps = PoolState::of(opts);
+    let tables: Vec<&Table> = q.rels.iter().map(|r| resolver.table(&r.source)).collect();
 
     // 1. Frequency-filter value sets, evaluated once each.
     let mut at = meter.units();
     let mut io_at = pool_stats_now(&ps);
-    let freq_sets = eval_freq_sets(q, resolver, meter, &mut ps)?;
+    let freq_sets = eval_freq_sets(q, &tables, resolver, meter, &mut ps)?;
     if let Some(v) = ops.as_deref_mut() {
         let io = pool_stats_now(&ps);
         v.push(OpActuals {
             rows_in: 0,
-            rows_out: freq_sets.iter().map(|s| s.len() as u64).sum(),
+            rows_out: freq_sets.iter().map(|s| s.n_values).sum(),
             probes: 0,
             units: meter.units() - at,
             morsels: 0,
@@ -673,7 +634,7 @@ pub fn execute(
     }
     let exec = Exec {
         q,
-        tables: q.rels.iter().map(|r| resolver.table(&r.source)).collect(),
+        tables,
         freq_sets,
     };
 
@@ -718,10 +679,16 @@ pub fn execute(
                 // Build on inner join cols; one row of work per inner
                 // tuple, charged up front.
                 meter.charge_rows(inner_ids.len() as u64)?;
-                let inner_table = exec.tables[rel];
-                let (ht, build_morsels) =
-                    build_hash_table(&inner_ids, inner_table, step.inner_cols(), opts);
+                let build_cols: Vec<&Column> =
+                    step.inner_cols().map(|c| exec.col(rel, c)).collect();
+                let (ht, build_morsels) = build_hash_table(&inner_ids, &build_cols, opts);
                 morsels += build_morsels;
+                // Each probe cell is translated into its build column's
+                // key space; a value that column never held joins nothing.
+                let probe_cols: Vec<(usize, &Column)> = step
+                    .outer_cols()
+                    .map(|(orel, ocol)| (orel, exec.col(orel, ocol)))
+                    .collect();
                 // Probe with the outer arena; one row of work per outer
                 // tuple up front, one per emitted match (per-morsel
                 // counters reduced in morsel order).
@@ -739,45 +706,30 @@ pub fn execute(
                     if gate.tripped() {
                         return (local, m_probes, out);
                     }
-                    let mut scratch: Vec<Value> = Vec::with_capacity(step.pairs.len());
+                    let mut key: Vec<u64> = Vec::with_capacity(build_cols.len());
                     'tuples: for i in s..e {
                         let t = tuples.tuple(i);
-                        let bucket = match &ht {
-                            BuildTable::Int(map) => {
-                                let ((orel, ocol), _) = step.pairs[0];
-                                let v = exec.val(t, orel, ocol);
-                                if v.is_null() {
-                                    continue;
-                                }
-                                m_probes += 1;
-                                probe_int_key(v).and_then(|k| map.get(&k))
-                            }
-                            BuildTable::General { interner, buckets } => {
-                                scratch.clear();
-                                scratch.extend(
-                                    step.outer_cols()
-                                        .map(|(orel, ocol)| exec.val(t, orel, ocol).clone()),
-                                );
-                                if scratch.iter().any(Value::is_null) {
-                                    continue;
-                                }
-                                m_probes += 1;
-                                interner.lookup(&scratch).map(|id| &buckets[id as usize])
-                            }
-                        };
-                        if let Some(ids) = bucket {
-                            for &id in ids {
-                                out.push_joined(t, rel, id);
-                                local.rows += 1;
-                                if local.rows - published >= ROW_CHARGE_BATCH {
-                                    gate.publish(LocalCounters {
-                                        rows: local.rows - published,
-                                        ..LocalCounters::default()
-                                    });
-                                    published = local.rows;
-                                    if gate.tripped() {
-                                        break 'tuples;
-                                    }
+                        // A NULL never joins, and is not a probe.
+                        if probe_cols.iter().any(|&(orel, ocol)| ocol.is_null(t[orel])) {
+                            continue;
+                        }
+                        m_probes += 1;
+                        let cells = probe_cols.iter().zip(&build_cols);
+                        let cells = cells.map(|(&(orel, ocol), bcol)| bcol.key_from(ocol, t[orel]));
+                        if !key_tuple(&mut key, cells) {
+                            continue;
+                        }
+                        for &id in ht.get(&key) {
+                            out.push_joined(t, rel, id);
+                            local.rows += 1;
+                            if local.rows - published >= ROW_CHARGE_BATCH {
+                                gate.publish(LocalCounters {
+                                    rows: local.rows - published,
+                                    ..LocalCounters::default()
+                                });
+                                published = local.rows;
+                                if gate.tripped() {
+                                    break 'tuples;
                                 }
                             }
                         }
@@ -805,12 +757,13 @@ pub fn execute(
                 let index = resolver.index(&q.rels[rel].source, columns);
                 // Residual join pairs not enforced by the probe prefix.
                 let probed: BTreeSet<usize> = columns[..probe.len()].iter().copied().collect();
-                let residual_pairs: Vec<((usize, usize), usize)> = step
+                let residual_pairs: Vec<(usize, &Column, &Column)> = step
                     .pairs
                     .iter()
                     .filter(|(_, ic)| !probed.contains(ic))
-                    .cloned()
+                    .map(|&((orel, ocol), ic)| (orel, exec.col(orel, ocol), table.column(ic)))
                     .collect();
+                let filters = FilterKeys::of(&step.inner, table);
                 // Pool bookkeeping. Workers never touch the pool: they
                 // collect the page keys each probe touches, and the
                 // coordinator replays the lists in morsel index order
@@ -845,7 +798,7 @@ pub fn execute(
                         let t = tuples.tuple(i);
                         scratch.clear();
                         scratch.extend(probe.iter().map(|p| match p {
-                            ProbeSource::Outer(orel, ocol) => exec.val(t, *orel, *ocol).clone(),
+                            ProbeSource::Outer(orel, ocol) => exec.val(t, *orel, *ocol),
                             ProbeSource::Const(v) => v.clone(),
                         }));
                         if scratch.iter().any(Value::is_null) {
@@ -895,22 +848,18 @@ pub fn execute(
                             gate.publish(delta);
                         }
                         for &id in &pr.row_ids {
-                            let row = table.row(id);
-                            if !passes_filters(row, &step.inner.filters)
-                                || !passes_ranges(row, &step.inner.ranges)
-                                || !passes_freqs(row, &step.inner.freqs, q, &exec.freq_sets)
+                            // Residual predicates, then residual join
+                            // pairs (a NULL outer cell equals nothing).
+                            if filters.pass(id)
+                                && passes_ranges(table, id, &step.inner.ranges)
+                                && exec.passes_freqs(rel, id, &step.inner.freqs)
+                                && residual_pairs.iter().all(|&(orel, ocol, icol)| {
+                                    let key = icol.key(id);
+                                    key.is_some() && key == icol.key_from(ocol, t[orel])
+                                })
                             {
-                                continue;
+                                out.push_joined(t, rel, id);
                             }
-                            // Residual join checks.
-                            let ok = residual_pairs.iter().all(|&((orel, ocol), icol)| {
-                                let ov = exec.val(t, orel, ocol);
-                                !ov.is_null() && *ov == row[icol]
-                            });
-                            if !ok {
-                                continue;
-                            }
-                            out.push_joined(t, rel, id);
                         }
                         if gate.tripped() {
                             break;
@@ -983,106 +932,44 @@ pub fn execute(
     Ok(result)
 }
 
-/// Build the hash-join build side over the inner relation's filtered row
-/// ids, picking the integer fast path when every non-null build key
-/// admits it (a deterministic pre-scan decides, so the path — and any
-/// future cost attached to it — cannot depend on hash iteration order).
+/// Build the hash-join build side: the inner relation's filtered row
+/// ids bucketed by their key tuple over `cols`.
 ///
-/// The integer path builds per-morsel maps merged in morsel index
-/// order, so every bucket's row-id list is in global input order —
-/// identical to a sequential build. The general (interned) path stays
-/// sequential: intern ids are assigned in first-seen order, and
-/// splitting that across workers would require the same ordered merge
-/// the group-by performs for no measured win on the benchmark families
-/// (their joins all take the integer path). Returns the table plus the
-/// number of morsel jobs dispatched.
-fn build_hash_table<'c>(
+/// Each morsel buckets its own ids and the coordinator absorbs the
+/// morsels in index order, so bucket ids follow first sight in the input
+/// and every bucket's row-id list is in global input order — identical
+/// to a sequential build. Returns the buckets plus the number of morsel
+/// jobs dispatched.
+fn build_hash_table(
     inner_ids: &[RowId],
-    inner_table: &Table,
-    mut inner_cols: impl Iterator<Item = usize> + Clone + 'c,
+    cols: &[&Column],
     opts: &ExecOpts<'_>,
-) -> (BuildTable, u64) {
-    let cols: Vec<usize> = inner_cols.by_ref().collect();
-    if cols.len() == 1 {
-        let c = cols[0];
-        let ranges = morsel_ranges(inner_ids.len(), opts.morsel_rows);
-        let n_morsels = ranges.len() as u64;
-        let region = region_par(opts, inner_ids.len());
-        let all_int = par_map(region, &ranges, |&(s, e)| {
-            morsel_prologue(opts);
-            inner_ids[s..e].iter().all(|&id| {
-                let v = inner_table.value(id, c);
-                v.is_null() || build_int_key(v).is_some()
-            })
-        })
-        .into_iter()
-        .all(|b| b);
-        if all_int {
-            let maps: Vec<HashMap<i64, Vec<RowId>>> = par_map(region, &ranges, |&(s, e)| {
-                morsel_prologue(opts);
-                let mut map: HashMap<i64, Vec<RowId>> = HashMap::new();
-                for &id in &inner_ids[s..e] {
-                    if let Some(k) = build_int_key(inner_table.value(id, c)) {
-                        map.entry(k).or_default().push(id);
-                    }
-                }
-                map
-            });
-            // Merge in morsel order: each bucket's ids end up in global
-            // input order (hash iteration order inside one morsel's map
-            // only decides which *bucket* is appended first, which is
-            // unobservable).
-            let mut maps = maps.into_iter();
-            let mut merged = maps.next().unwrap_or_default();
-            for m in maps {
-                for (k, mut v) in m {
-                    merged.entry(k).or_default().append(&mut v);
-                }
-            }
-            return (BuildTable::Int(merged), 2 * n_morsels);
-        }
-        let mut interner = KeyInterner::new();
-        let mut buckets: Vec<Vec<RowId>> = Vec::new();
-        let mut scratch: Vec<Value> = Vec::with_capacity(cols.len());
-        for &id in inner_ids {
-            scratch.clear();
-            scratch.extend(cols.iter().map(|&c| inner_table.value(id, c).clone()));
-            if scratch.iter().any(Value::is_null) {
-                continue;
-            }
-            let key_id = interner.intern(&scratch) as usize;
-            if key_id == buckets.len() {
-                buckets.push(Vec::new());
-            }
-            buckets[key_id].push(id);
-        }
-        return (BuildTable::General { interner, buckets }, n_morsels);
-    }
-    let mut interner = KeyInterner::new();
-    let mut buckets: Vec<Vec<RowId>> = Vec::new();
-    let mut scratch: Vec<Value> = Vec::with_capacity(cols.len());
-    for &id in inner_ids {
-        scratch.clear();
-        scratch.extend(cols.iter().map(|&c| inner_table.value(id, c).clone()));
-        if scratch.iter().any(Value::is_null) {
-            continue;
-        }
-        let key_id = interner.intern(&scratch) as usize;
-        if key_id == buckets.len() {
-            buckets.push(Vec::new());
-        }
-        buckets[key_id].push(id);
-    }
-    (BuildTable::General { interner, buckets }, 0)
+) -> (RowBuckets, u64) {
+    let ranges = morsel_ranges(inner_ids.len(), opts.morsel_rows);
+    let region = region_par(opts, inner_ids.len());
+    let mut parts = par_map(region, &merge_ranges(region, &ranges), |&(s, e)| {
+        morsel_prologue(opts);
+        RowBuckets::build(cols, inner_ids[s..e].iter().copied())
+    })
+    .into_iter();
+    let mut merged = parts.next().unwrap_or_else(|| RowBuckets::build(cols, []));
+    parts.for_each(|p| merged.absorb(p));
+    (merged, ranges.len() as u64)
 }
 
-/// Evaluate the distinct-value sets for the query's frequency filters.
+/// Evaluate the value sets of the query's frequency filters.
+///
+/// The counts come from [`Table::value_counts`] — NULLs are not a value
+/// — whichever structure is charged for reading them; each qualifying
+/// value is then translated into the key space of the outer column the
+/// filter tests (`tables[f.rel]`, column `f.col`).
 fn eval_freq_sets(
     q: &BoundQuery,
+    tables: &[&Table],
     resolver: &Resolver<'_>,
     meter: &mut CostMeter,
     ps: &mut Option<PoolState<'_>>,
-) -> Result<Vec<HashSet<Value>>, TimedOut> {
+) -> Result<Vec<FreqSet>, TimedOut> {
     let mut sets = Vec::with_capacity(q.freqs.len());
     for f in &q.freqs {
         let table = resolver.table(&f.sub_table);
@@ -1091,7 +978,6 @@ fn eval_freq_sets(
             .built
             .indexes_on(&f.sub_table)
             .find(|i| i.spec().columns.first() == Some(&f.sub_col));
-        let mut counts: HashMap<Value, u64> = HashMap::new();
         match idx {
             Some(idx) => {
                 // Group sizes read off the leaf level: one operation per
@@ -1099,27 +985,26 @@ fn eval_freq_sets(
                 let rel = index_rel_id(&idx.spec().to_string());
                 pool_charge_seq(ps, meter, rel, 0, idx.n_pages(), false)?;
                 meter.charge_rows(idx.n_distinct_keys() as u64)?;
-                for (key, ids) in idx.scan() {
-                    *counts.entry(key[0].clone()).or_insert(0) += ids.len() as u64;
-                }
             }
             None => {
                 let rel = table_rel_id(&f.sub_table);
                 pool_charge_seq(ps, meter, rel, 0, table.n_pages(), false)?;
                 meter.charge_rows(table.n_rows() as u64)?;
-                for (_, row) in table.iter() {
-                    let v = &row[f.sub_col];
-                    if !v.is_null() {
-                        *counts.entry(v.clone()).or_insert(0) += 1;
-                    }
+            }
+        }
+        let (sub, outer) = (table.column(f.sub_col), tables[f.rel].column(f.col));
+        let mut set = FreqSet {
+            members: CodeTable::new(1),
+            n_values: 0,
+        };
+        for (first, count) in table.value_counts(f.sub_col) {
+            if qualifies(f.op, count, f.k) {
+                set.n_values += 1;
+                if let Some(k) = outer.key_from(sub, first) {
+                    set.members.intern(&[k]);
                 }
             }
         }
-        let set: HashSet<Value> = counts
-            .into_iter()
-            .filter(|(_, c)| qualifies(f.op, *c, f.k))
-            .map(|(v, _)| v)
-            .collect();
         sets.push(set);
     }
     Ok(sets)
@@ -1132,21 +1017,29 @@ fn qualifies(op: CmpOp, count: u64, k: i64) -> bool {
     }
 }
 
-fn passes_filters(row: &[Value], filters: &[(usize, Value)]) -> bool {
-    filters
+/// A relation's constant-equality filters as key comparisons: each
+/// constant translated once into its column's key space (`None`: no cell
+/// of the column can equal it).
+struct FilterKeys<'a>(Vec<(&'a Column, Option<u64>)>);
+
+impl<'a> FilterKeys<'a> {
+    fn of(op: &RelOp, table: &'a Table) -> Self {
+        let key = |(c, v): &(usize, Value)| (table.column(*c), table.column(*c).key_of(v));
+        FilterKeys(op.filters.iter().map(key).collect())
+    }
+
+    #[inline]
+    fn pass(&self, id: RowId) -> bool {
+        self.0
+            .iter()
+            .all(|&(col, k)| k.is_some() && col.key(id) == k)
+    }
+}
+
+fn passes_ranges(table: &Table, id: RowId, ranges: &[(usize, RangeOp, Value)]) -> bool {
+    ranges
         .iter()
-        .all(|(c, v)| !row[*c].is_null() && row[*c] == *v)
-}
-
-fn passes_ranges(row: &[Value], ranges: &[(usize, RangeOp, Value)]) -> bool {
-    ranges.iter().all(|(c, op, v)| op.eval(&row[*c], v))
-}
-
-fn passes_freqs(row: &[Value], freqs: &[usize], q: &BoundQuery, sets: &[HashSet<Value>]) -> bool {
-    freqs.iter().all(|&fi| {
-        let f: &FreqFilter = &q.freqs[fi];
-        sets[fi].contains(&row[f.col])
-    })
+        .all(|(c, op, v)| op.eval(&table.value(id, *c), v))
 }
 
 /// The source of row ids a scan filters: a dense heap prefix (`Seq`
@@ -1175,108 +1068,84 @@ impl IdSpan<'_> {
     }
 }
 
-/// The vectorizable part of a relation's residual predicates: every
-/// filter and range constant is an `Int`. `Int`/`Int` comparison is
-/// exact `i64` comparison under [`Value`]'s ordering, so evaluating
-/// over gathered `i64` buffers reproduces the scalar semantics bit for
-/// bit; a morsel whose predicate columns hold anything but `Int`/NULL
-/// cells bails out to the scalar path wholesale.
-struct VecPredicates {
-    filters: Vec<(usize, i64)>,
-    ranges: Vec<(usize, RangeOp, i64)>,
+/// One `i64` column as the vectorized path reads it.
+type IntCells<'a> = (&'a [i64], &'a NullMask);
+
+/// The vectorizable form of a relation's residual predicates: every
+/// filter and range constant is an `Int` and every column they name is
+/// stored as `i64`s. `Int`/`Int` comparison is exact `i64` comparison
+/// under [`Value`]'s ordering, so sweeping the column slices reproduces
+/// the scalar semantics bit for bit.
+struct VecPredicates<'a> {
+    filters: Vec<(IntCells<'a>, i64)>,
+    ranges: Vec<(IntCells<'a>, RangeOp, i64)>,
 }
 
 /// Admission check for the columnar path, decided once per scan.
-fn vec_predicates(op: &RelOp, vectorize: bool) -> Option<VecPredicates> {
+fn vec_predicates<'a>(op: &RelOp, table: &'a Table, vectorize: bool) -> Option<VecPredicates<'a>> {
     if !vectorize || (op.filters.is_empty() && op.ranges.is_empty()) {
         return None;
     }
-    let mut filters = Vec::with_capacity(op.filters.len());
-    for (c, v) in &op.filters {
-        match v {
-            Value::Int(k) => filters.push((*c, *k)),
-            _ => return None,
-        }
-    }
-    let mut ranges = Vec::with_capacity(op.ranges.len());
-    for (c, r, v) in &op.ranges {
-        match v {
-            Value::Int(k) => ranges.push((*c, *r, *k)),
-            _ => return None,
-        }
-    }
-    Some(VecPredicates { filters, ranges })
+    let int = |c: usize, v: &Value| Some((table.column(c).as_ints()?, v.as_int()?));
+    let filters = op.filters.iter().map(|(c, v)| int(*c, v));
+    let ranges = op
+        .ranges
+        .iter()
+        .map(|(c, r, v)| int(*c, v).map(|(cells, k)| (cells, *r, k)));
+    Some(VecPredicates {
+        filters: filters.collect::<Option<_>>()?,
+        ranges: ranges.collect::<Option<_>>()?,
+    })
 }
 
-/// Scratch buffer for one morsel's columnar evaluation: the survivor
-/// mask, reused across the predicate columns evaluated for that morsel.
-#[derive(Default)]
-struct VecScratch {
-    mask: Vec<bool>,
+/// AND `cmp` over one column into a morsel's survivor mask (`mask[j]` is
+/// row `ids[j]`); NULL fails. Monomorphic in the comparison.
+#[inline]
+fn sweep(
+    mask: &mut [bool],
+    ids: impl Fn(usize) -> RowId,
+    (vals, nulls): IntCells<'_>,
+    cmp: impl Fn(i64) -> bool,
+) {
+    for (j, live) in mask.iter_mut().enumerate().filter(|(_, live)| **live) {
+        let i = ids(j) as usize;
+        *live = !nulls.get(i) && cmp(vals[i]);
+    }
 }
 
 /// Evaluate `vp` columnar over one morsel, appending surviving ids to
 /// `out`. Each predicate column is swept as one tight `i64` loop over
 /// the morsel, ANDing into the survivor mask; rows already dead skip
 /// the cell read entirely, so later columns cost only the survivors
-/// (the columnar analogue of the scalar path's short-circuit). Returns
-/// `false` — with nothing appended — when a live predicate cell holds a
-/// non-`Int`, non-NULL value, in which case the caller runs the scalar
-/// path over the same morsel.
-#[allow(clippy::too_many_arguments)]
+/// (the columnar analogue of the scalar path's short-circuit).
 fn filter_morsel_vectorized(
-    vp: &VecPredicates,
+    vp: &VecPredicates<'_>,
     op: &RelOp,
     exec: &Exec<'_>,
-    table: &Table,
     ids: &IdSpan<'_>,
-    start: usize,
-    end: usize,
-    scratch: &mut VecScratch,
+    (start, end): (usize, usize),
     out: &mut Vec<RowId>,
-) -> bool {
-    let n = end - start;
-    scratch.mask.clear();
-    scratch.mask.resize(n, true);
-    let mask = &mut scratch.mask;
-    // One column sweep per predicate: `cmp` sees only `Int` cells.
-    macro_rules! sweep {
-        ($c:expr, $cmp:expr) => {
-            for j in 0..n {
-                if mask[j] {
-                    match table.value(ids.get(start + j), $c) {
-                        Value::Int(v) => mask[j] = $cmp(*v),
-                        Value::Null => mask[j] = false,
-                        _ => return false,
-                    }
-                }
-            }
-        };
+) {
+    let mut mask = vec![true; end - start];
+    let id = |j: usize| ids.get(start + j);
+    for &(cells, k) in &vp.filters {
+        sweep(&mut mask, id, cells, |v| v == k);
     }
-    for &(c, k) in &vp.filters {
-        sweep!(c, |v: i64| v == k);
-    }
-    for &(c, r, k) in &vp.ranges {
+    for &(cells, r, k) in &vp.ranges {
         match r {
-            RangeOp::Lt => sweep!(c, |v: i64| v < k),
-            RangeOp::Le => sweep!(c, |v: i64| v <= k),
-            RangeOp::Gt => sweep!(c, |v: i64| v > k),
-            RangeOp::Ge => sweep!(c, |v: i64| v >= k),
+            RangeOp::Lt => sweep(&mut mask, id, cells, |v| v < k),
+            RangeOp::Le => sweep(&mut mask, id, cells, |v| v <= k),
+            RangeOp::Gt => sweep(&mut mask, id, cells, |v| v > k),
+            RangeOp::Ge => sweep(&mut mask, id, cells, |v| v >= k),
         }
     }
-    // Frequency filters stay scalar (HashSet membership), applied only
-    // to rows that survived the vectorized predicates.
-    for (j, live) in mask.iter().enumerate() {
-        if *live {
-            let id = ids.get(start + j);
-            if op.freqs.is_empty()
-                || passes_freqs(table.row(id), &op.freqs, exec.q, &exec.freq_sets)
-            {
-                out.push(id);
-            }
-        }
-    }
-    true
+    // Frequency filters are a key lookup, applied only to rows that
+    // survived the vectorized predicates.
+    let live = mask.iter().enumerate().filter(|(_, live)| **live);
+    out.extend(
+        live.map(|(j, _)| id(j))
+            .filter(|&id| exec.passes_freqs(op.rel, id, &op.freqs)),
+    );
 }
 
 /// Filter a scan's candidate rows through the relation's residual
@@ -1293,31 +1162,20 @@ fn filter_rows(
     ids: IdSpan<'_>,
     opts: &ExecOpts<'_>,
 ) -> (Vec<RowId>, u64) {
-    let q = exec.q;
-    let vp = vec_predicates(op, opts.vectorize);
+    let vp = vec_predicates(op, table, opts.vectorize);
+    let filters = FilterKeys::of(op, table);
     let ranges = morsel_ranges(ids.len(), opts.morsel_rows);
     let n_morsels = ranges.len() as u64;
     let chunks: Vec<Vec<RowId>> = par_map(region_par(opts, ids.len()), &ranges, |&(s, e)| {
         morsel_prologue(opts);
         let mut out = Vec::new();
-        let vectorized = match &vp {
-            Some(vp) => {
-                let mut scratch = VecScratch::default();
-                filter_morsel_vectorized(vp, op, exec, table, &ids, s, e, &mut scratch, &mut out)
-            }
-            None => false,
-        };
-        if !vectorized {
-            for i in s..e {
-                let id = ids.get(i);
-                let row = table.row(id);
-                if passes_filters(row, &op.filters)
-                    && passes_ranges(row, &op.ranges)
-                    && passes_freqs(row, &op.freqs, q, &exec.freq_sets)
-                {
-                    out.push(id);
-                }
-            }
+        match &vp {
+            Some(vp) => filter_morsel_vectorized(vp, op, exec, &ids, (s, e), &mut out),
+            None => out.extend((s..e).map(|i| ids.get(i)).filter(|&id| {
+                filters.pass(id)
+                    && passes_ranges(table, id, &op.ranges)
+                    && exec.passes_freqs(op.rel, id, &op.freqs)
+            })),
         }
         out
     });
@@ -1391,9 +1249,11 @@ fn scan_rel(
             let index_rel = index_rel_id(&index.spec().to_string());
             pool_charge_seq(ps, meter, index_rel, 0, index.n_pages(), false)?;
             meter.charge_rows(index.n_distinct_keys() as u64)?;
+            let lead = table.column(columns[0]);
             let mut matched: Vec<RowId> = Vec::new();
-            for (key, ids) in index.scan() {
-                if set.contains(&key[0]) {
+            for (_, ids) in index.scan() {
+                // Every row of a group holds the group's leading value.
+                if set.contains(lead.key(ids[0])) {
                     matched.extend_from_slice(ids);
                 }
             }
@@ -1476,23 +1336,75 @@ fn charge_probe(
     meter.charge_rows(pr.row_ids.len() as u64)
 }
 
-/// Per-group aggregation state.
-struct GroupState {
-    count: u64,
-    distincts: Vec<HashSet<Value>>,
+/// Hash-aggregation state over one contiguous run of input tuples (a
+/// morsel's, or — once merged — the whole input's).
+struct Groups {
+    /// Group keys in first-seen order: one key word per group-by column
+    /// (zero for NULL), then one bit per column saying which were NULL —
+    /// NULL group keys form one group, as `Value`'s equality has it.
+    keys: CodeTable,
+    /// Arena index of each group's first tuple: where its output row's
+    /// grouped columns are read from.
+    first: Vec<usize>,
+    /// `COUNT(*)` per group.
+    counts: Vec<u64>,
+    /// Per aggregate, the distinct `(group, operand key)` pairs seen;
+    /// stays empty for `COUNT(*)`.
+    distinct: Vec<CodeTable>,
+}
+
+impl Groups {
+    fn new(q: &BoundQuery) -> Self {
+        let k = q.group_by.len();
+        Groups {
+            keys: CodeTable::new(k + k.div_ceil(64)),
+            first: Vec::new(),
+            counts: Vec::new(),
+            distinct: vec![CodeTable::new(2); q.aggs.len()],
+        }
+    }
+
+    /// The group with this key, created on first sight at tuple `i`.
+    #[inline]
+    fn group(&mut self, key: &[u64], i: usize) -> u32 {
+        let (g, new) = self.keys.intern(key);
+        if new {
+            self.first.push(i);
+            self.counts.push(0);
+        }
+        g
+    }
+
+    /// Fold in the state of the run of tuples that follows this one's.
+    fn absorb(&mut self, later: Groups) {
+        let groups = 0..later.keys.len() as u32;
+        let remap: Vec<u32> = groups
+            .map(|l| {
+                let g = self.group(later.keys.key(l), later.first[l as usize]);
+                self.counts[g as usize] += later.counts[l as usize];
+                g
+            })
+            .collect();
+        for (mine, theirs) in self.distinct.iter_mut().zip(&later.distinct) {
+            for pair in (0..theirs.len() as u32).map(|p| theirs.key(p)) {
+                mine.intern(&[remap[pair[0] as usize] as u64, pair[1]]);
+            }
+        }
+    }
 }
 
 /// Group, aggregate, and project in select-list order. Returns the
 /// result rows plus the number of morsel jobs dispatched.
 ///
-/// Grouping runs morsel-parallel: each morsel builds a local interner
-/// plus local group states, and the coordinator merges the locals **in
-/// morsel index order**, interning each local group's key into the
-/// global dictionary as it appears. A key's global first sight is its
-/// first in-morsel occurrence in the earliest morsel containing it —
-/// i.e. exactly its first occurrence in the input — so the merged
-/// group order (and therefore the emitted row order) reproduces the
-/// sequential first-seen order at any thread count and morsel size.
+/// Grouping runs morsel-parallel on key codes: each morsel builds its
+/// own [`Groups`], and the coordinator absorbs them **in morsel index
+/// order**. A key's global first sight is its first in-morsel occurrence
+/// in the earliest morsel containing it — i.e. exactly its first
+/// occurrence in the input — so the merged group order (and therefore
+/// the emitted row order) reproduces the sequential first-seen order at
+/// any thread count and morsel size. Output rows are built straight from
+/// each group's first tuple and its counts; no group key is ever
+/// materialized in between.
 fn finish(
     exec: &Exec<'_>,
     tuples: &Arena,
@@ -1517,7 +1429,7 @@ fn finish(
                     q.select
                         .iter()
                         .map(|s| match s {
-                            BoundItem::Column(r, c) => exec.val(t, *r, *c).clone(),
+                            BoundItem::Column(r, c) => exec.val(t, *r, *c),
                             BoundItem::Agg(_) => unreachable!("no aggs"),
                         })
                         .collect(),
@@ -1537,102 +1449,90 @@ fn finish(
     // One row of work per input tuple, plus one per tuple for every
     // COUNT(DISTINCT) aggregate maintained — identical to the per-tuple
     // charges of a tuple-at-a-time pass, paid up front.
-    let n_distinct_aggs = q
+    let distinct_aggs: Vec<(usize, usize, &Column)> = q
         .aggs
         .iter()
-        .filter(|a| matches!(a, BoundAgg::CountDistinct(..)))
-        .count() as u64;
+        .enumerate()
+        .filter_map(|(ai, a)| match a {
+            BoundAgg::CountDistinct(r, c) => Some((ai, *r, exec.col(*r, *c))),
+            BoundAgg::CountStar => None,
+        })
+        .collect();
     meter.charge_rows(n as u64)?;
-    meter.charge_rows(n as u64 * n_distinct_aggs)?;
+    meter.charge_rows(n as u64 * distinct_aggs.len() as u64)?;
 
     // Per-morsel local aggregation.
-    let locals: Vec<(KeyInterner, Vec<GroupState>)> =
-        par_map(region_par(opts, n), &ranges, |&(s, e)| {
-            morsel_prologue(opts);
-            let mut interner = KeyInterner::new();
-            let mut states: Vec<GroupState> = Vec::new();
-            let mut scratch: Vec<Value> = Vec::with_capacity(q.group_by.len());
-            for i in s..e {
-                let t = tuples.tuple(i);
-                scratch.clear();
-                scratch.extend(q.group_by.iter().map(|&(r, c)| exec.val(t, r, c).clone()));
-                let gid = interner.intern(&scratch) as usize;
-                if gid == states.len() {
-                    states.push(GroupState {
-                        count: 0,
-                        distincts: vec![HashSet::new(); q.aggs.len()],
+    let group_cols: Vec<(usize, &Column)> =
+        (q.group_by.iter().map(|&(r, c)| (r, exec.col(r, c)))).collect();
+    let k = group_cols.len();
+    let region = region_par(opts, n);
+    let locals: Vec<Groups> = par_map(region, &merge_ranges(region, &ranges), |&(s, e)| {
+        morsel_prologue(opts);
+        let mut local = Groups::new(q);
+        let mut key = vec![0u64; k + k.div_ceil(64)];
+        for i in s..e {
+            let t = tuples.tuple(i);
+            for (w, cols) in group_cols.chunks(64).enumerate() {
+                let mut nulls = 0u64;
+                for (j, &(r, col)) in cols.iter().enumerate() {
+                    key[w * 64 + j] = col.key(t[r]).unwrap_or_else(|| {
+                        nulls |= 1 << j;
+                        0
                     });
                 }
-                let st = &mut states[gid];
-                st.count += 1;
-                for (ai, agg) in q.aggs.iter().enumerate() {
-                    if let BoundAgg::CountDistinct(r, c) = agg {
-                        let v = exec.val(t, *r, *c);
-                        if !v.is_null() && !st.distincts[ai].contains(v) {
-                            st.distincts[ai].insert(v.clone());
-                        }
-                    }
-                }
+                key[k + w] = nulls;
             }
-            (interner, states)
-        });
-
-    // Ordered merge: global ids assigned in input first-seen order.
-    let mut interner = KeyInterner::new();
-    let mut states: Vec<GroupState> = Vec::new();
-    for (local_interner, local_states) in locals {
-        for (lid, st) in local_states.into_iter().enumerate() {
-            let gid = interner.intern(local_interner.key(lid as u64)) as usize;
-            if gid == states.len() {
-                states.push(st);
-                continue;
-            }
-            let g = &mut states[gid];
-            g.count += st.count;
-            for (ai, set) in st.distincts.into_iter().enumerate() {
-                if g.distincts[ai].is_empty() {
-                    g.distincts[ai] = set;
-                } else {
-                    g.distincts[ai].extend(set);
+            let g = local.group(&key, i);
+            local.counts[g as usize] += 1;
+            // COUNT(DISTINCT) skips NULL.
+            for &(ai, r, col) in &distinct_aggs {
+                if let Some(v) = col.key(t[r]) {
+                    local.distinct[ai].intern(&[g as u64, v]);
                 }
             }
         }
-    }
-    // COUNT over an empty input with no GROUP BY still yields one row.
-    if states.is_empty() && q.group_by.is_empty() {
-        interner.intern(&[]);
-        states.push(GroupState {
-            count: 0,
-            distincts: vec![HashSet::new(); q.aggs.len()],
-        });
+        local
+    });
+
+    // Ordered merge: global ids assigned in input first-seen order.
+    let mut locals = locals.into_iter();
+    let mut groups = locals.next().unwrap_or_else(|| Groups::new(q));
+    locals.for_each(|l| groups.absorb(l));
+    // Distinct operands per group, for the aggregates that count them.
+    let mut n_distinct = vec![Vec::new(); q.aggs.len()];
+    for &(ai, ..) in &distinct_aggs {
+        let pairs = &groups.distinct[ai];
+        n_distinct[ai] = vec![0i64; groups.first.len()];
+        for p in 0..pairs.len() as u32 {
+            n_distinct[ai][pairs.key(p)[0] as usize] += 1;
+        }
     }
 
     // One row of work per output group; groups emit in first-seen order,
     // which is deterministic (the old executor's hash-map order was not,
     // though callers may still not rely on unordered output order).
-    meter.charge_rows(states.len() as u64)?;
-    let mut out = Vec::with_capacity(states.len());
-    for (gid, st) in states.iter().enumerate() {
-        let key = interner.key(gid as u64);
-        let row: Vec<Value> = q
-            .select
-            .iter()
-            .map(|s| match s {
-                BoundItem::Column(r, c) => {
-                    let pos = q
-                        .group_by
-                        .iter()
-                        .position(|g| g == &(*r, *c))
-                        .expect("select column is grouped");
-                    key[pos].clone()
-                }
-                BoundItem::Agg(k) => match &q.aggs[*k] {
-                    BoundAgg::CountStar => Value::Int(st.count as i64),
-                    BoundAgg::CountDistinct(..) => Value::Int(st.distincts[*k].len() as i64),
-                },
-            })
-            .collect();
-        out.push(row);
+    let agg = |ai: usize, g: usize| match &q.aggs[ai] {
+        BoundAgg::CountStar => groups.counts[g] as i64,
+        BoundAgg::CountDistinct(..) => n_distinct[ai][g],
+    };
+    // COUNT over an empty input with no GROUP BY still yields one row.
+    let lone = groups.first.is_empty() && q.group_by.is_empty();
+    meter.charge_rows(groups.first.len() as u64 + u64::from(lone))?;
+    let mut out: Vec<Vec<Value>> = Vec::with_capacity(groups.first.len() + usize::from(lone));
+    for (g, &first) in groups.first.iter().enumerate() {
+        let t = tuples.tuple(first);
+        let item = |s: &BoundItem| match s {
+            BoundItem::Column(r, c) => exec.val(t, *r, *c),
+            BoundItem::Agg(ai) => Value::Int(agg(*ai, g)),
+        };
+        out.push(q.select.iter().map(item).collect());
+    }
+    if lone {
+        let item = |s: &BoundItem| match s {
+            BoundItem::Column(..) => unreachable!("select column is grouped"),
+            BoundItem::Agg(_) => Value::Int(0),
+        };
+        out.push(q.select.iter().map(item).collect());
     }
     Ok((order_and_limit(q, out, meter, ps)?, n_morsels))
 }

@@ -9,7 +9,7 @@
 use std::collections::{HashMap, HashSet};
 
 use tab_sqlq::CmpOp;
-use tab_storage::{Database, Value};
+use tab_storage::{Database, Row, Value};
 
 use crate::catalog::{BoundAgg, BoundItem, BoundQuery};
 
@@ -61,14 +61,16 @@ fn evaluate_unordered(q: &BoundQuery, db: &Database) -> Vec<Vec<Value>> {
         );
     }
 
-    let tables: Vec<_> = q
+    // Each relation's rows, materialized once.
+    let tables: Vec<Vec<Row>> = q
         .rels
         .iter()
         .map(|r| db.table(&r.source).expect("bound table exists"))
+        .map(|t| t.iter().map(|(_, row)| row).collect())
         .collect();
 
     // Enumerate the cartesian product with a simple odometer.
-    let sizes: Vec<usize> = tables.iter().map(|t| t.n_rows()).collect();
+    let sizes: Vec<usize> = tables.iter().map(Vec::len).collect();
     let mut matched: Vec<Vec<&[Value]>> = Vec::new();
     if sizes.iter().all(|&s| s > 0) {
         let mut idx = vec![0usize; sizes.len()];
@@ -76,7 +78,7 @@ fn evaluate_unordered(q: &BoundQuery, db: &Database) -> Vec<Vec<Value>> {
             let rows: Vec<&[Value]> = idx
                 .iter()
                 .zip(&tables)
-                .map(|(&i, t)| t.row(i as u32).as_ref())
+                .map(|(&i, t)| t[i].as_ref())
                 .collect();
             if passes(q, &rows, &freq_sets) {
                 matched.push(rows);

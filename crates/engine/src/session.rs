@@ -578,6 +578,49 @@ mod tests {
         assert!(!got.is_empty());
     }
 
+    /// NULL is not a value of a frequency subquery's column, whichever
+    /// structure answers it: the heap, or the leaf level of an index
+    /// (whose NULL key group once counted as a value occurring once, so
+    /// the same query answered differently under P and under 1C).
+    #[test]
+    fn null_never_passes_an_index_evaluated_freq_filter() {
+        let mut db = Database::new();
+        let mut r = Table::new(TableSchema::new(
+            "r",
+            vec![
+                ColumnDef::new("a", ColType::Int),
+                ColumnDef::new("b", ColType::Int),
+            ],
+        ));
+        for (a, b) in [
+            (1, None),
+            (2, Some(7)),
+            (3, Some(7)),
+            (4, Some(7)),
+            (5, Some(7)),
+            (6, Some(8)),
+        ] {
+            r.insert(vec![Value::Int(a), b.map_or(Value::Null, Value::Int)]);
+        }
+        db.add_table(r);
+        db.collect_stats();
+        let q = parse(
+            "SELECT r.a, COUNT(*) FROM r r WHERE r.b IN \
+             (SELECT b FROM r GROUP BY b HAVING COUNT(*) < 4) GROUP BY r.a",
+        )
+        .unwrap();
+        let expect = vec![vec![Value::Int(6), Value::Int(1)]];
+        assert_eq!(
+            crate::naive::evaluate(&crate::catalog::bind(&q, &db).unwrap(), &db),
+            expect
+        );
+        for specs in [vec![], vec![IndexSpec::new("r", vec![1])]] {
+            let built = built(&db, specs);
+            let got = Session::new(&db, &built).run(&q, None).unwrap().rows;
+            assert_eq!(got, Some(expect.clone()), "{:?}", built.config.indexes);
+        }
+    }
+
     #[test]
     fn mview_rewrite_is_used_and_correct() {
         let db = db();

@@ -17,13 +17,8 @@ use tab_storage::{Table, Value};
 /// Exact value frequencies of a column, descending by frequency with a
 /// deterministic tie-break on the value.
 pub fn value_frequencies(table: &Table, col: usize) -> Vec<(Value, u64)> {
-    let mut counts: HashMap<Value, u64> = HashMap::new();
-    for (_, row) in table.iter() {
-        if !row[col].is_null() {
-            *counts.entry(row[col].clone()).or_insert(0) += 1;
-        }
-    }
-    let mut v: Vec<(Value, u64)> = counts.into_iter().collect();
+    let counts = table.value_counts(col).into_iter();
+    let mut v: Vec<(Value, u64)> = counts.map(|(id, c)| (table.value(id, col), c)).collect();
     v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     v
 }

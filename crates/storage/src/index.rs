@@ -18,9 +18,9 @@
 //! keeps its name because everything it *charges* — entries per page,
 //! height, descent pages, leaf positions — is a B+tree's page-cost model.
 
-use std::cmp::Ordering;
 use std::fmt;
 
+use crate::column::OrderKeys;
 use crate::schema::TableSchema;
 use crate::table::{RowId, Table, PAGE_SIZE};
 use crate::value::Value;
@@ -90,6 +90,37 @@ pub struct Probe {
     pub first_leaf: u64,
 }
 
+/// Sort `ids` — ascending on entry — by their cells in `cols`, leading
+/// column first, ties left in ascending id order. `packed` is scratch.
+fn sort_by_columns(ids: &mut [RowId], cols: &[OrderKeys<'_>], packed: &mut Vec<u128>) {
+    let Some((col, rest)) = cols.split_first() else {
+        return;
+    };
+    packed.clear();
+    packed.extend(ids.iter().map(|&id| col.get(id) << 32 | id as u128));
+    packed.sort_unstable();
+    for (id, p) in ids.iter_mut().zip(packed.iter()) {
+        *id = *p as RowId;
+    }
+    if rest.is_empty() {
+        return;
+    }
+    // Runs of two or more rows equal on this column, as index ranges.
+    let mut runs = Vec::new();
+    let mut start = 0;
+    for end in 1..=ids.len() {
+        if end == ids.len() || packed[end] >> 32 != packed[start] >> 32 {
+            if end - start > 1 {
+                runs.push(start..end);
+            }
+            start = end;
+        }
+    }
+    for run in runs {
+        sort_by_columns(&mut ids[run], rest, packed);
+    }
+}
+
 /// A secondary index: a flat sorted run with a B+tree's page-cost model.
 #[derive(Debug, Clone)]
 pub struct BTreeIndex {
@@ -117,22 +148,18 @@ impl BTreeIndex {
     /// Returns the index together with its build cost in pages written
     /// (the sort + write cost model used for Table 1's build times).
     pub fn build(spec: IndexSpec, table: &Table) -> (Self, u64) {
-        // Each row's leading key cell rides beside its id, so the sort
-        // compares contiguous memory; only ties on it reach into the
-        // heap for the remaining columns.
-        let (lead, rest) = (spec.columns[0], &spec.columns[1..]);
-        let cmp = |a: &(Value, RowId), b: &(Value, RowId)| {
-            let by_col = |&c: &usize| table.value(a.1, c).cmp(table.value(b.1, c));
-            let tie = || rest.iter().map(by_col).find(|o| o.is_ne());
-            a.0.cmp(&b.0).then_with(|| tie().unwrap_or(Ordering::Equal))
-        };
-        let key_of = |id| {
-            spec.columns
-                .iter()
-                .map(move |&c| table.value(id, c).clone())
-        };
-        let mut run: Vec<_> = table.iter().map(|(id, r)| (r[lead].clone(), id)).collect();
-        run.sort_by(cmp);
+        // Rows sort as integers: each key column answers an order key per
+        // row (the `i64` itself, a float's ordered bits, a string's rank
+        // in its dictionary), packed above the row id — ids ascend with
+        // arrival, so ties keep arrival order. Runs of rows equal on one
+        // column are then sorted on the next.
+        let order: Vec<_> = spec
+            .columns
+            .iter()
+            .map(|&c| table.column(c).order_keys())
+            .collect();
+        let mut run: Vec<RowId> = (0..table.n_rows() as RowId).collect();
+        sort_by_columns(&mut run, &order, &mut Vec::new());
         // One pass over the run: group boundaries, and the clustering
         // factor (Oracle-style) — heap-page switches in key order divided
         // by entries. Near zero when index order matches heap order (each
@@ -141,12 +168,12 @@ impl BTreeIndex {
         let (mut keys, mut offsets) = (Vec::new(), Vec::new());
         let mut page_switches = 0u64;
         let mut last_page = None;
-        for (pos, entry) in run.iter().enumerate() {
-            if pos == 0 || cmp(&run[pos - 1], entry).is_ne() {
-                keys.extend(key_of(entry.1));
+        for (pos, &id) in run.iter().enumerate() {
+            if pos == 0 || order.iter().any(|k| k.get(run[pos - 1]) != k.get(id)) {
+                keys.extend(spec.columns.iter().map(|&c| table.value(id, c)));
                 offsets.push(pos as u32);
             }
-            let page = Some(table.page_of(entry.1));
+            let page = Some(table.page_of(id));
             page_switches += u64::from(last_page != page);
             last_page = page;
         }
@@ -159,7 +186,7 @@ impl BTreeIndex {
         let idx = BTreeIndex {
             entry_width: Self::entry_width(table.schema(), &spec.columns),
             spec,
-            ids: run.into_iter().map(|(_, id)| id).collect(),
+            ids: run,
             keys,
             offsets,
             leaf_starts,

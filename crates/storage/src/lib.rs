@@ -2,9 +2,9 @@
 //!
 //! The storage substrate for `tab-bench`, the reproduction of *"Goals and
 //! Benchmarks for Autonomic Configuration Recommenders"* (SIGMOD 2005):
-//! typed values, heap tables with a page-based I/O cost model, B+tree
-//! secondary indexes (1–4 columns), exact statistics with MCV lists and
-//! equi-depth histograms, materialized join views, and the
+//! typed values, column-store heap tables with a page-based I/O cost
+//! model, B+tree secondary indexes (1–4 columns), exact statistics with
+//! MCV lists and equi-depth histograms, materialized join views, and the
 //! [`config::Configuration`] / [`config::BuiltConfiguration`] pair that
 //! models the paper's system configurations `C_i`.
 //!
@@ -14,6 +14,7 @@
 
 #![warn(missing_docs)]
 
+pub mod column;
 pub mod config;
 pub mod csv;
 pub mod db;
@@ -32,6 +33,7 @@ pub mod trace_reader;
 pub mod value;
 pub mod wal;
 
+pub use column::{key_tuple, CodeTable, Column, NullMask, RowBuckets};
 pub use config::{BuildReport, BuiltConfiguration, Configuration, MViewDef};
 pub use csv::{export_table, import_table, CsvError};
 pub use db::Database;

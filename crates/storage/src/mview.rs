@@ -8,12 +8,11 @@
 //! view's join is a subgraph of the query's join graph and every column
 //! the query needs from the covered tables is projected.
 
+use crate::column::{key_tuple, RowBuckets};
 use crate::index::{BTreeIndex, IndexSpec};
 use crate::schema::{ColumnDef, TableSchema};
 use crate::stats::TableStats;
-use crate::table::Table;
-use crate::value::Value;
-use std::collections::HashMap;
+use crate::table::{RowId, Table};
 use std::sync::Arc;
 
 /// Definition of a materialized view.
@@ -105,48 +104,36 @@ impl MaterializedView {
                 def
             })
             .collect();
-        let mut out = Table::new(TableSchema::new(spec.name.clone(), columns));
-
         let mut cost = bases.iter().map(|t| t.n_pages()).sum::<u64>();
-        if spec.join_on.is_empty() {
-            for (_, row) in bases[0].iter() {
-                let proj: Vec<Value> = spec
-                    .projection
-                    .iter()
-                    .map(|&(_, c)| row[c].clone())
-                    .collect();
-                out.insert(proj);
-            }
-        } else {
+        // The base row ids behind each view row, left-major in heap order;
+        // the view's columns are then gathered from the bases', typed
+        // cells and dictionary codes copied as they are.
+        let mut ids: [Vec<RowId>; 2] = [(0..bases[0].n_rows() as RowId).collect(), Vec::new()];
+        if !spec.join_on.is_empty() {
             // Hash the right side on its join columns.
-            let mut ht: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
-            for (id, row) in bases[1].iter() {
-                let key: Vec<Value> = spec.join_on.iter().map(|&(_, r)| row[r].clone()).collect();
-                if !key.iter().any(Value::is_null) {
-                    ht.entry(key).or_default().push(id);
-                }
-            }
-            for (_, lrow) in bases[0].iter() {
-                let key: Vec<Value> = spec.join_on.iter().map(|&(l, _)| lrow[l].clone()).collect();
-                if let Some(ids) = ht.get(&key) {
-                    for &rid in ids {
-                        let rrow = bases[1].row(rid);
-                        let proj: Vec<Value> = spec
-                            .projection
-                            .iter()
-                            .map(|&(t, c)| {
-                                if t == 0 {
-                                    lrow[c].clone()
-                                } else {
-                                    rrow[c].clone()
-                                }
-                            })
-                            .collect();
-                        out.insert(proj);
+            let on = |side: usize, c: usize| bases[side].column(c);
+            let right: Vec<_> = spec.join_on.iter().map(|&(_, r)| on(1, r)).collect();
+            let ht = RowBuckets::build(&right, 0..bases[1].n_rows() as RowId);
+            let mut key = Vec::with_capacity(right.len());
+            let mut matches: [Vec<RowId>; 2] = Default::default();
+            for &lid in &ids[0] {
+                let cells = spec.join_on.iter().zip(&right);
+                if key_tuple(
+                    &mut key,
+                    cells.map(|(&(l, _), r)| r.key_from(on(0, l), lid)),
+                ) {
+                    for &rid in ht.get(&key) {
+                        matches[0].push(lid);
+                        matches[1].push(rid);
                     }
                 }
             }
+            ids = matches;
         }
+        let gathered = spec.projection.iter();
+        let gathered = gathered.map(|&(t, c)| bases[t].column(c).gather(&ids[t]));
+        let schema = TableSchema::new(spec.name.clone(), columns);
+        let out = Table::from_columns(schema, gathered.collect(), ids[0].len());
         cost += out.n_pages();
         let stats = TableStats::collect(&out);
         (
@@ -170,6 +157,7 @@ impl MaterializedView {
 mod tests {
     use super::*;
     use crate::schema::{ColType, ColumnDef};
+    use crate::value::Value;
 
     fn bases() -> (Table, Table) {
         let mut l = Table::new(TableSchema::new(

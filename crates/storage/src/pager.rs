@@ -20,7 +20,7 @@
 //! little-endian bytes, `Float` as its IEEE bits little-endian, `Str`
 //! as its first 16 bytes (length-prefixed), `Null` as a `0xFF` marker.
 //! The executor never decodes these bytes — row values are always read
-//! from the resident `Vec<Row>`; the heap files exist so a capped pool
+//! from the resident columns; the heap files exist so a capped pool
 //! performs *real* positioned reads with real bytes (and real spill
 //! writes) whose counts the cost model is calibrated against. Index
 //! pages and never-materialized relations read back zero-filled, which
@@ -82,7 +82,10 @@ impl Pager {
             let page = id as usize / rpp;
             let slot = id as usize % rpp;
             let base = page * PAGE_SIZE as usize + slot * stride;
-            encode_row(row, &mut bytes[base..base + stride.min(PAGE_SIZE as usize)]);
+            encode_row(
+                &row,
+                &mut bytes[base..base + stride.min(PAGE_SIZE as usize)],
+            );
         }
         let path = self.dir.join(format!("{name}.heap"));
         atomic_write(&path, &bytes)?;

@@ -45,31 +45,30 @@ impl ColumnStats {
     /// Collect exact statistics for column `col` of `table`.
     pub fn collect(table: &Table, col: usize) -> Self {
         let n_rows = table.n_rows() as u64;
-        let mut counts: HashMap<Value, u64> = HashMap::new();
-        let mut n_null = 0u64;
-        for (_, row) in table.iter() {
-            match &row[col] {
-                Value::Null => n_null += 1,
-                v => *counts.entry(v.clone()).or_insert(0) += 1,
-            }
-        }
-        let n_distinct = counts.len() as u64;
+        // The distinct values in value order, each with its exact count.
+        let mut sorted: Vec<(Value, u64)> = table
+            .value_counts(col)
+            .into_iter()
+            .map(|(first, c)| (table.value(first, col), c))
+            .collect();
+        sorted.sort_by(|a, b| a.0.cmp(&b.0));
+        let n_distinct = sorted.len() as u64;
+        let non_null: u64 = sorted.iter().map(|(_, c)| c).sum();
+        let n_null = n_rows - non_null;
 
-        let mut by_freq: Vec<(Value, u64)> = counts.iter().map(|(v, c)| (v.clone(), *c)).collect();
-        by_freq.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        by_freq.truncate(MCV_LIMIT);
+        // A stable sort on the count keeps value order among equal counts.
+        let mut by_freq: Vec<&(Value, u64)> = sorted.iter().collect();
+        by_freq.sort_by_key(|(_, c)| std::cmp::Reverse(*c));
+        let by_freq: Vec<(Value, u64)> = by_freq.into_iter().take(MCV_LIMIT).cloned().collect();
 
         let mut fof: HashMap<u64, u64> = HashMap::new();
-        for c in counts.values() {
+        for (_, c) in &sorted {
             *fof.entry(*c).or_insert(0) += 1;
         }
         let mut freq_of_freq: Vec<(u64, u64)> = fof.into_iter().collect();
         freq_of_freq.sort_unstable();
 
         // Equi-depth bounds over the sorted multiset.
-        let mut sorted: Vec<(Value, u64)> = counts.into_iter().collect();
-        sorted.sort_by(|a, b| a.0.cmp(&b.0));
-        let non_null = n_rows - n_null;
         let mut bounds = Vec::new();
         if let (Some(first), Some(last)) = (sorted.first(), sorted.last()) {
             bounds.push(first.0.clone());

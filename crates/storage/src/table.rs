@@ -1,21 +1,25 @@
-//! Heap tables: an append-only row store with page accounting.
+//! Heap tables: an append-only column store with page accounting.
 //!
-//! Rows live in memory, but every table carries a *page model* — a fixed
-//! page size divided by the schema's nominal row width — so the executor
-//! and optimizer can charge I/O-shaped costs exactly as a disk-resident
-//! 2005 system would. The paper's elapsed times are dominated by pages
-//! touched; the page model is what lets cost units stand in for seconds
-//! (see DESIGN.md §1).
+//! Cells live in memory, one typed [`Column`] per schema column, but
+//! every table carries a *page model* — a fixed page size divided by the
+//! schema's nominal row width — so the executor and optimizer can charge
+//! I/O-shaped costs exactly as a disk-resident 2005 system would. The
+//! paper's elapsed times are dominated by pages touched; the page model
+//! is what lets cost units stand in for seconds (see DESIGN.md §1).
+//!
+//! Rows are an adapter over the columns: [`Table::insert`] takes one
+//! apart, [`Table::row`] and [`Table::iter`] put one together.
 
 use std::sync::Arc;
 
+use crate::column::Column;
 use crate::schema::TableSchema;
 use crate::value::Value;
 
 /// Nominal page size in bytes for the I/O cost model.
 pub const PAGE_SIZE: u32 = 8192;
 
-/// A row: one value per schema column.
+/// A materialized row: one value per schema column.
 pub type Row = Box<[Value]>;
 
 /// Identifier of a row within its table (heap position).
@@ -25,17 +29,26 @@ pub type RowId = u32;
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Arc<TableSchema>,
-    rows: Vec<Row>,
+    columns: Vec<Column>,
+    n_rows: usize,
     rows_per_page: u32,
 }
 
 impl Table {
     /// An empty table with the given schema.
     pub fn new(schema: TableSchema) -> Self {
+        let columns = schema.columns.iter().map(|c| Column::new(c.ty)).collect();
+        Self::from_columns(schema, columns, 0)
+    }
+
+    /// A table over already-built columns of `n_rows` cells each.
+    pub(crate) fn from_columns(schema: TableSchema, columns: Vec<Column>, n_rows: usize) -> Self {
+        debug_assert!(columns.iter().all(|c| c.len() == n_rows));
         let rows_per_page = (PAGE_SIZE / schema.row_width()).max(1);
         Table {
             schema: Arc::new(schema),
-            rows: Vec::new(),
+            columns,
+            n_rows,
             rows_per_page,
         }
     }
@@ -63,19 +76,22 @@ impl Table {
             "row arity mismatch for table `{}`",
             self.schema.name
         );
-        let id = self.rows.len() as RowId;
-        self.rows.push(row);
+        let id = self.n_rows as RowId;
+        for (col, v) in self.columns.iter_mut().zip(row.into_vec()) {
+            col.push(v);
+        }
+        self.n_rows += 1;
         id
     }
 
     /// Number of rows.
     pub fn n_rows(&self) -> usize {
-        self.rows.len()
+        self.n_rows
     }
 
     /// Heap size in pages under the page model.
     pub fn n_pages(&self) -> u64 {
-        (self.rows.len() as u64)
+        (self.n_rows as u64)
             .div_ceil(self.rows_per_page as u64)
             .max(1)
     }
@@ -90,25 +106,38 @@ impl Table {
         self.n_pages() * PAGE_SIZE as u64
     }
 
-    /// Fetch a row by id.
-    #[inline]
-    pub fn row(&self, id: RowId) -> &Row {
-        &self.rows[id as usize]
+    /// Materialize a row by id.
+    pub fn row(&self, id: RowId) -> Row {
+        self.columns.iter().map(|c| c.value(id)).collect()
     }
 
-    /// Borrow a single cell without materializing the row.
+    /// A single cell, by value, without materializing the row.
     ///
-    /// This is the late-materialization executor's primary read path:
-    /// intermediate tuples hold `RowId`s only, and column values are
-    /// fetched through here at predicate/key/projection time.
+    /// Intermediate tuples of the late-materialization executor hold
+    /// `RowId`s only; values are fetched through here at predicate and
+    /// projection time, and keys through [`Table::column`].
     #[inline]
-    pub fn value(&self, id: RowId, col: usize) -> &Value {
-        &self.rows[id as usize][col]
+    pub fn value(&self, id: RowId, col: usize) -> Value {
+        self.columns[col].value(id)
     }
 
-    /// Iterate over `(RowId, &Row)` in heap order.
-    pub fn iter(&self) -> impl Iterator<Item = (RowId, &Row)> {
-        self.rows.iter().enumerate().map(|(i, r)| (i as RowId, r))
+    /// The typed column at schema position `col`.
+    #[inline]
+    pub fn column(&self, col: usize) -> &Column {
+        &self.columns[col]
+    }
+
+    /// Each distinct non-NULL value of column `col`, in first-seen
+    /// order, as `(first row holding it, number of rows holding it)`:
+    /// the one value-count routine behind statistics, template constants
+    /// and frequency filters.
+    pub fn value_counts(&self, col: usize) -> Vec<(RowId, u64)> {
+        self.columns[col].value_counts()
+    }
+
+    /// Iterate over `(RowId, Row)` in heap order, materializing each row.
+    pub fn iter(&self) -> impl Iterator<Item = (RowId, Row)> + '_ {
+        (0..self.n_rows as RowId).map(|id| (id, self.row(id)))
     }
 
     /// Heap page number holding a given row.
@@ -173,5 +202,178 @@ mod tests {
         assert!(t.page_of(999) >= t.page_of(0));
         assert_eq!(t.page_of(203), 0);
         assert_eq!(t.page_of(204), 1);
+    }
+}
+
+/// The column store against the representation it replaced: a
+/// `Vec<Vec<Value>>`, one inner vector per row. Seeded, so a failure
+/// names its trial.
+///
+/// Hand mutants of `column.rs`, each failing this test: the NULL mask
+/// read one bit off (`get(i + 1)`); a float's key taken from its raw bits
+/// (`-0.0` and `0.0` get different codes); the string dictionary looked
+/// up by `Arc` pointer instead of content; demotion starting the
+/// `Value` column empty (the rows before it dropped).
+#[cfg(test)]
+mod model_tests {
+    use super::*;
+    use crate::schema::{ColType, ColumnDef};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashMap;
+
+    const TYPES: [ColType; 4] = [ColType::Int, ColType::Float, ColType::Str, ColType::Int];
+
+    /// One cell for a column declared `ty`: NULLs, duplicates, the edge
+    /// values of the type and — when `off_type` — a cell of another
+    /// type, some equal to an on-type value (`Float(1.0)` beside
+    /// `Int(1)`), which demotes the column.
+    fn cell(rng: &mut StdRng, ty: ColType, off_type: bool) -> Value {
+        const BIG: i64 = (1 << 53) + 1;
+        let ints = [0, 1, 2, 3, BIG, BIG - 1, -BIG, i64::MAX, i64::MIN];
+        let floats = [0.0, -0.0, 1.0, 2.0, 0.5, -1.5, f64::NAN, f64::INFINITY];
+        let pick: usize = rng.random_range(0..9);
+        let kind = match (off_type && pick < 3, ty) {
+            _ if pick == 8 => return Value::Null,
+            (false, ty) => ty,
+            (true, ColType::Int) => [ColType::Float, ColType::Str][pick % 2],
+            (true, ColType::Float) => [ColType::Int, ColType::Str][pick % 2],
+            (true, ColType::Str) => [ColType::Int, ColType::Float][pick % 2],
+        };
+        match kind {
+            // Off-type numbers stay small: beyond 2^53 `Int`/`Float`
+            // equality is not transitive, and no code can mirror it.
+            ColType::Int if kind != ty => Value::Int(rng.random_range(0..4)),
+            ColType::Float if kind != ty => Value::Float(rng.random_range(0..4) as f64 / 2.0),
+            ColType::Int => Value::Int(ints[rng.random_range(0..ints.len())]),
+            ColType::Float => Value::Float(floats[rng.random_range(0..floats.len())]),
+            // A fresh allocation every time, six contents in all.
+            ColType::Str => Value::str(format!("s{}", rng.random_range(0..6))),
+        }
+    }
+
+    /// `Int(1) == Float(1.0)` and `0.0 == -0.0`: compare spellings.
+    fn spelled(row: &[Value]) -> String {
+        format!("{row:?}")
+    }
+
+    fn check(table: &Table, model: &[Vec<Value>], ctx: &str) {
+        assert_eq!(table.n_rows(), model.len(), "{ctx}");
+        let per_page = (PAGE_SIZE / table.schema().row_width()) as usize;
+        let pages = model.len().div_ceil(per_page).max(1);
+        assert_eq!(table.n_pages(), pages as u64, "{ctx}");
+        let rows: Vec<(RowId, Row)> = table.iter().collect();
+        assert_eq!(rows.len(), model.len(), "{ctx}");
+        for (i, want) in model.iter().enumerate() {
+            let id = i as RowId;
+            assert_eq!(rows[i].0, id, "{ctx}");
+            assert_eq!(spelled(&rows[i].1), spelled(want), "{ctx}: iter row {i}");
+            assert_eq!(spelled(&table.row(id)), spelled(want), "{ctx}: row {i}");
+            for (c, v) in want.iter().enumerate() {
+                assert_eq!(
+                    spelled(&[table.value(id, c)]),
+                    spelled(std::slice::from_ref(v)),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    table.column(c).is_null(id),
+                    v.is_null(),
+                    "{ctx}: ({i}, {c})"
+                );
+            }
+        }
+        for c in 0..TYPES.len() {
+            let col = table.column(c);
+            // Equal key ⇔ equal value, over every pair of rows.
+            for (i, a) in model.iter().enumerate() {
+                assert_eq!(col.key(i as RowId).is_none(), a[c].is_null(), "{ctx}");
+                assert_eq!(
+                    col.key_of(&a[c]),
+                    col.key(i as RowId),
+                    "{ctx}: key_of ({i}, {c})"
+                );
+                for (j, b) in model.iter().enumerate().skip(i) {
+                    assert_eq!(
+                        col.key(i as RowId) == col.key(j as RowId),
+                        a[c] == b[c],
+                        "{ctx}: column {c}, rows {i} ({:?}) and {j} ({:?})",
+                        a[c],
+                        b[c]
+                    );
+                }
+            }
+            // Value counts against a `HashMap`, in first-seen order.
+            let mut slot_of: HashMap<Value, usize> = HashMap::new();
+            let mut want: Vec<(RowId, u64)> = Vec::new();
+            for (i, row) in model.iter().enumerate().filter(|(_, r)| !r[c].is_null()) {
+                let slot = *slot_of.entry(row[c].clone()).or_insert(want.len());
+                if slot == want.len() {
+                    want.push((i as RowId, 0));
+                }
+                want[slot].1 += 1;
+            }
+            assert_eq!(table.value_counts(c), want, "{ctx}: value_counts({c})");
+        }
+    }
+
+    #[test]
+    fn column_store_matches_row_model() {
+        let mut demoted = [0; TYPES.len()];
+        for trial in 0..32u64 {
+            let rng = &mut StdRng::seed_from_u64(0xC01_2005 + trial);
+            // Wide columns: a few rows per page, so page counts move.
+            let columns = TYPES.iter().enumerate();
+            let columns = columns.map(|(c, &ty)| ColumnDef::new(format!("c{c}"), ty).width(500));
+            let mut table = Table::new(TableSchema::new("t", columns.collect()));
+            let mut model: Vec<Vec<Value>> = Vec::new();
+            let n_rows = [0, 1, 63, 64, 65, 130, 200][trial as usize % 7];
+            // The row from which each column may see off-type cells: some
+            // at once, some mid-stream, the last column never.
+            let from: Vec<usize> = (0..TYPES.len())
+                .map(|c| match (c, trial % 3) {
+                    (3, _) | (_, 2) => usize::MAX,
+                    (_, 1) => 0,
+                    _ => rng.random_range(0..n_rows.max(1)),
+                })
+                .collect();
+            let row_at = |rng: &mut StdRng, i: usize| -> Vec<Value> {
+                let cells = TYPES.iter().zip(&from);
+                cells.map(|(&ty, &f)| cell(rng, ty, i >= f)).collect()
+            };
+            for i in 0..n_rows {
+                let row = row_at(rng, i);
+                assert_eq!(table.insert(row.clone()), i as RowId);
+                model.push(row);
+                if i % 50 == 49 {
+                    check(
+                        &table,
+                        &model,
+                        &format!("trial {trial} after {} rows", i + 1),
+                    );
+                }
+            }
+            let ctx = format!("trial {trial}: {n_rows} rows, off-type from {from:?}");
+            check(&table, &model, &ctx);
+            for (c, hits) in demoted.iter_mut().enumerate() {
+                *hits +=
+                    usize::from(table.column(c).as_ints().is_none() && TYPES[c] == ColType::Int);
+            }
+
+            // Inserting into a clone — new strings, a demoting cell —
+            // leaves the original as it was (snapshot isolation).
+            let mut later = table.clone();
+            let mut later_model = model.clone();
+            for i in 0..3 {
+                let mut row = row_at(rng, usize::MAX - 1);
+                row[2] = Value::str(format!("new{i}"));
+                row[3] = Value::Float(0.5);
+                later.insert(row.clone());
+                later_model.push(row);
+            }
+            check(&later, &later_model, &format!("{ctx}, the clone"));
+            check(&table, &model, &format!("{ctx}, after its clone grew"));
+        }
+        assert!(demoted[0] > 8, "too few demotions: {demoted:?}");
+        assert_eq!(demoted[3], 0, "the control column demoted: {demoted:?}");
     }
 }

@@ -100,7 +100,7 @@ impl PartialOrd for Value {
 }
 
 /// Normalize -0.0 to 0.0 so ordering, equality, and hashing agree.
-fn norm(f: f64) -> f64 {
+pub(crate) fn norm(f: f64) -> f64 {
     if f == 0.0 {
         0.0
     } else {
@@ -117,17 +117,7 @@ impl Ord for Value {
             (Float(a), Float(b)) => norm(*a).total_cmp(&norm(*b)),
             (Int(a), Float(b)) => (*a as f64).total_cmp(&norm(*b)),
             (Float(a), Int(b)) => norm(*a).total_cmp(&(*b as f64)),
-            // Generators share `Arc<str>` payloads heavily (taxonomy
-            // lineages, part names), so equal strings are usually the
-            // *same* allocation: a pointer check skips the byte compare
-            // on the executor's hottest equality path.
-            (Str(a), Str(b)) => {
-                if Arc::ptr_eq(a, b) {
-                    Ordering::Equal
-                } else {
-                    a.cmp(b)
-                }
-            }
+            (Str(a), Str(b)) => a.cmp(b),
             _ => self.type_rank().cmp(&other.type_rank()),
         }
     }

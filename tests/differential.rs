@@ -11,13 +11,16 @@
 //! dozen rows first; the families are enumerated against the truncated
 //! database so template constants still reference live values.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use tab_bench::advisor::{one_column_configuration, p_configuration};
 use tab_bench::datagen::{generate_nref, generate_tpch, Distribution, NrefParams, TpchParams};
 use tab_bench::engine::{
     bind, execute, naive, ChargePolicy, CostMeter, ExecOpts, PoolOpts, Resolver, Session,
 };
 use tab_bench::families::Family;
-use tab_bench::storage::{BuiltConfiguration, Database, Parallelism, Table};
+use tab_bench::sqlq::{CmpOp, Predicate, Query};
+use tab_bench::storage::{BuiltConfiguration, Database, Parallelism, Table, Value};
 
 /// Cap every table at `cap` rows (heap-prefix truncation) so the
 /// brute-force cartesian product stays tractable.
@@ -32,6 +35,64 @@ fn truncate_db(db: &Database, cap: usize) -> Database {
     }
     out.collect_stats();
     out
+}
+
+/// `db` with about a tenth of its non-key cells replaced by NULL.
+/// Generated data holds none, so without this pass no filter, join,
+/// group or frequency column of the check below ever meets one.
+fn with_nulls(db: &Database, seed: u64) -> Database {
+    let rng = &mut StdRng::seed_from_u64(seed);
+    let mut out = Database::new();
+    for t in db.tables() {
+        let mut nt = Table::new(t.schema().clone());
+        for (_, row) in t.iter() {
+            let mut row = row.into_vec();
+            for (c, cell) in row.iter_mut().enumerate() {
+                if !t.schema().primary_key.contains(&c) && rng.random_range(0..10) == 0 {
+                    *cell = Value::Null;
+                }
+            }
+            nt.insert(row);
+        }
+        out.add_table(nt);
+    }
+    out.collect_stats();
+    out
+}
+
+/// Whether one of `q`'s frequency filters would let NULL through if the
+/// NULLs of its subquery's column were counted as a value — the queries
+/// on which an executor that confuses the two answers wrongly.
+fn null_sensitive(q: &Query, db: &Database) -> bool {
+    q.predicates.iter().any(|p| match p {
+        Predicate::InFrequency {
+            sub_table,
+            sub_column,
+            op,
+            k,
+            ..
+        } => {
+            let t = db.table(sub_table).expect("subquery table exists");
+            let c = t.schema().require_column(sub_column);
+            let nulls = t.iter().filter(|(_, row)| row[c].is_null()).count() as i64;
+            nulls > 0
+                && match op {
+                    CmpOp::Lt => nulls < *k,
+                    CmpOp::Eq => nulls == *k,
+                }
+        }
+        _ => false,
+    })
+}
+
+/// [`check_family`] on `db` with NULLs sown in: the family's usual
+/// sample, then a sample of its NULL-sensitive queries.
+fn check_family_with_nulls(family: Family, db: &Database, seed: u64) {
+    let db = &with_nulls(db, seed);
+    check_family(family, db);
+    let queries = family.enumerate(db);
+    let sensitive: Vec<&Query> = queries.iter().filter(|q| null_sensitive(q, db)).collect();
+    check_queries(family, db, &sensitive);
 }
 
 /// The executor settings every query is checked under. Morsel rows:
@@ -69,14 +130,19 @@ fn exec_table() -> Vec<ExecOpts<'static>> {
 const QUERIES_PER_FAMILY: usize = 4;
 
 fn check_family(family: Family, db: &Database) {
-    let p = BuiltConfiguration::build(p_configuration(db, "diff_P"), db);
-    let c1 = BuiltConfiguration::build(one_column_configuration(db, "diff_1C"), db);
     let queries = family.enumerate(db);
     assert!(
         !queries.is_empty(),
         "{} enumerates no queries on the truncated database",
         family.name()
     );
+    check_queries(family, db, &queries.iter().collect::<Vec<_>>());
+}
+
+/// Check an evenly spaced sample of `queries`.
+fn check_queries(family: Family, db: &Database, queries: &[&Query]) {
+    let p = BuiltConfiguration::build(p_configuration(db, "diff_P"), db);
+    let c1 = BuiltConfiguration::build(one_column_configuration(db, "diff_1C"), db);
     let step = (queries.len() / QUERIES_PER_FAMILY).max(1);
     for (qi, q) in queries
         .iter()
@@ -164,6 +230,8 @@ fn nref_families_match_naive() {
     );
     check_family(Family::Nref2J, &nref);
     check_family(Family::Nref3J, &nref);
+    check_family_with_nulls(Family::Nref2J, &nref, 0xD1FF);
+    check_family_with_nulls(Family::Nref3J, &nref, 0xD1FF);
 }
 
 #[test]
@@ -178,6 +246,8 @@ fn tpch_families_match_naive() {
     );
     check_family(Family::SkTH3J, &skew);
     check_family(Family::SkTH3Js, &skew);
+    check_family_with_nulls(Family::SkTH3J, &skew, 0xD1FF + 1);
+    check_family_with_nulls(Family::SkTH3Js, &skew, 0xD1FF + 1);
     let unif = truncate_db(
         &generate_tpch(TpchParams {
             scale: 0.0,
@@ -187,4 +257,5 @@ fn tpch_families_match_naive() {
         80,
     );
     check_family(Family::UnTH3J, &unif);
+    check_family_with_nulls(Family::UnTH3J, &unif, 0xD1FF + 2);
 }
