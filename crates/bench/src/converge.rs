@@ -47,7 +47,7 @@ impl Default for ConvergenceSpec {
 }
 
 /// Look up a recommender profile by name.
-pub fn profile(name: &str) -> Option<Box<dyn Recommender>> {
+pub(crate) fn profile(name: &str) -> Option<Box<dyn Recommender>> {
     match name {
         "A" => Some(Box::new(SystemA::default())),
         "B" => Some(Box::new(SystemB)),

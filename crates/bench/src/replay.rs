@@ -5,7 +5,7 @@
 //! `operator` event names its (family, config, query, op) slot with
 //! estimates and actuals, every `query` event its outcome and metered
 //! units, and the advisor events a full round-by-round search history.
-//! [`replay`] folds a parsed [`TraceDoc`] back into that shape — a
+//! [`replay_str`] folds a parsed [`TraceDoc`] back into that shape — a
 //! [`Replay`] of per-cell operator trees plus advisor runs — and
 //! [`diff`] compares two replays *structurally*.
 //!
@@ -42,7 +42,7 @@ pub struct ReplayedOp {
     /// Planner-estimated cost.
     pub est_cost: Option<f64>,
     /// Planner-estimated output rows.
-    pub est_rows: Option<f64>,
+    pub(crate) est_rows: Option<f64>,
     /// Actual input rows (absent past a timeout cutoff).
     pub rows_in: Option<u64>,
     /// Actual output rows.
@@ -107,7 +107,7 @@ pub struct ReplayedRound {
     /// Picked candidate index.
     pub candidate: u64,
     /// Human-readable candidate description.
-    pub desc: String,
+    pub(crate) desc: String,
     /// Estimated gain of the pick.
     pub gain: Option<f64>,
     /// Objective after the pick.
@@ -128,15 +128,15 @@ pub struct AdvisorRun {
     /// Candidate structures considered.
     pub candidates: u64,
     /// Storage budget in MiB.
-    pub budget_mib: u64,
+    pub(crate) budget_mib: u64,
     /// Objective value before the first round.
-    pub initial_total: Option<f64>,
+    pub(crate) initial_total: Option<f64>,
     /// Accepted rounds in order.
     pub rounds: Vec<ReplayedRound>,
     /// Stop reason, when the search stopped early with one.
-    pub stop_reason: Option<String>,
+    pub(crate) stop_reason: Option<String>,
     /// Final objective from `advisor_end`.
-    pub objective_final: Option<f64>,
+    pub(crate) objective_final: Option<f64>,
     /// Total what-if requests from `advisor_end`.
     pub whatif_calls: u64,
     /// Total planner invocations from `advisor_end`.
@@ -151,11 +151,11 @@ pub struct Replay {
     /// Advisor searches in begin order.
     pub advisor_runs: Vec<AdvisorRun>,
     /// Spans seen, with begin/end counts.
-    pub spans: BTreeMap<String, (u64, u64)>,
+    pub(crate) spans: BTreeMap<String, (u64, u64)>,
     /// Malformed lines skipped by the reader.
     pub skipped: usize,
     /// Advisor round/stop/end events with no matching `advisor_begin`.
-    pub stray_advisor_events: usize,
+    pub(crate) stray_advisor_events: usize,
 }
 
 /// Why a trace refused to replay.
@@ -180,7 +180,7 @@ impl fmt::Display for ReplayError {
 impl std::error::Error for ReplayError {}
 
 /// Replay a parsed trace document into its structural aggregate.
-pub fn replay(doc: &TraceDoc) -> Result<Replay, ReplayError> {
+pub(crate) fn replay(doc: &TraceDoc) -> Result<Replay, ReplayError> {
     if doc.torn_tail {
         return Err(ReplayError::Torn);
     }
@@ -318,7 +318,8 @@ pub fn replay(doc: &TraceDoc) -> Result<Replay, ReplayError> {
     Ok(r)
 }
 
-/// [`replay`] straight from document text.
+/// Parse `input` as a trace document and replay it into its structural
+/// aggregate.
 pub fn replay_str(input: &str) -> Result<Replay, ReplayError> {
     replay(&read_trace(input))
 }
@@ -357,7 +358,7 @@ pub struct Finding {
     /// Operator slot (operator-level findings).
     pub op: Option<u64>,
     /// Advisor run index (advisor findings).
-    pub advisor_run: Option<usize>,
+    pub(crate) advisor_run: Option<usize>,
     /// Advisor round index (advisor findings).
     pub round: Option<u64>,
     /// Human-readable golden-vs-fresh detail.

@@ -236,7 +236,7 @@ pub struct Claim {
     /// Short identifier, e.g. `fig3-1c-beats-p`.
     pub id: String,
     /// What the paper asserts.
-    pub statement: String,
+    pub(crate) statement: String,
     /// Whether our reproduction observes it.
     pub holds: bool,
     /// Measured evidence.

@@ -20,10 +20,9 @@ use std::sync::Arc;
 
 use args::Args;
 use tab_advisor::{AdvisorInput, Recommender, SystemA, SystemB, SystemC};
-use tab_bench_harness::chaos::{run_chaos_bench, ChaosOptions};
 use tab_bench_harness::converge::{run_convergence, ConvergenceSpec};
+use tab_bench_harness::gate::run_gate;
 use tab_bench_harness::replay::{diff, render_summary, replay_str, report_json, DiffOptions};
-use tab_bench_harness::serve_bench::{run_serve_bench, LoadMode, ServeBenchOptions};
 use tab_core::convergence::{
     convergence_csv_rows, convergence_json, render_convergence_table, CSV_HEADER,
 };
@@ -36,7 +35,7 @@ use tab_engine::{
 use tab_families::{sample_preserving_par, Family};
 use tab_server::{Client, ServeOptions, Server};
 use tab_sqlq::{parse_statement, Statement};
-use tab_storage::{atomic_write, BuiltConfiguration, Database, FaultPlan, Pager};
+use tab_storage::{BuiltConfiguration, Database, FaultPlan, Pager};
 
 const USAGE: &str = "\
 tab — benchmarking framework for configuration recommenders
@@ -69,32 +68,16 @@ USAGE:
                                       ack, replayed on restart (DESIGN.md §15)
   tab client    --addr HOST:PORT \"REQUEST LINE\"
                                       send one wire request, print the response
-  tab bench serve --db SPEC --family NAME [--clients N] [--requests N]
-                [--workload N] [--mode closed|open] [--interarrival-ms MS]
-                [--faults SPEC] [--out DIR]
-                                      serving throughput benchmark: boots a
-                                      server, drives N clients, verifies every
-                                      wire result against a direct session,
-                                      writes BENCH_serve.json +
-                                      serve_requests.csv
-  tab bench chaos --db nref:N [--family NAME] [--inserts N]
-                [--kill-after N] [--drop-at N] [--queries N]
-                [--workload N] [--wal PATH] [--out DIR]
-                                      durability proof: spawns a real
-                                      tab serve --wal child, loses one INSERT
-                                      ack to a drop:conn fault (the retry must
-                                      dedup), kill -9s it mid-load, restarts
-                                      on the same WAL, and proves every acked
-                                      INSERT survived with post-recovery
-                                      queries bit-identical to an
-                                      uninterrupted baseline; writes
-                                      BENCH_chaos.json
+  tab gate                            run every contract check offline
+                                      against the goldens in ci/ and print
+                                      one row per check; exit 1 naming the
+                                      first broken row and file
 
-`tab serve` and `tab bench serve` read --faults (or TAB_FAULTS) for
+`tab serve` reads --faults (or TAB_FAULTS) for
 wire-level chaos: drop:conn:N, torn:wire:N, delay:conn:N, plus the WAL
 sites enospc:wal and panic:wal:append:N (validate with `tab faults`).
 
-All commands accept --threads N (worker threads for grid/workload
+All commands but `gate` accept --threads N (worker threads for grid/workload
 fan-out; 0 or absent = all cores). `explain` and `run` additionally
 accept --query-threads N (intra-query morsel workers; default 1,
 0 = all cores), --morsel-rows N (rows per morsel, default 4096),
@@ -129,6 +112,7 @@ fn main() -> ExitCode {
         "converge" => cmd_converge(&args).map(|()| ExitCode::SUCCESS),
         "serve" => cmd_serve(&args).map(|()| ExitCode::SUCCESS),
         "client" => cmd_client(&args).map(|()| ExitCode::SUCCESS),
+        "gate" => cmd_gate(&args),
         "" | "help" => {
             println!("{USAGE}");
             Ok(ExitCode::SUCCESS)
@@ -513,14 +497,6 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_bench(args: &Args) -> Result<(), String> {
-    // `tab bench serve` is the serving throughput benchmark; everything
-    // else is the classic per-configuration workload bench.
-    if args.positional.first().map(String::as_str) == Some("serve") {
-        return cmd_bench_serve(args);
-    }
-    if args.positional.first().map(String::as_str) == Some("chaos") {
-        return cmd_bench_chaos(args);
-    }
     let (db, label) = load_db(args)?;
     let family = family_of(args.require("family")?)?;
     let p = tab_core::build_p(&db, &label);
@@ -556,9 +532,8 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
 /// `tab serve` — boot the concurrent serving front end over the `p`
 /// and `1c` configurations and block until a wire `SHUTDOWN` arrives.
 /// With `--wal PATH` the engine is durable: the log is replayed before
-/// the listener binds (the recovery line precedes the serving line, a
-/// contract `tab bench chaos` parses), and every insert is fsynced
-/// before its acknowledgement.
+/// the listener binds (the recovery line precedes the serving line),
+/// and every insert is fsynced before its acknowledgement.
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let (db, label) = load_db(args)?;
     let p = tab_core::build_p(&db, &label);
@@ -629,87 +604,24 @@ fn cmd_client(args: &Args) -> Result<(), String> {
     }
 }
 
-/// `tab bench serve` — the serving throughput benchmark (DESIGN.md
-/// §14): boots an in-process server, drives it with the configured
-/// load, verifies every wire result against a direct session, and
-/// writes `BENCH_serve.json` + `serve_requests.csv`.
-fn cmd_bench_serve(args: &Args) -> Result<(), String> {
-    let (db, label) = load_db(args)?;
-    let family = family_of(args.require("family")?)?;
-    let mode = match args.get("mode").unwrap_or("closed") {
-        "closed" => LoadMode::Closed,
-        "open" => LoadMode::Open {
-            interarrival: std::time::Duration::from_millis(
-                args.get_parsed("interarrival-ms")?.unwrap_or(5),
-            ),
-        },
-        other => return Err(format!("unknown mode `{other}` (use closed or open)")),
-    };
-    let defaults = ServeBenchOptions::default();
-    let opts = ServeBenchOptions {
-        clients: args.get_parsed("clients")?.unwrap_or(defaults.clients),
-        requests: args.get_parsed("requests")?.unwrap_or(defaults.requests),
-        workload: args.get_parsed("workload")?.unwrap_or(defaults.workload),
-        mode,
-        timeout_units: args
-            .get_parsed::<f64>("timeout-secs")?
-            .map(|s| s / tab_engine::SIM_SECONDS_PER_UNIT)
-            .unwrap_or(tab_engine::DEFAULT_TIMEOUT_UNITS),
-        par: par_of(args)?,
-        faults: faults_of(args)?,
-    };
-    let report = run_serve_bench(&db, &label, family, &opts)?;
-    let out = std::path::Path::new(args.get("out").unwrap_or("."));
-    let json_path = out.join("BENCH_serve.json");
-    let csv_path = out.join("serve_requests.csv");
-    atomic_write(&json_path, report.json().as_bytes())
-        .map_err(|e| format!("cannot write {}: {e}", json_path.display()))?;
-    atomic_write(&csv_path, report.requests_csv().as_bytes())
-        .map_err(|e| format!("cannot write {}: {e}", csv_path.display()))?;
-    print!("{}", report.render_table());
-    println!(
-        "all {} wire results match the direct session baseline exactly",
-        report.baseline_matches
-    );
-    println!("wrote {} and {}", json_path.display(), csv_path.display());
-    Ok(())
-}
-
-/// `tab bench chaos` — the durability benchmark (DESIGN.md §15): spawn
-/// a real `tab serve --wal` process, SIGKILL it mid-load with a wire
-/// fault armed, restart it, and prove every acknowledged insert
-/// survived and every post-recovery read matches an uninterrupted
-/// baseline bit-for-bit. Writes `BENCH_chaos.json`.
-fn cmd_bench_chaos(args: &Args) -> Result<(), String> {
-    let (db, label) = load_db(args)?;
-    let family = family_of(args.get("family").unwrap_or("NREF2J"))?;
-    let out = std::path::PathBuf::from(args.get("out").unwrap_or("."));
-    let server_bin = std::env::current_exe()
-        .map_err(|e| format!("cannot locate the tab binary for the child server: {e}"))?;
-    let defaults = ChaosOptions::default();
-    let opts = ChaosOptions {
-        server_bin,
-        db_spec: args.require("db")?.to_string(),
-        wal_path: args
-            .get("wal")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| out.join("chaos.wal")),
-        inserts: args.get_parsed("inserts")?.unwrap_or(defaults.inserts),
-        kill_after: args
-            .get_parsed("kill-after")?
-            .unwrap_or(defaults.kill_after),
-        drop_at: args.get_parsed("drop-at")?.unwrap_or(defaults.drop_at),
-        queries: args.get_parsed("queries")?.unwrap_or(defaults.queries),
-        workload: args.get_parsed("workload")?.unwrap_or(defaults.workload),
-        par: par_of(args)?,
-    };
-    let report = run_chaos_bench(&db, &label, family, &opts)?;
-    let json_path = out.join("BENCH_chaos.json");
-    atomic_write(&json_path, report.json().as_bytes())
-        .map_err(|e| format!("cannot write {}: {e}", json_path.display()))?;
-    print!("{}", report.render_table());
-    println!("wrote {}", json_path.display());
-    Ok(())
+/// `tab gate` — run every contract check against the goldens in this
+/// tree's `ci/`, spawning this binary as the server the `kill9` row
+/// kills. Prints one table row per check; a broken row is named with
+/// its file on stderr and the exit code is 1.
+fn cmd_gate(args: &Args) -> Result<ExitCode, String> {
+    if !args.positional.is_empty() || !args.flags.is_empty() {
+        return Err("gate takes no arguments".into());
+    }
+    let ci = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci"));
+    let exe = std::env::current_exe()
+        .map_err(|e| format!("cannot locate the tab binary for the kill9 row: {e}"))?;
+    match run_gate(ci, &exe, &mut std::io::stdout()) {
+        Ok(()) => Ok(ExitCode::SUCCESS),
+        Err(e) => {
+            eprintln!("error: {e}");
+            Ok(ExitCode::FAILURE)
+        }
+    }
 }
 
 /// `tab replay TRACE.jsonl` — reconstruct a traced run's per-cell

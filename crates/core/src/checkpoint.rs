@@ -378,7 +378,9 @@ fn parse_cell(line: &str) -> Option<((String, String), JournaledCell)> {
     let queries = field_u64(line, "queries")? as usize;
     let wall_seconds = f64::from_bits(field_u64(line, "wall_bits")?);
     let encoded = field_str(line, "outcomes")?;
-    let mut outcomes = Vec::with_capacity(queries);
+    // Not sized from `queries`: the count is file input, and the check
+    // below already refuses a line whose count disagrees.
+    let mut outcomes = Vec::new();
     for item in encoded.split(',').filter(|s| !s.is_empty()) {
         let mut parts = item.split(':');
         match parts.next()? {
@@ -544,6 +546,25 @@ mod tests {
         std::fs::write(&path, &text.as_bytes()[..keep]).expect("tear");
         let j = CheckpointJournal::open(&path, "fp", true).expect("resume over torn tail");
         assert_eq!(j.cells(), 1, "only the intact cell survives");
+        assert!(j.lookup("F", "A", 3).is_some());
+        assert!(j.lookup("F", "B", 3).is_none());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn an_absurd_query_count_is_skipped_not_allocated() {
+        let path = tmp("absurd");
+        {
+            let j = CheckpointJournal::open(&path, "fp", false).expect("open");
+            j.record("F", "A", &sample_run(), 1.0, Faults::disabled());
+            j.record("F", "B", &sample_run(), 2.0, Faults::disabled());
+        }
+        let text = std::fs::read_to_string(&path).expect("read");
+        let (good, bad) = text.trim_end().rsplit_once('\n').expect("two cells");
+        let bad = bad.replace("\"queries\":3", "\"queries\":999999999999999999");
+        std::fs::write(&path, format!("{good}\n{bad}\n")).expect("poison");
+        let j = CheckpointJournal::open(&path, "fp", true).expect("resume over the bad line");
+        assert_eq!(j.cells(), 1, "the bad cell re-executes");
         assert!(j.lookup("F", "A", 3).is_some());
         assert!(j.lookup("F", "B", 3).is_none());
         std::fs::remove_file(&path).ok();

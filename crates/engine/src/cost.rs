@@ -98,7 +98,7 @@ pub enum ChargePolicy {
     /// Run the pool for real (frames, evictions, spill I/O, stats) but
     /// charge exactly the modeled page counts, so claims and cost-unit
     /// totals are byte-identical to a poolless run. Used by the golden
-    /// grids and the memory-capped CI smoke job.
+    /// grids and `tab gate`'s `memcap` row.
     Metered,
 }
 

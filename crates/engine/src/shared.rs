@@ -23,7 +23,7 @@
 //! Costs stay deterministic per request: a query's plan, cost units,
 //! and verdict are a pure function of the generation it ran against,
 //! so concurrent serving reproduces single-session results exactly
-//! (the serving smoke test and `tab bench serve` both enforce this).
+//! (`tests/serving.rs` and `tab gate`'s `serve` row both enforce this).
 //! What *is* interleaving-dependent is only which generation a given
 //! request observes when writers are active — see DESIGN.md §14.
 //!

@@ -1,5 +1,5 @@
 //! A blocking `tab-wire-v1` client: one request line out, one response
-//! line back. The load generator and `tab client` are both built on
+//! line back. `tab client` and `tab gate`'s serving rows are built on
 //! this; it is intentionally tiny (a `TcpStream` and a line buffer).
 //!
 //! [`RetryClient`] layers reconnect-and-retry on top: every write is
@@ -15,7 +15,7 @@ use std::time::Duration;
 use crate::proto::Response;
 
 /// A connected client. Requests are strictly serial per client —
-/// concurrency in the benchmark comes from running many clients.
+/// concurrency comes from running many clients.
 #[derive(Debug)]
 pub struct Client {
     writer: TcpStream,
@@ -57,11 +57,6 @@ impl Client {
     /// `QUERY <config> <sql>`.
     pub fn query(&mut self, config: &str, sql: &str) -> Result<Response, String> {
         self.request(&format!("QUERY {config} {sql}"))
-    }
-
-    /// `EXPLAIN <config> <sql>`.
-    pub fn explain(&mut self, config: &str, sql: &str) -> Result<Response, String> {
-        self.request(&format!("EXPLAIN {config} {sql}"))
     }
 
     /// `PING`.
@@ -128,8 +123,8 @@ impl RetryClient {
         }
     }
 
-    /// Point further requests at a new address — how a chaos harness
-    /// follows a killed-and-restarted server to its new port. Sequence
+    /// Point further requests at a new address — how `tab gate`'s
+    /// `kill9` row follows a killed-and-restarted server to its new port. Sequence
     /// numbering continues: the WAL-rebuilt dedup table on the restarted
     /// server still recognizes this client.
     pub fn set_addr(&mut self, addr: impl Into<String>) {
@@ -145,11 +140,6 @@ impl RetryClient {
     /// Connections re-established so far (excluding the first).
     pub fn reconnects(&self) -> u64 {
         self.reconnects
-    }
-
-    /// The sequence number the next [`RetryClient::insert`] will use.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
     }
 
     fn conn(&mut self) -> std::io::Result<&mut Client> {

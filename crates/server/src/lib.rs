@@ -18,11 +18,11 @@
 //!   `EXPLAIN`, `ADVISE`, `PING` with one JSON line per request, turns
 //!   panics into error envelopes, and shuts down gracefully on
 //!   `SHUTDOWN`;
-//! - the load generator behind `tab bench serve` drives [`Client`]s
-//!   against it and byte-compares per-request results with direct
+//! - `tab gate`'s `serve` and `kill9` rows drive [`Client`]s against
+//!   it and compare per-request results with direct
 //!   [`tab_engine::Session`] runs.
 //!
-//! See `DESIGN.md` §14 for the concurrency model and the benchmark's
+//! See `DESIGN.md` §14 for the concurrency model and the serving
 //! determinism contract.
 
 #![deny(missing_docs)]

@@ -5,8 +5,8 @@
 //! worker thread. Every request pins a fresh [`EngineSnapshot`], so a
 //! request sees one whole generation end to end no matter what writers
 //! do meanwhile, and per-request results are exactly those of a direct
-//! [`tab_engine::Session`] over the same generation (the serving smoke
-//! test and `tab bench serve` both verify this equality).
+//! [`tab_engine::Session`] over the same generation (`tests/serving.rs`
+//! and `tab gate`'s `serve` row both verify this equality).
 //!
 //! Robustness contract:
 //!

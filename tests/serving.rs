@@ -11,9 +11,7 @@ use tab_bench::eval::{build_1c, build_p};
 use tab_bench::families::Family;
 use tab_bench::server::{Client, Response, RetryClient, ServeOptions, Server};
 use tab_bench::storage::{Database, FaultPlan};
-use tab_bench_harness::serve_bench::{
-    run_serve_bench, LoadMode, RequestOutcome, ServeBenchOptions,
-};
+use tab_bench_harness::serve_bench::serve_proof;
 
 fn nref(proteins: usize) -> Database {
     generate_nref(NrefParams {
@@ -217,62 +215,24 @@ fn wire_shutdown_is_graceful() {
     }
 }
 
-/// The serving benchmark's committed-baseline contract: per-request
-/// claims are identical at any client count and in either loop shape,
-/// and the report is deterministic apart from its wall-clock lines.
+/// The `serve` gate row's committed-baseline contract: every wire
+/// answer equals a direct session's, and the per-request claims are the
+/// same at one and at four clients, so one file gates both.
 #[test]
 fn serve_bench_claims_are_interleaving_free() {
     let db = nref(400);
-    let base = ServeBenchOptions {
-        clients: 1,
-        requests: 10,
-        workload: 5,
-        mode: LoadMode::Closed,
-        ..ServeBenchOptions::default()
-    };
-    let one = run_serve_bench(&db, "NREF", Family::Nref2J, &base).expect("1 client");
-    let four = run_serve_bench(
-        &db,
-        "NREF",
-        Family::Nref2J,
-        &ServeBenchOptions {
-            clients: 4,
-            ..base.clone()
-        },
-    )
-    .expect("4 clients");
-    let open = run_serve_bench(
-        &db,
-        "NREF",
-        Family::Nref2J,
-        &ServeBenchOptions {
-            clients: 4,
-            mode: LoadMode::Open {
-                interarrival: Duration::from_millis(1),
-            },
-            ..base.clone()
-        },
-    )
-    .expect("open loop");
-    assert_eq!(one.requests_csv(), four.requests_csv());
-    assert_eq!(one.requests_csv(), open.requests_csv());
-    assert_eq!(one.baseline_matches, 10);
-    assert_eq!(four.baseline_matches, 10);
-    assert_eq!(open.baseline_matches, 10);
-    // Full BENCH_serve.json determinism at a fixed client count, minus
-    // the dedicated wall-clock lines.
-    let again = run_serve_bench(&db, "NREF", Family::Nref2J, &base).expect("repeat");
-    let strip = |s: &str| {
-        s.lines()
-            .filter(|l| !l.contains("wall_seconds") && !l.contains("qps"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(strip(&one.json()), strip(&again.json()));
-    // Sanity on the claims themselves.
-    for RequestOutcome { verdict, units, .. } in &one.outcomes {
-        assert!(*verdict == "done" || *verdict == "timeout");
-        assert!(*units > 0.0);
+    let one = serve_proof(&db, 1).expect("1 client");
+    let four = serve_proof(&db, 4).expect("4 clients");
+    assert_eq!(one, four);
+    assert_eq!(one.lines().next(), Some("query,config,verdict,units"));
+    assert_eq!(one.lines().count(), 1 + 32);
+    for line in one.lines().skip(1) {
+        let [_, config, verdict, units] = line.split(',').collect::<Vec<_>>()[..] else {
+            panic!("bad claims line `{line}`");
+        };
+        assert!(config == "p" || config == "1c", "{line}");
+        assert!(verdict == "done" || verdict == "timeout", "{line}");
+        assert!(units.parse::<f64>().expect("units") > 0.0, "{line}");
     }
 }
 
