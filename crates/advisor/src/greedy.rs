@@ -18,8 +18,9 @@ use std::time::Instant;
 
 use tab_engine::stats_view::{HypotheticalStats, StatsView};
 use tab_sqlq::Query;
+use tab_storage::trace::{event, Num};
 use tab_storage::{
-    par_map, BuiltConfiguration, Configuration, Database, Parallelism, Trace, TraceEvent, PAGE_SIZE,
+    par_map, BuiltConfiguration, Configuration, Database, Parallelism, Trace, PAGE_SIZE,
 };
 
 use crate::candidates::Candidate;
@@ -236,12 +237,12 @@ pub fn greedy_select(
     let mut remaining = budget_bytes;
     let mut active: Vec<bool> = vec![true; candidates.len()];
     trace.emit(|| {
-        TraceEvent::new("advisor_begin")
+        event("advisor_begin")
             .str("advisor", name)
             .int("candidates", candidates.len() as u64)
             .int("budget_mib", budget_bytes >> 20)
-            .num("initial_total", initial_total)
-            .num("threshold", threshold)
+            .token("initial_total", Num(initial_total))
+            .token("threshold", Num(threshold))
     });
 
     let mut rounds: Vec<RoundStats> = Vec::new();
@@ -253,7 +254,7 @@ pub fn greedy_select(
         if let Some(budget) = opts.max_whatif_calls {
             if svc.stats().whatif_calls >= budget {
                 trace.emit(|| {
-                    TraceEvent::new("advisor_stop")
+                    event("advisor_stop")
                         .str("advisor", name)
                         .int("round", rounds.len() as u64)
                         .str("reason", "whatif budget exhausted")
@@ -305,15 +306,15 @@ pub fn greedy_select(
                         top = Some((ci, evals[pos].0));
                     }
                 }
-                let ev = TraceEvent::new("advisor_stop")
+                let ev = event("advisor_stop")
                     .str("advisor", name)
                     .int("round", rounds.len() as u64)
-                    .num("threshold", threshold);
+                    .token("threshold", Num(threshold));
                 match top {
                     Some((ci, g)) => ev
                         .int("best_rejected_candidate", ci as u64)
                         .str("best_rejected_desc", &candidate_desc(&candidates[ci]))
-                        .num("best_rejected_gain", g),
+                        .token("best_rejected_gain", Num(g)),
                     None => ev.str("reason", "no live candidates"),
                 }
             });
@@ -351,15 +352,15 @@ pub fn greedy_select(
         });
         if trace.is_enabled() {
             trace.emit(|| {
-                TraceEvent::new("advisor_round")
+                event("advisor_round")
                     .str("advisor", name)
                     .int("round", rounds.len() as u64 - 1)
                     .int("candidate", ci as u64)
                     .str("desc", &candidate_desc(&candidates[ci]))
-                    .num("gain", gain)
-                    .num("density", density)
+                    .token("gain", Num(gain))
+                    .token("density", Num(density))
                     .int("size_bytes", sizes[ci])
-                    .num("objective_after", objective_after)
+                    .token("objective_after", Num(objective_after))
                     .int("whatif_calls", delta.whatif_calls)
                     .int("planner_calls", delta.planner_calls)
                     .int("cache_hits", delta.cache_hits)
@@ -370,10 +371,13 @@ pub fn greedy_select(
     chosen.normalize();
     let w = svc.stats();
     trace.emit(|| {
-        TraceEvent::new("advisor_end")
+        event("advisor_end")
             .str("advisor", name)
             .int("rounds", rounds.len() as u64)
-            .num("objective_final", objective_value(&costs, opts.objective))
+            .token(
+                "objective_final",
+                Num(objective_value(&costs, opts.objective)),
+            )
             .int("whatif_calls", w.whatif_calls)
             .int("planner_calls", w.planner_calls)
             .int("cache_hits", w.cache_hits)

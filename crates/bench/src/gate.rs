@@ -6,7 +6,7 @@
 //! | row | runs | passes when |
 //! |---|---|---|
 //! | `small` | `repro --small --threads 2 --trace` | every file but `timings.json` equals `golden_small/`; claim verdicts agree with `expected_claims_small.csv` |
-//! | `trace` | structural diff of that trace against `golden_trace_small.jsonl`, tolerance 1e-6 | clean; an `IndexScan`→`HashScan` copy fails the diff and a copy missing its last 40 bytes fails `replay` |
+//! | `trace` | structural diff of that trace against `golden_trace_small.jsonl`, tolerance 1e-6, then the two as sorted line multisets | clean and byte-equal up to line order; an `IndexScan`→`HashScan` copy fails the diff and a copy missing its last 40 bytes fails `replay` |
 //! | `threads` | `repro --small --threads 1` | output equals `golden_small/` |
 //! | `memcap` | `--buffer-pages 64 --charge metered` | output equals `golden_small/` except `BENCH_io.json`, which equals `golden_pool64/` |
 //! | `resume` | `--faults panic:cell:NREF3J/NREF_1C`, then `--resume` | the crash is a typed grid error naming the cell with 6 cells journaled; the resumed output equals `golden_small/` and the journal is gone |
@@ -172,7 +172,8 @@ fn small(g: &Gate<'_>) -> Result<(), Broken> {
 fn trace(g: &Gate<'_>) -> Result<(), Broken> {
     let golden_path = g.ci.join("golden_trace_small.jsonl");
     let fresh_path = g.scratch.join("small.trace.jsonl");
-    let golden = replay_str(&read_text(&golden_path)?)
+    let golden_text = read_text(&golden_path)?;
+    let golden = replay_str(&golden_text)
         .map_err(|e| broken(&golden_path, format!("replay refused it: {e}")))?;
     let fresh_text = read_text(&fresh_path)?;
     let tracediff = |text: &str| {
@@ -188,6 +189,26 @@ fn trace(g: &Gate<'_>) -> Result<(), Broken> {
                 "{} structural divergence(s) from {}, first: {first}",
                 findings.len(),
                 fresh_path.display()
+            ),
+        ));
+    }
+    // The diff's tolerance would pass a change in how numbers are
+    // rendered, so the bytes must match too: the same lines, in any
+    // order (parallel workers interleave them).
+    let mut want: Vec<&str> = golden_text.lines().collect();
+    let mut got: Vec<&str> = fresh_text.lines().collect();
+    want.sort_unstable();
+    got.sort_unstable();
+    if want != got {
+        let at = want.iter().zip(&got).take_while(|(a, b)| a == b).count();
+        return Err(broken(
+            &golden_path,
+            format!(
+                "{} has {} lines, the golden {}; sorted, they first differ at line {}",
+                fresh_path.display(),
+                got.len(),
+                want.len(),
+                at + 1
             ),
         ));
     }

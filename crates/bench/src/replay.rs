@@ -29,7 +29,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use tab_storage::trace::json_escape;
+use tab_storage::framed::json_escape;
 use tab_storage::trace_reader::{read_trace, TraceDoc, TraceRecord};
 
 /// One reconstructed operator slot of an executed plan.

@@ -40,10 +40,11 @@
 //! determinism comparisons, but replaying the original measurement
 //! keeps the record honest about where time was actually spent).
 //!
-//! Unparseable lines are skipped on load (a journal written by a
-//! non-atomic writer could have a torn tail after a hard crash); the
-//! worst case is re-executing a cell that was in fact complete, which
-//! is deterministic and therefore harmless.
+//! Lines are written and scanned by `tab_storage::framed`, the codec
+//! every line format shares. Unparseable lines are skipped on load (a
+//! journal written by a non-atomic writer could have a torn tail after
+//! a hard crash); the worst case is re-executing a cell that was in
+//! fact complete, which is deterministic and therefore harmless.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -52,10 +53,14 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use tab_engine::Outcome;
+use tab_storage::framed::{Fields, Line};
 use tab_storage::{atomic_write, Faults, PoolStats};
 
 use crate::grid::CellTiming;
 use crate::measure::WorkloadRun;
+
+/// The schema tag every journal line opens with, byte-for-byte.
+const SCHEMA_PREFIX: &str = "{\"schema\":\"tab-checkpoint-v1\"";
 
 /// Why a journal could not be opened for resume.
 #[derive(Debug)]
@@ -129,12 +134,8 @@ impl CheckpointJournal {
         resume: bool,
     ) -> Result<CheckpointJournal, CheckpointError> {
         let path = path.as_ref().to_path_buf();
-        let header = format!(
-            "{{\"schema\":\"tab-checkpoint-v1\",\"kind\":\"header\",\"fingerprint\":\"{}\"}}",
-            esc(fingerprint)
-        );
         let mut state = JournalState {
-            lines: vec![header],
+            lines: vec![header_line(fingerprint)],
             done: BTreeMap::new(),
             error: None,
         };
@@ -142,7 +143,10 @@ impl CheckpointJournal {
             match std::fs::read_to_string(&path) {
                 Ok(text) => {
                     let mut lines = text.lines();
-                    match lines.next().and_then(|l| field_str(l, "fingerprint")) {
+                    let header = lines
+                        .next()
+                        .and_then(|l| Fields::scan(l, SCHEMA_PREFIX).ok());
+                    match header.and_then(|h| h.str("fingerprint")) {
                         Some(fp) if fp == fingerprint => {}
                         Some(fp) => {
                             return Err(CheckpointError::Mismatch {
@@ -227,53 +231,17 @@ impl CheckpointJournal {
         wall_seconds: f64,
         faults: Faults<'_>,
     ) {
-        let outcomes: Vec<String> = run
-            .outcomes
-            .iter()
-            .map(|o| match o {
-                Outcome::Done { units, rows } => {
-                    format!("d:{}:{}", units.to_bits(), rows)
-                }
-                Outcome::Timeout { budget } => format!("t:{}", budget.to_bits()),
-            })
-            .collect();
-        // Pool traffic rides along only when a pool ran: pool-less
-        // journals stay byte-identical to earlier versions, and older
-        // journals (no `io` field) replay with zeroed stats.
-        let io_field = if run.io.is_zero() {
-            String::new()
-        } else {
-            format!(
-                ",\"io\":\"{},{},{},{},{},{}\"",
-                run.io.hits,
-                run.io.misses_seq,
-                run.io.misses_random,
-                run.io.evictions,
-                run.io.spill_bytes_written,
-                run.io.spill_bytes_read
-            )
+        let cell = JournaledCell {
+            queries: run.outcomes.len(),
+            wall_seconds,
+            outcomes: run.outcomes.clone(),
+            io: run.io,
         };
-        let line = format!(
-            "{{\"schema\":\"tab-checkpoint-v1\",\"kind\":\"cell\",\"family\":\"{}\",\
-             \"config\":\"{}\",\"queries\":{},\"wall_bits\":{},\"outcomes\":\"{}\"{}}}",
-            esc(family),
-            esc(config),
-            run.outcomes.len(),
-            wall_seconds.to_bits(),
-            outcomes.join(","),
-            io_field
-        );
         let mut state = self.state.lock().expect("journal poisoned");
-        state.lines.push(line);
-        state.done.insert(
-            (family.to_string(), config.to_string()),
-            JournaledCell {
-                queries: run.outcomes.len(),
-                wall_seconds,
-                outcomes: run.outcomes.clone(),
-                io: run.io,
-            },
-        );
+        state.lines.push(cell_line(family, config, &cell));
+        state
+            .done
+            .insert((family.to_string(), config.to_string()), cell);
         let doc = state.lines.join("\n") + "\n";
         let result = faults
             .io("checkpoint")
@@ -324,60 +292,59 @@ pub(crate) fn assemble(
     (run, timing)
 }
 
-fn esc(s: &str) -> String {
-    tab_storage::trace::json_escape(s)
+fn header_line(fingerprint: &str) -> String {
+    Line::new(SCHEMA_PREFIX)
+        .str("kind", "header")
+        .str("fingerprint", fingerprint)
+        .finish()
 }
 
-/// Extract a string field's unescaped value from one journal line.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Extract an unsigned integer field from one journal line.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
+/// Render one `kind:cell` line. Floats go in as their `to_bits`
+/// decimal, so a replayed cell is bit-identical.
+fn cell_line(family: &str, config: &str, cell: &JournaledCell) -> String {
+    let outcomes: Vec<String> = (cell.outcomes.iter())
+        .map(|o| match o {
+            Outcome::Done { units, rows } => format!("d:{}:{rows}", units.to_bits()),
+            Outcome::Timeout { budget } => format!("t:{}", budget.to_bits()),
+        })
         .collect();
-    digits.parse().ok()
+    let line = Line::new(SCHEMA_PREFIX)
+        .str("kind", "cell")
+        .str("family", family)
+        .str("config", config)
+        .int("queries", cell.outcomes.len() as u64)
+        .int("wall_bits", cell.wall_seconds.to_bits())
+        .str("outcomes", &outcomes.join(","));
+    // Pool traffic rides along only when a pool ran: pool-less journals
+    // stay byte-identical to earlier versions, and older journals (no
+    // `io` field) replay with zeroed stats.
+    let io = &cell.io;
+    if io.is_zero() {
+        return line.finish();
+    }
+    let io = format!(
+        "{},{},{},{},{},{}",
+        io.hits,
+        io.misses_seq,
+        io.misses_random,
+        io.evictions,
+        io.spill_bytes_written,
+        io.spill_bytes_read
+    );
+    line.str("io", &io).finish()
 }
 
 /// Parse one `kind:cell` line into its key and payload.
 fn parse_cell(line: &str) -> Option<((String, String), JournaledCell)> {
-    if !line.starts_with("{\"schema\":\"tab-checkpoint-v1\"") || !line.contains("\"kind\":\"cell\"")
-    {
+    let f = Fields::scan(line, SCHEMA_PREFIX).ok()?;
+    if f.str("kind")? != "cell" {
         return None;
     }
-    let family = field_str(line, "family")?;
-    let config = field_str(line, "config")?;
-    let queries = field_u64(line, "queries")? as usize;
-    let wall_seconds = f64::from_bits(field_u64(line, "wall_bits")?);
-    let encoded = field_str(line, "outcomes")?;
+    let family = f.str("family")?;
+    let config = f.str("config")?;
+    let queries = f.u64("queries")? as usize;
+    let wall_seconds = f64::from_bits(f.u64("wall_bits")?);
+    let encoded = f.str("outcomes")?;
     // Not sized from `queries`: the count is file input, and the check
     // below already refuses a line whose count disagrees.
     let mut outcomes = Vec::new();
@@ -399,15 +366,16 @@ fn parse_cell(line: &str) -> Option<((String, String), JournaledCell)> {
     }
     // Optional pool-traffic field; absent in pool-less runs and in
     // journals written before the buffer pool existed.
-    let io = match field_str(line, "io") {
+    let io = match f.str("io") {
         None => PoolStats::default(),
         Some(enc) => {
-            let parts: Vec<u64> = enc
+            let n: Vec<u64> = enc
                 .split(',')
                 .map(|p| p.parse().ok())
                 .collect::<Option<_>>()?;
-            let [hits, misses_seq, misses_random, evictions, written, read]: [u64; 6] =
-                parts.try_into().ok()?;
+            let [hits, misses_seq, misses_random, evictions, written, read] = n[..] else {
+                return None;
+            };
             PoolStats {
                 hits,
                 misses_seq,
@@ -577,6 +545,110 @@ mod tests {
         let j = CheckpointJournal::open(&path, "fp", true).expect("open missing");
         assert_eq!(j.cells(), 0);
         j.finish().expect("finish with nothing on disk");
+    }
+
+    /// Every line of the journal fixture an earlier build wrote
+    /// re-renders to the same bytes: the codec moved no byte of
+    /// `tab-checkpoint-v1`.
+    #[test]
+    fn fixture_lines_re_render_byte_identical() {
+        let fixture = include_str!("../../../ci/fixtures/checkpoint_v1.jsonl");
+        let mut lines = fixture.lines();
+        let header = lines.next().expect("a header");
+        let fingerprint = Fields::scan(header, SCHEMA_PREFIX)
+            .ok()
+            .and_then(|f| f.str("fingerprint"))
+            .expect("the header scans");
+        assert_eq!(header_line(&fingerprint), header);
+        for line in lines {
+            let ((family, config), cell) = parse_cell(line).expect("the fixture parses");
+            assert_eq!(cell_line(&family, &config, &cell), line);
+        }
+    }
+
+    /// Seeded cells with adversarial names round-trip through `record`,
+    /// `open(resume)` and `lookup`; damaged or random journals resume to
+    /// a typed error or fewer cells, never a panic. Restoring the old
+    /// scanner rule (a quote ends a string unless the byte before it is
+    /// a backslash) fails the round trip on names ending in `\`.
+    #[test]
+    fn seeded_cells_round_trip_and_damage_never_panics() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let alphabet = [
+            '"', ' ', '\\', ',', ':', '{', '}', '\n', '\t', '\u{1}', 'é', '漢',
+        ];
+        let mut rng = StdRng::seed_from_u64(60);
+        let name = |rng: &mut StdRng| {
+            let mut s: String = (0..rng.random_range(1usize..8))
+                .map(|_| alphabet[rng.random_range(0..alphabet.len())])
+                .collect();
+            if rng.random_bool(0.25) {
+                s.push('\\');
+            }
+            s
+        };
+        let path = tmp("seeded");
+        let fingerprint = name(&mut rng);
+        let mut cells = Vec::new();
+        {
+            let j = CheckpointJournal::open(&path, &fingerprint, false).expect("open");
+            for i in 0..40 {
+                let run = WorkloadRun {
+                    config: String::new(),
+                    outcomes: (0..rng.random_range(0usize..6))
+                        .map(|_| match rng.random_bool(0.7) {
+                            true => Outcome::Done {
+                                units: rng.random::<f64>() * 1e4,
+                                rows: rng.random_range(0u64..1000),
+                            },
+                            false => Outcome::Timeout {
+                                budget: rng.random::<f64>() * 1e5,
+                            },
+                        })
+                        .collect(),
+                    io: PoolStats {
+                        hits: rng.random_range(0u64..3),
+                        ..PoolStats::default()
+                    },
+                };
+                let key = (format!("{i}{}", name(&mut rng)), name(&mut rng));
+                j.record(&key.0, &key.1, &run, rng.random(), Faults::disabled());
+                cells.push((key, run));
+            }
+        }
+        let j = CheckpointJournal::open(&path, &fingerprint, true).expect("resume");
+        assert_eq!(j.cells(), cells.len());
+        for ((family, config), run) in &cells {
+            let (got, _) = j
+                .lookup(family, config, run.outcomes.len())
+                .unwrap_or_else(|| panic!("cell {family:?}/{config:?} did not replay"));
+            assert_eq!(got.outcomes, run.outcomes);
+            assert_eq!(got.io, run.io);
+        }
+
+        let journal = std::fs::read(&path).expect("read");
+        for case in 0..300 {
+            let mut bytes = journal.clone();
+            if rng.random_bool(0.9) {
+                let i = rng.random_range(0..bytes.len());
+                bytes[i] ^= 1 << rng.random_range(0u32..8);
+                if rng.random_bool(0.5) {
+                    bytes.truncate(rng.random_range(0..bytes.len()));
+                }
+            } else {
+                bytes = (0..rng.random_range(0usize..200))
+                    .map(|_| rng.random::<u64>() as u8)
+                    .collect();
+            }
+            std::fs::write(&path, &bytes).expect("write");
+            match CheckpointJournal::open(&path, &fingerprint, true) {
+                Ok(j) => assert!(j.cells() <= cells.len(), "case {case}"),
+                Err(CheckpointError::Io(_) | CheckpointError::Mismatch { .. }) => {}
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

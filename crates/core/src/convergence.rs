@@ -14,7 +14,7 @@
 //! determinism byte-compare.
 
 use tab_advisor::SearchStats;
-use tab_storage::trace::json_escape;
+use tab_storage::framed::json_escape;
 
 /// One accepted round on a convergence curve.
 #[derive(Debug, Clone, Copy, PartialEq)]

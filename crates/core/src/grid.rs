@@ -23,10 +23,11 @@ use std::time::Instant;
 
 use tab_engine::{ChargePolicy, ExecOpts, Outcome, PoolOpts, Session};
 use tab_sqlq::Query;
-use tab_storage::trace::json_escape;
+use tab_storage::framed::json_escape;
+use tab_storage::trace::{event, Num};
 use tab_storage::{
     par_map_catch, BuiltConfiguration, Database, Faults, JobPanic, Pager, Parallelism, PoolStats,
-    Trace, TraceEvent,
+    Trace,
 };
 
 use crate::checkpoint::{self, CheckpointJournal};
@@ -362,21 +363,23 @@ fn run_query(
         let labels = result.plan.op_labels();
         for (op, label) in labels.iter().enumerate() {
             trace.emit(|| {
-                let mut ev = TraceEvent::new("operator")
+                let mut ev = event("operator")
                     .str("family", cell.family)
                     .str("config", config)
                     .int("query", q as u64)
                     .int("op", op as u64)
                     .str("label", label);
                 if let Some(est) = result.plan.op_ests.get(op) {
-                    ev = ev.num("est_cost", est.cost).num("est_rows", est.rows);
+                    ev = ev
+                        .token("est_cost", Num(est.cost))
+                        .token("est_rows", Num(est.rows));
                 }
                 if let Some(act) = result.ops.get(op) {
                     ev = ev
                         .int("rows_in", act.rows_in)
                         .int("rows_out", act.rows_out)
                         .int("probes", act.probes)
-                        .num("units", act.units);
+                        .token("units", Num(act.units));
                     // Pool-mode only: absent fields keep pool-less
                     // traces byte-identical to earlier versions.
                     if act.page_hits + act.page_misses > 0 {
@@ -395,12 +398,12 @@ fn run_query(
                 // lower bound the analysis uses.
                 Outcome::Timeout { budget } => ("timeout", budget),
             };
-            TraceEvent::new("query")
+            event("query")
                 .str("family", cell.family)
                 .str("config", config)
                 .int("query", q as u64)
                 .str("outcome", label)
-                .num("units", units)
+                .token("units", Num(units))
         });
     }
     (result.outcome, t0.elapsed().as_secs_f64(), result.io)

@@ -32,5 +32,5 @@ pub mod proto;
 pub mod server;
 
 pub use client::{Client, RetryClient};
-pub use proto::{parse_request, Request, Response, ResponseBuilder, RESPONSE_PREFIX};
+pub use proto::{parse_request, Request, Response, RESPONSE_PREFIX};
 pub use server::{ServeOptions, Server, ServerCounters};

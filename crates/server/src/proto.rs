@@ -27,10 +27,8 @@
 //! `"reason"`; everything else is permanent.
 //!
 //! A response is exactly one JSON line opening with
-//! [`RESPONSE_PREFIX`], rendered with **no space after the `:` of each
-//! key** — the same discipline as `tab-trace-v1` — so responses parse
-//! with the dependency-free string scanner
-//! [`tab_storage::trace_reader::field`] instead of a JSON library.
+//! [`RESPONSE_PREFIX`], written and scanned by [`tab_storage::framed`],
+//! the codec every line format shares, instead of a JSON library.
 //! Requests never crash the connection: the server wraps dispatch in a
 //! panic guard and answers `{"ok":false,"error":...}` envelopes.
 //!
@@ -40,8 +38,7 @@
 //! exact-equality checks against direct [`tab_engine::Session`] runs
 //! depend on this.
 
-use tab_storage::trace::json_escape;
-use tab_storage::trace_reader::{field, unescape};
+use tab_storage::framed::{Fields, Line};
 
 /// The schema tag every response line opens with, byte-for-byte.
 pub const RESPONSE_PREFIX: &str = "{\"schema\":\"tab-wire-v1\"";
@@ -195,82 +192,38 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-/// Incrementally renders one response line in the `tab-wire-v1` shape.
-/// Field order is insertion order; the builder exists so every call
-/// site keeps the no-space-after-colon discipline the line scanner
-/// relies on.
-#[derive(Debug)]
-pub struct ResponseBuilder {
-    line: String,
+/// Start an `"ok":true` response for `verb`; add fields through the
+/// [`Line`] writer (floats as shortest-roundtrip `{}` tokens, so the
+/// receiver parses back the bit-identical value), then `finish`.
+pub(crate) fn ok(verb: &str) -> Line {
+    Line::new(RESPONSE_PREFIX)
+        .token("ok", true)
+        .str("verb", verb)
 }
 
-impl ResponseBuilder {
-    /// Start an `"ok":true` response for `verb`.
-    pub fn ok(verb: &str) -> Self {
-        let mut line = String::with_capacity(128);
-        line.push_str(RESPONSE_PREFIX);
-        line.push_str(",\"ok\":true,\"verb\":\"");
-        line.push_str(verb);
-        line.push('"');
-        ResponseBuilder { line }
-    }
+/// A complete `"ok":false` error envelope.
+pub(crate) fn error(message: &str) -> String {
+    Line::new(RESPONSE_PREFIX)
+        .token("ok", false)
+        .str("error", message)
+        .finish()
+}
 
-    /// Build a complete `"ok":false` error envelope.
-    pub fn error(message: &str) -> String {
-        format!(
-            "{RESPONSE_PREFIX},\"ok\":false,\"error\":\"{}\"}}",
-            json_escape(message)
-        )
-    }
-
-    /// Build a complete `"ok":false` envelope a client may safely
-    /// retry, tagged with a machine-readable `reason` (for example
-    /// `overloaded`). Retry safety is the server's promise that the
-    /// request was **not** applied.
-    pub fn retryable_error(message: &str, reason: &str) -> String {
-        format!(
-            "{RESPONSE_PREFIX},\"ok\":false,\"retryable\":true,\"reason\":\"{}\",\"error\":\"{}\"}}",
-            json_escape(reason),
-            json_escape(message)
-        )
-    }
-
-    /// Append a string field (JSON-escaped).
-    pub fn str_field(mut self, key: &str, value: &str) -> Self {
-        self.line
-            .push_str(&format!(",\"{key}\":\"{}\"", json_escape(value)));
-        self
-    }
-
-    /// Append an integer field.
-    pub fn int_field(mut self, key: &str, value: u64) -> Self {
-        self.line.push_str(&format!(",\"{key}\":{value}"));
-        self
-    }
-
-    /// Append a float field via shortest-roundtrip `{}` formatting, so
-    /// the receiver can parse back the bit-identical value.
-    pub fn num_field(mut self, key: &str, value: f64) -> Self {
-        self.line.push_str(&format!(",\"{key}\":{value}"));
-        self
-    }
-
-    /// Append a bare JSON boolean field.
-    pub fn bool_field(mut self, key: &str, value: bool) -> Self {
-        self.line.push_str(&format!(",\"{key}\":{value}"));
-        self
-    }
-
-    /// Close the JSON object and return the line (no trailing newline).
-    pub fn finish(mut self) -> String {
-        self.line.push('}');
-        self.line
-    }
+/// A complete `"ok":false` envelope a client may safely retry, tagged
+/// with a machine-readable `reason` (for example `overloaded`). Retry
+/// safety is the server's promise that the request was **not** applied.
+pub(crate) fn retryable_error(message: &str, reason: &str) -> String {
+    Line::new(RESPONSE_PREFIX)
+        .token("ok", false)
+        .token("retryable", true)
+        .str("reason", reason)
+        .str("error", message)
+        .finish()
 }
 
 /// A received response line with typed field access. Thin by design:
 /// it keeps the raw line and scans it per field with
-/// [`tab_storage::trace_reader::field`], so the client needs no JSON
+/// [`tab_storage::framed::Fields`], so the client needs no JSON
 /// dependency and unknown fields from a newer server are ignored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
@@ -279,17 +232,13 @@ pub struct Response {
 
 impl Response {
     /// Accept a received line as a `tab-wire-v1` response, rejecting
-    /// anything that does not open with [`RESPONSE_PREFIX`] or does not
-    /// close its JSON object — a torn half-line from a connection cut
-    /// mid-write must fail parse, not masquerade as a short response.
+    /// anything that does not open with [`RESPONSE_PREFIX`] or is not one
+    /// whole object — a torn half-line from a connection cut mid-write
+    /// must fail parse, not masquerade as a short response.
     pub fn parse(line: &str) -> Result<Response, String> {
         let line = line.trim_end_matches(['\r', '\n']);
-        if !line.starts_with(RESPONSE_PREFIX) {
-            return Err(format!("not a tab-wire-v1 response: `{line}`"));
-        }
-        if !line.ends_with('}') {
-            return Err(format!("torn tab-wire-v1 response: `{line}`"));
-        }
+        Fields::scan(line, RESPONSE_PREFIX)
+            .map_err(|e| format!("not a tab-wire-v1 response ({e}): `{line}`"))?;
         Ok(Response {
             line: line.to_string(),
         })
@@ -300,9 +249,13 @@ impl Response {
         &self.line
     }
 
+    fn fields(&self) -> Option<Fields<'_>> {
+        Fields::scan(&self.line, RESPONSE_PREFIX).ok()
+    }
+
     /// Whether the request succeeded.
     pub fn is_ok(&self) -> bool {
-        field(&self.line, "ok") == Some("true")
+        self.bool_field("ok") == Some(true)
     }
 
     /// The error message of an `"ok":false` envelope.
@@ -313,7 +266,7 @@ impl Response {
     /// Whether this is an `"ok":false` envelope the server marked safe
     /// to retry (the request was not applied).
     pub fn is_retryable(&self) -> bool {
-        !self.is_ok() && field(&self.line, "retryable") == Some("true")
+        !self.is_ok() && self.bool_field("retryable") == Some(true)
     }
 
     /// The machine-readable reason of a retryable envelope, e.g.
@@ -324,26 +277,22 @@ impl Response {
 
     /// A string field, unescaped; `None` if absent.
     pub fn str_field(&self, key: &str) -> Option<String> {
-        field(&self.line, key).map(unescape)
+        self.fields()?.str(key)
     }
 
     /// A float field; `None` if absent or non-numeric.
     pub fn num_field(&self, key: &str) -> Option<f64> {
-        field(&self.line, key)?.parse().ok()
+        self.fields()?.f64(key)
     }
 
     /// An integer field; `None` if absent or non-integral.
     pub fn int_field(&self, key: &str) -> Option<u64> {
-        field(&self.line, key)?.parse().ok()
+        self.fields()?.u64(key)
     }
 
     /// A boolean field; `None` if absent or not `true`/`false`.
     pub fn bool_field(&self, key: &str) -> Option<bool> {
-        match field(&self.line, key) {
-            Some("true") => Some(true),
-            Some("false") => Some(false),
-            _ => None,
-        }
+        self.fields()?.token(key)?.parse().ok()
     }
 }
 
@@ -412,21 +361,19 @@ mod tests {
 
     #[test]
     fn retryable_envelopes_and_torn_lines() {
-        let line = ResponseBuilder::retryable_error("shed: too busy", "overloaded");
+        let line = retryable_error("shed: too busy", "overloaded");
         let r = Response::parse(&line).unwrap();
         assert!(!r.is_ok());
         assert!(r.is_retryable());
         assert_eq!(r.reason().as_deref(), Some("overloaded"));
         assert_eq!(r.error().as_deref(), Some("shed: too busy"));
         // Permanent errors are not retryable.
-        let r = Response::parse(&ResponseBuilder::error("no such table")).unwrap();
+        let r = Response::parse(&error("no such table")).unwrap();
         assert!(!r.is_retryable());
         assert_eq!(r.reason(), None);
         // A torn half-line (connection cut mid-write) fails parse even
         // though it opens with the right prefix.
-        let whole = ResponseBuilder::ok("query")
-            .int_field("generation", 3)
-            .finish();
+        let whole = ok("query").int("generation", 3).finish();
         let torn = &whole[..whole.len() / 2];
         assert!(Response::parse(torn).unwrap_err().contains("torn"));
     }
@@ -446,11 +393,11 @@ mod tests {
 
     #[test]
     fn builder_and_response_round_trip() {
-        let line = ResponseBuilder::ok("query")
-            .int_field("generation", 3)
-            .str_field("verdict", "done")
-            .num_field("units", 0.1 + 0.2)
-            .str_field("plan", "SeqScan(\"t\")")
+        let line = ok("query")
+            .int("generation", 3)
+            .str("verdict", "done")
+            .token("units", 0.1 + 0.2)
+            .str("plan", "SeqScan(\"t\")")
             .finish();
         let r = Response::parse(&line).unwrap();
         assert!(r.is_ok());
@@ -464,7 +411,7 @@ mod tests {
 
     #[test]
     fn error_envelope_parses() {
-        let line = ResponseBuilder::error("no such table `x`");
+        let line = error("no such table `x`");
         let r = Response::parse(&line).unwrap();
         assert!(!r.is_ok());
         assert_eq!(r.error().as_deref(), Some("no such table `x`"));

@@ -43,7 +43,7 @@ use tab_families::{sample_preserving_par, Family};
 use tab_sqlq::{parse_statement, Statement};
 use tab_storage::{FaultPlan, Faults, Parallelism, WireFault};
 
-use crate::proto::{parse_request, Request, ResponseBuilder};
+use crate::proto::{self, parse_request, Request};
 
 /// How the server runs: bind address, database label (for advisor
 /// budgets), per-request budget, and per-connection idle limit.
@@ -236,7 +236,7 @@ fn accept_loop(
                 workers.retain(|h| !h.is_finished());
                 if opts.max_connections > 0 && workers.len() >= opts.max_connections {
                     counters.conns_refused.fetch_add(1, Ordering::Relaxed);
-                    let bye = ResponseBuilder::retryable_error(
+                    let bye = proto::retryable_error(
                         &format!(
                             "connection limit reached ({} live), try again later",
                             workers.len()
@@ -303,7 +303,7 @@ fn serve_connection(
             return Ok(());
         }
         if last_activity.elapsed() > opts.idle_timeout {
-            let bye = ResponseBuilder::error("idle timeout, closing connection");
+            let bye = proto::error("idle timeout, closing connection");
             let _ = send_line(out, bye);
             return Ok(());
         }
@@ -372,7 +372,7 @@ fn handle_line(
 ) -> (String, Control) {
     let request = match parse_request(line) {
         Ok(r) => r,
-        Err(e) => return (ResponseBuilder::error(&e), Control::Continue),
+        Err(e) => return (proto::error(&e), Control::Continue),
     };
     let control = match request {
         Request::Quit => Control::CloseConnection,
@@ -387,7 +387,7 @@ fn handle_line(
             _ => &counters.shed_query,
         }
         .fetch_add(1, Ordering::Relaxed);
-        ResponseBuilder::retryable_error(
+        proto::retryable_error(
             &format!("overloaded: {verb} shed at {inflight} in-flight requests"),
             "overloaded",
         )
@@ -401,7 +401,7 @@ fn handle_line(
                 .map(String::as_str)
                 .or_else(|| panic.downcast_ref::<&str>().copied())
                 .unwrap_or("request panicked");
-            ResponseBuilder::error(&format!("internal error: {msg}"))
+            proto::error(&format!("internal error: {msg}"))
         })
     };
     counters.inflight.fetch_sub(1, Ordering::Relaxed);
@@ -419,14 +419,14 @@ fn dispatch(
         Request::Ping => {
             let snap = engine.snapshot();
             let configs: Vec<&str> = snap.config_names().collect();
-            ResponseBuilder::ok("ping")
-                .int_field("generation", snap.seq())
-                .str_field("configs", &configs.join(","))
+            proto::ok("ping")
+                .int("generation", snap.seq())
+                .str("configs", &configs.join(","))
                 .finish()
         }
         Request::Stats => stats(engine, counters),
-        Request::Quit => ResponseBuilder::ok("bye").finish(),
-        Request::Shutdown => ResponseBuilder::ok("shutdown").finish(),
+        Request::Quit => proto::ok("bye").finish(),
+        Request::Shutdown => proto::ok("shutdown").finish(),
         Request::Query { config, sql } => run_query(engine, opts, config, sql),
         Request::Insert {
             config,
@@ -447,20 +447,20 @@ fn dispatch(
 /// state — how an operator watches shedding, chaos, and recovery.
 fn stats(engine: &SharedEngine, c: &ServerCounters) -> String {
     let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-    ResponseBuilder::ok("stats")
-        .int_field("generation", engine.generation())
-        .bool_field("durable", engine.is_durable())
-        .int_field("recovered", engine.recovered())
-        .int_field("deduped", engine.deduped())
-        .int_field("accepted", load(&c.accepted))
-        .int_field("accept_errors", load(&c.accept_errors))
-        .int_field("conns_refused", load(&c.conns_refused))
-        .int_field("shed_advise", load(&c.shed_advise))
-        .int_field("shed_explain", load(&c.shed_explain))
-        .int_field("shed_query", load(&c.shed_query))
-        .int_field("wire_dropped", load(&c.wire_dropped))
-        .int_field("wire_torn", load(&c.wire_torn))
-        .int_field("wire_delayed", load(&c.wire_delayed))
+    proto::ok("stats")
+        .int("generation", engine.generation())
+        .token("durable", engine.is_durable())
+        .int("recovered", engine.recovered())
+        .int("deduped", engine.deduped())
+        .int("accepted", load(&c.accepted))
+        .int("accept_errors", load(&c.accept_errors))
+        .int("conns_refused", load(&c.conns_refused))
+        .int("shed_advise", load(&c.shed_advise))
+        .int("shed_explain", load(&c.shed_explain))
+        .int("shed_query", load(&c.shed_query))
+        .int("wire_dropped", load(&c.wire_dropped))
+        .int("wire_torn", load(&c.wire_torn))
+        .int("wire_delayed", load(&c.wire_delayed))
         .finish()
 }
 
@@ -471,20 +471,20 @@ fn stats(engine: &SharedEngine, c: &ServerCounters) -> String {
 fn keyed_insert(engine: &SharedEngine, config: &str, client: &str, cseq: u64, sql: &str) -> String {
     let stmt = match parse_statement(sql) {
         Ok(s) => s,
-        Err(e) => return ResponseBuilder::error(&e.to_string()),
+        Err(e) => return proto::error(&e.to_string()),
     };
     let Statement::Insert(ins) = stmt else {
-        return ResponseBuilder::error("the INSERT verb needs an INSERT statement");
+        return proto::error("the INSERT verb needs an INSERT statement");
     };
     match engine.insert_keyed(&ins, config, client, cseq) {
-        Ok(k) => ResponseBuilder::ok("insert")
-            .int_field("generation", k.out.generation)
-            .str_field("verdict", "inserted")
-            .int_field("row_id", u64::from(k.out.row_id))
-            .num_field("units", k.out.units)
-            .bool_field("deduped", k.deduped)
+        Ok(k) => proto::ok("insert")
+            .int("generation", k.out.generation)
+            .str("verdict", "inserted")
+            .int("row_id", u64::from(k.out.row_id))
+            .token("units", k.out.units)
+            .token("deduped", k.deduped)
             .finish(),
-        Err(e) => ResponseBuilder::error(&e.message),
+        Err(e) => proto::error(&e.message),
     }
 }
 
@@ -496,7 +496,7 @@ fn session_or_error<'a>(
 ) -> Result<tab_engine::Session<'a>, String> {
     snap.session(config).ok_or_else(|| {
         let served: Vec<&str> = snap.config_names().collect();
-        ResponseBuilder::error(&format!(
+        proto::error(&format!(
             "no configuration `{config}` (served: {})",
             served.join(", ")
         ))
@@ -509,17 +509,17 @@ fn session_or_error<'a>(
 fn run_query(engine: &SharedEngine, opts: &ServeOptions, config: &str, sql: &str) -> String {
     let stmt = match parse_statement(sql) {
         Ok(s) => s,
-        Err(e) => return ResponseBuilder::error(&e.to_string()),
+        Err(e) => return proto::error(&e.to_string()),
     };
     match stmt {
         Statement::Insert(ins) => match engine.insert(&ins, config) {
-            Ok(out) => ResponseBuilder::ok("insert")
-                .int_field("generation", out.generation)
-                .str_field("verdict", "inserted")
-                .int_field("row_id", u64::from(out.row_id))
-                .num_field("units", out.units)
+            Ok(out) => proto::ok("insert")
+                .int("generation", out.generation)
+                .str("verdict", "inserted")
+                .int("row_id", u64::from(out.row_id))
+                .token("units", out.units)
                 .finish(),
-            Err(e) => ResponseBuilder::error(&e.message),
+            Err(e) => proto::error(&e.message),
         },
         Statement::Query(q) => {
             let snap = engine.snapshot();
@@ -529,22 +529,22 @@ fn run_query(engine: &SharedEngine, opts: &ServeOptions, config: &str, sql: &str
             };
             match session.run(&q, Some(opts.timeout_units)) {
                 Ok(r) => {
-                    let b = ResponseBuilder::ok("query")
-                        .int_field("generation", snap.seq())
-                        .str_field("plan", &r.plan.describe());
+                    let b = proto::ok("query")
+                        .int("generation", snap.seq())
+                        .str("plan", &r.plan.describe());
                     match r.outcome {
                         tab_engine::Outcome::Done { units, rows } => b
-                            .str_field("verdict", "done")
-                            .num_field("units", units)
-                            .int_field("rows", rows)
+                            .str("verdict", "done")
+                            .token("units", units)
+                            .int("rows", rows)
                             .finish(),
                         tab_engine::Outcome::Timeout { budget } => b
-                            .str_field("verdict", "timeout")
-                            .num_field("budget_units", budget)
+                            .str("verdict", "timeout")
+                            .token("budget_units", budget)
                             .finish(),
                     }
                 }
-                Err(e) => ResponseBuilder::error(&e.message),
+                Err(e) => proto::error(&e.message),
             }
         }
     }
@@ -554,7 +554,7 @@ fn run_query(engine: &SharedEngine, opts: &ServeOptions, config: &str, sql: &str
 fn explain_query(engine: &SharedEngine, config: &str, sql: &str) -> String {
     let q = match tab_sqlq::parse(sql) {
         Ok(q) => q,
-        Err(e) => return ResponseBuilder::error(&e.to_string()),
+        Err(e) => return proto::error(&e.to_string()),
     };
     let snap = engine.snapshot();
     let session = match session_or_error(&snap, config) {
@@ -563,16 +563,16 @@ fn explain_query(engine: &SharedEngine, config: &str, sql: &str) -> String {
     };
     let plan = match session.plan_query(&q) {
         Ok(p) => p,
-        Err(e) => return ResponseBuilder::error(&e.message),
+        Err(e) => return proto::error(&e.message),
     };
     let estimate = match session.estimate(&q) {
         Ok(u) => u,
-        Err(e) => return ResponseBuilder::error(&e.message),
+        Err(e) => return proto::error(&e.message),
     };
-    ResponseBuilder::ok("explain")
-        .int_field("generation", snap.seq())
-        .str_field("plan", &plan.describe())
-        .num_field("estimate_units", estimate)
+    proto::ok("explain")
+        .int("generation", snap.seq())
+        .str("plan", &plan.describe())
+        .token("estimate_units", estimate)
         .finish()
 }
 
@@ -587,7 +587,7 @@ fn advise(
     workload: usize,
 ) -> String {
     let Some(family) = Family::parse(family) else {
-        return ResponseBuilder::error(&format!("unknown family `{family}`"));
+        return proto::error(&format!("unknown family `{family}`"));
     };
     let a = SystemA {
         capacity_limit: 4_000,
@@ -596,13 +596,13 @@ fn advise(
         "A" => &a,
         "B" => &SystemB,
         "C" => &SystemC,
-        other => return ResponseBuilder::error(&format!("unknown system `{other}`")),
+        other => return proto::error(&format!("unknown system `{other}`")),
     };
     let snap = engine.snapshot();
     let state = snap.state();
     let all = family.enumerate_with(&state.db, opts.par);
     if all.is_empty() {
-        return ResponseBuilder::error(&format!(
+        return proto::error(&format!(
             "family {} is empty on this database",
             family.name()
         ));
@@ -627,14 +627,14 @@ fn advise(
         trace: tab_core::Trace::disabled(),
     };
     let (cfg, stats) = rec.recommend_with_stats(&input);
-    let b = ResponseBuilder::ok("advise")
-        .int_field("generation", snap.seq())
-        .str_field("family", family.name())
-        .str_field("system", rec.name())
-        .int_field("workload", w.len() as u64)
-        .int_field("whatif_calls", stats.whatif_calls);
+    let b = proto::ok("advise")
+        .int("generation", snap.seq())
+        .str("family", family.name())
+        .str("system", rec.name())
+        .int("workload", w.len() as u64)
+        .int("whatif_calls", stats.whatif_calls);
     match cfg {
-        None => b.str_field("verdict", "no_recommendation").finish(),
+        None => b.str("verdict", "no_recommendation").finish(),
         Some(cfg) => {
             let mut ddl: Vec<String> = cfg
                 .indexes
@@ -649,10 +649,10 @@ fn advise(
                     m.spec.base.join(" JOIN ")
                 )
             }));
-            b.str_field("verdict", "recommended")
-                .int_field("indexes", cfg.indexes.len() as u64)
-                .int_field("mviews", cfg.mviews.len() as u64)
-                .str_field("ddl", &ddl.join("; "))
+            b.str("verdict", "recommended")
+                .int("indexes", cfg.indexes.len() as u64)
+                .int("mviews", cfg.mviews.len() as u64)
+                .str("ddl", &ddl.join("; "))
                 .finish()
         }
     }

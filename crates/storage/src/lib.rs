@@ -19,6 +19,7 @@ pub mod config;
 pub mod csv;
 pub mod db;
 pub mod fault;
+pub mod framed;
 pub mod index;
 pub mod mview;
 pub mod pager;
@@ -49,7 +50,7 @@ pub use schema::{ColType, ColumnDef, ForeignKey, TableSchema};
 pub use snapshot::{GenerationCell, Snapshot};
 pub use stats::{ColumnStats, TableStats};
 pub use table::{Row, RowId, Table, PAGE_SIZE};
-pub use trace::{FileTraceSink, MemoryTraceSink, Trace, TraceEvent, TraceSink};
+pub use trace::{FileTraceSink, MemoryTraceSink, Trace, TraceSink};
 pub use trace_reader::{read_trace, SkippedLine, TraceDoc, TraceRecord};
 pub use value::Value;
 pub use wal::{Wal, WalError, WalRecord, WalRecovery, WAL_SCHEMA_PREFIX};

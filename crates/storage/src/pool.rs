@@ -36,7 +36,7 @@ use std::collections::{HashMap, HashSet};
 use crate::fault::Faults;
 use crate::pager::Pager;
 use crate::table::PAGE_SIZE;
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::{self, Trace};
 
 /// Smallest pool the clock can run with: below this, a single probe's
 /// pinned descent pages could occupy every frame.
@@ -242,7 +242,7 @@ impl<'a> BufferPool<'a> {
             f.dirty |= dirty;
             self.stats.hits += 1;
             self.trace.emit(|| {
-                TraceEvent::new("page")
+                trace::event("page")
                     .str("action", "hit")
                     .int("rel", key.rel)
                     .int("page", key.page)
@@ -282,7 +282,7 @@ impl<'a> BufferPool<'a> {
         self.map.insert(key, slot);
         self.load(key, slot);
         self.trace.emit(|| {
-            TraceEvent::new("page")
+            trace::event("page")
                 .str("action", "miss")
                 .int("rel", key.rel)
                 .int("page", key.page)
@@ -349,7 +349,7 @@ impl<'a> BufferPool<'a> {
             self.stats.evictions += 1;
             self.map.remove(&victim);
             self.trace.emit(|| {
-                TraceEvent::new("page")
+                trace::event("page")
                     .str("action", "evict")
                     .int("rel", victim.rel)
                     .int("page", victim.page)

@@ -7,12 +7,20 @@
 //! trace costs one branch per site and never formats anything:
 //!
 //! ```
-//! use tab_storage::trace::{MemoryTraceSink, Trace, TraceEvent};
+//! use tab_storage::trace::{event, MemoryTraceSink, Num, Trace};
 //!
 //! let sink = MemoryTraceSink::new();
 //! let trace = Trace::to(&sink);
-//! trace.emit(|| TraceEvent::new("query").str("family", "NREF2J").int("rows", 42));
-//! assert!(sink.lines()[0].contains("\"schema\":\"tab-trace-v1\""));
+//! trace.emit(|| {
+//!     event("query")
+//!         .str("family", "NREF2J")
+//!         .int("rows", 42)
+//!         .token("units", Num(1.5))
+//! });
+//! assert_eq!(
+//!     sink.lines()[0],
+//!     r#"{"schema":"tab-trace-v1","event":"query","family":"NREF2J","rows":42,"units":1.500}"#
+//! );
 //!
 //! // Disabled: the closure is never called.
 //! Trace::disabled().emit(|| unreachable!());
@@ -32,7 +40,9 @@
 //! # Event schema (`tab-trace-v1`)
 //!
 //! One JSON object per line, always with `"schema":"tab-trace-v1"` and
-//! an `"event"` tag. The benchmark emits these event kinds:
+//! an `"event"` tag, written through [`crate::framed`], the codec every
+//! line format shares. Numbers are the trace's own [`Num`] rendering.
+//! The benchmark emits these event kinds:
 //!
 //! | event | emitted by | key fields |
 //! |-------|------------|-----------|
@@ -54,6 +64,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::fault::{tmp_path, FaultPlan, TraceFault};
+use crate::framed::Line;
 
 /// A destination for trace lines. Implementations must be cheap to call
 /// and safe to share across the parallel harness's worker threads.
@@ -97,7 +108,7 @@ impl<'a> Trace<'a> {
 
     /// Emit the event built by `build`. The closure runs only when the
     /// trace is enabled, so emission sites pay nothing when disabled.
-    pub fn emit(&self, build: impl FnOnce() -> TraceEvent) {
+    pub fn emit(&self, build: impl FnOnce() -> Line) {
         if let Some(sink) = self.sink {
             sink.emit(&build().finish());
         }
@@ -105,90 +116,37 @@ impl<'a> Trace<'a> {
 
     /// Emit a `span_begin` event for a named harness section.
     pub fn span_begin(&self, span: &str) {
-        self.emit(|| TraceEvent::new("span_begin").str("span", span));
+        self.emit(|| event("span_begin").str("span", span));
     }
 
     /// Emit a `span_end` event closing a named harness section.
     pub fn span_end(&self, span: &str) {
-        self.emit(|| TraceEvent::new("span_end").str("span", span));
+        self.emit(|| event("span_end").str("span", span));
     }
 }
 
-/// Builder for one `tab-trace-v1` JSONL event. Fields are appended in
-/// call order; keys are not deduplicated, so emit each key once.
-#[derive(Debug)]
-pub struct TraceEvent {
-    buf: String,
+/// The schema tag every `tab-trace-v1` line opens with, byte-for-byte.
+pub const SCHEMA_PREFIX: &str = "{\"schema\":\"tab-trace-v1\"";
+
+/// Start a `tab-trace-v1` event line with its `"event"` tag. Add fields
+/// through the [`Line`] writer, numbers as [`Num`] tokens.
+pub fn event(tag: &str) -> Line {
+    Line::new(SCHEMA_PREFIX).str("event", tag)
 }
 
-impl TraceEvent {
-    /// Start an event with the given `"event"` tag.
-    pub fn new(event: &str) -> Self {
-        let mut buf = String::with_capacity(128);
-        buf.push_str("{\"schema\":\"tab-trace-v1\",\"event\":\"");
-        buf.push_str(&json_escape(event));
-        buf.push('"');
-        TraceEvent { buf }
-    }
+/// A trace number: rendered with three decimals, or as `null` when not
+/// finite (a what-if cost can be `inf`) so the line stays valid JSON.
+#[derive(Debug, Clone, Copy)]
+pub struct Num(pub f64);
 
-    fn key(&mut self, key: &str) {
-        self.buf.push(',');
-        self.buf.push('"');
-        self.buf.push_str(&json_escape(key));
-        self.buf.push_str("\":");
-    }
-
-    /// Append a string field.
-    pub fn str(mut self, key: &str, val: &str) -> Self {
-        self.key(key);
-        self.buf.push('"');
-        self.buf.push_str(&json_escape(val));
-        self.buf.push('"');
-        self
-    }
-
-    /// Append an integer field.
-    pub fn int(mut self, key: &str, val: u64) -> Self {
-        self.key(key);
-        self.buf.push_str(&val.to_string());
-        self
-    }
-
-    /// Append a numeric field, rendered with three decimals. Non-finite
-    /// values (a what-if cost can be `inf`) render as `null` to keep the
-    /// line valid JSON.
-    pub fn num(mut self, key: &str, val: f64) -> Self {
-        self.key(key);
-        if val.is_finite() {
-            self.buf.push_str(&format!("{val:.3}"));
+impl fmt::Display for Num {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_finite() {
+            write!(f, "{:.3}", self.0)
         } else {
-            self.buf.push_str("null");
-        }
-        self
-    }
-
-    /// Close the object and return the finished line.
-    pub fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
-    }
-}
-
-/// Escape a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+            f.write_str("null")
         }
     }
-    out
 }
 
 /// A sink appending lines to a file through a buffered writer. Lines
@@ -350,11 +308,11 @@ mod tests {
         let sink = MemoryTraceSink::new();
         let trace = Trace::to(&sink);
         trace.emit(|| {
-            TraceEvent::new("operator")
+            event("operator")
                 .str("label", "SeqScan(\"t\")")
                 .int("rows_out", 7)
-                .num("units", 1.25)
-                .num("bad", f64::INFINITY)
+                .token("units", Num(1.25))
+                .token("bad", Num(f64::INFINITY))
         });
         trace.span_begin("grid");
         trace.span_end("grid");
@@ -372,7 +330,8 @@ mod tests {
 
     #[test]
     fn escape_covers_controls() {
-        assert_eq!(json_escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
+        let line = event("e").str("s", "a\"b\\c\nd\u{1}").finish();
+        assert!(line.ends_with(r#","s":"a\"b\\c\nd\u0001"}"#), "{line}");
     }
 
     #[test]
@@ -402,7 +361,7 @@ mod tests {
         let sink = FileTraceSink::create_with_faults(&path, &plan).expect("create");
         let trace = Trace::to(&sink);
         for i in 0..5 {
-            trace.emit(|| TraceEvent::new("query").int("query", i));
+            trace.emit(|| event("query").int("query", i));
         }
         let err = sink.error().expect("sink records its failure");
         assert!(err.contains("after 2 lines"), "{err}");

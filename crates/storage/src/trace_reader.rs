@@ -8,95 +8,15 @@
 //! [`crate::trace::FileTraceSink`] leaves behind) and skipped malformed
 //! lines, mirroring the checkpoint journal's torn-tail handling.
 //!
-//! The parser is deliberately narrow: it only reads lines produced by
-//! [`crate::trace::TraceEvent`], whose rendering never puts a space
-//! after the `"key":` colon, so scalar fields can be extracted with a
-//! string scan instead of a JSON dependency. Unknown event tags parse
-//! as [`TraceRecord::Other`] so a future schema extension does not turn
-//! old readers into false torn-trace alarms.
+//! Lines are scanned by [`crate::framed`], the codec every line format
+//! shares, so no JSON dependency is needed. Unknown event tags parse as
+//! [`TraceRecord::Other`] so a future schema extension does not turn old
+//! readers into false torn-trace alarms.
 
 use std::fmt;
 
-/// The schema tag every valid trace line opens with, byte-for-byte as
-/// [`crate::trace::TraceEvent::new`] renders it.
-pub const SCHEMA_PREFIX: &str = "{\"schema\":\"tab-trace-v1\"";
-
-/// Extract the raw scalar value of `key` from one flat JSONL event line
-/// (`None` when absent). Handles the string/number/null forms
-/// [`crate::trace::TraceEvent`] emits; not a general JSON parser.
-/// String values are returned still escaped — see [`unescape`].
-pub fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if let Some(s) = rest.strip_prefix('"') {
-        // String value: trace keys never contain escaped quotes, and
-        // label values escape them as \" — scan for the bare quote.
-        let mut prev = b' ';
-        for (i, b) in s.bytes().enumerate() {
-            if b == b'"' && prev != b'\\' {
-                return Some(&s[..i]);
-            }
-            prev = b;
-        }
-        None
-    } else {
-        Some(rest.split([',', '}']).next().unwrap_or(rest).trim())
-    }
-}
-
-/// Reverse [`crate::trace::json_escape`] on a string field value
-/// extracted by [`field`].
-pub fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('"') => out.push('"'),
-            Some('\\') => out.push('\\'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                match u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    Some(u) => out.push(u),
-                    None => {
-                        out.push_str("\\u");
-                        out.push_str(&hex);
-                    }
-                }
-            }
-            Some(other) => {
-                out.push('\\');
-                out.push(other);
-            }
-            None => out.push('\\'),
-        }
-    }
-    out
-}
-
-/// `key` as an owned, unescaped string.
-fn field_string(line: &str, key: &str) -> Option<String> {
-    field(line, key).map(unescape)
-}
-
-/// `key` as an integer.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    field(line, key)?.parse().ok()
-}
-
-/// `key` as a float. Returns `None` both when the field is absent and
-/// when it is `null` (how [`crate::trace::TraceEvent::num`] renders a
-/// non-finite value).
-fn field_f64(line: &str, key: &str) -> Option<f64> {
-    field(line, key)?.parse().ok()
-}
+use crate::framed::Fields;
+use crate::trace::SCHEMA_PREFIX;
 
 /// One parsed `tab-trace-v1` event. Field meanings match the schema
 /// table in [`crate::trace`]; numeric fields that the writer may omit
@@ -296,88 +216,83 @@ impl TraceDoc {
 }
 
 /// Parse one schema-tagged line into a [`TraceRecord`]. Returns
-/// `Err(reason)` for lines that do not carry the schema prefix or lack
-/// the fields their event tag requires.
-pub fn parse_line(line: &str) -> Result<TraceRecord, String> {
-    if !line.starts_with(SCHEMA_PREFIX) {
-        return Err("missing tab-trace-v1 schema tag".into());
-    }
-    if !line.ends_with('}') {
-        return Err("unterminated event object".into());
-    }
-    let event = field(line, "event").ok_or("missing event tag")?;
+/// `Err(reason)` for lines that do not scan as a `tab-trace-v1` object
+/// or lack the fields their event tag requires.
+fn parse_line(line: &str) -> Result<TraceRecord, String> {
+    let f = Fields::scan(line, SCHEMA_PREFIX).map_err(|e| format!("tab-trace-v1 event: {e}"))?;
+    let event = f.str("event").ok_or("missing event tag")?;
     // Per-event required fields; a miss is a malformed line, not a panic.
     macro_rules! req {
-        ($f:ident, $key:literal) => {
-            $f(line, $key).ok_or(concat!("missing field ", $key))?
+        ($get:ident, $key:literal) => {
+            f.$get($key).ok_or(concat!("missing field ", $key))?
         };
     }
-    Ok(match event {
+    Ok(match event.as_str() {
         "span_begin" => TraceRecord::SpanBegin {
-            span: req!(field_string, "span"),
+            span: req!(str, "span"),
         },
         "span_end" => TraceRecord::SpanEnd {
-            span: req!(field_string, "span"),
+            span: req!(str, "span"),
         },
         "query" => TraceRecord::Query {
-            family: req!(field_string, "family"),
-            config: req!(field_string, "config"),
-            query: req!(field_u64, "query"),
-            outcome: req!(field_string, "outcome"),
-            units: field_f64(line, "units"),
+            family: req!(str, "family"),
+            config: req!(str, "config"),
+            query: req!(u64, "query"),
+            outcome: req!(str, "outcome"),
+            units: f.f64("units"),
         },
         "operator" => TraceRecord::Operator {
-            family: req!(field_string, "family"),
-            config: req!(field_string, "config"),
-            query: req!(field_u64, "query"),
-            op: req!(field_u64, "op"),
-            label: req!(field_string, "label"),
-            est_cost: field_f64(line, "est_cost"),
-            est_rows: field_f64(line, "est_rows"),
-            rows_in: field_u64(line, "rows_in"),
-            rows_out: field_u64(line, "rows_out"),
-            probes: field_u64(line, "probes"),
-            units: field_f64(line, "units"),
+            family: req!(str, "family"),
+            config: req!(str, "config"),
+            query: req!(u64, "query"),
+            op: req!(u64, "op"),
+            label: req!(str, "label"),
+            est_cost: f.f64("est_cost"),
+            est_rows: f.f64("est_rows"),
+            rows_in: f.u64("rows_in"),
+            rows_out: f.u64("rows_out"),
+            probes: f.u64("probes"),
+            units: f.f64("units"),
         },
         "advisor_begin" => TraceRecord::AdvisorBegin {
-            advisor: req!(field_string, "advisor"),
-            candidates: req!(field_u64, "candidates"),
-            budget_mib: req!(field_u64, "budget_mib"),
-            initial_total: field_f64(line, "initial_total"),
-            threshold: field_f64(line, "threshold"),
+            advisor: req!(str, "advisor"),
+            candidates: req!(u64, "candidates"),
+            budget_mib: req!(u64, "budget_mib"),
+            initial_total: f.f64("initial_total"),
+            threshold: f.f64("threshold"),
         },
         "advisor_round" => TraceRecord::AdvisorRound {
-            advisor: req!(field_string, "advisor"),
-            round: req!(field_u64, "round"),
-            candidate: req!(field_u64, "candidate"),
-            desc: field_string(line, "desc").unwrap_or_default(),
-            gain: field_f64(line, "gain"),
-            density: field_f64(line, "density"),
-            size_bytes: field_u64(line, "size_bytes").unwrap_or(0),
-            objective_after: field_f64(line, "objective_after"),
-            whatif_calls: field_u64(line, "whatif_calls").unwrap_or(0),
-            planner_calls: field_u64(line, "planner_calls").unwrap_or(0),
-            cache_hits: field_u64(line, "cache_hits").unwrap_or(0),
+            advisor: req!(str, "advisor"),
+            round: req!(u64, "round"),
+            candidate: req!(u64, "candidate"),
+            desc: f.str("desc").unwrap_or_default(),
+            gain: f.f64("gain"),
+            density: f.f64("density"),
+            size_bytes: f.u64("size_bytes").unwrap_or(0),
+            objective_after: f.f64("objective_after"),
+            whatif_calls: f.u64("whatif_calls").unwrap_or(0),
+            planner_calls: f.u64("planner_calls").unwrap_or(0),
+            cache_hits: f.u64("cache_hits").unwrap_or(0),
         },
         "advisor_stop" => TraceRecord::AdvisorStop {
-            advisor: req!(field_string, "advisor"),
-            round: req!(field_u64, "round"),
-            reason: field_string(line, "reason"),
+            advisor: req!(str, "advisor"),
+            round: req!(u64, "round"),
+            reason: f.str("reason"),
         },
         "advisor_end" => TraceRecord::AdvisorEnd {
-            advisor: req!(field_string, "advisor"),
-            rounds: req!(field_u64, "rounds"),
-            objective_final: field_f64(line, "objective_final"),
-            whatif_calls: field_u64(line, "whatif_calls").unwrap_or(0),
-            planner_calls: field_u64(line, "planner_calls").unwrap_or(0),
-            cache_hits: field_u64(line, "cache_hits").unwrap_or(0),
+            advisor: req!(str, "advisor"),
+            rounds: req!(u64, "rounds"),
+            objective_final: f.f64("objective_final"),
+            whatif_calls: f.u64("whatif_calls").unwrap_or(0),
+            planner_calls: f.u64("planner_calls").unwrap_or(0),
+            cache_hits: f.u64("cache_hits").unwrap_or(0),
         },
         "page" => TraceRecord::Page {
-            action: req!(field_string, "action"),
-            rel: req!(field_u64, "rel"),
-            page: req!(field_u64, "page"),
-            frame: req!(field_u64, "frame"),
-            seq: req!(field_u64, "seq"),
+            action: req!(str, "action"),
+            rel: req!(u64, "rel"),
+            page: req!(u64, "page"),
+            frame: req!(u64, "frame"),
+            seq: req!(u64, "seq"),
         },
         other => TraceRecord::Other {
             event: other.to_string(),
@@ -417,24 +332,102 @@ pub fn read_trace(input: &str) -> TraceDoc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{MemoryTraceSink, Trace, TraceEvent};
+    use crate::framed::tests::{arbitrary_string, damage};
+    use crate::trace::{event, MemoryTraceSink, Num, Trace};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn field_extracts_strings_numbers_and_null() {
         let line = r#"{"schema":"tab-trace-v1","event":"operator","family":"NREF2J","label":"SeqScan(\"t\")","units":1.250,"bad":null,"rows_out":7}"#;
-        assert_eq!(field(line, "event"), Some("operator"));
-        assert_eq!(field(line, "family"), Some("NREF2J"));
-        assert_eq!(field(line, "label"), Some(r#"SeqScan(\"t\")"#));
-        assert_eq!(field(line, "units"), Some("1.250"));
-        assert_eq!(field(line, "bad"), Some("null"));
-        assert_eq!(field(line, "rows_out"), Some("7"));
-        assert_eq!(field(line, "missing"), None);
+        let f = Fields::scan(line, SCHEMA_PREFIX).expect("a trace line");
+        assert_eq!(f.str("event").as_deref(), Some("operator"));
+        assert_eq!(f.str("family").as_deref(), Some("NREF2J"));
+        assert_eq!(f.str("label").as_deref(), Some(r#"SeqScan("t")"#));
+        assert_eq!(f.token("units"), Some("1.250"));
+        assert_eq!(f.token("bad"), Some("null"));
+        assert_eq!(f.f64("bad"), None);
+        assert_eq!(f.u64("rows_out"), Some(7));
+        assert_eq!(f.str("missing"), None);
     }
 
     #[test]
     fn unescape_reverses_json_escape() {
-        for s in ["plain", "a\"b\\c", "tab\there\nand\rthere", "ctrl\u{1}x"] {
-            assert_eq!(unescape(&crate::trace::json_escape(s)), s, "{s:?}");
+        for s in [
+            "plain",
+            "a\"b\\c",
+            "tab\there\nand\rthere",
+            "ctrl\u{1}x",
+            "ends in \\",
+            "\\\"",
+        ] {
+            let line = event("span_begin").str("span", s).finish();
+            assert_eq!(
+                parse_line(&line),
+                Ok(TraceRecord::SpanBegin { span: s.into() }),
+                "{line}"
+            );
+        }
+    }
+
+    /// Every string and number a writer puts in an event reads back equal
+    /// (numbers at the trace's three decimals), and damaged or random
+    /// bytes read as records, skipped lines or a torn tail, never a
+    /// panic. Restoring the old scanner rule (a quote ends a string
+    /// unless the byte before it is a backslash) fails the round trip.
+    #[test]
+    fn seeded_events_round_trip_and_damage_never_panics() {
+        let mut rng = StdRng::seed_from_u64(40);
+        let mut text = String::new();
+        for case in 0..500u64 {
+            let (family, config, label) = (
+                arbitrary_string(&mut rng),
+                arbitrary_string(&mut rng),
+                arbitrary_string(&mut rng),
+            );
+            let units = rng.random_range(0u64..1_000_000) as f64 / 1000.0;
+            let line = event("operator")
+                .str("family", &family)
+                .str("config", &config)
+                .int("query", case)
+                .int("op", case % 7)
+                .str("label", &label)
+                .token("est_cost", Num(f64::INFINITY))
+                .token("units", Num(units))
+                .finish();
+            let want = TraceRecord::Operator {
+                family,
+                config,
+                query: case,
+                op: case % 7,
+                label,
+                est_cost: None,
+                est_rows: None,
+                rows_in: None,
+                rows_out: None,
+                probes: None,
+                units: Some(units),
+            };
+            assert_eq!(parse_line(&line), Ok(want), "case {case}: {line}");
+            text.push_str(&line);
+            text.push('\n');
+        }
+        let doc = read_trace(&text);
+        assert_eq!((doc.records.len(), doc.skipped.len()), (500, 0));
+        let lines: Vec<&str> = text.split_inclusive('\n').collect();
+        for _ in 0..2_000 {
+            let bytes = if rng.random_bool(0.8) {
+                let line = lines[rng.random_range(0..lines.len())];
+                damage(&mut rng, line.as_bytes())
+            } else {
+                (0..rng.random_range(0usize..80))
+                    .map(|_| rng.random::<u64>() as u8)
+                    .collect()
+            };
+            let input = String::from_utf8_lossy(&bytes);
+            let doc = read_trace(&input);
+            assert!(doc.records.len() + doc.skipped.len() <= input.lines().count());
+            let _ = doc.damage_report();
         }
     }
 
@@ -444,26 +437,26 @@ mod tests {
         let trace = Trace::to(&sink);
         trace.span_begin("grid");
         trace.emit(|| {
-            TraceEvent::new("operator")
+            event("operator")
                 .str("family", "NREF2J")
                 .str("config", "1C")
                 .int("query", 3)
                 .int("op", 1)
                 .str("label", "IndexScan(\"protein\" cols=[2])")
-                .num("est_cost", 12.5)
-                .num("est_rows", f64::INFINITY)
+                .token("est_cost", Num(12.5))
+                .token("est_rows", Num(f64::INFINITY))
                 .int("rows_in", 0)
                 .int("rows_out", 42)
                 .int("probes", 7)
-                .num("units", 3.25)
+                .token("units", Num(3.25))
         });
         trace.emit(|| {
-            TraceEvent::new("query")
+            event("query")
                 .str("family", "NREF2J")
                 .str("config", "1C")
                 .int("query", 3)
                 .str("outcome", "done")
-                .num("units", 3.5)
+                .token("units", Num(3.5))
         });
         let text = sink.lines().join("\n") + "\n";
         let doc = read_trace(&text);

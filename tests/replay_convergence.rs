@@ -182,12 +182,12 @@ fn truncate_trace_fault_yields_torn_trace_that_replay_refuses() {
     let trace = Trace::to(&sink);
     for i in 0..6 {
         trace.emit(|| {
-            tab_bench::storage::TraceEvent::new("query")
+            tab_bench::storage::trace::event("query")
                 .str("family", "F")
                 .str("config", "P")
                 .int("query", i)
                 .str("outcome", "done")
-                .num("units", 1.0)
+                .token("units", tab_bench::storage::trace::Num(1.0))
         });
     }
     // The sink refuses to publish; the torn bytes stay at the staging

@@ -386,9 +386,154 @@ fn torn_wire_responses_are_detected_and_retried() {
     server.shutdown();
 }
 
+/// Every response shape the server renders, in request order: on a
+/// default server PING, QUERY done, keyed INSERT, its deduped resend,
+/// EXPLAIN, ADVISE, an error envelope and STATS; then, on a server that
+/// times every query out and sheds ADVISE, QUERY timeout and the
+/// retryable envelope.
+fn response_lines() -> Vec<String> {
+    let db = nref(300);
+    let mut lines = Vec::new();
+    let (_engine, mut server) = start_server(&db);
+    let mut c = Client::connect(server.addr()).expect("connect");
+    let insert = format!("INSERT p pin:1 {}", source_insert(99_970));
+    for request in [
+        "PING",
+        "QUERY p SELECT COUNT(*) FROM protein",
+        &insert,
+        &insert,
+        "EXPLAIN p SELECT COUNT(*) FROM protein",
+        "ADVISE NREF2J B 5",
+        "QUERY p SELECT COUNT(*) FROM nosuchtable",
+        "STATS",
+    ] {
+        lines.push(c.request_line(request).expect("a response line"));
+    }
+    server.shutdown();
+    let (_engine, mut server) = start_server_with(
+        &db,
+        ServeOptions {
+            admission: 1,
+            timeout_units: 0.001,
+            ..ServeOptions::default()
+        },
+    );
+    let mut c = Client::connect(server.addr()).expect("connect");
+    for request in ["QUERY p SELECT COUNT(*) FROM protein", "ADVISE NREF2J B 5"] {
+        lines.push(c.request_line(request).expect("a response line"));
+    }
+    server.shutdown();
+    lines
+}
+
+/// The response bytes are a frozen surface (the ledger's own wire client
+/// scans them), so each shape is pinned to the line the server wrote
+/// before responses went through `storage::framed`.
+#[test]
+fn response_bytes_are_pinned() {
+    const PINNED: [&str; 10] = [
+        r#"{"schema":"tab-wire-v1","ok":true,"verb":"ping","generation":0,"configs":"1c,p"}"#,
+        r#"{"schema":"tab-wire-v1","ok":true,"verb":"query","generation":0,"plan":"SeqScan(protein)","verdict":"done","units":2.8005,"rows":1}"#,
+        r#"{"schema":"tab-wire-v1","ok":true,"verb":"insert","generation":1,"verdict":"inserted","row_id":819,"units":4.5,"deduped":false}"#,
+        r#"{"schema":"tab-wire-v1","ok":true,"verb":"insert","generation":1,"verdict":"inserted","row_id":819,"units":4.5,"deduped":true}"#,
+        r#"{"schema":"tab-wire-v1","ok":true,"verb":"explain","generation":1,"plan":"SeqScan(protein)","estimate_units":2.8}"#,
+        r#"{"schema":"tab-wire-v1","ok":true,"verb":"advise","generation":1,"family":"NREF2J","system":"B","workload":5,"whatif_calls":94,"verdict":"recommended","indexes":11,"mviews":0,"ddl":"CREATE INDEX idx_neighboring_seq(2); CREATE INDEX idx_organism(3); CREATE INDEX idx_source(0,2,4,5); CREATE INDEX idx_taxonomy(1); CREATE INDEX idx_taxonomy(3)"}"#,
+        r#"{"schema":"tab-wire-v1","ok":false,"error":"unknown table `nosuchtable`"}"#,
+        r#"{"schema":"tab-wire-v1","ok":true,"verb":"stats","generation":1,"durable":false,"recovered":0,"deduped":1,"accepted":1,"accept_errors":0,"conns_refused":0,"shed_advise":0,"shed_explain":0,"shed_query":0,"wire_dropped":0,"wire_torn":0,"wire_delayed":0}"#,
+        r#"{"schema":"tab-wire-v1","ok":true,"verb":"query","generation":0,"plan":"SeqScan(protein)","verdict":"timeout","budget_units":0.001}"#,
+        r#"{"schema":"tab-wire-v1","ok":false,"retryable":true,"reason":"overloaded","error":"overloaded: advise shed at 1 in-flight requests"}"#,
+    ];
+    let got = response_lines();
+    assert_eq!(got.len(), PINNED.len());
+    for (got, want) in got.iter().zip(PINNED) {
+        assert_eq!(got, want);
+        Response::parse(got).expect("a pinned line parses");
+    }
+}
+
+/// Seeded responses written through the codec the server renders with
+/// read back equal through every `Response` accessor, and damaged or
+/// random bytes parse to a response or a typed error, never a panic.
+/// Restoring the old scanner rule (a quote ends a string unless the byte
+/// before it is a backslash) fails the round trip on strings ending in
+/// `\`.
+#[test]
+fn wire_responses_round_trip_and_damage_never_panics() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use tab_bench::server::RESPONSE_PREFIX;
+    use tab_bench::storage::framed::Line;
+
+    let alphabet = [
+        '"', ' ', '\\', ',', ':', '{', '}', '\n', '\t', '\u{1}', 'é', '漢',
+    ];
+    let text = |rng: &mut StdRng| {
+        let mut s: String = (0..rng.random_range(0usize..10))
+            .map(|_| alphabet[rng.random_range(0..alphabet.len())])
+            .collect();
+        if rng.random_bool(0.25) {
+            s.push('\\');
+        }
+        s
+    };
+    let mut rng = StdRng::seed_from_u64(70);
+    let mut lines = Vec::new();
+    for case in 0..1_000 {
+        let (verb, plan, error) = (text(&mut rng), text(&mut rng), text(&mut rng));
+        let generation: u64 = rng.random();
+        let units = f64::from_bits(rng.random::<u64>() >> 2);
+        let deduped = rng.random_bool(0.5);
+        let line = Line::new(RESPONSE_PREFIX)
+            .token("ok", true)
+            .str("verb", &verb)
+            .int("generation", generation)
+            .str("plan", &plan)
+            .token("units", units)
+            .token("deduped", deduped)
+            .str("error", &error)
+            .finish();
+        let r = Response::parse(&line).unwrap_or_else(|e| panic!("case {case}: {e}"));
+        assert!(r.is_ok() && !r.is_retryable(), "case {case}: {line}");
+        assert_eq!(r.str_field("verb"), Some(verb), "case {case}: {line}");
+        assert_eq!(r.int_field("generation"), Some(generation), "case {case}");
+        assert_eq!(r.str_field("plan"), Some(plan), "case {case}: {line}");
+        assert_eq!(
+            r.num_field("units").map(f64::to_bits),
+            Some(units.to_bits())
+        );
+        assert_eq!(r.bool_field("deduped"), Some(deduped), "case {case}");
+        assert_eq!(r.error(), Some(error), "case {case}: {line}");
+        lines.push(line);
+    }
+    for _ in 0..5_000 {
+        let mut bytes = lines[rng.random_range(0..lines.len())].clone().into_bytes();
+        if rng.random_bool(0.9) {
+            let i = rng.random_range(0..bytes.len());
+            bytes[i] ^= 1 << rng.random_range(0u32..8);
+            if rng.random_bool(0.5) {
+                bytes.truncate(rng.random_range(0..bytes.len()));
+            }
+        } else {
+            bytes = (0..rng.random_range(0usize..100))
+                .map(|_| rng.random::<u64>() as u8)
+                .collect();
+        }
+        if let Ok(r) = Response::parse(&String::from_utf8_lossy(&bytes)) {
+            let _ = (r.is_ok(), r.is_retryable(), r.reason(), r.error());
+            let _ = (
+                r.int_field("generation"),
+                r.num_field("units"),
+                r.str_field("plan"),
+            );
+        }
+    }
+}
+
 /// Served inserts written through a WAL survive the server: a fresh
 /// engine recovering from the log reports the same generation and sees
-/// every acknowledged row.
+/// every acknowledged row — including a last row whose string ends in a
+/// backslash, which an escape-blind field scanner once read as a torn
+/// tail and truncated away.
 #[test]
 fn wal_recovery_restores_served_inserts() {
     let db = nref(300);
@@ -407,10 +552,13 @@ fn wal_recovery_restores_served_inserts() {
             .expect("insert");
         assert!(r.is_ok(), "{:?}", r.error());
     }
+    let backslash = r"INSERT INTO source VALUES (99983, 1, 562, 'T99983', 'test protein', 'db\')";
+    let r = client.insert("p", backslash).expect("insert");
+    assert!(r.is_ok(), "{:?}", r.error());
     server.shutdown();
     let (recovered, report) =
         SharedEngine::with_wal(state_of(&db), &wal, None).expect("recovery succeeds");
-    assert_eq!(report.replayed, 3);
+    assert_eq!(report.replayed, 4);
     assert!(!report.torn_tail);
     assert_eq!(recovered.generation(), engine.generation());
     let q = tab_bench::sqlq::parse("SELECT COUNT(*) FROM source").expect("parse");
@@ -422,5 +570,27 @@ fn wal_recovery_restores_served_inserts() {
             .expect("int")
     };
     assert_eq!(count(&recovered), count(&engine));
+
+    // Restart on the same WAL: the server reports the record recovered
+    // and reads the row back.
+    let mut server =
+        Server::start(Arc::new(recovered), ServeOptions::default()).expect("server reboots");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.int_field("recovered"), Some(4), "{}", stats.line());
+    let read = client
+        .query(
+            "p",
+            r"SELECT s.nref_id, s.source FROM source s WHERE s.source = 'db\'",
+        )
+        .expect("read-back");
+    assert_eq!(
+        read.str_field("verdict").as_deref(),
+        Some("done"),
+        "{}",
+        read.line()
+    );
+    assert_eq!(read.int_field("rows"), Some(1), "{}", read.line());
+    server.shutdown();
     let _ = std::fs::remove_file(&wal);
 }
