@@ -11,34 +11,34 @@
 //! 3. `p90`: percentile objective (the paper's CFC-style goal).
 //!
 //! ```sh
-//! cargo run --release -p tab-bench-harness --bin ablation
+//! cargo run --release -p tab-bench-harness --bin ablation -- [--small] [--threads N]
 //! ```
 
 use tab_advisor::{generate_candidates, greedy_select, CandidateStyle, GreedyOptions, Objective};
 use tab_core::{
-    build_1c, build_p, prepare_workload, run_workload, space_budget, Suite, SuiteParams,
+    build_1c, build_p, prepare_workload, run_workload, space_budget, Accepts, Args, BenchSpec,
+    Suite,
 };
 use tab_families::Family;
 use tab_storage::{BuiltConfiguration, Parallelism, Trace};
 
+/// `--small` picks the small preset; `--threads N` sets the advisor
+/// fan-out width (0 = all cores), and the recommendations are identical
+/// at any setting.
+const FLAGS: Accepts = Accepts {
+    switches: &["small"],
+    options: &["threads"],
+    positional: false,
+};
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let small = args.iter().any(|a| a == "--small");
-    // `--threads N` sets the advisor fan-out width (0 = all cores); the
-    // recommendations are identical at any setting.
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--threads takes a number"))
-        .unwrap_or(0usize);
-    let params = if small {
-        SuiteParams::small()
-    } else {
-        SuiteParams::default()
-    }
-    .with_threads(threads);
-    let suite = Suite::build(params);
+    let spec = Args::parse(std::env::args().skip(1), &FLAGS)
+        .and_then(|args| BenchSpec::from_args(&args))
+        .unwrap_or_else(|e| {
+            eprintln!("ablation: {e}\nusage: ablation [--small] [--threads N]");
+            std::process::exit(2);
+        });
+    let suite = Suite::build(spec);
     let db = &suite.nref;
     let p = build_p(db, "NREF");
     let c1 = build_1c(db, "NREF");
@@ -47,8 +47,8 @@ fn main() {
     let cands = generate_candidates(db, &w, CandidateStyle::Covering);
 
     let seq = Parallelism::sequential();
-    let run_p = run_workload(db, &p, &w, params.timeout_units, seq);
-    let run_1c = run_workload(db, &c1, &w, params.timeout_units, seq);
+    let run_p = run_workload(db, &p, &w, spec.timeout_units, seq);
+    let run_1c = run_workload(db, &c1, &w, spec.timeout_units, seq);
     println!(
         "{:<22} total_lb(s) {:>9.0}  timeouts {:>3}",
         "P",
@@ -63,7 +63,7 @@ fn main() {
     );
 
     let base = GreedyOptions {
-        par: params.par,
+        par: spec.threads,
         ..GreedyOptions::default()
     };
     let variants: [(&str, GreedyOptions); 3] = [
@@ -96,7 +96,7 @@ fn main() {
         );
         let n_idx = cfg.indexes.len();
         let built = BuiltConfiguration::build(cfg, db);
-        let run = run_workload(db, &built, &w, params.timeout_units, seq);
+        let run = run_workload(db, &built, &w, spec.timeout_units, seq);
         println!(
             "{:<22} total_lb(s) {:>9.0}  timeouts {:>3}  indexes {:>2}               whatif {:>6} (planner {:>6}, {:>3.0}% cached, {:.2}s)",
             name,

@@ -23,7 +23,7 @@
 //! - `--trace FILE`   write a `tab-trace-v1` JSONL trace of every grid
 //!   query (per-operator estimates vs. actuals) and advisor round;
 //!   observational only — all outputs are byte-identical without it.
-//!   Summarize with `cargo run -p tab-bench-harness --bin trace_summary`.
+//!   Summarize with `tab replay FILE`.
 //! - `--faults SPEC`  arm a deterministic fault plan (also read from
 //!   `TAB_FAULTS` when the flag is absent). Arms are comma-separated:
 //!   `enospc:<file>[:N]` fails the Nth write of a named artifact,
@@ -45,11 +45,12 @@
 
 use std::process::ExitCode;
 
-use tab_bench_harness::repro::{run_all, ReproConfig};
-use tab_core::FaultPlan;
-use tab_engine::ChargePolicy;
+use tab_bench_harness::repro::{run_all, ReproConfig, REPRO_FLAGS};
+use tab_core::Args;
 
-fn usage() -> ! {
+/// Name the usage error and exit 2 with the one-line usage.
+fn usage(error: &str) -> ! {
+    eprintln!("repro: {error}");
     eprintln!(
         "usage: repro [--small] [--threads N] [--query-threads N] [--morsel-rows N] \
          [--buffer-pages N] [--charge observed|metered] \
@@ -59,105 +60,18 @@ fn usage() -> ! {
 }
 
 fn main() -> ExitCode {
-    let mut small = false;
-    let mut check = false;
-    let mut resume = false;
-    let mut threads: usize = 0;
-    let mut query_threads: Option<usize> = None;
-    let mut morsel_rows: Option<usize> = None;
-    let mut buffer_pages: Option<usize> = None;
-    let mut charge: Option<ChargePolicy> = None;
-    let mut out: Option<String> = None;
-    let mut expect: Option<String> = None;
-    let mut trace: Option<String> = None;
-    let mut faults: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--small" => small = true,
-            "--check" => check = true,
-            "--resume" => resume = true,
-            "--threads" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                threads = v.parse().unwrap_or_else(|_| usage());
-            }
-            "--query-threads" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                query_threads = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            "--morsel-rows" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                let n: usize = v.parse().unwrap_or_else(|_| usage());
-                if n == 0 {
-                    usage();
-                }
-                morsel_rows = Some(n);
-            }
-            "--buffer-pages" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                buffer_pages = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            "--charge" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                charge = Some(ChargePolicy::parse(&v).unwrap_or_else(|e| {
-                    eprintln!("--charge: {e}");
-                    std::process::exit(2);
-                }));
-            }
-            "--out" => out = Some(args.next().unwrap_or_else(|| usage())),
-            "--expect" => {
-                expect = Some(args.next().unwrap_or_else(|| usage()));
-                check = true;
-            }
-            "--trace" => trace = Some(args.next().unwrap_or_else(|| usage())),
-            "--faults" => faults = Some(args.next().unwrap_or_else(|| usage())),
-            _ => usage(),
-        }
-    }
-
-    let mut cfg = if small {
-        ReproConfig::small()
-    } else {
-        ReproConfig::full()
-    }
-    .with_threads(threads);
-    if let Some(n) = query_threads {
-        cfg.params = cfg.params.with_query_threads(n);
-    }
-    if let Some(n) = morsel_rows {
-        cfg.params = cfg.params.with_morsel_rows(n);
-    }
-    if let Some(n) = buffer_pages {
-        cfg.params = cfg.params.with_buffer_pages(n);
-    }
-    if let Some(c) = charge {
-        cfg.params = cfg.params.with_charge(c);
-    }
-    if let Some(dir) = out {
-        cfg.out_dir = dir.into();
-    }
-    if let Some(path) = trace {
-        cfg = cfg.with_trace(path.into());
-    }
-    if resume {
-        cfg = cfg.with_resume();
-    }
-    // Flag wins over the environment, so a plan baked into a CI job can
-    // be overridden per invocation.
-    let spec = faults.or_else(|| std::env::var("TAB_FAULTS").ok().filter(|s| !s.is_empty()));
-    if let Some(spec) = spec {
-        match FaultPlan::parse(&spec) {
-            Ok(plan) => cfg = cfg.with_faults(plan),
-            Err(e) => {
-                eprintln!("--faults: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
+    let args = Args::parse(std::env::args().skip(1), &REPRO_FLAGS).unwrap_or_else(|e| usage(&e));
+    let cfg = ReproConfig::from_args(&args).unwrap_or_else(|e| usage(&e));
+    let expect = args.get("expect");
+    let check = args.switch("check") || expect.is_some();
     eprintln!(
         "tab-bench reproduction ({} scale, {} threads) -> {}",
-        if small { "small" } else { "full" },
-        cfg.params.par.threads(),
+        if args.switch("small") {
+            "small"
+        } else {
+            "full"
+        },
+        cfg.spec.threads.threads(),
         cfg.out_dir.display()
     );
     let summary = match run_all(&cfg) {
@@ -182,7 +96,7 @@ fn main() -> ExitCode {
         );
     }
     if check {
-        match &expect {
+        match expect {
             Some(path) => {
                 let baseline = std::fs::read_to_string(path).unwrap_or_else(|e| {
                     eprintln!("--expect: cannot read {path}: {e}");

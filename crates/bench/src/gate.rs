@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::Instant;
 
-use tab_core::{build_1c, build_p, FaultPlan, Parallelism};
+use tab_core::{build_1c, build_p, BenchSpec, FaultPlan, Parallelism};
 use tab_datagen::{generate_nref, NrefParams};
 use tab_engine::{ChargePolicy, EngineState, Outcome, Session, SharedEngine, SharedInsert};
 use tab_families::{sample_preserving_par, Family};
@@ -134,9 +134,16 @@ pub fn run_gate(ci: &Path, server_bin: &Path, out: &mut dyn Write) -> Result<(),
 
 /// `repro --small` at `threads` into `<scratch>/<dir>`.
 fn small_config(g: &Gate<'_>, dir: &str, threads: usize) -> ReproConfig {
-    let mut cfg = ReproConfig::small().with_threads(threads);
-    cfg.out_dir = g.scratch.join(dir);
-    cfg
+    ReproConfig {
+        spec: BenchSpec {
+            threads: Parallelism::new(threads),
+            ..BenchSpec::small()
+        },
+        out_dir: g.scratch.join(dir),
+        trace: None,
+        faults: None,
+        resume: false,
+    }
 }
 
 fn run(cfg: &ReproConfig) -> Result<ReproSummary, Broken> {
@@ -144,7 +151,10 @@ fn run(cfg: &ReproConfig) -> Result<ReproSummary, Broken> {
 }
 
 fn small(g: &Gate<'_>) -> Result<(), Broken> {
-    let cfg = small_config(g, "small", 2).with_trace(g.scratch.join("small.trace.jsonl"));
+    let cfg = ReproConfig {
+        trace: Some(g.scratch.join("small.trace.jsonl")),
+        ..small_config(g, "small", 2)
+    };
     let summary = run(&cfg)?;
     same_as_golden(&cfg.out_dir, &g.ci.join("golden_small"), &[])?;
     // The ledger reads `repro --expect`'s baseline; keep it in step with
@@ -242,10 +252,8 @@ fn threads(g: &Gate<'_>) -> Result<(), Broken> {
 
 fn memcap(g: &Gate<'_>) -> Result<(), Broken> {
     let mut cfg = small_config(g, "pool64", 2);
-    cfg.params = cfg
-        .params
-        .with_buffer_pages(64)
-        .with_charge(ChargePolicy::Metered);
+    cfg.spec.buffer_pages = 64;
+    cfg.spec.charge = ChargePolicy::Metered;
     run(&cfg)?;
     same_as_golden(&cfg.out_dir, &g.ci.join("golden_small"), &["BENCH_io.json"])?;
     same_file(
@@ -255,8 +263,10 @@ fn memcap(g: &Gate<'_>) -> Result<(), Broken> {
 }
 
 fn resume(g: &Gate<'_>) -> Result<(), Broken> {
-    let mut cfg = small_config(g, "resume", 2)
-        .with_faults(FaultPlan::parse("panic:cell:NREF3J/NREF_1C").expect("valid fault spec"));
+    let mut cfg = ReproConfig {
+        faults: Some(FaultPlan::parse("panic:cell:NREF3J/NREF_1C").expect("valid fault spec")),
+        ..small_config(g, "resume", 2)
+    };
     let journal = cfg.out_dir.join("repro.checkpoint.jsonl");
     match run_all(&cfg) {
         Err(ReproError::Grid { message }) if message.contains("NREF3J/NREF_1C") => {}

@@ -14,4 +14,3 @@ pub mod gate;
 pub mod replay;
 pub mod repro;
 pub mod serve_bench;
-pub mod trace_summary;

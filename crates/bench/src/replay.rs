@@ -804,8 +804,20 @@ pub fn report_json(
     out
 }
 
-/// Render a human-readable replay summary: per-cell totals and advisor
-/// runs — what `tab replay` prints.
+/// The operator kind of a label: its leading alphanumeric run, so
+/// `IndexScan(protein cols=[2])` and `IndexScan(source ...)` aggregate
+/// together as `IndexScan`.
+fn op_kind(label: &str) -> &str {
+    let end = label
+        .find(|c: char| !c.is_ascii_alphanumeric())
+        .unwrap_or(label.len());
+    &label[..end]
+}
+
+/// Render a human-readable replay summary — what `tab replay` prints:
+/// per-cell totals; per (family, config, operator kind) the instance
+/// count and summed units, output rows and probes, the evidence a
+/// divergence post-mortem reads; then the advisor runs.
 pub fn render_summary(r: &Replay) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -814,6 +826,10 @@ pub fn render_summary(r: &Replay) -> String {
         "{:<10} {:<14} {:>7} {:>8} {:>7} {:>14}",
         "family", "config", "queries", "timeouts", "ops", "units"
     );
+    // (count, units, rows_out, probes); an operator past a timeout
+    // cutoff counts but adds no actuals.
+    type Totals = (u64, f64, u64, u64);
+    let mut kinds: BTreeMap<(&str, &str, &str), Totals> = BTreeMap::new();
     for ((family, config), cell) in &r.cells {
         let ops: usize = cell.queries.values().map(|q| q.ops.len()).sum();
         let _ = writeln!(
@@ -823,6 +839,29 @@ pub fn render_summary(r: &Replay) -> String {
             cell.timeouts(),
             cell.units()
         );
+        for op in cell.queries.values().flat_map(|q| q.ops.values()) {
+            let k = kinds
+                .entry((family, config, op_kind(&op.label)))
+                .or_default();
+            k.0 += 1;
+            k.1 += op.units.unwrap_or(0.0);
+            k.2 += op.rows_out.unwrap_or(0);
+            k.3 += op.probes.unwrap_or(0);
+        }
+    }
+    if !kinds.is_empty() {
+        let _ = writeln!(out);
+        let _ = writeln!(
+            out,
+            "{:<10} {:<14} {:<14} {:>7} {:>14} {:>12} {:>10}",
+            "family", "config", "operator", "count", "units", "rows_out", "probes"
+        );
+        for ((family, config, kind), (count, units, rows_out, probes)) in &kinds {
+            let _ = writeln!(
+                out,
+                "{family:<10} {config:<14} {kind:<14} {count:>7} {units:>14.3} {rows_out:>12} {probes:>10}"
+            );
+        }
     }
     if !r.advisor_runs.is_empty() {
         let _ = writeln!(out);
@@ -891,6 +930,38 @@ mod tests {
         assert_eq!(run.rounds[0].candidate, 2);
         assert_eq!(run.objective_final, Some(60.0));
         assert_eq!(r.spans["NREF"], (1, 0));
+    }
+
+    /// Operators fold by (family, config, kind) — two P `SeqScan`s into
+    /// one row — and a malformed line is reported, not dropped silently.
+    #[test]
+    fn summary_aggregates_operators_by_kind() {
+        let trace = sample_trace()
+            + concat!(
+                r#"{"schema":"tab-trace-v1","event":"operator","family":"F","config":"P","query":1,"op":0,"label":"SeqScan(u)","est_cost":1.000,"est_rows":1.000,"rows_in":0,"rows_out":3,"probes":2,"units":0.750}"#,
+                "\n",
+                r#"{"schema":"tab-trace-v1","event":"query","family":"F","config":"P","query":1,"outcome":"timeout","units":500.000}"#,
+                "\n",
+                "garbage line\n",
+            );
+        let s = render_summary(&replay_str(&trace).expect("replay"));
+        let row = |kind: &str| {
+            s.lines()
+                .find(|l| l.split_whitespace().nth(2) == Some(kind))
+                .unwrap_or_else(|| panic!("no {kind} row:\n{s}"))
+                .split_whitespace()
+                .skip(3)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(row("SeqScan"), ["2", "5.000", "8", "2"], "{s}");
+        assert_eq!(row("FreqSetup"), ["1", "0.000", "0", "0"], "{s}");
+        let cell = s.lines().nth(1).expect("cell row");
+        assert_eq!(
+            cell.split_whitespace().collect::<Vec<_>>(),
+            ["F", "P", "2", "1", "3", "504.250"],
+            "{s}"
+        );
+        assert!(s.contains("skipped 1 malformed line(s)"), "{s}");
     }
 
     #[test]

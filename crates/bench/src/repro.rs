@@ -21,9 +21,9 @@ use tab_core::report::{
 use tab_core::{
     build_1c_par, build_p, estimate_workload, estimate_workload_hypothetical, improvement_ratios,
     insertion_breakeven, io_bench_json, prepare_workload_db_with, run_grid, space_budget,
-    table1_row, timings_json, CellTiming, Cfc, CheckpointError, CheckpointJournal, FaultPlan,
-    Faults, FileTraceSink, Goal, GridCell, GridError, IoBenchCell, LogHistogram, RatioHistogram,
-    SuiteParams, Trace, WorkloadRun,
+    table1_row, timings_json, Accepts, Args, BenchSpec, CellTiming, Cfc, CheckpointError,
+    CheckpointJournal, FaultPlan, Faults, FileTraceSink, Goal, GridCell, GridError, IoBenchCell,
+    LogHistogram, RatioHistogram, Trace, WorkloadRun,
 };
 use tab_datagen::{
     generate_nref_checked, generate_tpch_checked, Distribution, NrefParams, TpchParams,
@@ -32,10 +32,28 @@ use tab_families::Family;
 use tab_sqlq::Query;
 use tab_storage::{BuiltConfiguration, Configuration, Database, Pager};
 
-/// Configuration of a reproduction run.
+/// The flags `repro` reads: the spec's (see [`BenchSpec::from_args`])
+/// and the operational ones, which never change an output byte.
+pub const REPRO_FLAGS: Accepts = Accepts {
+    switches: &["small", "check", "resume"],
+    options: &[
+        "threads",
+        "query-threads",
+        "morsel-rows",
+        "buffer-pages",
+        "charge",
+        "expect",
+        "out",
+        "trace",
+        "faults",
+    ],
+    positional: false,
+};
+
+/// A reproduction run: the spec it measures and where and how it runs.
 pub struct ReproConfig {
-    /// Suite scales, seeds, and parallelism.
-    pub params: SuiteParams,
+    /// Scales, seed, timeout, and execution settings.
+    pub spec: BenchSpec,
     /// Output directory for CSVs and rendered figures.
     pub out_dir: PathBuf,
     /// Optional `tab-trace-v1` JSONL trace file capturing per-query and
@@ -54,50 +72,22 @@ pub struct ReproConfig {
 }
 
 impl ReproConfig {
-    /// Default full-scale run writing to `results/`.
-    pub fn full() -> Self {
-        ReproConfig {
-            params: SuiteParams::default(),
-            out_dir: PathBuf::from("results"),
-            trace: None,
-            faults: None,
-            resume: false,
-        }
-    }
-
-    /// Small-scale smoke run.
-    pub fn small() -> Self {
-        ReproConfig {
-            params: SuiteParams::small(),
-            out_dir: PathBuf::from("results-small"),
-            trace: None,
-            faults: None,
-            resume: false,
-        }
-    }
-
-    /// The same run with an explicit thread count (`0` = all cores).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.params = self.params.with_threads(threads);
-        self
-    }
-
-    /// The same run writing a structured trace to `path`.
-    pub fn with_trace(mut self, path: PathBuf) -> Self {
-        self.trace = Some(path);
-        self
-    }
-
-    /// The same run with `plan` armed at every fault site.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// The same run resuming from the checkpoint journal in `out_dir`.
-    pub fn with_resume(mut self) -> Self {
-        self.resume = true;
-        self
+    /// The run a `repro` command line names (parsed against
+    /// [`REPRO_FLAGS`]). Without `--out` it writes to `results/`, or
+    /// `results-small/` under `--small`.
+    pub fn from_args(args: &Args) -> Result<Self, String> {
+        let default_out = if args.switch("small") {
+            "results-small"
+        } else {
+            "results"
+        };
+        Ok(ReproConfig {
+            spec: BenchSpec::from_args(args)?,
+            out_dir: PathBuf::from(args.get("out").unwrap_or(default_out)),
+            trace: args.get("trace").map(PathBuf::from),
+            faults: args.faults().map_err(|e| format!("--faults: {e}"))?,
+            resume: args.switch("resume"),
+        })
     }
 }
 
@@ -180,56 +170,6 @@ impl std::fmt::Display for ReproError {
 
 impl std::error::Error for ReproError {}
 
-/// The journal's parameter fingerprint: everything that shapes the
-/// grid's *outcomes*. Thread count is deliberately excluded — results
-/// are identical at any parallelism, so a run interrupted at 4 threads
-/// may resume at 1 (and `tests/fault_injection.rs` holds us to it).
-fn fingerprint(params: &SuiteParams) -> String {
-    let mut fp = format!(
-        "seed={};nref={};tpch_scale_bits={};workload={};timeout_bits={}",
-        params.seed,
-        params.nref_proteins,
-        params.tpch_scale.to_bits(),
-        params.workload_size,
-        params.timeout_units.to_bits()
-    );
-    // The buffer pool changes charged units (Observed mode) and the
-    // journalled I/O counters, so pooled runs get their own journal
-    // lineage. Pool-less runs keep the historical fingerprint so old
-    // journals stay resumable.
-    if params.buffer_pages > 0 {
-        fp.push_str(&format!(
-            ";pool={};charge={}",
-            params.buffer_pages,
-            params.charge.name()
-        ));
-    }
-    fp
-}
-
-/// Stand up the spill-to-disk pager for one database, materialising
-/// every base-table heap so evicted clean pages can be re-read. Only
-/// built when the pool is on; `None` keeps the zero-cost legacy path.
-fn build_pager(label: &str, db: &Database, pages: usize) -> Result<Option<Pager>, ReproError> {
-    if pages == 0 {
-        return Ok(None);
-    }
-    let mut pager = Pager::new(label).map_err(|source| ReproError::Artifact {
-        path: std::env::temp_dir(),
-        source,
-    })?;
-    for name in db.table_names().collect::<Vec<_>>() {
-        let table = db.table(name).expect("listed table exists");
-        pager
-            .materialize_table(name, table)
-            .map_err(|source| ReproError::Artifact {
-                path: pager.dir().join(name),
-                source,
-            })?;
-    }
-    Ok(Some(pager))
-}
-
 /// One checked qualitative claim from the paper.
 #[derive(Debug, Clone)]
 pub struct Claim {
@@ -261,7 +201,6 @@ impl ReproSummary {
 
 struct Ctx<'a> {
     out: PathBuf,
-    timeout: f64,
     /// Fault handle threaded to every artifact write (one branch when
     /// no plan is armed).
     faults: Faults<'a>,
@@ -389,16 +328,26 @@ where
     }
 }
 
+/// The spec's spill pager for one database, its failure an artifact
+/// error under the temp directory the pager lives in.
+fn pager_step(spec: &BenchSpec, label: &str, db: &Database) -> Result<Option<Pager>, ReproError> {
+    spec.pager(label, db)
+        .map_err(|source| ReproError::Artifact {
+            path: std::env::temp_dir(),
+            source,
+        })
+}
+
 /// Run one checkpointed grid, translating grid failures to
 /// [`ReproError`].
 fn grid_step(
+    spec: &BenchSpec,
     cells: &[GridCell<'_>],
-    par: tab_core::Parallelism,
     trace: Trace<'_>,
     faults: Faults<'_>,
     journal: &CheckpointJournal,
 ) -> Result<Vec<(WorkloadRun, CellTiming)>, ReproError> {
-    run_grid(cells, par, trace, faults, Some(journal)).map_err(|e| match e {
+    run_grid(spec, cells, trace, faults, Some(journal)).map_err(|e| match e {
         GridError::Poisoned { .. } => ReproError::Grid {
             message: e.to_string(),
         },
@@ -429,19 +378,20 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
     // not an opt-in. With `resume` it additionally loads the cells a
     // previous interrupted run completed.
     let journal_path = cfg.out_dir.join("repro.checkpoint.jsonl");
-    let journal = CheckpointJournal::open(&journal_path, &fingerprint(&cfg.params), cfg.resume)
-        .map_err(|e| match e {
+    let spec = &cfg.spec;
+    let journal = CheckpointJournal::open(&journal_path, &spec.fingerprint(), cfg.resume).map_err(
+        |e| match e {
             CheckpointError::Io(source) => ReproError::Journal {
                 path: journal_path.clone(),
                 source,
             },
             CheckpointError::Mismatch { message } => ReproError::Resume { message },
-        })?;
+        },
+    )?;
 
     let t0 = Instant::now();
     let mut ctx = Ctx {
         out: cfg.out_dir.clone(),
-        timeout: cfg.params.timeout_units,
         faults,
         claims: Vec::new(),
         figures: String::new(),
@@ -450,8 +400,8 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
         t0,
         minor_faults: 0,
     };
-    let timeout_s = tab_engine::units_to_sim_seconds(cfg.params.timeout_units);
-    let par = cfg.params.par;
+    let timeout_s = tab_engine::units_to_sim_seconds(spec.timeout_units);
+    let par = spec.threads;
     ctx.log(&format!("parallelism: {} threads", par.threads()));
     if let Some(plan) = &cfg.faults {
         ctx.log(&format!("fault plan armed: {plan}"));
@@ -525,8 +475,8 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
     let nref_db = generate_step("NREF", || {
         generate_nref_checked(
             NrefParams {
-                proteins: cfg.params.nref_proteins,
-                seed: cfg.params.seed,
+                proteins: spec.nref_proteins,
+                seed: spec.seed,
             },
             &faults,
         )
@@ -539,22 +489,8 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
     ctx.log(&format!("NREF budget = {} MiB", budget / (1 << 20)));
 
     ctx.log("NREF: preparing workloads");
-    let w2 = prepare_workload_db_with(
-        nref,
-        Family::Nref2J,
-        &p,
-        cfg.params.workload_size,
-        cfg.params.seed,
-        par,
-    );
-    let w3 = prepare_workload_db_with(
-        nref,
-        Family::Nref3J,
-        &p,
-        cfg.params.workload_size,
-        cfg.params.seed,
-        par,
-    );
+    let w2 = prepare_workload_db_with(nref, Family::Nref2J, &p, spec.workload_size, spec.seed, par);
+    let w3 = prepare_workload_db_with(nref, Family::Nref3J, &p, spec.workload_size, spec.seed, par);
 
     let input2 = AdvisorInput {
         db: nref,
@@ -619,23 +555,13 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
     let b3 = BuiltConfiguration::build_par(named(b3_cfg, "B_NREF3J_R"), nref, par);
 
     ctx.log("NREF: running the NREF2J/NREF3J x P/1C/R grid");
-    let timeout = ctx.timeout;
-    let query_par = cfg.params.query_par;
-    let morsel_rows = cfg.params.morsel_rows;
-    let buffer_pages = cfg.params.buffer_pages;
-    let charge = cfg.params.charge;
-    let nref_pager = build_pager("nref", nref, buffer_pages)?;
+    let nref_pager = pager_step(spec, "nref", nref)?;
     let pager = nref_pager.as_ref();
     let cell = move |family: &'static str, built, workload| GridCell {
         family,
         db: nref,
         built,
         workload,
-        timeout_units: timeout,
-        query_par,
-        morsel_rows,
-        buffer_pages,
-        charge,
         pager,
     };
     let mut cells = vec![
@@ -650,7 +576,7 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
         cells.push(cell("NREF2J", a, &w2));
     }
     let mut grid: std::collections::VecDeque<(WorkloadRun, CellTiming)> =
-        grid_step(&cells, par, trace, faults, &journal)?.into();
+        grid_step(spec, &cells, trace, faults, &journal)?.into();
     drop(cells);
     let mut take = |ctx: &mut Ctx| -> WorkloadRun {
         let (run, timing) = grid.pop_front().expect("one result per grid cell");
@@ -1108,9 +1034,9 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
         let tpch_db = generate_step(label, || {
             generate_tpch_checked(
                 TpchParams {
-                    scale: cfg.params.tpch_scale,
+                    scale: spec.tpch_scale,
                     distribution: dist,
-                    seed: cfg.params.seed + if label == "SkTH" { 1 } else { 2 },
+                    seed: spec.seed + if label == "SkTH" { 1 } else { 2 },
                 },
                 &faults,
             )
@@ -1120,7 +1046,7 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
         let p = build_p(db, label);
         let c1 = build_1c_par(db, label, par);
         let budget = space_budget(db, label);
-        let tpch_pager = build_pager(label, db, cfg.params.buffer_pages)?;
+        let tpch_pager = pager_step(spec, label, db)?;
         let mut family_runs: BTreeMap<&'static str, (WorkloadRun, WorkloadRun, WorkloadRun)> =
             BTreeMap::new();
 
@@ -1129,14 +1055,7 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
         let mut preps: Vec<(Family, Vec<Query>, BuiltConfiguration)> = Vec::new();
         for fam in families {
             ctx.log(&format!("{label}: preparing {}", fam.name()));
-            let w = prepare_workload_db_with(
-                db,
-                fam,
-                &p,
-                cfg.params.workload_size,
-                cfg.params.seed,
-                par,
-            );
+            let w = prepare_workload_db_with(db, fam, &p, spec.workload_size, spec.seed, par);
             ctx.log(&format!(
                 "{label}: System C recommending for {}",
                 fam.name()
@@ -1166,16 +1085,11 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
                     db,
                     built: b,
                     workload: w,
-                    timeout_units: ctx.timeout,
-                    query_par: cfg.params.query_par,
-                    morsel_rows: cfg.params.morsel_rows,
-                    buffer_pages: cfg.params.buffer_pages,
-                    charge: cfg.params.charge,
                     pager: tpch_pager.as_ref(),
                 })
             })
             .collect();
-        let mut grid = grid_step(&cells, par, trace, faults, &journal)?.into_iter();
+        let mut grid = grid_step(spec, &cells, trace, faults, &journal)?.into_iter();
         drop(cells);
 
         for (fam, _w, built) in &preps {
@@ -1385,7 +1299,7 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
     // pure function of the logical access stream, so the file
     // byte-compares across thread counts (`tests/determinism.rs` holds
     // us to it, like `BENCH_convergence.json`).
-    let io_bench = io_bench_json(cfg.params.buffer_pages, cfg.params.charge, &ctx.io_cells);
+    let io_bench = io_bench_json(spec, &ctx.io_cells);
     ctx.bytes("BENCH_io.json", io_bench.as_bytes())?;
 
     // Publish the trace before discarding the journal: a sink that
@@ -1454,4 +1368,178 @@ fn index_width_rows(recs: &[(&str, &Configuration)], p_config: &Configuration) -
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tab_core::Parallelism;
+    use tab_engine::ChargePolicy;
+
+    /// What one `repro` command line must build.
+    struct Want {
+        spec: BenchSpec,
+        out: &'static str,
+        trace: Option<&'static str>,
+        faults: Option<&'static str>,
+        resume: bool,
+        check: bool,
+        expect: Option<&'static str>,
+    }
+
+    fn parse(line: &str) -> Result<(ReproConfig, Args), String> {
+        let args = Args::parse(line.split_whitespace().map(String::from), &REPRO_FLAGS)?;
+        Ok((ReproConfig::from_args(&args)?, args))
+    }
+
+    /// Every command line the gate, the ledger, DESIGN.md and
+    /// EXPERIMENTS.md spell out builds the spec and the operational
+    /// options the earlier per-binary parser built from it.
+    #[test]
+    fn documented_command_lines_build_their_runs() {
+        let small = |threads| BenchSpec {
+            threads: Parallelism::new(threads),
+            ..BenchSpec::small()
+        };
+        let pooled = |threads, pages, charge| BenchSpec {
+            buffer_pages: pages,
+            charge,
+            ..small(threads)
+        };
+        let run = |spec, out| Want {
+            spec,
+            out,
+            trace: None,
+            faults: None,
+            resume: false,
+            check: false,
+            expect: None,
+        };
+        const EXPECT: &str = "ci/expected_claims_small.csv";
+        const POISON: &str = "panic:cell:NREF3J/NREF_1C";
+        let cases = [
+            ("", run(BenchSpec::paper(), "results")),
+            (
+                "--resume",
+                Want {
+                    resume: true,
+                    ..run(BenchSpec::paper(), "results")
+                },
+            ),
+            ("--small", run(small(0), "results-small")),
+            ("--small --threads 4", run(small(4), "results-small")),
+            ("--small --threads 1", run(small(1), "results-small")),
+            (
+                "--small --threads 2 --check --expect ci/expected_claims_small.csv --out D",
+                Want {
+                    check: true,
+                    expect: Some(EXPECT),
+                    ..run(small(2), "D")
+                },
+            ),
+            (
+                "--small --threads 2 --check --expect ci/expected_claims_small.csv --out D \
+                 --buffer-pages 256 --charge metered",
+                Want {
+                    check: true,
+                    expect: Some(EXPECT),
+                    ..run(pooled(2, 256, ChargePolicy::Metered), "D")
+                },
+            ),
+            (
+                "--small --threads 2 --out ci/golden_small --trace ci/golden_trace_small.jsonl",
+                Want {
+                    trace: Some("ci/golden_trace_small.jsonl"),
+                    ..run(small(2), "ci/golden_small")
+                },
+            ),
+            (
+                "--small --threads 2 --buffer-pages 64 --charge metered --out /tmp/pool64",
+                run(pooled(2, 64, ChargePolicy::Metered), "/tmp/pool64"),
+            ),
+            (
+                "--small --buffer-pages 64 --charge observed --out results-observed",
+                run(pooled(0, 64, ChargePolicy::Observed), "results-observed"),
+            ),
+            (
+                "--small --threads 2 --faults panic:cell:NREF3J/NREF_1C",
+                Want {
+                    faults: Some(POISON),
+                    ..run(small(2), "results-small")
+                },
+            ),
+            (
+                "--small --out results-chaos --faults panic:cell:NREF3J/NREF_1C",
+                Want {
+                    faults: Some(POISON),
+                    ..run(small(0), "results-chaos")
+                },
+            ),
+            (
+                "--small --out results-chaos --resume",
+                Want {
+                    resume: true,
+                    ..run(small(0), "results-chaos")
+                },
+            ),
+            (
+                "--small --faults truncate:trace:40 --trace trace.jsonl",
+                Want {
+                    trace: Some("trace.jsonl"),
+                    faults: Some("truncate:trace:40"),
+                    ..run(small(0), "results-small")
+                },
+            ),
+            (
+                "--faults enospc:claims.csv --resume",
+                Want {
+                    faults: Some("enospc:claims.csv"),
+                    resume: true,
+                    ..run(BenchSpec::paper(), "results")
+                },
+            ),
+            (
+                "--small --query-threads 4 --morsel-rows 64",
+                run(
+                    BenchSpec {
+                        query_threads: Parallelism::new(4),
+                        morsel_rows: 64,
+                        ..small(0)
+                    },
+                    "results-small",
+                ),
+            ),
+        ];
+        for (line, want) in cases {
+            let (cfg, args) = parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(cfg.spec, want.spec, "{line}");
+            assert_eq!(cfg.out_dir, PathBuf::from(want.out), "{line}");
+            assert_eq!(cfg.trace, want.trace.map(PathBuf::from), "{line}");
+            assert_eq!(
+                cfg.faults.map(|p| p.to_string()),
+                want.faults
+                    .map(|s| FaultPlan::parse(s).unwrap().to_string()),
+                "{line}"
+            );
+            assert_eq!(cfg.resume, want.resume, "{line}");
+            assert_eq!(args.switch("check"), want.check, "{line}");
+            assert_eq!(args.get("expect"), want.expect, "{line}");
+        }
+    }
+
+    #[test]
+    fn usage_errors_name_what_is_wrong() {
+        for (line, want) in [
+            ("--no-such-flag", "unknown flag `--no-such-flag`"),
+            ("--small 3", "--small takes no value, got `3`"),
+            ("--threads", "--threads needs a value"),
+            ("--threads two", "flag --threads: cannot parse `two`"),
+            ("--morsel-rows 0", "--morsel-rows must be at least 1"),
+            ("--small --small", "duplicate flag --small"),
+        ] {
+            assert_eq!(parse(line).err().as_deref(), Some(want), "{line}");
+        }
+        let bogus = parse("--charge bogus").err().expect("bad charge policy");
+        assert!(bogus.starts_with("--charge: "), "{bogus}");
+    }
 }

@@ -35,3 +35,23 @@ fn expect_alone_fails_on_a_flipped_verdict() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A usage error exits 2 before any work: the ledger's start probe
+/// relies on `--no-such-flag` doing exactly that.
+#[test]
+fn usage_errors_exit_2() {
+    for args in [
+        &["--no-such-flag"][..],
+        &["--small", "--morsel-rows", "0"],
+        &["--small", "--charge", "bogus"],
+        &["--small", "3"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("spawn repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: repro"), "{args:?}: {stderr}");
+    }
+}

@@ -1,107 +1,164 @@
-//! Minimal argument parsing for the `tab` CLI (no external crates).
+//! `tab`'s command line: the subcommand, and the flags each subcommand
+//! reads, parsed by the shared [`tab_core::Args`]. A flag the subcommand
+//! does not read is a usage error naming it, never silently ignored.
 
-use std::collections::BTreeMap;
+use tab_core::{Accepts, Args};
 
-/// Parsed command line: subcommand, `--key value` flags, positionals.
-#[derive(Debug, Default)]
-pub struct Args {
-    /// The subcommand (first non-flag argument).
-    pub command: String,
-    /// `--key value` options and boolean `--key` switches (value `""`).
-    pub flags: BTreeMap<String, String>,
-    /// Positional arguments after the subcommand.
-    pub positional: Vec<String>,
+/// What `command` reads; `None` for an unknown command. Every `tab`
+/// flag takes a value.
+fn accepts(command: &str) -> Option<Accepts> {
+    let (options, positional): (&'static [&'static str], bool) = match command {
+        "gen" => (&["db", "seed", "out"], false),
+        "explain" | "run" => (
+            &[
+                "db",
+                "seed",
+                "config",
+                "threads",
+                "timeout-secs",
+                "query-threads",
+                "morsel-rows",
+                "buffer-pages",
+                "charge",
+            ],
+            true,
+        ),
+        "advise" => (
+            &[
+                "db", "seed", "family", "system", "workload", "threads", "trace",
+            ],
+            false,
+        ),
+        "bench" => (
+            &[
+                "db",
+                "seed",
+                "family",
+                "configs",
+                "workload",
+                "threads",
+                "timeout-secs",
+            ],
+            false,
+        ),
+        "goal" => (
+            &[
+                "db", "seed", "family", "steps", "config", "workload", "threads",
+            ],
+            false,
+        ),
+        "converge" => (
+            &[
+                "db",
+                "seed",
+                "family",
+                "profiles",
+                "ladder",
+                "max-structures",
+                "workload",
+                "threads",
+                "out",
+            ],
+            false,
+        ),
+        "serve" => (
+            &[
+                "db",
+                "seed",
+                "addr",
+                "timeout-secs",
+                "threads",
+                "wal",
+                "faults",
+                "max-connections",
+                "admission",
+            ],
+            false,
+        ),
+        "faults" => (&["spec"], true),
+        "replay" => (&[], true),
+        "tracediff" => (&["tolerance", "report"], true),
+        "client" => (&["addr"], true),
+        "help" => (&[], true),
+        "gate" | "" => (&[], false),
+        _ => return None,
+    };
+    Some(Accepts {
+        switches: &[],
+        options,
+        positional,
+    })
 }
 
-impl Args {
-    /// Parse from an iterator of arguments (excluding argv\[0\]).
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
-        let mut out = Args::default();
-        let mut it = args.into_iter().peekable();
-        while let Some(a) = it.next() {
-            if let Some(key) = a.strip_prefix("--") {
-                if key.is_empty() {
-                    return Err("empty flag `--`".into());
-                }
-                // A flag consumes the next token as its value unless the
-                // next token is another flag (then it is a switch).
-                let value = match it.peek() {
-                    Some(v) if !v.starts_with("--") => it.next().expect("peeked"),
-                    _ => String::new(),
-                };
-                if out.flags.insert(key.to_string(), value).is_some() {
-                    return Err(format!("duplicate flag --{key}"));
-                }
-            } else if out.command.is_empty() {
-                out.command = a;
-            } else {
-                out.positional.push(a);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Required string flag.
-    pub fn require(&self, key: &str) -> Result<&str, String> {
-        self.flags
-            .get(key)
-            .map(String::as_str)
-            .filter(|v| !v.is_empty())
-            .ok_or_else(|| format!("missing required flag --{key}"))
-    }
-
-    /// Optional string flag.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.flags.get(key).map(String::as_str)
-    }
-
-    /// Boolean switch (present with or without a value).
-    #[allow(dead_code)] // part of the CLI surface; used by tests
-    pub fn switch(&self, key: &str) -> bool {
-        self.flags.contains_key(key)
-    }
-
-    /// Optional parsed numeric flag.
-    pub fn get_parsed<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
-        match self.flags.get(key) {
-            None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("flag --{key}: cannot parse `{v}`")),
-        }
-    }
+/// Split `tab`'s arguments into the subcommand and its parsed flags. The
+/// subcommand is the first argument that is neither a flag nor a flag's
+/// value.
+pub fn parse_command(mut argv: Vec<String>) -> Result<(String, Args), String> {
+    let command = match (0..argv.len())
+        .step_by(2)
+        .find(|&i| !argv[i].starts_with("--"))
+    {
+        Some(i) => argv.remove(i),
+        None => String::new(),
+    };
+    let accepts = accepts(&command).ok_or_else(|| format!("unknown command `{command}`"))?;
+    let args = Args::parse(argv, &accepts).map_err(|e| format!("tab {command}: {e}"))?;
+    Ok((command, args))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(String::from)).unwrap()
+    fn parse(s: &str) -> Result<(String, Args), String> {
+        parse_command(s.split_whitespace().map(String::from).collect())
     }
 
     #[test]
     fn commands_flags_positionals() {
-        let a = parse("run --db nref --timeout 30 SELECT");
-        assert_eq!(a.command, "run");
+        let (command, a) = parse("run --db nref --timeout-secs 30 SELECT").unwrap();
+        assert_eq!(command, "run");
         assert_eq!(a.require("db").unwrap(), "nref");
-        assert_eq!(a.get_parsed::<f64>("timeout").unwrap(), Some(30.0));
+        assert_eq!(a.get_parsed::<f64>("timeout-secs").unwrap(), Some(30.0));
         assert_eq!(a.positional, vec!["SELECT"]);
-    }
-
-    #[test]
-    fn switches_have_empty_values() {
-        let a = parse("gen --skew --out dir");
-        assert!(a.switch("skew"));
-        assert_eq!(a.get("out"), Some("dir"));
+        // Flags may come before the subcommand.
+        let (command, a) = parse("--db nref:200 explain --config 1c SELECT").unwrap();
+        assert_eq!(command, "explain");
+        assert_eq!(a.get("config"), Some("1c"));
+        // Every flag the gate and the benchmark pass `tab serve`.
+        let (_, a) = parse(
+            "serve --db nref:100 --seed 7 --wal w.jsonl --addr 127.0.0.1:0 --faults drop:conn:2",
+        )
+        .unwrap();
+        for flag in ["db", "seed", "wal", "addr", "faults"] {
+            assert!(a.get(flag).is_some(), "{flag}");
+        }
     }
 
     #[test]
     fn errors() {
-        assert!(Args::parse(["--db".into(), "x".into(), "--db".into(), "y".into()]).is_err());
-        let a = parse("run");
+        for (line, want) in [
+            (
+                "run --db nref:200 --buffer-page 64 SELECT",
+                "tab run: unknown flag `--buffer-page`",
+            ),
+            (
+                "explain --db nref:200 --confg 1c SELECT",
+                "tab explain: unknown flag `--confg`",
+            ),
+            (
+                "gen --out d --threads 2",
+                "tab gen: unknown flag `--threads`",
+            ),
+            ("gate --out d", "tab gate: unknown flag `--out`"),
+            ("gate now", "tab gate: unexpected argument `now`"),
+            ("bench --db x --db y", "tab bench: duplicate flag --db"),
+            ("serve --db", "tab serve: --db needs a value"),
+            ("frobnicate", "unknown command `frobnicate`"),
+        ] {
+            assert_eq!(parse(line).unwrap_err(), want, "{line}");
+        }
+        let (_, a) = parse("run").unwrap();
         assert!(a.require("db").is_err());
-        assert!(a.get_parsed::<u64>("db").unwrap().is_none());
     }
 }

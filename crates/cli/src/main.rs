@@ -18,7 +18,7 @@ use std::process::ExitCode;
 
 use std::sync::Arc;
 
-use args::Args;
+use args::parse_command;
 use tab_advisor::{AdvisorInput, Recommender, SystemA, SystemB, SystemC};
 use tab_bench_harness::converge::{run_convergence, ConvergenceSpec};
 use tab_bench_harness::gate::run_gate;
@@ -27,15 +27,13 @@ use tab_core::convergence::{
     convergence_csv_rows, convergence_json, render_convergence_table, CSV_HEADER,
 };
 use tab_core::report::render_cfc_ascii;
-use tab_core::{run_workload, Goal, Parallelism};
+use tab_core::{run_workload, Args, BenchSpec, Goal, Parallelism};
 use tab_datagen::{generate_nref, generate_tpch, Distribution, NrefParams, TpchParams};
-use tab_engine::{
-    apply_insert, ChargePolicy, EngineState, ExecOpts, PoolOpts, Session, SharedEngine,
-};
+use tab_engine::{apply_insert, EngineState, Session, SharedEngine};
 use tab_families::{sample_preserving_par, Family};
 use tab_server::{Client, ServeOptions, Server};
 use tab_sqlq::{parse_statement, Statement};
-use tab_storage::{BuiltConfiguration, Database, FaultPlan, Pager};
+use tab_storage::{BuiltConfiguration, Database};
 
 const USAGE: &str = "\
 tab — benchmarking framework for configuration recommenders
@@ -49,8 +47,9 @@ USAGE:
   tab goal    --db SPEC --family NAME --steps \"10:0.1,60:0.5\" [--config p|1c]
   tab faults  SPEC                    validate a fault-injection spec
                                       (see `repro --faults` / DESIGN.md §10)
-  tab replay    TRACE.jsonl           reconstruct a traced run (exit 1 on a
-                                      torn trace; never half-replays)
+  tab replay    TRACE.jsonl           reconstruct a traced run: totals per
+                                      cell and per operator kind (exit 1
+                                      on a torn trace; never half-replays)
   tab tracediff GOLDEN FRESH [--tolerance REL] [--report PATH]
                                       structural diff of two traces; exit 1
                                       and name every divergence (DESIGN.md §11)
@@ -77,7 +76,8 @@ USAGE:
 wire-level chaos: drop:conn:N, torn:wire:N, delay:conn:N, plus the WAL
 sites enospc:wal and panic:wal:append:N (validate with `tab faults`).
 
-All commands but `gate` accept --threads N (worker threads for grid/workload
+Every command that reads a database takes --seed N (default 2005), and
+all of them but `gen` take --threads N (worker threads for grid/workload
 fan-out; 0 or absent = all cores). `explain` and `run` additionally
 accept --query-threads N (intra-query morsel workers; default 1,
 0 = all cores), --morsel-rows N (rows per morsel, default 4096),
@@ -86,20 +86,20 @@ eviction and spill-to-disk; 0 = off, the default) and
 --charge observed|metered (how the meter prices pool traffic:
 `observed` charges misses only, `metered` keeps the legacy model-based
 charges so totals match a pool-less run). Results are identical at any
-thread count or morsel size.
+thread count or morsel size. A flag a command does not read is an error.
 
 DB SPEC: nref[:proteins] | skth[:scale] | unth[:scale]
 FAMILY:  NREF2J | NREF3J | SkTH3J | SkTH3Js | UnTH3J";
 
 fn main() -> ExitCode {
-    let args = match Args::parse(std::env::args().skip(1)) {
-        Ok(a) => a,
+    let (command, args) = match parse_command(std::env::args().skip(1).collect()) {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
-    let result = match args.command.as_str() {
+    let result = match command.as_str() {
         "gen" => cmd_gen(&args).map(|()| ExitCode::SUCCESS),
         "explain" => cmd_explain(&args).map(|()| ExitCode::SUCCESS),
         "run" => cmd_run(&args).map(|()| ExitCode::SUCCESS),
@@ -112,12 +112,12 @@ fn main() -> ExitCode {
         "converge" => cmd_converge(&args).map(|()| ExitCode::SUCCESS),
         "serve" => cmd_serve(&args).map(|()| ExitCode::SUCCESS),
         "client" => cmd_client(&args).map(|()| ExitCode::SUCCESS),
-        "gate" => cmd_gate(&args),
-        "" | "help" => {
+        "gate" => cmd_gate(),
+        // "" and "help": `parse_command` refused every other name.
+        _ => {
             println!("{USAGE}");
             Ok(ExitCode::SUCCESS)
         }
-        other => Err(format!("unknown command `{other}`")),
     };
     match result {
         Ok(code) => code,
@@ -164,10 +164,15 @@ fn load_db(args: &Args) -> Result<(Database, String), String> {
     Ok((db, kind.to_uppercase()))
 }
 
-fn load_config(args: &Args, db: &Database, label: &str) -> Result<BuiltConfiguration, String> {
+fn load_config(
+    args: &Args,
+    db: &Database,
+    label: &str,
+    par: Parallelism,
+) -> Result<BuiltConfiguration, String> {
     match args.get("config").unwrap_or("p") {
         "p" | "P" => Ok(tab_core::build_p(db, label)),
-        "1c" | "1C" => Ok(tab_core::build_1c_par(db, label, par_of(args)?)),
+        "1c" | "1C" => Ok(tab_core::build_1c_par(db, label, par)),
         other => Err(format!("unknown config `{other}` (use p or 1c)")),
     }
 }
@@ -183,84 +188,14 @@ fn sql_arg(args: &Args) -> Result<String, String> {
     Ok(args.positional.join(" "))
 }
 
-/// The `--threads` flag as a [`Parallelism`] (0 or absent = all cores).
-fn par_of(args: &Args) -> Result<Parallelism, String> {
-    Ok(Parallelism::new(args.get_parsed("threads")?.unwrap_or(0)))
-}
-
-/// The `--faults` flag (or the `TAB_FAULTS` environment variable) as an
-/// armed fault plan — the same grammar `repro --faults` speaks,
-/// validated by `tab faults`.
-fn faults_of(args: &Args) -> Result<Option<Arc<FaultPlan>>, String> {
-    let spec = match args.get("faults") {
-        Some(s) => Some(s.to_string()),
-        None => std::env::var("TAB_FAULTS").ok(),
-    };
-    match spec {
-        Some(s) if !s.trim().is_empty() => Ok(Some(Arc::new(FaultPlan::parse(&s)?))),
-        _ => Ok(None),
-    }
-}
-
-/// The `--query-threads` / `--morsel-rows` flags as an [`ExecOpts`] for
-/// the morsel-driven executor. Intra-query parallelism defaults to
-/// sequential (`--query-threads 1`); 0 means all cores. Results are
-/// identical at any setting — only wall-clock changes.
-fn exec_opts_of(args: &Args) -> Result<ExecOpts<'static>, String> {
-    let threads: usize = args.get_parsed("query-threads")?.unwrap_or(1);
-    let morsel_rows: usize = args
-        .get_parsed("morsel-rows")?
-        .unwrap_or(tab_engine::DEFAULT_MORSEL_ROWS);
-    if morsel_rows == 0 {
-        return Err("--morsel-rows must be at least 1".into());
-    }
-    Ok(ExecOpts {
-        par: Parallelism::new(threads),
-        morsel_rows,
-        ..ExecOpts::default()
-    })
-}
-
-/// The `--buffer-pages` flag: when nonzero, a spill pager with every
-/// base-table heap materialised, ready to back a [`PoolOpts`].
-fn pager_of(args: &Args, db: &Database) -> Result<Option<Pager>, String> {
-    let pages: usize = args.get_parsed("buffer-pages")?.unwrap_or(0);
-    if pages == 0 {
-        return Ok(None);
-    }
-    let mut pager = Pager::new("cli").map_err(|e| format!("cannot create spill pager: {e}"))?;
-    let names: Vec<String> = db.table_names().map(String::from).collect();
-    for name in &names {
-        pager
-            .materialize_table(name, db.table(name).expect("listed table exists"))
-            .map_err(|e| format!("cannot materialise table `{name}`: {e}"))?;
-    }
-    Ok(Some(pager))
-}
-
-/// The `--buffer-pages`/`--charge` flags as a [`PoolOpts`] borrowing the
-/// pager built by [`pager_of`] (which must outlive the session).
-fn pool_of<'a>(args: &Args, pager: Option<&'a Pager>) -> Result<Option<PoolOpts<'a>>, String> {
-    let pages: usize = args.get_parsed("buffer-pages")?.unwrap_or(0);
-    if pages == 0 {
-        return Ok(None);
-    }
-    let mut pool = PoolOpts::new(pages);
-    if let Some(s) = args.get("charge") {
-        pool.policy = ChargePolicy::parse(s)?;
-    }
-    pool.pager = pager;
-    Ok(Some(pool))
-}
-
 fn workload_for(
     args: &Args,
     db: &Database,
     p: &BuiltConfiguration,
     family: Family,
+    par: Parallelism,
 ) -> Result<Vec<tab_sqlq::Query>, String> {
     let n: usize = args.get_parsed("workload")?.unwrap_or(50);
-    let par = par_of(args)?;
     let all = family.enumerate_with(db, par);
     if all.is_empty() {
         return Err(format!(
@@ -295,20 +230,23 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The spill pager `--buffer-pages` asks for (none without it).
+fn pager_for(spec: &BenchSpec, db: &Database) -> Result<Option<tab_storage::Pager>, String> {
+    spec.pager("cli", db)
+        .map_err(|e| format!("cannot create spill pager: {e}"))
+}
+
 fn cmd_explain(args: &Args) -> Result<(), String> {
+    let spec = BenchSpec::from_args(args)?;
     let (db, label) = load_db(args)?;
-    let built = load_config(args, &db, &label)?;
+    let built = load_config(args, &db, &label, spec.threads)?;
     let sql = sql_arg(args)?;
     let q = tab_sqlq::parse(&sql).map_err(|e| e.to_string())?;
     let timeout: Option<f64> = args
         .get_parsed::<f64>("timeout-secs")?
         .map(|s| s / tab_engine::SIM_SECONDS_PER_UNIT);
-    let pager = pager_of(args, &db)?;
-    let exec = ExecOpts {
-        pool: pool_of(args, pager.as_ref())?,
-        ..exec_opts_of(args)?
-    };
-    let session = Session::new(&db, &built).with_exec(exec);
+    let pager = pager_for(&spec, &db)?;
+    let session = Session::new(&db, &built).with_exec(spec.exec_opts(pager.as_ref()));
     // Plan with the decision trace, then execute the same query
     // instrumented so the rendering pairs estimates with actuals
     // (under `--buffer-pages` the actuals gain a per-operator `pages`
@@ -337,8 +275,9 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
+    let spec = BenchSpec::from_args(args)?;
     let (mut db, label) = load_db(args)?;
-    let mut built = load_config(args, &db, &label)?;
+    let mut built = load_config(args, &db, &label, spec.threads)?;
     let sql = sql_arg(args)?;
     let timeout: Option<f64> = args
         .get_parsed::<f64>("timeout-secs")?
@@ -352,12 +291,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             );
         }
         Statement::Query(q) => {
-            let pager = pager_of(args, &db)?;
-            let exec = ExecOpts {
-                pool: pool_of(args, pager.as_ref())?,
-                ..exec_opts_of(args)?
-            };
-            let session = Session::new(&db, &built).with_exec(exec);
+            let pager = pager_for(&spec, &db)?;
+            let session = Session::new(&db, &built).with_exec(spec.exec_opts(pager.as_ref()));
             let r = session.run(&q, timeout).map_err(|e| e.to_string())?;
             match (&r.outcome, &r.rows) {
                 (o, Some(rows)) => {
@@ -398,11 +333,12 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_advise(args: &Args) -> Result<(), String> {
+    let par = BenchSpec::from_args(args)?.threads;
     let (db, label) = load_db(args)?;
     let family = family_of(args.require("family")?)?;
     let p = tab_core::build_p(&db, &label);
     let budget = tab_core::space_budget(&db, &label);
-    let w = workload_for(args, &db, &p, family)?;
+    let w = workload_for(args, &db, &p, family, par)?;
     let system = args.get("system").unwrap_or("B");
     let rec: &dyn Recommender = match system.to_uppercase().as_str() {
         "A" => &SystemA {
@@ -426,7 +362,7 @@ fn cmd_advise(args: &Args) -> Result<(), String> {
         current: &p,
         workload: &w,
         budget_bytes: budget,
-        par: par_of(args)?,
+        par,
         trace: sink
             .as_ref()
             .map(|s| tab_core::Trace::to(s))
@@ -497,10 +433,11 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_bench(args: &Args) -> Result<(), String> {
+    let par = BenchSpec::from_args(args)?.threads;
     let (db, label) = load_db(args)?;
     let family = family_of(args.require("family")?)?;
     let p = tab_core::build_p(&db, &label);
-    let w = workload_for(args, &db, &p, family)?;
+    let w = workload_for(args, &db, &p, family, par)?;
     let timeout_units = args
         .get_parsed::<f64>("timeout-secs")?
         .map(|s| s / tab_engine::SIM_SECONDS_PER_UNIT)
@@ -510,10 +447,10 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     for name in configs.split(',') {
         let built = match name.trim() {
             "p" | "P" => tab_core::build_p(&db, &label),
-            "1c" | "1C" => tab_core::build_1c_par(&db, &label, par_of(args)?),
+            "1c" | "1C" => tab_core::build_1c_par(&db, &label, par),
             other => return Err(format!("unknown config `{other}`")),
         };
-        let run = run_workload(&db, &built, &w, timeout_units, par_of(args)?);
+        let run = run_workload(&db, &built, &w, timeout_units, par);
         println!(
             "{:>4}: total (lower bound) {:.0}s, timeouts {}/{}",
             name,
@@ -535,14 +472,15 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
 /// the listener binds (the recovery line precedes the serving line),
 /// and every insert is fsynced before its acknowledgement.
 fn cmd_serve(args: &Args) -> Result<(), String> {
+    let par = BenchSpec::from_args(args)?.threads;
     let (db, label) = load_db(args)?;
     let p = tab_core::build_p(&db, &label);
-    let c1 = tab_core::build_1c_par(&db, &label, par_of(args)?);
+    let c1 = tab_core::build_1c_par(&db, &label, par);
     let timeout_units = args
         .get_parsed::<f64>("timeout-secs")?
         .map(|s| s / tab_engine::SIM_SECONDS_PER_UNIT)
         .unwrap_or(tab_engine::DEFAULT_TIMEOUT_UNITS);
-    let faults = faults_of(args)?;
+    let faults = args.faults()?.map(Arc::new);
     let state = EngineState::new(db)
         .with_config("p", p)
         .with_config("1c", c1);
@@ -567,7 +505,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         addr: args.get("addr").unwrap_or("127.0.0.1:7878").to_string(),
         label: label.clone(),
         timeout_units,
-        par: par_of(args)?,
+        par,
         faults,
         max_connections: args
             .get_parsed("max-connections")?
@@ -608,10 +546,7 @@ fn cmd_client(args: &Args) -> Result<(), String> {
 /// tree's `ci/`, spawning this binary as the server the `kill9` row
 /// kills. Prints one table row per check; a broken row is named with
 /// its file on stderr and the exit code is 1.
-fn cmd_gate(args: &Args) -> Result<ExitCode, String> {
-    if !args.positional.is_empty() || !args.flags.is_empty() {
-        return Err("gate takes no arguments".into());
-    }
+fn cmd_gate() -> Result<ExitCode, String> {
     let ci = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci"));
     let exe = std::env::current_exe()
         .map_err(|e| format!("cannot locate the tab binary for the kill9 row: {e}"))?;
@@ -684,11 +619,12 @@ fn cmd_tracediff(args: &Args) -> Result<ExitCode, String> {
 /// `tab converge` — sweep recommender profiles over a what-if budget
 /// ladder and print (optionally write) the convergence curves.
 fn cmd_converge(args: &Args) -> Result<(), String> {
+    let par = BenchSpec::from_args(args)?.threads;
     let (db, label) = load_db(args)?;
     let family = family_of(args.require("family")?)?;
     let p = tab_core::build_p(&db, &label);
     let budget = tab_core::space_budget(&db, &label);
-    let w = workload_for(args, &db, &p, family)?;
+    let w = workload_for(args, &db, &p, family, par)?;
     let mut spec = ConvergenceSpec::default();
     if let Some(profiles) = args.get("profiles") {
         spec.profiles = profiles
@@ -718,7 +654,7 @@ fn cmd_converge(args: &Args) -> Result<(), String> {
         family.name(),
         &w,
         budget,
-        par_of(args)?,
+        par,
         tab_core::Trace::disabled(),
         &spec,
     )?;
@@ -744,19 +680,14 @@ fn cmd_converge(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_goal(args: &Args) -> Result<(), String> {
+    let par = BenchSpec::from_args(args)?.threads;
     let (db, label) = load_db(args)?;
     let family = family_of(args.require("family")?)?;
     let goal = Goal::parse(args.require("steps")?)?;
     let p = tab_core::build_p(&db, &label);
-    let built = load_config(args, &db, &label)?;
-    let w = workload_for(args, &db, &p, family)?;
-    let run = run_workload(
-        &db,
-        &built,
-        &w,
-        tab_engine::DEFAULT_TIMEOUT_UNITS,
-        par_of(args)?,
-    );
+    let built = load_config(args, &db, &label, par)?;
+    let w = workload_for(args, &db, &p, family, par)?;
+    let run = run_workload(&db, &built, &w, tab_engine::DEFAULT_TIMEOUT_UNITS, par);
     let cfc = run.cfc();
     println!(
         "goal {} on {} ({}): {}",

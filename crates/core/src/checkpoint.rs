@@ -221,8 +221,8 @@ impl CheckpointJournal {
 
     /// Journal one completed cell and rewrite the file atomically.
     /// Write failures (including an injected `enospc:checkpoint`) are
-    /// stashed for [`CheckpointJournal::io_error`] rather than
-    /// panicking a worker mid-grid.
+    /// stashed for the grid to surface as [`crate::GridError::Journal`]
+    /// rather than panicking a worker mid-grid.
     pub fn record(
         &self,
         family: &str,
@@ -252,7 +252,7 @@ impl CheckpointJournal {
     }
 
     /// The first journal write failure, if any. Taking it clears it.
-    pub fn io_error(&self) -> Option<io::Error> {
+    pub(crate) fn io_error(&self) -> Option<io::Error> {
         self.state.lock().expect("journal poisoned").error.take()
     }
 

@@ -7,46 +7,51 @@
 //! family, and the measurement protocol (30-minute timeout, statistics
 //! collected before recommending and before running).
 
+use std::io;
+
 use tab_advisor::{one_column_configuration, p_configuration};
 use tab_datagen::{generate_nref, generate_tpch, Distribution, NrefParams, TpchParams};
-use tab_engine::{ChargePolicy, RANDOM_PAGE_COST, SEQ_PAGE_COST};
+use tab_engine::{ChargePolicy, ExecOpts, PoolOpts, RANDOM_PAGE_COST, SEQ_PAGE_COST};
 use tab_families::{sample_preserving_par, Family};
 use tab_sqlq::Query;
-use tab_storage::{par_run, BuiltConfiguration, Database, Parallelism, PAGE_SIZE};
+use tab_storage::{par_run, BuiltConfiguration, Database, Pager, Parallelism, PAGE_SIZE};
 
+use crate::args::Args;
 use crate::measure::WorkloadRun;
 
-/// Suite-level parameters (scales, seeds, timeout, parallelism).
-#[derive(Debug, Clone, Copy)]
-pub struct SuiteParams {
+/// Everything a benchmark run is measured under, in one record: the
+/// scales, workload size, timeout and seed that shape its outcomes, and
+/// the execution settings (threads, morsels, buffer pool) that must not.
+/// Two presets name the runs the repository makes; [`BenchSpec::from_args`]
+/// is the one way a command line changes them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BenchSpec {
     /// Proteins in the synthetic NREF (other tables follow the paper's
-    /// ratios; the default yields ~1 M total rows).
+    /// ratios; the paper preset yields ~1 M total rows).
     pub nref_proteins: usize,
     /// TPC-H scale factor for both the skewed and uniform instances.
     pub tpch_scale: f64,
     /// Queries per sampled workload (the paper uses 100).
     pub workload_size: usize,
-    /// Timeout budget in cost units (defaults to the 30-minute
-    /// equivalent).
+    /// Timeout budget in cost units.
     pub timeout_units: f64,
     /// Master seed.
     pub seed: u64,
-    /// Worker threads for the measurement fan-out. Results are
-    /// identical at any setting; only wall-clock time changes.
-    pub par: Parallelism,
-    /// Intra-query worker threads for morsel-driven execution inside
-    /// each measured query (`tab_engine::ExecOpts::par`). Defaults to
-    /// sequential: the grid fan-out above already saturates the cores,
-    /// so query-level threads are opt-in (`--query-threads`). Results
-    /// are identical at any setting.
-    pub query_par: Parallelism,
-    /// Rows per execution morsel
-    /// ([`tab_engine::DEFAULT_MORSEL_ROWS`] unless sweeping). Results
-    /// are identical at any setting.
+    /// Worker threads for the measurement fan-out (`--threads`; 0 = all
+    /// cores). Results are identical at any setting.
+    pub threads: Parallelism,
+    /// Intra-query workers for morsel-driven execution inside each
+    /// measured query (`--query-threads`). Sequential by default: the
+    /// fan-out above already saturates the cores. Results are identical
+    /// at any setting.
+    pub query_threads: Parallelism,
+    /// Rows per execution morsel (`--morsel-rows`). Results are
+    /// identical at any setting.
     pub morsel_rows: usize,
     /// Buffer-pool capacity in 8 KiB frames for each measured query
-    /// (`--buffer-pages`; `0` = no pool, the legacy purely-modeled
-    /// charge path).
+    /// (`--buffer-pages`; `0` = no pool, the purely modeled charge path).
+    /// Each query gets a fresh pool, so eviction state never leaks
+    /// between queries.
     pub buffer_pages: usize,
     /// How the meter charges pool traffic (`--charge`); ignored when
     /// `buffer_pages == 0`. [`ChargePolicy::Metered`] keeps every cost
@@ -54,9 +59,10 @@ pub struct SuiteParams {
     pub charge: ChargePolicy,
 }
 
-impl Default for SuiteParams {
-    fn default() -> Self {
-        SuiteParams {
+impl BenchSpec {
+    /// The paper-shaped run `repro` makes without `--small`.
+    pub fn paper() -> Self {
+        BenchSpec {
             nref_proteins: 10_000,
             // lineitem at this scale occupies about as many pages as the
             // largest NREF table, so the shared 30-minute timeout has the
@@ -65,71 +71,124 @@ impl Default for SuiteParams {
             tpch_scale: 0.1,
             workload_size: 100,
             timeout_units: tab_engine::DEFAULT_TIMEOUT_UNITS,
-            seed: 2005,
-            par: Parallelism::available(),
-            query_par: Parallelism::sequential(),
-            morsel_rows: tab_engine::DEFAULT_MORSEL_ROWS,
-            buffer_pages: 0,
-            charge: ChargePolicy::Observed,
+            ..Self::small()
         }
     }
-}
 
-impl SuiteParams {
-    /// A fast variant for tests and examples.
+    /// The fast run behind `--small`, the gate and the tests.
     pub fn small() -> Self {
-        SuiteParams {
+        BenchSpec {
             nref_proteins: 1_500,
             tpch_scale: 0.004,
             workload_size: 30,
             timeout_units: tab_engine::DEFAULT_TIMEOUT_UNITS / 10.0,
             seed: 2005,
-            par: Parallelism::available(),
-            query_par: Parallelism::sequential(),
+            threads: Parallelism::available(),
+            query_threads: Parallelism::sequential(),
             morsel_rows: tab_engine::DEFAULT_MORSEL_ROWS,
             buffer_pages: 0,
             charge: ChargePolicy::Observed,
         }
     }
 
-    /// The same parameters with an explicit thread count (`0` = all
-    /// available cores).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.par = Parallelism::new(threads);
-        self
+    /// The spec a command line names: the `--small` preset or the paper
+    /// one, with whichever of `--threads`, `--query-threads`,
+    /// `--morsel-rows`, `--buffer-pages` and `--charge` it gives.
+    pub fn from_args(args: &Args) -> Result<Self, String> {
+        let mut spec = if args.switch("small") {
+            Self::small()
+        } else {
+            Self::paper()
+        };
+        if let Some(n) = args.get_parsed("threads")? {
+            spec.threads = Parallelism::new(n);
+        }
+        if let Some(n) = args.get_parsed("query-threads")? {
+            spec.query_threads = Parallelism::new(n);
+        }
+        if let Some(n) = args.get_parsed("morsel-rows")? {
+            if n == 0 {
+                return Err("--morsel-rows must be at least 1".into());
+            }
+            spec.morsel_rows = n;
+        }
+        if let Some(n) = args.get_parsed("buffer-pages")? {
+            spec.buffer_pages = n;
+        }
+        if let Some(c) = args.get("charge") {
+            spec.charge = ChargePolicy::parse(c).map_err(|e| format!("--charge: {e}"))?;
+        }
+        Ok(spec)
     }
 
-    /// The same parameters with an explicit intra-query thread count
-    /// (`0` = all available cores).
-    pub fn with_query_threads(mut self, threads: usize) -> Self {
-        self.query_par = Parallelism::new(threads);
-        self
+    /// The checkpoint journal's fingerprint: every field that shapes the
+    /// grid's outcomes. The thread fields are excluded, since results
+    /// are identical at any parallelism, so a run interrupted at 4
+    /// threads may resume at 1. The morsel size is excluded for the same
+    /// reason.
+    pub fn fingerprint(&self) -> String {
+        let mut fp = format!(
+            "seed={};nref={};tpch_scale_bits={};workload={};timeout_bits={}",
+            self.seed,
+            self.nref_proteins,
+            self.tpch_scale.to_bits(),
+            self.workload_size,
+            self.timeout_units.to_bits()
+        );
+        // The buffer pool changes charged units (Observed mode) and the
+        // journalled I/O counters, so pooled runs get their own journal
+        // lineage. Pool-less runs keep the historical fingerprint so old
+        // journals stay resumable.
+        if self.buffer_pages > 0 {
+            fp.push_str(&format!(
+                ";pool={};charge={}",
+                self.buffer_pages,
+                self.charge.name()
+            ));
+        }
+        fp
     }
 
-    /// The same parameters with an explicit morsel size.
-    pub fn with_morsel_rows(mut self, rows: usize) -> Self {
-        self.morsel_rows = rows;
-        self
+    /// The options one measured query executes under, its pool (when
+    /// `buffer_pages > 0`) backed by `pager`. Tracing and fault sites
+    /// start disabled; the grid arms them per job.
+    pub fn exec_opts<'a>(&self, pager: Option<&'a Pager>) -> ExecOpts<'a> {
+        let pool = (self.buffer_pages > 0).then(|| PoolOpts {
+            policy: self.charge,
+            pager,
+            ..PoolOpts::new(self.buffer_pages)
+        });
+        ExecOpts {
+            par: self.query_threads,
+            morsel_rows: self.morsel_rows,
+            pool,
+            ..ExecOpts::default()
+        }
     }
 
-    /// The same parameters with a buffer pool of `pages` 8 KiB frames
-    /// per measured query (`0` disables the pool).
-    pub fn with_buffer_pages(mut self, pages: usize) -> Self {
-        self.buffer_pages = pages;
-        self
-    }
-
-    /// The same parameters with an explicit pool charge policy.
-    pub fn with_charge(mut self, charge: ChargePolicy) -> Self {
-        self.charge = charge;
-        self
+    /// The spill-to-disk pager behind the buffer pool, with every
+    /// base-table heap of `db` materialised so evicted clean pages can
+    /// be re-read; `None` when the pool is off.
+    pub fn pager(&self, label: &str, db: &Database) -> io::Result<Option<Pager>> {
+        if self.buffer_pages == 0 {
+            return Ok(None);
+        }
+        let mut pager = Pager::new(label)?;
+        for name in db.table_names() {
+            let table = db.table(name).expect("listed table exists");
+            pager.materialize_table(name, table).map_err(|e| {
+                let path = pager.dir().join(name);
+                io::Error::new(e.kind(), format!("{}: {e}", path.display()))
+            })?;
+        }
+        Ok(Some(pager))
     }
 }
 
 /// The three benchmark databases, statistics collected.
 pub struct Suite {
-    /// Parameters used to build the suite.
-    pub params: SuiteParams,
+    /// The spec the suite was built from.
+    pub spec: BenchSpec,
     /// Synthetic NREF.
     pub nref: Database,
     /// Skewed TPC-H (Zipf θ=1).
@@ -139,38 +198,38 @@ pub struct Suite {
 }
 
 impl Suite {
-    /// Generate all three databases, concurrently when `params.par`
+    /// Generate all three databases, concurrently when `spec.threads`
     /// allows. Each generator owns its seed, so the databases are
     /// independent of how the builds are scheduled.
-    pub fn build(params: SuiteParams) -> Self {
+    pub fn build(spec: BenchSpec) -> Self {
         let jobs: Vec<Box<dyn FnOnce() -> Database + Send>> = vec![
             Box::new(move || {
                 generate_nref(NrefParams {
-                    proteins: params.nref_proteins,
-                    seed: params.seed,
+                    proteins: spec.nref_proteins,
+                    seed: spec.seed,
                 })
             }),
             Box::new(move || {
                 generate_tpch(TpchParams {
-                    scale: params.tpch_scale,
+                    scale: spec.tpch_scale,
                     distribution: Distribution::Zipf(1.0),
-                    seed: params.seed + 1,
+                    seed: spec.seed + 1,
                 })
             }),
             Box::new(move || {
                 generate_tpch(TpchParams {
-                    scale: params.tpch_scale,
+                    scale: spec.tpch_scale,
                     distribution: Distribution::Uniform,
-                    seed: params.seed + 2,
+                    seed: spec.seed + 2,
                 })
             }),
         ];
-        let mut dbs = par_run(params.par, jobs).into_iter();
+        let mut dbs = par_run(spec.threads, jobs).into_iter();
         let nref = dbs.next().expect("three jobs");
         let skth = dbs.next().expect("three jobs");
         let unth = dbs.next().expect("three jobs");
         Suite {
-            params,
+            spec,
             nref,
             skth,
             unth,
@@ -178,7 +237,7 @@ impl Suite {
     }
 
     /// The database a family runs on.
-    pub fn db_for(&self, family: Family) -> &Database {
+    pub(crate) fn db_for(&self, family: Family) -> &Database {
         match family.database_label() {
             "NREF" => &self.nref,
             "SkTH" => &self.skth,
@@ -219,9 +278,9 @@ pub fn prepare_workload(suite: &Suite, family: Family, p_built: &BuiltConfigurat
         suite.db_for(family),
         family,
         p_built,
-        suite.params.workload_size,
-        suite.params.seed,
-        suite.params.par,
+        suite.spec.workload_size,
+        suite.spec.seed,
+        suite.spec.threads,
     )
 }
 
@@ -366,15 +425,15 @@ mod tests {
     use super::*;
     use tab_engine::Outcome;
 
-    fn tiny_params() -> SuiteParams {
-        SuiteParams {
+    fn tiny_params() -> BenchSpec {
+        BenchSpec {
             nref_proteins: 400,
             tpch_scale: 0.002,
             workload_size: 10,
             timeout_units: 500.0,
             seed: 7,
-            par: Parallelism::sequential(),
-            ..SuiteParams::small()
+            threads: Parallelism::sequential(),
+            ..BenchSpec::small()
         }
     }
 
@@ -382,12 +441,55 @@ mod tests {
         Suite::build(tiny_params())
     }
 
+    /// The small preset's fingerprint is the header of the journal an
+    /// earlier build wrote (`ci/fixtures/checkpoint_v1.jsonl`), so that
+    /// journal stays resumable; thread and morsel settings never enter
+    /// it, and a pooled run appends its pool.
+    #[test]
+    fn fingerprints_are_pinned() {
+        const SMALL: &str = "seed=2005;nref=1500;tpch_scale_bits=4571261708172110332;\
+                             workload=30;timeout_bits=4659914996468154368";
+        let small = BenchSpec::small();
+        assert_eq!(small.fingerprint(), SMALL);
+        let fixture = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../ci/fixtures/checkpoint_v1.jsonl"
+        );
+        let header = std::fs::read_to_string(fixture).expect("journal fixture");
+        let header = header.lines().next().expect("header line");
+        assert!(
+            header.contains(&format!("\"fingerprint\":\"{SMALL}\"")),
+            "{header}"
+        );
+        let busy = BenchSpec {
+            threads: Parallelism::new(7),
+            query_threads: Parallelism::new(3),
+            morsel_rows: 64,
+            ..small
+        };
+        assert_eq!(busy.fingerprint(), SMALL);
+        let pooled = BenchSpec {
+            buffer_pages: 64,
+            charge: ChargePolicy::Metered,
+            ..small
+        };
+        assert_eq!(
+            pooled.fingerprint(),
+            format!("{SMALL};pool=64;charge=metered")
+        );
+        assert_eq!(
+            BenchSpec::paper().fingerprint(),
+            "seed=2005;nref=10000;tpch_scale_bits=4591870180066957722;\
+             workload=100;timeout_bits=4675043176954724352"
+        );
+    }
+
     #[test]
     fn parallel_suite_matches_sequential() {
         let seq = tiny_suite();
-        let par = Suite::build(SuiteParams {
-            par: Parallelism::new(3),
-            ..seq.params
+        let par = Suite::build(BenchSpec {
+            threads: Parallelism::new(3),
+            ..seq.spec
         });
         for (a, b) in [
             (&seq.nref, &par.nref),
@@ -441,7 +543,7 @@ mod tests {
     #[test]
     fn space_budget_equals_the_built_difference() {
         for (nref_proteins, tpch_scale) in [(150, 0.001), (400, 0.003)] {
-            let s = Suite::build(SuiteParams {
+            let s = Suite::build(BenchSpec {
                 nref_proteins,
                 tpch_scale,
                 ..tiny_params()

@@ -3,8 +3,7 @@
 //! §2.2: "a performance goal can be viewed as a quality of service
 //! requirement … a configuration `C_j` satisfies the performance goal if
 //! `CFC_j > G`. Note that any monotonic function G can be used as a
-//! performance goal in this setting." Also supported: the simpler
-//! total-cost and improvement-ratio goals the same section defines.
+//! performance goal in this setting."
 
 use crate::cfc::Cfc;
 
@@ -46,12 +45,6 @@ impl Goal {
             "fractions must be in [0, 1]"
         );
         Goal { steps }
-    }
-
-    /// The paper's Example 2: 10% under 10 s, 50% under a minute, 90%
-    /// before the 30-minute timeout.
-    pub fn example_2() -> Self {
-        Goal::from_steps(vec![(10.0, 0.1), (60.0, 0.5), (1800.0, 0.9)])
     }
 
     /// `G(x)`.
@@ -116,23 +109,19 @@ impl Goal {
     }
 }
 
-/// The improvement-ratio goal of §2.2:
-/// `IR = A(W, C_i) / A(W, C_j) ≥ target` (e.g. "a 10 times improvement").
-pub fn improvement_ratio(total_before: f64, total_after: f64) -> f64 {
-    if total_after <= 0.0 {
-        f64::INFINITY
-    } else {
-        total_before / total_after
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The paper's Example 2: 10% under 10 s, 50% under a minute, 90%
+    /// before the 30-minute timeout.
+    fn example_2() -> Goal {
+        Goal::from_steps(vec![(10.0, 0.1), (60.0, 0.5), (1800.0, 0.9)])
+    }
+
     #[test]
     fn example_2_step_values() {
-        let g = Goal::example_2();
+        let g = example_2();
         assert_eq!(g.value(5.0), 0.0);
         assert_eq!(g.value(10.0), 0.1);
         assert_eq!(g.value(59.0), 0.1);
@@ -142,7 +131,7 @@ mod tests {
 
     #[test]
     fn satisfied_and_violated() {
-        let g = Goal::example_2();
+        let g = example_2();
         // 10 queries: all at 1s -> satisfies everything.
         let fast = Cfc::from_values(&[1.0; 10]);
         assert!(g.satisfied_by(&fast));
@@ -180,11 +169,5 @@ mod tests {
         assert!(Goal::parse("10:0.5,5:0.9").is_err());
         assert!(Goal::parse("10:1.5").is_err());
         assert!(Goal::parse("ten:0.5").is_err());
-    }
-
-    #[test]
-    fn improvement_ratio_math() {
-        assert_eq!(improvement_ratio(100.0, 10.0), 10.0);
-        assert_eq!(improvement_ratio(100.0, 0.0), f64::INFINITY);
     }
 }

@@ -21,20 +21,22 @@ use std::io;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use tab_engine::{ChargePolicy, ExecOpts, Outcome, PoolOpts, Session};
+use tab_engine::{Outcome, Session};
 use tab_sqlq::Query;
 use tab_storage::framed::json_escape;
 use tab_storage::trace::{event, Num};
 use tab_storage::{
-    par_map_catch, BuiltConfiguration, Database, Faults, JobPanic, Pager, Parallelism, PoolStats,
-    Trace,
+    par_map_catch, BuiltConfiguration, Database, Faults, JobPanic, Pager, PoolStats, Trace,
 };
 
 use crate::checkpoint::{self, CheckpointJournal};
+use crate::experiment::BenchSpec;
 use crate::measure::WorkloadRun;
 
 /// One (family, configuration) cell of the experiment grid, borrowed
-/// from the driver that owns the databases and configurations.
+/// from the driver that owns the databases and configurations. What is
+/// the same for every cell (timeout, threads, morsels, pool) comes from
+/// the [`BenchSpec`] the grid runs under.
 pub struct GridCell<'a> {
     /// Family name, e.g. `NREF2J`.
     pub family: &'a str,
@@ -44,24 +46,6 @@ pub struct GridCell<'a> {
     pub built: &'a BuiltConfiguration,
     /// The sampled workload, in order.
     pub workload: &'a [Query],
-    /// Timeout budget in cost units.
-    pub timeout_units: f64,
-    /// Intra-query worker threads for morsel-driven execution, *inside*
-    /// each (cell, query) job — distinct from the grid-level `par`
-    /// fan-out across jobs. Outcomes are identical at any setting.
-    pub query_par: Parallelism,
-    /// Rows per execution morsel (see [`tab_engine::exec`];
-    /// [`tab_engine::DEFAULT_MORSEL_ROWS`] unless sweeping).
-    pub morsel_rows: usize,
-    /// Buffer-pool capacity in 8 KiB frames for each query of the cell
-    /// (`0` = no pool, the legacy purely-modeled charge path). Each
-    /// query gets a fresh pool, so eviction state never leaks between
-    /// queries and outcomes stay order-independent.
-    pub buffer_pages: usize,
-    /// How the meter charges pool traffic; ignored when
-    /// `buffer_pages == 0`. [`ChargePolicy::Metered`] keeps every cost
-    /// total byte-identical to the pool-less path.
-    pub charge: ChargePolicy,
     /// Spill-to-disk pager backing the pool's frames (optional; without
     /// one, evicted dirty pages are re-materialized from the in-memory
     /// heap on re-fetch and only the byte counters move).
@@ -176,12 +160,14 @@ struct Slab {
 ///   sibling cells run to completion and are journaled. The failure
 ///   surfaces as [`GridError::Poisoned`].
 ///
-/// The per-cell ordering of outcomes and the wall-clock summation order,
+/// Jobs fan out over `spec.threads`; each query runs under
+/// [`BenchSpec::exec_opts`] with `spec.timeout_units` as its budget. The
+/// per-cell ordering of outcomes and the wall-clock summation order,
 /// and therefore every downstream artifact, are identical at any thread
 /// count.
 pub fn run_grid(
+    spec: &BenchSpec,
     cells: &[GridCell<'_>],
-    par: Parallelism,
     trace: Trace<'_>,
     faults: Faults<'_>,
     journal: Option<&CheckpointJournal>,
@@ -229,7 +215,7 @@ pub fn run_grid(
         .flat_map(|(c, cell)| (0..cell.workload.len()).map(move |q| (c, q)))
         .collect();
 
-    let results = par_map_catch(par, &jobs, |&(c, q)| {
+    let results = par_map_catch(spec.threads, &jobs, |&(c, q)| {
         let cell = &cells[c];
         if faults.is_enabled() {
             // Identity-matched site: fires for every job of the named
@@ -237,7 +223,7 @@ pub fn run_grid(
             // deterministic.
             faults.panic_if_armed(&format!("cell:{}/{}", cell.family, cell.built.config.name));
         }
-        let (outcome, wall, io) = run_query(cell, q, trace, faults);
+        let (outcome, wall, io) = run_query(spec, cell, q, trace, faults);
         let mut slab = slabs[c].lock().expect("cell slab poisoned");
         slab.got[q] = Some((outcome, wall, io));
         slab.filled += 1;
@@ -316,10 +302,11 @@ pub fn run_grid(
 }
 
 /// Execute one (cell, query) job, optionally tracing it, under the
-/// cell's morsel-driven [`ExecOpts`] with the
+/// spec's morsel-driven [`tab_engine::ExecOpts`] with the
 /// `panic:morsel:<family>/<config>` fault site armed inside the
 /// executor's morsel workers.
 fn run_query(
+    spec: &BenchSpec,
     cell: &GridCell<'_>,
     q: usize,
     trace: Trace<'_>,
@@ -332,31 +319,22 @@ fn run_query(
     } else {
         None
     };
-    let evict_site = if faults.is_enabled() && cell.buffer_pages > 0 {
+    let evict_site = if faults.is_enabled() && spec.buffer_pages > 0 {
         Some(format!("evict:{}/{}", cell.family, cell.built.config.name))
     } else {
         None
     };
-    let pool = (cell.buffer_pages > 0).then(|| {
-        let mut p = PoolOpts::new(cell.buffer_pages);
-        p.policy = cell.charge;
-        p.pager = cell.pager;
-        p.trace = trace;
-        p.evict_site = evict_site.as_deref();
-        p
-    });
-    let exec = ExecOpts {
-        par: cell.query_par,
-        morsel_rows: cell.morsel_rows,
-        faults,
-        fault_site: site.as_deref(),
-        pool,
-        ..ExecOpts::default()
-    };
+    let mut exec = spec.exec_opts(cell.pager);
+    exec.faults = faults;
+    exec.fault_site = site.as_deref();
+    if let Some(pool) = exec.pool.as_mut() {
+        pool.trace = trace;
+        pool.evict_site = evict_site.as_deref();
+    }
     let session = Session::new(cell.db, cell.built).with_exec(exec);
     let t0 = Instant::now();
     let result = session
-        .run(&cell.workload[q], Some(cell.timeout_units))
+        .run(&cell.workload[q], Some(spec.timeout_units))
         .expect("grid workloads bind against their databases");
     if trace.is_enabled() {
         let config = cell.built.config.name.as_str();
@@ -461,7 +439,7 @@ pub struct IoBenchCell {
 /// ```json
 /// {
 ///   "schema": "tab-io-bench-v1",
-///   "mode": "pool",            // "pool" when buffer_pages > 0, else "compat"
+///   "mode": "pool",            // "pool" when spec.buffer_pages > 0, else "compat"
 ///   "buffer_pages": 64,        // pool capacity in 8 KiB frames (0 = off)
 ///   "charge": "metered",       // ChargePolicy the run used
 ///   "cells": [
@@ -476,7 +454,8 @@ pub struct IoBenchCell {
 /// wall-clock**: every field is a pure function of the logical access
 /// stream, so determinism checks byte-compare it across thread counts
 /// (like `BENCH_convergence.json`) rather than skipping it.
-pub fn io_bench_json(buffer_pages: usize, charge: ChargePolicy, cells: &[IoBenchCell]) -> String {
+pub fn io_bench_json(spec: &BenchSpec, cells: &[IoBenchCell]) -> String {
+    let buffer_pages = spec.buffer_pages;
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"schema\": \"tab-io-bench-v1\",\n");
@@ -485,7 +464,7 @@ pub fn io_bench_json(buffer_pages: usize, charge: ChargePolicy, cells: &[IoBench
         if buffer_pages > 0 { "pool" } else { "compat" }
     ));
     s.push_str(&format!("  \"buffer_pages\": {buffer_pages},\n"));
-    s.push_str(&format!("  \"charge\": \"{}\",\n", charge.name()));
+    s.push_str(&format!("  \"charge\": \"{}\",\n", spec.charge.name()));
     s.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
         s.push_str(&format!(
@@ -514,8 +493,8 @@ mod tests {
     use crate::experiment::{build_1c, build_p};
     use crate::measure::run_workload;
     use tab_datagen::{generate_nref, NrefParams};
-    use tab_engine::DEFAULT_MORSEL_ROWS;
     use tab_sqlq::parse;
+    use tab_storage::Parallelism;
 
     fn setup() -> (Database, Vec<Query>) {
         let db = generate_nref(NrefParams {
@@ -534,58 +513,54 @@ mod tests {
         (db, qs)
     }
 
+    /// A 500-unit budget at `threads`, two query threads over 64-row
+    /// morsels.
+    fn spec(threads: usize) -> BenchSpec {
+        BenchSpec {
+            timeout_units: 500.0,
+            threads: Parallelism::new(threads),
+            query_threads: Parallelism::new(2),
+            morsel_rows: 64,
+            ..BenchSpec::small()
+        }
+    }
+
+    /// P and 1C on F1's workload, then P on F2's three queries.
+    fn three_cells<'a>(
+        db: &'a Database,
+        p: &'a BuiltConfiguration,
+        c1: &'a BuiltConfiguration,
+        qs: &'a [Query],
+    ) -> [GridCell<'a>; 3] {
+        let cell = |family, built, workload| GridCell {
+            family,
+            db,
+            built,
+            workload,
+            pager: None,
+        };
+        [
+            cell("F1", p, qs),
+            cell("F1", c1, qs),
+            cell("F2", p, &qs[..3]),
+        ]
+    }
+
     #[test]
     fn grid_matches_per_cell_run_workload_at_any_thread_count() {
         let (db, qs) = setup();
         let p = build_p(&db, "NREF");
         let c1 = build_1c(&db, "NREF");
-        let cells = [
-            GridCell {
-                family: "F1",
-                db: &db,
-                built: &p,
-                workload: &qs,
-                timeout_units: 500.0,
-                query_par: Parallelism::new(2),
-                morsel_rows: 64,
-                buffer_pages: 0,
-                charge: ChargePolicy::Observed,
-                pager: None,
-            },
-            GridCell {
-                family: "F1",
-                db: &db,
-                built: &c1,
-                workload: &qs,
-                timeout_units: 500.0,
-                query_par: Parallelism::new(2),
-                morsel_rows: 64,
-                buffer_pages: 0,
-                charge: ChargePolicy::Observed,
-                pager: None,
-            },
-            GridCell {
-                family: "F2",
-                db: &db,
-                built: &p,
-                workload: &qs[..3],
-                timeout_units: 10.0,
-                query_par: Parallelism::new(2),
-                morsel_rows: 64,
-                buffer_pages: 0,
-                charge: ChargePolicy::Observed,
-                pager: None,
-            },
-        ];
+        let cells = three_cells(&db, &p, &c1, &qs);
         let seq = Parallelism::sequential();
         let serial: Vec<WorkloadRun> = cells
             .iter()
-            .map(|c| run_workload(c.db, c.built, c.workload, c.timeout_units, seq))
+            .map(|c| run_workload(c.db, c.built, c.workload, 500.0, seq))
             .collect();
         for threads in [1, 2, 4] {
             let grid = run_grid(
+                &spec(threads),
                 &cells,
-                Parallelism::new(threads),
                 Trace::disabled(),
                 Faults::disabled(),
                 None,
@@ -615,19 +590,17 @@ mod tests {
             db: &db,
             built: &p,
             workload: &qs,
-            timeout_units: 500.0,
-            query_par: Parallelism::sequential(),
-            morsel_rows: DEFAULT_MORSEL_ROWS,
-            buffer_pages: 0,
-            charge: ChargePolicy::Observed,
             pager: None,
         }];
-        let seq = Parallelism::sequential();
-        let plain =
-            run_grid(&cells, seq, Trace::disabled(), Faults::disabled(), None).expect("clean grid");
+        let seq = BenchSpec {
+            threads: Parallelism::sequential(),
+            ..BenchSpec::small()
+        };
+        let plain = run_grid(&seq, &cells, Trace::disabled(), Faults::disabled(), None)
+            .expect("clean grid");
         let sink = tab_storage::MemoryTraceSink::new();
         let traced =
-            run_grid(&cells, seq, Trace::to(&sink), Faults::disabled(), None).expect("clean grid");
+            run_grid(&seq, &cells, Trace::to(&sink), Faults::disabled(), None).expect("clean grid");
         for ((a, ta), (b, tb)) in plain.iter().zip(&traced) {
             assert_eq!(format!("{:?}", a.outcomes), format!("{:?}", b.outcomes));
             assert_eq!(ta.cost_units, tb.cost_units);
@@ -654,47 +627,10 @@ mod tests {
         let (db, qs) = setup();
         let p = build_p(&db, "NREF");
         let c1 = build_1c(&db, "NREF");
-        let cells = [
-            GridCell {
-                family: "F1",
-                db: &db,
-                built: &p,
-                workload: &qs,
-                timeout_units: 500.0,
-                query_par: Parallelism::new(2),
-                morsel_rows: 64,
-                buffer_pages: 0,
-                charge: ChargePolicy::Observed,
-                pager: None,
-            },
-            GridCell {
-                family: "F1",
-                db: &db,
-                built: &c1,
-                workload: &qs,
-                timeout_units: 500.0,
-                query_par: Parallelism::new(2),
-                morsel_rows: 64,
-                buffer_pages: 0,
-                charge: ChargePolicy::Observed,
-                pager: None,
-            },
-            GridCell {
-                family: "F2",
-                db: &db,
-                built: &p,
-                workload: &qs[..3],
-                timeout_units: 10.0,
-                query_par: Parallelism::new(2),
-                morsel_rows: 64,
-                buffer_pages: 0,
-                charge: ChargePolicy::Observed,
-                pager: None,
-            },
-        ];
+        let cells = three_cells(&db, &p, &c1, &qs);
         let clean = run_grid(
+            &spec(1),
             &cells,
-            Parallelism::sequential(),
             Trace::disabled(),
             Faults::disabled(),
             None,
@@ -708,8 +644,8 @@ mod tests {
             // Crash: the poisoned cell fails, siblings are journaled.
             let journal = CheckpointJournal::open(&path, "t", false).expect("open journal");
             let err = run_grid(
+                &spec(threads),
                 &cells,
-                Parallelism::new(threads),
                 Trace::disabled(),
                 Faults::to(&plan),
                 Some(&journal),
@@ -733,8 +669,8 @@ mod tests {
             let journal = CheckpointJournal::open(&path, "t", true).expect("reopen");
             assert_eq!(journal.cells(), 2);
             let resumed = run_grid(
+                &spec(threads),
                 &cells,
-                Parallelism::new(threads),
                 Trace::disabled(),
                 Faults::disabled(),
                 Some(&journal),

@@ -6,14 +6,16 @@
 //! - [`cfc`] — cumulative frequency curves of query elapsed times and
 //!   first-order stochastic dominance between configurations (§2.2);
 //! - [`goal`] — performance goals as monotone constraints on CFC curves
-//!   (Example 2), plus total-cost and improvement-ratio goals;
+//!   (Example 2);
 //! - [`histogram`] — log-binned elapsed-time histograms with the `t_out`
 //!   bin (Figures 1–2) and decade-binned ratio histograms (Figure 11);
 //! - [`measure`] — workload-level `A`/`E`/`H` measurement, timeout lower
 //!   bounds (§4.3), and improvement ratios AIR/EIR/HIR (§5.2);
-//! - [`experiment`] — the benchmark suite: the three databases, the
-//!   `P`/`1C` configurations, space budgets, workload sampling, and the
-//!   §4.4 insertion break-even analysis;
+//! - [`experiment`] — the benchmark suite: the [`BenchSpec`] every run
+//!   is measured under, the three databases, the `P`/`1C`
+//!   configurations, space budgets, workload sampling, and the §4.4
+//!   insertion break-even analysis;
+//! - [`args`] — the one command-line parser every binary shares;
 //! - [`report`] — CSV output and ASCII figure rendering.
 //!
 //! The crate also re-exports the structured tracing layer
@@ -22,6 +24,7 @@
 
 #![deny(missing_docs)]
 
+pub mod args;
 pub mod cfc;
 pub mod checkpoint;
 pub mod convergence;
@@ -32,6 +35,7 @@ pub mod histogram;
 pub mod measure;
 pub mod report;
 
+pub use args::{Accepts, Args};
 pub use cfc::Cfc;
 pub use checkpoint::{CheckpointError, CheckpointJournal};
 pub use convergence::{
@@ -40,10 +44,10 @@ pub use convergence::{
 };
 pub use experiment::{
     build_1c, build_1c_par, build_p, insertion_breakeven, per_insert_cost, prepare_workload,
-    prepare_workload_db, prepare_workload_db_with, space_budget, table1_row, InsertionAnalysis,
-    Suite, SuiteParams, Table1Row,
+    prepare_workload_db, prepare_workload_db_with, space_budget, table1_row, BenchSpec,
+    InsertionAnalysis, Suite, Table1Row,
 };
-pub use goal::{improvement_ratio, Goal};
+pub use goal::Goal;
 pub use grid::{
     io_bench_json, run_grid, timings_json, CellTiming, FailedCell, GridCell, GridError, IoBenchCell,
 };

@@ -55,7 +55,7 @@ impl WorkloadRun {
     /// The same conservative total in raw cost units: actual units for
     /// completed queries, the budget for timed-out ones. This is the
     /// quantity the grid timings aggregate.
-    pub fn total_lower_bound_units(&self) -> f64 {
+    pub(crate) fn total_lower_bound_units(&self) -> f64 {
         self.outcomes.iter().map(Outcome::units_lower_bound).sum()
     }
 }

@@ -68,7 +68,7 @@ pub fn write_bytes(path: impl AsRef<Path>, bytes: &[u8], faults: Faults<'_>) -> 
 }
 
 /// Sample a CFC at log-spaced x values between `min_x` and `max_x`.
-pub fn cfc_series(cfc: &Cfc, min_x: f64, max_x: f64, points: usize) -> Vec<(f64, f64)> {
+pub(crate) fn cfc_series(cfc: &Cfc, min_x: f64, max_x: f64, points: usize) -> Vec<(f64, f64)> {
     assert!(min_x > 0.0 && max_x > min_x && points >= 2);
     let l0 = min_x.log10();
     let l1 = max_x.log10();

@@ -9,19 +9,19 @@ use tab_bench::advisor::{
     one_column_budget_bytes, AdvisorInput, Recommender, SystemA, SystemB, SystemC,
 };
 use tab_bench::eval::report::render_cfc_ascii;
-use tab_bench::eval::{build_1c, build_p, run_workload, Parallelism, Suite, SuiteParams};
+use tab_bench::eval::{build_1c, build_p, run_workload, BenchSpec, Parallelism, Suite};
 use tab_bench::families::Family;
 use tab_bench::storage::BuiltConfiguration;
 
 fn main() {
     // Large enough that index choices matter on TPC-H, small enough to
     // finish in about a minute.
-    let params = SuiteParams {
+    let spec = BenchSpec {
         tpch_scale: 0.02,
         workload_size: 40,
-        ..SuiteParams::small()
+        ..BenchSpec::small()
     };
-    let suite = Suite::build(params);
+    let suite = Suite::build(spec);
     let db = &suite.skth;
 
     let p = build_p(db, "SkTH");
@@ -33,8 +33,8 @@ fn main() {
     println!("workload: {} SkTH3Js queries", workload.len());
 
     let seq = Parallelism::sequential();
-    let run_p = run_workload(db, &p, &workload, params.timeout_units, seq);
-    let run_1c = run_workload(db, &one_c, &workload, params.timeout_units, seq);
+    let run_p = run_workload(db, &p, &workload, spec.timeout_units, seq);
+    let run_1c = run_workload(db, &one_c, &workload, spec.timeout_units, seq);
     let mut curves = vec![
         ("P".to_string(), run_p.cfc()),
         ("1".to_string(), run_1c.cfc()),
@@ -45,7 +45,7 @@ fn main() {
         current: &p,
         workload: &workload,
         budget_bytes: budget,
-        par: params.par,
+        par: spec.threads,
         trace: tab_bench::storage::Trace::disabled(),
     };
     for rec in [&SystemA::default() as &dyn Recommender, &SystemB, &SystemC] {
@@ -63,7 +63,7 @@ fn main() {
                     stats.wall_seconds
                 );
                 let built = BuiltConfiguration::build(cfg, db);
-                let run = run_workload(db, &built, &workload, params.timeout_units, seq);
+                let run = run_workload(db, &built, &workload, spec.timeout_units, seq);
                 println!(
                     "  total (lower bound): {:.0}s, timeouts {}",
                     run.total_lower_bound_sim_seconds(),

@@ -8,12 +8,12 @@
 //! cargo run --release --example goal_check
 //! ```
 
-use tab_bench::eval::{build_1c, build_p, run_workload, Goal, Parallelism, Suite, SuiteParams};
+use tab_bench::eval::{build_1c, build_p, run_workload, BenchSpec, Goal, Parallelism, Suite};
 use tab_bench::families::Family;
 
 fn main() {
-    let params = SuiteParams::small();
-    let suite = Suite::build(params);
+    let spec = BenchSpec::small();
+    let suite = Suite::build(spec);
     let db = &suite.nref;
 
     let p = build_p(db, "NREF");
@@ -21,7 +21,7 @@ fn main() {
     let workload = tab_bench::eval::prepare_workload(&suite, Family::Nref2J, &p);
 
     // The paper's Example 2, scaled to this suite's timeout.
-    let timeout_s = tab_bench::engine::units_to_sim_seconds(params.timeout_units);
+    let timeout_s = tab_bench::engine::units_to_sim_seconds(spec.timeout_units);
     let goal = Goal::from_steps(vec![
         (timeout_s / 180.0, 0.1),
         (timeout_s / 30.0, 0.5),
@@ -37,7 +37,7 @@ fn main() {
             db,
             cfg,
             &workload,
-            params.timeout_units,
+            spec.timeout_units,
             Parallelism::sequential(),
         );
         let cfc = run.cfc();

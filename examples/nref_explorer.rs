@@ -9,14 +9,14 @@
 use tab_bench::engine::Session;
 use tab_bench::eval::report::render_histogram_ascii;
 use tab_bench::eval::{
-    build_1c, build_p, run_workload, LogHistogram, Parallelism, Suite, SuiteParams,
+    build_1c, build_p, run_workload, BenchSpec, LogHistogram, Parallelism, Suite,
 };
 use tab_bench::families::Family;
 use tab_bench::sqlq::parse;
 
 fn main() {
-    let params = SuiteParams::small();
-    let suite = Suite::build(params);
+    let spec = BenchSpec::small();
+    let suite = Suite::build(spec);
     let db = &suite.nref;
 
     // The paper's Example 1 (adapted to the synthetic instance's
@@ -44,7 +44,7 @@ fn main() {
         ("1C (single-column)", &one_c),
     ] {
         let session = Session::new(db, cfg);
-        let r = session.run(&example_1, Some(params.timeout_units)).unwrap();
+        let r = session.run(&example_1, Some(spec.timeout_units)).unwrap();
         println!(
             "Example 1 on {label}: {} -> {}",
             r.plan.describe(),
@@ -67,7 +67,7 @@ fn main() {
             db,
             cfg,
             &workload,
-            params.timeout_units,
+            spec.timeout_units,
             Parallelism::sequential(),
         );
         let hist = LogHistogram::new(&run.sim_seconds(), 0.1, 1800.0, 1);

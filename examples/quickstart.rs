@@ -6,13 +6,13 @@
 //! ```
 
 use tab_bench::eval::report::render_cfc_ascii;
-use tab_bench::eval::{build_1c, build_p, run_workload, Parallelism, Suite, SuiteParams};
+use tab_bench::eval::{build_1c, build_p, run_workload, BenchSpec, Parallelism, Suite};
 use tab_bench::families::Family;
 
 fn main() {
     // 1. A small benchmark suite: synthetic NREF + two TPC-H variants.
-    let params = SuiteParams::small();
-    let suite = Suite::build(params);
+    let spec = BenchSpec::small();
+    let suite = Suite::build(spec);
     println!(
         "NREF: {} tables, {} total rows",
         suite.nref.table_names().count(),
@@ -40,8 +40,8 @@ fn main() {
 
     // 4. Execute on both configurations with the timeout.
     let seq = Parallelism::sequential();
-    let run_p = run_workload(&suite.nref, &p, &workload, params.timeout_units, seq);
-    let run_1c = run_workload(&suite.nref, &one_c, &workload, params.timeout_units, seq);
+    let run_p = run_workload(&suite.nref, &p, &workload, spec.timeout_units, seq);
+    let run_1c = run_workload(&suite.nref, &one_c, &workload, spec.timeout_units, seq);
 
     // 5. Compare with cumulative frequency curves (the paper's Figure 3).
     let cfc_p = run_p.cfc();

@@ -6,20 +6,20 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use tab_bench::engine::ChargePolicy;
-use tab_bench::eval::SuiteParams;
+use tab_bench::eval::{BenchSpec, Parallelism};
 use tab_bench_harness::repro::{run_all, ReproConfig};
 
 fn tiny(out: &Path, threads: usize) -> ReproConfig {
     ReproConfig {
-        params: SuiteParams {
+        spec: BenchSpec {
             nref_proteins: 400,
             tpch_scale: 0.002,
             workload_size: 8,
             timeout_units: 500.0,
             seed: 7,
-            ..SuiteParams::small()
-        }
-        .with_threads(threads),
+            threads: Parallelism::new(threads),
+            ..BenchSpec::small()
+        },
         out_dir: out.to_path_buf(),
         trace: None,
         faults: None,
@@ -32,7 +32,8 @@ fn tiny(out: &Path, threads: usize) -> ReproConfig {
 /// byte-compare against the sequential baseline.
 fn tiny_morsel(out: &Path, threads: usize) -> ReproConfig {
     let mut cfg = tiny(out, threads);
-    cfg.params = cfg.params.with_query_threads(4).with_morsel_rows(64);
+    cfg.spec.query_threads = Parallelism::new(4);
+    cfg.spec.morsel_rows = 64;
     cfg
 }
 
@@ -174,10 +175,8 @@ fn repro_outputs_identical_at_one_and_four_threads() {
 /// frames, clock eviction, and spill underneath.
 fn tiny_pooled(out: &Path, threads: usize, pages: usize) -> ReproConfig {
     let mut cfg = tiny(out, threads);
-    cfg.params = cfg
-        .params
-        .with_buffer_pages(pages)
-        .with_charge(ChargePolicy::Metered);
+    cfg.spec.buffer_pages = pages;
+    cfg.spec.charge = ChargePolicy::Metered;
     cfg
 }
 

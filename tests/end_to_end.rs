@@ -4,20 +4,20 @@
 use tab_bench::advisor::{AdvisorInput, Recommender, SystemB, SystemC};
 use tab_bench::engine::Session;
 use tab_bench::eval::{
-    build_1c, build_p, estimate_workload, prepare_workload, run_workload, space_budget,
-    Parallelism, Suite, SuiteParams,
+    build_1c, build_p, estimate_workload, prepare_workload, run_workload, space_budget, BenchSpec,
+    Parallelism, Suite,
 };
 use tab_bench::families::Family;
 use tab_bench::storage::BuiltConfiguration;
 
 fn small_suite() -> Suite {
-    Suite::build(SuiteParams {
+    Suite::build(BenchSpec {
         nref_proteins: 2_000,
         tpch_scale: 0.005,
         workload_size: 25,
         timeout_units: 3_000.0,
         seed: 42,
-        ..SuiteParams::small()
+        ..BenchSpec::small()
     })
 }
 
@@ -29,8 +29,8 @@ fn one_c_beats_p_on_nref2j() {
     let p = build_p(db, "NREF");
     let c1 = build_1c(db, "NREF");
     let w = prepare_workload(&suite, Family::Nref2J, &p);
-    let run_p = run_workload(db, &p, &w, suite.params.timeout_units, seq);
-    let run_1c = run_workload(db, &c1, &w, suite.params.timeout_units, seq);
+    let run_p = run_workload(db, &p, &w, suite.spec.timeout_units, seq);
+    let run_1c = run_workload(db, &c1, &w, suite.spec.timeout_units, seq);
     let total_p = run_p.total_lower_bound_sim_seconds();
     let total_1c = run_1c.total_lower_bound_sim_seconds();
     assert!(

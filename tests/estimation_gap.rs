@@ -4,18 +4,18 @@
 
 use tab_bench::eval::{
     build_1c, build_p, estimate_workload, estimate_workload_hypothetical, prepare_workload,
-    Parallelism, Suite, SuiteParams,
+    BenchSpec, Parallelism, Suite,
 };
 use tab_bench::families::Family;
 
 fn suite() -> Suite {
-    Suite::build(SuiteParams {
+    Suite::build(BenchSpec {
         nref_proteins: 2_000,
         tpch_scale: 0.005,
         workload_size: 25,
         timeout_units: 3_000.0,
         seed: 7,
-        ..SuiteParams::small()
+        ..BenchSpec::small()
     })
 }
 

@@ -12,22 +12,22 @@ use std::sync::Arc;
 
 use tab_bench::datagen::{generate_nref, generate_nref_checked, NrefParams};
 use tab_bench::engine::{ChargePolicy, EngineState, SharedEngine};
-use tab_bench::eval::SuiteParams;
+use tab_bench::eval::BenchSpec;
 use tab_bench::sqlq::{parse_statement, Statement};
 use tab_bench::storage::{par_map, par_map_catch, FaultPlan, Faults, Parallelism};
 use tab_bench_harness::repro::{run_all, ReproConfig, ReproError};
 
 fn tiny(out: &Path, threads: usize) -> ReproConfig {
     ReproConfig {
-        params: SuiteParams {
+        spec: BenchSpec {
             nref_proteins: 400,
             tpch_scale: 0.002,
             workload_size: 8,
             timeout_units: 500.0,
             seed: 7,
-            ..SuiteParams::small()
-        }
-        .with_threads(threads),
+            threads: Parallelism::new(threads),
+            ..BenchSpec::small()
+        },
         out_dir: out.to_path_buf(),
         trace: None,
         faults: None,
@@ -84,7 +84,10 @@ fn poisoned_cell_then_resume_is_byte_identical_across_thread_counts() {
     for (crash_threads, resume_threads) in [(1, 4), (4, 1)] {
         let dir = base.join(format!("t{crash_threads}"));
         let plan = FaultPlan::parse("panic:cell:NREF3J/NREF_1C").expect("spec");
-        let mut cfg = tiny(&dir, crash_threads).with_faults(plan);
+        let mut cfg = ReproConfig {
+            faults: Some(plan),
+            ..tiny(&dir, crash_threads)
+        };
         let err = run_all(&cfg).expect_err("poisoned cell must fail the run");
         match &err {
             ReproError::Grid { message } => {
@@ -111,7 +114,7 @@ fn poisoned_cell_then_resume_is_byte_identical_across_thread_counts() {
 
         cfg.faults = None;
         cfg.resume = true;
-        cfg.params = cfg.params.with_threads(resume_threads);
+        cfg.spec.threads = Parallelism::new(resume_threads);
         let summary = run_all(&cfg).expect("resume completes the run");
         assert!(summary.claims.len() > 5, "claims recomputed on resume");
         assert!(!journal.exists(), "journal removed after successful resume");
@@ -136,7 +139,10 @@ fn injected_enospc_names_the_artifact_and_resume_recovers() {
 
     let dir = base.join("faulted");
     let plan = FaultPlan::parse("enospc:claims.csv").expect("spec");
-    let mut cfg = tiny(&dir, 2).with_faults(plan);
+    let mut cfg = ReproConfig {
+        faults: Some(plan),
+        ..tiny(&dir, 2)
+    };
     let err = run_all(&cfg).expect_err("full disk on claims.csv must fail the run");
     match &err {
         ReproError::Artifact { path, source } => {
@@ -172,9 +178,11 @@ fn torn_trace_fails_after_artifacts_but_before_journal_discard() {
     let dir = base.join("out");
     let trace_path = base.join("trace.jsonl");
     let plan = FaultPlan::parse("truncate:trace:5").expect("spec");
-    let mut cfg = tiny(&dir, 2)
-        .with_trace(trace_path.clone())
-        .with_faults(plan);
+    let mut cfg = ReproConfig {
+        trace: Some(trace_path.clone()),
+        faults: Some(plan),
+        ..tiny(&dir, 2)
+    };
     let err = run_all(&cfg).expect_err("torn trace must fail the run");
     match &err {
         ReproError::TraceSink { message, .. } => {
@@ -228,8 +236,12 @@ fn poisoned_morsel_worker_then_resume_is_byte_identical() {
     // threads over 64-row morsels.
     let dir = base.join("crash");
     let plan = FaultPlan::parse("panic:morsel:NREF3J/NREF_1C").expect("spec");
-    let mut cfg = tiny(&dir, 2).with_faults(plan);
-    cfg.params = cfg.params.with_query_threads(2).with_morsel_rows(64);
+    let mut cfg = ReproConfig {
+        faults: Some(plan),
+        ..tiny(&dir, 2)
+    };
+    cfg.spec.query_threads = Parallelism::new(2);
+    cfg.spec.morsel_rows = 64;
     let err = run_all(&cfg).expect_err("poisoned morsel must fail the run");
     match &err {
         ReproError::Grid { message } => {
@@ -254,7 +266,7 @@ fn poisoned_morsel_worker_then_resume_is_byte_identical() {
     // parallelism exactly like it excludes the grid thread count.
     cfg.faults = None;
     cfg.resume = true;
-    cfg.params = tiny(&dir, 1).params;
+    cfg.spec = tiny(&dir, 1).spec;
     run_all(&cfg).expect("resume completes the run");
     assert!(!journal.exists(), "journal removed after successful resume");
     assert_same_outputs(&dir, &want, "morsel-crash-resume");
@@ -268,10 +280,8 @@ fn poisoned_morsel_worker_then_resume_is_byte_identical() {
 /// the `spill` and `evict:` fault sites on real traffic.
 fn tiny_pooled(out: &Path, threads: usize) -> ReproConfig {
     let mut cfg = tiny(out, threads);
-    cfg.params = cfg
-        .params
-        .with_buffer_pages(8)
-        .with_charge(ChargePolicy::Observed);
+    cfg.spec.buffer_pages = 8;
+    cfg.spec.charge = ChargePolicy::Observed;
     cfg
 }
 
@@ -310,7 +320,10 @@ fn injected_spill_enospc_then_resume_is_byte_identical() {
 
     let dir = base.join("crash");
     let plan = FaultPlan::parse("enospc:spill:2").expect("spec");
-    let mut cfg = tiny_pooled(&dir, 1).with_faults(plan);
+    let mut cfg = ReproConfig {
+        faults: Some(plan),
+        ..tiny_pooled(&dir, 1)
+    };
     let err = run_all(&cfg).expect_err("full disk at a spill write must fail the run");
     match &err {
         ReproError::Grid { message } => {
@@ -336,7 +349,7 @@ fn injected_spill_enospc_then_resume_is_byte_identical() {
     // Resume at a different thread count than the crash: pool traffic
     // is a pure function of the logical access stream, so the journal
     // fingerprint may keep excluding parallelism.
-    cfg.params = cfg.params.with_threads(4);
+    cfg.spec.threads = Parallelism::new(4);
     run_all(&cfg).expect("resume completes the run");
     assert!(!journal.exists(), "journal removed after successful resume");
     assert_same_outputs(&dir, &want, "spill-enospc-resume");
@@ -365,7 +378,10 @@ fn poisoned_eviction_then_resume_is_byte_identical() {
 
     let dir = base.join("crash");
     let plan = FaultPlan::parse("panic:evict:NREF3J/NREF_1C").expect("spec");
-    let mut cfg = tiny_pooled(&dir, 4).with_faults(plan);
+    let mut cfg = ReproConfig {
+        faults: Some(plan),
+        ..tiny_pooled(&dir, 4)
+    };
     let err = run_all(&cfg).expect_err("poisoned eviction must fail the run");
     match &err {
         ReproError::Grid { message } => {
@@ -391,7 +407,7 @@ fn poisoned_eviction_then_resume_is_byte_identical() {
 
     cfg.faults = None;
     cfg.resume = true;
-    cfg.params = cfg.params.with_threads(1);
+    cfg.spec.threads = Parallelism::new(1);
     run_all(&cfg).expect("resume completes the run");
     assert!(!journal.exists(), "journal removed after successful resume");
     assert_same_outputs(&dir, &want, "evict-poison-resume");

@@ -12,11 +12,11 @@ use std::path::Path;
 
 use tab_bench::datagen::{generate_nref, NrefParams};
 use tab_bench::engine::{render_explain, ExecOpts, Session};
-use tab_bench::eval::{build_1c, build_p, SuiteParams};
+use tab_bench::eval::{build_1c, build_p, BenchSpec};
 use tab_bench::families::Family;
 use tab_bench::storage::Parallelism;
+use tab_bench_harness::replay::{render_summary, replay_str};
 use tab_bench_harness::repro::{run_all, ReproConfig};
-use tab_bench_harness::trace_summary::summarize;
 
 #[test]
 fn explain_shows_index_scan_under_1c_but_not_p() {
@@ -110,15 +110,15 @@ fn explain_is_identical_at_one_and_four_query_threads() {
 
 fn tiny(out: &Path) -> ReproConfig {
     ReproConfig {
-        params: SuiteParams {
+        spec: BenchSpec {
             nref_proteins: 400,
             tpch_scale: 0.002,
             workload_size: 8,
             timeout_units: 500.0,
             seed: 7,
-            ..SuiteParams::small()
-        }
-        .with_threads(2),
+            threads: Parallelism::new(2),
+            ..BenchSpec::small()
+        },
         out_dir: out.to_path_buf(),
         trace: None,
         faults: None,
@@ -150,7 +150,11 @@ fn traced_repro_outputs_are_byte_identical_to_untraced() {
     std::fs::create_dir_all(&base).expect("create temp base");
 
     run_all(&tiny(&plain_dir)).expect("untraced run");
-    run_all(&tiny(&traced_dir).with_trace(trace_path.clone())).expect("traced run");
+    run_all(&ReproConfig {
+        trace: Some(trace_path.clone()),
+        ..tiny(&traced_dir)
+    })
+    .expect("traced run");
 
     // Every deterministic output file is byte-identical.
     let plain = snapshot(&plain_dir);
@@ -199,8 +203,8 @@ fn traced_repro_outputs_are_byte_identical_to_untraced() {
         );
     }
 
-    // And the summary tool digests it into per-operator rows.
-    let summary = summarize(&trace);
+    // And `tab replay` digests it into per-operator rows.
+    let summary = render_summary(&replay_str(&trace).expect("a clean trace replays"));
     assert!(summary.contains("SeqScan"), "no SeqScan row:\n{summary}");
     assert!(summary.contains("timeouts"), "no query table:\n{summary}");
 

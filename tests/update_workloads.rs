@@ -4,20 +4,20 @@
 //! mixed-workload executor actually measures.
 
 use tab_bench::eval::{
-    build_1c, build_p, per_insert_cost, run_update_workload, Suite, SuiteParams, WorkloadOp,
+    build_1c, build_p, per_insert_cost, run_update_workload, BenchSpec, Suite, WorkloadOp,
 };
 use tab_bench::families::Family;
 use tab_bench::sqlq::Insert;
 use tab_bench::storage::{BuiltConfiguration, Value};
 
 fn suite() -> Suite {
-    Suite::build(SuiteParams {
+    Suite::build(BenchSpec {
         nref_proteins: 1_000,
         tpch_scale: 0.004,
         workload_size: 10,
         timeout_units: 2_000.0,
         seed: 13,
-        ..SuiteParams::small()
+        ..BenchSpec::small()
     })
 }
 
@@ -50,7 +50,7 @@ fn mixed_workload_runs_and_charges_maintenance() {
     let queries = {
         let p = build_p(&db, label);
         let suite_ref = Suite {
-            params: s.params,
+            spec: s.spec,
             nref: db,
             skth: s.skth,
             unth: s.unth,
@@ -65,7 +65,7 @@ fn mixed_workload_runs_and_charges_maintenance() {
         ops.push(WorkloadOp::Query(q.clone()));
     }
     let before_rows = db.table("neighboring_seq").unwrap().n_rows();
-    let run = run_update_workload(&mut db, &mut built, &ops, s.params.timeout_units);
+    let run = run_update_workload(&mut db, &mut built, &ops, s.spec.timeout_units);
     assert_eq!(run.inserts, 4);
     assert_eq!(run.query_outcomes.len(), 4);
     assert!(run.insert_units > 0.0);
@@ -88,7 +88,7 @@ fn measured_insert_cost_matches_model() {
         &(0..10)
             .map(|i| WorkloadOp::Insert(ns_insert(i)))
             .collect::<Vec<_>>(),
-        s.params.timeout_units,
+        s.spec.timeout_units,
     );
     let measured = run.insert_units / 10.0;
     // The model charges the same descent+leaf structure the executor
@@ -109,14 +109,14 @@ fn one_c_inserts_cost_more_than_p_inserts_when_executed() {
         seed: 13,
     });
     let mut c1: BuiltConfiguration = build_1c(&db1, "NREF");
-    let run_1c = run_update_workload(&mut db1, &mut c1, &ops, s.params.timeout_units);
+    let run_1c = run_update_workload(&mut db1, &mut c1, &ops, s.spec.timeout_units);
 
     let mut db2 = tab_bench::datagen::generate_nref(tab_bench::datagen::NrefParams {
         proteins: 1_000,
         seed: 13,
     });
     let mut p = build_p(&db2, "NREF");
-    let run_p = run_update_workload(&mut db2, &mut p, &ops, s.params.timeout_units);
+    let run_p = run_update_workload(&mut db2, &mut p, &ops, s.spec.timeout_units);
 
     assert!(
         run_1c.insert_units > 2.0 * run_p.insert_units,
