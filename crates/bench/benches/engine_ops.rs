@@ -5,7 +5,7 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use tab_datagen::{generate_nref, NrefParams};
-use tab_engine::{CostMeter, ExecOpts, Resolver, Session};
+use tab_engine::{CostMeter, ExecOpts, OpActuals, Resolver, Session, ROW_COST};
 use tab_sqlq::parse;
 use tab_storage::Parallelism;
 use tab_storage::{
@@ -124,9 +124,9 @@ fn batch_db(n: usize) -> Database {
 }
 
 /// Hash-join, group-by, and 3-way-join throughput at 10^3..10^5 rows —
-/// the operators the late-materialization executor batches. All run
-/// under the index-less `P` configuration so the planner picks hash
-/// joins.
+/// the operators the late-materialization executor batches — plus the
+/// hash join timing out in its probe. All run under the index-less `P`
+/// configuration so the planner picks hash joins.
 fn bench_batch_operators(c: &mut Criterion) {
     let join_q = parse("SELECT COUNT(*) FROM fact f, dim d WHERE f.k = d.k").unwrap();
     let group_q = parse("SELECT f.g, COUNT(*) FROM fact f GROUP BY f.g").unwrap();
@@ -147,6 +147,29 @@ fn bench_batch_operators(c: &mut Criterion) {
         });
         c.bench_function(&format!("three_way_join_{n}"), |b| {
             b.iter(|| black_box(s.run(&three_q, None).unwrap().outcome.units()))
+        });
+        // The same join under a budget that pays for the scans, the build
+        // and the probe input but only half of the `n` matches: it times
+        // out in the probe, after counting and before materializing.
+        let plan = s.plan_query(&join_q).unwrap();
+        let resolver = Resolver::new(&db, &p);
+        let mut ops = Vec::new();
+        let opts = ExecOpts::default();
+        let mut m = CostMeter::unbounded();
+        tab_engine::execute(&plan, &resolver, &mut m, &opts, Some(&mut ops), None).unwrap();
+        let before_emit: f64 = ops[..3].iter().map(|o| o.units).sum();
+        let budget = before_emit - n as f64 * ROW_COST / 2.0;
+        let timed_out = |ops: Option<&mut Vec<OpActuals>>| {
+            let mut m = CostMeter::with_budget(budget);
+            tab_engine::execute(&plan, &resolver, &mut m, &opts, ops, None).is_err()
+        };
+        let mut ops = Vec::new();
+        assert!(
+            timed_out(Some(&mut ops)) && ops.len() == 2,
+            "the probe must trip"
+        );
+        c.bench_function(&format!("timed_out_join_{n}"), |b| {
+            b.iter(|| black_box(timed_out(None)))
         });
     }
 }

@@ -39,7 +39,16 @@
 //! and morsel size — including the sequential in-place path that
 //! `par_map` takes at one thread.
 //!
-//! Budgeted executions keep their early abort through a shared
+//! A hash-join probe runs in two passes. The count pass looks up every
+//! outer tuple's bucket once and sums the bucket lengths; the total is
+//! charged before any match is materialized, so an over-budget probe
+//! times out having built nothing. Otherwise the fill pass writes each
+//! morsel's matches into its disjoint slice of one exact-size arena, at
+//! the offset a prefix sum of the per-morsel counts gives, reading the
+//! buckets the count pass kept rather than hashing again.
+//!
+//! The index nested-loop join learns its charges only as it probes, so
+//! budgeted executions keep its early abort through a shared
 //! `AbortGate`: workers publish performed charges to atomic counters
 //! and stop dispatching work once the published total provably exceeds
 //! the budget. Only performed charges are ever published, so the gate
@@ -59,13 +68,14 @@
 //! The meter's totals are *what* the plan touches, not *how* the
 //! executor iterates: n pages for a scan, one row per tuple entering an
 //! operator, one row per emitted match. Charges here are batched (one
-//! `charge_rows(n)` per operator input, per-morsel counters reduced in
-//! morsel order), which is safe because charges are non-negative and
-//! the budget check is monotone — see the invariant note on
-//! [`CostMeter`].
+//! `charge_rows(n)` per operator input and per hash-probe match count,
+//! per-morsel counters reduced in morsel order), which is safe because
+//! charges are non-negative and the budget check is monotone — see the
+//! invariant note on [`CostMeter`].
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use tab_sqlq::{CmpOp, RangeOp};
 use tab_storage::{
@@ -113,11 +123,9 @@ impl<'a> Resolver<'a> {
     }
 }
 
-/// Flush granularity for row charges that are only known as matches are
-/// emitted. Large enough to amortize the budget check, small enough that
-/// a timed-out join cannot materialize an unbounded intermediate before
-/// the meter notices (cf. [`crate::cost::BUDGET_ROW_CAP`]).
-const ROW_CHARGE_BATCH: u64 = 4096;
+/// A hash-join outer tuple's bucket when it joins nothing: a NULL or
+/// untranslatable key cell, or a key the build side never held.
+const NO_BUCKET: u32 = u32::MAX;
 
 /// Default rows per execution morsel. Large enough that per-morsel
 /// bookkeeping is noise, small enough that the dynamic scheduler can
@@ -397,7 +405,8 @@ fn reduce_locals<'l>(
     Ok(())
 }
 
-/// Shared early-abort gate for budgeted parallel operators.
+/// Shared early-abort gate for the budgeted index nested-loop join, the
+/// one operator whose charges are known only as its probes run.
 ///
 /// Workers publish *performed* charges to atomic counters; once the
 /// published total provably exceeds the budget (or the row cap), the
@@ -481,11 +490,13 @@ impl Arena {
         &self.ids[i * self.stride..(i + 1) * self.stride]
     }
 
-    /// Append a driver tuple: only `slot` is meaningful.
-    fn push_single(&mut self, slot: usize, id: RowId) {
-        let start = self.ids.len();
-        self.ids.resize(start + self.stride, 0);
-        self.ids[start + slot] = id;
+    /// The driver's tuples, allocated once: only `slot` is meaningful.
+    fn of_driver(stride: usize, slot: usize, driver: &[RowId]) -> Self {
+        let mut ids = vec![0; driver.len() * stride];
+        for (t, &id) in ids.chunks_exact_mut(stride).zip(driver) {
+            t[slot] = id;
+        }
+        Arena { ids, stride }
     }
 
     /// Append a joined tuple: `outer`'s slots plus `id` at `slot`.
@@ -642,12 +653,9 @@ pub fn execute(
     at = meter.units();
     io_at = pool_stats_now(&ps);
     let stride = q.rels.len();
-    let mut tuples = Arena::new(stride);
     let (driver_ids, driver_examined, driver_morsels) =
         scan_rel(&plan.driver, &exec, resolver, meter, opts, &mut ps)?;
-    for id in driver_ids {
-        tuples.push_single(plan.driver.rel, id);
-    }
+    let mut tuples = Arena::of_driver(stride, plan.driver.rel, &driver_ids);
     if let Some(v) = ops.as_deref_mut() {
         let io = pool_stats_now(&ps);
         v.push(OpActuals {
@@ -690,24 +698,20 @@ pub fn execute(
                     .map(|(orel, ocol)| (orel, exec.col(orel, ocol)))
                     .collect();
                 // Probe with the outer arena; one row of work per outer
-                // tuple up front, one per emitted match (per-morsel
-                // counters reduced in morsel order).
+                // tuple up front, then one per match, counted before any
+                // is materialized.
                 meter.charge_rows(tuples.len() as u64)?;
                 let ranges = morsel_ranges(tuples.len(), opts.morsel_rows);
                 morsels += ranges.len() as u64;
-                let gate = AbortGate::of(meter);
                 let region = region_par(opts, tuples.len());
-                let outs: Vec<(LocalCounters, u64, Arena)> = par_map(region, &ranges, |&(s, e)| {
+                // Count: each outer tuple's bucket, looked up once and
+                // kept for the fill (`NO_BUCKET`: joins nothing).
+                let counted: Vec<(u64, u64, Vec<u32>)> = par_map(region, &ranges, |&(s, e)| {
                     morsel_prologue(opts);
-                    let mut local = LocalCounters::default();
-                    let mut published = 0u64;
-                    let mut m_probes = 0u64;
-                    let mut out = Arena::new(stride);
-                    if gate.tripped() {
-                        return (local, m_probes, out);
-                    }
+                    let (mut m_probes, mut matches) = (0u64, 0u64);
+                    let mut buckets = vec![NO_BUCKET; e - s];
                     let mut key: Vec<u64> = Vec::with_capacity(build_cols.len());
-                    'tuples: for i in s..e {
+                    for (i, b) in (s..e).zip(&mut buckets) {
                         let t = tuples.tuple(i);
                         // A NULL never joins, and is not a probe.
                         if probe_cols.iter().any(|&(orel, ocol)| ocol.is_null(t[orel])) {
@@ -719,34 +723,51 @@ pub fn execute(
                         if !key_tuple(&mut key, cells) {
                             continue;
                         }
-                        for &id in ht.get(&key) {
-                            out.push_joined(t, rel, id);
-                            local.rows += 1;
-                            if local.rows - published >= ROW_CHARGE_BATCH {
-                                gate.publish(LocalCounters {
-                                    rows: local.rows - published,
-                                    ..LocalCounters::default()
-                                });
-                                published = local.rows;
-                                if gate.tripped() {
-                                    break 'tuples;
-                                }
-                            }
+                        if let Some(found) = ht.lookup(&key) {
+                            *b = found;
+                            matches += ht.rows(found).len() as u64;
                         }
                     }
-                    gate.publish(LocalCounters {
-                        rows: local.rows - published,
-                        ..LocalCounters::default()
-                    });
-                    (local, m_probes, out)
+                    (m_probes, matches, buckets)
                 });
-                reduce_locals(meter, outs.iter().map(|(l, _, _)| l))?;
-                let mut out = Arena::new(stride);
-                for (_, m_probes, chunk) in outs {
-                    probes += m_probes;
-                    out.append(chunk);
+                // Charge every match before materializing one: an
+                // over-budget probe times out here, having built nothing.
+                let total: u64 = counted.iter().map(|&(_, m, _)| m).sum();
+                meter.charge_rows(total)?;
+                probes += counted.iter().map(|&(p, _, _)| p).sum::<u64>();
+                // Fill: one exact-size arena, each morsel writing its
+                // disjoint slice at its prefix-sum offset, so tuples land
+                // in morsel order.
+                let len = usize::try_from(total)
+                    .ok()
+                    .and_then(|n| n.checked_mul(stride))
+                    .expect("hash-join output exceeds the address space");
+                let mut ids: Vec<RowId> = vec![0; len];
+                let mut rest = ids.as_mut_slice();
+                let mut jobs = Vec::with_capacity(ranges.len());
+                for (&(s, _), (_, matches, buckets)) in ranges.iter().zip(&counted) {
+                    let (slice, tail) =
+                        std::mem::take(&mut rest).split_at_mut(*matches as usize * stride);
+                    rest = tail;
+                    jobs.push((s, buckets, Mutex::new(slice)));
                 }
-                tuples = out;
+                par_map(region, &jobs, |(s, buckets, slice)| {
+                    morsel_prologue(opts);
+                    let mut slice = slice.lock().expect("morsel slice poisoned");
+                    let mut out = slice.chunks_exact_mut(stride);
+                    for (i, &b) in (*s..).zip(buckets.iter()) {
+                        if b == NO_BUCKET {
+                            continue;
+                        }
+                        let t = tuples.tuple(i);
+                        for (&id, slot) in ht.rows(b).iter().zip(&mut out) {
+                            slot.copy_from_slice(t);
+                            slot[rel] = id;
+                        }
+                    }
+                });
+                drop(jobs);
+                tuples = Arena { ids, stride };
             }
             JoinMethod::IndexNl {
                 columns,
@@ -847,7 +868,7 @@ pub fn execute(
                             local.random_pages += delta.random_pages;
                             gate.publish(delta);
                         }
-                        for &id in &pr.row_ids {
+                        for &id in pr.row_ids {
                             // Residual predicates, then residual join
                             // pairs (a NULL outer cell equals nothing).
                             if filters.pass(id)
@@ -1218,7 +1239,7 @@ fn scan_rel(
             let pr = index.probe(prefix);
             charge_probe(&pr, table, *covering, meter, ps, index, source)?;
             let examined = pr.row_ids.len() as u64;
-            let (out, morsels) = filter_rows(op, exec, table, IdSpan::List(&pr.row_ids), opts);
+            let (out, morsels) = filter_rows(op, exec, table, IdSpan::List(pr.row_ids), opts);
             Ok((out, examined, morsels))
         }
         Access::IndexRange {
@@ -1234,7 +1255,7 @@ fn scan_rel(
             );
             charge_probe(&pr, table, *covering, meter, ps, index, source)?;
             let examined = pr.row_ids.len() as u64;
-            let (out, morsels) = filter_rows(op, exec, table, IdSpan::List(&pr.row_ids), opts);
+            let (out, morsels) = filter_rows(op, exec, table, IdSpan::List(pr.row_ids), opts);
             Ok((out, examined, morsels))
         }
         Access::IndexFreqScan {
@@ -1285,7 +1306,7 @@ fn scan_rel(
 /// pages, [`table_rel_id`] heap pages) — the key count always equals
 /// the modeled `pages_touched + heap_pages` charge.
 fn charge_probe(
-    pr: &tab_storage::Probe,
+    pr: &tab_storage::Probe<'_>,
     table: &Table,
     covering: bool,
     meter: &mut CostMeter,
@@ -1566,4 +1587,83 @@ fn order_and_limit(
         rows.truncate(limit as usize);
     }
     Ok(rows)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::session::Session;
+    use tab_sqlq::parse;
+    use tab_storage::{ColType, ColumnDef, Configuration, TableSchema};
+
+    /// `fact ⋈ dim` on `k`, skewed: half of `fact` and a quarter of `dim`
+    /// hold key 0, so that one key's 5,000 × 100 matches dwarf the rest.
+    fn skewed_db() -> Database {
+        let mut db = Database::new();
+        let schema = |name: &str| TableSchema::new(name, vec![ColumnDef::new("k", ColType::Int)]);
+        let mut fact = Table::new(schema("fact"));
+        for i in 0..10_000i64 {
+            fact.insert(vec![Value::Int(if i % 2 == 0 { 0 } else { i })]);
+        }
+        let mut dim = Table::new(schema("dim"));
+        for i in 0..400i64 {
+            dim.insert(vec![Value::Int(if i % 4 == 0 { 0 } else { i })]);
+        }
+        db.add_table(fact);
+        db.add_table(dim);
+        db.collect_stats();
+        db
+    }
+
+    /// A budget that pays for everything a hash join does before it
+    /// emits, but not for its matches, times out in the probe having
+    /// completed exactly the frequency setup and the driver, at any
+    /// thread count and morsel size.
+    #[test]
+    fn over_budget_probe_times_out_with_setup_and_driver_slots() {
+        let db = skewed_db();
+        let built = BuiltConfiguration::build(Configuration::named("p"), &db);
+        let q = parse("SELECT COUNT(*) FROM fact f, dim d WHERE f.k = d.k").unwrap();
+        let plan = Session::new(&db, &built).plan_query(&q).unwrap();
+        assert_eq!(plan.steps.len(), 1);
+        assert!(matches!(plan.steps[0].method, JoinMethod::Hash));
+        let resolver = Resolver::new(&db, &built);
+        let mut full = Vec::new();
+        let mut meter = CostMeter::unbounded();
+        execute(
+            &plan,
+            &resolver,
+            &mut meter,
+            &ExecOpts::default(),
+            Some(&mut full),
+            None,
+        )
+        .unwrap();
+        let matches = full[2].rows_out;
+        assert!(matches > 500_000, "{matches} matches");
+        let before_emit: f64 = full[..3].iter().map(|o| o.units).sum::<f64>();
+        let budget = before_emit - matches as f64 * ROW_COST / 2.0;
+        for threads in [1, 2, 8] {
+            for morsel_rows in [1, 64, 4096] {
+                let opts = ExecOpts {
+                    par: Parallelism::new(threads),
+                    morsel_rows,
+                    ..ExecOpts::default()
+                };
+                let mut ops = Vec::new();
+                let mut meter = CostMeter::with_budget(budget);
+                let got = execute(&plan, &resolver, &mut meter, &opts, Some(&mut ops), None);
+                let label = format!("{threads} threads, morsel {morsel_rows}");
+                assert!(got.is_err(), "{label}: completed");
+                assert_eq!(ops.len(), 2, "{label}: {ops:?}");
+                for (got, want) in ops.iter().zip(&full) {
+                    assert_eq!(
+                        (got.rows_in, got.rows_out, got.probes, got.units),
+                        (want.rows_in, want.rows_out, want.probes, want.units),
+                        "{label}"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -473,9 +473,21 @@ impl RowBuckets {
     /// The rows whose key tuple is `key`.
     #[inline]
     pub fn get(&self, key: &[u64]) -> &[RowId] {
-        self.keys
-            .lookup(key)
-            .map_or(&[], |b| &self.rows[b as usize])
+        self.lookup(key).map_or(&[], |b| self.rows(b))
+    }
+
+    /// The bucket holding key tuple `key`, if any row has it: a handle
+    /// for [`RowBuckets::rows`], so a caller that looks a key up once can
+    /// read its rows again without hashing a second time.
+    #[inline]
+    pub fn lookup(&self, key: &[u64]) -> Option<u32> {
+        self.keys.lookup(key)
+    }
+
+    /// The rows of bucket `b` (from [`RowBuckets::lookup`]).
+    #[inline]
+    pub fn rows(&self, b: u32) -> &[RowId] {
+        &self.rows[b as usize]
     }
 }
 

@@ -77,10 +77,10 @@ impl fmt::Display for IndexSpec {
 }
 
 /// Result of an index probe: matching row ids plus the I/O charged.
-#[derive(Debug, Clone)]
-pub struct Probe {
-    /// Matching row ids, in key order.
-    pub row_ids: Vec<RowId>,
+#[derive(Debug, Clone, Copy)]
+pub struct Probe<'a> {
+    /// Matching row ids, in key order: the index's own run, borrowed.
+    pub row_ids: &'a [RowId],
     /// Index pages touched (tree descent + leaf scan).
     pub pages_touched: u64,
     /// Leaf page number (0-based within the index's leaf level) where
@@ -267,13 +267,13 @@ impl BTreeIndex {
 
     /// The probe result for groups `lo..hi`: one contiguous slice of ids,
     /// scanned from the leaf page holding group `lo`'s first entry.
-    fn span(&self, lo: usize, hi: usize) -> Probe {
+    fn span(&self, lo: usize, hi: usize) -> Probe<'_> {
         let ids = &self.ids[self.offsets[lo] as usize..self.offsets[hi] as usize];
         let leaf_pages = (ids.len() as u64).div_ceil(self.entries_per_page()).max(1);
         let leaf =
             |g| (self.leaf_starts[g] as u64 / self.entries_per_page()).min(self.n_pages() - 1);
         Probe {
-            row_ids: ids.to_vec(),
+            row_ids: ids,
             pages_touched: self.height() + leaf_pages,
             first_leaf: if ids.is_empty() { 0 } else { leaf(lo) },
         }
@@ -283,7 +283,7 @@ impl BTreeIndex {
     ///
     /// `prefix` may bind fewer columns than the key has, in which case
     /// this is a range scan over the bound prefix.
-    pub fn probe(&self, prefix: &[Value]) -> Probe {
+    pub fn probe(&self, prefix: &[Value]) -> Probe<'_> {
         let n = prefix.len();
         assert!(
             n > 0 && n <= self.spec.columns.len(),
@@ -327,7 +327,7 @@ impl BTreeIndex {
         &self,
         lo: Option<(&Value, bool)>,
         hi: Option<(&Value, bool)>,
-    ) -> Probe {
+    ) -> Probe<'_> {
         // Groups whose head is below `v`, or equal to it if `or_equal`:
         // what a strict `lo` skips and an inclusive `hi` keeps.
         let below = |from, v: &Value, or_equal: bool| {
@@ -404,7 +404,7 @@ mod tests {
         let (idx, _) = BTreeIndex::build(IndexSpec::new("t", vec![0]), &t);
         let p = idx.probe(&[Value::Int(3)]);
         assert_eq!(p.row_ids.len(), 10);
-        for id in &p.row_ids {
+        for id in p.row_ids {
             assert_eq!(t.row(*id)[0], Value::Int(3));
         }
         assert!(p.pages_touched >= 1);
@@ -437,7 +437,7 @@ mod tests {
         let id = t.insert(row.clone());
         let pages = idx.insert(&row, id);
         assert!(pages >= 2);
-        assert_eq!(idx.probe(&[Value::Int(777)]).row_ids, vec![id]);
+        assert_eq!(idx.probe(&[Value::Int(777)]).row_ids, [id]);
     }
 
     #[test]
@@ -575,7 +575,7 @@ mod range_probe_tests {
         let hi = Value::Int(6);
         let p = idx.probe_leading_range(Some((&lo, false)), Some((&hi, true)));
         assert_eq!(p.row_ids.len(), 30);
-        for id in &p.row_ids {
+        for id in p.row_ids {
             let k = t.row(*id)[0].as_int().unwrap();
             assert!((3..6).contains(&k));
         }
@@ -730,8 +730,8 @@ mod model_tests {
         }
     }
 
-    fn seen(p: Probe) -> Seen {
-        (p.row_ids, p.pages_touched, p.first_leaf)
+    fn seen(p: Probe<'_>) -> Seen {
+        (p.row_ids.to_vec(), p.pages_touched, p.first_leaf)
     }
 
     /// `Int(1) == Float(1.0)`, so compare spellings, not values.

@@ -5,7 +5,10 @@
 //! configurations. Result rows must be identical (sorted, when the
 //! query leaves order unspecified) and the executor's cost-unit total
 //! must be exactly reproducible: a second run charges bit-identical
-//! units, and a budget set to that exact total never trips.
+//! units, and a budget set to that exact total never trips. Every row
+//! of the executor table is also run at that budget (same rows, same
+//! order) and at the next `f64` below it (a timeout whose completed
+//! operator slots are the sequential run's).
 //!
 //! The interpreter is O(∏ |rel|), so every table is truncated to a few
 //! dozen rows first; the families are enumerated against the truncated
@@ -16,7 +19,7 @@ use rand::{Rng, SeedableRng};
 use tab_bench::advisor::{one_column_configuration, p_configuration};
 use tab_bench::datagen::{generate_nref, generate_tpch, Distribution, NrefParams, TpchParams};
 use tab_bench::engine::{
-    bind, execute, naive, ChargePolicy, CostMeter, ExecOpts, PoolOpts, Resolver, Session,
+    bind, execute, naive, ChargePolicy, CostMeter, ExecOpts, OpActuals, PoolOpts, Resolver, Session,
 };
 use tab_bench::families::Family;
 use tab_bench::sqlq::{CmpOp, Predicate, Query};
@@ -126,6 +129,12 @@ fn exec_table() -> Vec<ExecOpts<'static>> {
     ]
 }
 
+/// Whether two operator slots did the same work: rows, probes and cost
+/// units. Morsel and page counts legitimately differ across the table.
+fn same_work(a: &OpActuals, b: &OpActuals) -> bool {
+    (a.rows_in, a.rows_out, a.probes, a.units) == (b.rows_in, b.rows_out, b.probes, b.units)
+}
+
 /// Queries per family to push through the interpreter.
 const QUERIES_PER_FAMILY: usize = 4;
 
@@ -188,6 +197,24 @@ fn check_queries(family: Family, db: &Database, queries: &[&Query]) {
             // sequential run above.
             let plan = session.plan_query(q).expect("family query plans");
             let resolver = Resolver::new(db, built);
+            let run = |opts: &ExecOpts<'_>,
+                       budget: Option<f64>,
+                       ops: Option<&mut Vec<OpActuals>>| {
+                let mut meter = budget.map_or_else(CostMeter::unbounded, CostMeter::with_budget);
+                execute(&plan, &resolver, &mut meter, opts, ops, None)
+            };
+            let sequential = ExecOpts::default();
+            let (mut full_ops, mut cut_ops) = (Vec::new(), Vec::new());
+            let default_rows =
+                run(&sequential, None, Some(&mut full_ops)).expect("unbounded run completes");
+            run(&sequential, Some(units.next_down()), Some(&mut cut_ops))
+                .expect_err("a budget below the total times out");
+            assert!(
+                cut_ops.len() < full_ops.len()
+                    && cut_ops.iter().zip(&full_ops).all(|(a, b)| same_work(a, b)),
+                "{} query {qi} under {cname}: a timeout's slots are not the completed run's",
+                family.name()
+            );
             for opts in exec_table() {
                 let label = format!(
                     "{} query-threads, morsel {}, vectorize={}, pool frames {:?}",
@@ -212,6 +239,26 @@ fn check_queries(family: Family, db: &Database, queries: &[&Query]) {
                     meter.units(),
                     units,
                     "{} query {qi} under {cname}: cost units drift at {label}",
+                    family.name()
+                );
+                // At a budget of exactly the total the run completes, in
+                // the default run's row order (a documented contract).
+                let got = run(&opts, Some(units), None);
+                assert_eq!(
+                    got.as_ref().ok(),
+                    Some(&default_rows),
+                    "{} query {qi} under {cname}: rows or order move at budget = units, {label}",
+                    family.name()
+                );
+                // One `f64` below it the run times out, having completed
+                // exactly the sequential run's operator slots.
+                let mut ops = Vec::new();
+                let got = run(&opts, Some(units.next_down()), Some(&mut ops));
+                assert!(
+                    got.is_err()
+                        && ops.len() == cut_ops.len()
+                        && ops.iter().zip(&cut_ops).all(|(a, b)| same_work(a, b)),
+                    "{} query {qi} under {cname}: timeout slots differ at {label}",
                     family.name()
                 );
             }
