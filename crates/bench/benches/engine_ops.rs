@@ -5,6 +5,7 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use tab_datagen::{generate_nref, NrefParams};
+use tab_engine::plan::JoinMethod;
 use tab_engine::{CostMeter, ExecOpts, OpActuals, Resolver, Session, ROW_COST};
 use tab_sqlq::parse;
 use tab_storage::Parallelism;
@@ -125,8 +126,9 @@ fn batch_db(n: usize) -> Database {
 
 /// Hash-join, group-by, and 3-way-join throughput at 10^3..10^5 rows —
 /// the operators the late-materialization executor batches — plus the
-/// hash join timing out in its probe. All run under the index-less `P`
-/// configuration so the planner picks hash joins.
+/// hash join timing out in its probe, all under the index-less `P`
+/// configuration so the planner picks hash joins, and an index
+/// nested-loop join timing out.
 fn bench_batch_operators(c: &mut Criterion) {
     let join_q = parse("SELECT COUNT(*) FROM fact f, dim d WHERE f.k = d.k").unwrap();
     let group_q = parse("SELECT f.g, COUNT(*) FROM fact f GROUP BY f.g").unwrap();
@@ -169,6 +171,50 @@ fn bench_batch_operators(c: &mut Criterion) {
             "the probe must trip"
         );
         c.bench_function(&format!("timed_out_join_{n}"), |b| {
+            b.iter(|| black_box(timed_out(None)))
+        });
+        // An index nested-loop join timing out. `p.a = 0 AND p.b = 0`
+        // keeps 100 of `probe`'s 10,000 rows, but `a` and `b` are
+        // unindexed and equal, so the planner multiplies two uniform
+        // 1/n_distinct selectivities, expects no outer tuple, and probes
+        // an index on `fact.g`; each probe matches `n / 64` rows and
+        // fetches their heap pages. The budget pays for a quarter of the
+        // join, so it times out in the index nested-loop step, after its
+        // count pass and before its fill.
+        let mut db = batch_db(n);
+        let cols = ["a", "b", "g"].map(|c| ColumnDef::new(c, ColType::Int));
+        let mut probe = Table::new(TableSchema::new("probe", cols.to_vec()));
+        for i in 0..10_000i64 {
+            let a = if i % 100 == 0 { 0 } else { i };
+            probe.insert(vec![Value::Int(a), Value::Int(a), Value::Int(i % 64)]);
+        }
+        db.add_table(probe);
+        db.collect_stats();
+        let mut icfg = Configuration::named("ix");
+        icfg.indexes.push(IndexSpec::new("fact", vec![1]));
+        let ix = BuiltConfiguration::build(icfg, &db);
+        let nl_q = parse(
+            "SELECT COUNT(DISTINCT f.v) FROM probe p, fact f \
+             WHERE p.a = 0 AND p.b = 0 AND p.g = f.g",
+        )
+        .unwrap();
+        let plan = Session::new(&db, &ix).plan_query(&nl_q).unwrap();
+        assert!(matches!(plan.steps[0].method, JoinMethod::IndexNl { .. }));
+        let resolver = Resolver::new(&db, &ix);
+        let mut ops = Vec::new();
+        let mut m = CostMeter::unbounded();
+        tab_engine::execute(&plan, &resolver, &mut m, &opts, Some(&mut ops), None).unwrap();
+        let budget = ops[..2].iter().map(|o| o.units).sum::<f64>() + ops[2].units / 4.0;
+        let timed_out = |ops: Option<&mut Vec<OpActuals>>| {
+            let mut m = CostMeter::with_budget(budget);
+            tab_engine::execute(&plan, &resolver, &mut m, &opts, ops, None).is_err()
+        };
+        let mut ops = Vec::new();
+        assert!(
+            timed_out(Some(&mut ops)) && ops.len() == 2,
+            "the index nested-loop step must trip"
+        );
+        c.bench_function(&format!("timed_out_index_nl_{n}"), |b| {
             b.iter(|| black_box(timed_out(None)))
         });
     }

@@ -204,15 +204,6 @@ impl CostMeter {
         self.rows
     }
 
-    /// The budget this meter trips at, if any. Morsel workers snapshot
-    /// it to pre-check the shared abort gate (see `exec.rs`); the
-    /// authoritative Done/Timeout verdict still comes from the ordered
-    /// per-morsel reduction through [`CostMeter::charge_rows`] and
-    /// friends.
-    pub fn budget(&self) -> Option<f64> {
-        self.budget
-    }
-
     #[inline]
     fn check(&self) -> Result<(), TimedOut> {
         match self.budget {

@@ -31,29 +31,29 @@
 //! **morsels** (contiguous row-id ranges of [`ExecOpts::morsel_rows`]
 //! rows) dispatched on the deterministic `par_map` pool from
 //! `tab-storage`. Workers produce per-morsel outputs and per-morsel
-//! `LocalCounters`; the coordinator concatenates outputs **in morsel
-//! index order** and reduces counters into the meter in that same
-//! order. Because the meter derives units from counter totals and its
+//! counts; the coordinator concatenates outputs **in morsel index
+//! order** and charges the counts to the meter in that same order.
+//! Because the meter derives units from counter totals and its
 //! budget check is monotone (see [`CostMeter`]), results, cost totals,
 //! and the Done/Timeout verdict are byte-identical at any thread count
 //! and morsel size — including the sequential in-place path that
 //! `par_map` takes at one thread.
 //!
-//! A hash-join probe runs in two passes. The count pass looks up every
-//! outer tuple's bucket once and sums the bucket lengths; the total is
-//! charged before any match is materialized, so an over-budget probe
-//! times out having built nothing. Otherwise the fill pass writes each
-//! morsel's matches into its disjoint slice of one exact-size arena, at
-//! the offset a prefix sum of the per-morsel counts gives, reading the
-//! buckets the count pass kept rather than hashing again.
-//!
-//! The index nested-loop join learns its charges only as it probes, so
-//! budgeted executions keep its early abort through a shared
-//! `AbortGate`: workers publish performed charges to atomic counters
-//! and stop dispatching work once the published total provably exceeds
-//! the budget. Only performed charges are ever published, so the gate
-//! can trip **only if** the true total would also trip — the final
-//! verdict (from the ordered reduction) is unaffected.
+//! Both joins charge, then fill. A hash-join probe first looks up every
+//! outer tuple's bucket once and sums the bucket lengths; an index
+//! nested-loop join first charges the floor every probe pays (a descent
+//! and one leaf page), then probes each morsel, keeps each probe's
+//! borrowed id run and charges the rest of its pages and rows into its
+//! own clone of the meter, stopping at the first charge the clone
+//! refuses. Either way the coordinator charges the counts in morsel
+//! order before any match is materialized, so an over-budget join times
+//! out having built nothing, and how much work it did depends on the
+//! plan, the data, the budget and the morsel size, never on thread
+//! timing. Otherwise the fill pass emits each morsel's matches in morsel
+//! order: a hash probe into its disjoint slice of one exact-size arena,
+//! at the offset a prefix sum of the per-morsel counts gives, reading
+//! the buckets the count pass kept; an index join into per-morsel arenas
+//! filtered from the kept id runs and concatenated.
 //!
 //! Predicate evaluation over a morsel takes a columnar fast path when
 //! every constant in the relation's filters and ranges is an `Int` and
@@ -73,22 +73,17 @@
 //! charges are non-negative and the budget check is monotone — see the
 //! invariant note on [`CostMeter`].
 
-use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use tab_sqlq::{CmpOp, RangeOp};
 use tab_storage::{
     index_rel_id, key_tuple, par_map, table_rel_id, temp_rel_id, BTreeIndex, BufferPool,
     BuiltConfiguration, CodeTable, Column, Database, Faults, Fetched, NullMask, PageHint, PageKey,
-    Pager, Parallelism, PoolStats, RowBuckets, RowId, Table, Trace, Value,
+    Pager, Parallelism, PoolStats, Probe, RowBuckets, RowId, Table, Trace, Value,
 };
 
 use crate::catalog::{BoundAgg, BoundItem, BoundQuery};
-use crate::cost::{
-    ChargePolicy, CostMeter, TimedOut, BUDGET_ROW_CAP, HASH_SPILL_ROWS, RANDOM_PAGE_COST, ROW_COST,
-    SEQ_PAGE_COST, SPILL_ROWS_PER_PAGE,
-};
+use crate::cost::{ChargePolicy, CostMeter, TimedOut, HASH_SPILL_ROWS, SPILL_ROWS_PER_PAGE};
 use crate::plan::{Access, JoinMethod, PhysicalPlan, ProbeSource, RelOp};
 
 /// Resolves plan references to physical structures.
@@ -377,93 +372,6 @@ fn morsel_prologue(opts: &ExecOpts<'_>) {
     }
 }
 
-/// One morsel's charge deltas, reduced into the [`CostMeter`] in morsel
-/// index order by [`reduce_locals`]. Keeping raw counters (not units)
-/// means the reduction reproduces the sequential executor's counter
-/// totals exactly.
-#[derive(Debug, Clone, Copy, Default)]
-struct LocalCounters {
-    seq_pages: u64,
-    random_pages: u64,
-    rows: u64,
-}
-
-/// Charge per-morsel counters into the meter **in morsel index order**.
-/// The first morsel whose cumulative total exceeds the budget returns
-/// the timeout, exactly as the sequential executor's interleaved
-/// charges would (the check is monotone, so grouping does not change
-/// the verdict).
-fn reduce_locals<'l>(
-    meter: &mut CostMeter,
-    locals: impl Iterator<Item = &'l LocalCounters>,
-) -> Result<(), TimedOut> {
-    for l in locals {
-        meter.charge_seq_pages(l.seq_pages)?;
-        meter.charge_random_pages(l.random_pages)?;
-        meter.charge_rows(l.rows)?;
-    }
-    Ok(())
-}
-
-/// Shared early-abort gate for the budgeted index nested-loop join, the
-/// one operator whose charges are known only as its probes run.
-///
-/// Workers publish *performed* charges to atomic counters; once the
-/// published total provably exceeds the budget (or the row cap), the
-/// gate trips and workers stop taking new work. Because only performed
-/// charges are published, the published total is always a lower bound
-/// on the true total — the gate can trip only for executions the
-/// sequential path would also time out, and when it never trips the
-/// ordered reduction sees the complete counters. The gate therefore
-/// affects wall-clock only, never the verdict or the totals.
-struct AbortGate {
-    budget: Option<f64>,
-    base_units: f64,
-    base_rows: u64,
-    seq_pages: AtomicU64,
-    random_pages: AtomicU64,
-    rows: AtomicU64,
-    tripped: AtomicBool,
-}
-
-impl AbortGate {
-    fn of(meter: &CostMeter) -> Self {
-        AbortGate {
-            budget: meter.budget(),
-            base_units: meter.units(),
-            base_rows: meter.rows(),
-            seq_pages: AtomicU64::new(0),
-            random_pages: AtomicU64::new(0),
-            rows: AtomicU64::new(0),
-            tripped: AtomicBool::new(false),
-        }
-    }
-
-    /// Whether workers should stop taking new work.
-    #[inline]
-    fn tripped(&self) -> bool {
-        self.budget.is_some() && self.tripped.load(Ordering::Relaxed)
-    }
-
-    /// Publish a worker's performed charge delta and re-check.
-    fn publish(&self, delta: LocalCounters) {
-        let Some(budget) = self.budget else { return };
-        let seq = self.seq_pages.fetch_add(delta.seq_pages, Ordering::Relaxed) + delta.seq_pages;
-        let random = self
-            .random_pages
-            .fetch_add(delta.random_pages, Ordering::Relaxed)
-            + delta.random_pages;
-        let rows = self.rows.fetch_add(delta.rows, Ordering::Relaxed) + delta.rows;
-        let units = self.base_units
-            + seq as f64 * SEQ_PAGE_COST
-            + random as f64 * RANDOM_PAGE_COST
-            + rows as f64 * ROW_COST;
-        if units > budget || self.base_rows + rows > BUDGET_ROW_CAP {
-            self.tripped.store(true, Ordering::Relaxed);
-        }
-    }
-}
-
 /// Flat arena of late-materialized tuples: `stride` row-id slots per
 /// tuple, slot `r` holding the row id of bound relation `r` (slots of
 /// not-yet-joined relations are zero and never read).
@@ -612,9 +520,8 @@ pub struct OpActuals {
 /// When `io_out` is supplied and [`ExecOpts::pool`] configures a pool,
 /// it receives the buffer-pool counters. With no pool the counters stay
 /// zero and execution is byte-identical to the historical path. On
-/// timeout `io_out` is left untouched — partial pool counters are *not*
-/// reported, because how far a morsel region progressed past the budget
-/// is thread-timing dependent while the verdict itself is not.
+/// timeout `io_out` is left untouched: a timed-out run reports its
+/// verdict, not partial pool counters.
 pub fn execute(
     plan: &PhysicalPlan,
     resolver: &Resolver<'_>,
@@ -777,7 +684,7 @@ pub fn execute(
                 let table = exec.tables[rel];
                 let index = resolver.index(&q.rels[rel].source, columns);
                 // Residual join pairs not enforced by the probe prefix.
-                let probed: BTreeSet<usize> = columns[..probe.len()].iter().copied().collect();
+                let probed = &columns[..probe.len()];
                 let residual_pairs: Vec<(usize, &Column, &Column)> = step
                     .pairs
                     .iter()
@@ -785,14 +692,6 @@ pub fn execute(
                     .map(|&((orel, ocol), ic)| (orel, exec.col(orel, ocol), table.column(ic)))
                     .collect();
                 let filters = FilterKeys::of(&step.inner, table);
-                // Pool bookkeeping. Workers never touch the pool: they
-                // collect the page keys each probe touches, and the
-                // coordinator replays the lists in morsel index order
-                // below. In Observed mode workers publish rows-only
-                // deltas to the gate — a lower bound on the observed
-                // charge, so the gate can still trip only for
-                // executions the authoritative reduction also times
-                // out. Metered mode keeps the historical full deltas.
                 let pool_on = ps.is_some();
                 let observed = matches!(&ps, Some(st) if st.policy == ChargePolicy::Observed);
                 let index_rel = index_rel_id(&index.spec().to_string());
@@ -800,77 +699,110 @@ pub fn execute(
                 let height = index.height();
                 // One row of work per outer tuple, charged up front.
                 meter.charge_rows(tuples.len() as u64)?;
+                // A NULL probe key matches nothing, and is not a probe.
+                let key_null = |t: &[RowId]| {
+                    probe.iter().any(|p| match p {
+                        ProbeSource::Outer(orel, ocol) => exec.col(*orel, *ocol).is_null(t[*orel]),
+                        ProbeSource::Const(v) => v.is_null(),
+                    })
+                };
+                probes = (0..tuples.len())
+                    .filter(|&i| !key_null(tuples.tuple(i)))
+                    .count() as u64;
+                // Every probe pays at least a descent and one leaf page.
+                // Modeled charging takes that floor before any probe
+                // runs; observed charging cannot, as a resident page is
+                // free.
+                if !observed {
+                    meter.charge_random_pages(probes * (height + 1))?;
+                }
                 let ranges = morsel_ranges(tuples.len(), opts.morsel_rows);
                 morsels += ranges.len() as u64;
-                let gate = AbortGate::of(meter);
                 let region = region_par(opts, tuples.len());
-                type NlOut = (LocalCounters, u64, Arena, Vec<PageKey>);
-                let outs: Vec<NlOut> = par_map(region, &ranges, |&(s, e)| {
+                // Count: each morsel probes its tuples, keeps each
+                // probe's id run, and charges the rest of the probe into
+                // its own clone of the meter (rows only when observed:
+                // misses are known only on the replay below). A charge
+                // the clone refuses makes the ordered charge below
+                // refuse too, at or before this morsel, so the morsel
+                // stops there. Workers never touch the pool: they
+                // collect the page keys each probe touches.
+                let base = meter.clone();
+                let counted = par_map(region, &ranges, |&(s, e)| {
                     morsel_prologue(opts);
-                    let mut local = LocalCounters::default();
-                    let mut m_probes = 0u64;
-                    let mut out = Arena::new(stride);
-                    let mut keys: Vec<PageKey> = Vec::new();
-                    if gate.tripped() {
-                        return (local, m_probes, out, keys);
-                    }
+                    let mut own = base.clone();
+                    let (mut runs, mut keys) = (Vec::new(), Vec::new());
                     let mut scratch: Vec<Value> = Vec::with_capacity(probe.len());
+                    let mut pages: Vec<u64> = Vec::new();
                     for i in s..e {
                         let t = tuples.tuple(i);
+                        if key_null(t) {
+                            continue;
+                        }
                         scratch.clear();
                         scratch.extend(probe.iter().map(|p| match p {
                             ProbeSource::Outer(orel, ocol) => exec.val(t, *orel, *ocol),
                             ProbeSource::Const(v) => v.clone(),
                         }));
-                        if scratch.iter().any(Value::is_null) {
-                            continue;
-                        }
-                        m_probes += 1;
                         let pr = index.probe(&scratch);
-                        let mut delta = LocalCounters {
-                            random_pages: pr.pages_touched,
-                            rows: pr.row_ids.len() as u64,
-                            ..LocalCounters::default()
-                        };
+                        // Leaf pages beyond the floor's one.
+                        let mut extra = pr.pages_touched - height - 1;
                         if pool_on {
-                            for p in index.descent_pages(pr.first_leaf) {
-                                keys.push(PageKey {
-                                    rel: index_rel,
-                                    page: p,
-                                });
-                            }
-                            for p in pr.first_leaf..pr.first_leaf + (pr.pages_touched - height) {
-                                keys.push(PageKey {
-                                    rel: index_rel,
-                                    page: p,
-                                });
-                            }
+                            keys.extend(index_page_keys(index, index_rel, &pr));
                         }
                         if !covering && !pr.row_ids.is_empty() {
-                            let pages: BTreeSet<u64> =
-                                pr.row_ids.iter().map(|&id| table.page_of(id)).collect();
-                            delta.random_pages += pages.len() as u64;
+                            heap_pages(table, pr.row_ids, &mut pages);
+                            extra += pages.len() as u64;
                             if pool_on {
-                                keys.extend(pages.iter().map(|&p| PageKey {
+                                keys.extend(pages.iter().map(|&page| PageKey {
                                     rel: table_rel,
-                                    page: p,
+                                    page,
                                 }));
                             }
                         }
-                        local.rows += delta.rows;
-                        if observed {
-                            gate.publish(LocalCounters {
-                                rows: delta.rows,
-                                ..LocalCounters::default()
-                            });
-                        } else {
-                            local.seq_pages += delta.seq_pages;
-                            local.random_pages += delta.random_pages;
-                            gate.publish(delta);
+                        let rows = pr.row_ids.len() as u64;
+                        if rows > 0 {
+                            runs.push((i, pr.row_ids));
                         }
-                        for &id in pr.row_ids {
-                            // Residual predicates, then residual join
-                            // pairs (a NULL outer cell equals nothing).
+                        let charged = if observed {
+                            own.charge_rows(rows)
+                        } else {
+                            own.charge_random_pages(extra)
+                                .and_then(|()| own.charge_rows(rows))
+                        };
+                        if charged.is_err() {
+                            break;
+                        }
+                    }
+                    (own, runs, keys)
+                });
+                // Charge what each morsel's clone took, in morsel order.
+                for (own, _, _) in &counted {
+                    meter.charge_random_pages(own.random_pages() - base.random_pages())?;
+                    meter.charge_rows(own.rows() - base.rows())?;
+                }
+                // Replay collected page accesses in morsel index order —
+                // the pool's access stream is identical at any thread
+                // count. Observed mode then charges the misses.
+                if let Some(st) = ps.as_mut() {
+                    let mut misses = 0u64;
+                    for &k in counted.iter().flat_map(|(_, _, keys)| keys) {
+                        if st.pool.fetch(k, PageHint::Random, false) != Fetched::Hit {
+                            misses += 1;
+                        }
+                    }
+                    if st.policy == ChargePolicy::Observed {
+                        meter.charge_random_pages(misses)?;
+                    }
+                }
+                // Fill: residual predicates, then residual join pairs (a
+                // NULL outer cell equals nothing), over the kept runs.
+                let chunks: Vec<Arena> = par_map(region, &counted, |(_, runs, _)| {
+                    morsel_prologue(opts);
+                    let mut out = Arena::new(stride);
+                    for &(i, ids) in runs {
+                        let t = tuples.tuple(i);
+                        for &id in ids {
                             if filters.pass(id)
                                 && passes_ranges(table, id, &step.inner.ranges)
                                 && exec.passes_freqs(rel, id, &step.inner.freqs)
@@ -882,37 +814,11 @@ pub fn execute(
                                 out.push_joined(t, rel, id);
                             }
                         }
-                        if gate.tripped() {
-                            break;
-                        }
                     }
-                    (local, m_probes, out, keys)
+                    out
                 });
-                reduce_locals(meter, outs.iter().map(|(l, _, _, _)| l))?;
-                // Replay collected page accesses in morsel index order —
-                // the pool's access stream is identical at any thread
-                // count. Observed mode then charges the misses (the
-                // charge order relative to the row reduction above does
-                // not matter: the meter's totals are order-independent
-                // and its budget check is monotone).
-                if let Some(st) = ps.as_mut() {
-                    let mut misses = 0u64;
-                    for (_, _, _, keys) in &outs {
-                        for &k in keys {
-                            if st.pool.fetch(k, PageHint::Random, false) != Fetched::Hit {
-                                misses += 1;
-                            }
-                        }
-                    }
-                    if st.policy == ChargePolicy::Observed {
-                        meter.charge_random_pages(misses)?;
-                    }
-                }
                 let mut out = Arena::new(stride);
-                for (_, m_probes, chunk, _) in outs {
-                    probes += m_probes;
-                    out.append(chunk);
-                }
+                chunks.into_iter().for_each(|c| out.append(c));
                 tuples = out;
             }
         }
@@ -1280,17 +1186,7 @@ fn scan_rel(
             }
             meter.charge_rows(matched.len() as u64)?;
             if !covering && !matched.is_empty() {
-                let pages: BTreeSet<u64> = matched.iter().map(|&id| table.page_of(id)).collect();
-                let table_rel = table_rel_id(source);
-                pool_charge_random(ps, meter, pages.len() as u64, || {
-                    pages
-                        .iter()
-                        .map(|&p| PageKey {
-                            rel: table_rel,
-                            page: p,
-                        })
-                        .collect()
-                })?;
+                charge_heap_pages(ps, meter, table, &matched, source)?;
             }
             let examined = matched.len() as u64;
             let (out, morsels) = filter_rows(op, exec, table, IdSpan::List(&matched), opts);
@@ -1306,7 +1202,7 @@ fn scan_rel(
 /// pages, [`table_rel_id`] heap pages) — the key count always equals
 /// the modeled `pages_touched + heap_pages` charge.
 fn charge_probe(
-    pr: &tab_storage::Probe<'_>,
+    pr: &Probe<'_>,
     table: &Table,
     covering: bool,
     meter: &mut CostMeter,
@@ -1314,47 +1210,46 @@ fn charge_probe(
     index: &BTreeIndex,
     source: &str,
 ) -> Result<(), TimedOut> {
-    if ps.is_none() {
-        meter.charge_random_pages(pr.pages_touched)?;
-        if !covering && !pr.row_ids.is_empty() {
-            let pages: BTreeSet<u64> = pr.row_ids.iter().map(|&id| table.page_of(id)).collect();
-            meter.charge_random_pages(pages.len() as u64)?;
-        }
-        return meter.charge_rows(pr.row_ids.len() as u64);
-    }
-    let index_rel = index_rel_id(&index.spec().to_string());
     pool_charge_random(ps, meter, pr.pages_touched, || {
-        let mut keys: Vec<PageKey> = index
-            .descent_pages(pr.first_leaf)
-            .into_iter()
-            .map(|p| PageKey {
-                rel: index_rel,
-                page: p,
-            })
-            .collect();
-        let leaf_pages = pr.pages_touched - index.height();
-        keys.extend(
-            (pr.first_leaf..pr.first_leaf + leaf_pages).map(|p| PageKey {
-                rel: index_rel,
-                page: p,
-            }),
-        );
-        keys
+        let rel = index_rel_id(&index.spec().to_string());
+        index_page_keys(index, rel, pr).collect()
     })?;
     if !covering && !pr.row_ids.is_empty() {
-        let pages: BTreeSet<u64> = pr.row_ids.iter().map(|&id| table.page_of(id)).collect();
-        let table_rel = table_rel_id(source);
-        pool_charge_random(ps, meter, pages.len() as u64, || {
-            pages
-                .iter()
-                .map(|&p| PageKey {
-                    rel: table_rel,
-                    page: p,
-                })
-                .collect()
-        })?;
+        charge_heap_pages(ps, meter, table, pr.row_ids, source)?;
     }
     meter.charge_rows(pr.row_ids.len() as u64)
+}
+
+/// Charge the distinct heap pages of `source` that hold `ids`.
+fn charge_heap_pages(
+    ps: &mut Option<PoolState<'_>>,
+    meter: &mut CostMeter,
+    table: &Table,
+    ids: &[RowId],
+    source: &str,
+) -> Result<(), TimedOut> {
+    let mut pages = Vec::new();
+    heap_pages(table, ids, &mut pages);
+    let rel = table_rel_id(source);
+    pool_charge_random(ps, meter, pages.len() as u64, || {
+        pages.iter().map(|&page| PageKey { rel, page }).collect()
+    })
+}
+
+/// The distinct heap pages holding `ids`, ascending, into `pages`.
+fn heap_pages(table: &Table, ids: &[RowId], pages: &mut Vec<u64>) {
+    pages.clear();
+    pages.extend(ids.iter().map(|&id| table.page_of(id)));
+    pages.sort_unstable();
+    pages.dedup();
+}
+
+/// The pool keys of the index pages a probe touches: its descent, then
+/// its leaf span. `rel` is the index's [`index_rel_id`].
+fn index_page_keys(index: &BTreeIndex, rel: u64, pr: &Probe<'_>) -> impl Iterator<Item = PageKey> {
+    let leaves = pr.first_leaf..pr.first_leaf + (pr.pages_touched - index.height());
+    let descent = index.descent_pages(pr.first_leaf).into_iter();
+    descent.chain(leaves).map(move |page| PageKey { rel, page })
 }
 
 /// Hash-aggregation state over one contiguous run of input tuples (a
@@ -1592,9 +1487,10 @@ fn order_and_limit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::{RANDOM_PAGE_COST, ROW_COST};
     use crate::session::Session;
     use tab_sqlq::parse;
-    use tab_storage::{ColType, ColumnDef, Configuration, TableSchema};
+    use tab_storage::{ColType, ColumnDef, Configuration, IndexSpec, TableSchema};
 
     /// `fact ⋈ dim` on `k`, skewed: half of `fact` and a quarter of `dim`
     /// hold key 0, so that one key's 5,000 × 100 matches dwarf the rest.
@@ -1615,6 +1511,59 @@ mod tests {
         db
     }
 
+    /// Run `plan` at `budget` at query threads 1/2/8 × morsel rows
+    /// 1/64/4096. Every run times out in the first join step, having
+    /// completed exactly `full`'s frequency setup and driver slots, and
+    /// spends bit-equal units at every thread count. Returns the spent
+    /// units per morsel size.
+    fn assert_times_out_in_first_step(
+        plan: &PhysicalPlan,
+        resolver: &Resolver<'_>,
+        budget: f64,
+        full: &[OpActuals],
+    ) -> Vec<f64> {
+        let mut spent_by_morsel = Vec::new();
+        for morsel_rows in [1, 64, 4096] {
+            let mut spent = Vec::new();
+            for threads in [1, 2, 8] {
+                let opts = ExecOpts {
+                    par: Parallelism::new(threads),
+                    morsel_rows,
+                    ..ExecOpts::default()
+                };
+                let mut ops = Vec::new();
+                let mut meter = CostMeter::with_budget(budget);
+                let got = execute(plan, resolver, &mut meter, &opts, Some(&mut ops), None);
+                let label = format!("{threads} threads, morsel {morsel_rows}");
+                spent.push(got.expect_err(&format!("{label}: completed")).spent);
+                assert_eq!(ops.len(), 2, "{label}: {ops:?}");
+                for (got, want) in ops.iter().zip(full) {
+                    assert_eq!(
+                        (got.rows_in, got.rows_out, got.probes, got.units),
+                        (want.rows_in, want.rows_out, want.probes, want.units),
+                        "{label}"
+                    );
+                }
+            }
+            let bits: Vec<u64> = spent.iter().map(|s| s.to_bits()).collect();
+            assert!(
+                bits.iter().all(|&b| b == bits[0]),
+                "morsel {morsel_rows}: {spent:?}"
+            );
+            spent_by_morsel.push(spent[0]);
+        }
+        spent_by_morsel
+    }
+
+    /// The unbounded run's operator slots.
+    fn full_run(plan: &PhysicalPlan, resolver: &Resolver<'_>) -> Vec<OpActuals> {
+        let mut full = Vec::new();
+        let mut meter = CostMeter::unbounded();
+        let opts = ExecOpts::default();
+        execute(plan, resolver, &mut meter, &opts, Some(&mut full), None).unwrap();
+        full
+    }
+
     /// A budget that pays for everything a hash join does before it
     /// emits, but not for its matches, times out in the probe having
     /// completed exactly the frequency setup and the driver, at any
@@ -1628,42 +1577,93 @@ mod tests {
         assert_eq!(plan.steps.len(), 1);
         assert!(matches!(plan.steps[0].method, JoinMethod::Hash));
         let resolver = Resolver::new(&db, &built);
-        let mut full = Vec::new();
-        let mut meter = CostMeter::unbounded();
-        execute(
-            &plan,
-            &resolver,
-            &mut meter,
-            &ExecOpts::default(),
-            Some(&mut full),
-            None,
-        )
-        .unwrap();
+        let full = full_run(&plan, &resolver);
         let matches = full[2].rows_out;
         assert!(matches > 500_000, "{matches} matches");
         let before_emit: f64 = full[..3].iter().map(|o| o.units).sum::<f64>();
         let budget = before_emit - matches as f64 * ROW_COST / 2.0;
-        for threads in [1, 2, 8] {
-            for morsel_rows in [1, 64, 4096] {
-                let opts = ExecOpts {
-                    par: Parallelism::new(threads),
-                    morsel_rows,
-                    ..ExecOpts::default()
-                };
-                let mut ops = Vec::new();
-                let mut meter = CostMeter::with_budget(budget);
-                let got = execute(&plan, &resolver, &mut meter, &opts, Some(&mut ops), None);
-                let label = format!("{threads} threads, morsel {morsel_rows}");
-                assert!(got.is_err(), "{label}: completed");
-                assert_eq!(ops.len(), 2, "{label}: {ops:?}");
-                for (got, want) in ops.iter().zip(&full) {
-                    assert_eq!(
-                        (got.rows_in, got.rows_out, got.probes, got.units),
-                        (want.rows_in, want.rows_out, want.probes, want.units),
-                        "{label}"
-                    );
-                }
-            }
+        assert_times_out_in_first_step(&plan, &resolver, budget, &full);
+    }
+
+    /// `fact ⋈ dim` through an index on `dim.k`. The driver filter
+    /// `f.a = 0` keeps 10,000 of `fact`'s 20,000 rows, but `a` has no
+    /// index, so the planner assumes a uniform 1/n_distinct, expects two
+    /// outer tuples, and joins by index nested loops. A kept row's `k`
+    /// matches exactly one `dim` row; its `s` is 0 on every thousandth
+    /// kept row and NULL elsewhere. Half of `dim` holds `k = 0`: one
+    /// skewed key with a row on every heap page.
+    fn index_nl_plan(select: &str, join: &str) -> (Database, BuiltConfiguration, PhysicalPlan) {
+        let mut db = Database::new();
+        let int = |name: &str| ColumnDef::new(name, ColType::Int);
+        let skew = |i: i64| Value::Int(if i % 2 == 0 { 0 } else { i });
+        let mut fact = Table::new(TableSchema::new("fact", vec![int("a"), int("k"), int("s")]));
+        let mut dim = Table::new(TableSchema::new("dim", vec![int("k"), int("w")]));
+        for i in 0..20_000i64 {
+            let s = if i % 2_000 == 0 {
+                Value::Int(0)
+            } else {
+                Value::Null
+            };
+            fact.insert(vec![skew(i), Value::Int(i + 1), s]);
+            dim.insert(vec![skew(i), Value::Int(i)]);
         }
+        db.add_table(fact);
+        db.add_table(dim);
+        db.collect_stats();
+        let mut cfg = Configuration::named("ix");
+        cfg.indexes.push(IndexSpec::new("dim", vec![0]));
+        let built = BuiltConfiguration::build(cfg, &db);
+        let sql = format!("SELECT {select} FROM fact f, dim d WHERE f.a = 0 AND {join} = d.k");
+        let plan = Session::new(&db, &built)
+            .plan_query(&parse(&sql).unwrap())
+            .unwrap();
+        assert_eq!(plan.steps.len(), 1, "{sql}");
+        assert!(
+            matches!(plan.steps[0].method, JoinMethod::IndexNl { .. }),
+            "{sql}: {:?}",
+            plan.steps[0].method
+        );
+        (db, built, plan)
+    }
+
+    /// 10,000 cheap probes, each matching one row: a budget that pays
+    /// for the step's input rows and one page per probe is crossed by
+    /// the floor every probe pays, before any probe runs, so the spent
+    /// units are the same at every morsel size too.
+    #[test]
+    fn index_nl_floor_times_out_before_probing() {
+        let (db, built, plan) = index_nl_plan("COUNT(*)", "f.k");
+        let resolver = Resolver::new(&db, &built);
+        let full = full_run(&plan, &resolver);
+        let step = &full[2];
+        assert_eq!(
+            (step.rows_in, step.probes, step.rows_out),
+            (10_000, 10_000, 10_000)
+        );
+        let before: f64 = full[..2].iter().map(|o| o.units).sum();
+        let budget =
+            before + step.rows_in as f64 * ROW_COST + step.probes as f64 * RANDOM_PAGE_COST;
+        let spent = assert_times_out_in_first_step(&plan, &resolver, budget, &full);
+        assert!(
+            spent.iter().all(|s| s.to_bits() == spent[0].to_bits()),
+            "{spent:?}"
+        );
+    }
+
+    /// Ten heavy probes on the skewed key (the other kept rows' `s` is
+    /// NULL: no probe), each fetching every heap page of `dim`: the floor
+    /// fits the budget and the heap pages cross it.
+    #[test]
+    fn index_nl_heavy_probes_time_out_on_heap_pages() {
+        let (db, built, plan) = index_nl_plan("COUNT(DISTINCT d.w)", "f.s");
+        let resolver = Resolver::new(&db, &built);
+        let full = full_run(&plan, &resolver);
+        let step = &full[2];
+        assert_eq!(
+            (step.rows_in, step.probes, step.rows_out),
+            (10_000, 10, 100_000)
+        );
+        let before: f64 = full[..2].iter().map(|o| o.units).sum();
+        assert_times_out_in_first_step(&plan, &resolver, before + step.units / 4.0, &full);
     }
 }

@@ -9,7 +9,6 @@
 #![warn(missing_docs)]
 
 pub mod columns;
-pub mod compress;
 pub mod constants;
 pub mod family;
 pub mod nref2j;
@@ -17,6 +16,5 @@ pub mod nref3j;
 pub mod sample;
 pub mod th3j;
 
-pub use compress::{compress, shape_signature, WeightedQuery};
 pub use family::Family;
 pub use sample::{sample_preserving, sample_preserving_par};

@@ -102,7 +102,8 @@ fn check_family_with_nulls(family: Family, db: &Database, seed: u64) {
 /// every (query-threads, morsel-rows) pairing and the scalar predicate
 /// path. Pool rows: the 8-frame floor in Metered charge mode, where the
 /// clock hand evicts on nearly every fetch and neither the rows nor the
-/// unit total may move — eviction is bookkeeping, never semantics.
+/// unit total may move — eviction is bookkeeping, never semantics. The
+/// Observed pair, whose units differ from these, is checked apart.
 fn exec_table() -> Vec<ExecOpts<'static>> {
     let row = |threads, morsel_rows, vectorize, pool_frames| ExecOpts {
         par: Parallelism::new(threads),
@@ -259,6 +260,53 @@ fn check_queries(family: Family, db: &Database, queries: &[&Query]) {
                         && ops.len() == cut_ops.len()
                         && ops.iter().zip(&cut_ops).all(|(a, b)| same_work(a, b)),
                     "{} query {qi} under {cname}: timeout slots differ at {label}",
+                    family.name()
+                );
+            }
+            // Observed pool charging has its own unit total (a resident
+            // page is free), so its pair is checked against each other:
+            // the same rows, the same units, Done at that budget in the
+            // default row order, a timeout one `f64` below it.
+            let mut observed_units = None;
+            for threads in [1, 4] {
+                let opts = ExecOpts {
+                    par: Parallelism::new(threads),
+                    morsel_rows: 64,
+                    pool: Some(PoolOpts {
+                        policy: ChargePolicy::Observed,
+                        ..PoolOpts::new(8)
+                    }),
+                    ..ExecOpts::default()
+                };
+                let label = format!("Observed, 8 frames, {threads} query-threads, morsel 64");
+                let mut meter = CostMeter::unbounded();
+                let mut got = execute(&plan, &resolver, &mut meter, &opts, None, None)
+                    .expect("unbounded run completes");
+                if q.order_by.is_empty() {
+                    got.sort();
+                }
+                assert_eq!(
+                    expect,
+                    got,
+                    "{} query {qi} under {cname} diverges at {label}:\n{q}",
+                    family.name()
+                );
+                let units = *observed_units.get_or_insert(meter.units());
+                assert_eq!(
+                    meter.units(),
+                    units,
+                    "{} query {qi} under {cname}: cost units drift at {label}",
+                    family.name()
+                );
+                assert_eq!(
+                    run(&opts, Some(units), None).as_ref().ok(),
+                    Some(&default_rows),
+                    "{} query {qi} under {cname}: rows or order move at budget = units, {label}",
+                    family.name()
+                );
+                assert!(
+                    run(&opts, Some(units.next_down()), None).is_err(),
+                    "{} query {qi} under {cname}: no timeout below the total at {label}",
                     family.name()
                 );
             }

@@ -1,8 +1,7 @@
-//! Integration tests for the operational surfaces: CSV round-trips of
-//! generated databases and workload compression over real families.
+//! Integration tests for the CSV surface: round-trips of generated
+//! databases and of arbitrary table content.
 
 use tab_bench::datagen::{generate_nref, NrefParams};
-use tab_bench::families::{compress, shape_signature, Family};
 use tab_bench::storage::{export_table, import_table};
 
 #[test]
@@ -24,54 +23,6 @@ fn generated_nref_round_trips_through_csv() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn family_compression_reduces_to_templates() {
-    let db = generate_nref(NrefParams {
-        proteins: 400,
-        seed: 22,
-    });
-    let family = Family::Nref3J.enumerate(&db);
-    assert!(family.len() > 50);
-    let compressed = compress(&family, usize::MAX);
-    // Compression collapses the per-constant variants: fewer shapes
-    // than queries, and templates instantiated with the full three
-    // k1/k2/k3 tiers collapse to weight-3 entries.
-    assert!(
-        compressed.len() < family.len(),
-        "{} shapes from {} queries",
-        compressed.len(),
-        family.len()
-    );
-    assert!(compressed.iter().any(|e| e.weight >= 3));
-    // Weights account for every original query.
-    let total: usize = compressed.iter().map(|e| e.weight).sum();
-    assert_eq!(total, family.len());
-    // Every representative's shape is unique.
-    let mut sigs: Vec<String> = compressed
-        .iter()
-        .map(|e| shape_signature(&e.query))
-        .collect();
-    sigs.sort();
-    sigs.dedup();
-    assert_eq!(sigs.len(), compressed.len());
-}
-
-#[test]
-fn compressed_workload_is_executable() {
-    let db = generate_nref(NrefParams {
-        proteins: 300,
-        seed: 23,
-    });
-    let family = Family::Nref2J.enumerate(&db);
-    let compressed = compress(&family, 5);
-    let p = tab_bench::eval::build_p(&db, "NREF");
-    let session = tab_bench::engine::Session::new(&db, &p);
-    for e in &compressed {
-        let r = session.run(&e.query, None).unwrap();
-        assert!(r.rows.is_some(), "representative failed: {}", e.query);
-    }
 }
 
 mod csv_properties {
