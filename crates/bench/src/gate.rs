@@ -5,7 +5,7 @@
 //!
 //! | row | runs | passes when |
 //! |---|---|---|
-//! | `small` | `repro --small --threads 2 --trace` | every file but `timings.json` equals `golden_small/`; claim verdicts agree with `expected_claims_small.csv` |
+//! | `small` | `repro --small --threads 2 --trace` | every file but `timings.json` equals `golden_small/`; claim verdicts agree with `expected_claims_small.csv`; `timings.json`'s `reused` counts sum to [`SMALL_REUSED`] |
 //! | `trace` | structural diff of that trace against `golden_trace_small.jsonl`, tolerance 1e-6, then the two as sorted line multisets | clean and byte-equal up to line order; an `IndexScan`→`HashScan` copy fails the diff and a copy missing its last 40 bytes fails `replay` |
 //! | `threads` | `repro --small --threads 1` | output equals `golden_small/` |
 //! | `memcap` | `--buffer-pages 64 --charge metered` | output equals `golden_small/` except `BENCH_io.json`, which equals `golden_pool64/` |
@@ -48,6 +48,11 @@ use crate::replay::{diff, replay_str, DiffOptions};
 use crate::repro::{run_all, ReproConfig, ReproError, ReproSummary};
 use crate::serve_bench::serve_proof;
 
+/// Grid queries of `repro --small` that reuse an earlier query's
+/// execution instead of running their plan again. A stricter execution
+/// key lowers it and fails the `small` row rather than slowing the run
+/// down unnoticed.
+const SMALL_REUSED: usize = 132;
 /// Inserts the `kill9` row drives (and the WAL fixture holds).
 const INSERTS: usize = 12;
 /// Acks after which the `kill9` row SIGKILLs the server.
@@ -174,6 +179,20 @@ fn small(g: &Gate<'_>) -> Result<(), Broken> {
                 "disagrees with the run's verdicts at line {}",
                 first_difference_line(want.as_bytes(), got.as_bytes())
             ),
+        ));
+    }
+    let timings = cfg.out_dir.join("timings.json");
+    let mut reused = 0;
+    for rest in read_text(&timings)?.split("\"reused\": ").skip(1) {
+        let count: String = rest.chars().take_while(char::is_ascii_digit).collect();
+        reused += count
+            .parse::<usize>()
+            .map_err(|_| broken(&timings, "a `reused` field has no count"))?;
+    }
+    if reused != SMALL_REUSED {
+        return Err(broken(
+            timings,
+            format!("{reused} grid queries reused an execution, expected {SMALL_REUSED}"),
         ));
     }
     Ok(())

@@ -339,15 +339,17 @@ fn pager_step(spec: &BenchSpec, label: &str, db: &Database) -> Result<Option<Pag
 }
 
 /// Run one checkpointed grid, translating grid failures to
-/// [`ReproError`].
+/// [`ReproError`], and log how many of its queries reused an execution.
 fn grid_step(
+    ctx: &Ctx,
+    label: &str,
     spec: &BenchSpec,
     cells: &[GridCell<'_>],
     trace: Trace<'_>,
     faults: Faults<'_>,
     journal: &CheckpointJournal,
 ) -> Result<Vec<(WorkloadRun, CellTiming)>, ReproError> {
-    run_grid(spec, cells, trace, faults, Some(journal)).map_err(|e| match e {
+    let grid = run_grid(spec, cells, trace, faults, Some(journal)).map_err(|e| match e {
         GridError::Poisoned { .. } => ReproError::Grid {
             message: e.to_string(),
         },
@@ -355,7 +357,14 @@ fn grid_step(
             path: journal.path().to_path_buf(),
             source,
         },
-    })
+    })?;
+    let queries: usize = grid.iter().map(|(_, t)| t.queries).sum();
+    let reused: usize = grid.iter().map(|(_, t)| t.reused).sum();
+    ctx.log(&format!(
+        "{label}: grid ran {} plans for {queries} queries ({reused} reused)",
+        queries - reused
+    ));
+    Ok(grid)
 }
 
 /// Run the full reproduction.
@@ -484,7 +493,7 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
     let nref = &nref_db;
     ctx.log("NREF: building P and 1C");
     let p = build_p(nref, "NREF");
-    let c1 = build_1c_par(nref, "NREF", par);
+    let c1 = build_1c_par(nref, "NREF", par, &[&p]);
     let budget = space_budget(nref, "NREF");
     ctx.log(&format!("NREF budget = {} MiB", budget / (1 << 20)));
 
@@ -550,9 +559,14 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
         c.name = name.to_string();
         c
     };
-    let a2 = a2_cfg.map(|c| BuiltConfiguration::build_par(named(c, "A_NREF2J_R"), nref, par));
-    let b2 = BuiltConfiguration::build_par(named(b2_cfg, "B_NREF2J_R"), nref, par);
-    let b3 = BuiltConfiguration::build_par(named(b3_cfg, "B_NREF3J_R"), nref, par);
+    // Each R shares the indexes that P, 1C and the earlier R's built.
+    let a2 = a2_cfg
+        .map(|c| BuiltConfiguration::build_par(named(c, "A_NREF2J_R"), nref, par, &[&p, &c1]));
+    let mut reuse = vec![&p, &c1];
+    reuse.extend(&a2);
+    let b2 = BuiltConfiguration::build_par(named(b2_cfg, "B_NREF2J_R"), nref, par, &reuse);
+    reuse.push(&b2);
+    let b3 = BuiltConfiguration::build_par(named(b3_cfg, "B_NREF3J_R"), nref, par, &reuse);
 
     ctx.log("NREF: running the NREF2J/NREF3J x P/1C/R grid");
     let nref_pager = pager_step(spec, "nref", nref)?;
@@ -576,7 +590,7 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
         cells.push(cell("NREF2J", a, &w2));
     }
     let mut grid: std::collections::VecDeque<(WorkloadRun, CellTiming)> =
-        grid_step(spec, &cells, trace, faults, &journal)?.into();
+        grid_step(&ctx, "NREF", spec, &cells, trace, faults, &journal)?.into();
     drop(cells);
     let mut take = |ctx: &mut Ctx| -> WorkloadRun {
         let (run, timing) = grid.pop_front().expect("one result per grid cell");
@@ -1044,7 +1058,7 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
         let db = &tpch_db;
         ctx.log(&format!("{label}: building P and 1C"));
         let p = build_p(db, label);
-        let c1 = build_1c_par(db, label, par);
+        let c1 = build_1c_par(db, label, par, &[&p]);
         let budget = space_budget(db, label);
         let tpch_pager = pager_step(spec, label, db)?;
         let mut family_runs: BTreeMap<&'static str, (WorkloadRun, WorkloadRun, WorkloadRun)> =
@@ -1071,7 +1085,10 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
                 })
                 .expect("C always recommends");
             let rec_name = format!("C_{}_R", fam.name());
-            let built = BuiltConfiguration::build_par(named(rec, &rec_name), db, par);
+            // Share the indexes that P, 1C and the earlier R's built.
+            let earlier = preps.iter().map(|(_, _, built)| built);
+            let reuse: Vec<_> = [&p, &c1].into_iter().chain(earlier).collect();
+            let built = BuiltConfiguration::build_par(named(rec, &rec_name), db, par, &reuse);
             preps.push((fam, w, built));
         }
 
@@ -1089,7 +1106,7 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
                 })
             })
             .collect();
-        let mut grid = grid_step(spec, &cells, trace, faults, &journal)?.into_iter();
+        let mut grid = grid_step(&ctx, label, spec, &cells, trace, faults, &journal)?.into_iter();
         drop(cells);
 
         for (fam, _w, built) in &preps {

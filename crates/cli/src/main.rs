@@ -172,7 +172,7 @@ fn load_config(
 ) -> Result<BuiltConfiguration, String> {
     match args.get("config").unwrap_or("p") {
         "p" | "P" => Ok(tab_core::build_p(db, label)),
-        "1c" | "1C" => Ok(tab_core::build_1c_par(db, label, par)),
+        "1c" | "1C" => Ok(tab_core::build_1c_par(db, label, par, &[])),
         other => Err(format!("unknown config `{other}` (use p or 1c)")),
     }
 }
@@ -447,7 +447,7 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     for name in configs.split(',') {
         let built = match name.trim() {
             "p" | "P" => tab_core::build_p(&db, &label),
-            "1c" | "1C" => tab_core::build_1c_par(&db, &label, par),
+            "1c" | "1C" => tab_core::build_1c_par(&db, &label, par, &[]),
             other => return Err(format!("unknown config `{other}`")),
         };
         let run = run_workload(&db, &built, &w, timeout_units, par);
@@ -475,7 +475,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let par = BenchSpec::from_args(args)?.threads;
     let (db, label) = load_db(args)?;
     let p = tab_core::build_p(&db, &label);
-    let c1 = tab_core::build_1c_par(&db, &label, par);
+    let c1 = tab_core::build_1c_par(&db, &label, par, &[]);
     let timeout_units = args
         .get_parsed::<f64>("timeout-secs")?
         .map(|s| s / tab_engine::SIM_SECONDS_PER_UNIT)

@@ -286,6 +286,7 @@ pub(crate) fn assemble(
         config: run.config.clone(),
         queries: run.outcomes.len(),
         timeouts: run.timeout_count(),
+        reused: 0,
         wall_seconds,
         cost_units: run.total_lower_bound_units(),
     };

@@ -253,13 +253,21 @@ pub fn build_p(db: &Database, label: &str) -> BuiltConfiguration {
 
 /// Build the `1C` configuration for a database label.
 pub fn build_1c(db: &Database, label: &str) -> BuiltConfiguration {
-    build_1c_par(db, label, Parallelism::sequential())
+    build_1c_par(db, label, Parallelism::sequential(), &[])
 }
 
 /// [`build_1c`] with its index builds (34 on NREF, 46 on TPC-H; `P` has
-/// one per table) fanned out over `par`.
-pub fn build_1c_par(db: &Database, label: &str, par: Parallelism) -> BuiltConfiguration {
-    BuiltConfiguration::build_par(one_column_configuration(db, format!("{label}_1C")), db, par)
+/// one per table) fanned out over `par`, sharing the indexes `reuse`
+/// already holds. Every configuration in `reuse` must have been built
+/// over this same `db`; see [`BuiltConfiguration::build_par`].
+pub fn build_1c_par(
+    db: &Database,
+    label: &str,
+    par: Parallelism,
+    reuse: &[&BuiltConfiguration],
+) -> BuiltConfiguration {
+    let config = one_column_configuration(db, format!("{label}_1C"));
+    BuiltConfiguration::build_par(config, db, par, reuse)
 }
 
 /// The paper's space budget for recommendations on this database: the
@@ -551,7 +559,7 @@ mod tests {
             for (db, label) in [(&s.nref, "NREF"), (&s.skth, "SkTH"), (&s.unth, "UnTH")] {
                 let built = tab_advisor::one_column_budget_bytes(
                     &build_p(db, label),
-                    &build_1c_par(db, label, Parallelism::new(3)),
+                    &build_1c_par(db, label, Parallelism::new(3), &[]),
                 );
                 assert!(built > 0, "{label} at {nref_proteins}/{tpch_scale}");
                 assert_eq!(

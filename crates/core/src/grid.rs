@@ -15,13 +15,20 @@
 //! queries plus the modeled cost units the paper's analysis is based
 //! on. [`timings_json`] renders those machine-readably for CI trend
 //! tracking.
+//!
+//! The executor is deterministic, so running a plan a second time over
+//! the same data under the same budget measures nothing new. Within one
+//! [`run_grid`] call every job is planned first and looked up by its
+//! [`ExecKey`]; the first job with a key executes the plan and the rest
+//! copy its outcome and actuals. P, 1C and R of one family often choose
+//! the same plan, so this skips about a third of the grid's jobs.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::io;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use tab_engine::{Outcome, Session};
+use tab_engine::{ExecKey, OpActuals, Outcome, RunResult, Session};
 use tab_sqlq::Query;
 use tab_storage::framed::json_escape;
 use tab_storage::trace::{event, Num};
@@ -63,8 +70,16 @@ pub struct CellTiming {
     pub queries: usize,
     /// Queries that hit the timeout budget.
     pub timeouts: usize,
+    /// Queries whose execution key an earlier job in grid order also
+    /// holds: they copied that job's execution instead of running the
+    /// plan again. Zero for a cell replayed from the journal, and for
+    /// every cell when the memo is off (a buffer pool, or fault
+    /// injection).
+    pub reused: usize,
     /// Real wall-clock seconds summed over the cell's queries. Under a
-    /// parallel run this is aggregate compute time, not elapsed time.
+    /// parallel run this is aggregate compute time, not elapsed time; a
+    /// reused query's share is its planning and lookup, not an
+    /// execution.
     pub wall_seconds: f64,
     /// Modeled cost units, timeouts charged at the budget (the §4.3
     /// lower bound).
@@ -128,6 +143,42 @@ impl std::fmt::Display for GridError {
 
 impl std::error::Error for GridError {}
 
+/// What one execution leaves for later jobs with the same key. Rows are
+/// not kept: the grid drops them.
+struct Executed {
+    outcome: Outcome,
+    ops: Vec<OpActuals>,
+    io: PoolStats,
+}
+
+impl From<RunResult> for Executed {
+    fn from(r: RunResult) -> Self {
+        Executed {
+            outcome: r.outcome,
+            ops: r.ops,
+            io: r.io,
+        }
+    }
+}
+
+/// The plan memo of one [`run_grid`] call: one slot per execution key,
+/// numbered in the order keys arrive. A job that finds its slot being
+/// filled waits for it rather than running the plan again.
+#[derive(Default)]
+struct Memo(Mutex<HashMap<ExecKey, (usize, Slot)>>);
+
+/// One execution, filled by the first job that needs it.
+type Slot = Arc<OnceLock<Executed>>;
+
+impl Memo {
+    fn slot(&self, key: ExecKey) -> (usize, Slot) {
+        let mut slots = self.0.lock().expect("plan memo poisoned");
+        let n = slots.len();
+        let (id, slot) = slots.entry(key).or_insert_with(|| (n, Arc::default()));
+        (*id, Arc::clone(slot))
+    }
+}
+
 /// Per-cell accumulator: jobs land out of order across worker threads,
 /// so each cell collects its outcomes behind a mutex and assembles the
 /// `(WorkloadRun, CellTiming)` pair when its last query completes —
@@ -160,11 +211,22 @@ struct Slab {
 ///   sibling cells run to completion and are journaled. The failure
 ///   surfaces as [`GridError::Poisoned`].
 ///
+/// - **Reuse**: a job whose [`ExecKey`] another job already executed
+///   (or is executing: it waits) copies that execution's outcome,
+///   actuals and pool traffic, and still
+///   emits its own trace events with its own plan's estimates. The memo
+///   is off when `spec.buffer_pages > 0` (pool state makes units depend
+///   on history) and when `faults` is enabled (every cell's `morsel:`
+///   and `evict:` sites must fire). [`CellTiming::reused`] counts the
+///   cell's jobs whose key an earlier job *in grid order* holds, so it
+///   does not depend on which worker ran first.
+///
 /// Jobs fan out over `spec.threads`; each query runs under
 /// [`BenchSpec::exec_opts`] with `spec.timeout_units` as its budget. The
 /// per-cell ordering of outcomes and the wall-clock summation order,
 /// and therefore every downstream artifact, are identical at any thread
-/// count.
+/// count. Every cell's configuration must have been built over the
+/// cell's database.
 pub fn run_grid(
     spec: &BenchSpec,
     cells: &[GridCell<'_>],
@@ -215,6 +277,7 @@ pub fn run_grid(
         .flat_map(|(c, cell)| (0..cell.workload.len()).map(move |q| (c, q)))
         .collect();
 
+    let memo = (spec.buffer_pages == 0 && !faults.is_enabled()).then(Memo::default);
     let results = par_map_catch(spec.threads, &jobs, |&(c, q)| {
         let cell = &cells[c];
         if faults.is_enabled() {
@@ -223,7 +286,7 @@ pub fn run_grid(
             // deterministic.
             faults.panic_if_armed(&format!("cell:{}/{}", cell.family, cell.built.config.name));
         }
-        let (outcome, wall, io) = run_query(spec, cell, q, trace, faults);
+        let (outcome, wall, io, key) = run_query(spec, cell, q, trace, faults, memo.as_ref());
         let mut slab = slabs[c].lock().expect("cell slab poisoned");
         slab.got[q] = Some((outcome, wall, io));
         slab.filled += 1;
@@ -256,20 +319,27 @@ pub fn run_grid(
             }
             slab.done = Some((run, timing));
         }
+        key
     });
 
-    // Fold job verdicts back to cell verdicts.
+    // Fold job verdicts back to cell verdicts, and count in grid order
+    // the jobs whose key an earlier job holds.
     let mut poisoned: BTreeSet<usize> = BTreeSet::new();
     let mut failed: Vec<FailedCell> = Vec::new();
+    let mut seen: HashSet<usize> = HashSet::new();
+    let mut reused = vec![0; cells.len()];
     for (r, &(c, _)) in results.into_iter().zip(&jobs) {
-        if let Err(panic) = r {
-            if poisoned.insert(c) {
+        match r {
+            Ok(Some(key)) => reused[c] += usize::from(!seen.insert(key)),
+            Ok(None) => {}
+            Err(panic) if poisoned.insert(c) => {
                 failed.push(FailedCell {
                     family: cells[c].family.to_string(),
                     config: cells[c].built.config.name.clone(),
                     panic,
                 });
             }
+            Err(_) => {}
         }
     }
     if !failed.is_empty() {
@@ -288,14 +358,16 @@ pub fn run_grid(
     for (c, slot) in resolved.iter_mut().enumerate() {
         match slot.take() {
             Some(pair) => out.push(pair),
-            None => out.push(
-                slabs[c]
+            None => {
+                let (run, mut timing) = slabs[c]
                     .lock()
                     .expect("cell slab poisoned")
                     .done
                     .take()
-                    .expect("no failures, so every executed cell completed"),
-            ),
+                    .expect("no failures, so every executed cell completed");
+                timing.reused = reused[c];
+                out.push((run, timing));
+            }
         }
     }
     Ok(out)
@@ -304,14 +376,16 @@ pub fn run_grid(
 /// Execute one (cell, query) job, optionally tracing it, under the
 /// spec's morsel-driven [`tab_engine::ExecOpts`] with the
 /// `panic:morsel:<family>/<config>` fault site armed inside the
-/// executor's morsel workers.
+/// executor's morsel workers. With a `memo`, the plan runs only if no
+/// other job holds its key, and the job's slot number comes back.
 fn run_query(
     spec: &BenchSpec,
     cell: &GridCell<'_>,
     q: usize,
     trace: Trace<'_>,
     faults: Faults<'_>,
-) -> (Outcome, f64, PoolStats) {
+    memo: Option<&Memo>,
+) -> (Outcome, f64, PoolStats, Option<usize>) {
     // The site strings only exist when injection is on; the disabled
     // path must not pay a per-morsel format.
     let site = if faults.is_enabled() {
@@ -332,13 +406,22 @@ fn run_query(
         pool.evict_site = evict_site.as_deref();
     }
     let session = Session::new(cell.db, cell.built).with_exec(exec);
+    let budget = Some(spec.timeout_units);
     let t0 = Instant::now();
-    let result = session
-        .run(&cell.workload[q], Some(spec.timeout_units))
+    let plan = session
+        .plan_query(&cell.workload[q])
         .expect("grid workloads bind against their databases");
+    let (key, slot) = match memo {
+        Some(memo) => {
+            let (key, slot) = memo.slot(session.execution_key(&plan, budget));
+            (Some(key), slot)
+        }
+        None => (None, Arc::default()),
+    };
+    let result = slot.get_or_init(|| session.run_plan(plan.clone(), budget).into());
     if trace.is_enabled() {
         let config = cell.built.config.name.as_str();
-        let labels = result.plan.op_labels();
+        let labels = plan.op_labels();
         for (op, label) in labels.iter().enumerate() {
             trace.emit(|| {
                 let mut ev = event("operator")
@@ -347,7 +430,7 @@ fn run_query(
                     .int("query", q as u64)
                     .int("op", op as u64)
                     .str("label", label);
-                if let Some(est) = result.plan.op_ests.get(op) {
+                if let Some(est) = plan.op_ests.get(op) {
                     ev = ev
                         .token("est_cost", Num(est.cost))
                         .token("est_rows", Num(est.rows));
@@ -384,7 +467,12 @@ fn run_query(
                 .token("units", Num(units))
         });
     }
-    (result.outcome, t0.elapsed().as_secs_f64(), result.io)
+    (
+        result.outcome.clone(),
+        t0.elapsed().as_secs_f64(),
+        result.io,
+        key,
+    )
 }
 
 /// Render cell timings as a `timings.json` document:
@@ -406,11 +494,12 @@ pub fn timings_json(threads: usize, total_wall_seconds: f64, cells: &[CellTiming
     s.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"family\": \"{}\", \"config\": \"{}\", \"queries\": {}, \"timeouts\": {}, \"wall_seconds\": {:.6}, \"cost_units\": {:.3}}}{}\n",
+            "    {{\"family\": \"{}\", \"config\": \"{}\", \"queries\": {}, \"timeouts\": {}, \"reused\": {}, \"wall_seconds\": {:.6}, \"cost_units\": {:.3}}}{}\n",
             json_escape(&c.family),
             json_escape(&c.config),
             c.queries,
             c.timeouts,
+            c.reused,
             c.wall_seconds,
             c.cost_units,
             if i + 1 < cells.len() { "," } else { "" }
@@ -490,11 +579,15 @@ pub fn io_bench_json(spec: &BenchSpec, cells: &[IoBenchCell]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{build_1c, build_p};
+    use crate::experiment::{build_1c, build_p, prepare_workload_db};
     use crate::measure::run_workload;
     use tab_datagen::{generate_nref, NrefParams};
+    use tab_families::Family;
     use tab_sqlq::parse;
-    use tab_storage::Parallelism;
+    use tab_storage::{
+        ColType, ColumnDef, Configuration, FaultPlan, MViewDef, MViewSpec, Parallelism, Table,
+        TableSchema, Value,
+    };
 
     fn setup() -> (Database, Vec<Query>) {
         let db = generate_nref(NrefParams {
@@ -551,7 +644,18 @@ mod tests {
         let (db, qs) = setup();
         let p = build_p(&db, "NREF");
         let c1 = build_1c(&db, "NREF");
-        let cells = three_cells(&db, &p, &c1, &qs);
+        // F2 repeats F1's first three P queries, and F3 the last four of
+        // F1's 1C queries: the memo serves them, and every outcome must
+        // still equal a memo-free run.
+        let [f1_p, f1_1c, f2] = three_cells(&db, &p, &c1, &qs);
+        let f3 = GridCell {
+            family: "F3",
+            db: &db,
+            built: &c1,
+            workload: &qs[2..],
+            pager: None,
+        };
+        let cells = [f1_p, f1_1c, f2, f3];
         let seq = Parallelism::sequential();
         let serial: Vec<WorkloadRun> = cells
             .iter()
@@ -578,7 +682,150 @@ mod tests {
                 assert!(timing.wall_seconds >= 0.0);
                 assert!(timing.cost_units > 0.0);
             }
+            assert_eq!(grid[2].1.reused, 3, "threads={threads}");
+            assert_eq!(grid[3].1.reused, 4, "threads={threads}");
         }
+    }
+
+    /// Plan `q` in `x` and in `y` under the grid's budget: whether the
+    /// plans agree on everything but their estimates, and whether their
+    /// execution keys are equal.
+    fn plan_and_key_match(
+        db: &Database,
+        x: &BuiltConfiguration,
+        y: &BuiltConfiguration,
+        q: &Query,
+        budget: f64,
+    ) -> (bool, bool) {
+        let (sx, sy) = (Session::new(db, x), Session::new(db, y));
+        let (px, py) = (sx.plan_query(q).unwrap(), sy.plan_query(q).unwrap());
+        let same_plan = px.query == py.query
+            && px.driver == py.driver
+            && px.steps == py.steps
+            && px.mviews_used == py.mviews_used;
+        let budget = Some(budget);
+        (
+            same_plan,
+            sx.execution_key(&px, budget) == sy.execution_key(&py, budget),
+        )
+    }
+
+    /// Run `q` alone in `x`, then in `y`, as one grid: the second cell
+    /// must miss the memo and measure its own units, each equal to a
+    /// memo-free run.
+    fn assert_second_cell_misses(
+        db: &Database,
+        x: &BuiltConfiguration,
+        y: &BuiltConfiguration,
+        q: &Query,
+    ) {
+        let spec = BenchSpec {
+            threads: Parallelism::new(2),
+            ..BenchSpec::small()
+        };
+        let workload = std::slice::from_ref(q);
+        let cell = |built| GridCell {
+            family: "F",
+            db,
+            built,
+            workload,
+            pager: None,
+        };
+        let grid = run_grid(
+            &spec,
+            &[cell(x), cell(y)],
+            Trace::disabled(),
+            Faults::disabled(),
+            None,
+        )
+        .expect("clean grid");
+        assert_eq!(grid[1].1.reused, 0, "the second cell reused the first");
+        for ((run, _), built) in grid.iter().zip([x, y]) {
+            let alone = Session::new(db, built).run(q, Some(spec.timeout_units));
+            assert_eq!(run.outcomes[0], alone.unwrap().outcome, "{}", run.config);
+        }
+        let units = |c: usize| grid[c].0.outcomes[0].units().expect("completes");
+        assert_ne!(units(0), units(1));
+    }
+
+    /// Two configurations may give different views the same name: the
+    /// key holds each view's definition, not just its name.
+    #[test]
+    fn a_view_name_with_another_definition_misses() {
+        let mut db = Database::new();
+        for (name, rows) in [("a", 20_000i64), ("b", 40)] {
+            let cols = (0..2).map(|i| ColumnDef::new(format!("c{i}"), ColType::Int));
+            let mut t = Table::new(TableSchema::new(name, cols.collect()));
+            for i in 0..rows {
+                t.insert(vec![Value::Int(i % 400), Value::Int(i)]);
+            }
+            db.add_table(t);
+        }
+        db.collect_stats();
+        let with_view = |name: &str, projection| {
+            let mut cfg = Configuration::named(name);
+            cfg.mviews.push(MViewDef {
+                spec: MViewSpec::join_of("ab", "a", "b", vec![(0, 0)], projection),
+                indexes: vec![],
+            });
+            BuiltConfiguration::build(cfg, &db)
+        };
+        let narrow = with_view("narrow", vec![(0, 1), (1, 1)]);
+        let wide = with_view("wide", vec![(0, 1), (1, 1), (0, 0), (1, 0)]);
+        let q = parse("SELECT a.c1, COUNT(*) FROM a, b WHERE a.c0 = b.c0 GROUP BY a.c1").unwrap();
+        let plan = Session::new(&db, &wide).plan_query(&q).unwrap();
+        assert_eq!(plan.mviews_used, ["ab"]);
+        let budget = BenchSpec::small().timeout_units;
+        let (same_plan, same_key) = plan_and_key_match(&db, &narrow, &wide, &q, budget);
+        assert!(same_plan, "both read `ab` the same way");
+        assert!(!same_key, "the key must tell the two `ab`s apart");
+        assert_second_cell_misses(&db, &narrow, &wide, &q);
+    }
+
+    /// P and 1C often run the same NREF2J plan, but 1C answers the
+    /// frequency subquery from an index where P reads the heap. The
+    /// `FreqSetup` label does not say which, so the key must.
+    #[test]
+    fn a_frequency_setup_on_another_index_misses() {
+        let (db, _) = setup();
+        let p = build_p(&db, "NREF");
+        let c1 = build_1c(&db, "NREF");
+        let workload = prepare_workload_db(&db, Family::Nref2J, &p, 30, 7);
+        let budget = BenchSpec::small().timeout_units;
+        let q = workload
+            .iter()
+            .find(|q| plan_and_key_match(&db, &p, &c1, q, budget) == (true, false))
+            .expect("an NREF2J query whose plans differ only in the setup's index");
+        assert_second_cell_misses(&db, &p, &c1, q);
+    }
+
+    /// A buffer pool makes a query's units depend on what ran before it,
+    /// and fault sites must fire in every cell: either turns reuse off.
+    #[test]
+    fn memo_is_off_under_a_pool_and_under_fault_injection() {
+        let (db, qs) = setup();
+        let p = build_p(&db, "NREF");
+        let cell = |family| GridCell {
+            family,
+            db: &db,
+            built: &p,
+            workload: &qs,
+            pager: None,
+        };
+        let cells = [cell("F1"), cell("F2")];
+        let reused = |spec: &BenchSpec, faults| -> Vec<usize> {
+            let grid = run_grid(spec, &cells, Trace::disabled(), faults, None).expect("clean grid");
+            grid.iter().map(|(_, t)| t.reused).collect()
+        };
+        let plain = spec(2);
+        assert_eq!(reused(&plain, Faults::disabled()), [0, qs.len()]);
+        let pooled = BenchSpec {
+            buffer_pages: 64,
+            ..spec(2)
+        };
+        assert_eq!(reused(&pooled, Faults::disabled()), [0, 0]);
+        let unarmed = FaultPlan::parse("panic:cell:F9/NREF_P").expect("fault spec");
+        assert_eq!(reused(&plain, Faults::to(&unarmed)), [0, 0]);
     }
 
     #[test]
@@ -695,6 +942,7 @@ mod tests {
                 config: "NREF_P".into(),
                 queries: 30,
                 timeouts: 4,
+                reused: 7,
                 wall_seconds: 1.25,
                 cost_units: 42.0,
             },
@@ -703,6 +951,7 @@ mod tests {
                 config: "SkTH_\"q\"".into(),
                 queries: 30,
                 timeouts: 0,
+                reused: 0,
                 wall_seconds: 0.5,
                 cost_units: 7.0,
             },
@@ -711,6 +960,7 @@ mod tests {
         assert!(j.contains("\"threads\": 4"));
         assert!(j.contains("\"total_wall_seconds\": 3.000"));
         assert!(j.contains("\"family\": \"NREF2J\""));
+        assert!(j.contains("\"timeouts\": 4, \"reused\": 7, \"wall_seconds\": 1.250000"));
         assert!(j.contains("SkTH_\\\"q\\\""));
         // A comma between the two cell objects, none trailing.
         assert!(j.contains("},\n"));

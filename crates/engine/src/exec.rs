@@ -78,11 +78,12 @@ use std::sync::Mutex;
 use tab_sqlq::{CmpOp, RangeOp};
 use tab_storage::{
     index_rel_id, key_tuple, par_map, table_rel_id, temp_rel_id, BTreeIndex, BufferPool,
-    BuiltConfiguration, CodeTable, Column, Database, Faults, Fetched, NullMask, PageHint, PageKey,
-    Pager, Parallelism, PoolStats, Probe, RowBuckets, RowId, Table, Trace, Value,
+    BuiltConfiguration, CodeTable, Column, Database, Faults, Fetched, MaterializedView, NullMask,
+    PageHint, PageKey, Pager, Parallelism, PoolStats, Probe, RowBuckets, RowId, Table, Trace,
+    Value,
 };
 
-use crate::catalog::{BoundAgg, BoundItem, BoundQuery};
+use crate::catalog::{BoundAgg, BoundItem, BoundQuery, FreqFilter};
 use crate::cost::{ChargePolicy, CostMeter, TimedOut, HASH_SPILL_ROWS, SPILL_ROWS_PER_PAGE};
 use crate::plan::{Access, JoinMethod, PhysicalPlan, ProbeSource, RelOp};
 
@@ -102,12 +103,27 @@ impl<'a> Resolver<'a> {
         if let Some(t) = self.db.table(source) {
             return t;
         }
-        self.built
-            .mviews
-            .iter()
-            .find(|(mv, _)| mv.spec.name == source)
-            .map(|(mv, _)| &mv.table)
+        self.view(source)
+            .map(|mv| &*mv.table)
             .unwrap_or_else(|| panic!("unknown source `{source}`"))
+    }
+
+    /// The view a source names, when it is not a base table.
+    pub(crate) fn view(&self, source: &str) -> Option<&'a MaterializedView> {
+        if self.db.table(source).is_some() {
+            return None;
+        }
+        let views = self.built.mviews.iter();
+        views.map(|(mv, _)| mv).find(|mv| mv.spec.name == source)
+    }
+
+    /// The index that answers a frequency filter's value counts: the
+    /// first on the subquery's table that leads with its column. `None`
+    /// means the heap answers them.
+    pub(crate) fn freq_index(&self, f: &FreqFilter) -> Option<&'a BTreeIndex> {
+        self.built
+            .indexes_on(&f.sub_table)
+            .find(|i| i.spec().columns.first() == Some(&f.sub_col))
     }
 
     fn index(&self, source: &str, columns: &[usize]) -> &'a BTreeIndex {
@@ -901,11 +917,7 @@ fn eval_freq_sets(
     for f in &q.freqs {
         let table = resolver.table(&f.sub_table);
         // Index-only evaluation when a built index leads with the column.
-        let idx = resolver
-            .built
-            .indexes_on(&f.sub_table)
-            .find(|i| i.spec().columns.first() == Some(&f.sub_col));
-        match idx {
+        match resolver.freq_index(f) {
             Some(idx) => {
                 // Group sizes read off the leaf level: one operation per
                 // distinct key (id-list lengths are stored), not per row.

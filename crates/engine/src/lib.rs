@@ -38,7 +38,9 @@ pub use exec::{execute, ExecOpts, OpActuals, PoolOpts, Resolver, DEFAULT_MORSEL_
 pub use explain::render_explain;
 pub use plan::{OpEstimate, PhysicalPlan};
 pub use planner::{plan, plan_explained, PlanChoice, PlanExplanation};
-pub use session::{estimate_hypothetical, estimate_hypothetical_layered, RunResult, Session};
+pub use session::{
+    estimate_hypothetical, estimate_hypothetical_layered, ExecKey, RunResult, Session,
+};
 pub use shared::{
     EngineSnapshot, EngineState, KeyedInsert, RecoverError, SharedEngine, SharedInsert,
     WalRecoveryReport,

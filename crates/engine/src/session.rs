@@ -8,7 +8,7 @@
 
 use tab_sqlq::Query;
 use tab_storage::{
-    BuiltConfiguration, Configuration, Database, IndexSpec, MViewDef, PoolStats, Value,
+    BTreeIndex, BuiltConfiguration, Configuration, Database, IndexSpec, MViewDef, PoolStats, Value,
 };
 
 use crate::catalog::{bind, BindError};
@@ -37,6 +37,29 @@ pub struct RunResult {
     /// a timed-out query's partial traffic is discarded so outputs
     /// never depend on *where* the budget trip happened.
     pub io: PoolStats,
+}
+
+/// Everything that decides what executing a plan does, and nothing
+/// else: the database (by address), the budget, the plan's query,
+/// driver, steps and views used (not its estimates), the full
+/// [`tab_storage::MViewSpec`] of every view it reads, and the spec of
+/// the index each frequency filter's setup reads (or none, when the
+/// heap answers it: that index's size sets the setup's charge and the
+/// operator label leaves it out). The executor reads nothing else from
+/// the configuration.
+///
+/// The executor is deterministic, so two runs with equal keys give the
+/// same outcome and per-operator actuals, provided that every
+/// configuration was built over its database, that neither has been
+/// written since, and that the runs share their [`ExecOpts`] and have no
+/// buffer pool (whose units depend on what earlier queries left in it).
+/// Only compare keys made while their databases are alive: an address
+/// can be reused after a drop. Values render through `Debug`, which is
+/// exact: `Int(1)` and `Float(1.0)` differ, and floats print round-trip.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct ExecKey {
+    db: usize,
+    text: String,
 }
 
 /// A query session over one database in one built configuration.
@@ -94,7 +117,11 @@ impl<'a> Session<'a> {
 
     /// Execute a query with an optional cost budget (the timeout).
     pub fn run(&self, q: &Query, budget: Option<f64>) -> Result<RunResult, BindError> {
-        let p = self.plan_query(q)?;
+        Ok(self.run_plan(self.plan_query(q)?, budget))
+    }
+
+    /// Execute an already-planned query with an optional cost budget.
+    pub fn run_plan(&self, p: PhysicalPlan, budget: Option<f64>) -> RunResult {
         let mut meter = match budget {
             Some(b) => CostMeter::with_budget(b),
             None => CostMeter::unbounded(),
@@ -110,7 +137,7 @@ impl<'a> Session<'a> {
             Some(&mut ops),
             Some(&mut io),
         ) {
-            Ok(rows) => Ok(RunResult {
+            Ok(rows) => RunResult {
                 outcome: Outcome::Done {
                     units: meter.units(),
                     rows: rows.len() as u64,
@@ -119,8 +146,8 @@ impl<'a> Session<'a> {
                 plan: p,
                 ops,
                 io,
-            }),
-            Err(_) => Ok(RunResult {
+            },
+            Err(_) => RunResult {
                 outcome: Outcome::Timeout {
                     budget: budget.expect("only budgeted runs can time out"),
                 },
@@ -129,7 +156,34 @@ impl<'a> Session<'a> {
                 ops,
                 // Deliberately zeroed: `io` is only written on success.
                 io: PoolStats::default(),
-            }),
+            },
+        }
+    }
+
+    /// The [`ExecKey`] of running `p` under `budget` in this session.
+    pub fn execution_key(&self, p: &PhysicalPlan, budget: Option<f64>) -> ExecKey {
+        let resolver = Resolver::new(self.db, self.built);
+        let q = &p.query;
+        let sources = q.rels.iter().map(|r| r.source.as_str());
+        let sources = sources.chain(q.freqs.iter().map(|f| f.sub_table.as_str()));
+        let views: Vec<_> = sources
+            .filter_map(|s| resolver.view(s))
+            .map(|mv| &mv.spec)
+            .collect();
+        let freq_indexes: Vec<_> = q
+            .freqs
+            .iter()
+            .map(|f| resolver.freq_index(f).map(BTreeIndex::spec))
+            .collect();
+        ExecKey {
+            db: std::ptr::from_ref(self.db) as usize,
+            text: format!(
+                "{:?}|{q:?}|{:?}|{:?}|{:?}|{views:?}|{freq_indexes:?}",
+                budget.map(f64::to_bits),
+                p.driver,
+                p.steps,
+                p.mviews_used,
+            ),
         }
     }
 

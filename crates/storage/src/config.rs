@@ -104,11 +104,11 @@ impl BuildReport {
         self.aux_pages * PAGE_SIZE as u64
     }
 
-    /// Account for one built index and wrap it for sharing.
-    fn add_index(&mut self, (idx, cost): (BTreeIndex, u64)) -> Arc<BTreeIndex> {
+    /// Account for one built (or shared) index.
+    fn add_index(&mut self, (idx, cost): (Arc<BTreeIndex>, u64)) -> Arc<BTreeIndex> {
         self.pages_written += cost;
         self.aux_pages += idx.n_pages();
-        Arc::new(idx)
+        idx
     }
 }
 
@@ -142,20 +142,41 @@ impl BuiltConfiguration {
     /// Panics if a spec references a missing table or column — configs
     /// are produced by in-repo advisors against the same database.
     pub fn build(config: Configuration, db: &Database) -> Self {
-        Self::build_par(config, db, Parallelism::sequential())
+        Self::build_par(config, db, Parallelism::sequential(), &[])
     }
 
     /// [`BuiltConfiguration::build`] with the independent pieces — each
     /// base-table index, each view with its indexes — built on up to
     /// `par` threads. Pieces are collected in spec order and costs are
     /// integer sums, so the result is identical at any thread count.
-    pub fn build_par(config: Configuration, db: &Database, par: Parallelism) -> Self {
+    ///
+    /// `reuse`: configurations whose base-table indexes this one may
+    /// share. A spec one of them already holds is not built again: its
+    /// `Arc<BTreeIndex>` is cloned and charged what a fresh build costs,
+    /// so the [`BuildReport`] is the same as without `reuse`. Sound only
+    /// when every configuration in `reuse` was built over this same `db`
+    /// and neither has been written since; [`Self::apply_insert`] copies
+    /// a shared index before changing it.
+    pub fn build_par(
+        config: Configuration,
+        db: &Database,
+        par: Parallelism,
+        reuse: &[&BuiltConfiguration],
+    ) -> Self {
         let table = |name: &str, what: &str| {
             db.table(name)
                 .unwrap_or_else(|| panic!("{what} on missing table `{name}`"))
         };
         let built = par_map(par, &config.indexes, |spec| {
-            BTreeIndex::build(spec.clone(), table(&spec.table, "index"))
+            let table = table(&spec.table, "index");
+            let mut shared = reuse.iter().flat_map(|b| &b.indexes);
+            match shared.find(|i| i.spec() == spec) {
+                Some(idx) => (Arc::clone(idx), idx.build_pages(table)),
+                None => {
+                    let (idx, cost) = BTreeIndex::build(spec.clone(), table);
+                    (Arc::new(idx), cost)
+                }
+            }
         });
         let views = par_map(par, &config.mviews, |def| {
             let bases: Vec<_> = def.spec.base.iter().map(|n| table(n, "mview")).collect();
@@ -163,7 +184,10 @@ impl BuiltConfiguration {
             let indexes: Vec<_> = def
                 .indexes
                 .iter()
-                .map(|cols| mv.build_index(cols.clone()))
+                .map(|cols| {
+                    let (idx, cost) = mv.build_index(cols.clone());
+                    (Arc::new(idx), cost)
+                })
                 .collect();
             (mv, cost, indexes)
         });
@@ -320,13 +344,64 @@ mod tests {
         };
         let seq = BuiltConfiguration::build(cfg.clone(), &db);
         for threads in [2, 8] {
-            let par = BuiltConfiguration::build_par(cfg.clone(), &db, Parallelism::new(threads));
+            let par =
+                BuiltConfiguration::build_par(cfg.clone(), &db, Parallelism::new(threads), &[]);
             assert_eq!(par.report.pages_written, seq.report.pages_written);
             assert_eq!(par.report.aux_pages, seq.report.aux_pages);
             assert_eq!(all(&par), all(&seq), "threads={threads}");
             assert_eq!(par.indexes_on("t").count(), 3);
             assert_eq!(par.indexes_on("v").count(), 2);
         }
+    }
+
+    #[test]
+    fn reused_indexes_are_shared_and_charged_as_fresh_builds() {
+        let db = db();
+        let with = |name: &str, specs: &[(&str, &[usize])]| {
+            let mut cfg = Configuration::named(name);
+            let specs = specs.iter().map(|(t, c)| IndexSpec::new(*t, c.to_vec()));
+            cfg.indexes.extend(specs);
+            cfg
+        };
+        let seq = Parallelism::sequential();
+        let p = BuiltConfiguration::build(with("p", &[("t", &[0])]), &db);
+        let c1_cfg = with("1c", &[("t", &[0]), ("t", &[1]), ("u", &[0]), ("u", &[1])]);
+        let c1 = BuiltConfiguration::build_par(c1_cfg, &db, seq, &[&p]);
+        let mut r_cfg = with(
+            "r",
+            &[("t", &[1]), ("t", &[0, 1]), ("u", &[1]), ("t", &[0])],
+        );
+        r_cfg.mviews.push(MViewDef {
+            spec: MViewSpec::join_of("v", "t", "u", vec![(0, 0)], vec![(0, 1), (1, 1)]),
+            indexes: vec![vec![0]],
+        });
+        let fresh = BuiltConfiguration::build_par(r_cfg.clone(), &db, seq, &[]);
+        let mut shared = BuiltConfiguration::build_par(r_cfg, &db, Parallelism::new(2), &[&p, &c1]);
+
+        assert_eq!(shared.report.pages_written, fresh.report.pages_written);
+        assert_eq!(shared.report.aux_pages, fresh.report.aux_pages);
+        let entries = |i: &BTreeIndex| format!("{:?}", i.scan().collect::<Vec<_>>());
+        for (a, b) in shared.indexes.iter().zip(&fresh.indexes) {
+            assert_eq!(a.spec(), b.spec());
+            assert_eq!(entries(a), entries(b), "{}", a.spec());
+            assert_eq!(a.clustering(), b.clustering(), "{}", a.spec());
+            let in_1c = c1.indexes.iter().find(|i| i.spec() == a.spec());
+            match in_1c {
+                Some(i) => assert!(Arc::ptr_eq(a, i), "{} was built again", a.spec()),
+                None => assert!(Arc::strong_count(a) == 1, "{} is not 1C's", a.spec()),
+            }
+        }
+
+        // Writing R copies what it shares: 1C's index on `t` keeps its
+        // entries.
+        let before = entries(&c1.indexes[0]);
+        shared.apply_insert("t", &[Value::Int(3), Value::Int(9999)], 1000);
+        assert_eq!(entries(&c1.indexes[0]), before);
+        assert!(!Arc::ptr_eq(&shared.indexes[3], &c1.indexes[0]));
+        assert!(shared.indexes[3]
+            .probe(&[Value::Int(3)])
+            .row_ids
+            .contains(&1000));
     }
 
     #[test]

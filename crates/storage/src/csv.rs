@@ -1,9 +1,8 @@
-//! CSV import/export for tables — the paper's "raw relational format".
+//! CSV export for tables — the paper's "raw relational format".
 //!
 //! §1.1: "Once the XML data is converted to 'raw' relational format
-//! (i.e., CSV text files) it occupies 6.5GB." This module reads and
-//! writes that format so generated databases can be inspected,
-//! round-tripped, and loaded from external dumps.
+//! (i.e., CSV text files) it occupies 6.5GB." This module writes that
+//! format so generated databases can be inspected (`tab gen`).
 //!
 //! Format: RFC-4180-style quoting, one header row with column names,
 //! `NULL` (unquoted) for SQL NULL, minimal-precision floats.
@@ -13,42 +12,8 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use crate::schema::{ColType, TableSchema};
 use crate::table::Table;
 use crate::value::Value;
-
-/// Error while importing CSV.
-#[derive(Debug)]
-pub enum CsvError {
-    /// Underlying I/O failure.
-    Io(io::Error),
-    /// Structural or type failure, with row number (1-based, header = 0).
-    Malformed {
-        /// Row where the problem was found.
-        row: usize,
-        /// Description.
-        message: String,
-    },
-}
-
-impl std::fmt::Display for CsvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CsvError::Io(e) => write!(f, "csv io error: {e}"),
-            CsvError::Malformed { row, message } => {
-                write!(f, "csv row {row}: {message}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CsvError {}
-
-impl From<io::Error> for CsvError {
-    fn from(e: io::Error) -> Self {
-        CsvError::Io(e)
-    }
-}
 
 fn quote(field: &str) -> String {
     if field.contains([',', '"', '\n', '\r']) || field == "NULL" {
@@ -94,139 +59,10 @@ pub fn export_table(table: &Table, path: impl AsRef<Path>) -> io::Result<()> {
     fs::write(path, out)
 }
 
-/// Parse a whole CSV document into records of `(field, was_quoted)`
-/// pairs (RFC-4180: quoted fields may contain commas, quotes, and
-/// newlines). Blank records are skipped.
-fn parse_records(text: &str) -> Result<Vec<Vec<(String, bool)>>, CsvError> {
-    let mut records = Vec::new();
-    let mut fields: Vec<(String, bool)> = Vec::new();
-    let mut cur = String::new();
-    let mut quoted = false;
-    let mut in_quotes = false;
-    let mut row = 0usize;
-    let mut chars = text.chars().peekable();
-
-    let flush_record = |fields: &mut Vec<(String, bool)>,
-                        cur: &mut String,
-                        quoted: &mut bool,
-                        records: &mut Vec<Vec<(String, bool)>>| {
-        fields.push((std::mem::take(cur), *quoted));
-        *quoted = false;
-        // A record consisting of one unquoted empty field is a blank line.
-        if !(fields.len() == 1 && fields[0].0.is_empty() && !fields[0].1) {
-            records.push(std::mem::take(fields));
-        } else {
-            fields.clear();
-        }
-    };
-
-    while let Some(c) = chars.next() {
-        match c {
-            '"' if in_quotes => {
-                if chars.peek() == Some(&'"') {
-                    cur.push('"');
-                    chars.next();
-                } else {
-                    in_quotes = false;
-                }
-            }
-            '"' if cur.is_empty() && !quoted => {
-                in_quotes = true;
-                quoted = true;
-            }
-            '"' => {
-                return Err(CsvError::Malformed {
-                    row,
-                    message: "stray quote inside unquoted field".into(),
-                })
-            }
-            ',' if !in_quotes => {
-                fields.push((std::mem::take(&mut cur), quoted));
-                quoted = false;
-            }
-            '\r' if !in_quotes && chars.peek() == Some(&'\n') => {
-                chars.next();
-                flush_record(&mut fields, &mut cur, &mut quoted, &mut records);
-                row += 1;
-            }
-            '\n' if !in_quotes => {
-                flush_record(&mut fields, &mut cur, &mut quoted, &mut records);
-                row += 1;
-            }
-            c => cur.push(c),
-        }
-    }
-    if in_quotes {
-        return Err(CsvError::Malformed {
-            row,
-            message: "unterminated quoted field".into(),
-        });
-    }
-    if !cur.is_empty() || quoted || !fields.is_empty() {
-        flush_record(&mut fields, &mut cur, &mut quoted, &mut records);
-    }
-    Ok(records)
-}
-
-/// Import a CSV file into a new table with the given schema. The header
-/// row must match the schema's column names in order.
-pub fn import_table(schema: TableSchema, path: impl AsRef<Path>) -> Result<Table, CsvError> {
-    let text = fs::read_to_string(path)?;
-    let mut records = parse_records(&text)?.into_iter();
-    let head = records.next().ok_or(CsvError::Malformed {
-        row: 0,
-        message: "empty file".into(),
-    })?;
-    let expected: Vec<&str> = schema.columns.iter().map(|c| c.name.as_str()).collect();
-    let got: Vec<&str> = head.iter().map(|(f, _)| f.as_str()).collect();
-    if got != expected {
-        return Err(CsvError::Malformed {
-            row: 0,
-            message: format!("header mismatch: expected {expected:?}, got {got:?}"),
-        });
-    }
-
-    let mut table = Table::new(schema);
-    for (i, fields) in records.enumerate() {
-        let i = i + 1;
-        if fields.len() != table.schema().columns.len() {
-            return Err(CsvError::Malformed {
-                row: i,
-                message: format!(
-                    "expected {} fields, got {}",
-                    table.schema().columns.len(),
-                    fields.len()
-                ),
-            });
-        }
-        let mut row = Vec::with_capacity(fields.len());
-        for ((field, quoted), col) in fields.iter().zip(&table.schema().columns.clone()) {
-            if field == "NULL" && !quoted {
-                row.push(Value::Null);
-                continue;
-            }
-            let v = match col.ty {
-                ColType::Int => Value::Int(field.parse().map_err(|_| CsvError::Malformed {
-                    row: i,
-                    message: format!("bad integer `{field}` in `{}`", col.name),
-                })?),
-                ColType::Float => Value::Float(field.parse().map_err(|_| CsvError::Malformed {
-                    row: i,
-                    message: format!("bad float `{field}` in `{}`", col.name),
-                })?),
-                ColType::Str => Value::str(field),
-            };
-            row.push(v);
-        }
-        table.insert(row);
-    }
-    Ok(table)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::ColumnDef;
+    use crate::schema::{ColType, ColumnDef, TableSchema};
 
     fn schema() -> TableSchema {
         TableSchema::new(
@@ -239,81 +75,38 @@ mod tests {
         )
     }
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("tab_csv_{name}_{}.csv", std::process::id()))
+    fn exported(t: &Table, name: &str) -> String {
+        let path = std::env::temp_dir().join(format!("tab_csv_{name}_{}.csv", std::process::id()));
+        export_table(t, &path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(path).ok();
+        text
     }
 
     #[test]
-    fn round_trip_preserves_rows() {
+    fn export_quotes_hostile_fields_and_renders_values() {
         let mut t = Table::new(schema());
         t.insert(vec![Value::Int(1), Value::str("plain"), Value::Float(1.5)]);
         t.insert(vec![Value::Int(2), Value::str("com,ma \"q\""), Value::Null]);
-        t.insert(vec![Value::Int(3), Value::str("NULL"), Value::Float(-0.25)]);
-        let path = tmp("roundtrip");
-        export_table(&t, &path).unwrap();
-        let back = import_table(schema(), &path).unwrap();
-        assert_eq!(back.n_rows(), 3);
-        for i in 0..3 {
-            assert_eq!(back.row(i), t.row(i), "row {i}");
-        }
-        std::fs::remove_file(path).ok();
+        t.insert(vec![
+            Value::Int(3),
+            Value::str("two\nlines"),
+            Value::Float(-0.25),
+        ]);
+        assert_eq!(
+            exported(&t, "render"),
+            "id,name,score\n1,plain,1.5\n2,\"com,ma \"\"q\"\"\",NULL\n3,\"two\nlines\",-0.25\n"
+        );
     }
 
     #[test]
     fn quoted_null_string_is_not_null() {
         let mut t = Table::new(schema());
         t.insert(vec![Value::Int(1), Value::str("NULL"), Value::Null]);
-        let path = tmp("nulls");
-        export_table(&t, &path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(
-            text.contains("\"NULL\""),
-            "string NULL must be quoted: {text}"
+        let text = exported(&t, "nulls");
+        assert_eq!(
+            text, "id,name,score\n1,\"NULL\",NULL\n",
+            "string NULL must be quoted"
         );
-        let back = import_table(schema(), &path).unwrap();
-        assert_eq!(back.row(0)[1], Value::str("NULL"));
-        assert_eq!(back.row(0)[2], Value::Null);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn header_mismatch_rejected() {
-        let path = tmp("header");
-        std::fs::write(&path, "wrong,name,score\n1,x,2.0\n").unwrap();
-        let err = import_table(schema(), &path).unwrap_err();
-        assert!(matches!(err, CsvError::Malformed { row: 0, .. }));
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn bad_values_rejected_with_row_number() {
-        let path = tmp("badvalue");
-        std::fs::write(&path, "id,name,score\n1,x,2.0\nnot_an_int,y,3.0\n").unwrap();
-        let err = import_table(schema(), &path).unwrap_err();
-        match err {
-            CsvError::Malformed { row, message } => {
-                assert_eq!(row, 2);
-                assert!(message.contains("bad integer"));
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn unterminated_quote_rejected() {
-        let path = tmp("quote");
-        std::fs::write(&path, "id,name,score\n1,\"open,2.0\n").unwrap();
-        assert!(import_table(schema(), &path).is_err());
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn empty_lines_skipped() {
-        let path = tmp("empty");
-        std::fs::write(&path, "id,name,score\n1,x,2.0\n\n2,y,3.0\n").unwrap();
-        let t = import_table(schema(), &path).unwrap();
-        assert_eq!(t.n_rows(), 2);
-        std::fs::remove_file(path).ok();
     }
 }

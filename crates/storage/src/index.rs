@@ -192,10 +192,16 @@ impl BTreeIndex {
             leaf_starts,
             clustering,
         };
-        // Build cost: read the heap once, sort (log factor), write leaves.
-        let sort_factor = (idx.n_entries().max(2) as f64).log2().ceil() as u64;
-        let build_pages = table.n_pages() * sort_factor.max(1) / 4 + idx.n_pages();
-        (idx, build_pages.max(1))
+        let cost = idx.build_pages(table);
+        (idx, cost)
+    }
+
+    /// Pages charged for building this index over `table`: read the heap
+    /// once, sort (log factor), write the leaves. An index shared from an
+    /// earlier build over the same table is charged the same.
+    pub(crate) fn build_pages(&self, table: &Table) -> u64 {
+        let sort_factor = (self.n_entries().max(2) as f64).log2().ceil() as u64;
+        (table.n_pages() * sort_factor.max(1) / 4 + self.n_pages()).max(1)
     }
 
     /// The index spec.

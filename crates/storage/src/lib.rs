@@ -36,7 +36,7 @@ pub mod wal;
 
 pub use column::{key_tuple, CodeTable, Column, NullMask, RowBuckets};
 pub use config::{BuildReport, BuiltConfiguration, Configuration, MViewDef};
-pub use csv::{export_table, import_table, CsvError};
+pub use csv::export_table;
 pub use db::Database;
 pub use fault::{atomic_write, FaultKind, FaultPlan, Faults, TraceFault, WireFault};
 pub use index::{BTreeIndex, IndexSpec, Probe};

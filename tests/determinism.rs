@@ -53,6 +53,19 @@ fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     out
 }
 
+/// The `reused` counts of a `timings.json` document, summed.
+fn reused_total(timings: &str) -> usize {
+    let counts = timings.split("\"reused\": ").skip(1);
+    counts
+        .map(|rest| {
+            let count: String = rest.chars().take_while(char::is_ascii_digit).collect();
+            count
+                .parse::<usize>()
+                .expect("a `reused` field has a count")
+        })
+        .sum()
+}
+
 #[test]
 fn repro_outputs_identical_at_one_and_four_threads() {
     let base = std::env::temp_dir().join(format!("tab_determinism_{}", std::process::id()));
@@ -150,6 +163,17 @@ fn repro_outputs_identical_at_one_and_four_threads() {
     let t = std::fs::read_to_string(dirs[2].join("timings.json")).expect("timings.json");
     assert!(t.contains("\"threads\": 4"), "unexpected timings: {t}");
     assert!(t.contains("\"family\": \"NREF2J\""));
+
+    // The grid's reuse count follows grid order, not which worker ran a
+    // plan first: some queries reuse an execution, and as many at 1 and
+    // at 4 threads.
+    let reused = |dir: &Path| {
+        reused_total(&std::fs::read_to_string(dir.join("timings.json")).expect("timings.json"))
+    };
+    assert!(reused(&dirs[0]) > 0, "no query reused an execution");
+    for dir in &dirs[1..] {
+        assert_eq!(reused(dir), reused(&dirs[0]), "{}", dir.display());
+    }
 
     // BENCH_convergence.json carries no wall-clock at all: it must be
     // *byte*-identical across repeats and thread counts (it is excluded
