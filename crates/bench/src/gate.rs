@@ -5,8 +5,8 @@
 //!
 //! | row | runs | passes when |
 //! |---|---|---|
-//! | `small` | `repro --small --threads 2 --trace` | every file but `timings.json` equals `golden_small/`; claim verdicts agree with `expected_claims_small.csv`; `timings.json`'s `reused` counts sum to [`SMALL_REUSED`] |
-//! | `trace` | structural diff of that trace against `golden_trace_small.jsonl`, tolerance 1e-6, then the two as sorted line multisets | clean and byte-equal up to line order; an `IndexScan`→`HashScan` copy fails the diff and a copy missing its last 40 bytes fails `replay` |
+//! | `small` | `repro --small --threads 2 --trace` | every file but `timings.json` equals `golden_small/`; claim verdicts agree with `expected_claims_small.csv`; `timings.json`'s `reused` counts sum to `SMALL_REUSED` |
+//! | `trace` | structural diff of that trace against `golden_trace_small.jsonl`, tolerance 1e-6, then the two as sorted line multisets | clean and byte-equal up to line order; the golden's `tab replay` summary equals `golden_replay_small.txt`; an `IndexScan`→`HashScan` copy fails the diff with the report in `golden_tracediff_small.json`; a copy missing its last 40 bytes fails `replay` |
 //! | `threads` | `repro --small --threads 1` | output equals `golden_small/` |
 //! | `memcap` | `--buffer-pages 64 --charge metered` | output equals `golden_small/` except `BENCH_io.json`, which equals `golden_pool64/` |
 //! | `resume` | `--faults panic:cell:NREF3J/NREF_1C`, then `--resume` | the crash is a typed grid error naming the cell with 6 cells journaled; the resumed output equals `golden_small/` and the journal is gone |
@@ -22,6 +22,12 @@
 //! rm ci/golden_small/timings.json
 //! repro --small --threads 2 --buffer-pages 64 --charge metered --out /tmp/pool64
 //! cp /tmp/pool64/BENCH_io.json ci/golden_pool64/
+//! cd ci
+//! tab replay golden_trace_small.jsonl > golden_replay_small.txt
+//! sed 's/IndexScan/HashScan/' golden_trace_small.jsonl > hashscan.jsonl
+//! tab tracediff golden_trace_small.jsonl hashscan.jsonl --tolerance 1e-6 \
+//!     --report golden_tracediff_small.json
+//! rm hashscan.jsonl
 //! ```
 //!
 //! The fixtures pin the on-disk formats across versions. The journal is
@@ -44,7 +50,7 @@ use tab_server::{Client, Response, RetryClient};
 use tab_sqlq::{parse_statement, Insert, Query, Statement};
 use tab_storage::{BuiltConfiguration, Database};
 
-use crate::replay::{diff, replay_str, DiffOptions};
+use crate::replay::{diff, render_summary, replay_str, report_json, DiffOptions};
 use crate::repro::{run_all, ReproConfig, ReproError, ReproSummary};
 use crate::serve_bench::serve_proof;
 
@@ -241,17 +247,28 @@ fn trace(g: &Gate<'_>) -> Result<(), Broken> {
             ),
         ));
     }
-    // The diff must bite: renaming one operator per line is a plan change.
+    // What `tab replay` prints for the golden is pinned byte for byte.
+    same_as_pinned(g, "golden_replay_small.txt", &render_summary(&golden))?;
+    // The diff must bite: renaming one operator per line is a plan change,
+    // and the report naming every divergence is pinned too.
     let perturbed: String = fresh_text
         .lines()
         .map(|l| l.replacen("IndexScan", "HashScan", 1) + "\n")
         .collect();
-    if tracediff(&perturbed)?.is_empty() {
+    let findings = tracediff(&perturbed)?;
+    if findings.is_empty() {
         return Err(broken(
             &fresh_path,
             "tracediff passed a copy with IndexScan renamed HashScan",
         ));
     }
+    let report = report_json(
+        "golden_trace_small.jsonl",
+        "hashscan.jsonl",
+        1e-6,
+        &findings,
+    );
+    same_as_pinned(g, "golden_tracediff_small.json", &report)?;
     // And replay must refuse a torn tail rather than half-replay it.
     let torn = &fresh_text.as_bytes()[..fresh_text.len().saturating_sub(40)];
     if replay_str(&String::from_utf8_lossy(torn)).is_ok() {
@@ -685,6 +702,14 @@ fn read_text(path: &Path) -> Result<String, Broken> {
     std::fs::read_to_string(path).map_err(|e| broken(path, e.to_string()))
 }
 
+/// Write `text` to the scratch directory as `name` and require it to
+/// equal the golden `name` in `ci/`.
+fn same_as_pinned(g: &Gate<'_>, name: &str, text: &str) -> Result<(), Broken> {
+    let fresh = g.scratch.join(name);
+    std::fs::write(&fresh, text).map_err(|e| broken(&fresh, e.to_string()))?;
+    same_file(&fresh, &g.ci.join(name))
+}
+
 /// Require `fresh` to hold exactly `golden`'s files, byte for byte, plus
 /// `timings.json` (wall-clock) and the names in `skip`, which the caller
 /// compares itself.
@@ -839,6 +864,12 @@ mod tests {
         let b = run_row("trace", trace, rename_one_scan, seed)
             .expect_err("a tampered golden breaks the row");
         assert!(b.file.ends_with("golden_trace_small.jsonl"), "{b:?}");
+        for pinned in ["golden_replay_small.txt", "golden_tracediff_small.json"] {
+            let tamper = |ci: &Path| flip_byte(&ci.join(pinned), 3);
+            let b = run_row("trace-pinned", trace, tamper, seed)
+                .expect_err("a tampered pinned output breaks the row");
+            assert!(b.file.ends_with(pinned), "{b:?}");
+        }
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! `operator` event names its (family, config, query, op) slot with
 //! estimates and actuals, every `query` event its outcome and metered
 //! units, and the advisor events a full round-by-round search history.
-//! [`replay_str`] folds a parsed [`TraceDoc`] back into that shape — a
-//! [`Replay`] of per-cell operator trees plus advisor runs — and
-//! [`diff`] compares two replays *structurally*.
+//! [`replay_str`] scans each line once with `framed::Fields` and folds
+//! it straight back into that shape — a [`Replay`] of per-cell operator
+//! trees plus advisor runs — and [`diff`] compares two replays
+//! *structurally*. This is the only reader of `tab-trace-v1`.
 //!
 //! Structural, not byte-level: parallel grid workers interleave trace
 //! lines nondeterministically, so two traces of the same commit are
@@ -29,14 +30,12 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use tab_storage::framed::json_escape;
-use tab_storage::trace_reader::{read_trace, TraceDoc, TraceRecord};
+use tab_storage::framed::{json_escape, Fields};
+use tab_storage::trace::SCHEMA_PREFIX;
 
 /// One reconstructed operator slot of an executed plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayedOp {
-    /// Operator slot index within the plan.
-    pub op: u64,
     /// Operator label, e.g. `IndexScan(protein cols=[2])`.
     pub label: String,
     /// Planner-estimated cost.
@@ -127,14 +126,10 @@ pub struct AdvisorRun {
     pub advisor: String,
     /// Candidate structures considered.
     pub candidates: u64,
-    /// Storage budget in MiB.
-    pub(crate) budget_mib: u64,
     /// Objective value before the first round.
     pub(crate) initial_total: Option<f64>,
     /// Accepted rounds in order.
     pub rounds: Vec<ReplayedRound>,
-    /// Stop reason, when the search stopped early with one.
-    pub(crate) stop_reason: Option<String>,
     /// Final objective from `advisor_end`.
     pub(crate) objective_final: Option<f64>,
     /// Total what-if requests from `advisor_end`.
@@ -150,12 +145,8 @@ pub struct Replay {
     pub cells: BTreeMap<(String, String), CellReplay>,
     /// Advisor searches in begin order.
     pub advisor_runs: Vec<AdvisorRun>,
-    /// Spans seen, with begin/end counts.
-    pub(crate) spans: BTreeMap<String, (u64, u64)>,
-    /// Malformed lines skipped by the reader.
+    /// Complete lines that did not scan or lacked a required field.
     pub skipped: usize,
-    /// Advisor round/stop/end events with no matching `advisor_begin`.
-    pub(crate) stray_advisor_events: usize,
 }
 
 /// Why a trace refused to replay.
@@ -179,149 +170,124 @@ impl fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
-/// Replay a parsed trace document into its structural aggregate.
-pub(crate) fn replay(doc: &TraceDoc) -> Result<Replay, ReplayError> {
-    if doc.torn_tail {
+/// Parse `input` as a `tab-trace-v1` document and fold it into its
+/// structural aggregate, scanning each line once. A non-empty document
+/// whose last byte is not `\n` is refused as [`ReplayError::Torn`]; its
+/// final fragment is the crash artifact and is neither parsed nor
+/// counted. A complete line that does not scan, or lacks a field its
+/// event requires, changes nothing and is counted in
+/// [`Replay::skipped`]. An event tag replay does not model is read and
+/// ignored, so a schema extension does not turn old readers into false
+/// damage alarms.
+pub fn replay_str(input: &str) -> Result<Replay, ReplayError> {
+    if !input.is_empty() && !input.ends_with('\n') {
         return Err(ReplayError::Torn);
     }
-    let mut r = Replay {
-        skipped: doc.skipped.len(),
-        ..Replay::default()
-    };
+    let mut r = Replay::default();
     // The currently open advisor block, if any. Advisor events are
     // emitted sequentially by the harness thread, so one slot suffices.
     let mut open: Option<AdvisorRun> = None;
-    for rec in &doc.records {
-        match rec {
-            TraceRecord::SpanBegin { span } => r.spans.entry(span.clone()).or_default().0 += 1,
-            TraceRecord::SpanEnd { span } => r.spans.entry(span.clone()).or_default().1 += 1,
-            TraceRecord::Query {
-                family,
-                config,
-                query,
-                outcome,
-                units,
-            } => {
-                let q = r
-                    .cells
-                    .entry((family.clone(), config.clone()))
-                    .or_default()
-                    .queries
-                    .entry(*query)
-                    .or_default();
-                q.outcome = outcome.clone();
-                q.units = *units;
-            }
-            TraceRecord::Operator {
-                family,
-                config,
-                query,
-                op,
-                label,
-                est_cost,
-                est_rows,
-                rows_in,
-                rows_out,
-                probes,
-                units,
-            } => {
-                r.cells
-                    .entry((family.clone(), config.clone()))
-                    .or_default()
-                    .queries
-                    .entry(*query)
-                    .or_default()
-                    .ops
-                    .insert(
-                        *op,
-                        ReplayedOp {
-                            op: *op,
-                            label: label.clone(),
-                            est_cost: *est_cost,
-                            est_rows: *est_rows,
-                            rows_in: *rows_in,
-                            rows_out: *rows_out,
-                            probes: *probes,
-                            units: *units,
-                        },
-                    );
-            }
-            TraceRecord::AdvisorBegin {
-                advisor,
-                candidates,
-                budget_mib,
-                initial_total,
-                ..
-            } => {
-                if let Some(prev) = open.take() {
-                    // A begin with no end: close the dangling run.
-                    r.advisor_runs.push(prev);
-                }
-                open = Some(AdvisorRun {
-                    advisor: advisor.clone(),
-                    candidates: *candidates,
-                    budget_mib: *budget_mib,
-                    initial_total: *initial_total,
-                    ..AdvisorRun::default()
-                });
-            }
-            TraceRecord::AdvisorRound {
-                round,
-                candidate,
-                desc,
-                gain,
-                objective_after,
-                whatif_calls,
-                planner_calls,
-                ..
-            } => match open.as_mut() {
-                Some(run) => run.rounds.push(ReplayedRound {
-                    round: *round,
-                    candidate: *candidate,
-                    desc: desc.clone(),
-                    gain: *gain,
-                    objective_after: *objective_after,
-                    whatif_calls: *whatif_calls,
-                    planner_calls: *planner_calls,
-                }),
-                None => r.stray_advisor_events += 1,
-            },
-            TraceRecord::AdvisorStop { reason, .. } => match open.as_mut() {
-                Some(run) => {
-                    run.stop_reason = Some(reason.clone().unwrap_or_else(|| "threshold".into()))
-                }
-                None => r.stray_advisor_events += 1,
-            },
-            TraceRecord::AdvisorEnd {
-                objective_final,
-                whatif_calls,
-                planner_calls,
-                ..
-            } => match open.take() {
-                Some(mut run) => {
-                    run.objective_final = *objective_final;
-                    run.whatif_calls = *whatif_calls;
-                    run.planner_calls = *planner_calls;
-                    r.advisor_runs.push(run);
-                }
-                None => r.stray_advisor_events += 1,
-            },
-            // Page events are per-access detail under a keyed stream the
-            // cell totals already summarize; replay tolerates them and
-            // diffs stay at operator granularity.
-            TraceRecord::Page { .. } | TraceRecord::Other { .. } => {}
+    for line in input.lines().filter(|l| !l.is_empty()) {
+        if fold_line(&mut r, &mut open, line).is_none() {
+            r.skipped += 1;
         }
     }
-    if let Some(run) = open.take() {
-        r.advisor_runs.push(run);
-    }
+    r.advisor_runs.extend(open);
     Ok(r)
 }
 
-/// Parse `input` as a trace document and replay it into its structural
-/// aggregate.
-pub fn replay_str(input: &str) -> Result<Replay, ReplayError> {
-    replay(&read_trace(input))
+/// Fold one complete line into `r`, `open` being the advisor search in
+/// progress. `None` when the line does not scan or lacks a field its
+/// event requires; such a line leaves `r` and `open` as they were.
+fn fold_line(r: &mut Replay, open: &mut Option<AdvisorRun>, line: &str) -> Option<()> {
+    let f = Fields::scan(line, SCHEMA_PREFIX).ok()?;
+    match f.str("event")?.as_str() {
+        "span_begin" | "span_end" => {
+            f.str("span")?;
+        }
+        "query" => {
+            let (query, outcome) = (f.u64("query")?, f.str("outcome")?);
+            let q = query_slot(r, &f, query)?;
+            q.outcome = outcome;
+            q.units = f.f64("units");
+        }
+        "operator" => {
+            let (query, op, label) = (f.u64("query")?, f.u64("op")?, f.str("label")?);
+            let slot = ReplayedOp {
+                label,
+                est_cost: f.f64("est_cost"),
+                est_rows: f.f64("est_rows"),
+                rows_in: f.u64("rows_in"),
+                rows_out: f.u64("rows_out"),
+                probes: f.u64("probes"),
+                units: f.f64("units"),
+            };
+            query_slot(r, &f, query)?.ops.insert(op, slot);
+        }
+        "advisor_begin" => {
+            f.u64("budget_mib")?;
+            let run = AdvisorRun {
+                advisor: f.str("advisor")?,
+                candidates: f.u64("candidates")?,
+                initial_total: f.f64("initial_total"),
+                ..AdvisorRun::default()
+            };
+            // A begin with no end closes the dangling run.
+            r.advisor_runs.extend(open.replace(run));
+        }
+        "advisor_round" => {
+            f.str("advisor")?;
+            let round = ReplayedRound {
+                round: f.u64("round")?,
+                candidate: f.u64("candidate")?,
+                desc: f.str("desc").unwrap_or_default(),
+                gain: f.f64("gain"),
+                objective_after: f.f64("objective_after"),
+                whatif_calls: f.u64("whatif_calls").unwrap_or(0),
+                planner_calls: f.u64("planner_calls").unwrap_or(0),
+            };
+            if let Some(run) = open {
+                run.rounds.push(round);
+            }
+        }
+        "advisor_stop" => {
+            f.str("advisor").zip(f.u64("round"))?;
+        }
+        "advisor_end" => {
+            f.str("advisor").zip(f.u64("rounds"))?;
+            if let Some(mut run) = open.take() {
+                run.objective_final = f.f64("objective_final");
+                run.whatif_calls = f.u64("whatif_calls").unwrap_or(0);
+                run.planner_calls = f.u64("planner_calls").unwrap_or(0);
+                r.advisor_runs.push(run);
+            }
+        }
+        // Page events are per-access detail under a keyed stream the
+        // cell totals already summarize; replay checks their fields and
+        // diffs stay at operator granularity.
+        "page" => {
+            f.str("action")?;
+            for key in ["rel", "page", "frame", "seq"] {
+                f.u64(key)?;
+            }
+        }
+        _ => {}
+    }
+    Some(())
+}
+
+/// The slot of query `query` in the cell a grid line's `family` and
+/// `config` name; `None`, with `r` untouched, if either is missing.
+fn query_slot<'r>(r: &'r mut Replay, f: &Fields<'_>, query: u64) -> Option<&'r mut ReplayedQuery> {
+    let key = (f.str("family")?, f.str("config")?);
+    Some(
+        r.cells
+            .entry(key)
+            .or_default()
+            .queries
+            .entry(query)
+            .or_default(),
+    )
 }
 
 /// Options for the structural diff.
@@ -567,18 +533,22 @@ fn diff_query(
             ),
         ));
     }
-    // Plan shape: the operator label sequence must match exactly. A
-    // shape change subsumes per-op comparisons, so stop here.
-    let gs = golden.plan_shape();
-    let fs = fresh.plan_shape();
-    if gs != fs {
-        out.push(Finding::query(
-            "plan_shape",
-            family,
-            config,
-            qi,
-            format!("golden [{}], fresh [{}]", gs.join(" | "), fs.join(" | ")),
-        ));
+    // Plan shape: the operator labels and the slots they sit in must
+    // match exactly. A shape change subsumes per-op comparisons, so stop
+    // here.
+    let (gs, fs) = (golden.plan_shape(), fresh.plan_shape());
+    if gs != fs || !golden.ops.keys().eq(fresh.ops.keys()) {
+        let detail = if gs != fs {
+            format!("golden [{}], fresh [{}]", gs.join(" | "), fs.join(" | "))
+        } else {
+            format!(
+                "[{}] at golden slots {:?}, fresh slots {:?}",
+                gs.join(" | "),
+                golden.ops.keys().collect::<Vec<_>>(),
+                fresh.ops.keys().collect::<Vec<_>>()
+            )
+        };
+        out.push(Finding::query("plan_shape", family, config, qi, detail));
         return;
     }
     for (op, g) in &golden.ops {
@@ -929,7 +899,6 @@ mod tests {
         assert_eq!(run.rounds.len(), 1);
         assert_eq!(run.rounds[0].candidate, 2);
         assert_eq!(run.objective_final, Some(60.0));
-        assert_eq!(r.spans["NREF"], (1, 0));
     }
 
     /// Operators fold by (family, config, kind) — two P `SeqScan`s into
@@ -969,6 +938,106 @@ mod tests {
         let mut torn = sample_trace();
         torn.truncate(torn.len() - 20); // cut mid-line, no trailing \n
         assert_eq!(replay_str(&torn), Err(ReplayError::Torn));
+    }
+
+    /// A torn document is refused whatever its fragment holds, even a
+    /// whole line that only lacks its newline, so the fragment is never
+    /// parsed into a replay nor counted as skipped. Empty input is clean.
+    #[test]
+    fn torn_tail_is_flagged_and_fragment_not_parsed() {
+        let whole = sample_trace();
+        for torn in [
+            format!("{whole}not json at all"),
+            whole.trim_end().to_string(),
+            "{\"schema\":\"tab-tra".to_string(),
+        ] {
+            assert_eq!(replay_str(&torn), Err(ReplayError::Torn), "{torn:?}");
+        }
+        assert_eq!(replay_str(""), Ok(Replay::default()));
+    }
+
+    /// A complete line that does not scan or lacks a field its event
+    /// requires is counted and changes nothing, `page` lines included;
+    /// an event replay does not model is read and ignored.
+    #[test]
+    fn malformed_lines_are_counted_not_dropped() {
+        let clean = replay_str(&sample_trace()).expect("replay");
+        let damage = [
+            "not json at all",
+            r#"{"schema":"tab-trace-v1","event":"query","family":"F","query":0,"outcome":"timeout"}"#,
+            r#"{"schema":"tab-trace-v1","event":"operator","family":"F","config":"P","query":0,"op":"1","label":"X"}"#,
+            r#"{"schema":"tab-trace-v1","event":"advisor_begin","advisor":"R","candidates":3}"#,
+            r#"{"schema":"tab-trace-v1","event":"page","action":"hit","rel":1,"page":0,"frame":0}"#,
+        ];
+        for (i, line) in damage.iter().enumerate() {
+            let r = replay_str(&format!("{}{line}\n\n", sample_trace())).expect("replay");
+            assert_eq!(r.skipped, 1, "{line}");
+            assert_eq!(
+                Replay { skipped: 0, ..r },
+                clean,
+                "damage line {i} changed the replay"
+            );
+        }
+        let ignored = concat!(
+            r#"{"schema":"tab-trace-v1","event":"novel_event","k":1}"#,
+            "\n",
+            r#"{"schema":"tab-trace-v1","event":"page","action":"hit","rel":1,"page":0,"frame":0,"seq":0}"#,
+            "\n",
+        );
+        let r = replay_str(&(sample_trace() + ignored)).expect("replay");
+        assert_eq!(r, clean);
+    }
+
+    /// An event written through a trace sink replays field for field; a
+    /// non-finite estimate renders `null` and replays as `None`.
+    #[test]
+    fn round_trips_writer_events() {
+        use tab_storage::trace::{event, MemoryTraceSink, Num, Trace};
+        let sink = MemoryTraceSink::new();
+        Trace::to(&sink).emit(|| {
+            event("operator")
+                .str("family", "NREF2J")
+                .str("config", "1C")
+                .int("query", 3)
+                .int("op", 1)
+                .str("label", "IndexScan(\"protein\" cols=[2])")
+                .token("est_cost", Num(12.5))
+                .token("est_rows", Num(f64::INFINITY))
+                .int("rows_in", 0)
+                .int("rows_out", 42)
+                .int("probes", 7)
+                .token("units", Num(3.25))
+        });
+        let r = replay_str(&(sink.lines().join("\n") + "\n")).expect("replay");
+        let want = ReplayedOp {
+            label: "IndexScan(\"protein\" cols=[2])".into(),
+            est_cost: Some(12.5),
+            est_rows: None,
+            rows_in: Some(0),
+            rows_out: Some(42),
+            probes: Some(7),
+            units: Some(3.25),
+        };
+        let q = &r.cells[&("NREF2J".to_string(), "1C".to_string())].queries[&3];
+        assert_eq!((r.skipped, q.ops.get(&1)), (0, Some(&want)));
+    }
+
+    /// The same labels in different slots are a plan-shape change, not a
+    /// lookup of a slot the fresh side lacks.
+    #[test]
+    fn shifted_slots_are_a_plan_shape_finding() {
+        let at0 = concat!(
+            r#"{"schema":"tab-trace-v1","event":"operator","family":"F","config":"P","query":0,"op":0,"label":"SeqScan(t)","units":1.000}"#,
+            "\n",
+            r#"{"schema":"tab-trace-v1","event":"query","family":"F","config":"P","query":0,"outcome":"done","units":1.000}"#,
+            "\n",
+        );
+        let at1 = at0.replace("\"op\":0", "\"op\":1");
+        let (g, f) = (replay_str(at0).unwrap(), replay_str(&at1).unwrap());
+        let fs = diff(&g, &f, DiffOptions::default());
+        assert_eq!(fs.len(), 1, "{fs:?}");
+        assert_eq!((fs[0].kind.as_str(), fs[0].query), ("plan_shape", Some(0)));
+        assert!(fs[0].detail.contains("slots [0]"), "{}", fs[0]);
     }
 
     #[test]

@@ -58,5 +58,4 @@ pub use measure::{
 };
 pub use tab_storage::Parallelism;
 pub use tab_storage::{atomic_write, FaultPlan, Faults, JobPanic};
-pub use tab_storage::{read_trace, SkippedLine, TraceDoc, TraceRecord};
 pub use tab_storage::{FileTraceSink, MemoryTraceSink, Trace, TraceSink};

@@ -543,12 +543,6 @@ impl StatsView for HypotheticalStats<'_> {
     }
 }
 
-/// Convenience: a hypothetical configuration identical to the current one
-/// (useful for testing that `H` degrades gracefully to `E`-like shapes).
-pub fn as_hypothetical(built: &BuiltConfiguration) -> Configuration {
-    built.config.clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,7 +12,9 @@
 //!
 //! - a malformed or panicking request answers an `{"ok":false}`
 //!   envelope and the connection lives on;
-//! - a connection idle past [`ServeOptions::idle_timeout`] is closed;
+//! - a connection idle past [`ServeOptions::idle_timeout`] is closed,
+//!   and so is one whose request line passes 1 MiB, after one error
+//!   envelope;
 //! - past [`ServeOptions::max_connections`] live connections, new ones
 //!   are refused with a retryable `overloaded` envelope instead of
 //!   spawning unbounded threads; past [`ServeOptions::admission`]
@@ -310,6 +312,13 @@ fn serve_connection(
         let line = match reader.poll_line()? {
             Poll::Closed => return Ok(()),
             Poll::Pending => continue,
+            Poll::TooLong => {
+                let bye = proto::error(&format!(
+                    "request line longer than {MAX_LINE_BYTES} bytes, closing connection"
+                ));
+                let _ = send_line(out, bye);
+                return Ok(());
+            }
             Poll::Line(line) => line,
         };
         last_activity = Instant::now();
@@ -666,15 +675,26 @@ enum Poll {
     Pending,
     /// Peer closed the connection.
     Closed,
+    /// The line in progress is longer than [`MAX_LINE_BYTES`].
+    TooLong,
 }
+
+/// Longest request line the server reads. Every verb carries at most one
+/// SQL statement, a few hundred bytes for the paper's families, so a
+/// longer line is answered one error envelope and the connection closes.
+const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// A line reader safe under read timeouts. `BufRead::read_line` may
 /// drop buffered bytes when a read times out mid-line; this reader
 /// keeps partial lines in its own buffer across timeouts, so a slow
-/// client typing a long request is never corrupted.
+/// client typing a long request is never corrupted. Each byte is
+/// scanned for a newline once, and the buffer never holds more than one
+/// read past [`MAX_LINE_BYTES`].
 struct LineReader {
     stream: TcpStream,
     pending: Vec<u8>,
+    /// Leading bytes of `pending` already scanned: none is a newline.
+    scanned: usize,
     chunk: [u8; 4096],
 }
 
@@ -683,35 +703,45 @@ impl LineReader {
         LineReader {
             stream,
             pending: Vec::new(),
+            scanned: 0,
             chunk: [0; 4096],
         }
     }
 
-    /// Pop a buffered complete line if one exists.
-    fn take_line(&mut self) -> Option<String> {
-        let nl = self.pending.iter().position(|&b| b == b'\n')?;
-        let mut line: Vec<u8> = self.pending.drain(..=nl).collect();
+    /// Pop a buffered complete line, or report the line in progress too
+    /// long; `None` when more bytes are needed.
+    fn take_line(&mut self) -> Option<Poll> {
+        let Some(at) = self.pending[self.scanned..]
+            .iter()
+            .position(|&b| b == b'\n')
+        else {
+            self.scanned = self.pending.len();
+            return (self.scanned > MAX_LINE_BYTES).then_some(Poll::TooLong);
+        };
+        let end = self.scanned + at;
+        if end > MAX_LINE_BYTES {
+            return Some(Poll::TooLong);
+        }
+        let mut line: Vec<u8> = self.pending.drain(..=end).collect();
+        self.scanned = 0;
         line.pop();
         if line.last() == Some(&b'\r') {
             line.pop();
         }
-        Some(String::from_utf8_lossy(&line).into_owned())
+        Some(Poll::Line(String::from_utf8_lossy(&line).into_owned()))
     }
 
     /// Read more bytes (bounded by the stream's read timeout) and
     /// return a line if one completed.
     fn poll_line(&mut self) -> std::io::Result<Poll> {
-        if let Some(line) = self.take_line() {
-            return Ok(Poll::Line(line));
+        if let Some(poll) = self.take_line() {
+            return Ok(poll);
         }
         match self.stream.read(&mut self.chunk) {
             Ok(0) => Ok(Poll::Closed),
             Ok(n) => {
                 self.pending.extend_from_slice(&self.chunk[..n]);
-                Ok(match self.take_line() {
-                    Some(line) => Poll::Line(line),
-                    None => Poll::Pending,
-                })
+                Ok(self.take_line().unwrap_or(Poll::Pending))
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 Ok(Poll::Pending)

@@ -18,8 +18,9 @@
 //! `to_bits` hex in a string, journal `to_bits` decimal), and each
 //! decides what a line that does not scan means, because the
 //! consequences differ: the WAL truncates a torn tail and refuses
-//! anything else, the journal re-runs the cell, the trace reader counts
-//! the line, and a wire client rejects the response.
+//! anything else, the journal re-runs the cell, trace replay
+//! (`tab-bench-harness`'s `replay`) counts the line, and a wire client
+//! rejects the response.
 
 use std::fmt::{self, Write as _};
 

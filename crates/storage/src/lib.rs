@@ -30,7 +30,6 @@ pub mod snapshot;
 pub mod stats;
 pub mod table;
 pub mod trace;
-pub mod trace_reader;
 pub mod value;
 pub mod wal;
 
@@ -51,7 +50,6 @@ pub use snapshot::{GenerationCell, Snapshot};
 pub use stats::{ColumnStats, TableStats};
 pub use table::{Row, RowId, Table, PAGE_SIZE};
 pub use trace::{FileTraceSink, MemoryTraceSink, Trace, TraceSink};
-pub use trace_reader::{read_trace, SkippedLine, TraceDoc, TraceRecord};
 pub use value::Value;
 pub use wal::{Wal, WalError, WalRecord, WalRecovery, WAL_SCHEMA_PREFIX};
 

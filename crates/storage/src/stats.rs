@@ -146,11 +146,6 @@ impl ColumnStats {
         non_null / self.n_distinct as f64
     }
 
-    /// Exact frequency of a value if it is in the MCV list.
-    pub fn mcv_frequency(&self, value: &Value) -> Option<u64> {
-        self.mcvs.iter().find(|(v, _)| v == value).map(|(_, c)| *c)
-    }
-
     /// Fraction of rows with `col < value` (strictly), read off the
     /// equi-depth histogram: each inter-bound interval holds an equal
     /// share of the non-null mass.

@@ -58,11 +58,6 @@ impl Table {
         &self.schema
     }
 
-    /// Shared handle to the schema.
-    pub fn schema_arc(&self) -> Arc<TableSchema> {
-        Arc::clone(&self.schema)
-    }
-
     /// Append a row.
     ///
     /// # Panics

@@ -48,15 +48,6 @@ impl Value {
         }
     }
 
-    /// The float payload, accepting `Int` with a lossless-enough cast.
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Float(f) => Some(*f),
-            Value::Int(i) => Some(*i as f64),
-            _ => None,
-        }
-    }
-
     /// The string payload, if this is a `Str`.
     pub fn as_str(&self) -> Option<&str> {
         match self {

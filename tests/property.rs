@@ -1,6 +1,7 @@
 //! Randomized tests spanning the workspace: the optimizer+executor
 //! pipeline must agree with the brute-force interpreter on arbitrary
-//! queries, under arbitrary index configurations.
+//! queries, under arbitrary index configurations, and the SQL and wire
+//! request parsers must answer arbitrary input without panicking.
 //!
 //! Cases are generated from a fixed-seed PRNG (the offline stand-in for
 //! the original proptest strategies); every failure message includes the
@@ -302,5 +303,45 @@ fn execution_is_deterministic() {
         tab_bench::engine::execute(&plan, &resolver, &mut m1, &opts, None, None).unwrap();
         tab_bench::engine::execute(&plan, &resolver, &mut m2, &opts, None, None).unwrap();
         assert_eq!(m1.units(), m2.units(), "case {case}: shape {shape:?}");
+    }
+}
+
+/// Pieces of token soup, `|`-separated: keywords and verbs,
+/// identifiers, punctuation, quotes (some unterminated), numbers that
+/// overflow every integer type, and non-ASCII text.
+const SOUP: &str = "SELECT|select|FROM|WHERE|AND|GROUP|BY|ORDER|LIMIT|IN|HAVING|COUNT|\
+    DISTINCT|ASC|DESC|INSERT|INTO|VALUES|NULL|PING|QUERY|EXPLAIN|ADVISE|STATS|QUIT|SHUTDOWN|\
+    p|1c|r|s|r.a|s.d|t.|*|(|)|,|.|;|:|=|<|<=|>|>=|<>|!=|-|+|'|''|'abc'|'it''s'|'open|\"|\"q\"|\\|\
+    0|-1|42|3.25|-0.5|1e400|9223372036854775807|9223372036854775808|-9223372036854775809|\
+    18446744073709551616|99999999999999999999999999|c:7|x:|:99999999999999999999|\
+    é|漢字|\u{1F600}|\u{0}|\u{7f}|\t|\r|\n";
+
+/// Seeded token soup and random bytes through the SQL and request
+/// parsers: each returns a value or a typed error, never a panic.
+#[test]
+fn parsers_never_panic_on_arbitrary_input() {
+    use tab_bench::server::parse_request;
+    use tab_bench::sqlq::parse_statement;
+    let soup: Vec<&str> = SOUP.split('|').collect();
+    let mut rng = StdRng::seed_from_u64(0x5EED_0004);
+    for case in 0..20_000 {
+        let input = if case % 4 == 3 {
+            let bytes: Vec<u8> = (0..rng.random_range(0usize..64))
+                .map(|_| rng.random::<u64>() as u8)
+                .collect();
+            String::from_utf8_lossy(&bytes).into_owned()
+        } else {
+            let mut s = String::new();
+            for _ in 0..rng.random_range(0usize..24) {
+                s.push_str(soup[rng.random_range(0..soup.len())]);
+                if rng.random_bool(0.7) {
+                    s.push(' ');
+                }
+            }
+            s
+        };
+        let _ = parse(&input);
+        let _ = parse_statement(&input);
+        let _ = parse_request(&input);
     }
 }

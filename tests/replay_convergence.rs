@@ -8,11 +8,18 @@
 //! 3. A torn trace — the `truncate:trace` fault's crash signature — is
 //!    refused by replay (and so by `tab replay`), never silently
 //!    half-replayed.
+//! 4. Every string and number a writer puts in an event replays equal,
+//!    and damaged or random bytes replay, count as skipped lines or are
+//!    refused as torn, never a panic.
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use tab_bench::datagen::{generate_nref, NrefParams};
 use tab_bench::engine::Session;
 use tab_bench::eval::{build_1c, build_p, run_grid, BenchSpec, GridCell};
 use tab_bench::families::Family;
+use tab_bench::storage::trace::{event, Num};
 use tab_bench::storage::{FaultPlan, Faults, FileTraceSink, MemoryTraceSink, Parallelism, Trace};
 use tab_bench_harness::replay::{diff, replay_str, DiffOptions, ReplayError};
 
@@ -183,4 +190,102 @@ fn truncate_trace_fault_yields_torn_trace_that_replay_refuses() {
     assert_eq!(replay_str(&torn), Err(ReplayError::Torn));
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Characters that stress the line grammar: its delimiters, escapes,
+/// controls, and multi-byte UTF-8.
+const ALPHABET: [char; 13] = [
+    '"', ' ', '\\', ',', ':', '{', '}', '\n', '\t', '\u{1}', 'é', '漢', 'a',
+];
+
+/// A string drawn from [`ALPHABET`]; a quarter of them end in `\`.
+fn arbitrary_string(rng: &mut StdRng) -> String {
+    let len = rng.random_range(0usize..12);
+    let mut s: String = (0..len)
+        .map(|_| ALPHABET[rng.random_range(0..ALPHABET.len())])
+        .collect();
+    if rng.random_bool(0.25) {
+        s.push('\\');
+    }
+    s
+}
+
+/// `bytes` with one byte flipped, or cut short, or both.
+fn damage(rng: &mut StdRng, bytes: &[u8]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    if out.is_empty() {
+        return out;
+    }
+    if rng.random_bool(0.5) {
+        let i = rng.random_range(0..out.len());
+        out[i] ^= 1 << rng.random_range(0u32..8);
+    }
+    if rng.random_bool(0.5) {
+        out.truncate(rng.random_range(0..out.len()));
+    }
+    out
+}
+
+/// Restoring the old scanner rule (a quote ends a string unless the byte
+/// before it is a backslash) fails the round trip.
+#[test]
+fn seeded_events_round_trip_and_damage_never_panics() {
+    let mut rng = StdRng::seed_from_u64(40);
+    let mut text = String::new();
+    let mut want = Vec::new();
+    for case in 0..500u64 {
+        let (family, config, label) = (
+            arbitrary_string(&mut rng),
+            arbitrary_string(&mut rng),
+            arbitrary_string(&mut rng),
+        );
+        let units = rng.random_range(0u64..1_000_000) as f64 / 1000.0;
+        let line = event("operator")
+            .str("family", &family)
+            .str("config", &config)
+            .int("query", case)
+            .int("op", case % 7)
+            .str("label", &label)
+            .token("est_cost", Num(f64::INFINITY))
+            .token("units", Num(units))
+            .finish();
+        text.push_str(&line);
+        text.push('\n');
+        want.push((family, config, label, units));
+    }
+    let replay = replay_str(&text).expect("a whole document replays");
+    assert_eq!(replay.skipped, 0);
+    for (case, (family, config, label, units)) in want.into_iter().enumerate() {
+        let q = &replay.cells[&(family, config)].queries[&(case as u64)];
+        let op = &q.ops[&(case as u64 % 7)];
+        assert_eq!(
+            (op.label.as_str(), op.est_cost, op.rows_out, op.units),
+            (label.as_str(), None, None, Some(units)),
+            "case {case}"
+        );
+    }
+    let lines: Vec<&str> = text.split_inclusive('\n').collect();
+    for _ in 0..2_000 {
+        let bytes = if rng.random_bool(0.8) {
+            let line = lines[rng.random_range(0..lines.len())];
+            damage(&mut rng, line.as_bytes())
+        } else {
+            (0..rng.random_range(0usize..80))
+                .map(|_| rng.random::<u64>() as u8)
+                .collect()
+        };
+        let input = String::from_utf8_lossy(&bytes);
+        match replay_str(&input) {
+            Err(ReplayError::Torn) => assert!(!input.ends_with('\n'), "{input:?}"),
+            Ok(r) => {
+                let ops: usize = r
+                    .cells
+                    .values()
+                    .flat_map(|c| c.queries.values())
+                    .map(|q| q.ops.len())
+                    .sum();
+                assert!(ops + r.skipped <= input.lines().count(), "{input:?}");
+            }
+        }
+    }
 }

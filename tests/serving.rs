@@ -150,6 +150,39 @@ fn replies_do_not_wait_for_a_delayed_ack() {
     server.shutdown();
 }
 
+/// A request line past the server's 1 MiB cap is answered one error
+/// envelope and the connection closes, long before the idle timeout,
+/// while another connection is served meanwhile.
+#[test]
+fn an_overlong_request_line_gets_an_envelope_and_a_close() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    let db = nref(300);
+    let (_engine, mut server) = start_server(&db);
+    let mut other = Client::connect(server.addr()).expect("connect");
+    let stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let started = std::time::Instant::now();
+    let mut sender = stream.try_clone().expect("clone");
+    // The server closes before it takes all 2 MiB, so the write fails.
+    let writer = std::thread::spawn(move || sender.write_all(&vec![b'x'; 2 << 20]));
+    assert!(other.ping().expect("ping while the line streams").is_ok());
+    let mut reader = BufReader::new(&stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("an envelope");
+    let r = Response::parse(line.trim_end()).expect("the envelope parses");
+    assert!(!r.is_ok(), "{line}");
+    assert!(
+        r.error().is_some_and(|e| e.contains("longer than")),
+        "{line}"
+    );
+    let mut rest = Vec::new();
+    let _ = reader.read_to_end(&mut rest);
+    assert!(rest.is_empty(), "the connection closes after the envelope");
+    assert!(started.elapsed() < Duration::from_secs(10));
+    let _ = writer.join().expect("writer thread");
+    assert!(other.ping().expect("ping after the close").is_ok());
+    server.shutdown();
+}
+
 /// An INSERT through the wire publishes a new generation; queries on
 /// other connections see either the old or the new generation in
 /// full — and units through `p` and `1c` both reflect the insert once
