@@ -189,11 +189,6 @@ impl CostMeter {
             + self.rows as f64 * ROW_COST
     }
 
-    /// Pages read sequentially so far.
-    pub fn seq_pages(&self) -> u64 {
-        self.seq_pages
-    }
-
     /// Pages read randomly so far.
     pub fn random_pages(&self) -> u64 {
         self.random_pages

@@ -46,10 +46,7 @@ pub fn validate_insert(insert: &Insert, db: &Database) -> Result<(), BindError> 
     for (v, c) in insert.values.iter().zip(cols) {
         let ok = matches!(
             (v, c.ty),
-            (Value::Null, _)
-                | (Value::Int(_), ColType::Int)
-                | (Value::Int(_) | Value::Float(_), ColType::Float)
-                | (Value::Str(_), ColType::Str)
+            (Value::Null, _) | (Value::Int(_), ColType::Int) | (Value::Str(_), ColType::Str)
         );
         if !ok {
             return Err(err(format!(
@@ -140,6 +137,16 @@ mod tests {
         assert!(apply_insert(&wrong_arity, &mut db, &mut built).is_err());
         let wrong_type = insert_of("INSERT INTO t VALUES ('x', 'y')");
         assert!(apply_insert(&wrong_type, &mut db, &mut built).is_err());
+        // A float literal is refused by an `Int` column, even an integral
+        // one: nothing coerces it.
+        for sql in [
+            "INSERT INTO t VALUES (1.5, 'y')",
+            "INSERT INTO t VALUES (1.0, 'y')",
+        ] {
+            let err = apply_insert(&insert_of(sql), &mut db, &mut built).unwrap_err();
+            assert!(err.message.contains("of type INT"), "{sql}: {err:?}");
+        }
+        assert_eq!(db.table("t").unwrap().n_rows(), 100);
         let unknown = insert_of("INSERT INTO nope VALUES (1, 'x')");
         assert!(apply_insert(&unknown, &mut db, &mut built).is_err());
         let null_ok = insert_of("INSERT INTO t VALUES (NULL, NULL)");

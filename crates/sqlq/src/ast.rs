@@ -212,32 +212,6 @@ pub struct Query {
     pub limit: Option<u64>,
 }
 
-impl Query {
-    /// Resolve an alias to its base table name.
-    pub fn table_of_alias(&self, alias: &str) -> Option<&str> {
-        self.from
-            .iter()
-            .find(|t| t.alias == alias)
-            .map(|t| t.table.as_str())
-    }
-
-    /// All join-equality predicates.
-    pub fn join_predicates(&self) -> impl Iterator<Item = (&ColRef, &ColRef)> {
-        self.predicates.iter().filter_map(|p| match p {
-            Predicate::JoinEq(a, b) => Some((a, b)),
-            _ => None,
-        })
-    }
-
-    /// All constant-equality predicates.
-    pub fn const_predicates(&self) -> impl Iterator<Item = (&ColRef, &Value)> {
-        self.predicates.iter().filter_map(|p| match p {
-            Predicate::ConstEq(c, v) => Some((c, v)),
-            _ => None,
-        })
-    }
-}
-
 impl fmt::Display for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "SELECT ")?;
@@ -324,20 +298,6 @@ mod tests {
         assert!(sql.starts_with("SELECT t.lineage, COUNT(DISTINCT t2.nref_id) FROM"));
         assert!(sql.contains("s.p_name = 'Simian Virus 40'"));
         assert!(sql.ends_with("GROUP BY t.lineage"));
-    }
-
-    #[test]
-    fn alias_resolution() {
-        let q = sample();
-        assert_eq!(q.table_of_alias("t2"), Some("taxonomy"));
-        assert_eq!(q.table_of_alias("zz"), None);
-    }
-
-    #[test]
-    fn predicate_partitions() {
-        let q = sample();
-        assert_eq!(q.join_predicates().count(), 2);
-        assert_eq!(q.const_predicates().count(), 1);
     }
 
     #[test]

@@ -359,7 +359,8 @@ mod tests {
         assert_eq!(q.from.len(), 3);
         assert_eq!(q.predicates.len(), 3);
         assert_eq!(q.group_by.len(), 1);
-        assert_eq!(q.table_of_alias("t2"), Some("taxonomy"));
+        assert_eq!(q.from[2].table, "taxonomy");
+        assert_eq!(q.from[2].alias, "t2");
     }
 
     #[test]

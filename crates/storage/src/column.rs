@@ -1,15 +1,14 @@
 //! Typed column storage and the key codes every key-based layer runs on.
 //!
-//! A [`Column`] holds one schema column of a [`crate::table::Table`]:
-//! `Int` cells as `i64`s and `Float` cells as `f64`s beside a
-//! [`NullMask`], `Str` cells as `u32` codes into a per-column first-seen
-//! dictionary (looked up by *content*, so two allocations of one string
-//! share a code). A cell that does not match its column's declared type
-//! — an `Int` in a `Float` column — demotes the column, once, to plain
-//! [`Value`]s beside a code per equality class. Which representation a
-//! column has follows from the data it holds, never from a setting.
+//! A [`Column`] holds one schema column of a [`crate::table::Table`] in
+//! the representation its declared type names: `Int` cells as `i64`s
+//! beside a [`NullMask`], `Str` cells as `u32` codes into a per-column
+//! first-seen dictionary (looked up by *content*, so two allocations of
+//! one string share a code). A cell of another type is a programming
+//! error: every row reaches a table through a generator or through
+//! `engine::dml::validate_insert`, so [`Column::push`] panics on one.
 //!
-//! Every representation answers [`Column::key`]: a `u64` per non-NULL
+//! Both representations answer [`Column::key`]: a `u64` per non-NULL
 //! cell such that, inside one column, two cells have equal keys exactly
 //! when [`Value`]'s equality says they are equal. Group-by, hash joins,
 //! value counts and index builds compare those keys instead of cloning,
@@ -21,10 +20,10 @@ use std::sync::Arc;
 
 use crate::schema::ColType;
 use crate::table::RowId;
-use crate::value::{norm, Value};
+use crate::value::Value;
 
-/// Largest magnitude whose `i64 -> f64` cast is exact. A `Float` can
-/// stand for an `Int` key only inside this range, where [`Value`]'s
+/// Largest magnitude whose `i64 -> f64` cast is exact. A `Float` literal
+/// can stand for an `Int` key only inside this range, where [`Value`]'s
 /// cross-type equality (which compares through `f64`) cannot diverge
 /// from exact `i64` equality.
 const INT_EXACT_ABS: f64 = (1u64 << 53) as f64;
@@ -82,23 +81,11 @@ enum Repr {
         vals: Vec<i64>,
         nulls: NullMask,
     },
-    Float {
-        vals: Vec<f64>,
-        nulls: NullMask,
-    },
     /// The dictionary is shared: a clone of the table, and a view column
     /// gathered from this one, copy it only when they meet a new string.
     Str {
         codes: Vec<u32>,
         dict: Arc<StrDict>,
-    },
-    /// A demoted column: the cells as inserted, and a code per equality
-    /// class (`Int(1)` and `Float(1.0)` share one) keyed by the class's
-    /// first-seen spelling.
-    Mixed {
-        vals: Vec<Value>,
-        codes: Vec<u32>,
-        classes: HashMap<Value, u32>,
     },
 }
 
@@ -116,10 +103,6 @@ impl Column {
                 vals: Vec::new(),
                 nulls: NullMask::default(),
             },
-            ColType::Float => Repr::Float {
-                vals: Vec::new(),
-                nulls: NullMask::default(),
-            },
             ColType::Str => Repr::Str {
                 codes: Vec::new(),
                 dict: Arc::default(),
@@ -132,13 +115,15 @@ impl Column {
     pub(crate) fn len(&self) -> usize {
         match &self.repr {
             Repr::Int { vals, .. } => vals.len(),
-            Repr::Float { vals, .. } => vals.len(),
-            Repr::Str { codes, .. } | Repr::Mixed { codes, .. } => codes.len(),
+            Repr::Str { codes, .. } => codes.len(),
         }
     }
 
-    /// Append a cell, demoting the column first if the cell does not
-    /// match its representation.
+    /// Append a cell.
+    ///
+    /// # Panics
+    /// Panics, naming the cell and the column's type, if the cell is
+    /// neither NULL nor of that type.
     pub(crate) fn push(&mut self, v: Value) {
         match (&mut self.repr, v) {
             (Repr::Int { vals, nulls }, Value::Int(i)) => {
@@ -149,71 +134,33 @@ impl Column {
                 vals.push(0);
                 nulls.push(true);
             }
-            (Repr::Float { vals, nulls }, Value::Float(f)) => {
-                vals.push(f);
-                nulls.push(false);
-            }
-            (Repr::Float { vals, nulls }, Value::Null) => {
-                vals.push(0.0);
-                nulls.push(true);
-            }
             (Repr::Str { codes, dict }, Value::Str(s)) => {
                 let known = dict.codes.get(&*s).copied();
                 codes.push(known.unwrap_or_else(|| Arc::make_mut(dict).intern(s)));
             }
             (Repr::Str { codes, .. }, Value::Null) => codes.push(NULL_CODE),
-            (Repr::Mixed { vals, codes, .. }, Value::Null) => {
-                vals.push(Value::Null);
-                codes.push(NULL_CODE);
-            }
-            (
-                Repr::Mixed {
-                    vals,
-                    codes,
-                    classes,
-                },
-                v,
-            ) => {
-                let code = classes.get(&v).copied().unwrap_or_else(|| {
-                    let next = classes.len() as u32;
-                    assert!(next < NULL_CODE, "value dictionary is full");
-                    classes.insert(v.clone(), next);
-                    next
-                });
-                codes.push(code);
-                vals.push(v);
-            }
-            (_, v) => {
-                let mut mixed = Column {
-                    repr: Repr::Mixed {
-                        vals: Vec::with_capacity(self.len() + 1),
-                        codes: Vec::with_capacity(self.len() + 1),
-                        classes: HashMap::new(),
-                    },
+            (repr, v) => {
+                let ty = match repr {
+                    Repr::Int { .. } => ColType::Int,
+                    Repr::Str { .. } => ColType::Str,
                 };
-                for id in 0..self.len() {
-                    mixed.push(self.value(id as RowId));
-                }
-                mixed.push(v);
-                *self = mixed;
+                panic!("cell {v} does not fit a column of type {ty}")
             }
         }
     }
 
-    /// The cell at `id`, by value: an `i64` or `f64` copy, or one `Arc`
-    /// bump out of the dictionary.
+    /// The cell at `id`, by value: an `i64` copy, or one `Arc` bump out
+    /// of the dictionary.
     #[inline]
     pub(crate) fn value(&self, id: RowId) -> Value {
         let i = id as usize;
         match &self.repr {
-            Repr::Int { nulls, .. } | Repr::Float { nulls, .. } if nulls.get(i) => Value::Null,
+            Repr::Int { nulls, .. } if nulls.get(i) => Value::Null,
             Repr::Int { vals, .. } => Value::Int(vals[i]),
-            Repr::Float { vals, .. } => Value::Float(vals[i]),
             Repr::Str { codes, dict } => match codes[i] {
                 NULL_CODE => Value::Null,
                 c => Value::Str(Arc::clone(&dict.strs[c as usize])),
             },
-            Repr::Mixed { vals, .. } => vals[i].clone(),
         }
     }
 
@@ -222,22 +169,21 @@ impl Column {
     pub fn is_null(&self, id: RowId) -> bool {
         let i = id as usize;
         match &self.repr {
-            Repr::Int { nulls, .. } | Repr::Float { nulls, .. } => nulls.get(i),
-            Repr::Str { codes, .. } | Repr::Mixed { codes, .. } => codes[i] == NULL_CODE,
+            Repr::Int { nulls, .. } => nulls.get(i),
+            Repr::Str { codes, .. } => codes[i] == NULL_CODE,
         }
     }
 
-    /// The cell's key, `None` for NULL: the `i64` itself, the normalized
-    /// float's bits, or the dictionary code. Inside this column, equal
-    /// keys ⇔ equal [`Value`]s.
+    /// The cell's key, `None` for NULL: the `i64` itself or the
+    /// dictionary code. Inside this column, equal keys ⇔ equal
+    /// [`Value`]s.
     #[inline]
     pub fn key(&self, id: RowId) -> Option<u64> {
         let i = id as usize;
         match &self.repr {
-            Repr::Int { nulls, .. } | Repr::Float { nulls, .. } if nulls.get(i) => None,
+            Repr::Int { nulls, .. } if nulls.get(i) => None,
             Repr::Int { vals, .. } => Some(vals[i] as u64),
-            Repr::Float { vals, .. } => Some(norm(vals[i]).to_bits()),
-            Repr::Str { codes, .. } | Repr::Mixed { codes, .. } => match codes[i] {
+            Repr::Str { codes, .. } => match codes[i] {
                 NULL_CODE => None,
                 c => Some(c as u64),
             },
@@ -251,29 +197,25 @@ impl Column {
     /// range where `i64` and `f64` equality agree.
     pub fn key_of(&self, v: &Value) -> Option<u64> {
         match (&self.repr, v) {
-            (_, Value::Null) => None,
             (Repr::Int { .. }, Value::Int(i)) => Some(*i as u64),
             (Repr::Int { .. }, Value::Float(f)) => {
                 (f.is_finite() && *f == f.trunc() && f.abs() <= INT_EXACT_ABS)
                     .then_some(*f as i64 as u64)
             }
-            (Repr::Float { .. }, Value::Float(f)) => Some(norm(*f).to_bits()),
-            (Repr::Float { .. }, Value::Int(i)) => Some((*i as f64).to_bits()),
             (Repr::Str { dict, .. }, Value::Str(s)) => dict.codes.get(&**s).map(|&c| c as u64),
-            (Repr::Mixed { classes, .. }, v) => classes.get(v).map(|&c| c as u64),
             _ => None,
         }
     }
 
     /// [`Column::key_of`] the cell at `id` of `other`, without building
     /// the `Value` when the two columns share a key space (both `Int`,
-    /// both `Float`, or one dictionary).
+    /// or one dictionary).
     #[inline]
     pub fn key_from(&self, other: &Column, id: RowId) -> Option<u64> {
         let shared = match (&self.repr, &other.repr) {
-            (Repr::Int { .. }, Repr::Int { .. }) | (Repr::Float { .. }, Repr::Float { .. }) => true,
+            (Repr::Int { .. }, Repr::Int { .. }) => true,
             (Repr::Str { dict: a, .. }, Repr::Str { dict: b, .. }) => Arc::ptr_eq(a, b),
-            _ => std::ptr::eq(self, other),
+            _ => false,
         };
         if shared {
             other.key(id)
@@ -286,40 +228,25 @@ impl Column {
     pub fn as_ints(&self) -> Option<(&[i64], &NullMask)> {
         match &self.repr {
             Repr::Int { vals, nulls } => Some((vals, nulls)),
-            _ => None,
+            Repr::Str { .. } => None,
         }
     }
 
     /// The cells at `ids`, as a new column of the same representation
     /// sharing this column's dictionary.
     pub(crate) fn gather(&self, ids: &[RowId]) -> Column {
-        fn masked<T: Copy>(vals: &[T], nulls: &NullMask, ids: &[RowId]) -> (Vec<T>, NullMask) {
-            let mut mask = NullMask::default();
-            ids.iter().for_each(|&id| mask.push(nulls.get(id as usize)));
-            (ids.iter().map(|&id| vals[id as usize]).collect(), mask)
-        }
-        let pick = |codes: &[u32]| ids.iter().map(|&id| codes[id as usize]).collect();
         let repr = match &self.repr {
             Repr::Int { vals, nulls } => {
-                let (vals, nulls) = masked(vals, nulls, ids);
-                Repr::Int { vals, nulls }
-            }
-            Repr::Float { vals, nulls } => {
-                let (vals, nulls) = masked(vals, nulls, ids);
-                Repr::Float { vals, nulls }
+                let mut mask = NullMask::default();
+                ids.iter().for_each(|&id| mask.push(nulls.get(id as usize)));
+                Repr::Int {
+                    vals: ids.iter().map(|&id| vals[id as usize]).collect(),
+                    nulls: mask,
+                }
             }
             Repr::Str { codes, dict } => Repr::Str {
-                codes: pick(codes),
+                codes: ids.iter().map(|&id| codes[id as usize]).collect(),
                 dict: Arc::clone(dict),
-            },
-            Repr::Mixed {
-                vals,
-                codes,
-                classes,
-            } => Repr::Mixed {
-                vals: ids.iter().map(|&id| vals[id as usize].clone()).collect(),
-                codes: pick(codes),
-                classes: classes.clone(),
             },
         };
         Column { repr }
@@ -328,20 +255,9 @@ impl Column {
     /// Each distinct non-NULL value, in first-seen order, as `(first row
     /// holding it, number of rows holding it)`.
     pub(crate) fn value_counts(&self) -> Vec<(RowId, u64)> {
-        fn count_codes(codes: &[u32], n_codes: usize, out: &mut Vec<(RowId, u64)>) {
-            let mut slot_of = vec![u32::MAX; n_codes];
-            for (id, &c) in codes.iter().enumerate().filter(|(_, &c)| c != NULL_CODE) {
-                let slot = &mut slot_of[c as usize];
-                if *slot == u32::MAX {
-                    *slot = out.len() as u32;
-                    out.push((id as RowId, 0));
-                }
-                out[*slot as usize].1 += 1;
-            }
-        }
         let mut out: Vec<(RowId, u64)> = Vec::new();
         match &self.repr {
-            Repr::Int { .. } | Repr::Float { .. } => {
+            Repr::Int { .. } => {
                 let mut seen = CodeTable::new(1);
                 for id in 0..self.len() as RowId {
                     if let Some(k) = self.key(id) {
@@ -355,35 +271,36 @@ impl Column {
             }
             // Dense codes: a slot per dictionary entry, no hashing. A
             // shared dictionary may hold entries this column lacks.
-            Repr::Str { codes, dict } => count_codes(codes, dict.strs.len(), &mut out),
-            Repr::Mixed { codes, classes, .. } => count_codes(codes, classes.len(), &mut out),
+            Repr::Str { codes, dict } => {
+                let mut slot_of = vec![u32::MAX; dict.strs.len()];
+                for (id, &c) in codes.iter().enumerate().filter(|(_, &c)| c != NULL_CODE) {
+                    let slot = &mut slot_of[c as usize];
+                    if *slot == u32::MAX {
+                        *slot = out.len() as u32;
+                        out.push((id as RowId, 0));
+                    }
+                    out[*slot as usize].1 += 1;
+                }
+            }
         }
         out
     }
 
     /// Per-row sort keys whose order is [`Value`]'s order inside this
-    /// column (NULL first). Dictionary columns rank their distinct
-    /// values once; the rows then compare as integers.
+    /// column (NULL first). A `Str` column ranks its dictionary once; the
+    /// rows then compare as integers.
     pub(crate) fn order_keys(&self) -> OrderKeys<'_> {
-        fn ranked(n: usize, cmp: impl Fn(usize, usize) -> std::cmp::Ordering) -> Vec<u32> {
-            let mut by_value: Vec<u32> = (0..n as u32).collect();
-            by_value.sort_unstable_by(|&a, &b| cmp(a as usize, b as usize));
-            let mut ranks = vec![0; n];
-            for (rank, &code) in by_value.iter().enumerate() {
-                ranks[code as usize] = rank as u32;
-            }
-            ranks
-        }
         let ranks = match &self.repr {
-            Repr::Int { .. } | Repr::Float { .. } => Vec::new(),
+            Repr::Int { .. } => Vec::new(),
             Repr::Str { dict, .. } => {
                 let strs = &dict.strs;
-                ranked(strs.len(), |a, b| strs[a].cmp(&strs[b]))
-            }
-            Repr::Mixed { classes, .. } => {
-                let mut firsts = vec![&Value::Null; classes.len()];
-                classes.iter().for_each(|(v, &c)| firsts[c as usize] = v);
-                ranked(firsts.len(), |a, b| firsts[a].cmp(firsts[b]))
+                let mut by_value: Vec<u32> = (0..strs.len() as u32).collect();
+                by_value.sort_unstable_by(|&a, &b| strs[a as usize].cmp(&strs[b as usize]));
+                let mut ranks = vec![0; strs.len()];
+                for (rank, &code) in by_value.iter().enumerate() {
+                    ranks[code as usize] = rank as u32;
+                }
+                ranks
             }
         };
         OrderKeys { col: self, ranks }
@@ -394,7 +311,7 @@ impl Column {
 pub(crate) struct OrderKeys<'a> {
     col: &'a Column,
     /// Rank of each dictionary code among the column's distinct values;
-    /// empty for `Int` and `Float` columns.
+    /// empty for an `Int` column.
     ranks: Vec<u32>,
 }
 
@@ -406,14 +323,9 @@ impl OrderKeys<'_> {
         const SIGN: u64 = 1 << 63;
         let i = id as usize;
         let image = match &self.col.repr {
-            Repr::Int { nulls, .. } | Repr::Float { nulls, .. } if nulls.get(i) => return 0,
+            Repr::Int { nulls, .. } if nulls.get(i) => return 0,
             Repr::Int { vals, .. } => vals[i] as u64 ^ SIGN,
-            Repr::Float { vals, .. } => {
-                // `f64::total_cmp`'s own transform, shifted to unsigned.
-                let bits = norm(vals[i]).to_bits() as i64;
-                (bits ^ (((bits >> 63) as u64) >> 1) as i64) as u64 ^ SIGN
-            }
-            Repr::Str { codes, .. } | Repr::Mixed { codes, .. } => match codes[i] {
+            Repr::Str { codes, .. } => match codes[i] {
                 NULL_CODE => return 0,
                 c => self.ranks[c as usize] as u64,
             },

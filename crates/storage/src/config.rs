@@ -46,21 +46,6 @@ impl Configuration {
         }
     }
 
-    /// Number of base-table indexes with exactly `n` key columns
-    /// (Table 2 / Table 3 rows).
-    pub fn count_indexes_with_width(&self, n: usize) -> usize {
-        self.indexes.iter().filter(|i| i.columns.len() == n).count()
-    }
-
-    /// Number of MV indexes with exactly `n` key columns.
-    pub fn count_mv_indexes_with_width(&self, n: usize) -> usize {
-        self.mviews
-            .iter()
-            .flat_map(|m| m.indexes.iter())
-            .filter(|cols| cols.len() == n)
-            .count()
-    }
-
     /// Pages the base-table indexes will occupy once built against `db`,
     /// from row counts and schema widths alone: the same integers the
     /// built indexes report as [`BuildReport::aux_pages`]. Views, which
@@ -449,20 +434,5 @@ mod tests {
         assert_eq!(cfg.indexes.len(), 2);
         assert!(cfg.indexes.contains(&IndexSpec::new("t", vec![0, 1])));
         assert!(cfg.indexes.contains(&IndexSpec::new("t", vec![1])));
-    }
-
-    #[test]
-    fn width_counts_for_tables_2_and_3() {
-        let mut cfg = Configuration::named("w");
-        cfg.indexes.push(IndexSpec::new("t", vec![0]));
-        cfg.indexes.push(IndexSpec::new("t", vec![0, 1]));
-        cfg.mviews.push(MViewDef {
-            spec: MViewSpec::projection_of("v", "t", vec![0, 1]),
-            indexes: vec![vec![0], vec![0, 1]],
-        });
-        assert_eq!(cfg.count_indexes_with_width(1), 1);
-        assert_eq!(cfg.count_indexes_with_width(2), 1);
-        assert_eq!(cfg.count_mv_indexes_with_width(1), 1);
-        assert_eq!(cfg.count_mv_indexes_with_width(2), 1);
     }
 }

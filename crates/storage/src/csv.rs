@@ -5,9 +5,8 @@
 //! format so generated databases can be inspected (`tab gen`).
 //!
 //! Format: RFC-4180-style quoting, one header row with column names,
-//! `NULL` (unquoted) for SQL NULL, minimal-precision floats.
+//! `NULL` (unquoted) for SQL NULL, integers in decimal.
 
-use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -27,13 +26,8 @@ fn quote(field: &str) -> String {
 fn render(v: &Value) -> String {
     match v {
         Value::Null => "NULL".to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(x) => {
-            let mut s = String::new();
-            write!(s, "{x}").expect("write to string");
-            s
-        }
         Value::Str(s) => quote(s),
+        number => number.to_string(),
     }
 }
 
@@ -70,7 +64,7 @@ mod tests {
             vec![
                 ColumnDef::new("id", ColType::Int),
                 ColumnDef::new("name", ColType::Str),
-                ColumnDef::new("score", ColType::Float),
+                ColumnDef::new("score", ColType::Int),
             ],
         )
     }
@@ -86,16 +80,16 @@ mod tests {
     #[test]
     fn export_quotes_hostile_fields_and_renders_values() {
         let mut t = Table::new(schema());
-        t.insert(vec![Value::Int(1), Value::str("plain"), Value::Float(1.5)]);
+        t.insert(vec![Value::Int(1), Value::str("plain"), Value::Int(15)]);
         t.insert(vec![Value::Int(2), Value::str("com,ma \"q\""), Value::Null]);
         t.insert(vec![
             Value::Int(3),
             Value::str("two\nlines"),
-            Value::Float(-0.25),
+            Value::Int(-25),
         ]);
         assert_eq!(
             exported(&t, "render"),
-            "id,name,score\n1,plain,1.5\n2,\"com,ma \"\"q\"\"\",NULL\n3,\"two\nlines\",-0.25\n"
+            "id,name,score\n1,plain,15\n2,\"com,ma \"\"q\"\"\",NULL\n3,\"two\nlines\",-25\n"
         );
     }
 

@@ -90,7 +90,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What an armed fault does when its site is hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
+pub(crate) enum FaultKind {
     /// The I/O boundary reports "no space left on device".
     Enospc,
     /// The site panics (a "poisoned" unit of work).
@@ -179,7 +179,7 @@ fn split_hit_index(rest: &str) -> (&str, u64) {
 /// The trace sink's share of a fault plan, extracted once at sink
 /// creation so the sink owns its fault state (no borrowed plan).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceFault {
+pub(crate) struct TraceFault {
     /// Complete lines to emit before the fault bites.
     pub after_lines: u64,
     /// `true`: tear the next line mid-way (a crash's torn tail).
@@ -264,7 +264,7 @@ impl FaultPlan {
     /// The arms targeting the trace sink, reduced to the sink-owned
     /// form (`truncate:trace` wins over `enospc:trace` if both are
     /// armed at the same line, being the more specific corruption).
-    pub fn trace_fault(&self) -> Option<TraceFault> {
+    pub(crate) fn trace_fault(&self) -> Option<TraceFault> {
         let mut out: Option<TraceFault> = None;
         for arm in self.arms.iter().filter(|a| a.site == "trace") {
             let tf = TraceFault {
@@ -315,7 +315,7 @@ impl fmt::Display for FaultPlan {
 
 /// The injected-ENOSPC error text carried by a fired `enospc` arm's
 /// [`io::Error`]; contains the site so error chains name the boundary.
-pub fn injected_enospc(site: &str) -> io::Error {
+pub(crate) fn injected_enospc(site: &str) -> io::Error {
     io::Error::other(format!(
         "no space left on device (injected fault at site `{site}`)"
     ))
@@ -383,7 +383,7 @@ impl<'a> Faults<'a> {
     /// *without* panicking. Call sites that must corrupt state first
     /// (e.g. the WAL's half-written torn tail) probe with this, do the
     /// damage, and then panic themselves.
-    pub fn panic_fires(&self, site: &str) -> bool {
+    pub(crate) fn panic_fires(&self, site: &str) -> bool {
         let Some(plan) = self.plan else { return false };
         plan.arms
             .iter()

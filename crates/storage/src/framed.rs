@@ -1,6 +1,6 @@
 //! The one codec under the four line formats: `tab-trace-v1`
 //! ([`crate::trace`]), `tab-checkpoint-v1` (`tab-core`'s repro journal),
-//! `tab-wal-v1` ([`crate::wal`]) and `tab-wire-v1` (`tab-server`'s
+//! `tab-wal-v1` ([`crate::Wal`]) and `tab-wire-v1` (`tab-server`'s
 //! responses). Each line is one flat JSON object: the schema prefix
 //! `{"schema":"tab-…-v1"`, then `,"key":value` fields with no space
 //! after the colon, a value being a JSON string or a bare token (an

@@ -27,7 +27,7 @@ use crate::value::Value;
 
 /// Maximum number of key columns, per the paper's observation that "no
 /// index with more than 4 columns was recommended" (Tables 2–3).
-pub const MAX_INDEX_COLUMNS: usize = 4;
+pub(crate) const MAX_INDEX_COLUMNS: usize = 4;
 
 /// Static description of an index: which table, which columns.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -42,7 +42,8 @@ impl IndexSpec {
     /// A new spec.
     ///
     /// # Panics
-    /// Panics if `columns` is empty or longer than [`MAX_INDEX_COLUMNS`].
+    /// Panics if `columns` is empty or longer than `MAX_INDEX_COLUMNS`
+    /// (4).
     pub fn new(table: impl Into<String>, columns: Vec<usize>) -> Self {
         assert!(
             !columns.is_empty() && columns.len() <= MAX_INDEX_COLUMNS,
@@ -129,7 +130,7 @@ pub struct BTreeIndex {
     /// `ids[offsets[g]..offsets[g + 1]]`.
     ids: Vec<RowId>,
     /// The distinct keys in key order, `spec.columns.len()` values each,
-    /// spelled as first inserted (`Int(1)` or `Float(1.0)`).
+    /// as the table's columns hold them.
     keys: Vec<Value>,
     /// Each group's start in `ids`, then `ids.len()`.
     offsets: Vec<u32>,
@@ -219,7 +220,7 @@ impl BTreeIndex {
     /// Leaf pages holding `n_entries` entries of `entry_width` bytes: the
     /// one sizing formula, for a built index ([`BTreeIndex::n_pages`]) and
     /// for sizing one from a row count without building it.
-    pub fn pages_for(entry_width: u32, n_entries: u64) -> u64 {
+    pub(crate) fn pages_for(entry_width: u32, n_entries: u64) -> u64 {
         n_entries.div_ceil(Self::per_page(entry_width)).max(1)
     }
 
@@ -364,7 +365,7 @@ impl BTreeIndex {
     }
 
     /// Total number of entries.
-    pub fn n_entries(&self) -> u64 {
+    pub(crate) fn n_entries(&self) -> u64 {
         self.ids.len() as u64
     }
 
@@ -740,15 +741,22 @@ mod model_tests {
         (p.row_ids.to_vec(), p.pages_touched, p.first_leaf)
     }
 
-    /// `Int(1) == Float(1.0)`, so compare spellings, not values.
-    fn spelled(k: &[Value]) -> String {
-        format!("{k:?}")
-    }
-
-    /// One cell from a domain of `d` values per kind; `nulls` allows NULL.
-    fn cell(rng: &mut StdRng, d: i64, nulls: bool) -> Value {
+    /// One cell of column `c` (even columns `Int`, odd ones `Str`) from
+    /// a domain of `d` values; `nulls` allows NULL.
+    fn cell(rng: &mut StdRng, c: usize, d: i64, nulls: bool) -> Value {
         let i = rng.random_range(0..d);
         match rng.random_range(0..if nulls { 8 } else { 7 }) {
+            7 => Value::Null,
+            _ if c.is_multiple_of(2) => Value::Int(i),
+            _ => Value::str(format!("s{i:04}")),
+        }
+    }
+
+    /// A probe key cell of any kind: an `Int`, a `Float` equal to one or
+    /// between two, a string, or NULL.
+    fn probe_cell(rng: &mut StdRng, d: i64) -> Value {
+        let i = rng.random_range(0..d);
+        match rng.random_range(0..8) {
             0..=2 => Value::Int(i),
             3 => Value::Float(i as f64),
             4 => Value::Float(i as f64 + 0.5),
@@ -767,11 +775,11 @@ mod model_tests {
             model.clustering.to_bits(),
             "{ctx}"
         );
-        let groups: Vec<_> = idx.scan().map(|(k, ids)| (spelled(k), ids)).collect();
+        let groups: Vec<_> = idx.scan().collect();
         let expect: Vec<_> = model
             .map
             .iter()
-            .map(|(k, ids)| (spelled(k), &ids[..]))
+            .map(|(k, ids)| (&k[..], &ids[..]))
             .collect();
         assert_eq!(groups, expect, "{ctx}: scan");
 
@@ -780,7 +788,7 @@ mod model_tests {
         let step = (model.map.len() / 48).max(1);
         let mut keys: Vec<Key> = model.map.keys().step_by(step).cloned().collect();
         for _ in 0..16 {
-            keys.push((0..w).map(|_| cell(rng, d + 2, true)).collect());
+            keys.push((0..w).map(|_| probe_cell(rng, d + 2)).collect());
         }
         keys.push(vec![Value::Int(-7); w]);
         keys.push(vec![Value::Float(0.25); w]);
@@ -814,12 +822,15 @@ mod model_tests {
         let (mut existing, mut smallest, mut largest, mut middle) = (0, 0, 0, 0);
         for trial in 0..24u64 {
             let rng = &mut StdRng::seed_from_u64(0x1C_2005 + trial);
-            let n_cols = 4;
+            let n_cols = 4usize;
             let w = 1 + (trial % 4) as usize;
             // Wide columns: few entries per page, so even small tables
             // have many leaves and (past ~40 leaves) a second level.
             let columns = (0..n_cols)
-                .map(|c| ColumnDef::new(format!("c{c}"), ColType::Int).width(60 * (c + 1)))
+                .map(|c| {
+                    let ty = [ColType::Int, ColType::Str][c % 2];
+                    ColumnDef::new(format!("c{c}"), ty).width(60 * (c as u32 + 1))
+                })
                 .collect();
             let mut table = Table::new(TableSchema::new("t", columns));
             let n_rows = [0, 1, 40, 700, 2500][trial as usize % 5];
@@ -827,10 +838,10 @@ mod model_tests {
             let d = [3, 40, 1_000_000][trial as usize % 3];
             let nulls = trial % 2 == 1;
             for _ in 0..n_rows {
-                let row: Vec<Value> = (0..n_cols).map(|_| cell(rng, d, nulls)).collect();
+                let row: Vec<Value> = (0..n_cols).map(|c| cell(rng, c, d, nulls)).collect();
                 table.insert(row);
             }
-            let mut cols: Vec<usize> = (0..n_cols as usize).collect();
+            let mut cols: Vec<usize> = (0..n_cols).collect();
             cols.rotate_left(trial as usize % 4);
             cols.truncate(w);
             let ctx = format!("trial {trial}: {n_rows} rows, key {cols:?}, domain {d}");
@@ -840,9 +851,13 @@ mod model_tests {
             check(&idx, &model, rng, d, &ctx);
 
             for j in 0..40i64 {
-                let mut row: Vec<Value> = (0..n_cols).map(|_| cell(rng, d + 2, nulls)).collect();
+                let mut row: Vec<Value> = (0..n_cols).map(|c| cell(rng, c, d + 2, nulls)).collect();
+                // A new smallest or largest leading key, in the column's type.
+                let int = cols[0].is_multiple_of(2);
                 match j % 4 {
-                    0 => row[cols[0]] = Value::Int(-1 - j),
+                    0 if int => row[cols[0]] = Value::Int(-1 - j),
+                    0 => row[cols[0]] = Value::str(format!("!{:04}", 9999 - j)),
+                    1 if int => row[cols[0]] = Value::Int(i64::MAX - 40 + j),
                     1 => row[cols[0]] = Value::str(format!("~{j:04}")),
                     2 => {
                         if let Some(k) = model.map.keys().nth(j as usize % model.map.len().max(1)) {

@@ -13,35 +13,36 @@
 //! elapsed times — see `DESIGN.md` at the workspace root.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod column;
-pub mod config;
-pub mod csv;
-pub mod db;
+mod column;
+mod config;
+mod csv;
+mod db;
 pub mod fault;
 pub mod framed;
-pub mod index;
-pub mod mview;
-pub mod pager;
-pub mod par;
+mod index;
+mod mview;
+mod pager;
+mod par;
 pub mod pool;
-pub mod schema;
-pub mod snapshot;
-pub mod stats;
-pub mod table;
+mod schema;
+mod snapshot;
+mod stats;
+mod table;
 pub mod trace;
-pub mod value;
-pub mod wal;
+mod value;
+mod wal;
 
 pub use column::{key_tuple, CodeTable, Column, NullMask, RowBuckets};
 pub use config::{BuildReport, BuiltConfiguration, Configuration, MViewDef};
 pub use csv::export_table;
 pub use db::Database;
-pub use fault::{atomic_write, FaultKind, FaultPlan, Faults, TraceFault, WireFault};
+pub use fault::{atomic_write, FaultPlan, Faults, WireFault};
 pub use index::{BTreeIndex, IndexSpec, Probe};
 pub use mview::{MViewSpec, MaterializedView};
 pub use pager::Pager;
-pub use par::{par_map, par_map_catch, par_run, Job, JobPanic, Parallelism};
+pub use par::{par_map, par_map_catch, par_run, JobPanic, Parallelism};
 pub use pool::{
     index_rel_id, table_rel_id, temp_rel_id, BufferPool, Fetched, PageHint, PageKey, PoolStats,
 };
@@ -51,7 +52,7 @@ pub use stats::{ColumnStats, TableStats};
 pub use table::{Row, RowId, Table, PAGE_SIZE};
 pub use trace::{FileTraceSink, MemoryTraceSink, Trace, TraceSink};
 pub use value::Value;
-pub use wal::{Wal, WalError, WalRecord, WalRecovery, WAL_SCHEMA_PREFIX};
+pub use wal::{Wal, WalError, WalRecord, WalRecovery};
 
 /// The parallel harness shares these read-only across worker threads; a
 /// regression introducing interior mutability (`Cell`, `Rc`, …) must

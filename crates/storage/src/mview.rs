@@ -58,7 +58,7 @@ impl MViewSpec {
     }
 
     /// Name of the view column for projected `(table_pos, col)`.
-    pub fn column_name(&self, base_schemas: &[&TableSchema], t: usize, c: usize) -> String {
+    pub(crate) fn column_name(&self, base_schemas: &[&TableSchema], t: usize, c: usize) -> String {
         format!("{}_{}", self.base[t], base_schemas[t].columns[c].name)
     }
 
@@ -148,7 +148,7 @@ impl MaterializedView {
     }
 
     /// Build an index over the view's columns.
-    pub fn build_index(&self, columns: Vec<usize>) -> (BTreeIndex, u64) {
+    pub(crate) fn build_index(&self, columns: Vec<usize>) -> (BTreeIndex, u64) {
         BTreeIndex::build(IndexSpec::new(self.spec.name.clone(), columns), &self.table)
     }
 }

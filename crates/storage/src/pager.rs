@@ -96,7 +96,7 @@ impl Pager {
     /// Read one heap page into `buf` (must be `PAGE_SIZE` bytes).
     /// Returns `false` — and leaves `buf` untouched — if no heap file
     /// is registered for the relation (index or temp pages).
-    pub fn read_heap(&self, key: PageKey, buf: &mut [u8]) -> io::Result<bool> {
+    pub(crate) fn read_heap(&self, key: PageKey, buf: &mut [u8]) -> io::Result<bool> {
         let Some(file) = self.heaps.get(&key.rel) else {
             return Ok(false);
         };
@@ -110,7 +110,7 @@ impl Pager {
 
     /// Write an evicted dirty page into its spill slot, allocating one
     /// on first write.
-    pub fn write_spill(&self, key: PageKey, data: &[u8]) -> io::Result<()> {
+    pub(crate) fn write_spill(&self, key: PageKey, data: &[u8]) -> io::Result<()> {
         let mut s = self.spill.lock().expect("spill state poisoned");
         if s.file.is_none() {
             s.file = Some(
@@ -139,7 +139,7 @@ impl Pager {
 
     /// Read a previously spilled page back into `buf`. Returns `false`
     /// if the page was never spilled.
-    pub fn read_spill(&self, key: PageKey, buf: &mut [u8]) -> io::Result<bool> {
+    pub(crate) fn read_spill(&self, key: PageKey, buf: &mut [u8]) -> io::Result<bool> {
         let s = self.spill.lock().expect("spill state poisoned");
         let Some(&slot) = s.slots.get(&key) else {
             return Ok(false);
@@ -154,17 +154,6 @@ impl Pager {
     /// The scratch directory (for diagnostics/tests).
     pub fn dir(&self) -> &std::path::Path {
         &self.dir
-    }
-
-    /// Total bytes currently materialized on disk (heap + spill).
-    pub fn bytes_on_disk(&self) -> u64 {
-        let mut total = 0;
-        for f in self.heaps.values() {
-            total += f.metadata().map(|m| m.len()).unwrap_or(0);
-        }
-        let s = self.spill.lock().expect("spill state poisoned");
-        total += s.next_slot * PAGE_SIZE as u64;
-        total
     }
 }
 
@@ -224,6 +213,12 @@ mod tests {
         t
     }
 
+    fn file_len(pager: &Pager, name: &str) -> u64 {
+        std::fs::metadata(pager.dir().join(name))
+            .expect("stat")
+            .len()
+    }
+
     #[test]
     fn materialized_heap_reads_real_bytes() {
         let mut pager = Pager::new("unit_heap").expect("pager");
@@ -241,7 +236,7 @@ mod tests {
         // Second row of the page starts one stride (40 bytes) in.
         assert_eq!(i64::from_le_bytes(buf[48..56].try_into().unwrap()), 1);
         assert_eq!(
-            pager.bytes_on_disk(),
+            file_len(&pager, "t.heap"),
             t.n_pages() * PAGE_SIZE as u64,
             "heap file length matches the page model"
         );
@@ -273,7 +268,7 @@ mod tests {
         assert_eq!(buf, page1b);
         assert!(pager.read_spill(k2, &mut buf).expect("read 2"));
         assert_eq!(buf, page2);
-        assert_eq!(pager.bytes_on_disk(), 2 * PAGE_SIZE as u64);
+        assert_eq!(file_len(&pager, "spill.bin"), 2 * PAGE_SIZE as u64);
     }
 
     #[test]

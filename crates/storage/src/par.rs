@@ -164,7 +164,7 @@ where
 }
 
 /// A one-shot job for [`par_run`].
-pub type Job<'a, U> = Box<dyn FnOnce() -> U + Send + 'a>;
+pub(crate) type Job<'a, U> = Box<dyn FnOnce() -> U + Send + 'a>;
 
 /// Run independent jobs concurrently (up to `par.threads()` at a time),
 /// returning their results in job order. Used for coarse-grained

@@ -1,6 +1,6 @@
 //! A deterministic buffer pool: fixed-size frames over 8 KiB pages with
-//! pin counts, dirty tracking, and **clock eviction that is a pure
-//! function of the logical access stream**.
+//! dirty tracking and **clock eviction that is a pure function of the
+//! logical access stream**.
 //!
 //! The paper's systems ran 6.5–10 GB databases against bounded buffer
 //! memory; this pool lets the reproduction do the same while keeping
@@ -28,8 +28,12 @@
 //! full frame/eviction accounting over zero-filled frames, which is
 //! what the microbenches and unit tests exercise.
 //!
-//! See `DESIGN.md` §13 for the frame table layout, the determinism
-//! rule, and the pin discipline.
+//! Nothing pins a frame: the pool lends no frame's bytes to its caller,
+//! so an access ends when [`BufferPool::fetch`] returns, and any frame
+//! whose reference bit is clear may be the clock's next victim.
+//!
+//! See `DESIGN.md` §13 for the frame table layout and the determinism
+//! rule.
 
 use std::collections::{HashMap, HashSet};
 
@@ -38,9 +42,9 @@ use crate::pager::Pager;
 use crate::table::PAGE_SIZE;
 use crate::trace::{self, Trace};
 
-/// Smallest pool the clock can run with: below this, a single probe's
-/// pinned descent pages could occupy every frame.
-pub const MIN_POOL_PAGES: usize = 8;
+/// Floor on the requested pool size: a smaller request gets this many
+/// frames, so `--buffer-pages 1` through `7` all run an 8-frame pool.
+pub(crate) const MIN_POOL_PAGES: usize = 8;
 
 /// Identity of one 8 KiB page: a relation id (see [`table_rel_id`] and
 /// friends) plus the page number within that relation.
@@ -155,13 +159,12 @@ impl PoolStats {
     }
 }
 
-/// One frame of the pool: the resident page, its clock/pin/dirty state,
+/// One frame of the pool: the resident page, its clock and dirty bits,
 /// and the 8 KiB buffer.
 struct Frame {
     key: PageKey,
     referenced: bool,
     dirty: bool,
-    pins: u32,
     data: Box<[u8]>,
 }
 
@@ -189,7 +192,7 @@ pub struct BufferPool<'a> {
 }
 
 impl<'a> BufferPool<'a> {
-    /// A pool of `pages` frames (clamped to [`MIN_POOL_PAGES`]) over an
+    /// A pool of `pages` frames (at least `MIN_POOL_PAGES`, 8) over an
     /// optional backing pager.
     pub fn new(
         pages: usize,
@@ -222,11 +225,6 @@ impl<'a> BufferPool<'a> {
     /// Counters so far.
     pub fn stats(&self) -> PoolStats {
         self.stats
-    }
-
-    /// Logical accesses performed so far.
-    pub fn access_seq(&self) -> u64 {
-        self.access_seq
     }
 
     /// Access one page. Returns whether it hit, and how the miss (if
@@ -266,7 +264,6 @@ impl<'a> BufferPool<'a> {
                 key,
                 referenced: true,
                 dirty,
-                pins: 0,
                 data: vec![0u8; PAGE_SIZE as usize].into_boxed_slice(),
             });
             self.frames.len() - 1
@@ -308,82 +305,47 @@ impl<'a> BufferPool<'a> {
         // accounting is identical, only the payload is synthetic.
     }
 
-    /// Run the clock hand to a victim frame, flushing it if dirty.
-    /// Deterministic: the hand position is a pure function of the
-    /// access stream that preceded this eviction.
+    /// Run the clock hand to a victim frame, flushing it if dirty: the
+    /// first frame with a clear reference bit, clearing the bits it
+    /// passes, so it stops within one full turn. Deterministic: the hand
+    /// position is a pure function of the access stream that preceded
+    /// this eviction.
     fn evict(&mut self, seq: u64) -> usize {
         let n = self.frames.len();
-        let mut sweeps = 0usize;
-        loop {
-            assert!(
-                sweeps <= 2 * n + 1,
-                "buffer pool exhausted: all {n} frames pinned"
-            );
+        let slot = loop {
             let slot = self.hand;
             self.hand = (self.hand + 1) % n;
-            sweeps += 1;
-            let f = &mut self.frames[slot];
-            if f.pins > 0 {
-                continue;
+            if !std::mem::replace(&mut self.frames[slot].referenced, false) {
+                break slot;
             }
-            if f.referenced {
-                f.referenced = false;
-                continue;
-            }
-            // Victim found.
-            let victim = f.key;
-            let was_dirty = f.dirty;
-            if let Some(site) = self.evict_site {
-                self.faults.panic_if_armed(site);
-            }
-            if was_dirty {
-                self.stats.spill_bytes_written += PAGE_SIZE as u64;
-                if let Err(e) = self.faults.io("spill").and_then(|()| match self.pager {
-                    Some(p) => p.write_spill(victim, &self.frames[slot].data),
-                    None => Ok(()),
-                }) {
-                    panic!("injected fault: poisoned `spill` write: {e}");
-                }
-                self.spilled.insert(victim);
-            }
-            self.stats.evictions += 1;
-            self.map.remove(&victim);
-            self.trace.emit(|| {
-                trace::event("page")
-                    .str("action", "evict")
-                    .int("rel", victim.rel)
-                    .int("page", victim.page)
-                    .int("frame", slot as u64)
-                    .int("seq", seq)
-            });
-            return slot;
+        };
+        let Frame {
+            key: victim, dirty, ..
+        } = self.frames[slot];
+        if let Some(site) = self.evict_site {
+            self.faults.panic_if_armed(site);
         }
-    }
-
-    /// Pin a resident page: it cannot be evicted until unpinned.
-    ///
-    /// # Panics
-    /// Panics if the page is not resident — pinning is only meaningful
-    /// immediately after a fetch.
-    pub fn pin(&mut self, key: PageKey) {
-        let slot = *self.map.get(&key).expect("pin of a non-resident page");
-        self.frames[slot].pins += 1;
-    }
-
-    /// Release one pin on a resident page.
-    ///
-    /// # Panics
-    /// Panics if the page is not resident or not pinned.
-    pub fn unpin(&mut self, key: PageKey) {
-        let slot = *self.map.get(&key).expect("unpin of a non-resident page");
-        let f = &mut self.frames[slot];
-        assert!(f.pins > 0, "unpin of an unpinned page");
-        f.pins -= 1;
-    }
-
-    /// Whether a page is currently resident (test/bench helper).
-    pub fn is_resident(&self, key: PageKey) -> bool {
-        self.map.contains_key(&key)
+        if dirty {
+            self.stats.spill_bytes_written += PAGE_SIZE as u64;
+            if let Err(e) = self.faults.io("spill").and_then(|()| match self.pager {
+                Some(p) => p.write_spill(victim, &self.frames[slot].data),
+                None => Ok(()),
+            }) {
+                panic!("injected fault: poisoned `spill` write: {e}");
+            }
+            self.spilled.insert(victim);
+        }
+        self.stats.evictions += 1;
+        self.map.remove(&victim);
+        self.trace.emit(|| {
+            trace::event("page")
+                .str("action", "evict")
+                .int("rel", victim.rel)
+                .int("page", victim.page)
+                .int("frame", slot as u64)
+                .int("seq", seq)
+        });
+        slot
     }
 }
 
@@ -437,9 +399,13 @@ mod tests {
         }
         p.fetch(key(2, 0), PageHint::Random, false);
         assert_eq!(p.stats().evictions, 1);
-        assert!(!p.is_resident(key(1, 0)), "clock victim is the first page");
-        assert!(p.is_resident(key(1, 1)));
-        assert!(p.is_resident(key(2, 0)));
+        assert_eq!(p.fetch(key(2, 0), PageHint::Random, false), Fetched::Hit);
+        assert_eq!(p.fetch(key(1, 1), PageHint::Seq, false), Fetched::Hit);
+        assert_eq!(
+            p.fetch(key(1, 0), PageHint::Seq, false),
+            Fetched::MissSeq,
+            "clock victim is the first page"
+        );
     }
 
     #[test]
@@ -458,35 +424,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(sa, sb);
         assert!(sa.evictions > 0);
-    }
-
-    #[test]
-    fn pinned_frames_are_never_evicted() {
-        let mut p = pool(8);
-        for i in 0..8 {
-            p.fetch(key(1, i), PageHint::Seq, false);
-        }
-        p.pin(key(1, 0));
-        for i in 0..20 {
-            p.fetch(key(2, i), PageHint::Random, false);
-        }
-        assert!(p.is_resident(key(1, 0)), "pinned page survived pressure");
-        p.unpin(key(1, 0));
-        for i in 0..20 {
-            p.fetch(key(3, i), PageHint::Random, false);
-        }
-        assert!(!p.is_resident(key(1, 0)), "unpinned page became evictable");
-    }
-
-    #[test]
-    #[should_panic(expected = "all 8 frames pinned")]
-    fn fully_pinned_pool_panics_instead_of_looping() {
-        let mut p = pool(8);
-        for i in 0..8 {
-            p.fetch(key(1, i), PageHint::Seq, false);
-            p.pin(key(1, i));
-        }
-        p.fetch(key(2, 0), PageHint::Random, false);
     }
 
     #[test]

@@ -12,8 +12,6 @@ use std::fmt;
 pub enum ColType {
     /// 64-bit signed integer.
     Int,
-    /// 64-bit float.
-    Float,
     /// UTF-8 text.
     Str,
 }
@@ -22,7 +20,6 @@ impl fmt::Display for ColType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ColType::Int => write!(f, "INT"),
-            ColType::Float => write!(f, "FLOAT"),
             ColType::Str => write!(f, "TEXT"),
         }
     }
@@ -50,7 +47,7 @@ impl ColumnDef {
     /// A new indexable column with a width derived from its type.
     pub fn new(name: impl Into<String>, ty: ColType) -> Self {
         let byte_width = match ty {
-            ColType::Int | ColType::Float => 8,
+            ColType::Int => 8,
             ColType::Str => 24,
         };
         ColumnDef {
@@ -153,7 +150,7 @@ impl TableSchema {
     }
 
     /// Nominal row width in bytes: column widths plus a per-row header.
-    pub fn row_width(&self) -> u32 {
+    pub(crate) fn row_width(&self) -> u32 {
         8 + self.columns.iter().map(|c| c.byte_width).sum::<u32>()
     }
 

@@ -14,10 +14,10 @@ use crate::table::Table;
 use crate::value::Value;
 
 /// Number of most-common values retained per column.
-pub const MCV_LIMIT: usize = 50;
+pub(crate) const MCV_LIMIT: usize = 50;
 
 /// Number of equi-depth histogram buckets per column.
-pub const HISTOGRAM_BUCKETS: usize = 32;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 32;
 
 /// Statistics for a single column.
 #[derive(Debug, Clone)]

@@ -61,8 +61,10 @@ impl Table {
     /// Append a row.
     ///
     /// # Panics
-    /// Panics if the arity does not match the schema; rows are produced
-    /// by in-repo generators, so a mismatch is a programming error.
+    /// Panics if the arity does not match the schema, or if a cell is
+    /// neither NULL nor of its column's type (the panic names the cell
+    /// and the type). Rows come from in-repo generators or through
+    /// `engine::dml::validate_insert`, so either is a programming error.
     pub fn insert(&mut self, row: impl Into<Row>) -> RowId {
         let row = row.into();
         assert_eq!(
@@ -92,12 +94,12 @@ impl Table {
     }
 
     /// Rows that fit in one page for this schema.
-    pub fn rows_per_page(&self) -> u32 {
+    pub(crate) fn rows_per_page(&self) -> u32 {
         self.rows_per_page
     }
 
     /// Nominal byte size of the heap.
-    pub fn n_bytes(&self) -> u64 {
+    pub(crate) fn n_bytes(&self) -> u64 {
         self.n_pages() * PAGE_SIZE as u64
     }
 
@@ -188,6 +190,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "cell 'x' does not fit a column of type INT")]
+    fn off_type_cell_panics() {
+        two_col().insert(vec![Value::str("x"), Value::str("x")]);
+    }
+
+    #[test]
     fn page_of_is_monotone() {
         let mut t = two_col();
         for i in 0..1000 {
@@ -205,10 +213,8 @@ mod tests {
 /// names its trial.
 ///
 /// Hand mutants of `column.rs`, each failing this test: the NULL mask
-/// read one bit off (`get(i + 1)`); a float's key taken from its raw bits
-/// (`-0.0` and `0.0` get different codes); the string dictionary looked
-/// up by `Arc` pointer instead of content; demotion starting the
-/// `Value` column empty (the rows before it dropped).
+/// read one bit off (`get(i + 1)`); the string dictionary looked up by
+/// `Arc` pointer instead of content.
 #[cfg(test)]
 mod model_tests {
     use super::*;
@@ -217,39 +223,21 @@ mod model_tests {
     use rand::{Rng, SeedableRng};
     use std::collections::HashMap;
 
-    const TYPES: [ColType; 4] = [ColType::Int, ColType::Float, ColType::Str, ColType::Int];
+    const TYPES: [ColType; 2] = [ColType::Int, ColType::Str];
 
-    /// One cell for a column declared `ty`: NULLs, duplicates, the edge
-    /// values of the type and — when `off_type` — a cell of another
-    /// type, some equal to an on-type value (`Float(1.0)` beside
-    /// `Int(1)`), which demotes the column.
-    fn cell(rng: &mut StdRng, ty: ColType, off_type: bool) -> Value {
+    /// One cell for a column declared `ty`: NULLs, duplicates and the
+    /// edge values of the type.
+    fn cell(rng: &mut StdRng, ty: ColType) -> Value {
         const BIG: i64 = (1 << 53) + 1;
         let ints = [0, 1, 2, 3, BIG, BIG - 1, -BIG, i64::MAX, i64::MIN];
-        let floats = [0.0, -0.0, 1.0, 2.0, 0.5, -1.5, f64::NAN, f64::INFINITY];
-        let pick: usize = rng.random_range(0..9);
-        let kind = match (off_type && pick < 3, ty) {
-            _ if pick == 8 => return Value::Null,
-            (false, ty) => ty,
-            (true, ColType::Int) => [ColType::Float, ColType::Str][pick % 2],
-            (true, ColType::Float) => [ColType::Int, ColType::Str][pick % 2],
-            (true, ColType::Str) => [ColType::Int, ColType::Float][pick % 2],
-        };
-        match kind {
-            // Off-type numbers stay small: beyond 2^53 `Int`/`Float`
-            // equality is not transitive, and no code can mirror it.
-            ColType::Int if kind != ty => Value::Int(rng.random_range(0..4)),
-            ColType::Float if kind != ty => Value::Float(rng.random_range(0..4) as f64 / 2.0),
+        if rng.random_range(0..9) == 8 {
+            return Value::Null;
+        }
+        match ty {
             ColType::Int => Value::Int(ints[rng.random_range(0..ints.len())]),
-            ColType::Float => Value::Float(floats[rng.random_range(0..floats.len())]),
             // A fresh allocation every time, six contents in all.
             ColType::Str => Value::str(format!("s{}", rng.random_range(0..6))),
         }
-    }
-
-    /// `Int(1) == Float(1.0)` and `0.0 == -0.0`: compare spellings.
-    fn spelled(row: &[Value]) -> String {
-        format!("{row:?}")
     }
 
     fn check(table: &Table, model: &[Vec<Value>], ctx: &str) {
@@ -262,14 +250,10 @@ mod model_tests {
         for (i, want) in model.iter().enumerate() {
             let id = i as RowId;
             assert_eq!(rows[i].0, id, "{ctx}");
-            assert_eq!(spelled(&rows[i].1), spelled(want), "{ctx}: iter row {i}");
-            assert_eq!(spelled(&table.row(id)), spelled(want), "{ctx}: row {i}");
+            assert_eq!(*rows[i].1, want[..], "{ctx}: iter row {i}");
+            assert_eq!(*table.row(id), want[..], "{ctx}: row {i}");
             for (c, v) in want.iter().enumerate() {
-                assert_eq!(
-                    spelled(&[table.value(id, c)]),
-                    spelled(std::slice::from_ref(v)),
-                    "{ctx}"
-                );
+                assert_eq!(table.value(id, c), *v, "{ctx}: ({i}, {c})");
                 assert_eq!(
                     table.column(c).is_null(id),
                     v.is_null(),
@@ -313,7 +297,6 @@ mod model_tests {
 
     #[test]
     fn column_store_matches_row_model() {
-        let mut demoted = [0; TYPES.len()];
         for trial in 0..32u64 {
             let rng = &mut StdRng::seed_from_u64(0xC01_2005 + trial);
             // Wide columns: a few rows per page, so page counts move.
@@ -322,21 +305,11 @@ mod model_tests {
             let mut table = Table::new(TableSchema::new("t", columns.collect()));
             let mut model: Vec<Vec<Value>> = Vec::new();
             let n_rows = [0, 1, 63, 64, 65, 130, 200][trial as usize % 7];
-            // The row from which each column may see off-type cells: some
-            // at once, some mid-stream, the last column never.
-            let from: Vec<usize> = (0..TYPES.len())
-                .map(|c| match (c, trial % 3) {
-                    (3, _) | (_, 2) => usize::MAX,
-                    (_, 1) => 0,
-                    _ => rng.random_range(0..n_rows.max(1)),
-                })
-                .collect();
-            let row_at = |rng: &mut StdRng, i: usize| -> Vec<Value> {
-                let cells = TYPES.iter().zip(&from);
-                cells.map(|(&ty, &f)| cell(rng, ty, i >= f)).collect()
+            let row_of = |rng: &mut StdRng| -> Vec<Value> {
+                TYPES.iter().map(|&ty| cell(rng, ty)).collect()
             };
             for i in 0..n_rows {
-                let row = row_at(rng, i);
+                let row = row_of(rng);
                 assert_eq!(table.insert(row.clone()), i as RowId);
                 model.push(row);
                 if i % 50 == 49 {
@@ -347,28 +320,22 @@ mod model_tests {
                     );
                 }
             }
-            let ctx = format!("trial {trial}: {n_rows} rows, off-type from {from:?}");
+            let ctx = format!("trial {trial}: {n_rows} rows");
             check(&table, &model, &ctx);
-            for (c, hits) in demoted.iter_mut().enumerate() {
-                *hits +=
-                    usize::from(table.column(c).as_ints().is_none() && TYPES[c] == ColType::Int);
-            }
 
-            // Inserting into a clone — new strings, a demoting cell —
-            // leaves the original as it was (snapshot isolation).
+            // Inserting new strings into a clone leaves the original, and
+            // the dictionary it shared, as they were (snapshot isolation).
             let mut later = table.clone();
             let mut later_model = model.clone();
             for i in 0..3 {
-                let mut row = row_at(rng, usize::MAX - 1);
-                row[2] = Value::str(format!("new{i}"));
-                row[3] = Value::Float(0.5);
+                let mut row = row_of(rng);
+                row[1] = Value::str(format!("new{i}"));
                 later.insert(row.clone());
                 later_model.push(row);
             }
             check(&later, &later_model, &format!("{ctx}, the clone"));
             check(&table, &model, &format!("{ctx}, after its clone grew"));
+            assert_eq!(table.column(1).key_of(&Value::str("new0")), None, "{ctx}");
         }
-        assert!(demoted[0] > 8, "too few demotions: {demoted:?}");
-        assert_eq!(demoted[3], 0, "the control column demoted: {demoted:?}");
     }
 }

@@ -181,8 +181,8 @@ impl FileTraceSink {
         })
     }
 
-    /// [`FileTraceSink::create`] with the plan's trace faults armed
-    /// (simulated ENOSPC or a torn tail — see [`FaultPlan::trace_fault`]).
+    /// [`FileTraceSink::create`] with the plan's trace faults armed: a
+    /// simulated ENOSPC (`enospc:trace`) or a torn tail (`truncate:trace`).
     pub fn create_with_faults(path: &Path, plan: &FaultPlan) -> std::io::Result<Self> {
         let mut sink = Self::create(path)?;
         sink.fault = plan.trace_fault();

@@ -51,7 +51,7 @@ use crate::framed::{check_frame, Fields, Line};
 use crate::value::Value;
 
 /// The schema tag every `tab-wal-v1` line opens with, byte-for-byte.
-pub const WAL_SCHEMA_PREFIX: &str = "{\"schema\":\"tab-wal-v1\"";
+pub(crate) const WAL_SCHEMA_PREFIX: &str = "{\"schema\":\"tab-wal-v1\"";
 
 /// One committed generation mutation: everything recovery needs to
 /// re-apply the insert and prove it re-applied *identically* (the
