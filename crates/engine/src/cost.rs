@@ -151,7 +151,10 @@ pub struct TimedOut {
 /// the Done/Timeout outcome (a [`Outcome::Timeout`] reports only the
 /// budget, never the trip point). The executor relies on this to charge
 /// operator inputs in bulk instead of per tuple; see the note in
-/// `exec.rs`.
+/// `exec.rs`. It also lets a join step charge its consumer's entry
+/// charge on a clone of the meter before filling its output: a clone
+/// that refuses proves the real run would refuse too, so the step
+/// stops there.
 ///
 /// [`units`]: CostMeter::units
 #[derive(Debug, Clone)]

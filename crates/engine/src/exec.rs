@@ -53,7 +53,13 @@
 //! order: a hash probe into its disjoint slice of one exact-size arena,
 //! at the offset a prefix sum of the per-morsel counts gives, reading
 //! the buckets the count pass kept; an index join into per-morsel arenas
-//! filtered from the kept id runs and concatenated.
+//! filtered from the kept id runs and concatenated. Before its fill a
+//! hash join also prices its consumer: what the next step or the output
+//! operator charges before reading a tuple depends only on the match
+//! count, so the step charges it on a clone of the meter, and a clone
+//! that refuses ends the query there, the step's slot reported and
+//! nothing filled. Runs with a buffer pool skip this price, since there
+//! the consumer's first charges also move pool state.
 //!
 //! Predicate evaluation over a morsel takes a columnar fast path when
 //! every constant in the relation's filters and ranges is an `Int` and
@@ -593,12 +599,16 @@ pub fn execute(
     }
 
     // 3. Join steps.
-    for step in &plan.steps {
+    for (si, step) in plan.steps.iter().enumerate() {
         at = meter.units();
         io_at = pool_stats_now(&ps);
         let rows_in = tuples.len() as u64;
+        let rows_out;
         let mut probes = 0u64;
         let mut morsels = 0u64;
+        // A charge the step's consumer must refuse: the step reports its
+        // slot, then the query times out.
+        let mut refused = None;
         let rel = step.inner.rel;
         match &step.method {
             JoinMethod::Hash => {
@@ -658,39 +668,25 @@ pub fn execute(
                 let total: u64 = counted.iter().map(|&(_, m, _)| m).sum();
                 meter.charge_rows(total)?;
                 probes += counted.iter().map(|&(p, _, _)| p).sum::<u64>();
-                // Fill: one exact-size arena, each morsel writing its
-                // disjoint slice at its prefix-sum offset, so tuples land
-                // in morsel order.
-                let len = usize::try_from(total)
-                    .ok()
-                    .and_then(|n| n.checked_mul(stride))
-                    .expect("hash-join output exceeds the address space");
-                let mut ids: Vec<RowId> = vec![0; len];
-                let mut rest = ids.as_mut_slice();
-                let mut jobs = Vec::with_capacity(ranges.len());
-                for (&(s, _), (_, matches, buckets)) in ranges.iter().zip(&counted) {
-                    let (slice, tail) =
-                        std::mem::take(&mut rest).split_at_mut(*matches as usize * stride);
-                    rest = tail;
-                    jobs.push((s, buckets, Mutex::new(slice)));
+                rows_out = total;
+                // Price the consumer before filling: what the next step
+                // or `finish` charges before reading a tuple depends on
+                // `total` alone, so a clone of the meter that refuses it
+                // proves the query times out, and the output is never
+                // built. A pool run skips this: there the consumer's
+                // first charges also move pool state.
+                if ps.is_none() {
+                    let mut next = meter.clone();
+                    let priced = if si + 1 < plan.steps.len() {
+                        next.charge_rows(total)
+                    } else {
+                        finish_entry_charge(q, total, &mut next, &mut None)
+                    };
+                    refused = priced.err();
                 }
-                par_map(region, &jobs, |(s, buckets, slice)| {
-                    morsel_prologue(opts);
-                    let mut slice = slice.lock().expect("morsel slice poisoned");
-                    let mut out = slice.chunks_exact_mut(stride);
-                    for (i, &b) in (*s..).zip(buckets.iter()) {
-                        if b == NO_BUCKET {
-                            continue;
-                        }
-                        let t = tuples.tuple(i);
-                        for (&id, slot) in ht.rows(b).iter().zip(&mut out) {
-                            slot.copy_from_slice(t);
-                            slot[rel] = id;
-                        }
-                    }
-                });
-                drop(jobs);
-                tuples = Arena { ids, stride };
+                if refused.is_none() {
+                    tuples = hash_fill(&tuples, &ht, &ranges, &counted, rel, region, opts);
+                }
             }
             JoinMethod::IndexNl {
                 columns,
@@ -835,6 +831,7 @@ pub fn execute(
                 });
                 let mut out = Arena::new(stride);
                 chunks.into_iter().for_each(|c| out.append(c));
+                rows_out = out.len() as u64;
                 tuples = out;
             }
         }
@@ -842,13 +839,16 @@ pub fn execute(
             let io = pool_stats_now(&ps);
             v.push(OpActuals {
                 rows_in,
-                rows_out: tuples.len() as u64,
+                rows_out,
                 probes,
                 units: meter.units() - at,
                 morsels,
                 page_hits: io.hits - io_at.hits,
                 page_misses: io.misses() - io_at.misses(),
             });
+        }
+        if let Some(timed_out) = refused {
+            return Err(timed_out);
         }
     }
 
@@ -873,6 +873,52 @@ pub fn execute(
         *io_out = st.pool.stats();
     }
     Ok(result)
+}
+
+/// Fill a hash join's output from its count pass: `counted` holds, per
+/// morsel of `ranges`, its probes, its match count and each outer
+/// tuple's bucket in `ht`. One exact-size arena, each morsel writing its
+/// disjoint slice at its prefix-sum offset, so tuples land in morsel
+/// order.
+fn hash_fill(
+    tuples: &Arena,
+    ht: &RowBuckets,
+    ranges: &[(usize, usize)],
+    counted: &[(u64, u64, Vec<u32>)],
+    rel: usize,
+    region: Parallelism,
+    opts: &ExecOpts<'_>,
+) -> Arena {
+    let stride = tuples.stride;
+    let len = usize::try_from(counted.iter().map(|&(_, m, _)| m).sum::<u64>())
+        .ok()
+        .and_then(|n| n.checked_mul(stride))
+        .expect("hash-join output exceeds the address space");
+    let mut ids: Vec<RowId> = vec![0; len];
+    let mut rest = ids.as_mut_slice();
+    let mut jobs = Vec::with_capacity(ranges.len());
+    for (&(s, _), (_, matches, buckets)) in ranges.iter().zip(counted) {
+        let (slice, tail) = std::mem::take(&mut rest).split_at_mut(*matches as usize * stride);
+        rest = tail;
+        jobs.push((s, buckets, Mutex::new(slice)));
+    }
+    par_map(region, &jobs, |(s, buckets, slice)| {
+        morsel_prologue(opts);
+        let mut slice = slice.lock().expect("morsel slice poisoned");
+        let mut out = slice.chunks_exact_mut(stride);
+        for (i, &b) in (*s..).zip(buckets.iter()) {
+            if b == NO_BUCKET {
+                continue;
+            }
+            let t = tuples.tuple(i);
+            for (&id, slot) in ht.rows(b).iter().zip(&mut out) {
+                slot.copy_from_slice(t);
+                slot[rel] = id;
+            }
+        }
+    });
+    drop(jobs);
+    Arena { ids, stride }
 }
 
 /// Build the hash-join build side: the inner relation's filtered row
@@ -1321,6 +1367,29 @@ impl Groups {
     }
 }
 
+/// What [`finish`] charges for `n` input tuples before it reads one: a
+/// plain projection one row per tuple; an aggregation its spill pages
+/// when the input exceeds working memory, one row per tuple, and one
+/// more per tuple for every `COUNT(DISTINCT)` maintained — the per-tuple
+/// charges of a tuple-at-a-time pass, paid up front. A hash-join step
+/// charges it into a clone of the meter to learn, before it fills its
+/// output, whether `finish` would refuse it.
+fn finish_entry_charge(
+    q: &BoundQuery,
+    n: u64,
+    meter: &mut CostMeter,
+    ps: &mut Option<PoolState<'_>>,
+) -> Result<(), TimedOut> {
+    if q.aggs.is_empty() && q.group_by.is_empty() {
+        return meter.charge_rows(n);
+    }
+    pool_charge_spill(ps, meter, n, 0)?;
+    meter.charge_rows(n)?;
+    let distinct = q.aggs.iter();
+    let distinct = distinct.filter(|a| matches!(a, BoundAgg::CountDistinct(..)));
+    meter.charge_rows(n * distinct.count() as u64)
+}
+
 /// Group, aggregate, and project in select-list order. Returns the
 /// result rows plus the number of morsel jobs dispatched.
 ///
@@ -1344,10 +1413,10 @@ fn finish(
     let n = tuples.len();
     let ranges = morsel_ranges(n, opts.morsel_rows);
     let n_morsels = ranges.len() as u64;
+    finish_entry_charge(q, n as u64, meter, ps)?;
     if q.aggs.is_empty() && q.group_by.is_empty() {
         // Plain projection, morsel-parallel: chunks concatenate in
         // morsel order, reproducing the sequential row order.
-        meter.charge_rows(n as u64)?;
         let chunks: Vec<Vec<Vec<Value>>> = par_map(region_par(opts, n), &ranges, |&(s, e)| {
             morsel_prologue(opts);
             let mut chunk = Vec::with_capacity(e - s);
@@ -1372,11 +1441,6 @@ fn finish(
         return Ok((order_and_limit(q, out, meter, ps)?, n_morsels));
     }
 
-    // Hash aggregation spills when its input exceeds working memory.
-    pool_charge_spill(ps, meter, n as u64, 0)?;
-    // One row of work per input tuple, plus one per tuple for every
-    // COUNT(DISTINCT) aggregate maintained — identical to the per-tuple
-    // charges of a tuple-at-a-time pass, paid up front.
     let distinct_aggs: Vec<(usize, usize, &Column)> = q
         .aggs
         .iter()
@@ -1386,8 +1450,6 @@ fn finish(
             BoundAgg::CountStar => None,
         })
         .collect();
-    meter.charge_rows(n as u64)?;
-    meter.charge_rows(n as u64 * distinct_aggs.len() as u64)?;
 
     // Per-morsel local aggregation.
     let group_cols: Vec<(usize, &Column)> =
@@ -1499,13 +1561,15 @@ fn order_and_limit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{RANDOM_PAGE_COST, ROW_COST};
+    use crate::cost::{spill_pages, RANDOM_PAGE_COST, ROW_COST, SEQ_PAGE_COST};
+    use crate::plan::JoinStep;
     use crate::session::Session;
     use tab_sqlq::parse;
     use tab_storage::{ColType, ColumnDef, Configuration, IndexSpec, TableSchema};
 
     /// `fact ⋈ dim` on `k`, skewed: half of `fact` and a quarter of `dim`
     /// hold key 0, so that one key's 5,000 × 100 matches dwarf the rest.
+    /// `tag` holds each key below 50 once.
     fn skewed_db() -> Database {
         let mut db = Database::new();
         let schema = |name: &str| TableSchema::new(name, vec![ColumnDef::new("k", ColType::Int)]);
@@ -1517,22 +1581,27 @@ mod tests {
         for i in 0..400i64 {
             dim.insert(vec![Value::Int(if i % 4 == 0 { 0 } else { i })]);
         }
+        let mut tag = Table::new(schema("tag"));
+        for i in 0..50i64 {
+            tag.insert(vec![Value::Int(i)]);
+        }
         db.add_table(fact);
         db.add_table(dim);
+        db.add_table(tag);
         db.collect_stats();
         db
     }
 
     /// Run `plan` at `budget` at query threads 1/2/8 × morsel rows
-    /// 1/64/4096. Every run times out in the first join step, having
-    /// completed exactly `full`'s frequency setup and driver slots, and
-    /// spends bit-equal units at every thread count. Returns the spent
-    /// units per morsel size.
-    fn assert_times_out_in_first_step(
+    /// 1/64/4096. Every run times out having completed exactly `full`'s
+    /// first `slots` operator slots, and spends bit-equal units at every
+    /// thread count. Returns the spent units per morsel size.
+    fn assert_times_out_after(
         plan: &PhysicalPlan,
         resolver: &Resolver<'_>,
         budget: f64,
         full: &[OpActuals],
+        slots: usize,
     ) -> Vec<f64> {
         let mut spent_by_morsel = Vec::new();
         for morsel_rows in [1, 64, 4096] {
@@ -1548,7 +1617,7 @@ mod tests {
                 let got = execute(plan, resolver, &mut meter, &opts, Some(&mut ops), None);
                 let label = format!("{threads} threads, morsel {morsel_rows}");
                 spent.push(got.expect_err(&format!("{label}: completed")).spent);
-                assert_eq!(ops.len(), 2, "{label}: {ops:?}");
+                assert_eq!(ops.len(), slots, "{label}: {ops:?}");
                 for (got, want) in ops.iter().zip(full) {
                     assert_eq!(
                         (got.rows_in, got.rows_out, got.probes, got.units),
@@ -1594,7 +1663,7 @@ mod tests {
         assert!(matches > 500_000, "{matches} matches");
         let before_emit: f64 = full[..3].iter().map(|o| o.units).sum::<f64>();
         let budget = before_emit - matches as f64 * ROW_COST / 2.0;
-        assert_times_out_in_first_step(&plan, &resolver, budget, &full);
+        assert_times_out_after(&plan, &resolver, budget, &full, 2);
     }
 
     /// `fact ⋈ dim` through an index on `dim.k`. The driver filter
@@ -1655,7 +1724,7 @@ mod tests {
         let before: f64 = full[..2].iter().map(|o| o.units).sum();
         let budget =
             before + step.rows_in as f64 * ROW_COST + step.probes as f64 * RANDOM_PAGE_COST;
-        let spent = assert_times_out_in_first_step(&plan, &resolver, budget, &full);
+        let spent = assert_times_out_after(&plan, &resolver, budget, &full, 2);
         assert!(
             spent.iter().all(|s| s.to_bits() == spent[0].to_bits()),
             "{spent:?}"
@@ -1676,6 +1745,146 @@ mod tests {
             (10_000, 10, 100_000)
         );
         let before: f64 = full[..2].iter().map(|o| o.units).sum();
-        assert_times_out_in_first_step(&plan, &resolver, before + step.units / 4.0, &full);
+        assert_times_out_after(&plan, &resolver, before + step.units / 4.0, &full, 2);
+    }
+
+    /// Run `plan` at `budget` without a pool and with one, Metered and
+    /// Observed (every page fits, so Observed charges the modeled pages).
+    /// A pool run never prices the consumer ahead: it fills, then the
+    /// consumer's own charge refuses. Both must agree on the verdict and
+    /// the completed slots' work; on the units spent too when
+    /// `same_spent` (the look-ahead priced exactly what refused), else
+    /// the pool run spent more: it also paid for what the consumer
+    /// charges before the refused one.
+    fn assert_pool_runs_agree(
+        plan: &PhysicalPlan,
+        resolver: &Resolver<'_>,
+        budget: f64,
+        same_spent: bool,
+    ) {
+        let run = |pool: Option<PoolOpts<'static>>| {
+            let opts = ExecOpts {
+                pool,
+                ..ExecOpts::default()
+            };
+            let mut ops = Vec::new();
+            let mut meter = CostMeter::with_budget(budget);
+            let got = execute(plan, resolver, &mut meter, &opts, Some(&mut ops), None);
+            let work: Vec<_> = ops
+                .iter()
+                .map(|o| (o.rows_in, o.rows_out, o.probes, o.units))
+                .collect();
+            (got.map(|_| meter.units()).map_err(|e| e.spent), work)
+        };
+        let (plain, plain_work) = run(None);
+        for policy in [ChargePolicy::Metered, ChargePolicy::Observed] {
+            let (pooled, work) = run(Some(PoolOpts {
+                policy,
+                ..PoolOpts::new(1024)
+            }));
+            assert_eq!(work, plain_work, "{policy:?} at {budget}");
+            match (plain, pooled) {
+                (Ok(a), Ok(b)) => assert_eq!(a.to_bits(), b.to_bits(), "{policy:?}"),
+                (Err(a), Err(b)) if same_spent => {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{policy:?} at {budget}")
+                }
+                (Err(a), Err(b)) => assert!(b > a, "{policy:?} at {budget}: {b} <= {a}"),
+                _ => panic!("{policy:?} at {budget}: {plain:?} without a pool, {pooled:?} with"),
+            }
+        }
+    }
+
+    /// `sql` over [`skewed_db`] ends in a hash join whose output feeds
+    /// `finish`, and `charges(n)` lists in charge order, in units, what
+    /// `finish` charges up front for that join's `n` tuples. A budget
+    /// inside each charge times out with the join's slot reported, at any
+    /// thread count and morsel size, and with or without a pool; a budget
+    /// of twice the total completes with the same units either way.
+    fn assert_finish_entry_trips(sql: &str, charges: impl Fn(u64) -> Vec<f64>) {
+        let db = skewed_db();
+        let built = BuiltConfiguration::build(Configuration::named("p"), &db);
+        let plan = Session::new(&db, &built)
+            .plan_query(&parse(sql).unwrap())
+            .unwrap();
+        let last = plan.steps.last().map(|s| &s.method);
+        assert!(matches!(last, Some(JoinMethod::Hash)), "{sql}: {last:?}");
+        let resolver = Resolver::new(&db, &built);
+        let full = full_run(&plan, &resolver);
+        let step = plan.steps.len() + 1;
+        let n = full[step].rows_out;
+        assert!(n > 500_000, "{sql}: {n} tuples");
+        let through: f64 = full[..=step].iter().map(|o| o.units).sum();
+        let mut before = 0.0;
+        for c in charges(n) {
+            assert!(c > 0.0, "{sql}");
+            let budget = through + before + c / 2.0;
+            assert_times_out_after(&plan, &resolver, budget, &full, step + 1);
+            assert_pool_runs_agree(&plan, &resolver, budget, true);
+            before += c;
+        }
+        let total: f64 = full.iter().map(|o| o.units).sum();
+        assert_pool_runs_agree(&plan, &resolver, 2.0 * total, true);
+    }
+
+    #[test]
+    fn projection_entry_charge_trips_before_the_fill() {
+        assert_finish_entry_trips("SELECT f.k FROM fact f, dim d WHERE f.k = d.k", |n| {
+            vec![n as f64 * ROW_COST]
+        });
+    }
+
+    #[test]
+    fn spilling_group_by_entry_charges_trip_before_the_fill() {
+        let sql = "SELECT f.k, COUNT(*) FROM fact f, dim d WHERE f.k = d.k GROUP BY f.k";
+        assert_finish_entry_trips(sql, |n| {
+            let spill = spill_pages(n, 0) as f64 * SEQ_PAGE_COST;
+            vec![spill, n as f64 * ROW_COST]
+        });
+    }
+
+    #[test]
+    fn count_distinct_entry_charges_trip_before_the_fill() {
+        let sql = "SELECT COUNT(DISTINCT d.k) FROM fact f, dim d WHERE f.k = d.k";
+        assert_finish_entry_trips(sql, |n| {
+            let spill = spill_pages(n, 0) as f64 * SEQ_PAGE_COST;
+            vec![spill, n as f64 * ROW_COST, n as f64 * ROW_COST]
+        });
+    }
+
+    /// `fact ⋈ dim ⋈ tag`, joined in that order: the first step's half a
+    /// million tuples are the second's outer input, and a budget that
+    /// cannot pay a row for each times out with the first step reported.
+    #[test]
+    fn next_steps_outer_charge_trips_before_the_fill() {
+        let db = skewed_db();
+        let built = BuiltConfiguration::build(Configuration::named("p"), &db);
+        let sql = "SELECT COUNT(*) FROM fact f, dim d, tag t WHERE f.k = d.k AND d.k = t.k";
+        let mut plan = Session::new(&db, &built)
+            .plan_query(&parse(sql).unwrap())
+            .unwrap();
+        let sources: Vec<&str> = plan.query.rels.iter().map(|r| r.source.as_str()).collect();
+        assert_eq!(sources, ["fact", "dim", "tag"]);
+        let scan = |rel| RelOp {
+            rel,
+            access: Access::Seq,
+            filters: vec![],
+            ranges: vec![],
+            freqs: vec![],
+        };
+        let hash = |rel, outer| JoinStep {
+            inner: scan(rel),
+            method: JoinMethod::Hash,
+            pairs: vec![((outer, 0), 0)],
+        };
+        plan.driver = scan(0);
+        plan.steps = vec![hash(1, 0), hash(2, 1)];
+        let resolver = Resolver::new(&db, &built);
+        let full = full_run(&plan, &resolver);
+        let n = full[2].rows_out;
+        assert!(n > 500_000, "{n} tuples");
+        let through: f64 = full[..3].iter().map(|o| o.units).sum();
+        let budget = through + n as f64 * ROW_COST / 2.0;
+        assert_times_out_after(&plan, &resolver, budget, &full, 3);
+        assert_pool_runs_agree(&plan, &resolver, budget, false);
     }
 }

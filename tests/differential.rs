@@ -14,13 +14,17 @@
 //! dozen rows first; the families are enumerated against the truncated
 //! database so template constants still reference live values.
 
+use std::collections::HashSet;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tab_bench::advisor::{one_column_configuration, p_configuration};
 use tab_bench::datagen::{generate_nref, generate_tpch, Distribution, NrefParams, TpchParams};
 use tab_bench::engine::{
-    bind, execute, naive, ChargePolicy, CostMeter, ExecOpts, OpActuals, PoolOpts, Resolver, Session,
+    bind, execute, naive, ChargePolicy, CostMeter, ExecOpts, OpActuals, PoolOpts, Resolver,
+    Session, DEFAULT_MORSEL_ROWS,
 };
+use tab_bench::eval::{build_1c, build_p, prepare_workload, BenchSpec, Suite};
 use tab_bench::families::Family;
 use tab_bench::sqlq::{CmpOp, Predicate, Query};
 use tab_bench::storage::{BuiltConfiguration, Database, Parallelism, Table, Value};
@@ -353,4 +357,82 @@ fn tpch_families_match_naive() {
     );
     check_family(Family::UnTH3J, &unif);
     check_family_with_nulls(Family::UnTH3J, &unif, 0xD1FF + 2);
+}
+
+/// Every query of the small NREF3J, SkTH3Js and UnTH3J workloads that
+/// times out at the small budget under `P` or `1C` (each distinct
+/// execution once) reports, at 1, 2 and 4 query threads and two morsel
+/// sizes, the leading operator slots of the same plan run with no unit
+/// budget. Such a run still stops at `BUDGET_ROW_CAP` rows. Where it
+/// completes, the timeout holds fewer slots than it, and its units are
+/// the verdict boundary: Done at that budget, a timeout one `f64` below.
+/// Where the row cap stops it, no budget completes the query.
+#[test]
+fn small_timeouts_report_the_leading_slots_of_an_unbudgeted_run() {
+    let spec = BenchSpec::small();
+    let suite = Suite::build(spec);
+    let (mut timeouts, mut row_capped) = (0, 0);
+    for (family, label, db) in [
+        (Family::Nref3J, "NREF", &suite.nref),
+        (Family::SkTH3Js, "SkTH", &suite.skth),
+        (Family::UnTH3J, "UnTH", &suite.unth),
+    ] {
+        let p = build_p(db, label);
+        let c1 = build_1c(db, label);
+        let mut seen = HashSet::new();
+        for (qi, q) in prepare_workload(&suite, family, &p).iter().enumerate() {
+            for (cname, built) in [("P", &p), ("1C", &c1)] {
+                let session = Session::new(db, built);
+                let plan = session.plan_query(q).expect("family query plans");
+                if !seen.insert(session.execution_key(&plan, None)) {
+                    continue;
+                }
+                let resolver = Resolver::new(db, built);
+                let run = |opts: &ExecOpts<'_>, budget: f64, ops: Option<&mut Vec<OpActuals>>| {
+                    let mut meter = CostMeter::with_budget(budget);
+                    execute(&plan, &resolver, &mut meter, opts, ops, None).map(|_| meter.units())
+                };
+                let label = format!("{} query {qi} under {cname}", family.name());
+                if run(&ExecOpts::default(), spec.timeout_units, None).is_ok() {
+                    continue;
+                }
+                timeouts += 1;
+                let mut full = Vec::new();
+                let completed = run(&ExecOpts::default(), f64::MAX, Some(&mut full));
+                // A completed run holds every slot; a row-capped one may
+                // stop where the timeout does.
+                let most = full.len() - usize::from(completed.is_ok());
+                for threads in [1, 2, 4] {
+                    for morsel_rows in [64, DEFAULT_MORSEL_ROWS] {
+                        let opts = ExecOpts {
+                            par: Parallelism::new(threads),
+                            morsel_rows,
+                            ..ExecOpts::default()
+                        };
+                        let mut ops = Vec::new();
+                        let cut = run(&opts, spec.timeout_units, Some(&mut ops));
+                        let at = format!("{label}, {threads} query-threads, morsel {morsel_rows}");
+                        assert!(cut.is_err(), "{at}: completed");
+                        assert!(
+                            ops.len() <= most
+                                && ops.iter().zip(&full).all(|(a, b)| same_work(a, b)),
+                            "{at}: {ops:?} is not a prefix of {full:?}"
+                        );
+                    }
+                }
+                match completed {
+                    Ok(units) => {
+                        assert!(run(&ExecOpts::default(), units, None).is_ok(), "{label}");
+                        let below = run(&ExecOpts::default(), units.next_down(), None);
+                        assert!(below.is_err(), "{label}: no timeout below the total");
+                    }
+                    Err(_) => row_capped += 1,
+                }
+            }
+        }
+    }
+    // The small run's golden grid times out 3 + 5 + 1 of these queries
+    // under each of `P` and `1C`: 18 runs, 14 distinct executions, one
+    // of them (SkTH3Js query 26) past the row cap.
+    assert_eq!((timeouts, row_capped), (14, 1));
 }
