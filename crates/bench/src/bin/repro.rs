@@ -29,9 +29,9 @@
 //!   `enospc:<file>[:N]` fails the Nth write of a named artifact,
 //!   `panic:cell:<family>/<config>` poisons one grid cell,
 //!   `truncate:trace:N` tears the trace after N lines. See DESIGN.md §10.
-//! - `--resume`       replay the grid cells checkpointed by a previous
-//!   interrupted run in the same `--out` directory; outputs are
-//!   byte-identical to an uninterrupted run.
+//!   A failed run is rerun: every artifact is written atomically and
+//!   the run is deterministic, so a clean rerun into the same `--out`
+//!   writes what an uninterrupted run would have.
 //! - `--buffer-pages N`  run every grid query through an N-frame buffer
 //!   pool with clock eviction and spill-to-disk (0 = off, the default).
 //!   Eviction is a pure function of the logical access stream, so all
@@ -54,7 +54,7 @@ fn usage(error: &str) -> ! {
     eprintln!(
         "usage: repro [--small] [--threads N] [--query-threads N] [--morsel-rows N] \
          [--buffer-pages N] [--charge observed|metered] \
-         [--check] [--expect FILE] [--out DIR] [--trace FILE] [--faults SPEC] [--resume]"
+         [--check] [--expect FILE] [--out DIR] [--trace FILE] [--faults SPEC]"
     );
     std::process::exit(2);
 }
@@ -78,10 +78,6 @@ fn main() -> ExitCode {
         Ok(s) => s,
         Err(e) => {
             eprintln!("repro failed: {e}");
-            eprintln!(
-                "completed grid cells are checkpointed in {}; rerun with --resume to continue",
-                cfg.out_dir.display()
-            );
             return ExitCode::from(2);
         }
     };

@@ -7,12 +7,11 @@
 //! |---|---|---|
 //! | `small` | `repro --small --threads 2 --trace` | every file but `timings.json` equals `golden_small/`; claim verdicts agree with `expected_claims_small.csv`; `timings.json`'s `reused` counts sum to `SMALL_REUSED` |
 //! | `trace` | structural diff of that trace against `golden_trace_small.jsonl`, tolerance 1e-6, then the two as sorted line multisets | clean and byte-equal up to line order; the golden's `tab replay` summary equals `golden_replay_small.txt`; an `IndexScan`→`HashScan` copy fails the diff with the report in `golden_tracediff_small.json`; a copy missing its last 40 bytes fails `replay` |
-//! | `threads` | `repro --small --threads 1` | output equals `golden_small/` |
+//! | `threads` | `repro --small --threads 1 --faults panic:cell:NREF3J/NREF_1C`, then the same run without faults into the same directory | the crash is a typed grid error naming the cell, its 6 siblings completed; the rerun's output equals `golden_small/` |
 //! | `memcap` | `--buffer-pages 64 --charge metered` | output equals `golden_small/` except `BENCH_io.json`, which equals `golden_pool64/` |
-//! | `resume` | `--faults panic:cell:NREF3J/NREF_1C`, then `--resume` | the crash is a typed grid error naming the cell with 6 cells journaled; the resumed output equals `golden_small/` and the journal is gone |
 //! | `serve` | in-process server on `nref:800`, 32 requests over 16 NREF2J queries, at 1 and 4 clients | every wire answer is bit-identical to a direct `Session`; the claims equal `expected_serve_small.csv` |
 //! | `kill9` | a `tab serve --wal` child with `drop:conn:2`, SIGKILLed after 5 of 12 acks, then restarted | `STATS` shows the lost ack deduped and 5 records recovered, generation 12, and 6/6 read-backs bit-identical to an uninterrupted engine |
-//! | `formats` | `fixtures/wal_v1.jsonl` and `fixtures/checkpoint_v1.jsonl`, written by an earlier build | the WAL replays record-verified and reads back like an engine that applied the same inserts fresh; the journal resumes to `golden_small/` |
+//! | `formats` | `fixtures/wal_v1.jsonl`, written by an earlier build | the WAL replays record-verified and reads back like an engine that applied the same inserts fresh |
 //!
 //! A change that is meant to alter an output regenerates the golden it
 //! breaks, so the diff shows up in review:
@@ -30,11 +29,9 @@
 //! rm hashscan.jsonl
 //! ```
 //!
-//! The fixtures pin the on-disk formats across versions. The journal is
-//! what `repro --small --threads 2 --faults panic:cell:NREF3J/NREF_1C`
-//! leaves behind; the WAL is what `tab serve --db nref:300 --wal` logs
-//! for the keyed requests `INSERT p fixture:<i+1> <insert_sql(i)>`,
-//! `i` in `0..12`.
+//! The fixture pins the WAL's on-disk format across versions: it is what
+//! `tab serve --db nref:300 --wal` logs for the keyed requests
+//! `INSERT p fixture:<i+1> <insert_sql(i)>`, `i` in `0..12`.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::SocketAddr;
@@ -95,12 +92,11 @@ struct Gate<'a> {
 
 type Row = fn(&Gate<'_>) -> Result<(), Broken>;
 
-const ROWS: [(&str, Row); 8] = [
+const ROWS: [(&str, Row); 7] = [
     ("small", small),
     ("trace", trace),
     ("threads", threads),
     ("memcap", memcap),
-    ("resume", resume),
     ("serve", serve),
     ("kill9", kill9),
     ("formats", formats),
@@ -153,7 +149,6 @@ fn small_config(g: &Gate<'_>, dir: &str, threads: usize) -> ReproConfig {
         out_dir: g.scratch.join(dir),
         trace: None,
         faults: None,
-        resume: false,
     }
 }
 
@@ -280,8 +275,22 @@ fn trace(g: &Gate<'_>) -> Result<(), Broken> {
     Ok(())
 }
 
+/// A poisoned cell fails the run with a typed error naming it while its
+/// six sibling cells complete; a clean rerun into the same directory
+/// then writes the golden output.
 fn threads(g: &Gate<'_>) -> Result<(), Broken> {
-    let cfg = small_config(g, "threads1", 1);
+    let mut cfg = ReproConfig {
+        faults: Some(FaultPlan::parse("panic:cell:NREF3J/NREF_1C").expect("valid fault spec")),
+        ..small_config(g, "threads1", 1)
+    };
+    match run_all(&cfg) {
+        Err(ReproError::Grid { message })
+            if message.starts_with("1 grid cell(s) failed (6 completed)")
+                && message.contains("NREF3J/NREF_1C") => {}
+        Err(e) => return Err(broken(&cfg.out_dir, format!("wrong crash: {e}"))),
+        Ok(_) => return Err(broken(&cfg.out_dir, "the poisoned run succeeded")),
+    }
+    cfg.faults = None;
     run(&cfg)?;
     same_as_golden(&cfg.out_dir, &g.ci.join("golden_small"), &[])
 }
@@ -296,43 +305,6 @@ fn memcap(g: &Gate<'_>) -> Result<(), Broken> {
         &cfg.out_dir.join("BENCH_io.json"),
         &g.ci.join("golden_pool64").join("BENCH_io.json"),
     )
-}
-
-fn resume(g: &Gate<'_>) -> Result<(), Broken> {
-    let mut cfg = ReproConfig {
-        faults: Some(FaultPlan::parse("panic:cell:NREF3J/NREF_1C").expect("valid fault spec")),
-        ..small_config(g, "resume", 2)
-    };
-    let journal = cfg.out_dir.join("repro.checkpoint.jsonl");
-    match run_all(&cfg) {
-        Err(ReproError::Grid { message }) if message.contains("NREF3J/NREF_1C") => {}
-        Err(e) => return Err(broken(&cfg.out_dir, format!("wrong crash: {e}"))),
-        Ok(_) => return Err(broken(&cfg.out_dir, "the poisoned run succeeded")),
-    }
-    let cells = read_text(&journal)?
-        .lines()
-        .filter(|l| l.contains("\"kind\":\"cell\""))
-        .count();
-    if cells != 6 {
-        return Err(broken(
-            journal,
-            format!("{cells} cells journaled, expected 6"),
-        ));
-    }
-    cfg.faults = None;
-    cfg.resume = true;
-    resumed_equals_golden(g, &cfg)
-}
-
-/// Resume `cfg` (its journal already in place) and require the golden
-/// output with the journal gone.
-fn resumed_equals_golden(g: &Gate<'_>, cfg: &ReproConfig) -> Result<(), Broken> {
-    run(cfg)?;
-    let journal = cfg.out_dir.join("repro.checkpoint.jsonl");
-    if journal.exists() {
-        return Err(broken(journal, "the journal outlived a successful resume"));
-    }
-    same_as_golden(&cfg.out_dir, &g.ci.join("golden_small"), &[])
 }
 
 // ---------------------------------------------------------------- serving rows
@@ -645,19 +617,7 @@ fn formats(g: &Gate<'_>) -> Result<(), Broken> {
             }
         }
     }
-
-    // The journal: a run interrupted by an earlier build resumes to the
-    // golden output.
-    let journal = g.ci.join("fixtures").join("checkpoint_v1.jsonl");
-    let mut cfg = small_config(g, "formats", 2);
-    cfg.resume = true;
-    std::fs::create_dir_all(&cfg.out_dir)
-        .and_then(|()| std::fs::copy(&journal, cfg.out_dir.join("repro.checkpoint.jsonl")))
-        .map_err(|e| broken(&journal, e.to_string()))?;
-    resumed_equals_golden(g, &cfg).map_err(|b| Broken {
-        message: format!("resuming {}: {}", journal.display(), b.message),
-        ..b
-    })
+    Ok(())
 }
 
 // ---------------------------------------------------------------- helpers

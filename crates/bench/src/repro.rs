@@ -21,9 +21,9 @@ use tab_core::report::{
 use tab_core::{
     build_1c_par, build_p, estimate_workload, estimate_workload_hypothetical, improvement_ratios,
     insertion_breakeven, io_bench_json, prepare_workload_db_with, run_grid, space_budget,
-    table1_row, timings_json, Accepts, Args, BenchSpec, CellTiming, Cfc, CheckpointError,
-    CheckpointJournal, FaultPlan, Faults, FileTraceSink, Goal, GridCell, GridError, IoBenchCell,
-    LogHistogram, RatioHistogram, Trace, WorkloadRun,
+    table1_row, timings_json, Accepts, Args, BenchSpec, CellTiming, Cfc, FaultPlan, Faults,
+    FileTraceSink, Goal, GridCell, GridError, IoBenchCell, LogHistogram, RatioHistogram, Trace,
+    WorkloadRun,
 };
 use tab_datagen::{
     generate_nref_checked, generate_tpch_checked, Distribution, NrefParams, TpchParams,
@@ -35,7 +35,7 @@ use tab_storage::{BuiltConfiguration, Configuration, Database, Pager};
 /// The flags `repro` reads: the spec's (see [`BenchSpec::from_args`])
 /// and the operational ones, which never change an output byte.
 pub const REPRO_FLAGS: Accepts = Accepts {
-    switches: &["small", "check", "resume"],
+    switches: &["small", "check"],
     options: &[
         "threads",
         "query-threads",
@@ -65,10 +65,6 @@ pub struct ReproConfig {
     /// see [`FaultPlan::parse`] for the spec grammar. `None` costs one
     /// branch per probe site.
     pub faults: Option<FaultPlan>,
-    /// Resume an interrupted run: grid cells journaled by a previous
-    /// (crashed or fault-killed) run in the same `out_dir` are replayed
-    /// bit-exactly; only the missing cells execute.
-    pub resume: bool,
 }
 
 impl ReproConfig {
@@ -86,15 +82,15 @@ impl ReproConfig {
             out_dir: PathBuf::from(args.get("out").unwrap_or(default_out)),
             trace: args.get("trace").map(PathBuf::from),
             faults: args.faults().map_err(|e| format!("--faults: {e}"))?,
-            resume: args.switch("resume"),
         })
     }
 }
 
 /// Why a reproduction run could not produce its full output set. Every
 /// variant names the artifact or subsystem that failed, so an operator
-/// (or CI log reader) knows exactly what is missing and whether
-/// `--resume` will help.
+/// (or CI log reader) knows exactly what is missing. The run is
+/// deterministic, so a clean rerun into the same `out_dir` writes what
+/// an uninterrupted run would have.
 #[derive(Debug)]
 pub enum ReproError {
     /// An artifact under `out_dir` could not be written. The underlying
@@ -106,8 +102,7 @@ pub enum ReproError {
         source: io::Error,
     },
     /// A database generator crashed (`panic:build:<table>`, caught) or
-    /// hit an injected I/O failure (`enospc:datagen`). Generators are
-    /// deterministic for a fixed seed, so a rerun resumes bit-exactly.
+    /// hit an injected I/O failure (`enospc:datagen`).
     Datagen {
         /// Label of the database being generated (NREF, SkTH, UnTH).
         label: String,
@@ -115,28 +110,14 @@ pub enum ReproError {
         message: String,
     },
     /// One or more grid cells panicked (injected poisoned cell or a
-    /// real bug); completed sibling cells were checkpointed, so
-    /// `--resume` re-executes only the failed ones.
+    /// real bug); their sibling cells still completed.
     Grid {
         /// Rendered [`GridError`] listing the failed cells.
         message: String,
     },
-    /// The checkpoint journal could not be written or read — crash
-    /// consistency is compromised.
-    Journal {
-        /// The journal's path.
-        path: PathBuf,
-        /// Underlying I/O failure.
-        source: io::Error,
-    },
-    /// `--resume` was refused (parameter fingerprint mismatch).
-    Resume {
-        /// What disagreed.
-        message: String,
-    },
     /// The trace sink swallowed a write failure (injected or real); the
     /// partial trace is left at `<path>.tmp` and the run fails *after*
-    /// writing its artifacts but *before* discarding the journal.
+    /// writing its artifacts.
     TraceSink {
         /// Final path the trace would have been published to.
         path: PathBuf,
@@ -155,12 +136,6 @@ impl std::fmt::Display for ReproError {
                 write!(f, "generating {label} failed: {message}")
             }
             ReproError::Grid { message } => write!(f, "measurement grid failed: {message}"),
-            ReproError::Journal { path, source } => write!(
-                f,
-                "cannot write checkpoint journal {}: {source}",
-                path.display()
-            ),
-            ReproError::Resume { message } => write!(f, "cannot resume: {message}"),
             ReproError::TraceSink { path, message } => {
                 write!(f, "trace sink {} failed: {message}", path.display())
             }
@@ -338,8 +313,8 @@ fn pager_step(spec: &BenchSpec, label: &str, db: &Database) -> Result<Option<Pag
         })
 }
 
-/// Run one checkpointed grid, translating grid failures to
-/// [`ReproError`], and log how many of its queries reused an execution.
+/// Run one grid, translating a poisoned cell to [`ReproError::Grid`],
+/// and log how many of its queries reused an execution.
 fn grid_step(
     ctx: &Ctx,
     label: &str,
@@ -347,16 +322,9 @@ fn grid_step(
     cells: &[GridCell<'_>],
     trace: Trace<'_>,
     faults: Faults<'_>,
-    journal: &CheckpointJournal,
 ) -> Result<Vec<(WorkloadRun, CellTiming)>, ReproError> {
-    let grid = run_grid(spec, cells, trace, faults, Some(journal)).map_err(|e| match e {
-        GridError::Poisoned { .. } => ReproError::Grid {
-            message: e.to_string(),
-        },
-        GridError::Journal(source) => ReproError::Journal {
-            path: journal.path().to_path_buf(),
-            source,
-        },
+    let grid = run_grid(spec, cells, trace, faults).map_err(|e: GridError| ReproError::Grid {
+        message: e.to_string(),
     })?;
     let queries: usize = grid.iter().map(|(_, t)| t.queries).sum();
     let reused: usize = grid.iter().map(|(_, t)| t.reused).sum();
@@ -369,10 +337,10 @@ fn grid_step(
 
 /// Run the full reproduction.
 ///
-/// On success every artifact is in place and the checkpoint journal is
-/// removed. On failure the journal (listing every completed grid cell)
-/// stays in `out_dir`, so a rerun with [`ReproConfig::resume`] replays
-/// the journaled cells bit-exactly and executes only the missing ones.
+/// On success every artifact is in place. Each artifact is written via
+/// write-temp-then-rename, so a failed run leaves no half-written file;
+/// a clean rerun into the same `out_dir` then replaces every artifact
+/// with the bytes an uninterrupted run writes.
 pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
     std::fs::create_dir_all(&cfg.out_dir).map_err(|source| ReproError::Artifact {
         path: cfg.out_dir.clone(),
@@ -382,21 +350,7 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
         Some(plan) => Faults::to(plan),
         None => Faults::disabled(),
     };
-
-    // The journal is always armed — crash consistency is the default,
-    // not an opt-in. With `resume` it additionally loads the cells a
-    // previous interrupted run completed.
-    let journal_path = cfg.out_dir.join("repro.checkpoint.jsonl");
     let spec = &cfg.spec;
-    let journal = CheckpointJournal::open(&journal_path, &spec.fingerprint(), cfg.resume).map_err(
-        |e| match e {
-            CheckpointError::Io(source) => ReproError::Journal {
-                path: journal_path.clone(),
-                source,
-            },
-            CheckpointError::Mismatch { message } => ReproError::Resume { message },
-        },
-    )?;
 
     let t0 = Instant::now();
     let mut ctx = Ctx {
@@ -414,13 +368,6 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
     ctx.log(&format!("parallelism: {} threads", par.threads()));
     if let Some(plan) = &cfg.faults {
         ctx.log(&format!("fault plan armed: {plan}"));
-    }
-    if cfg.resume {
-        ctx.log(&format!(
-            "resume: replaying {} journaled grid cell(s) from {}",
-            journal.cells(),
-            journal_path.display()
-        ));
     }
 
     // Optional structured trace, staged at `<path>.tmp` and published
@@ -590,7 +537,7 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
         cells.push(cell("NREF2J", a, &w2));
     }
     let mut grid: std::collections::VecDeque<(WorkloadRun, CellTiming)> =
-        grid_step(&ctx, "NREF", spec, &cells, trace, faults, &journal)?.into();
+        grid_step(&ctx, "NREF", spec, &cells, trace, faults)?.into();
     drop(cells);
     let mut take = |ctx: &mut Ctx| -> WorkloadRun {
         let (run, timing) = grid.pop_front().expect("one result per grid cell");
@@ -1106,7 +1053,7 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
                 })
             })
             .collect();
-        let mut grid = grid_step(&ctx, label, spec, &cells, trace, faults, &journal)?.into_iter();
+        let mut grid = grid_step(&ctx, label, spec, &cells, trace, faults)?.into_iter();
         drop(cells);
 
         for (fam, _w, built) in &preps {
@@ -1319,11 +1266,10 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
     let io_bench = io_bench_json(spec, &ctx.io_cells);
     ctx.bytes("BENCH_io.json", io_bench.as_bytes())?;
 
-    // Publish the trace before discarding the journal: a sink that
-    // silently swallowed a write failure (injected `enospc:trace` /
-    // `truncate:trace`, or a real full disk) must fail the run while a
-    // `--resume` is still possible. The partial trace stays at
-    // `<path>.tmp`.
+    // Publish the trace last: a sink that silently swallowed a write
+    // failure (injected `enospc:trace` / `truncate:trace`, or a real
+    // full disk) fails the run after every artifact is written, and the
+    // partial trace stays at `<path>.tmp`.
     if let Some(s) = sink {
         let path = s.finish().map_err(|e| ReproError::TraceSink {
             path: cfg.trace.clone().unwrap_or_default(),
@@ -1331,14 +1277,6 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
         })?;
         ctx.log(&format!("trace published to {}", path.display()));
     }
-
-    // Every artifact is on disk; the run is no longer resumable because
-    // there is nothing left to redo. Drop the journal so output
-    // directories of successful runs stay snapshot-clean.
-    journal.finish().map_err(|source| ReproError::Journal {
-        path: journal_path,
-        source,
-    })?;
 
     ctx.log_section_end(&format!(
         "done: {}/{} claims hold",
@@ -1399,7 +1337,6 @@ mod tests {
         out: &'static str,
         trace: Option<&'static str>,
         faults: Option<&'static str>,
-        resume: bool,
         check: bool,
         expect: Option<&'static str>,
     }
@@ -1428,7 +1365,6 @@ mod tests {
             out,
             trace: None,
             faults: None,
-            resume: false,
             check: false,
             expect: None,
         };
@@ -1436,13 +1372,6 @@ mod tests {
         const POISON: &str = "panic:cell:NREF3J/NREF_1C";
         let cases = [
             ("", run(BenchSpec::paper(), "results")),
-            (
-                "--resume",
-                Want {
-                    resume: true,
-                    ..run(BenchSpec::paper(), "results")
-                },
-            ),
             ("--small", run(small(0), "results-small")),
             ("--small --threads 4", run(small(4), "results-small")),
             ("--small --threads 1", run(small(1), "results-small")),
@@ -1493,11 +1422,8 @@ mod tests {
                 },
             ),
             (
-                "--small --out results-chaos --resume",
-                Want {
-                    resume: true,
-                    ..run(small(0), "results-chaos")
-                },
+                "--small --out results-chaos",
+                run(small(0), "results-chaos"),
             ),
             (
                 "--small --faults truncate:trace:40 --trace trace.jsonl",
@@ -1508,10 +1434,9 @@ mod tests {
                 },
             ),
             (
-                "--faults enospc:claims.csv --resume",
+                "--faults enospc:claims.csv",
                 Want {
                     faults: Some("enospc:claims.csv"),
-                    resume: true,
                     ..run(BenchSpec::paper(), "results")
                 },
             ),
@@ -1538,7 +1463,6 @@ mod tests {
                     .map(|s| FaultPlan::parse(s).unwrap().to_string()),
                 "{line}"
             );
-            assert_eq!(cfg.resume, want.resume, "{line}");
             assert_eq!(args.switch("check"), want.check, "{line}");
             assert_eq!(args.get("expect"), want.expect, "{line}");
         }
@@ -1548,6 +1472,7 @@ mod tests {
     fn usage_errors_name_what_is_wrong() {
         for (line, want) in [
             ("--no-such-flag", "unknown flag `--no-such-flag`"),
+            ("--resume", "unknown flag `--resume`"),
             ("--small 3", "--small takes no value, got `3`"),
             ("--threads", "--threads needs a value"),
             ("--threads two", "flag --threads: cannot parse `two`"),

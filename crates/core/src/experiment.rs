@@ -121,34 +121,6 @@ impl BenchSpec {
         Ok(spec)
     }
 
-    /// The checkpoint journal's fingerprint: every field that shapes the
-    /// grid's outcomes. The thread fields are excluded, since results
-    /// are identical at any parallelism, so a run interrupted at 4
-    /// threads may resume at 1. The morsel size is excluded for the same
-    /// reason.
-    pub fn fingerprint(&self) -> String {
-        let mut fp = format!(
-            "seed={};nref={};tpch_scale_bits={};workload={};timeout_bits={}",
-            self.seed,
-            self.nref_proteins,
-            self.tpch_scale.to_bits(),
-            self.workload_size,
-            self.timeout_units.to_bits()
-        );
-        // The buffer pool changes charged units (Observed mode) and the
-        // journalled I/O counters, so pooled runs get their own journal
-        // lineage. Pool-less runs keep the historical fingerprint so old
-        // journals stay resumable.
-        if self.buffer_pages > 0 {
-            fp.push_str(&format!(
-                ";pool={};charge={}",
-                self.buffer_pages,
-                self.charge.name()
-            ));
-        }
-        fp
-    }
-
     /// The options one measured query executes under, its pool (when
     /// `buffer_pages > 0`) backed by `pager`. Tracing and fault sites
     /// start disabled; the grid arms them per job.
@@ -447,49 +419,6 @@ mod tests {
 
     fn tiny_suite() -> Suite {
         Suite::build(tiny_params())
-    }
-
-    /// The small preset's fingerprint is the header of the journal an
-    /// earlier build wrote (`ci/fixtures/checkpoint_v1.jsonl`), so that
-    /// journal stays resumable; thread and morsel settings never enter
-    /// it, and a pooled run appends its pool.
-    #[test]
-    fn fingerprints_are_pinned() {
-        const SMALL: &str = "seed=2005;nref=1500;tpch_scale_bits=4571261708172110332;\
-                             workload=30;timeout_bits=4659914996468154368";
-        let small = BenchSpec::small();
-        assert_eq!(small.fingerprint(), SMALL);
-        let fixture = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../ci/fixtures/checkpoint_v1.jsonl"
-        );
-        let header = std::fs::read_to_string(fixture).expect("journal fixture");
-        let header = header.lines().next().expect("header line");
-        assert!(
-            header.contains(&format!("\"fingerprint\":\"{SMALL}\"")),
-            "{header}"
-        );
-        let busy = BenchSpec {
-            threads: Parallelism::new(7),
-            query_threads: Parallelism::new(3),
-            morsel_rows: 64,
-            ..small
-        };
-        assert_eq!(busy.fingerprint(), SMALL);
-        let pooled = BenchSpec {
-            buffer_pages: 64,
-            charge: ChargePolicy::Metered,
-            ..small
-        };
-        assert_eq!(
-            pooled.fingerprint(),
-            format!("{SMALL};pool=64;charge=metered")
-        );
-        assert_eq!(
-            BenchSpec::paper().fingerprint(),
-            "seed=2005;nref=10000;tpch_scale_bits=4591870180066957722;\
-             workload=100;timeout_bits=4675043176954724352"
-        );
     }
 
     #[test]

@@ -24,7 +24,6 @@
 //! the same plan, so this skips about a third of the grid's jobs.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::io;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -36,7 +35,6 @@ use tab_storage::{
     par_map_catch, BuiltConfiguration, Database, Faults, JobPanic, Pager, PoolStats, Trace,
 };
 
-use crate::checkpoint::{self, CheckpointJournal};
 use crate::experiment::BenchSpec;
 use crate::measure::WorkloadRun;
 
@@ -72,9 +70,8 @@ pub struct CellTiming {
     pub timeouts: usize,
     /// Queries whose execution key an earlier job in grid order also
     /// holds: they copied that job's execution instead of running the
-    /// plan again. Zero for a cell replayed from the journal, and for
-    /// every cell when the memo is off (a buffer pool, or fault
-    /// injection).
+    /// plan again. Zero for every cell when the memo is off (a buffer
+    /// pool, or fault injection).
     pub reused: usize,
     /// Real wall-clock seconds summed over the cell's queries. Under a
     /// parallel run this is aggregate compute time, not elapsed time; a
@@ -99,22 +96,17 @@ pub struct FailedCell {
     pub panic: JobPanic,
 }
 
-/// Why a checkpointed grid run could not produce a full result set.
+/// Why a grid run could not produce a full result set.
 #[derive(Debug)]
 pub enum GridError {
     /// One or more cells had a panicking job. Every other cell ran to
-    /// completion and — when a journal was attached — was checkpointed,
-    /// so a `--resume` rerun only re-executes the failed cells.
+    /// completion; a rerun executes the whole grid again.
     Poisoned {
         /// The failed cells, in grid order.
         failed: Vec<FailedCell>,
-        /// Cells that completed (executed or replayed) this run.
+        /// Cells that completed this run.
         completed: usize,
     },
-    /// The checkpoint journal itself could not be written; crash
-    /// consistency is compromised even though the grid may have
-    /// finished.
-    Journal(io::Error),
 }
 
 impl std::fmt::Display for GridError {
@@ -123,7 +115,7 @@ impl std::fmt::Display for GridError {
             GridError::Poisoned { failed, completed } => {
                 write!(
                     f,
-                    "{} grid cell(s) failed ({} completed and checkpointed):",
+                    "{} grid cell(s) failed ({} completed):",
                     failed.len(),
                     completed
                 )?;
@@ -136,7 +128,6 @@ impl std::fmt::Display for GridError {
                 }
                 Ok(())
             }
-            GridError::Journal(e) => write!(f, "checkpoint journal write failed: {e}"),
         }
     }
 }
@@ -181,9 +172,7 @@ impl Memo {
 
 /// Per-cell accumulator: jobs land out of order across worker threads,
 /// so each cell collects its outcomes behind a mutex and assembles the
-/// `(WorkloadRun, CellTiming)` pair when its last query completes —
-/// which is the moment the cell is journaled, giving true mid-run crash
-/// consistency rather than journal-at-the-end.
+/// `(WorkloadRun, CellTiming)` pair when its last query completes.
 struct Slab {
     got: Vec<Option<(Outcome, f64, PoolStats)>>,
     filled: usize,
@@ -191,7 +180,7 @@ struct Slab {
 }
 
 /// Execute every cell of the grid and return, per cell in input order,
-/// the workload run and its timing — fault-aware and crash-consistent.
+/// the workload run and its timing — fault-aware and panic-isolated.
 ///
 /// - **Trace**: one `query` event and a set of per-operator `operator`
 ///   events per (cell, query) job go to `trace`. Tracing is
@@ -199,18 +188,10 @@ struct Slab {
 ///   benchmark output are byte-identical to an untraced run. Parallel
 ///   workers interleave event lines, so every event carries the
 ///   `family`/`config`/`query` fields needed to regroup it.
-/// - **Replay**: cells present in `journal` (matched by
-///   `(family, config)` and query count) are *not* executed; their
-///   journaled outcomes are returned bit-exactly. Replayed cells emit
-///   no trace events — a resumed run's trace covers only the work it
-///   actually performed.
-/// - **Checkpoint**: each cell that completes all its queries is
-///   recorded to `journal` immediately, via write-temp-then-rename.
 /// - **Isolation**: a panicking job (injected via
 ///   `panic:cell:<family>/<config>`, or real) fails only its own cell;
-///   sibling cells run to completion and are journaled. The failure
-///   surfaces as [`GridError::Poisoned`].
-///
+///   sibling cells run to completion. The failure surfaces as
+///   [`GridError::Poisoned`], and nothing is kept for a rerun.
 /// - **Reuse**: a job whose [`ExecKey`] another job already executed
 ///   (or is executing: it waits) copies that execution's outcome,
 ///   actuals and pool traffic, and still
@@ -232,28 +213,15 @@ pub fn run_grid(
     cells: &[GridCell<'_>],
     trace: Trace<'_>,
     faults: Faults<'_>,
-    journal: Option<&CheckpointJournal>,
 ) -> Result<Vec<(WorkloadRun, CellTiming)>, GridError> {
-    // Resolve replayed (and degenerate zero-query) cells up front.
+    // A zero-query cell has no job to complete it: resolve it up front.
     let mut resolved: Vec<Option<(WorkloadRun, CellTiming)>> = cells
         .iter()
         .map(|cell| {
-            let config = cell.built.config.name.as_str();
-            if let Some(j) = journal {
-                if let Some(pair) = j.lookup(cell.family, config, cell.workload.len()) {
-                    return Some(pair);
-                }
-            }
-            if cell.workload.is_empty() {
-                return Some(checkpoint::assemble(
-                    cell.family,
-                    config,
-                    Vec::new(),
-                    0.0,
-                    PoolStats::default(),
-                ));
-            }
-            None
+            cell.workload.is_empty().then(|| {
+                let config = &cell.built.config.name;
+                assemble(cell.family, config, Vec::new(), 0.0, PoolStats::default())
+            })
         })
         .collect();
 
@@ -268,12 +236,11 @@ pub fn run_grid(
         })
         .collect();
 
-    // Flatten the *missing* cells to (cell, query) jobs so the dynamic
-    // scheduler balances across cells, exactly as before.
+    // Flatten the grid to (cell, query) jobs so the dynamic scheduler
+    // balances across cells.
     let jobs: Vec<(usize, usize)> = cells
         .iter()
         .enumerate()
-        .filter(|(c, _)| resolved[*c].is_none())
         .flat_map(|(c, cell)| (0..cell.workload.len()).map(move |q| (c, q)))
         .collect();
 
@@ -292,7 +259,7 @@ pub fn run_grid(
         slab.filled += 1;
         if slab.filled == cell.workload.len() {
             // Last query in: assemble in workload order (deterministic
-            // f64 summation) and checkpoint the finished cell.
+            // f64 summation).
             let outcomes: Vec<Outcome> = slab
                 .got
                 .iter()
@@ -307,17 +274,13 @@ pub fn run_grid(
             for s in &slab.got {
                 cell_io.merge(&s.as_ref().expect("slab filled").2);
             }
-            let (run, timing) = checkpoint::assemble(
+            slab.done = Some(assemble(
                 cell.family,
                 &cell.built.config.name,
                 outcomes,
                 wall_seconds,
                 cell_io,
-            );
-            if let Some(j) = journal {
-                j.record(cell.family, &run.config, &run, wall_seconds, faults);
-            }
-            slab.done = Some((run, timing));
+            ));
         }
         key
     });
@@ -350,9 +313,6 @@ pub fn run_grid(
                 .count();
         return Err(GridError::Poisoned { failed, completed });
     }
-    if let Some(e) = journal.and_then(|j| j.io_error()) {
-        return Err(GridError::Journal(e));
-    }
 
     let mut out = Vec::with_capacity(cells.len());
     for (c, slot) in resolved.iter_mut().enumerate() {
@@ -371,6 +331,32 @@ pub fn run_grid(
         }
     }
     Ok(out)
+}
+
+/// Build one cell's `(WorkloadRun, CellTiming)` pair from its outcomes
+/// in workload order. `reused` is filled in once the grid has finished.
+fn assemble(
+    family: &str,
+    config: &str,
+    outcomes: Vec<Outcome>,
+    wall_seconds: f64,
+    io: PoolStats,
+) -> (WorkloadRun, CellTiming) {
+    let run = WorkloadRun {
+        config: config.to_string(),
+        outcomes,
+        io,
+    };
+    let timing = CellTiming {
+        family: family.to_string(),
+        config: run.config.clone(),
+        queries: run.outcomes.len(),
+        timeouts: run.timeout_count(),
+        reused: 0,
+        wall_seconds,
+        cost_units: run.total_lower_bound_units(),
+    };
+    (run, timing)
 }
 
 /// Execute one (cell, query) job, optionally tracing it, under the
@@ -667,7 +653,6 @@ mod tests {
                 &cells,
                 Trace::disabled(),
                 Faults::disabled(),
-                None,
             )
             .expect("clean grid");
             assert_eq!(grid.len(), serial.len());
@@ -736,7 +721,6 @@ mod tests {
             &[cell(x), cell(y)],
             Trace::disabled(),
             Faults::disabled(),
-            None,
         )
         .expect("clean grid");
         assert_eq!(grid[1].1.reused, 0, "the second cell reused the first");
@@ -814,7 +798,7 @@ mod tests {
         };
         let cells = [cell("F1"), cell("F2")];
         let reused = |spec: &BenchSpec, faults| -> Vec<usize> {
-            let grid = run_grid(spec, &cells, Trace::disabled(), faults, None).expect("clean grid");
+            let grid = run_grid(spec, &cells, Trace::disabled(), faults).expect("clean grid");
             grid.iter().map(|(_, t)| t.reused).collect()
         };
         let plain = spec(2);
@@ -843,11 +827,11 @@ mod tests {
             threads: Parallelism::sequential(),
             ..BenchSpec::small()
         };
-        let plain = run_grid(&seq, &cells, Trace::disabled(), Faults::disabled(), None)
-            .expect("clean grid");
+        let plain =
+            run_grid(&seq, &cells, Trace::disabled(), Faults::disabled()).expect("clean grid");
         let sink = tab_storage::MemoryTraceSink::new();
         let traced =
-            run_grid(&seq, &cells, Trace::to(&sink), Faults::disabled(), None).expect("clean grid");
+            run_grid(&seq, &cells, Trace::to(&sink), Faults::disabled()).expect("clean grid");
         for ((a, ta), (b, tb)) in plain.iter().zip(&traced) {
             assert_eq!(format!("{:?}", a.outcomes), format!("{:?}", b.outcomes));
             assert_eq!(ta.cost_units, tb.cost_units);
@@ -869,68 +853,37 @@ mod tests {
         assert!(op.contains("\"units\":"), "missing actuals: {op}");
     }
 
+    /// A poisoned cell fails alone with a typed error; a clean rerun of
+    /// the same grid then matches a clean run outcome for outcome.
     #[test]
     fn poisoned_cell_fails_alone_and_resume_completes_bit_exactly() {
         let (db, qs) = setup();
         let p = build_p(&db, "NREF");
         let c1 = build_1c(&db, "NREF");
         let cells = three_cells(&db, &p, &c1, &qs);
-        let clean = run_grid(
-            &spec(1),
-            &cells,
-            Trace::disabled(),
-            Faults::disabled(),
-            None,
-        )
-        .expect("clean grid");
+        let clean =
+            run_grid(&spec(1), &cells, Trace::disabled(), Faults::disabled()).expect("clean grid");
 
-        let path = std::env::temp_dir().join(format!("tab_grid_ckpt_{}.jsonl", std::process::id()));
-        std::fs::remove_file(&path).ok();
         let plan = tab_storage::FaultPlan::parse("panic:cell:F1/NREF_1C").expect("spec");
-        for threads in [1, 4] {
-            // Crash: the poisoned cell fails, siblings are journaled.
-            let journal = CheckpointJournal::open(&path, "t", false).expect("open journal");
-            let err = run_grid(
-                &spec(threads),
-                &cells,
-                Trace::disabled(),
-                Faults::to(&plan),
-                Some(&journal),
-            )
-            .expect_err("poisoned cell must fail the grid");
-            match &err {
-                GridError::Poisoned { failed, completed } => {
-                    assert_eq!(failed.len(), 1, "threads={threads}");
-                    assert_eq!(failed[0].family, "F1");
-                    assert_eq!(failed[0].config, "NREF_1C");
-                    assert!(failed[0].panic.message.contains("cell:F1/NREF_1C"));
-                    assert_eq!(*completed, 2, "threads={threads}");
-                }
-                other => panic!("unexpected error: {other}"),
-            }
-            assert_eq!(journal.cells(), 2);
+        for (crash, rerun) in [(1, 4), (4, 1)] {
+            let err = run_grid(&spec(crash), &cells, Trace::disabled(), Faults::to(&plan))
+                .expect_err("poisoned cell must fail the grid");
+            let GridError::Poisoned { failed, completed } = &err;
+            assert_eq!(failed.len(), 1, "threads={crash}");
+            assert_eq!(failed[0].family, "F1");
+            assert_eq!(failed[0].config, "NREF_1C");
+            assert!(failed[0].panic.message.contains("cell:F1/NREF_1C"));
+            assert_eq!(*completed, 2, "threads={crash}");
 
-            // Resume: only the poisoned cell re-executes (faults now
-            // disarmed), and the merged result matches a clean run
-            // outcome-for-outcome.
-            let journal = CheckpointJournal::open(&path, "t", true).expect("reopen");
-            assert_eq!(journal.cells(), 2);
-            let resumed = run_grid(
-                &spec(threads),
-                &cells,
-                Trace::disabled(),
-                Faults::disabled(),
-                Some(&journal),
-            )
-            .expect("resume completes");
-            assert_eq!(resumed.len(), clean.len());
-            for ((run, timing), (want, _)) in resumed.iter().zip(&clean) {
+            let rerun = run_grid(&spec(rerun), &cells, Trace::disabled(), Faults::disabled())
+                .expect("a clean rerun completes");
+            assert_eq!(rerun.len(), clean.len());
+            for ((run, timing), (want, want_timing)) in rerun.iter().zip(&clean) {
                 assert_eq!(run.config, want.config);
-                assert_eq!(run.outcomes, want.outcomes, "threads={threads}");
-                assert_eq!(timing.cost_units, want.total_lower_bound_units());
+                assert_eq!(run.outcomes, want.outcomes, "threads={crash}");
+                assert_eq!(timing.cost_units, want_timing.cost_units);
+                assert_eq!(timing.reused, want_timing.reused);
             }
-            journal.finish().expect("journal removed after success");
-            assert!(!path.exists());
         }
     }
 

@@ -26,7 +26,6 @@
 
 pub mod args;
 pub mod cfc;
-pub mod checkpoint;
 pub mod convergence;
 pub mod experiment;
 pub mod goal;
@@ -37,7 +36,6 @@ pub mod report;
 
 pub use args::{Accepts, Args};
 pub use cfc::Cfc;
-pub use checkpoint::{CheckpointError, CheckpointJournal};
 pub use convergence::{
     convergence_csv_rows, convergence_json, fig12_csv_rows, render_convergence_curve,
     render_convergence_table, ConvergenceCurve, CurvePoint, FIG12_HEADER,

@@ -32,17 +32,8 @@ pub struct NrefParams {
     pub seed: u64,
 }
 
-impl Default for NrefParams {
-    fn default() -> Self {
-        NrefParams {
-            proteins: 10_000,
-            seed: 0x4e52_4546, // "NREF"
-        }
-    }
-}
-
 /// The six NREF relations (schema of §1.1).
-pub fn nref_schemas() -> Vec<TableSchema> {
+fn nref_schemas() -> Vec<TableSchema> {
     let id = |n: &str| ColumnDef::new(n, ColType::Int).domain("nref_id");
     let taxon = |n: &str| ColumnDef::new(n, ColType::Int).domain("taxon_id");
     let name = |n: &str| ColumnDef::new(n, ColType::Str).domain("name");

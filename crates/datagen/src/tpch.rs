@@ -31,7 +31,7 @@ pub enum Distribution {
 #[derive(Debug, Clone, Copy)]
 pub struct TpchParams {
     /// Scale factor; 1.0 corresponds to 6 M lineitem rows. The paper's
-    /// 10 GB database is SF 10; the default here is laptop-scale.
+    /// 10 GB database is SF 10.
     pub scale: f64,
     /// Value distribution.
     pub distribution: Distribution,
@@ -39,18 +39,8 @@ pub struct TpchParams {
     pub seed: u64,
 }
 
-impl Default for TpchParams {
-    fn default() -> Self {
-        TpchParams {
-            scale: 0.05,
-            distribution: Distribution::Uniform,
-            seed: 0x5450_4348, // "TPCH"
-        }
-    }
-}
-
 /// The eight TPC-H schemas.
-pub fn tpch_schemas() -> Vec<TableSchema> {
+fn tpch_schemas() -> Vec<TableSchema> {
     let int = |n: &str| ColumnDef::new(n, ColType::Int);
     let intd = |n: &str, d: &str| ColumnDef::new(n, ColType::Int).domain(d);
     let strd = |n: &str, d: &str| ColumnDef::new(n, ColType::Str).domain(d);

@@ -38,11 +38,6 @@ impl Zipf {
         Zipf { cdf }
     }
 
-    /// Domain size.
-    pub fn n(&self) -> usize {
-        self.cdf.len()
-    }
-
     /// Draw a rank in `1..=n` (rank 1 is the most frequent).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.random();

@@ -3,9 +3,9 @@
 //! The reproduction harness's determinism guarantee ("outputs are
 //! byte-identical at any thread count") is only as strong as its story
 //! for runs that *don't* finish: a worker panicking mid-grid or a full
-//! disk under an artifact write used to abort the process and discard
-//! every completed cell. This module supplies the two halves of the
-//! crash-consistency answer:
+//! disk under an artifact write must fail the run with an error that
+//! names what broke, and leave nothing half-written for a rerun to trip
+//! over. This module supplies the two halves of that answer:
 //!
 //! 1. **[`FaultPlan`] / [`Faults`]** — a parsed fault-injection plan
 //!    that fires deterministically at *named sites* (an artifact file
@@ -53,8 +53,7 @@
 //! |------|----------|
 //! | `<file>.csv`, `timings.json`, … | the harness's artifact writes (`write_csv`, bench records) |
 //! | `cell:<family>/<config>` | each query job of that grid cell |
-//! | `morsel:<family>/<config>` | every morsel prologue of the cell's queries — a panic inside an intra-query worker, caught and journaled like a `cell:` poison |
-//! | `checkpoint` | the crash-consistency journal's writes |
+//! | `morsel:<family>/<config>` | every morsel prologue of the cell's queries — a panic inside an intra-query worker, caught and reported like a `cell:` poison |
 //! | `trace` | every trace-sink line (`enospc:trace` silences the sink) |
 //! | `spill` | every dirty-page eviction's spill write (pool mode; `enospc:spill:N` fills the disk at the N-th spilled page) |
 //! | `evict:<family>/<config>` | every buffer-pool eviction inside that cell's queries — a panic here crashes a run that has already spilled pages |
@@ -473,7 +472,7 @@ mod tests {
 
     #[test]
     fn enospc_fires_at_matching_site_from_nth_hit() {
-        let plan = FaultPlan::parse("enospc:claims.csv,enospc:checkpoint:2").expect("spec");
+        let plan = FaultPlan::parse("enospc:claims.csv,enospc:spill:2").expect("spec");
         let f = Faults::to(&plan);
         assert!(f.is_enabled());
         // Non-matching sites never fail.
@@ -483,9 +482,9 @@ mod tests {
         assert!(e.to_string().contains("claims.csv"), "{e}");
         f.io("claims.csv").expect_err("disk stays full");
         // `:2` arm passes twice, then fails.
-        f.io("checkpoint").expect("hit 0");
-        f.io("checkpoint").expect("hit 1");
-        f.io("checkpoint").expect_err("hit 2");
+        f.io("spill").expect("hit 0");
+        f.io("spill").expect("hit 1");
+        f.io("spill").expect_err("hit 2");
     }
 
     #[test]

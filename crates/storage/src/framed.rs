@@ -1,10 +1,9 @@
-//! The one codec under the four line formats: `tab-trace-v1`
-//! ([`crate::trace`]), `tab-checkpoint-v1` (`tab-core`'s repro journal),
-//! `tab-wal-v1` ([`crate::Wal`]) and `tab-wire-v1` (`tab-server`'s
-//! responses). Each line is one flat JSON object: the schema prefix
-//! `{"schema":"tab-…-v1"`, then `,"key":value` fields with no space
-//! after the colon, a value being a JSON string or a bare token (an
-//! integer, `true`, `null`, a float), then `}`. A WAL line closes with
+//! The one codec under the three line formats: `tab-trace-v1`
+//! ([`crate::trace`]), `tab-wal-v1` ([`crate::Wal`]) and `tab-wire-v1`
+//! (`tab-server`'s responses). Each line is one flat JSON object: the
+//! schema prefix `{"schema":"tab-…-v1"`, then `,"key":value` fields
+//! with no space after the colon, a value being a JSON string or a
+//! bare token (an integer, `true`, `null`, a float), then `}`. A WAL line closes with
 //! `,"len":L,"crc":"X"}` instead: `L` bytes precede the suffix and `X`
 //! is their FNV-1a-64 in hex, so a torn append shows without any state
 //! outside the line.
@@ -15,10 +14,9 @@
 //!
 //! Only the codec is shared. Each format renders its own floats as
 //! tokens (trace `{:.3}` and `null`, wire shortest-roundtrip `{}`, WAL
-//! `to_bits` hex in a string, journal `to_bits` decimal), and each
-//! decides what a line that does not scan means, because the
-//! consequences differ: the WAL truncates a torn tail and refuses
-//! anything else, the journal re-runs the cell, trace replay
+//! `to_bits` hex in a string), and each decides what a line that does
+//! not scan means, because the consequences differ: the WAL truncates a
+//! torn tail and refuses anything else, trace replay
 //! (`tab-bench-harness`'s `replay`) counts the line, and a wire client
 //! rejects the response.
 

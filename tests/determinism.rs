@@ -23,7 +23,6 @@ fn tiny(out: &Path, threads: usize) -> ReproConfig {
         out_dir: out.to_path_buf(),
         trace: None,
         faults: None,
-        resume: false,
     }
 }
 

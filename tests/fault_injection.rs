@@ -1,10 +1,10 @@
-//! The crash-consistency contract end to end: a repro run killed by an
-//! injected fault (poisoned grid cell, ENOSPC on an artifact, torn
-//! trace) exits with a typed error instead of panicking, leaves a
-//! `tab-checkpoint-v1` journal behind, and a rerun with `--resume`
-//! produces outputs byte-identical to a never-interrupted run — at any
-//! thread count, including resuming at a different thread count than
-//! the crash happened at.
+//! The crash contract end to end: a repro run killed by an injected
+//! fault (poisoned grid cell, ENOSPC on an artifact, torn trace) exits
+//! with a typed error instead of panicking, leaves no half-written
+//! artifact, and a clean rerun into the same output directory produces
+//! outputs byte-identical to a never-interrupted run — at any thread
+//! count, including rerunning at a different thread count than the
+//! crash happened at.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -31,7 +31,6 @@ fn tiny(out: &Path, threads: usize) -> ReproConfig {
         out_dir: out.to_path_buf(),
         trace: None,
         faults: None,
-        resume: false,
     }
 }
 
@@ -48,6 +47,12 @@ fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
         out.insert(name, std::fs::read(entry.path()).expect("read output file"));
     }
     out
+}
+
+/// A grid error's message must name exactly one failed cell: every
+/// sibling of the poisoned cell ran to completion.
+fn assert_one_cell_failed(message: &str) {
+    assert!(message.starts_with("1 grid cell(s) failed"), "{message}");
 }
 
 fn assert_same_outputs(got_dir: &Path, want: &BTreeMap<String, Vec<u8>>, label: &str) {
@@ -73,15 +78,10 @@ fn poisoned_cell_then_resume_is_byte_identical_across_thread_counts() {
     let clean_dir = base.join("clean");
     run_all(&tiny(&clean_dir, 1)).expect("clean baseline run");
     let want = snapshot(&clean_dir);
-    assert!(
-        !clean_dir.join("repro.checkpoint.jsonl").exists(),
-        "a successful run must remove its checkpoint journal"
-    );
 
-    // Crash at a mid-grid cell, then resume — at 1 and at 4 threads.
-    // The resume deliberately uses a different thread count than the
-    // crash (the journal fingerprint excludes parallelism).
-    for (crash_threads, resume_threads) in [(1, 4), (4, 1)] {
+    // Crash at a mid-grid cell, then rerun clean into the same
+    // directory at another thread count — 1 then 4, and 4 then 1.
+    for (crash_threads, rerun_threads) in [(1, 4), (4, 1)] {
         let dir = base.join(format!("t{crash_threads}"));
         let plan = FaultPlan::parse("panic:cell:NREF3J/NREF_1C").expect("spec");
         let mut cfg = ReproConfig {
@@ -91,37 +91,20 @@ fn poisoned_cell_then_resume_is_byte_identical_across_thread_counts() {
         let err = run_all(&cfg).expect_err("poisoned cell must fail the run");
         match &err {
             ReproError::Grid { message } => {
-                assert!(message.contains("NREF3J/NREF_1C"), "{message}");
                 assert!(message.contains("cell:NREF3J/NREF_1C"), "{message}");
+                assert_one_cell_failed(message);
             }
             other => panic!("expected Grid error, got: {other}"),
         }
-        let journal = dir.join("repro.checkpoint.jsonl");
-        assert!(journal.exists(), "failed run must leave its journal");
-        let text = std::fs::read_to_string(&journal).expect("journal");
-        assert!(
-            text.starts_with("{\"schema\":\"tab-checkpoint-v1\""),
-            "{text}"
-        );
-        assert!(
-            !text.contains("\"family\":\"NREF3J\",\"config\":\"NREF_1C\""),
-            "the poisoned cell must not be journaled:\n{text}"
-        );
-        assert!(
-            text.contains("\"family\":\"NREF3J\",\"config\":\"NREF_P\""),
-            "sibling cells of the poisoned one must be journaled:\n{text}"
-        );
 
         cfg.faults = None;
-        cfg.resume = true;
-        cfg.spec.threads = Parallelism::new(resume_threads);
-        let summary = run_all(&cfg).expect("resume completes the run");
-        assert!(summary.claims.len() > 5, "claims recomputed on resume");
-        assert!(!journal.exists(), "journal removed after successful resume");
+        cfg.spec.threads = Parallelism::new(rerun_threads);
+        let summary = run_all(&cfg).expect("a clean rerun completes the run");
+        assert!(summary.claims.len() > 5, "claims recomputed on rerun");
         assert_same_outputs(
             &dir,
             &want,
-            &format!("crash@{crash_threads}/resume@{resume_threads}"),
+            &format!("crash@{crash_threads}/rerun@{rerun_threads}"),
         );
     }
 
@@ -158,22 +141,33 @@ fn injected_enospc_names_the_artifact_and_resume_recovers() {
     // The atomic write discipline: no claims.csv, complete or torn.
     assert!(!dir.join("claims.csv").exists());
     assert!(!dir.join("claims.csv.tmp").exists());
-    // The grid finished before the write failed, so every cell is
-    // journaled and the resume replays all of them.
-    assert!(dir.join("repro.checkpoint.jsonl").exists());
 
     cfg.faults = None;
-    cfg.resume = true;
-    run_all(&cfg).expect("resume rewrites the missing artifacts");
-    assert_same_outputs(&dir, &want, "enospc-resume");
+    run_all(&cfg).expect("a clean rerun writes the missing artifacts");
+    assert_same_outputs(&dir, &want, "enospc-rerun");
 
     std::fs::remove_dir_all(&base).ok();
 }
 
+/// Sorted lines of a published trace: parallel workers interleave them.
+fn sorted_lines(path: &Path) -> Vec<String> {
+    let text = std::fs::read_to_string(path).expect("published trace");
+    let mut lines: Vec<String> = text.lines().map(String::from).collect();
+    lines.sort_unstable();
+    lines
+}
+
 #[test]
-fn torn_trace_fails_after_artifacts_but_before_journal_discard() {
+fn torn_trace_fails_after_artifacts_and_a_clean_rerun_publishes_the_full_trace() {
     let base = std::env::temp_dir().join(format!("tab_fault_trace_{}", std::process::id()));
     std::fs::remove_dir_all(&base).ok();
+
+    let clean_trace = base.join("clean.jsonl");
+    run_all(&ReproConfig {
+        trace: Some(clean_trace.clone()),
+        ..tiny(&base.join("clean"), 2)
+    })
+    .expect("clean traced run");
 
     let dir = base.join("out");
     let trace_path = base.join("trace.jsonl");
@@ -190,9 +184,8 @@ fn torn_trace_fails_after_artifacts_but_before_journal_discard() {
         }
         other => panic!("expected TraceSink error, got: {other}"),
     }
-    // The failure is ordered for recoverability: artifacts are written,
-    // the partial trace stays at .tmp (never the final path), and the
-    // journal survives so the trace can be regenerated via --resume.
+    // The trace publishes last: artifacts are written, and the partial
+    // trace stays at .tmp (never the final path).
     assert!(dir.join("claims.csv").exists());
     assert!(!trace_path.exists());
     let tmp = base.join("trace.jsonl.tmp");
@@ -200,29 +193,21 @@ fn torn_trace_fails_after_artifacts_but_before_journal_discard() {
     let partial = std::fs::read_to_string(&tmp).expect("partial trace");
     assert_eq!(partial.lines().count(), 6, "5 whole lines + the torn tail");
     assert!(!partial.ends_with('\n'), "tail line is torn mid-write");
-    assert!(dir.join("repro.checkpoint.jsonl").exists());
 
+    // A clean rerun re-executes every cell, so its trace holds every
+    // query event a clean traced run's does.
     cfg.faults = None;
-    cfg.resume = true;
-    run_all(&cfg).expect("resume with a healthy sink");
-    // The resumed run replays every journaled cell, so its trace holds
-    // advisor and span events but no re-executed query events; what
-    // matters is that it published atomically to the final path.
-    assert!(trace_path.exists());
-    let trace = std::fs::read_to_string(&trace_path).expect("published trace");
-    assert!(trace
-        .lines()
-        .all(|l| l.starts_with("{\"schema\":\"tab-trace-v1\"")));
+    run_all(&cfg).expect("a clean rerun with a healthy sink");
+    assert_eq!(sorted_lines(&trace_path), sorted_lines(&clean_trace));
 
     std::fs::remove_dir_all(&base).ok();
 }
 
 /// A panic inside an intra-query morsel worker (the `morsel:` fault
 /// site) unwinds through the executor's `par_map`, is caught by the
-/// grid's `par_map_catch` like a `cell:` poison, and `--resume` — at
-/// default executor settings — recovers byte-identically to a clean
-/// run. This is the crash-consistency contract extended below the
-/// query boundary.
+/// grid's `par_map_catch` like a `cell:` poison, and a clean rerun —
+/// at default executor settings — writes what a clean run writes. This
+/// is the crash contract extended below the query boundary.
 #[test]
 fn poisoned_morsel_worker_then_resume_is_byte_identical() {
     let base = std::env::temp_dir().join(format!("tab_fault_morsel_{}", std::process::id()));
@@ -246,30 +231,17 @@ fn poisoned_morsel_worker_then_resume_is_byte_identical() {
     match &err {
         ReproError::Grid { message } => {
             assert!(message.contains("morsel:NREF3J/NREF_1C"), "{message}");
+            assert_one_cell_failed(message);
         }
         other => panic!("expected Grid error, got: {other}"),
     }
-    let journal = dir.join("repro.checkpoint.jsonl");
-    assert!(journal.exists(), "failed run must leave its journal");
-    let text = std::fs::read_to_string(&journal).expect("journal");
-    assert!(
-        !text.contains("\"family\":\"NREF3J\",\"config\":\"NREF_1C\""),
-        "the poisoned cell must not be journaled:\n{text}"
-    );
-    assert!(
-        text.contains("\"family\":\"NREF3J\",\"config\":\"NREF_P\""),
-        "sibling cells of the poisoned one must be journaled:\n{text}"
-    );
 
-    // Resume at default executor settings (sequential, 4096-row
-    // morsels): the journal fingerprint excludes intra-query
-    // parallelism exactly like it excludes the grid thread count.
+    // Rerun at default executor settings (sequential, 4096-row
+    // morsels): results do not depend on intra-query parallelism.
     cfg.faults = None;
-    cfg.resume = true;
     cfg.spec = tiny(&dir, 1).spec;
-    run_all(&cfg).expect("resume completes the run");
-    assert!(!journal.exists(), "journal removed after successful resume");
-    assert_same_outputs(&dir, &want, "morsel-crash-resume");
+    run_all(&cfg).expect("a clean rerun completes the run");
+    assert_same_outputs(&dir, &want, "morsel-crash-rerun");
 
     std::fs::remove_dir_all(&base).ok();
 }
@@ -297,10 +269,8 @@ fn io_field_total(doc: &str, key: &str) -> u64 {
 }
 
 /// The `enospc:spill` fault site: a full disk at a dirty-page spill
-/// write crashes the run mid-grid; the journal survives (with the
-/// per-cell pool traffic in its `io` fields) and `--resume` recovers
-/// byte-identically — including the wall-clock-free `BENCH_io.json`,
-/// whose totals for replayed cells come straight from the journal.
+/// write crashes the run mid-grid, and a clean rerun writes what a
+/// clean run writes — including the wall-clock-free `BENCH_io.json`.
 #[test]
 fn injected_spill_enospc_then_resume_is_byte_identical() {
     let base = std::env::temp_dir().join(format!("tab_fault_spill_{}", std::process::id()));
@@ -331,32 +301,17 @@ fn injected_spill_enospc_then_resume_is_byte_identical() {
         }
         other => panic!("expected Grid error, got: {other}"),
     }
-    // The journal materializes on the first completed cell; if the
-    // second spill write already lands in the first cell, the crash
-    // leaves nothing behind and `--resume` degrades to a plain run —
-    // both are valid crash points, and both must recover.
-    let journal = dir.join("repro.checkpoint.jsonl");
-    if journal.exists() {
-        let text = std::fs::read_to_string(&journal).expect("journal");
-        assert!(
-            text.contains("\"io\":\""),
-            "pooled journal cells must carry their pool traffic:\n{text}"
-        );
-    }
 
     cfg.faults = None;
-    cfg.resume = true;
-    // Resume at a different thread count than the crash: pool traffic
-    // is a pure function of the logical access stream, so the journal
-    // fingerprint may keep excluding parallelism.
+    // Rerun at a different thread count than the crash: pool traffic
+    // is a pure function of the logical access stream.
     cfg.spec.threads = Parallelism::new(4);
-    run_all(&cfg).expect("resume completes the run");
-    assert!(!journal.exists(), "journal removed after successful resume");
-    assert_same_outputs(&dir, &want, "spill-enospc-resume");
+    run_all(&cfg).expect("a clean rerun completes the run");
+    assert_same_outputs(&dir, &want, "spill-enospc-rerun");
     let got_io = std::fs::read(dir.join("BENCH_io.json")).expect("BENCH_io.json");
     assert_eq!(
         got_io, want_io,
-        "BENCH_io.json after resume differs from a clean run"
+        "BENCH_io.json after a rerun differs from a clean run"
     );
 
     std::fs::remove_dir_all(&base).ok();
@@ -364,8 +319,8 @@ fn injected_spill_enospc_then_resume_is_byte_identical() {
 
 /// The `panic:evict:<family>/<config>` fault site: a crash at a buffer
 /// pool eviction inside one cell — after other cells have already
-/// spilled pages — is caught like a `cell:` poison, journaled around,
-/// and recovered byte-identically by `--resume`.
+/// spilled pages — is caught like a `cell:` poison, and a clean rerun
+/// writes what a clean run writes.
 #[test]
 fn poisoned_eviction_then_resume_is_byte_identical() {
     let base = std::env::temp_dir().join(format!("tab_fault_evict_{}", std::process::id()));
@@ -386,35 +341,19 @@ fn poisoned_eviction_then_resume_is_byte_identical() {
     match &err {
         ReproError::Grid { message } => {
             assert!(message.contains("evict:NREF3J/NREF_1C"), "{message}");
+            assert_one_cell_failed(message);
         }
         other => panic!("expected Grid error, got: {other}"),
     }
-    let journal = dir.join("repro.checkpoint.jsonl");
-    assert!(journal.exists(), "failed run must leave its journal");
-    let text = std::fs::read_to_string(&journal).expect("journal");
-    assert!(
-        !text.contains("\"family\":\"NREF3J\",\"config\":\"NREF_1C\""),
-        "the poisoned cell must not be journaled:\n{text}"
-    );
-    assert!(
-        text.contains("\"family\":\"NREF2J\",\"config\":\"NREF_P\""),
-        "cells that completed before the poison must be journaled:\n{text}"
-    );
-    assert!(
-        text.contains("\"io\":\""),
-        "pooled journal cells must carry their pool traffic:\n{text}"
-    );
 
     cfg.faults = None;
-    cfg.resume = true;
     cfg.spec.threads = Parallelism::new(1);
-    run_all(&cfg).expect("resume completes the run");
-    assert!(!journal.exists(), "journal removed after successful resume");
-    assert_same_outputs(&dir, &want, "evict-poison-resume");
+    run_all(&cfg).expect("a clean rerun completes the run");
+    assert_same_outputs(&dir, &want, "evict-poison-rerun");
     let got_io = std::fs::read(dir.join("BENCH_io.json")).expect("BENCH_io.json");
     assert_eq!(
         got_io, want_io,
-        "BENCH_io.json after resume differs from a clean run"
+        "BENCH_io.json after a rerun differs from a clean run"
     );
 
     std::fs::remove_dir_all(&base).ok();
@@ -479,8 +418,8 @@ fn datagen_crash_then_rerun_is_bit_identical() {
     let plan = FaultPlan::parse("enospc:datagen").expect("spec");
     let err = generate_nref_checked(params, &Faults::to(&plan)).expect_err("enospc fires");
     assert!(err.to_string().contains("datagen"), "{err}");
-    // The resume: rerunning with faults disarmed matches a build that
-    // never saw a fault, row for row.
+    // The rerun with faults disarmed matches a build that never saw a
+    // fault, row for row.
     let resumed = generate_nref_checked(params, &Faults::disabled()).expect("clean rerun");
     let clean = generate_nref(params);
     for name in ["protein", "source", "taxonomy"] {
@@ -492,7 +431,7 @@ fn datagen_crash_then_rerun_is_bit_identical() {
 
 /// The repro harness surfaces a datagen fault as a typed
 /// [`ReproError::Datagen`] naming the database and the fault site, and
-/// a `--resume` rerun with the fault disarmed finishes with outputs
+/// a clean rerun into the same directory finishes with outputs
 /// byte-identical to a never-interrupted run.
 #[test]
 fn repro_datagen_crash_resumes_byte_identical() {
@@ -515,15 +454,10 @@ fn repro_datagen_crash_resumes_byte_identical() {
         }
         other => panic!("expected a typed datagen error, got {other:?}"),
     }
-    assert!(
-        dir.join("repro.checkpoint.jsonl").exists(),
-        "the journal must survive a datagen crash"
-    );
 
     cfg.faults = None;
-    cfg.resume = true;
-    run_all(&cfg).expect("resume completes the run");
-    assert_same_outputs(&dir, &want, "datagen-crash-resume");
+    run_all(&cfg).expect("a clean rerun completes the run");
+    assert_same_outputs(&dir, &want, "datagen-crash-rerun");
 
     std::fs::remove_dir_all(&base).ok();
 }

@@ -122,7 +122,6 @@ fn tiny(out: &Path) -> ReproConfig {
         out_dir: out.to_path_buf(),
         trace: None,
         faults: None,
-        resume: false,
     }
 }
 

@@ -50,7 +50,7 @@ fn traced_grid_text(threads: usize) -> String {
         morsel_rows: 64,
         ..BenchSpec::small()
     };
-    run_grid(&spec, &cells, Trace::to(&sink), Faults::disabled(), None).expect("clean grid");
+    run_grid(&spec, &cells, Trace::to(&sink), Faults::disabled()).expect("clean grid");
     sink.lines().join("\n") + "\n"
 }
 
