@@ -26,5 +26,5 @@ pub use config_builders::{one_column_budget_bytes, one_column_configuration, p_c
 pub use greedy::{
     candidate_bytes, greedy_select, GreedyOptions, Objective, RoundStats, SearchStats,
 };
-pub use profiles::{AdvisorInput, Recommender, SearchLimits, SystemA, SystemB, SystemC};
+pub use profiles::{profile, AdvisorInput, Recommender, SearchLimits, SystemA, SystemB, SystemC};
 pub use whatif::{WhatIfService, WhatIfStats};

@@ -210,6 +210,18 @@ impl Recommender for SystemC {
     }
 }
 
+/// The recommender profile a label names — `A`, `B` or `C`, compared
+/// case-insensitively — or `None` for any other label. This is the one
+/// table every front end looks profiles up in.
+pub fn profile(name: &str) -> Option<Box<dyn Recommender>> {
+    match name.to_ascii_uppercase().as_str() {
+        "A" => Some(Box::new(SystemA::default())),
+        "B" => Some(Box::new(SystemB)),
+        "C" => Some(Box::new(SystemC)),
+        _ => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

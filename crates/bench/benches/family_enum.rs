@@ -6,6 +6,7 @@ use std::time::Duration;
 
 use tab_datagen::{generate_nref, generate_tpch, Distribution, NrefParams, TpchParams};
 use tab_families::{sample_preserving, Family};
+use tab_storage::Parallelism;
 
 fn bench_families(c: &mut Criterion) {
     let nref = generate_nref(NrefParams {
@@ -18,20 +19,20 @@ fn bench_families(c: &mut Criterion) {
         seed: 3,
     });
 
+    let seq = Parallelism::sequential();
     c.bench_function("enumerate_nref2j", |b| {
-        b.iter(|| black_box(Family::Nref2J.enumerate(&nref).len()))
+        b.iter(|| black_box(Family::Nref2J.enumerate(&nref, seq).len()))
     });
     c.bench_function("enumerate_nref3j", |b| {
-        b.iter(|| black_box(Family::Nref3J.enumerate(&nref).len()))
+        b.iter(|| black_box(Family::Nref3J.enumerate(&nref, seq).len()))
     });
     c.bench_function("enumerate_skth3j", |b| {
-        b.iter(|| black_box(Family::SkTH3J.enumerate(&tpch).len()))
+        b.iter(|| black_box(Family::SkTH3J.enumerate(&tpch, seq).len()))
     });
     c.bench_function("sample_100_preserving", |b| {
-        let family = Family::Nref2J.enumerate(&nref);
-        b.iter(|| {
-            black_box(sample_preserving(&family, |q| q.to_string().len() as f64, 100, 7).len())
-        })
+        let family = Family::Nref2J.enumerate(&nref, seq);
+        let cost = |q: &tab_sqlq::Query| q.to_string().len() as f64;
+        b.iter(|| black_box(sample_preserving(&family, cost, 100, 7, seq).len()))
     });
 }
 

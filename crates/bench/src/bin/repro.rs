@@ -24,8 +24,8 @@
 //!   query (per-operator estimates vs. actuals) and advisor round;
 //!   observational only — all outputs are byte-identical without it.
 //!   Summarize with `tab replay FILE`.
-//! - `--faults SPEC`  arm a deterministic fault plan (also read from
-//!   `TAB_FAULTS` when the flag is absent). Arms are comma-separated:
+//! - `--faults SPEC`  arm a deterministic fault plan. Arms are
+//!   comma-separated:
 //!   `enospc:<file>[:N]` fails the Nth write of a named artifact,
 //!   `panic:cell:<family>/<config>` poisons one grid cell,
 //!   `truncate:trace:N` tears the trace after N lines. See DESIGN.md §10.

@@ -16,7 +16,7 @@
 //! are byte-identical at any thread count and CI can diff them across
 //! commits.
 
-use tab_advisor::{AdvisorInput, Recommender, SearchLimits, SystemA, SystemB, SystemC};
+use tab_advisor::{profile, AdvisorInput, SearchLimits};
 use tab_core::convergence::ConvergenceCurve;
 use tab_sqlq::Query;
 use tab_storage::{BuiltConfiguration, Database, Parallelism, Trace};
@@ -43,16 +43,6 @@ impl Default for ConvergenceSpec {
             budget_ladder: vec![Some(50), Some(200), Some(800), None],
             max_structures: None,
         }
-    }
-}
-
-/// Look up a recommender profile by name.
-pub(crate) fn profile(name: &str) -> Option<Box<dyn Recommender>> {
-    match name {
-        "A" => Some(Box::new(SystemA::default())),
-        "B" => Some(Box::new(SystemB)),
-        "C" => Some(Box::new(SystemC)),
-        _ => None,
     }
 }
 

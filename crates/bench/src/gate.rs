@@ -39,13 +39,15 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::Instant;
 
-use tab_core::{build_1c, build_p, BenchSpec, FaultPlan, Parallelism};
+use tab_core::{
+    build_p, prepare_workload_db_with, served_state, BenchSpec, FaultPlan, Parallelism, DRAW_SEED,
+};
 use tab_datagen::{generate_nref, NrefParams};
-use tab_engine::{ChargePolicy, EngineState, Outcome, Session, SharedEngine, SharedInsert};
-use tab_families::{sample_preserving_par, Family};
+use tab_engine::{ChargePolicy, Outcome, Session, SharedEngine, SharedInsert};
+use tab_families::Family;
 use tab_server::{Client, Response, RetryClient};
 use tab_sqlq::{parse_statement, Insert, Query, Statement};
-use tab_storage::{BuiltConfiguration, Database};
+use tab_storage::Database;
 
 use crate::replay::{diff, render_summary, replay_str, report_json, DiffOptions};
 use crate::repro::{run_all, ReproConfig, ReproError, ReproSummary};
@@ -355,7 +357,7 @@ fn parse_insert(i: usize) -> Insert {
 fn kill9(g: &Gate<'_>) -> Result<(), Broken> {
     let wal = g.scratch.join("kill9.wal");
     let db = nref(300);
-    let baseline = SharedEngine::new(served_state(&db));
+    let baseline = SharedEngine::new(served_state(db.clone(), "NREF", Parallelism::new(0)));
     let mut acks = Vec::with_capacity(INSERTS);
     for i in 0..INSERTS {
         let ack = baseline
@@ -363,8 +365,7 @@ fn kill9(g: &Gate<'_>) -> Result<(), Broken> {
             .map_err(|e| broken(&wal, format!("baseline insert {i}: {}", e.message)))?;
         acks.push(ack);
     }
-    let p = build_p(&db, "NREF");
-    let workload = sample_workload(&db, &p, READ_BACK_WORKLOAD).map_err(|e| broken(&wal, e))?;
+    let workload = sample_workload(&db, READ_BACK_WORKLOAD).map_err(|e| broken(&wal, e))?;
     let fail = |message: String| broken(&wal, message);
 
     // Load with one lost ack armed, then SIGKILL: no flush, no shutdown
@@ -573,8 +574,12 @@ fn formats(g: &Gate<'_>) -> Result<(), Broken> {
     let copy = g.scratch.join("wal_v1.jsonl");
     std::fs::copy(&fixture, &copy).map_err(|e| broken(&fixture, e.to_string()))?;
     let db = nref(300);
-    let (recovered, report) = SharedEngine::with_wal(served_state(&db), &copy, None)
-        .map_err(|e| broken(&fixture, e.to_string()))?;
+    let (recovered, report) = SharedEngine::with_wal(
+        served_state(db.clone(), "NREF", Parallelism::new(0)),
+        &copy,
+        None,
+    )
+    .map_err(|e| broken(&fixture, e.to_string()))?;
     if report.replayed != INSERTS as u64 || report.torn_tail || report.generation != INSERTS as u64
     {
         return Err(broken(
@@ -582,15 +587,13 @@ fn formats(g: &Gate<'_>) -> Result<(), Broken> {
             format!("expected {INSERTS} records to replay with no torn tail: {report:?}"),
         ));
     }
-    let fresh = SharedEngine::new(served_state(&db));
+    let fresh = SharedEngine::new(served_state(db.clone(), "NREF", Parallelism::new(0)));
     for i in 0..INSERTS {
         fresh
             .insert(&parse_insert(i), "p")
             .map_err(|e| broken(&fixture, format!("fresh insert {i}: {}", e.message)))?;
     }
-    let p = build_p(&db, "NREF");
-    let mut reads =
-        sample_workload(&db, &p, READ_BACK_WORKLOAD).map_err(|e| broken(&fixture, e))?;
+    let mut reads = sample_workload(&db, READ_BACK_WORKLOAD).map_err(|e| broken(&fixture, e))?;
     reads.push(
         tab_sqlq::parse(
             "SELECT s.nref_id, s.p_id, s.taxon_id, s.accession, s.p_name, s.source \
@@ -630,32 +633,10 @@ fn nref(proteins: usize) -> Database {
     })
 }
 
-/// The state `tab serve` boots: the database with P and 1C built.
-fn served_state(db: &Database) -> EngineState {
-    EngineState::new(db.clone())
-        .with_config("p", build_p(db, "NREF"))
-        .with_config("1c", build_1c(db, "NREF"))
-}
-
-/// The seeded NREF2J sample the serving rows query.
-pub(crate) fn sample_workload(
-    db: &Database,
-    p: &BuiltConfiguration,
-    n: usize,
-) -> Result<Vec<Query>, String> {
-    let par = Parallelism::new(0);
-    let all = Family::Nref2J.enumerate_with(db, par);
-    if all.is_empty() {
-        return Err("NREF2J is empty on this database".into());
-    }
-    let estimator = Session::new(db, p);
-    Ok(sample_preserving_par(
-        &all,
-        |q| estimator.estimate(q).unwrap_or(f64::INFINITY),
-        n,
-        2005,
-        par,
-    ))
+/// The seeded NREF2J sample the serving rows query, drawn under `db`'s P.
+pub(crate) fn sample_workload(db: &Database, n: usize) -> Result<Vec<Query>, String> {
+    let p = build_p(db, "NREF");
+    prepare_workload_db_with(db, Family::Nref2J, &p, n, DRAW_SEED, Parallelism::new(0))
 }
 
 fn read_text(path: &Path) -> Result<String, Broken> {

@@ -21,9 +21,9 @@ use tab_core::report::{
 use tab_core::{
     build_1c_par, build_p, estimate_workload, estimate_workload_hypothetical, improvement_ratios,
     insertion_breakeven, io_bench_json, prepare_workload_db_with, run_grid, space_budget,
-    table1_row, timings_json, Accepts, Args, BenchSpec, CellTiming, Cfc, FaultPlan, Faults,
-    FileTraceSink, Goal, GridCell, GridError, IoBenchCell, LogHistogram, RatioHistogram, Trace,
-    WorkloadRun,
+    table1_row, timings_json, workload_seed, Accepts, Args, BenchSpec, CellTiming, Cfc, FaultPlan,
+    Faults, FileTraceSink, Goal, GridCell, GridError, IoBenchCell, LogHistogram, RatioHistogram,
+    Trace, WorkloadRun,
 };
 use tab_datagen::{
     generate_nref_checked, generate_tpch_checked, Distribution, NrefParams, TpchParams,
@@ -61,7 +61,7 @@ pub struct ReproConfig {
     /// Tracing is observational only: every file under `out_dir` is
     /// byte-identical with or without it (`tests/observability.rs`).
     pub trace: Option<PathBuf>,
-    /// Optional deterministic fault plan (`--faults` / `TAB_FAULTS`) —
+    /// Optional deterministic fault plan (`--faults`) —
     /// see [`FaultPlan::parse`] for the spec grammar. `None` costs one
     /// branch per probe site.
     pub faults: Option<FaultPlan>,
@@ -445,8 +445,12 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
     ctx.log(&format!("NREF budget = {} MiB", budget / (1 << 20)));
 
     ctx.log("NREF: preparing workloads");
-    let w2 = prepare_workload_db_with(nref, Family::Nref2J, &p, spec.workload_size, spec.seed, par);
-    let w3 = prepare_workload_db_with(nref, Family::Nref3J, &p, spec.workload_size, spec.seed, par);
+    let draw = |family: Family| {
+        let seed = workload_seed(spec.seed, family);
+        prepare_workload_db_with(nref, family, &p, spec.workload_size, seed, par)
+            .unwrap_or_default()
+    };
+    let (w2, w3) = (draw(Family::Nref2J), draw(Family::Nref3J));
 
     let input2 = AdvisorInput {
         db: nref,
@@ -1016,7 +1020,9 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
         let mut preps: Vec<(Family, Vec<Query>, BuiltConfiguration)> = Vec::new();
         for fam in families {
             ctx.log(&format!("{label}: preparing {}", fam.name()));
-            let w = prepare_workload_db_with(db, fam, &p, spec.workload_size, spec.seed, par);
+            let seed = workload_seed(spec.seed, fam);
+            let w = prepare_workload_db_with(db, fam, &p, spec.workload_size, seed, par)
+                .unwrap_or_default();
             ctx.log(&format!(
                 "{label}: System C recommending for {}",
                 fam.name()

@@ -2,15 +2,15 @@
 //!
 //! An in-process [`tab_server::Server`] over a [`SharedEngine`] serving
 //! the paper's `P` and `1C` configurations takes a fixed closed-loop
-//! load, and every wire answer is checked against a direct [`Session`]
+//! load, and every wire answer is checked against a direct [`tab_engine::Session`]
 //! run of the same query. The load issues no writes, so every request
 //! runs against generation 0 and its claims are a pure function of the
 //! request index: independent of interleaving and of the client count.
 
 use std::sync::Arc;
 
-use tab_core::{build_1c, build_p};
-use tab_engine::{EngineState, Session, SharedEngine};
+use tab_core::{served_state, Parallelism};
+use tab_engine::SharedEngine;
 use tab_server::{Client, Response, ServeOptions, Server};
 use tab_sqlq::Query;
 use tab_storage::Database;
@@ -26,7 +26,7 @@ const SERVE_WORKLOAD: usize = 16;
 /// from `clients` closed-loop connections (request `i` runs NREF2J
 /// workload query `i mod 16` under `p` or `1c` by parity, on connection
 /// `i mod clients`), and require every wire answer to equal a direct
-/// [`Session`] run of the same query: same verdict, same row count,
+/// [`tab_engine::Session`] run of the same query: same verdict, same row count,
 /// bit-identical cost units.
 ///
 /// Returns the per-request claims as `query,config,verdict,units` CSV.
@@ -34,20 +34,15 @@ const SERVE_WORKLOAD: usize = 16;
 /// one committed file (`ci/expected_serve_small.csv`) gates every
 /// client count.
 pub fn serve_proof(db: &Database, clients: usize) -> Result<String, String> {
-    let p = build_p(db, "NREF");
-    let c1 = build_1c(db, "NREF");
-    let workload = sample_workload(db, &p, SERVE_WORKLOAD)?;
+    let workload = sample_workload(db, SERVE_WORKLOAD)?;
     let sql: Vec<String> = workload.iter().map(Query::to_string).collect();
     let plan: Vec<(usize, &str)> = (0..SERVE_REQUESTS)
         .map(|i| (i % sql.len(), if i % 2 == 0 { "p" } else { "1c" }))
         .collect();
-    let engine = Arc::new(SharedEngine::new(
-        EngineState::new(db.clone())
-            .with_config("p", p.clone())
-            .with_config("1c", c1.clone()),
-    ));
+    let state = served_state(db.clone(), "NREF", Parallelism::new(0));
+    let engine = Arc::new(SharedEngine::new(state));
     let mut server = Server::start(
-        engine,
+        Arc::clone(&engine),
         ServeOptions {
             label: "NREF".into(),
             ..ServeOptions::default()
@@ -75,10 +70,11 @@ pub fn serve_proof(db: &Database, clients: usize) -> Result<String, String> {
     server.shutdown();
     let mut answers: Vec<(usize, Response)> = answers?.into_iter().flatten().collect();
     answers.sort_by_key(|(i, _)| *i);
+    let snap = engine.snapshot();
     let mut csv = String::from("query,config,verdict,units\n");
     for ((qi, config), (i, r)) in plan.iter().zip(answers) {
-        let built = if *config == "p" { &p } else { &c1 };
-        let (verdict, units) = wire_matches_direct(&r, &Session::new(db, built), &workload[*qi])
+        let session = snap.session(config).expect("the proof serves p and 1c");
+        let (verdict, units) = wire_matches_direct(&r, &session, &workload[*qi])
             .map_err(|e| format!("request {i} (query {qi}, {config}): {e}"))?;
         csv.push_str(&format!("{qi},{config},{verdict},{units}\n"));
     }

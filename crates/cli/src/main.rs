@@ -19,7 +19,6 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use args::parse_command;
-use tab_advisor::{AdvisorInput, Recommender, SystemA, SystemB, SystemC};
 use tab_bench_harness::converge::{run_convergence, ConvergenceSpec};
 use tab_bench_harness::gate::run_gate;
 use tab_bench_harness::replay::{diff, render_summary, replay_str, report_json, DiffOptions};
@@ -27,10 +26,13 @@ use tab_core::convergence::{
     convergence_csv_rows, convergence_json, render_convergence_table, CSV_HEADER,
 };
 use tab_core::report::render_cfc_ascii;
-use tab_core::{run_workload, Args, BenchSpec, Goal, Parallelism};
+use tab_core::{
+    build_config, prepare_workload_db_with, run_workload, served_state, Args, BenchSpec, Goal,
+    Parallelism, DRAW_SEED,
+};
 use tab_datagen::{generate_nref, generate_tpch, Distribution, NrefParams, TpchParams};
-use tab_engine::{apply_insert, EngineState, Session, SharedEngine};
-use tab_families::{sample_preserving_par, Family};
+use tab_engine::{apply_insert, Session, SharedEngine};
+use tab_families::Family;
 use tab_server::{Client, ServeOptions, Server};
 use tab_sqlq::{parse_statement, Statement};
 use tab_storage::{BuiltConfiguration, Database};
@@ -72,7 +74,7 @@ USAGE:
                                       one row per check; exit 1 naming the
                                       first broken row and file
 
-`tab serve` reads --faults (or TAB_FAULTS) for
+`tab serve` reads --faults for
 wire-level chaos: drop:conn:N, torn:wire:N, delay:conn:N, plus the WAL
 sites enospc:wal and panic:wal:append:N (validate with `tab faults`).
 
@@ -170,11 +172,16 @@ fn load_config(
     label: &str,
     par: Parallelism,
 ) -> Result<BuiltConfiguration, String> {
-    match args.get("config").unwrap_or("p") {
-        "p" | "P" => Ok(tab_core::build_p(db, label)),
-        "1c" | "1C" => Ok(tab_core::build_1c_par(db, label, par, &[])),
-        other => Err(format!("unknown config `{other}` (use p or 1c)")),
-    }
+    let name = args.get("config").unwrap_or("p");
+    build_config(db, label, name, par)
+        .ok_or_else(|| format!("unknown config `{name}` (use p or 1c)"))
+}
+
+/// `--timeout-secs` in cost units, `None` when the flag is absent.
+fn timeout_units(args: &Args) -> Result<Option<f64>, String> {
+    Ok(args
+        .get_parsed::<f64>("timeout-secs")?
+        .map(|s| s / tab_engine::SIM_SECONDS_PER_UNIT))
 }
 
 fn family_of(name: &str) -> Result<Family, String> {
@@ -188,29 +195,22 @@ fn sql_arg(args: &Args) -> Result<String, String> {
     Ok(args.positional.join(" "))
 }
 
+/// `--workload N`: queries per drawn workload (default 50).
+fn workload_size(args: &Args) -> Result<usize, String> {
+    Ok(args.get_parsed("workload")?.unwrap_or(50))
+}
+
+/// Build `P` and draw `--workload` queries of `family` under it.
 fn workload_for(
     args: &Args,
     db: &Database,
-    p: &BuiltConfiguration,
+    label: &str,
     family: Family,
     par: Parallelism,
-) -> Result<Vec<tab_sqlq::Query>, String> {
-    let n: usize = args.get_parsed("workload")?.unwrap_or(50);
-    let all = family.enumerate_with(db, par);
-    if all.is_empty() {
-        return Err(format!(
-            "family {} is empty on this database",
-            family.name()
-        ));
-    }
-    let session = Session::new(db, p);
-    Ok(sample_preserving_par(
-        &all,
-        |q| session.estimate(q).unwrap_or(f64::INFINITY),
-        n,
-        2005,
-        par,
-    ))
+) -> Result<(BuiltConfiguration, Vec<tab_sqlq::Query>), String> {
+    let p = tab_core::build_p(db, label);
+    let w = prepare_workload_db_with(db, family, &p, workload_size(args)?, DRAW_SEED, par)?;
+    Ok((p, w))
 }
 
 fn cmd_gen(args: &Args) -> Result<(), String> {
@@ -242,9 +242,7 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
     let built = load_config(args, &db, &label, spec.threads)?;
     let sql = sql_arg(args)?;
     let q = tab_sqlq::parse(&sql).map_err(|e| e.to_string())?;
-    let timeout: Option<f64> = args
-        .get_parsed::<f64>("timeout-secs")?
-        .map(|s| s / tab_engine::SIM_SECONDS_PER_UNIT);
+    let timeout = timeout_units(args)?;
     let pager = pager_for(&spec, &db)?;
     let session = Session::new(&db, &built).with_exec(spec.exec_opts(pager.as_ref()));
     // Plan with the decision trace, then execute the same query
@@ -260,18 +258,23 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
         tab_engine::render_explain(&plan, Some(&r.ops), Some(&expl))
     );
     if !r.io.is_zero() {
-        println!(
-            "buffer pool: {} hits, {} misses ({} seq, {} random), {} evictions, \
-             {:.1}% hit rate",
-            r.io.hits,
-            r.io.misses(),
-            r.io.misses_seq,
-            r.io.misses_random,
-            r.io.evictions,
-            r.io.hit_rate() * 100.0
-        );
+        println!("{}", pool_line(&r.io));
     }
     Ok(())
+}
+
+/// The buffer-pool traffic line `explain` and `run` print under
+/// `--buffer-pages`.
+fn pool_line(io: &tab_storage::PoolStats) -> String {
+    format!(
+        "buffer pool: {} hits, {} misses ({} seq, {} random), {} evictions, {:.1}% hit rate",
+        io.hits,
+        io.misses(),
+        io.misses_seq,
+        io.misses_random,
+        io.evictions,
+        io.hit_rate() * 100.0
+    )
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
@@ -279,9 +282,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let (mut db, label) = load_db(args)?;
     let mut built = load_config(args, &db, &label, spec.threads)?;
     let sql = sql_arg(args)?;
-    let timeout: Option<f64> = args
-        .get_parsed::<f64>("timeout-secs")?
-        .map(|s| s / tab_engine::SIM_SECONDS_PER_UNIT);
+    let timeout = timeout_units(args)?;
     match parse_statement(&sql).map_err(|e| e.to_string())? {
         Statement::Insert(ins) => {
             let out = apply_insert(&ins, &mut db, &mut built).map_err(|e| e.to_string())?;
@@ -316,16 +317,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
                 ),
             }
             if !r.io.is_zero() {
-                println!(
-                    "-- buffer pool: {} hits, {} misses ({} seq, {} random), \
-                     {} evictions, {:.1}% hit rate",
-                    r.io.hits,
-                    r.io.misses(),
-                    r.io.misses_seq,
-                    r.io.misses_random,
-                    r.io.evictions,
-                    r.io.hit_rate() * 100.0
-                );
+                println!("-- {}", pool_line(&r.io));
             }
         }
     }
@@ -336,18 +328,7 @@ fn cmd_advise(args: &Args) -> Result<(), String> {
     let par = BenchSpec::from_args(args)?.threads;
     let (db, label) = load_db(args)?;
     let family = family_of(args.require("family")?)?;
-    let p = tab_core::build_p(&db, &label);
-    let budget = tab_core::space_budget(&db, &label);
-    let w = workload_for(args, &db, &p, family, par)?;
-    let system = args.get("system").unwrap_or("B");
-    let rec: &dyn Recommender = match system.to_uppercase().as_str() {
-        "A" => &SystemA {
-            capacity_limit: 4_000,
-        },
-        "B" => &SystemB,
-        "C" => &SystemC,
-        other => return Err(format!("unknown system `{other}`")),
-    };
+    let n = workload_size(args)?;
     // `--trace PATH` captures the advisor's round-by-round decisions as
     // tab-trace-v1 JSONL; the sink must outlive the borrowed Trace.
     let sink = match args.get("trace") {
@@ -357,18 +338,13 @@ fn cmd_advise(args: &Args) -> Result<(), String> {
         ),
         None => None,
     };
-    let input = AdvisorInput {
-        db: &db,
-        current: &p,
-        workload: &w,
-        budget_bytes: budget,
-        par,
-        trace: sink
-            .as_ref()
-            .map(|s| tab_core::Trace::to(s))
-            .unwrap_or_else(tab_core::Trace::disabled),
-    };
-    let (cfg, stats) = rec.recommend_with_stats(&input);
+    let trace = sink
+        .as_ref()
+        .map(|s| tab_core::Trace::to(s))
+        .unwrap_or_else(tab_core::Trace::disabled);
+    let system = args.get("system").unwrap_or("B");
+    let advice = tab_core::advise(&db, &label, family, system, n, par, trace)?;
+    let stats = &advice.stats;
     eprintln!(
         "what-if calls: {} (planner {}, cache hits {}, {:.0}% hit rate) in {:.2}s",
         stats.whatif_calls,
@@ -377,26 +353,24 @@ fn cmd_advise(args: &Args) -> Result<(), String> {
         stats.cache_hit_rate() * 100.0,
         stats.wall_seconds
     );
-    match cfg {
+    match &advice.recommendation {
         None => println!(
             "System {} produced NO recommendation for {} ({} queries) — \
              candidate space exceeds its capacity",
-            rec.name(),
+            advice.system,
             family.name(),
-            w.len()
+            advice.workload
         ),
         Some(cfg) => {
             println!(
                 "System {} recommendation for {} ({} queries, budget {} MiB):",
-                rec.name(),
+                advice.system,
                 family.name(),
-                w.len(),
-                budget / (1 << 20)
+                advice.workload,
+                advice.budget_bytes / (1 << 20)
             );
-            for i in &cfg.indexes {
-                if !p.config.indexes.contains(i) {
-                    println!("  CREATE INDEX {i}");
-                }
+            for i in &advice.new_indexes {
+                println!("  CREATE INDEX {i}");
             }
             for m in &cfg.mviews {
                 println!(
@@ -436,20 +410,13 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     let par = BenchSpec::from_args(args)?.threads;
     let (db, label) = load_db(args)?;
     let family = family_of(args.require("family")?)?;
-    let p = tab_core::build_p(&db, &label);
-    let w = workload_for(args, &db, &p, family, par)?;
-    let timeout_units = args
-        .get_parsed::<f64>("timeout-secs")?
-        .map(|s| s / tab_engine::SIM_SECONDS_PER_UNIT)
-        .unwrap_or(tab_engine::DEFAULT_TIMEOUT_UNITS);
+    let (_, w) = workload_for(args, &db, &label, family, par)?;
+    let timeout_units = timeout_units(args)?.unwrap_or(tab_engine::DEFAULT_TIMEOUT_UNITS);
     let configs = args.get("configs").unwrap_or("p,1c");
     let mut curves = Vec::new();
     for name in configs.split(',') {
-        let built = match name.trim() {
-            "p" | "P" => tab_core::build_p(&db, &label),
-            "1c" | "1C" => tab_core::build_1c_par(&db, &label, par, &[]),
-            other => return Err(format!("unknown config `{other}`")),
-        };
+        let built = build_config(&db, &label, name.trim(), par)
+            .ok_or_else(|| format!("unknown config `{}`", name.trim()))?;
         let run = run_workload(&db, &built, &w, timeout_units, par);
         println!(
             "{:>4}: total (lower bound) {:.0}s, timeouts {}/{}",
@@ -474,16 +441,9 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let par = BenchSpec::from_args(args)?.threads;
     let (db, label) = load_db(args)?;
-    let p = tab_core::build_p(&db, &label);
-    let c1 = tab_core::build_1c_par(&db, &label, par, &[]);
-    let timeout_units = args
-        .get_parsed::<f64>("timeout-secs")?
-        .map(|s| s / tab_engine::SIM_SECONDS_PER_UNIT)
-        .unwrap_or(tab_engine::DEFAULT_TIMEOUT_UNITS);
+    let timeout_units = timeout_units(args)?.unwrap_or(tab_engine::DEFAULT_TIMEOUT_UNITS);
     let faults = args.faults()?.map(Arc::new);
-    let state = EngineState::new(db)
-        .with_config("p", p)
-        .with_config("1c", c1);
+    let state = served_state(db, &label, par);
     let engine = match args.get("wal") {
         Some(path) => {
             let t0 = std::time::Instant::now();
@@ -622,9 +582,8 @@ fn cmd_converge(args: &Args) -> Result<(), String> {
     let par = BenchSpec::from_args(args)?.threads;
     let (db, label) = load_db(args)?;
     let family = family_of(args.require("family")?)?;
-    let p = tab_core::build_p(&db, &label);
+    let (p, w) = workload_for(args, &db, &label, family, par)?;
     let budget = tab_core::space_budget(&db, &label);
-    let w = workload_for(args, &db, &p, family, par)?;
     let mut spec = ConvergenceSpec::default();
     if let Some(profiles) = args.get("profiles") {
         spec.profiles = profiles
@@ -684,9 +643,8 @@ fn cmd_goal(args: &Args) -> Result<(), String> {
     let (db, label) = load_db(args)?;
     let family = family_of(args.require("family")?)?;
     let goal = Goal::parse(args.require("steps")?)?;
-    let p = tab_core::build_p(&db, &label);
     let built = load_config(args, &db, &label, par)?;
-    let w = workload_for(args, &db, &p, family, par)?;
+    let (_, w) = workload_for(args, &db, &label, family, par)?;
     let run = run_workload(&db, &built, &w, tab_engine::DEFAULT_TIMEOUT_UNITS, par);
     let cfc = run.cfc();
     println!(

@@ -95,14 +95,12 @@ impl Args {
         }
     }
 
-    /// The fault plan `--faults SPEC` arms, or `TAB_FAULTS` when the flag
-    /// is absent (the flag wins, so a plan baked into an environment can
-    /// be overridden per invocation). A blank spec arms nothing.
+    /// The fault plan `--faults SPEC` arms; a blank spec or no flag
+    /// arms nothing.
     pub fn faults(&self) -> Result<Option<FaultPlan>, String> {
         match self.get("faults") {
             Some(s) if !s.trim().is_empty() => FaultPlan::parse(s).map(Some),
-            Some(_) => Ok(None),
-            None => FaultPlan::from_env(),
+            _ => Ok(None),
         }
     }
 }

@@ -1,5 +1,6 @@
-//! The benchmark suite: databases, configurations, workloads, and the
-//! §4.4 insertion analysis.
+//! The benchmark suite: databases, configurations, workloads, one
+//! recommendation request as the front ends make it, and the §4.4
+//! insertion analysis.
 //!
 //! This module assembles the paper's experimental setup (§4.1): three
 //! databases (NREF, skewed TPC-H, uniform TPC-H), the `P`/`1C`/`R`
@@ -9,12 +10,15 @@
 
 use std::io;
 
-use tab_advisor::{one_column_configuration, p_configuration};
+use tab_advisor::{one_column_configuration, p_configuration, profile, AdvisorInput, SearchStats};
 use tab_datagen::{generate_nref, generate_tpch, Distribution, NrefParams, TpchParams};
-use tab_engine::{ChargePolicy, ExecOpts, PoolOpts, RANDOM_PAGE_COST, SEQ_PAGE_COST};
-use tab_families::{sample_preserving_par, Family};
+use tab_engine::{ChargePolicy, EngineState, ExecOpts, PoolOpts, RANDOM_PAGE_COST, SEQ_PAGE_COST};
+use tab_families::{sample_preserving, Family};
 use tab_sqlq::Query;
-use tab_storage::{par_run, BuiltConfiguration, Database, Pager, Parallelism, PAGE_SIZE};
+use tab_storage::{
+    par_run, BuiltConfiguration, Configuration, Database, IndexSpec, Pager, Parallelism, Trace,
+    PAGE_SIZE,
+};
 
 use crate::args::Args;
 use crate::measure::WorkloadRun;
@@ -242,12 +246,51 @@ pub fn build_1c_par(
     BuiltConfiguration::build_par(config, db, par, reuse)
 }
 
+/// The configuration `tab` names `p` or `1c` (compared
+/// case-insensitively) for a database label, 1C's index builds fanned
+/// out over `par`; `None` for any other name. The one table behind
+/// `--config`, `--configs` and [`served_state`].
+pub fn build_config(
+    db: &Database,
+    label: &str,
+    name: &str,
+    par: Parallelism,
+) -> Option<BuiltConfiguration> {
+    match name.to_ascii_lowercase().as_str() {
+        "p" => Some(build_p(db, label)),
+        "1c" => Some(build_1c_par(db, label, par, &[])),
+        _ => None,
+    }
+}
+
+/// The state `tab serve` boots: `db` serving its `p` and `1c`
+/// configurations, and nothing more (this is the work a restart
+/// repeats before it replays the log).
+pub fn served_state(db: Database, label: &str, par: Parallelism) -> EngineState {
+    let p = build_p(&db, label);
+    let c1 = build_1c_par(&db, label, par, &[]);
+    EngineState::new(db)
+        .with_config("p", p)
+        .with_config("1c", c1)
+}
+
 /// The paper's space budget for recommendations on this database: the
 /// size of `1C` minus the size of `P` (§3.2.3), from row counts and
 /// schema widths — neither configuration is built.
 pub fn space_budget(db: &Database, label: &str) -> u64 {
     let one_c = one_column_configuration(db, label).index_pages(db);
     one_c.saturating_sub(p_configuration(db, label).index_pages(db)) * PAGE_SIZE as u64
+}
+
+/// The draw seed of `tab`'s workloads, `tab serve`'s `ADVISE` and the
+/// gate's serving rows: fixed, not derived from `--seed` the way
+/// [`workload_seed`] derives the benchmark's.
+pub const DRAW_SEED: u64 = 2005;
+
+/// The seed a benchmark run with master seed `seed` draws `family`'s
+/// workload with.
+pub fn workload_seed(seed: u64, family: Family) -> u64 {
+    seed ^ family.name().len() as u64
 }
 
 /// Enumerate a family and sample the benchmark workload from it,
@@ -259,9 +302,10 @@ pub fn prepare_workload(suite: &Suite, family: Family, p_built: &BuiltConfigurat
         family,
         p_built,
         suite.spec.workload_size,
-        suite.spec.seed,
+        workload_seed(suite.spec.seed, family),
         suite.spec.threads,
     )
+    .unwrap_or_default()
 }
 
 /// [`prepare_workload`] against an explicit database instance, for
@@ -278,14 +322,17 @@ pub fn prepare_workload_db(
         family,
         p_built,
         workload_size,
-        seed,
+        workload_seed(seed, family),
         Parallelism::sequential(),
     )
+    .unwrap_or_default()
 }
 
-/// [`prepare_workload_db`] with enumeration and stratification cost
-/// estimation fanned out across threads. The sampled workload is
-/// identical at any thread count.
+/// The workload draw: enumerate `family` on `db` and sample
+/// `workload_size` queries from it with `seed`, stratified on estimated
+/// cost in `p_built` (§4.1.1). Enumeration and cost estimation fan out
+/// over `par`; the sample is identical at any thread count. A family
+/// with no query on `db` is an error.
 pub fn prepare_workload_db_with(
     db: &Database,
     family: Family,
@@ -293,16 +340,83 @@ pub fn prepare_workload_db_with(
     workload_size: usize,
     seed: u64,
     par: Parallelism,
-) -> Vec<Query> {
-    let all = family.enumerate_with(db, par);
+) -> Result<Vec<Query>, String> {
+    let all = family.enumerate(db, par);
+    if all.is_empty() {
+        return Err(format!(
+            "family {} is empty on this database",
+            family.name()
+        ));
+    }
     let session = tab_engine::Session::new(db, p_built);
-    sample_preserving_par(
+    Ok(sample_preserving(
         &all,
         |q| session.estimate(q).unwrap_or(f64::INFINITY),
         workload_size,
-        seed ^ family.name().len() as u64,
+        seed,
         par,
-    )
+    ))
+}
+
+/// What one recommendation request produced.
+#[derive(Debug)]
+pub struct Advice {
+    /// The profile's name (`A`, `B` or `C`).
+    pub system: &'static str,
+    /// Queries in the drawn workload.
+    pub workload: usize,
+    /// The space budget the search ran under, in bytes.
+    pub budget_bytes: u64,
+    /// The recommended configuration; `None` when the profile gave up.
+    pub recommendation: Option<Configuration>,
+    /// The recommendation's indexes that `P` does not already hold, in
+    /// recommendation order.
+    pub new_indexes: Vec<IndexSpec>,
+    /// The search's counters.
+    pub stats: SearchStats,
+}
+
+/// Ask profile `system` ([`tab_advisor::profile`]) for a configuration
+/// for `family` on `db`: draw `workload` queries with [`DRAW_SEED`],
+/// then search from `P` within the space budget of database `label`,
+/// fanned out over `par` and traced into `trace`. An unknown profile
+/// (checked before any work) or an empty family is an error.
+pub fn advise(
+    db: &Database,
+    label: &str,
+    family: Family,
+    system: &str,
+    workload: usize,
+    par: Parallelism,
+    trace: Trace<'_>,
+) -> Result<Advice, String> {
+    let rec = profile(system)
+        .ok_or_else(|| format!("unknown system `{}`", system.to_ascii_uppercase()))?;
+    let p = build_p(db, label);
+    let w = prepare_workload_db_with(db, family, &p, workload, DRAW_SEED, par)?;
+    let budget_bytes = space_budget(db, label);
+    let (recommendation, stats) = rec.recommend_with_stats(&AdvisorInput {
+        db,
+        current: &p,
+        workload: &w,
+        budget_bytes,
+        par,
+        trace,
+    });
+    let new_indexes = recommendation
+        .iter()
+        .flat_map(|cfg| &cfg.indexes)
+        .filter(|i| !p.config.indexes.contains(i))
+        .cloned()
+        .collect();
+    Ok(Advice {
+        system: rec.name(),
+        workload: w.len(),
+        budget_bytes,
+        recommendation,
+        new_indexes,
+        stats,
+    })
 }
 
 /// One row of Table 1: configuration size and build time.

@@ -13,8 +13,11 @@
 //!   bounds (§4.3), and improvement ratios AIR/EIR/HIR (§5.2);
 //! - [`experiment`] — the benchmark suite: the [`BenchSpec`] every run
 //!   is measured under, the three databases, the `P`/`1C`
-//!   configurations, space budgets, workload sampling, and the §4.4
-//!   insertion break-even analysis;
+//!   configurations (and the one `p`/`1c` name table, with the state
+//!   `tab serve` boots), space budgets, the one workload draw, and the
+//!   §4.4 insertion break-even analysis, and [`advise`], the one
+//!   recommendation request `tab advise` and the wire `ADVISE` verb
+//!   share;
 //! - [`args`] — the one command-line parser every binary shares;
 //! - [`report`] — CSV output and ASCII figure rendering.
 //!
@@ -41,9 +44,9 @@ pub use convergence::{
     render_convergence_table, ConvergenceCurve, CurvePoint, FIG12_HEADER,
 };
 pub use experiment::{
-    build_1c, build_1c_par, build_p, insertion_breakeven, per_insert_cost, prepare_workload,
-    prepare_workload_db, prepare_workload_db_with, space_budget, table1_row, BenchSpec,
-    InsertionAnalysis, Suite, Table1Row,
+    advise, build_1c, build_1c_par, build_config, build_p, insertion_breakeven, per_insert_cost,
+    prepare_workload, prepare_workload_db, prepare_workload_db_with, served_state, space_budget,
+    table1_row, workload_seed, Advice, BenchSpec, InsertionAnalysis, Suite, Table1Row, DRAW_SEED,
 };
 pub use goal::Goal;
 pub use grid::{

@@ -11,10 +11,10 @@
 use tab_storage::TableSchema;
 
 /// Maximum usable columns per table considered by the enumerators.
-pub const MAX_COLUMNS_PER_TABLE: usize = 10;
+pub(crate) const MAX_COLUMNS_PER_TABLE: usize = 10;
 
 /// The usable column positions for family enumeration.
-pub fn usable_columns(schema: &TableSchema) -> Vec<usize> {
+pub(crate) fn usable_columns(schema: &TableSchema) -> Vec<usize> {
     let mut cols: Vec<usize> = schema
         .indexable_columns()
         .into_iter()
@@ -30,7 +30,7 @@ pub fn usable_columns(schema: &TableSchema) -> Vec<usize> {
 }
 
 /// Usable columns of `schema` sharing the given domain.
-pub fn usable_in_domain(schema: &TableSchema, domain: &str) -> Vec<usize> {
+pub(crate) fn usable_in_domain(schema: &TableSchema, domain: &str) -> Vec<usize> {
     usable_columns(schema)
         .into_iter()
         .filter(|&c| schema.columns[c].domain.as_deref() == Some(domain))
@@ -40,7 +40,11 @@ pub fn usable_in_domain(schema: &TableSchema, domain: &str) -> Vec<usize> {
 /// Group-by column variants: the paper's "up to three other columns"
 /// (§3.2.2). Returns progressively wider prefixes of the usable columns
 /// excluding `exclude`, including the empty variant.
-pub fn group_by_variants(schema: &TableSchema, exclude: &[usize], max: usize) -> Vec<Vec<usize>> {
+pub(crate) fn group_by_variants(
+    schema: &TableSchema,
+    exclude: &[usize],
+    max: usize,
+) -> Vec<Vec<usize>> {
     let others: Vec<usize> = usable_columns(schema)
         .into_iter()
         .filter(|c| !exclude.contains(c))

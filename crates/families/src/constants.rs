@@ -16,7 +16,7 @@ use tab_storage::{Table, Value};
 
 /// Exact value frequencies of a column, descending by frequency with a
 /// deterministic tie-break on the value.
-pub fn value_frequencies(table: &Table, col: usize) -> Vec<(Value, u64)> {
+pub(crate) fn value_frequencies(table: &Table, col: usize) -> Vec<(Value, u64)> {
     let counts = table.value_counts(col).into_iter();
     let mut v: Vec<(Value, u64)> = counts.map(|(id, c)| (table.value(id, col), c)).collect();
     v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
@@ -29,7 +29,7 @@ pub fn value_frequencies(table: &Table, col: usize) -> Vec<(Value, u64)> {
 /// of magnitude (the enumerators then emit fewer selection variants —
 /// the paper's "fewer selection criteria on the larger tables" in
 /// spirit).
-pub fn selection_tiers(table: &Table, col: usize) -> Vec<(Value, u64)> {
+pub(crate) fn selection_tiers(table: &Table, col: usize) -> Vec<(Value, u64)> {
     let freqs = value_frequencies(table, col);
     if freqs.is_empty() {
         return Vec::new();

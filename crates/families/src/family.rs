@@ -52,19 +52,15 @@ impl Family {
         }
     }
 
-    /// Enumerate the (restricted) family against its database instance.
-    pub fn enumerate(&self, db: &Database) -> Vec<Query> {
-        self.enumerate_with(db, Parallelism::sequential())
-    }
-
-    /// [`Family::enumerate`] with template instantiation fanned out
-    /// across threads; the family is identical at any thread count.
-    pub fn enumerate_with(&self, db: &Database, par: Parallelism) -> Vec<Query> {
+    /// Enumerate the (restricted) family against its database instance,
+    /// template instantiation fanned out over `par`; the family is
+    /// identical at any thread count.
+    pub fn enumerate(&self, db: &Database, par: Parallelism) -> Vec<Query> {
         match self {
-            Family::Nref2J => crate::nref2j::enumerate_par(db, par),
-            Family::Nref3J => crate::nref3j::enumerate_par(db, par),
-            Family::SkTH3J | Family::UnTH3J => crate::th3j::enumerate_par(db, false, par),
-            Family::SkTH3Js => crate::th3j::enumerate_par(db, true, par),
+            Family::Nref2J => crate::nref2j::enumerate(db, par),
+            Family::Nref3J => crate::nref3j::enumerate(db, par),
+            Family::SkTH3J | Family::UnTH3J => crate::th3j::enumerate(db, false, par),
+            Family::SkTH3Js => crate::th3j::enumerate(db, true, par),
         }
     }
 }

@@ -7,14 +7,15 @@
 //! 100-query sampler of §4.1.1.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod columns;
+mod columns;
 pub mod constants;
-pub mod family;
-pub mod nref2j;
-pub mod nref3j;
-pub mod sample;
-pub mod th3j;
+mod family;
+mod nref2j;
+mod nref3j;
+mod sample;
+mod th3j;
 
 pub use family::Family;
-pub use sample::{sample_preserving, sample_preserving_par};
+pub use sample::sample_preserving;

@@ -23,18 +23,13 @@ use crate::columns::{group_by_variants, usable_columns};
 
 /// Row count above which a table gets fewer group-by variants
 /// ("fewer columns in group by clauses on these tables", §4.1.1).
-pub const BIG_TABLE_ROWS: usize = 100_000;
+pub(crate) const BIG_TABLE_ROWS: usize = 100_000;
 
-/// Enumerate the (restricted) NREF2J family over `db`.
-pub fn enumerate(db: &Database) -> Vec<Query> {
-    enumerate_par(db, Parallelism::sequential())
-}
-
-/// [`enumerate`] fanned out over outer tables. Each outer table's
-/// template instantiations are independent, and per-table blocks are
-/// concatenated in table order, so the family is identical at any
-/// thread count.
-pub fn enumerate_par(db: &Database, par: Parallelism) -> Vec<Query> {
+/// Enumerate the (restricted) NREF2J family over `db`, fanned out over
+/// outer tables. Each outer table's template instantiations are
+/// independent, and per-table blocks are concatenated in table order,
+/// so the family is identical at any thread count.
+pub(crate) fn enumerate(db: &Database, par: Parallelism) -> Vec<Query> {
     let tables: Vec<_> = db.tables().collect();
     par_map(par, &tables, |r| queries_for_outer(&tables, r))
         .into_iter()
@@ -124,7 +119,7 @@ mod tests {
             proteins: 300,
             seed: 1,
         });
-        let qs = enumerate(&db);
+        let qs = enumerate(&db, Parallelism::sequential());
         assert!(qs.len() > 50, "family too small: {}", qs.len());
         for q in &qs {
             assert_eq!(q.from.len(), 2);
@@ -148,7 +143,7 @@ mod tests {
             proteins: 200,
             seed: 2,
         });
-        for q in enumerate(&db).iter().take(20) {
+        for q in enumerate(&db, Parallelism::sequential()).iter().take(20) {
             let rt = tab_sqlq::parse(&q.to_string()).unwrap();
             assert_eq!(&rt, q);
         }

@@ -21,16 +21,11 @@ use crate::columns::{group_by_variants, usable_columns, usable_in_domain};
 use crate::constants::selection_tiers;
 use crate::nref2j::BIG_TABLE_ROWS;
 
-/// Enumerate the (restricted) NREF3J family over `db`.
-pub fn enumerate(db: &Database) -> Vec<Query> {
-    enumerate_par(db, Parallelism::sequential())
-}
-
-/// [`enumerate`] fanned out over outer (self-joined) tables. Each
-/// worker keeps its own selection-tier cache; per-table blocks are
-/// concatenated in table order, so the family is identical at any
-/// thread count.
-pub fn enumerate_par(db: &Database, par: Parallelism) -> Vec<Query> {
+/// Enumerate the (restricted) NREF3J family over `db`, fanned out over
+/// outer (self-joined) tables. Each worker keeps its own selection-tier
+/// cache; per-table blocks are concatenated in table order, so the
+/// family is identical at any thread count.
+pub(crate) fn enumerate(db: &Database, par: Parallelism) -> Vec<Query> {
     let tables: Vec<_> = db.tables().collect();
     par_map(par, &tables, |r| queries_for_outer(&tables, r))
         .into_iter()
@@ -137,7 +132,7 @@ mod tests {
             proteins: 400,
             seed: 3,
         });
-        let qs = enumerate(&db);
+        let qs = enumerate(&db, Parallelism::sequential());
         assert!(qs.len() > 50, "family too small: {}", qs.len());
         for q in &qs {
             assert_eq!(q.from.len(), 3);
@@ -161,7 +156,7 @@ mod tests {
             proteins: 400,
             seed: 3,
         });
-        let qs = enumerate(&db);
+        let qs = enumerate(&db, Parallelism::sequential());
         // Same structure with different constants must appear.
         let mut shapes: HashMap<String, std::collections::HashSet<String>> = HashMap::new();
         for q in &qs {

@@ -20,25 +20,13 @@ use tab_storage::{par_map, Parallelism};
 /// Sample `n` queries preserving the distribution of `cost_of` across
 /// log10 buckets. Deterministic for a fixed seed. If the family has at
 /// most `n` queries it is returned whole.
+///
+/// The cost model is evaluated over `par` — stratification costs one
+/// planner invocation per enumerated query (thousands per family),
+/// which dominates the sampling step. The sampled workload is identical
+/// at any thread count: costs are collected in query order before
+/// bucketing.
 pub fn sample_preserving(
-    queries: &[Query],
-    mut cost_of: impl FnMut(&Query) -> f64,
-    n: usize,
-    seed: u64,
-) -> Vec<Query> {
-    if queries.len() <= n {
-        return queries.to_vec();
-    }
-    let costs: Vec<f64> = queries.iter().map(&mut cost_of).collect();
-    sample_preserving_costed(queries, &costs, n, seed)
-}
-
-/// [`sample_preserving`] with the cost model evaluated in parallel —
-/// stratification costs one planner invocation per enumerated query
-/// (thousands per family), which dominates the sampling step. The
-/// sampled workload is identical at any thread count: costs are
-/// collected in query order before bucketing.
-pub fn sample_preserving_par(
     queries: &[Query],
     cost_of: impl Fn(&Query) -> f64 + Sync,
     n: usize,
@@ -49,12 +37,6 @@ pub fn sample_preserving_par(
         return queries.to_vec();
     }
     let costs = par_map(par, queries, cost_of);
-    sample_preserving_costed(queries, &costs, n, seed)
-}
-
-/// Shared core: bucket precomputed costs by order of magnitude and draw
-/// a largest-remainder proportional sample.
-fn sample_preserving_costed(queries: &[Query], costs: &[f64], n: usize, seed: u64) -> Vec<Query> {
     let mut rng = StdRng::seed_from_u64(seed);
 
     // Bucket by order of magnitude.
@@ -151,7 +133,7 @@ mod tests {
     #[test]
     fn preserves_bucket_proportions() {
         let qs = mk(1000);
-        let sample = sample_preserving(&qs, cost, 100, 42);
+        let sample = sample_preserving(&qs, cost, 100, 42, Parallelism::sequential());
         assert_eq!(sample.len(), 100);
         let expensive = sample.iter().filter(|q| cost(q) > 100.0).count();
         assert!(
@@ -163,26 +145,26 @@ mod tests {
     #[test]
     fn small_family_returned_whole() {
         let qs = mk(40);
-        let sample = sample_preserving(&qs, cost, 100, 1);
+        let sample = sample_preserving(&qs, cost, 100, 1, Parallelism::sequential());
         assert_eq!(sample.len(), 40);
     }
 
     #[test]
     fn deterministic_for_seed() {
         let qs = mk(500);
-        let a = sample_preserving(&qs, cost, 100, 7);
-        let b = sample_preserving(&qs, cost, 100, 7);
+        let a = sample_preserving(&qs, cost, 100, 7, Parallelism::sequential());
+        let b = sample_preserving(&qs, cost, 100, 7, Parallelism::sequential());
         assert_eq!(a, b);
-        let c = sample_preserving(&qs, cost, 100, 8);
+        let c = sample_preserving(&qs, cost, 100, 8, Parallelism::sequential());
         assert_ne!(a, c);
     }
 
     #[test]
     fn parallel_matches_serial() {
         let qs = mk(800);
-        let serial = sample_preserving(&qs, cost, 100, 11);
+        let serial = sample_preserving(&qs, cost, 100, 11, Parallelism::sequential());
         for threads in [1, 2, 4] {
-            let par = sample_preserving_par(&qs, cost, 100, 11, Parallelism::new(threads));
+            let par = sample_preserving(&qs, cost, 100, 11, Parallelism::new(threads));
             assert_eq!(serial, par, "threads={threads}");
         }
     }
@@ -190,7 +172,7 @@ mod tests {
     #[test]
     fn no_duplicates() {
         let qs = mk(300);
-        let sample = sample_preserving(&qs, cost, 100, 3);
+        let sample = sample_preserving(&qs, cost, 100, 3, Parallelism::sequential());
         let mut texts: Vec<String> = sample.iter().map(|q| q.to_string()).collect();
         texts.sort();
         texts.dedup();

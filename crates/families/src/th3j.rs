@@ -30,15 +30,11 @@ use crate::constants::{count_tiers, selection_tiers};
 /// index pairs in `(referencing, referenced)` order.
 type FkPair<'a> = (&'a Table, &'a Table, Vec<(usize, usize)>);
 
-/// Enumerate the TH3J family. `simple` selects the SkTH3Js variant.
-pub fn enumerate(db: &Database, simple: bool) -> Vec<Query> {
-    enumerate_par(db, simple, Parallelism::sequential())
-}
-
-/// [`enumerate`] fanned out over the FK-joined `(R, S)` pairs. Each
-/// worker keeps its own tier caches; per-pair blocks are concatenated
-/// in pair order, so the family is identical at any thread count.
-pub fn enumerate_par(db: &Database, simple: bool, par: Parallelism) -> Vec<Query> {
+/// Enumerate the TH3J family (`simple` selects the SkTH3Js variant),
+/// fanned out over the FK-joined `(R, S)` pairs. Each worker keeps its
+/// own tier caches; per-pair blocks are concatenated in pair order, so
+/// the family is identical at any thread count.
+pub(crate) fn enumerate(db: &Database, simple: bool, par: Parallelism) -> Vec<Query> {
     let tables: Vec<&Table> = db.tables().collect();
 
     // (R, S) pairs joined by a declared FK, in both orientations.
@@ -233,7 +229,7 @@ mod tests {
 
     #[test]
     fn full_family_has_both_theta_forms() {
-        let qs = enumerate(&db(), false);
+        let qs = enumerate(&db(), false, Parallelism::sequential());
         assert!(qs.len() > 30, "family too small: {}", qs.len());
         assert!(qs.iter().any(|q| q
             .predicates
@@ -247,7 +243,7 @@ mod tests {
 
     #[test]
     fn simple_family_restricted_to_three_tables() {
-        let qs = enumerate(&db(), true);
+        let qs = enumerate(&db(), true, Parallelism::sequential());
         assert!(!qs.is_empty());
         for q in &qs {
             for tr in &q.from {
@@ -266,14 +262,15 @@ mod tests {
 
     #[test]
     fn simple_is_subset_shapewise() {
-        let full = enumerate(&db(), false).len();
-        let simple = enumerate(&db(), true).len();
+        let full = enumerate(&db(), false, Parallelism::sequential()).len();
+        let simple = enumerate(&db(), true, Parallelism::sequential()).len();
         assert!(simple < full);
     }
 
     #[test]
     fn three_way_structure() {
-        for q in enumerate(&db(), true).iter().take(10) {
+        let qs = enumerate(&db(), true, Parallelism::sequential());
+        for q in qs.iter().take(10) {
             assert_eq!(q.from.len(), 3);
             // Group-by over T only.
             for g in &q.group_by {

@@ -39,9 +39,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tab_advisor::{AdvisorInput, Recommender, SystemA, SystemB, SystemC};
 use tab_engine::{EngineSnapshot, SharedEngine, DEFAULT_TIMEOUT_UNITS};
-use tab_families::{sample_preserving_par, Family};
+use tab_families::Family;
 use tab_sqlq::{parse_statement, Statement};
 use tab_storage::{FaultPlan, Faults, Parallelism, WireFault};
 
@@ -585,9 +584,11 @@ fn explain_query(engine: &SharedEngine, config: &str, sql: &str) -> String {
         .finish()
 }
 
-/// `ADVISE`: sample a workload from the family on the pinned snapshot
-/// and run a recommender profile. The response carries counts and the
-/// DDL, not wall-clock, so it is deterministic for a fixed generation.
+/// `ADVISE`: [`tab_core::advise`] on the pinned snapshot (the workload
+/// is sampled with estimates from the paper's P baseline, so the served
+/// configuration set does not perturb it). The response carries counts
+/// and the DDL, not wall-clock, so it is deterministic for a fixed
+/// generation.
 fn advise(
     engine: &SharedEngine,
     opts: &ServeOptions,
@@ -598,57 +599,31 @@ fn advise(
     let Some(family) = Family::parse(family) else {
         return proto::error(&format!("unknown family `{family}`"));
     };
-    let a = SystemA {
-        capacity_limit: 4_000,
-    };
-    let rec: &dyn Recommender = match system.to_ascii_uppercase().as_str() {
-        "A" => &a,
-        "B" => &SystemB,
-        "C" => &SystemC,
-        other => return proto::error(&format!("unknown system `{other}`")),
-    };
     let snap = engine.snapshot();
-    let state = snap.state();
-    let all = family.enumerate_with(&state.db, opts.par);
-    if all.is_empty() {
-        return proto::error(&format!(
-            "family {} is empty on this database",
-            family.name()
-        ));
-    }
-    // Sample with estimates from the paper's P baseline so the served
-    // configuration set does not perturb workload selection.
-    let p = tab_core::build_p(&state.db, &opts.label);
-    let estimator = tab_engine::Session::new(&state.db, &p);
-    let w = sample_preserving_par(
-        &all,
-        |q| estimator.estimate(q).unwrap_or(f64::INFINITY),
+    let advice = match tab_core::advise(
+        &snap.state().db,
+        &opts.label,
+        family,
+        system,
         workload,
-        2005,
         opts.par,
-    );
-    let input = AdvisorInput {
-        db: &state.db,
-        current: &p,
-        workload: &w,
-        budget_bytes: tab_core::space_budget(&state.db, &opts.label),
-        par: opts.par,
-        trace: tab_core::Trace::disabled(),
+        tab_core::Trace::disabled(),
+    ) {
+        Ok(advice) => advice,
+        Err(e) => return proto::error(&e),
     };
-    let (cfg, stats) = rec.recommend_with_stats(&input);
     let b = proto::ok("advise")
         .int("generation", snap.seq())
         .str("family", family.name())
-        .str("system", rec.name())
-        .int("workload", w.len() as u64)
-        .int("whatif_calls", stats.whatif_calls);
-    match cfg {
+        .str("system", advice.system)
+        .int("workload", advice.workload as u64)
+        .int("whatif_calls", advice.stats.whatif_calls);
+    match advice.recommendation {
         None => b.str("verdict", "no_recommendation").finish(),
         Some(cfg) => {
-            let mut ddl: Vec<String> = cfg
-                .indexes
+            let mut ddl: Vec<String> = advice
+                .new_indexes
                 .iter()
-                .filter(|i| !p.config.indexes.contains(i))
                 .map(|i| format!("CREATE INDEX {i}"))
                 .collect();
             ddl.extend(cfg.mviews.iter().map(|m| {

@@ -1,10 +1,8 @@
 //! Tokenizer for the benchmark SQL fragment.
 
-use std::fmt;
-
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub(crate) enum Token {
     /// Keyword or identifier (keywords are recognized case-insensitively
     /// by the parser; the lexer preserves the original spelling).
     Ident(String),
@@ -36,46 +34,17 @@ pub enum Token {
     Star,
 }
 
-impl fmt::Display for Token {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Token::Ident(s) => write!(f, "{s}"),
-            Token::Int(i) => write!(f, "{i}"),
-            Token::Float(x) => write!(f, "{x}"),
-            Token::Str(s) => write!(f, "'{s}'"),
-            Token::Comma => write!(f, ","),
-            Token::Dot => write!(f, "."),
-            Token::LParen => write!(f, "("),
-            Token::RParen => write!(f, ")"),
-            Token::Eq => write!(f, "="),
-            Token::Lt => write!(f, "<"),
-            Token::Gt => write!(f, ">"),
-            Token::Le => write!(f, "<="),
-            Token::Ge => write!(f, ">="),
-            Token::Star => write!(f, "*"),
-        }
-    }
-}
-
 /// Lexical error with byte position.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LexError {
+pub(crate) struct LexError {
     /// Byte offset in the input.
-    pub pos: usize,
+    pub(crate) pos: usize,
     /// Human-readable message.
-    pub message: String,
+    pub(crate) message: String,
 }
-
-impl fmt::Display for LexError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "lex error at byte {}: {}", self.pos, self.message)
-    }
-}
-
-impl std::error::Error for LexError {}
 
 /// Tokenize `input` into a vector of tokens.
-pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
+pub(crate) fn lex(input: &str) -> Result<Vec<Token>, LexError> {
     let bytes = input.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0;

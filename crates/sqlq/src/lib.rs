@@ -10,11 +10,11 @@
 //! [`parse`] (property-tested in `tests/`).
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod ast;
-pub mod lexer;
-pub mod parser;
+mod ast;
+mod lexer;
+mod parser;
 
 pub use ast::{CmpOp, ColRef, Insert, Predicate, Query, RangeOp, SelectItem, Statement, TableRef};
-pub use lexer::{lex, LexError, Token};
 pub use parser::{parse, parse_statement, ParseError};

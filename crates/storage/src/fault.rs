@@ -19,8 +19,8 @@
 //!
 //! # Fault spec grammar
 //!
-//! A plan is parsed from a comma-separated spec (CLI `--faults SPEC`,
-//! or the `TAB_FAULTS` environment variable):
+//! A plan is parsed from a comma-separated spec, given on the command
+//! line as `--faults SPEC` (the only way to arm one):
 //!
 //! ```text
 //! SPEC := arm (',' arm)*
@@ -245,14 +245,6 @@ impl FaultPlan {
             arms.push(arm);
         }
         Ok(FaultPlan { arms })
-    }
-
-    /// Parse the `TAB_FAULTS` environment variable, if set.
-    pub fn from_env() -> Result<Option<FaultPlan>, String> {
-        match std::env::var("TAB_FAULTS") {
-            Ok(spec) if !spec.trim().is_empty() => FaultPlan::parse(&spec).map(Some),
-            _ => Ok(None),
-        }
     }
 
     /// Whether the plan arms anything at all.

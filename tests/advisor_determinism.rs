@@ -15,7 +15,7 @@
 use tab_advisor::{
     candidate_bytes, generate_candidates, greedy_select, Candidate, CandidateStyle, GreedyOptions,
 };
-use tab_core::{build_p, prepare_workload_db_with, space_budget};
+use tab_core::{build_p, prepare_workload_db, space_budget};
 use tab_datagen::{generate_nref, generate_tpch, Distribution, NrefParams, TpchParams};
 use tab_engine::estimate_hypothetical;
 use tab_families::Family;
@@ -161,7 +161,7 @@ fn check_family(
     style: CandidateStyle,
 ) -> Vec<Candidate> {
     let p = build_p(db, label);
-    let w = prepare_workload_db_with(db, family, &p, 8, 7, Parallelism::sequential());
+    let w = prepare_workload_db(db, family, &p, 8, 7);
     let cands = generate_candidates(db, &w, style);
     assert!(!cands.is_empty(), "{label}: no candidates generated");
     let tag = format!("{label} {} {style:?}", family.name());

@@ -97,7 +97,7 @@ fn null_sensitive(q: &Query, db: &Database) -> bool {
 fn check_family_with_nulls(family: Family, db: &Database, seed: u64) {
     let db = &with_nulls(db, seed);
     check_family(family, db);
-    let queries = family.enumerate(db);
+    let queries = family.enumerate(db, Parallelism::sequential());
     let sensitive: Vec<&Query> = queries.iter().filter(|q| null_sensitive(q, db)).collect();
     check_queries(family, db, &sensitive);
 }
@@ -144,7 +144,7 @@ fn same_work(a: &OpActuals, b: &OpActuals) -> bool {
 const QUERIES_PER_FAMILY: usize = 4;
 
 fn check_family(family: Family, db: &Database) {
-    let queries = family.enumerate(db);
+    let queries = family.enumerate(db, Parallelism::sequential());
     assert!(
         !queries.is_empty(),
         "{} enumerates no queries on the truncated database",

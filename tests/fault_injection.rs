@@ -11,7 +11,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use tab_bench::datagen::{generate_nref, generate_nref_checked, NrefParams};
-use tab_bench::engine::{ChargePolicy, EngineState, SharedEngine};
+use tab_bench::engine::{ChargePolicy, SharedEngine};
 use tab_bench::eval::BenchSpec;
 use tab_bench::sqlq::{parse_statement, Statement};
 use tab_bench::storage::{par_map, par_map_catch, FaultPlan, Faults, Parallelism};
@@ -472,11 +472,7 @@ fn panicked_wal_append_truncates_to_a_recoverable_tail() {
         proteins: 300,
         seed: 2005,
     });
-    let state = || {
-        EngineState::new(db.clone())
-            .with_config("p", tab_bench::eval::build_p(&db, "NREF"))
-            .with_config("1c", tab_bench::eval::build_1c(&db, "NREF"))
-    };
+    let state = || tab_bench::eval::served_state(db.clone(), "NREF", Parallelism::sequential());
     let insert = |key: i64| {
         let sql =
             format!("INSERT INTO source VALUES ({key}, 1, 562, 'W{key}', 'wal row', 'testdb')");

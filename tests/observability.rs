@@ -30,7 +30,7 @@ fn explain_shows_index_scan_under_1c_but_not_p() {
     let s1 = Session::new(&db, &c1);
     // Find an NREF3J query whose chosen plan uses a secondary index under
     // 1C and none under P (P's only indexes are primary keys).
-    let queries = Family::Nref3J.enumerate(&db);
+    let queries = Family::Nref3J.enumerate(&db, Parallelism::sequential());
     let separated = queries.iter().find(|q| {
         let d1 = s1.plan_query(q).expect("bind under 1C").describe();
         let dp = sp.plan_query(q).expect("bind under P").describe();
@@ -85,7 +85,7 @@ fn explain_is_identical_at_one_and_four_query_threads() {
         seed: 7,
     });
     let c1 = build_1c(&db, "NREF");
-    let queries = Family::Nref3J.enumerate(&db);
+    let queries = Family::Nref3J.enumerate(&db, Parallelism::sequential());
     let sample: Vec<_> = queries.iter().step_by(queries.len() / 4).take(4).collect();
     assert!(!sample.is_empty());
     for q in sample {

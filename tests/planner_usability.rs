@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use tab_advisor::{generate_candidates, Candidate, CandidateStyle};
-use tab_core::{build_p, prepare_workload_db_with};
+use tab_core::{build_p, prepare_workload_db};
 use tab_datagen::{generate_nref, generate_tpch, Distribution, NrefParams, TpchParams};
 use tab_engine::planner::{index_usable, view_usable};
 use tab_engine::stats_view::{IndexMeta, MViewMeta};
@@ -19,8 +19,8 @@ use tab_engine::{bind, plan, plan_explained, BoundQuery, HypotheticalStats, Stat
 use tab_families::Family;
 use tab_sqlq::{parse, CmpOp, RangeOp};
 use tab_storage::{
-    ColType, ColumnDef, Configuration, Database, IndexSpec, MViewDef, MViewSpec, Parallelism,
-    Table, TableSchema, Value,
+    ColType, ColumnDef, Configuration, Database, IndexSpec, MViewDef, MViewSpec, Table,
+    TableSchema, Value,
 };
 
 /// A statistics view in which one index is priced far below zero, so
@@ -102,7 +102,7 @@ fn with_extra(base: &Configuration, extra: &Candidate) -> Configuration {
 /// the rule called usable and how many not.
 fn check_family(db: &Database, family: Family, seed: u64) -> (usize, usize) {
     let p = build_p(db, "P");
-    let workload = prepare_workload_db_with(db, family, &p, 6, seed, Parallelism::sequential());
+    let workload = prepare_workload_db(db, family, &p, 6, seed);
     // Views System C would propose for any query of the sample: exact
     // fits for one query, near misses (same tables, other projections
     // or join columns) for the others.

@@ -34,7 +34,8 @@ fn traced_grid_text(threads: usize) -> String {
     });
     let p = build_p(&db, "NREF");
     let c1 = build_1c(&db, "NREF");
-    let w: Vec<_> = Family::Nref2J.enumerate(&db).into_iter().take(6).collect();
+    let mut w = Family::Nref2J.enumerate(&db, Parallelism::sequential());
+    w.truncate(6);
     let sink = MemoryTraceSink::new();
     let cells = [&p, &c1].map(|built| GridCell {
         family: "NREF2J",
@@ -64,7 +65,8 @@ fn replay_round_trips_live_instrumented_actuals() {
         proteins: 400,
         seed: 7,
     });
-    let w: Vec<_> = Family::Nref2J.enumerate(&db).into_iter().take(6).collect();
+    let mut w = Family::Nref2J.enumerate(&db, Parallelism::sequential());
+    w.truncate(6);
     for built in [build_p(&db, "NREF"), build_1c(&db, "NREF")] {
         let key = ("NREF2J".to_string(), built.config.name.clone());
         let cell = replay.cells.get(&key).unwrap_or_else(|| {

@@ -7,10 +7,10 @@ use std::time::Duration;
 
 use tab_bench::datagen::{generate_nref, NrefParams};
 use tab_bench::engine::{EngineState, Outcome, Session, SharedEngine};
-use tab_bench::eval::{build_1c, build_p};
+use tab_bench::eval::{build_p, served_state};
 use tab_bench::families::Family;
 use tab_bench::server::{Client, Response, RetryClient, ServeOptions, Server};
-use tab_bench::storage::{Database, FaultPlan};
+use tab_bench::storage::{Database, FaultPlan, Parallelism};
 use tab_bench_harness::serve_bench::serve_proof;
 
 fn nref(proteins: usize) -> Database {
@@ -21,9 +21,7 @@ fn nref(proteins: usize) -> Database {
 }
 
 fn state_of(db: &Database) -> EngineState {
-    EngineState::new(db.clone())
-        .with_config("p", build_p(db, "NREF"))
-        .with_config("1c", build_1c(db, "NREF"))
+    served_state(db.clone(), "NREF", Parallelism::sequential())
 }
 
 fn start_server(db: &Database) -> (Arc<SharedEngine>, Server) {
@@ -47,7 +45,8 @@ fn source_insert(key: i64) -> String {
 fn wire_results_equal_direct_session_results() {
     let db = nref(400);
     let p = build_p(&db, "NREF");
-    let queries: Vec<_> = Family::Nref2J.enumerate(&db).into_iter().take(6).collect();
+    let mut queries = Family::Nref2J.enumerate(&db, Parallelism::sequential());
+    queries.truncate(6);
     let (_engine, mut server) = start_server(&db);
     let addr = server.addr();
     let wire: Vec<(String, f64)> = std::thread::scope(|scope| {
