@@ -33,7 +33,8 @@
 //!   the run is deterministic, so a clean rerun into the same `--out`
 //!   writes what an uninterrupted run would have.
 //! - `--buffer-pages N`  run every grid query through an N-frame buffer
-//!   pool with clock eviction and spill-to-disk (0 = off, the default).
+//!   pool with clock eviction (0 = off, the default). The pool models
+//!   page traffic and counts spill; it holds no bytes and does no I/O.
 //!   Eviction is a pure function of the logical access stream, so all
 //!   outputs stay byte-identical at any thread count and `BENCH_io.json`
 //!   reports the per-cell hit/miss/eviction traffic.

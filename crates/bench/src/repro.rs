@@ -30,7 +30,7 @@ use tab_datagen::{
 };
 use tab_families::Family;
 use tab_sqlq::Query;
-use tab_storage::{BuiltConfiguration, Configuration, Database, Pager};
+use tab_storage::{BuiltConfiguration, Configuration, Database};
 
 /// The flags `repro` reads: the spec's (see [`BenchSpec::from_args`])
 /// and the operational ones, which never change an output byte.
@@ -303,16 +303,6 @@ where
     }
 }
 
-/// The spec's spill pager for one database, its failure an artifact
-/// error under the temp directory the pager lives in.
-fn pager_step(spec: &BenchSpec, label: &str, db: &Database) -> Result<Option<Pager>, ReproError> {
-    spec.pager(label, db)
-        .map_err(|source| ReproError::Artifact {
-            path: std::env::temp_dir(),
-            source,
-        })
-}
-
 /// Run one grid, translating a poisoned cell to [`ReproError::Grid`],
 /// and log how many of its queries reused an execution.
 fn grid_step(
@@ -520,14 +510,11 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
     let b3 = BuiltConfiguration::build_par(named(b3_cfg, "B_NREF3J_R"), nref, par, &reuse);
 
     ctx.log("NREF: running the NREF2J/NREF3J x P/1C/R grid");
-    let nref_pager = pager_step(spec, "nref", nref)?;
-    let pager = nref_pager.as_ref();
     let cell = move |family: &'static str, built, workload| GridCell {
         family,
         db: nref,
         built,
         workload,
-        pager,
     };
     let mut cells = vec![
         cell("NREF2J", &p, w2.as_slice()),
@@ -980,7 +967,6 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
     );
 
     drop(p);
-    drop(nref_pager);
     drop(nref_db);
     trace.span_end("NREF");
     ctx.log_section_end("NREF: section done");
@@ -1011,7 +997,6 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
         let p = build_p(db, label);
         let c1 = build_1c_par(db, label, par, &[&p]);
         let budget = space_budget(db, label);
-        let tpch_pager = pager_step(spec, label, db)?;
         let mut family_runs: BTreeMap<&'static str, (WorkloadRun, WorkloadRun, WorkloadRun)> =
             BTreeMap::new();
 
@@ -1055,7 +1040,6 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
                     db,
                     built: b,
                     workload: w,
-                    pager: tpch_pager.as_ref(),
                 })
             })
             .collect();

@@ -14,6 +14,7 @@
 
 mod args;
 
+use std::borrow::Cow;
 use std::process::ExitCode;
 
 use std::sync::Arc;
@@ -84,7 +85,7 @@ fan-out; 0 or absent = all cores). `explain` and `run` additionally
 accept --query-threads N (intra-query morsel workers; default 1,
 0 = all cores), --morsel-rows N (rows per morsel, default 4096),
 --buffer-pages N (run through an N-frame buffer pool with clock
-eviction and spill-to-disk; 0 = off, the default) and
+eviction that counts page traffic and spill; 0 = off, the default) and
 --charge observed|metered (how the meter prices pool traffic:
 `observed` charges misses only, `metered` keeps the legacy model-based
 charges so totals match a pool-less run). Results are identical at any
@@ -213,6 +214,22 @@ fn workload_for(
     Ok((p, w))
 }
 
+/// Configuration `name` (`p` or `1c`), borrowing the `p` that
+/// [`workload_for`] already built rather than building P again.
+fn config_beside_p<'a>(
+    db: &Database,
+    label: &str,
+    name: &str,
+    p: &'a BuiltConfiguration,
+    par: Parallelism,
+) -> Option<Cow<'a, BuiltConfiguration>> {
+    if name.eq_ignore_ascii_case("p") {
+        Some(Cow::Borrowed(p))
+    } else {
+        build_config(db, label, name, par).map(Cow::Owned)
+    }
+}
+
 fn cmd_gen(args: &Args) -> Result<(), String> {
     let (db, label) = load_db(args)?;
     let out = args.require("out")?;
@@ -230,12 +247,6 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The spill pager `--buffer-pages` asks for (none without it).
-fn pager_for(spec: &BenchSpec, db: &Database) -> Result<Option<tab_storage::Pager>, String> {
-    spec.pager("cli", db)
-        .map_err(|e| format!("cannot create spill pager: {e}"))
-}
-
 fn cmd_explain(args: &Args) -> Result<(), String> {
     let spec = BenchSpec::from_args(args)?;
     let (db, label) = load_db(args)?;
@@ -243,8 +254,7 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
     let sql = sql_arg(args)?;
     let q = tab_sqlq::parse(&sql).map_err(|e| e.to_string())?;
     let timeout = timeout_units(args)?;
-    let pager = pager_for(&spec, &db)?;
-    let session = Session::new(&db, &built).with_exec(spec.exec_opts(pager.as_ref()));
+    let session = Session::new(&db, &built).with_exec(spec.exec_opts());
     // Plan with the decision trace, then execute the same query
     // instrumented so the rendering pairs estimates with actuals
     // (under `--buffer-pages` the actuals gain a per-operator `pages`
@@ -292,8 +302,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             );
         }
         Statement::Query(q) => {
-            let pager = pager_for(&spec, &db)?;
-            let session = Session::new(&db, &built).with_exec(spec.exec_opts(pager.as_ref()));
+            let session = Session::new(&db, &built).with_exec(spec.exec_opts());
             let r = session.run(&q, timeout).map_err(|e| e.to_string())?;
             match (&r.outcome, &r.rows) {
                 (o, Some(rows)) => {
@@ -410,12 +419,12 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     let par = BenchSpec::from_args(args)?.threads;
     let (db, label) = load_db(args)?;
     let family = family_of(args.require("family")?)?;
-    let (_, w) = workload_for(args, &db, &label, family, par)?;
+    let (p, w) = workload_for(args, &db, &label, family, par)?;
     let timeout_units = timeout_units(args)?.unwrap_or(tab_engine::DEFAULT_TIMEOUT_UNITS);
     let configs = args.get("configs").unwrap_or("p,1c");
     let mut curves = Vec::new();
     for name in configs.split(',') {
-        let built = build_config(&db, &label, name.trim(), par)
+        let built = config_beside_p(&db, &label, name.trim(), &p, par)
             .ok_or_else(|| format!("unknown config `{}`", name.trim()))?;
         let run = run_workload(&db, &built, &w, timeout_units, par);
         println!(
@@ -643,8 +652,10 @@ fn cmd_goal(args: &Args) -> Result<(), String> {
     let (db, label) = load_db(args)?;
     let family = family_of(args.require("family")?)?;
     let goal = Goal::parse(args.require("steps")?)?;
-    let built = load_config(args, &db, &label, par)?;
-    let (_, w) = workload_for(args, &db, &label, family, par)?;
+    let name = args.get("config").unwrap_or("p");
+    let (p, w) = workload_for(args, &db, &label, family, par)?;
+    let built = config_beside_p(&db, &label, name, &p, par)
+        .ok_or_else(|| format!("unknown config `{name}` (use p or 1c)"))?;
     let run = run_workload(&db, &built, &w, tab_engine::DEFAULT_TIMEOUT_UNITS, par);
     let cfc = run.cfc();
     println!(

@@ -8,16 +8,13 @@
 //! family, and the measurement protocol (30-minute timeout, statistics
 //! collected before recommending and before running).
 
-use std::io;
-
 use tab_advisor::{one_column_configuration, p_configuration, profile, AdvisorInput, SearchStats};
 use tab_datagen::{generate_nref, generate_tpch, Distribution, NrefParams, TpchParams};
 use tab_engine::{ChargePolicy, EngineState, ExecOpts, PoolOpts, RANDOM_PAGE_COST, SEQ_PAGE_COST};
 use tab_families::{sample_preserving, Family};
 use tab_sqlq::Query;
 use tab_storage::{
-    par_run, BuiltConfiguration, Configuration, Database, IndexSpec, Pager, Parallelism, Trace,
-    PAGE_SIZE,
+    par_run, BuiltConfiguration, Configuration, Database, IndexSpec, Parallelism, Trace, PAGE_SIZE,
 };
 
 use crate::args::Args;
@@ -125,13 +122,12 @@ impl BenchSpec {
         Ok(spec)
     }
 
-    /// The options one measured query executes under, its pool (when
-    /// `buffer_pages > 0`) backed by `pager`. Tracing and fault sites
-    /// start disabled; the grid arms them per job.
-    pub fn exec_opts<'a>(&self, pager: Option<&'a Pager>) -> ExecOpts<'a> {
+    /// The options one measured query executes under, with its pool
+    /// when `buffer_pages > 0`. Tracing and fault sites start disabled;
+    /// the grid arms them per job.
+    pub fn exec_opts<'a>(&self) -> ExecOpts<'a> {
         let pool = (self.buffer_pages > 0).then(|| PoolOpts {
             policy: self.charge,
-            pager,
             ..PoolOpts::new(self.buffer_pages)
         });
         ExecOpts {
@@ -140,24 +136,6 @@ impl BenchSpec {
             pool,
             ..ExecOpts::default()
         }
-    }
-
-    /// The spill-to-disk pager behind the buffer pool, with every
-    /// base-table heap of `db` materialised so evicted clean pages can
-    /// be re-read; `None` when the pool is off.
-    pub fn pager(&self, label: &str, db: &Database) -> io::Result<Option<Pager>> {
-        if self.buffer_pages == 0 {
-            return Ok(None);
-        }
-        let mut pager = Pager::new(label)?;
-        for name in db.table_names() {
-            let table = db.table(name).expect("listed table exists");
-            pager.materialize_table(name, table).map_err(|e| {
-                let path = pager.dir().join(name);
-                io::Error::new(e.kind(), format!("{}: {e}", path.display()))
-            })?;
-        }
-        Ok(Some(pager))
     }
 }
 

@@ -32,7 +32,7 @@ use tab_sqlq::Query;
 use tab_storage::framed::json_escape;
 use tab_storage::trace::{event, Num};
 use tab_storage::{
-    par_map_catch, BuiltConfiguration, Database, Faults, JobPanic, Pager, PoolStats, Trace,
+    par_map_catch, BuiltConfiguration, Database, Faults, JobPanic, PoolStats, Trace,
 };
 
 use crate::experiment::BenchSpec;
@@ -51,10 +51,6 @@ pub struct GridCell<'a> {
     pub built: &'a BuiltConfiguration,
     /// The sampled workload, in order.
     pub workload: &'a [Query],
-    /// Spill-to-disk pager backing the pool's frames (optional; without
-    /// one, evicted dirty pages are re-materialized from the in-memory
-    /// heap on re-fetch and only the byte counters move).
-    pub pager: Option<&'a Pager>,
 }
 
 /// Timing record for one executed grid cell.
@@ -384,7 +380,7 @@ fn run_query(
     } else {
         None
     };
-    let mut exec = spec.exec_opts(cell.pager);
+    let mut exec = spec.exec_opts();
     exec.faults = faults;
     exec.fault_site = site.as_deref();
     if let Some(pool) = exec.pool.as_mut() {
@@ -616,7 +612,6 @@ mod tests {
             db,
             built,
             workload,
-            pager: None,
         };
         [
             cell("F1", p, qs),
@@ -639,7 +634,6 @@ mod tests {
             db: &db,
             built: &c1,
             workload: &qs[2..],
-            pager: None,
         };
         let cells = [f1_p, f1_1c, f2, f3];
         let seq = Parallelism::sequential();
@@ -714,7 +708,6 @@ mod tests {
             db,
             built,
             workload,
-            pager: None,
         };
         let grid = run_grid(
             &spec,
@@ -794,7 +787,6 @@ mod tests {
             db: &db,
             built: &p,
             workload: &qs,
-            pager: None,
         };
         let cells = [cell("F1"), cell("F2")];
         let reused = |spec: &BenchSpec, faults| -> Vec<usize> {
@@ -821,7 +813,6 @@ mod tests {
             db: &db,
             built: &p,
             workload: &qs,
-            pager: None,
         }];
         let seq = BenchSpec {
             threads: Parallelism::sequential(),

@@ -85,8 +85,7 @@ use tab_sqlq::{CmpOp, RangeOp};
 use tab_storage::{
     index_rel_id, key_tuple, par_map, table_rel_id, temp_rel_id, BTreeIndex, BufferPool,
     BuiltConfiguration, CodeTable, Column, Database, Faults, Fetched, MaterializedView, NullMask,
-    PageHint, PageKey, Pager, Parallelism, PoolStats, Probe, RowBuckets, RowId, Table, Trace,
-    Value,
+    PageHint, PageKey, Parallelism, PoolStats, Probe, RowBuckets, RowId, Table, Trace, Value,
 };
 
 use crate::catalog::{BoundAgg, BoundItem, BoundQuery, FreqFilter};
@@ -208,9 +207,6 @@ pub struct PoolOpts<'a> {
     /// Whether the meter charges observed pool misses or the modeled
     /// page counts (see [`ChargePolicy`]).
     pub policy: ChargePolicy,
-    /// Backing pager for real heap reads and spill writes; `None` runs
-    /// the pool over zero-filled frames (identical accounting).
-    pub pager: Option<&'a Pager>,
     /// Fault site checked at every eviction, e.g. `evict:NREF3J/NREF_1C`
     /// (the `panic:evict:*` site of DESIGN.md §10).
     pub evict_site: Option<&'a str>,
@@ -219,13 +215,12 @@ pub struct PoolOpts<'a> {
 }
 
 impl<'a> PoolOpts<'a> {
-    /// A pool of `pages` frames with default policy and no pager,
-    /// tracing, or fault site.
+    /// A pool of `pages` frames with default policy and no tracing or
+    /// fault site.
     pub fn new(pages: usize) -> Self {
         PoolOpts {
             pages,
             policy: ChargePolicy::default(),
-            pager: None,
             evict_site: None,
             trace: Trace::disabled(),
         }
@@ -246,7 +241,7 @@ impl<'a> PoolState<'a> {
     fn of(opts: &ExecOpts<'a>) -> Option<Self> {
         let p = opts.pool.filter(|p| p.pages > 0)?;
         Some(PoolState {
-            pool: BufferPool::new(p.pages, p.pager, opts.faults, p.trace, p.evict_site),
+            pool: BufferPool::new(p.pages, None, opts.faults, p.trace, p.evict_site),
             policy: p.policy,
             spill_next_page: 0,
         })
@@ -332,7 +327,7 @@ fn spill_threshold(ps: &Option<PoolState<'_>>) -> u64 {
 /// Charge a spilling operator's partition passes: `n` sequential pages,
 /// streamed through the pool as *dirty* writes of a fresh page range of
 /// the shared `spill` temp relation (dirty frames evicted under pressure
-/// are written to the pager's spill file for real).
+/// count as spill writes).
 fn pool_charge_spill(
     ps: &mut Option<PoolState<'_>>,
     meter: &mut CostMeter,

@@ -55,8 +55,7 @@
 //! | `cell:<family>/<config>` | each query job of that grid cell |
 //! | `morsel:<family>/<config>` | every morsel prologue of the cell's queries — a panic inside an intra-query worker, caught and reported like a `cell:` poison |
 //! | `trace` | every trace-sink line (`enospc:trace` silences the sink) |
-//! | `spill` | every dirty-page eviction's spill write (pool mode; `enospc:spill:N` fills the disk at the N-th spilled page) |
-//! | `evict:<family>/<config>` | every buffer-pool eviction inside that cell's queries — a panic here crashes a run that has already spilled pages |
+//! | `evict:<family>/<config>` | every buffer-pool eviction inside that cell's queries — the pool's only site, since it does no I/O; a panic here crashes a run mid-query |
 //! | `wal` | every WAL append's write (`enospc:wal` fills the disk under the serving log) |
 //! | `wal:append` | every WAL append (`panic:wal:append:N` crashes mid-record, leaving a real torn tail for recovery to truncate) |
 //! | `datagen` | each generated table's handoff into the database (`enospc:datagen:N` fails the N-th table) |

@@ -64,6 +64,5 @@ const _: () = {
     _assert_send_sync::<Table>();
     _assert_send_sync::<BTreeIndex>();
     _assert_send_sync::<MaterializedView>();
-    _assert_send_sync::<Pager>();
     _assert_send_sync::<pool::PoolStats>();
 };

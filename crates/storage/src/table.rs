@@ -93,11 +93,6 @@ impl Table {
             .max(1)
     }
 
-    /// Rows that fit in one page for this schema.
-    pub(crate) fn rows_per_page(&self) -> u32 {
-        self.rows_per_page
-    }
-
     /// Nominal byte size of the heap.
     pub(crate) fn n_bytes(&self) -> u64 {
         self.n_pages() * PAGE_SIZE as u64
@@ -170,7 +165,7 @@ mod tests {
     fn page_model_counts_pages() {
         let mut t = two_col();
         // row width = 8 (header) + 8 + 24 = 40 bytes -> 204 rows/page.
-        assert_eq!(t.rows_per_page(), 8192 / 40);
+        assert_eq!(t.rows_per_page, 8192 / 40);
         for i in 0..500 {
             t.insert(vec![Value::Int(i), Value::str("v")]);
         }

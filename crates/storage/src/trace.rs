@@ -159,13 +159,17 @@ impl fmt::Display for Num {
 /// half-written trace where a reader expects a complete one. Write
 /// failures (real or injected via a [`FaultPlan`] arm at site `trace`)
 /// never abort the run being observed — the sink goes silent and
-/// records the failure for [`FileTraceSink::error`] to report.
+/// records the failure for [`FileTraceSink::error`] to report. A sink
+/// dropped without [`FileTraceSink::finish`] removes its staging file.
 pub struct FileTraceSink {
     w: Mutex<BufWriter<File>>,
     path: PathBuf,
     fault: Option<TraceFault>,
     lines: AtomicU64,
     error: Mutex<Option<String>>,
+    /// Set by `finish`, which either published the staging file or
+    /// keeps its torn bytes there; drop then leaves it alone.
+    finished: bool,
 }
 
 impl FileTraceSink {
@@ -178,6 +182,7 @@ impl FileTraceSink {
             fault: None,
             lines: AtomicU64::new(0),
             error: Mutex::new(None),
+            finished: false,
         })
     }
 
@@ -207,7 +212,8 @@ impl FileTraceSink {
     /// sink failed mid-run the partial bytes stay at `<path>.tmp` (the
     /// final path never holds a torn artifact) and the recorded error
     /// is returned.
-    pub fn finish(self) -> std::io::Result<PathBuf> {
+    pub fn finish(mut self) -> std::io::Result<PathBuf> {
+        self.finished = true;
         if let Some(msg) = self.error() {
             let mut w = self.w.lock().expect("trace writer poisoned");
             let _ = w.flush();
@@ -218,7 +224,15 @@ impl FileTraceSink {
             w.flush()?;
         }
         std::fs::rename(tmp_path(&self.path), &self.path)?;
-        Ok(self.path)
+        Ok(self.path.clone())
+    }
+}
+
+impl Drop for FileTraceSink {
+    fn drop(&mut self) {
+        if !self.finished {
+            std::fs::remove_file(tmp_path(&self.path)).ok();
+        }
     }
 }
 
@@ -349,6 +363,20 @@ mod tests {
         assert!(path.exists() && !tmp_path(&path).exists());
         let text = std::fs::read_to_string(&path).expect("read trace");
         assert!(text.contains("\"event\":\"span_begin\""));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn file_sink_dropped_unfinished_removes_its_staging_file() {
+        let dir = std::env::temp_dir().join(format!("tab_trace_drop_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("trace.jsonl");
+        let sink = FileTraceSink::create(&path).expect("create");
+        Trace::to(&sink).span_begin("grid");
+        assert!(tmp_path(&path).exists());
+        drop(sink);
+        assert!(!tmp_path(&path).exists(), "staging file left behind");
+        assert!(!path.exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

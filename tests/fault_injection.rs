@@ -248,8 +248,8 @@ fn poisoned_morsel_worker_then_resume_is_byte_identical() {
 
 /// Like [`tiny`], but with an 8-frame buffer pool in Observed charge
 /// mode — small enough that hash builds overflow the pool's spill
-/// threshold and dirty pages get written through the pager, exercising
-/// the `spill` and `evict:` fault sites on real traffic.
+/// threshold and dirty pages are evicted, so the `evict:` fault site
+/// fires on real traffic.
 fn tiny_pooled(out: &Path, threads: usize) -> ReproConfig {
     let mut cfg = tiny(out, threads);
     cfg.spec.buffer_pages = 8;
@@ -268,55 +268,6 @@ fn io_field_total(doc: &str, key: &str) -> u64 {
         .sum()
 }
 
-/// The `enospc:spill` fault site: a full disk at a dirty-page spill
-/// write crashes the run mid-grid, and a clean rerun writes what a
-/// clean run writes — including the wall-clock-free `BENCH_io.json`.
-#[test]
-fn injected_spill_enospc_then_resume_is_byte_identical() {
-    let base = std::env::temp_dir().join(format!("tab_fault_spill_{}", std::process::id()));
-    std::fs::remove_dir_all(&base).ok();
-
-    let clean_dir = base.join("clean");
-    run_all(&tiny_pooled(&clean_dir, 1)).expect("clean pooled baseline run");
-    let want = snapshot(&clean_dir);
-    let want_io = std::fs::read(clean_dir.join("BENCH_io.json")).expect("BENCH_io.json");
-    let io_text = String::from_utf8(want_io.clone()).expect("utf8");
-    // The premise of this test: the 8-frame run actually spilled.
-    assert!(
-        io_field_total(&io_text, "spill_bytes_written") > 0,
-        "8-frame pooled run did not spill — the spill site never fires:\n{io_text}"
-    );
-    assert!(io_field_total(&io_text, "evictions") > 0, "{io_text}");
-
-    let dir = base.join("crash");
-    let plan = FaultPlan::parse("enospc:spill:2").expect("spec");
-    let mut cfg = ReproConfig {
-        faults: Some(plan),
-        ..tiny_pooled(&dir, 1)
-    };
-    let err = run_all(&cfg).expect_err("full disk at a spill write must fail the run");
-    match &err {
-        ReproError::Grid { message } => {
-            assert!(message.contains("spill"), "{message}");
-        }
-        other => panic!("expected Grid error, got: {other}"),
-    }
-
-    cfg.faults = None;
-    // Rerun at a different thread count than the crash: pool traffic
-    // is a pure function of the logical access stream.
-    cfg.spec.threads = Parallelism::new(4);
-    run_all(&cfg).expect("a clean rerun completes the run");
-    assert_same_outputs(&dir, &want, "spill-enospc-rerun");
-    let got_io = std::fs::read(dir.join("BENCH_io.json")).expect("BENCH_io.json");
-    assert_eq!(
-        got_io, want_io,
-        "BENCH_io.json after a rerun differs from a clean run"
-    );
-
-    std::fs::remove_dir_all(&base).ok();
-}
-
 /// The `panic:evict:<family>/<config>` fault site: a crash at a buffer
 /// pool eviction inside one cell — after other cells have already
 /// spilled pages — is caught like a `cell:` poison, and a clean rerun
@@ -330,6 +281,12 @@ fn poisoned_eviction_then_resume_is_byte_identical() {
     run_all(&tiny_pooled(&clean_dir, 1)).expect("clean pooled baseline run");
     let want = snapshot(&clean_dir);
     let want_io = std::fs::read(clean_dir.join("BENCH_io.json")).expect("BENCH_io.json");
+    // The premise of this test: the 8-frame run evicted dirty pages.
+    let io_text = String::from_utf8_lossy(&want_io);
+    assert!(
+        io_field_total(&io_text, "spill_bytes_written") > 0,
+        "8-frame pooled run did not spill:\n{io_text}"
+    );
 
     let dir = base.join("crash");
     let plan = FaultPlan::parse("panic:evict:NREF3J/NREF_1C").expect("spec");

@@ -42,7 +42,6 @@ fn traced_grid_text(threads: usize) -> String {
         db: &db,
         built,
         workload: &w,
-        pager: None,
     });
     let spec = BenchSpec {
         timeout_units: TIMEOUT,
