@@ -421,11 +421,16 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     let family = family_of(args.require("family")?)?;
     let (p, w) = workload_for(args, &db, &label, family, par)?;
     let timeout_units = timeout_units(args)?.unwrap_or(tab_engine::DEFAULT_TIMEOUT_UNITS);
-    let configs = args.get("configs").unwrap_or("p,1c");
+    // Every name resolves before the first workload runs, so a bad one
+    // fails with nothing printed.
+    let mut configs = Vec::new();
+    for name in args.get("configs").unwrap_or("p,1c").split(',') {
+        let built = config_beside_p(&db, &label, name.trim(), &p, par);
+        let unknown = || format!("unknown config `{}`", name.trim());
+        configs.push((name, built.ok_or_else(unknown)?));
+    }
     let mut curves = Vec::new();
-    for name in configs.split(',') {
-        let built = config_beside_p(&db, &label, name.trim(), &p, par)
-            .ok_or_else(|| format!("unknown config `{}`", name.trim()))?;
+    for (name, built) in configs {
         let run = run_workload(&db, &built, &w, timeout_units, par);
         println!(
             "{:>4}: total (lower bound) {:.0}s, timeouts {}/{}",

@@ -131,7 +131,12 @@ pub fn units_to_sim_seconds(units: f64) -> f64 {
 /// Error returned when an execution exceeds its budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimedOut {
-    /// Units consumed when the budget tripped.
+    /// Units consumed when the budget tripped. A join step that prices
+    /// its consumer before it fills (see [`crate::exec`]) reports the
+    /// units the price reached: the consumer's entry charges priced
+    /// without a pool, a lower bound under one. The verdict is the
+    /// contract, not this number: a timed-out query reports the budget
+    /// as its lower bound.
     pub spent: f64,
 }
 

@@ -39,27 +39,25 @@
 //! and morsel size — including the sequential in-place path that
 //! `par_map` takes at one thread.
 //!
-//! Both joins charge, then fill. A hash-join probe first looks up every
-//! outer tuple's bucket once and sums the bucket lengths; an index
-//! nested-loop join first charges the floor every probe pays (a descent
-//! and one leaf page), then probes each morsel, keeps each probe's
-//! borrowed id run and charges the rest of its pages and rows into its
-//! own clone of the meter, stopping at the first charge the clone
-//! refuses. Either way the coordinator charges the counts in morsel
-//! order before any match is materialized, so an over-budget join times
-//! out having built nothing, and how much work it did depends on the
-//! plan, the data, the budget and the morsel size, never on thread
-//! timing. Otherwise the fill pass emits each morsel's matches in morsel
-//! order: a hash probe into its disjoint slice of one exact-size arena,
-//! at the offset a prefix sum of the per-morsel counts gives, reading
-//! the buckets the count pass kept; an index join into per-morsel arenas
-//! filtered from the kept id runs and concatenated. Before its fill a
-//! hash join also prices its consumer: what the next step or the output
-//! operator charges before reading a tuple depends only on the match
-//! count, so the step charges it on a clone of the meter, and a clone
-//! that refuses ends the query there, the step's slot reported and
-//! nothing filled. Runs with a buffer pool skip this price, since there
-//! the consumer's first charges also move pool state.
+//! Every join step runs three phases: count, price, fill. The count
+//! charges what the step pays itself and keeps what the fill needs. A
+//! hash-join probe looks up every outer tuple's bucket once and sums the
+//! bucket lengths. An index nested-loop join first charges the floor
+//! every probe pays (a descent and one leaf page), then probes each
+//! morsel, charges the rest of its pages and rows into its own clone of
+//! the meter, stopping at the first charge the clone refuses, and keeps
+//! the ids that pass the step's residual predicates. Either way the
+//! coordinator charges the counts in morsel order before any match is
+//! materialized, so an over-budget join times out having built nothing,
+//! and how much work it did depends on the plan, the data, the budget
+//! and the morsel size, never on thread timing. The price: what the
+//! next step or the output operator charges before reading a tuple
+//! depends only on the match count, so the step charges it on a clone
+//! of the meter, and a clone that refuses ends the query there, the
+//! step's slot reported and nothing filled. Under a buffer pool the
+//! price leaves the pool out, which only lowers it. The fill writes
+//! each morsel's matches into its disjoint slice of one exact-size
+//! arena, at the offset a prefix sum of the per-morsel counts gives.
 //!
 //! Predicate evaluation over a morsel takes a columnar fast path when
 //! every constant in the relation's filters and ranges is an `Int` and
@@ -248,66 +246,71 @@ impl<'a> PoolState<'a> {
     }
 }
 
-/// Pool counters so far (zero when no pool is active).
-fn pool_stats_now(ps: &Option<PoolState<'_>>) -> PoolStats {
-    ps.as_ref()
-        .map_or_else(PoolStats::default, |s| s.pool.stats())
+/// The meter's units and the pool's counters (zero with no pool) when
+/// an operator starts.
+struct Mark(f64, PoolStats);
+
+impl Mark {
+    fn now(meter: &CostMeter, ps: &Option<PoolState<'_>>) -> Self {
+        let io = ps
+            .as_ref()
+            .map_or_else(PoolStats::default, |s| s.pool.stats());
+        Mark(meter.units(), io)
+    }
+
+    /// A slot holding the units and page traffic charged since the mark.
+    fn since(&self, meter: &CostMeter, ps: &Option<PoolState<'_>>) -> OpActuals {
+        let Mark(units, io) = Mark::now(meter, ps);
+        OpActuals {
+            units: units - self.0,
+            page_hits: io.hits - self.1.hits,
+            page_misses: io.misses() - self.1.misses(),
+            ..OpActuals::default()
+        }
+    }
 }
 
-/// Charge a sequential sweep of `n` pages `start..start + n` of `rel`.
-/// Without a pool this is the historical `charge_seq_pages(n)`; with one,
-/// the pages stream through the pool and [`ChargePolicy::Observed`]
-/// charges only the misses (on a cold pool every page misses once, so
-/// the observed cost of a cold scan equals the modeled cost exactly).
+/// Charge `n` modeled page accesses of kind `hint`. Without a pool this
+/// is the historical `charge_seq_pages(n)` or `charge_random_pages(n)`;
+/// with one, the pages `keys` yields (only materialized then) stream
+/// through the pool, as writes when `dirty`, and
+/// [`ChargePolicy::Observed`] charges only the misses. On a cold pool
+/// every page misses once, so the observed cost of a cold scan equals
+/// the modeled cost exactly.
+fn pool_charge<K: IntoIterator<Item = PageKey>>(
+    ps: &mut Option<PoolState<'_>>,
+    meter: &mut CostMeter,
+    (hint, dirty): (PageHint, bool),
+    n: u64,
+    keys: impl FnOnce() -> K,
+) -> Result<(), TimedOut> {
+    let charged = match ps {
+        None => n,
+        Some(st) => {
+            let fetched = keys().into_iter().map(|k| st.pool.fetch(k, hint, dirty));
+            let misses = fetched.filter(|&f| f != Fetched::Hit).count() as u64;
+            match st.policy {
+                ChargePolicy::Metered => n,
+                ChargePolicy::Observed => misses,
+            }
+        }
+    };
+    match hint {
+        PageHint::Seq => meter.charge_seq_pages(charged),
+        PageHint::Random => meter.charge_random_pages(charged),
+    }
+}
+
+/// Charge a sequential sweep of the `n` pages `start..start + n` of `rel`.
 fn pool_charge_seq(
     ps: &mut Option<PoolState<'_>>,
     meter: &mut CostMeter,
     rel: u64,
-    start: u64,
-    n: u64,
+    (start, n): (u64, u64),
     dirty: bool,
 ) -> Result<(), TimedOut> {
-    match ps {
-        None => meter.charge_seq_pages(n),
-        Some(st) => {
-            let mut misses = 0u64;
-            for page in start..start + n {
-                if st.pool.fetch(PageKey { rel, page }, PageHint::Seq, dirty) != Fetched::Hit {
-                    misses += 1;
-                }
-            }
-            match st.policy {
-                ChargePolicy::Metered => meter.charge_seq_pages(n),
-                ChargePolicy::Observed => meter.charge_seq_pages(misses),
-            }
-        }
-    }
-}
-
-/// Charge `n` random page accesses. `keys` materializes the page
-/// identities and is only invoked when a pool is active; it must yield
-/// exactly the `n` pages the modeled count stands for.
-fn pool_charge_random(
-    ps: &mut Option<PoolState<'_>>,
-    meter: &mut CostMeter,
-    n: u64,
-    keys: impl FnOnce() -> Vec<PageKey>,
-) -> Result<(), TimedOut> {
-    match ps {
-        None => meter.charge_random_pages(n),
-        Some(st) => {
-            let mut misses = 0u64;
-            for k in keys() {
-                if st.pool.fetch(k, PageHint::Random, false) != Fetched::Hit {
-                    misses += 1;
-                }
-            }
-            match st.policy {
-                ChargePolicy::Metered => meter.charge_random_pages(n),
-                ChargePolicy::Observed => meter.charge_random_pages(misses),
-            }
-        }
-    }
+    let pages = || (start..start + n).map(|page| PageKey { rel, page });
+    pool_charge(ps, meter, (PageHint::Seq, dirty), n, pages)
 }
 
 /// The build-side row threshold above which a hash operator spills. In
@@ -335,12 +338,11 @@ fn pool_charge_spill(
     probe_rows: u64,
 ) -> Result<(), TimedOut> {
     let n = crate::cost::spill_pages_with(build_rows, probe_rows, spill_threshold(ps));
-    let Some(st) = ps.as_mut() else {
-        return meter.charge_seq_pages(n);
-    };
-    let start = st.spill_next_page;
-    st.spill_next_page += n;
-    pool_charge_seq(ps, meter, temp_rel_id("spill"), start, n, true)
+    let start = ps.as_mut().map_or(0, |st| {
+        st.spill_next_page += n;
+        st.spill_next_page - n
+    });
+    pool_charge_seq(ps, meter, temp_rel_id("spill"), (start, n), true)
 }
 
 /// Split `n` items into contiguous `(start, end)` morsel ranges.
@@ -398,13 +400,6 @@ struct Arena {
 }
 
 impl Arena {
-    fn new(stride: usize) -> Self {
-        Arena {
-            ids: Vec::new(),
-            stride,
-        }
-    }
-
     #[inline]
     fn len(&self) -> usize {
         self.ids.len() / self.stride
@@ -423,19 +418,52 @@ impl Arena {
         }
         Arena { ids, stride }
     }
+}
 
-    /// Append a joined tuple: `outer`'s slots plus `id` at `slot`.
-    #[inline]
-    fn push_joined(&mut self, outer: &[RowId], slot: usize, id: RowId) {
-        let start = self.ids.len();
-        self.ids.extend_from_slice(outer);
-        self.ids[start + slot] = id;
+/// One morsel's inner ids that passed an index join's residual
+/// predicates, back to back, and one `(outer tuple, ids)` run per outer
+/// tuple that kept any (the tuple's position in the morsel).
+type Kept = (Vec<RowId>, Vec<(usize, usize)>);
+
+/// What a join step's count pass keeps for its fill, per morsel of the
+/// step's outer input.
+enum Matches {
+    /// Per morsel, its probes, its match count and each outer tuple's
+    /// bucket in the build side (`NO_BUCKET`: it joins nothing).
+    Hash(RowBuckets, Vec<(u64, u64, Vec<u32>)>),
+    /// Per morsel, what its probes kept.
+    Index(Vec<Kept>),
+}
+
+impl Matches {
+    /// Morsel `m`'s match count.
+    fn count(&self, m: usize) -> u64 {
+        match self {
+            Matches::Hash(_, counted) => counted[m].1,
+            Matches::Index(kept) => kept[m].0.len() as u64,
+        }
     }
 
-    /// Append another arena's tuples wholesale (morsel concatenation).
-    fn append(&mut self, mut chunk: Arena) {
-        debug_assert_eq!(self.stride, chunk.stride);
-        self.ids.append(&mut chunk.ids);
+    /// Call `f` with each outer tuple of morsel `m` that joins anything
+    /// (its position in the morsel) and the inner ids it joins, in order.
+    fn each(&self, m: usize, mut f: impl FnMut(usize, &[RowId])) {
+        match self {
+            Matches::Hash(ht, counted) => {
+                for (j, &b) in counted[m].2.iter().enumerate() {
+                    if b != NO_BUCKET {
+                        f(j, ht.rows(b));
+                    }
+                }
+            }
+            Matches::Index(kept) => {
+                let (ids, runs) = &kept[m];
+                let mut at = 0;
+                for &(j, n) in runs {
+                    f(j, &ids[at..at + n]);
+                    at += n;
+                }
+            }
+        }
     }
 }
 
@@ -552,19 +580,13 @@ pub fn execute(
     let tables: Vec<&Table> = q.rels.iter().map(|r| resolver.table(&r.source)).collect();
 
     // 1. Frequency-filter value sets, evaluated once each.
-    let mut at = meter.units();
-    let mut io_at = pool_stats_now(&ps);
+    let mark = Mark::now(meter, &ps);
     let freq_sets = eval_freq_sets(q, &tables, resolver, meter, &mut ps)?;
     if let Some(v) = ops.as_deref_mut() {
-        let io = pool_stats_now(&ps);
+        let rows_out = freq_sets.iter().map(|s| s.n_values).sum();
         v.push(OpActuals {
-            rows_in: 0,
-            rows_out: freq_sets.iter().map(|s| s.n_values).sum(),
-            probes: 0,
-            units: meter.units() - at,
-            morsels: 0,
-            page_hits: io.hits - io_at.hits,
-            page_misses: io.misses() - io_at.misses(),
+            rows_out,
+            ..mark.since(meter, &ps)
         });
     }
     let exec = Exec {
@@ -574,38 +596,30 @@ pub fn execute(
     };
 
     // 2. Driver.
-    at = meter.units();
-    io_at = pool_stats_now(&ps);
-    let stride = q.rels.len();
-    let (driver_ids, driver_examined, driver_morsels) =
+    let mark = Mark::now(meter, &ps);
+    let (driver_ids, rows_in, morsels) =
         scan_rel(&plan.driver, &exec, resolver, meter, opts, &mut ps)?;
-    let mut tuples = Arena::of_driver(stride, plan.driver.rel, &driver_ids);
+    let mut tuples = Arena::of_driver(q.rels.len(), plan.driver.rel, &driver_ids);
     if let Some(v) = ops.as_deref_mut() {
-        let io = pool_stats_now(&ps);
         v.push(OpActuals {
-            rows_in: driver_examined,
+            rows_in,
             rows_out: tuples.len() as u64,
-            probes: 0,
-            units: meter.units() - at,
-            morsels: driver_morsels,
-            page_hits: io.hits - io_at.hits,
-            page_misses: io.misses() - io_at.misses(),
+            morsels,
+            ..mark.since(meter, &ps)
         });
     }
 
-    // 3. Join steps.
+    // 3. Join steps. Each counts its matches and charges for them, prices
+    // what its consumer charges before reading a tuple, and only then
+    // fills its output.
     for (si, step) in plan.steps.iter().enumerate() {
-        at = meter.units();
-        io_at = pool_stats_now(&ps);
+        let mark = Mark::now(meter, &ps);
         let rows_in = tuples.len() as u64;
-        let rows_out;
-        let mut probes = 0u64;
-        let mut morsels = 0u64;
-        // A charge the step's consumer must refuse: the step reports its
-        // slot, then the query times out.
-        let mut refused = None;
         let rel = step.inner.rel;
-        match &step.method {
+        let ranges = morsel_ranges(tuples.len(), opts.morsel_rows);
+        let region = region_par(opts, tuples.len());
+        let mut morsels = ranges.len() as u64;
+        let (probes, matches) = match &step.method {
             JoinMethod::Hash => {
                 let (inner_ids, _, scan_morsels) =
                     scan_rel(&step.inner, &exec, resolver, meter, opts, &mut ps)?;
@@ -629,9 +643,6 @@ pub fn execute(
                 // tuple up front, then one per match, counted before any
                 // is materialized.
                 meter.charge_rows(tuples.len() as u64)?;
-                let ranges = morsel_ranges(tuples.len(), opts.morsel_rows);
-                morsels += ranges.len() as u64;
-                let region = region_par(opts, tuples.len());
                 // Count: each outer tuple's bucket, looked up once and
                 // kept for the fill (`NO_BUCKET`: joins nothing).
                 let counted: Vec<(u64, u64, Vec<u32>)> = par_map(region, &ranges, |&(s, e)| {
@@ -660,28 +671,9 @@ pub fn execute(
                 });
                 // Charge every match before materializing one: an
                 // over-budget probe times out here, having built nothing.
-                let total: u64 = counted.iter().map(|&(_, m, _)| m).sum();
-                meter.charge_rows(total)?;
-                probes += counted.iter().map(|&(p, _, _)| p).sum::<u64>();
-                rows_out = total;
-                // Price the consumer before filling: what the next step
-                // or `finish` charges before reading a tuple depends on
-                // `total` alone, so a clone of the meter that refuses it
-                // proves the query times out, and the output is never
-                // built. A pool run skips this: there the consumer's
-                // first charges also move pool state.
-                if ps.is_none() {
-                    let mut next = meter.clone();
-                    let priced = if si + 1 < plan.steps.len() {
-                        next.charge_rows(total)
-                    } else {
-                        finish_entry_charge(q, total, &mut next, &mut None)
-                    };
-                    refused = priced.err();
-                }
-                if refused.is_none() {
-                    tuples = hash_fill(&tuples, &ht, &ranges, &counted, rel, region, opts);
-                }
+                meter.charge_rows(counted.iter().map(|&(_, m, _)| m).sum())?;
+                let probes = counted.iter().map(|&(p, _, _)| p).sum();
+                (probes, Matches::Hash(ht, counted))
             }
             JoinMethod::IndexNl {
                 columns,
@@ -698,11 +690,15 @@ pub fn execute(
                     .filter(|(_, ic)| !probed.contains(ic))
                     .map(|&((orel, ocol), ic)| (orel, exec.col(orel, ocol), table.column(ic)))
                     .collect();
-                let filters = FilterKeys::of(&step.inner, table);
+                let filter = RowFilter::of(&step.inner, table);
                 let pool_on = ps.is_some();
                 let observed = matches!(&ps, Some(st) if st.policy == ChargePolicy::Observed);
                 let index_rel = index_rel_id(&index.spec().to_string());
                 let table_rel = table_rel_id(&q.rels[rel].source);
+                let heap_key = |&page: &u64| PageKey {
+                    rel: table_rel,
+                    page,
+                };
                 let height = index.height();
                 // One row of work per outer tuple, charged up front.
                 meter.charge_rows(tuples.len() as u64)?;
@@ -713,7 +709,7 @@ pub fn execute(
                         ProbeSource::Const(v) => v.is_null(),
                     })
                 };
-                probes = (0..tuples.len())
+                let probes = (0..tuples.len())
                     .filter(|&i| !key_null(tuples.tuple(i)))
                     .count() as u64;
                 // Every probe pays at least a descent and one leaf page.
@@ -723,22 +719,21 @@ pub fn execute(
                 if !observed {
                     meter.charge_random_pages(probes * (height + 1))?;
                 }
-                let ranges = morsel_ranges(tuples.len(), opts.morsel_rows);
-                morsels += ranges.len() as u64;
-                let region = region_par(opts, tuples.len());
-                // Count: each morsel probes its tuples, keeps each
-                // probe's id run, and charges the rest of the probe into
-                // its own clone of the meter (rows only when observed:
-                // misses are known only on the replay below). A charge
-                // the clone refuses makes the ordered charge below
-                // refuse too, at or before this morsel, so the morsel
-                // stops there. Workers never touch the pool: they
-                // collect the page keys each probe touches.
+                // Count: each morsel probes its tuples and charges the
+                // rest of each probe into its own clone of the meter
+                // (rows only when observed: misses are known only on the
+                // replay below). A charge the clone refuses makes the
+                // ordered charge below refuse too, at or before this
+                // morsel, so the morsel stops there. A paid probe keeps
+                // the ids that pass the residual predicates, then the
+                // residual join pairs (a NULL outer cell equals nothing).
+                // Workers never touch the pool: they collect the page
+                // keys each probe touches.
                 let base = meter.clone();
                 let counted = par_map(region, &ranges, |&(s, e)| {
                     morsel_prologue(opts);
                     let mut own = base.clone();
-                    let (mut runs, mut keys) = (Vec::new(), Vec::new());
+                    let (mut ids, mut runs, mut keys) = (Vec::new(), Vec::new(), Vec::new());
                     let mut scratch: Vec<Value> = Vec::with_capacity(probe.len());
                     let mut pages: Vec<u64> = Vec::new();
                     for i in s..e {
@@ -761,16 +756,10 @@ pub fn execute(
                             heap_pages(table, pr.row_ids, &mut pages);
                             extra += pages.len() as u64;
                             if pool_on {
-                                keys.extend(pages.iter().map(|&page| PageKey {
-                                    rel: table_rel,
-                                    page,
-                                }));
+                                keys.extend(pages.iter().map(heap_key));
                             }
                         }
                         let rows = pr.row_ids.len() as u64;
-                        if rows > 0 {
-                            runs.push((i, pr.row_ids));
-                        }
                         let charged = if observed {
                             own.charge_rows(rows)
                         } else {
@@ -780,8 +769,19 @@ pub fn execute(
                         if charged.is_err() {
                             break;
                         }
+                        let before = ids.len();
+                        ids.extend(pr.row_ids.iter().copied().filter(|&id| {
+                            filter.pass(&exec, id)
+                                && residual_pairs.iter().all(|&(orel, ocol, icol)| {
+                                    let key = icol.key(id);
+                                    key.is_some() && key == icol.key_from(ocol, t[orel])
+                                })
+                        }));
+                        if ids.len() > before {
+                            runs.push((i - s, ids.len() - before));
+                        }
                     }
-                    (own, runs, keys)
+                    (own, (ids, runs), keys)
                 });
                 // Charge what each morsel's clone took, in morsel order.
                 for (own, _, _) in &counted {
@@ -790,78 +790,51 @@ pub fn execute(
                 }
                 // Replay collected page accesses in morsel index order —
                 // the pool's access stream is identical at any thread
-                // count. Observed mode then charges the misses.
-                if let Some(st) = ps.as_mut() {
-                    let mut misses = 0u64;
-                    for &k in counted.iter().flat_map(|(_, _, keys)| keys) {
-                        if st.pool.fetch(k, PageHint::Random, false) != Fetched::Hit {
-                            misses += 1;
-                        }
-                    }
-                    if st.policy == ChargePolicy::Observed {
-                        meter.charge_random_pages(misses)?;
-                    }
-                }
-                // Fill: residual predicates, then residual join pairs (a
-                // NULL outer cell equals nothing), over the kept runs.
-                let chunks: Vec<Arena> = par_map(region, &counted, |(_, runs, _)| {
-                    morsel_prologue(opts);
-                    let mut out = Arena::new(stride);
-                    for &(i, ids) in runs {
-                        let t = tuples.tuple(i);
-                        for &id in ids {
-                            if filters.pass(id)
-                                && passes_ranges(table, id, &step.inner.ranges)
-                                && exec.passes_freqs(rel, id, &step.inner.freqs)
-                                && residual_pairs.iter().all(|&(orel, ocol, icol)| {
-                                    let key = icol.key(id);
-                                    key.is_some() && key == icol.key_from(ocol, t[orel])
-                                })
-                            {
-                                out.push_joined(t, rel, id);
-                            }
-                        }
-                    }
-                    out
-                });
-                let mut out = Arena::new(stride);
-                chunks.into_iter().for_each(|c| out.append(c));
-                rows_out = out.len() as u64;
-                tuples = out;
+                // count. The modeled pages are charged already, so only
+                // Observed mode charges here: the misses.
+                let keys = || counted.iter().flat_map(|(_, _, keys)| keys.iter().copied());
+                pool_charge(&mut ps, meter, (PageHint::Random, false), 0, keys)?;
+                let kept = counted.into_iter().map(|(_, kept, _)| kept).collect();
+                (probes, Matches::Index(kept))
             }
-        }
+        };
+        let rows_out: u64 = (0..ranges.len()).map(|m| matches.count(m)).sum();
+        // Price the consumer before filling: what the next step or
+        // `finish` charges before reading a tuple depends on `rows_out`
+        // alone, so a clone of the meter that refuses it proves the
+        // query times out, and the output is never built. The price
+        // leaves the pool out: every charge is non-negative, and a spill
+        // under a pool pays at least the pages priced here (fresh pages
+        // all miss, and a smaller threshold never spills fewer), so it
+        // is a lower bound under either policy.
+        let mut next = meter.clone();
+        let priced = if si + 1 < plan.steps.len() {
+            next.charge_rows(rows_out)
+        } else {
+            finish_entry_charge(q, rows_out, &mut next, &mut None)
+        };
         if let Some(v) = ops.as_deref_mut() {
-            let io = pool_stats_now(&ps);
             v.push(OpActuals {
                 rows_in,
                 rows_out,
                 probes,
-                units: meter.units() - at,
                 morsels,
-                page_hits: io.hits - io_at.hits,
-                page_misses: io.misses() - io_at.misses(),
+                ..mark.since(meter, &ps)
             });
         }
-        if let Some(timed_out) = refused {
-            return Err(timed_out);
-        }
+        priced?;
+        tuples = fill(&tuples, &ranges, &matches, rel, region, opts);
     }
 
     // 4. Aggregation / projection.
-    at = meter.units();
-    io_at = pool_stats_now(&ps);
-    let rows_in = tuples.len() as u64;
-    let (result, finish_morsels) = finish(&exec, &tuples, meter, opts, &mut ps)?;
+    let mark = Mark::now(meter, &ps);
+    let (result, morsels) = finish(&exec, &tuples, meter, opts, &mut ps)?;
     if let Some(v) = ops {
-        let io = pool_stats_now(&ps);
         v.push(OpActuals {
-            rows_in,
+            rows_in: tuples.len() as u64,
             rows_out: result.len() as u64,
-            probes: 0,
-            units: meter.units() - at,
-            morsels: finish_morsels,
-            page_hits: io.hits - io_at.hits,
-            page_misses: io.misses() - io_at.misses(),
+            morsels,
+            ..mark.since(meter, &ps)
         });
     }
     if let (Some(st), Some(io_out)) = (&ps, io_out) {
@@ -870,47 +843,45 @@ pub fn execute(
     Ok(result)
 }
 
-/// Fill a hash join's output from its count pass: `counted` holds, per
-/// morsel of `ranges`, its probes, its match count and each outer
-/// tuple's bucket in `ht`. One exact-size arena, each morsel writing its
-/// disjoint slice at its prefix-sum offset, so tuples land in morsel
-/// order.
-fn hash_fill(
+/// Fill a join step's output from its count pass: one exact-size arena,
+/// each morsel of `ranges` writing its disjoint slice at the offset a
+/// prefix sum of the per-morsel match counts gives, so tuples land in
+/// morsel order. A joined tuple is its outer tuple with the inner id at
+/// slot `rel`.
+fn fill(
     tuples: &Arena,
-    ht: &RowBuckets,
     ranges: &[(usize, usize)],
-    counted: &[(u64, u64, Vec<u32>)],
+    matches: &Matches,
     rel: usize,
     region: Parallelism,
     opts: &ExecOpts<'_>,
 ) -> Arena {
     let stride = tuples.stride;
-    let len = usize::try_from(counted.iter().map(|&(_, m, _)| m).sum::<u64>())
+    let total: u64 = (0..ranges.len()).map(|m| matches.count(m)).sum();
+    let len = usize::try_from(total)
         .ok()
         .and_then(|n| n.checked_mul(stride))
-        .expect("hash-join output exceeds the address space");
+        .expect("join output exceeds the address space");
     let mut ids: Vec<RowId> = vec![0; len];
     let mut rest = ids.as_mut_slice();
     let mut jobs = Vec::with_capacity(ranges.len());
-    for (&(s, _), (_, matches, buckets)) in ranges.iter().zip(counted) {
-        let (slice, tail) = std::mem::take(&mut rest).split_at_mut(*matches as usize * stride);
+    for (m, &(s, _)) in ranges.iter().enumerate() {
+        let n = matches.count(m) as usize;
+        let (slice, tail) = std::mem::take(&mut rest).split_at_mut(n * stride);
         rest = tail;
-        jobs.push((s, buckets, Mutex::new(slice)));
+        jobs.push((m, s, Mutex::new(slice)));
     }
-    par_map(region, &jobs, |(s, buckets, slice)| {
+    par_map(region, &jobs, |&(m, s, ref slice)| {
         morsel_prologue(opts);
         let mut slice = slice.lock().expect("morsel slice poisoned");
         let mut out = slice.chunks_exact_mut(stride);
-        for (i, &b) in (*s..).zip(buckets.iter()) {
-            if b == NO_BUCKET {
-                continue;
-            }
-            let t = tuples.tuple(i);
-            for (&id, slot) in ht.rows(b).iter().zip(&mut out) {
+        matches.each(m, |j, run| {
+            let t = tuples.tuple(s + j);
+            for (&id, slot) in run.iter().zip(&mut out) {
                 slot.copy_from_slice(t);
                 slot[rel] = id;
             }
-        }
+        });
     });
     drop(jobs);
     Arena { ids, stride }
@@ -963,12 +934,12 @@ fn eval_freq_sets(
                 // Group sizes read off the leaf level: one operation per
                 // distinct key (id-list lengths are stored), not per row.
                 let rel = index_rel_id(&idx.spec().to_string());
-                pool_charge_seq(ps, meter, rel, 0, idx.n_pages(), false)?;
+                pool_charge_seq(ps, meter, rel, (0, idx.n_pages()), false)?;
                 meter.charge_rows(idx.n_distinct_keys() as u64)?;
             }
             None => {
                 let rel = table_rel_id(&f.sub_table);
-                pool_charge_seq(ps, meter, rel, 0, table.n_pages(), false)?;
+                pool_charge_seq(ps, meter, rel, (0, table.n_pages()), false)?;
                 meter.charge_rows(table.n_rows() as u64)?;
             }
         }
@@ -997,29 +968,32 @@ fn qualifies(op: CmpOp, count: u64, k: i64) -> bool {
     }
 }
 
-/// A relation's constant-equality filters as key comparisons: each
-/// constant translated once into its column's key space (`None`: no cell
-/// of the column can equal it).
-struct FilterKeys<'a>(Vec<(&'a Column, Option<u64>)>);
+/// A relation's residual predicates, one row at a time: its
+/// constant-equality filters as key comparisons (each constant
+/// translated once into its column's key space; `None`: no cell of the
+/// column can equal it), then its ranges and frequency filters.
+struct RowFilter<'a> {
+    op: &'a RelOp,
+    table: &'a Table,
+    keys: Vec<(&'a Column, Option<u64>)>,
+}
 
-impl<'a> FilterKeys<'a> {
-    fn of(op: &RelOp, table: &'a Table) -> Self {
+impl<'a> RowFilter<'a> {
+    fn of(op: &'a RelOp, table: &'a Table) -> Self {
         let key = |(c, v): &(usize, Value)| (table.column(*c), table.column(*c).key_of(v));
-        FilterKeys(op.filters.iter().map(key).collect())
+        let keys = op.filters.iter().map(key).collect();
+        RowFilter { op, table, keys }
     }
 
     #[inline]
-    fn pass(&self, id: RowId) -> bool {
-        self.0
-            .iter()
-            .all(|&(col, k)| k.is_some() && col.key(id) == k)
+    fn pass(&self, exec: &Exec<'_>, id: RowId) -> bool {
+        let (op, table) = (self.op, self.table);
+        let equal = |&(col, k): &(&Column, Option<u64>)| k.is_some() && col.key(id) == k;
+        let in_range = |(c, r, v): &(usize, RangeOp, Value)| r.eval(&table.value(id, *c), v);
+        self.keys.iter().all(equal)
+            && op.ranges.iter().all(in_range)
+            && exec.passes_freqs(op.rel, id, &op.freqs)
     }
-}
-
-fn passes_ranges(table: &Table, id: RowId, ranges: &[(usize, RangeOp, Value)]) -> bool {
-    ranges
-        .iter()
-        .all(|(c, op, v)| op.eval(&table.value(id, *c), v))
 }
 
 /// The source of row ids a scan filters: a dense heap prefix (`Seq`
@@ -1143,7 +1117,7 @@ fn filter_rows(
     opts: &ExecOpts<'_>,
 ) -> (Vec<RowId>, u64) {
     let vp = vec_predicates(op, table, opts.vectorize);
-    let filters = FilterKeys::of(op, table);
+    let filter = RowFilter::of(op, table);
     let ranges = morsel_ranges(ids.len(), opts.morsel_rows);
     let n_morsels = ranges.len() as u64;
     let chunks: Vec<Vec<RowId>> = par_map(region_par(opts, ids.len()), &ranges, |&(s, e)| {
@@ -1151,19 +1125,15 @@ fn filter_rows(
         let mut out = Vec::new();
         match &vp {
             Some(vp) => filter_morsel_vectorized(vp, op, exec, &ids, (s, e), &mut out),
-            None => out.extend((s..e).map(|i| ids.get(i)).filter(|&id| {
-                filters.pass(id)
-                    && passes_ranges(table, id, &op.ranges)
-                    && exec.passes_freqs(op.rel, id, &op.freqs)
-            })),
+            None => out.extend(
+                (s..e)
+                    .map(|i| ids.get(i))
+                    .filter(|&id| filter.pass(exec, id)),
+            ),
         }
         out
     });
-    let mut out = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-    for c in chunks {
-        out.extend(c);
-    }
-    (out, n_morsels)
+    (chunks.concat(), n_morsels)
 }
 
 /// Scan one relation per its `RelOp`, returning the ids of the rows
@@ -1178,16 +1148,14 @@ fn scan_rel(
     opts: &ExecOpts<'_>,
     ps: &mut Option<PoolState<'_>>,
 ) -> Result<(Vec<RowId>, u64, u64), TimedOut> {
-    let q = exec.q;
-    let source = &q.rels[op.rel].source;
+    let source = &exec.q.rels[op.rel].source;
     let table = exec.tables[op.rel];
-    match &op.access {
+    let mut matched: Vec<RowId> = Vec::new();
+    let ids = match &op.access {
         Access::Seq => {
-            pool_charge_seq(ps, meter, table_rel_id(source), 0, table.n_pages(), false)?;
+            pool_charge_seq(ps, meter, table_rel_id(source), (0, table.n_pages()), false)?;
             meter.charge_rows(table.n_rows() as u64)?;
-            let examined = table.n_rows() as u64;
-            let (out, morsels) = filter_rows(op, exec, table, IdSpan::Dense(table.n_rows()), opts);
-            Ok((out, examined, morsels))
+            IdSpan::Dense(table.n_rows())
         }
         Access::Index {
             columns,
@@ -1197,9 +1165,7 @@ fn scan_rel(
             let index = resolver.index(source, columns);
             let pr = index.probe(prefix);
             charge_probe(&pr, table, *covering, meter, ps, index, source)?;
-            let examined = pr.row_ids.len() as u64;
-            let (out, morsels) = filter_rows(op, exec, table, IdSpan::List(pr.row_ids), opts);
-            Ok((out, examined, morsels))
+            IdSpan::List(pr.row_ids)
         }
         Access::IndexRange {
             columns,
@@ -1213,9 +1179,7 @@ fn scan_rel(
                 hi.as_ref().map(|(v, s)| (v, *s)),
             );
             charge_probe(&pr, table, *covering, meter, ps, index, source)?;
-            let examined = pr.row_ids.len() as u64;
-            let (out, morsels) = filter_rows(op, exec, table, IdSpan::List(pr.row_ids), opts);
-            Ok((out, examined, morsels))
+            IdSpan::List(pr.row_ids)
         }
         Access::IndexFreqScan {
             columns,
@@ -1227,10 +1191,9 @@ fn scan_rel(
             // One pass over the leaf level; only qualifying keys' rows
             // are examined and (if not covering) fetched.
             let index_rel = index_rel_id(&index.spec().to_string());
-            pool_charge_seq(ps, meter, index_rel, 0, index.n_pages(), false)?;
+            pool_charge_seq(ps, meter, index_rel, (0, index.n_pages()), false)?;
             meter.charge_rows(index.n_distinct_keys() as u64)?;
             let lead = table.column(columns[0]);
-            let mut matched: Vec<RowId> = Vec::new();
             for (_, ids) in index.scan() {
                 // Every row of a group holds the group's leading value.
                 if set.contains(lead.key(ids[0])) {
@@ -1241,11 +1204,12 @@ fn scan_rel(
             if !covering && !matched.is_empty() {
                 charge_heap_pages(ps, meter, table, &matched, source)?;
             }
-            let examined = matched.len() as u64;
-            let (out, morsels) = filter_rows(op, exec, table, IdSpan::List(&matched), opts);
-            Ok((out, examined, morsels))
+            IdSpan::List(&matched)
         }
-    }
+    };
+    let examined = ids.len() as u64;
+    let (out, morsels) = filter_rows(op, exec, table, ids, opts);
+    Ok((out, examined, morsels))
 }
 
 /// Charge an index probe: index pages touched (tree descent + leaf
@@ -1263,10 +1227,9 @@ fn charge_probe(
     index: &BTreeIndex,
     source: &str,
 ) -> Result<(), TimedOut> {
-    pool_charge_random(ps, meter, pr.pages_touched, || {
-        let rel = index_rel_id(&index.spec().to_string());
-        index_page_keys(index, rel, pr).collect()
-    })?;
+    let rel = index_rel_id(&index.spec().to_string());
+    let keys = || index_page_keys(index, rel, pr);
+    pool_charge(ps, meter, (PageHint::Random, false), pr.pages_touched, keys)?;
     if !covering && !pr.row_ids.is_empty() {
         charge_heap_pages(ps, meter, table, pr.row_ids, source)?;
     }
@@ -1284,9 +1247,14 @@ fn charge_heap_pages(
     let mut pages = Vec::new();
     heap_pages(table, ids, &mut pages);
     let rel = table_rel_id(source);
-    pool_charge_random(ps, meter, pages.len() as u64, || {
-        pages.iter().map(|&page| PageKey { rel, page }).collect()
-    })
+    let keys = || pages.iter().map(|&page| PageKey { rel, page });
+    pool_charge(
+        ps,
+        meter,
+        (PageHint::Random, false),
+        pages.len() as u64,
+        keys,
+    )
 }
 
 /// The distinct heap pages holding `ids`, ascending, into `pages`.
@@ -1366,7 +1334,7 @@ impl Groups {
 /// plain projection one row per tuple; an aggregation its spill pages
 /// when the input exceeds working memory, one row per tuple, and one
 /// more per tuple for every `COUNT(DISTINCT)` maintained — the per-tuple
-/// charges of a tuple-at-a-time pass, paid up front. A hash-join step
+/// charges of a tuple-at-a-time pass, paid up front. The last join step
 /// charges it into a clone of the meter to learn, before it fills its
 /// output, whether `finish` would refuse it.
 fn finish_entry_charge(
@@ -1745,18 +1713,10 @@ mod tests {
 
     /// Run `plan` at `budget` without a pool and with one, Metered and
     /// Observed (every page fits, so Observed charges the modeled pages).
-    /// A pool run never prices the consumer ahead: it fills, then the
-    /// consumer's own charge refuses. Both must agree on the verdict and
-    /// the completed slots' work; on the units spent too when
-    /// `same_spent` (the look-ahead priced exactly what refused), else
-    /// the pool run spent more: it also paid for what the consumer
-    /// charges before the refused one.
-    fn assert_pool_runs_agree(
-        plan: &PhysicalPlan,
-        resolver: &Resolver<'_>,
-        budget: f64,
-        same_spent: bool,
-    ) {
+    /// A pool run prices its consumer as a pool-free one does, so both
+    /// agree on the verdict, the completed slots' work and, bit for bit,
+    /// the units spent.
+    fn assert_pool_runs_agree(plan: &PhysicalPlan, resolver: &Resolver<'_>, budget: f64) {
         let run = |pool: Option<PoolOpts<'static>>| {
             let opts = ExecOpts {
                 pool,
@@ -1769,23 +1729,16 @@ mod tests {
                 .iter()
                 .map(|o| (o.rows_in, o.rows_out, o.probes, o.units))
                 .collect();
-            (got.map(|_| meter.units()).map_err(|e| e.spent), work)
+            let spent = got.map(|_| meter.units()).map_err(|e| e.spent);
+            (spent.map(f64::to_bits).map_err(f64::to_bits), work)
         };
-        let (plain, plain_work) = run(None);
+        let plain = run(None);
         for policy in [ChargePolicy::Metered, ChargePolicy::Observed] {
-            let (pooled, work) = run(Some(PoolOpts {
+            let pool = PoolOpts {
                 policy,
                 ..PoolOpts::new(1024)
-            }));
-            assert_eq!(work, plain_work, "{policy:?} at {budget}");
-            match (plain, pooled) {
-                (Ok(a), Ok(b)) => assert_eq!(a.to_bits(), b.to_bits(), "{policy:?}"),
-                (Err(a), Err(b)) if same_spent => {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{policy:?} at {budget}")
-                }
-                (Err(a), Err(b)) => assert!(b > a, "{policy:?} at {budget}: {b} <= {a}"),
-                _ => panic!("{policy:?} at {budget}: {plain:?} without a pool, {pooled:?} with"),
-            }
+            };
+            assert_eq!(run(Some(pool)), plain, "{policy:?} at {budget}");
         }
     }
 
@@ -1814,11 +1767,11 @@ mod tests {
             assert!(c > 0.0, "{sql}");
             let budget = through + before + c / 2.0;
             assert_times_out_after(&plan, &resolver, budget, &full, step + 1);
-            assert_pool_runs_agree(&plan, &resolver, budget, true);
+            assert_pool_runs_agree(&plan, &resolver, budget);
             before += c;
         }
         let total: f64 = full.iter().map(|o| o.units).sum();
-        assert_pool_runs_agree(&plan, &resolver, 2.0 * total, true);
+        assert_pool_runs_agree(&plan, &resolver, 2.0 * total);
     }
 
     #[test]
@@ -1880,6 +1833,6 @@ mod tests {
         let through: f64 = full[..3].iter().map(|o| o.units).sum();
         let budget = through + n as f64 * ROW_COST / 2.0;
         assert_times_out_after(&plan, &resolver, budget, &full, 3);
-        assert_pool_runs_agree(&plan, &resolver, budget, false);
+        assert_pool_runs_agree(&plan, &resolver, budget);
     }
 }

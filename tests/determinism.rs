@@ -2,29 +2,14 @@
 //! outputs are byte-identical at any thread count (timings.json is the
 //! documented exception — wall-clock varies run to run).
 
-use std::collections::BTreeMap;
 use std::path::Path;
 
 use tab_bench::engine::ChargePolicy;
-use tab_bench::eval::{BenchSpec, Parallelism};
+use tab_bench::eval::Parallelism;
 use tab_bench_harness::repro::{run_all, ReproConfig};
 
-fn tiny(out: &Path, threads: usize) -> ReproConfig {
-    ReproConfig {
-        spec: BenchSpec {
-            nref_proteins: 400,
-            tpch_scale: 0.002,
-            workload_size: 8,
-            timeout_units: 500.0,
-            seed: 7,
-            threads: Parallelism::new(threads),
-            ..BenchSpec::small()
-        },
-        out_dir: out.to_path_buf(),
-        trace: None,
-        faults: None,
-    }
-}
+mod common;
+use common::{snapshot, tiny};
 
 /// Like [`tiny`], but with intra-query morsel parallelism dialed up:
 /// 4 query threads and a 64-row morsel size. Every artifact must still
@@ -34,22 +19,6 @@ fn tiny_morsel(out: &Path, threads: usize) -> ReproConfig {
     cfg.spec.query_threads = Parallelism::new(4);
     cfg.spec.morsel_rows = 64;
     cfg
-}
-
-/// Read every output file, excluding `timings.json` (wall-clock, which
-/// varies run to run) and the `BENCH_*` records, which the tests below
-/// compare one by one.
-fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
-    let mut out = BTreeMap::new();
-    for entry in std::fs::read_dir(dir).expect("read output dir") {
-        let entry = entry.expect("dir entry");
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if name == "timings.json" || name.starts_with("BENCH_") {
-            continue;
-        }
-        out.insert(name, std::fs::read(entry.path()).expect("read output file"));
-    }
-    out
 }
 
 /// The `reused` counts of a `timings.json` document, summed.

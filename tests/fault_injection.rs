@@ -12,42 +12,12 @@ use std::sync::Arc;
 
 use tab_bench::datagen::{generate_nref, generate_nref_checked, NrefParams};
 use tab_bench::engine::{ChargePolicy, SharedEngine};
-use tab_bench::eval::BenchSpec;
 use tab_bench::sqlq::{parse_statement, Statement};
 use tab_bench::storage::{par_map, par_map_catch, FaultPlan, Faults, Parallelism};
 use tab_bench_harness::repro::{run_all, ReproConfig, ReproError};
 
-fn tiny(out: &Path, threads: usize) -> ReproConfig {
-    ReproConfig {
-        spec: BenchSpec {
-            nref_proteins: 400,
-            tpch_scale: 0.002,
-            workload_size: 8,
-            timeout_units: 500.0,
-            seed: 7,
-            threads: Parallelism::new(threads),
-            ..BenchSpec::small()
-        },
-        out_dir: out.to_path_buf(),
-        trace: None,
-        faults: None,
-    }
-}
-
-/// Read every output file, excluding `timings.json` and the `BENCH_*`
-/// records — both hold wall-clock, which varies run to run.
-fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
-    let mut out = BTreeMap::new();
-    for entry in std::fs::read_dir(dir).expect("read output dir") {
-        let entry = entry.expect("dir entry");
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if name == "timings.json" || name.starts_with("BENCH_") {
-            continue;
-        }
-        out.insert(name, std::fs::read(entry.path()).expect("read output file"));
-    }
-    out
-}
+mod common;
+use common::{snapshot, tiny};
 
 /// A grid error's message must name exactly one failed cell: every
 /// sibling of the poisoned cell ran to completion.

@@ -7,16 +7,16 @@
 //!    byte-identical outputs to one without, while the trace itself
 //!    captures operator, query, advisor, and span events.
 
-use std::collections::BTreeMap;
-use std::path::Path;
-
 use tab_bench::datagen::{generate_nref, NrefParams};
 use tab_bench::engine::{render_explain, ExecOpts, Session};
-use tab_bench::eval::{build_1c, build_p, BenchSpec};
+use tab_bench::eval::{build_1c, build_p};
 use tab_bench::families::Family;
 use tab_bench::storage::Parallelism;
 use tab_bench_harness::replay::{render_summary, replay_str};
 use tab_bench_harness::repro::{run_all, ReproConfig};
+
+mod common;
+use common::{snapshot, tiny};
 
 #[test]
 fn explain_shows_index_scan_under_1c_but_not_p() {
@@ -108,38 +108,6 @@ fn explain_is_identical_at_one_and_four_query_threads() {
     }
 }
 
-fn tiny(out: &Path) -> ReproConfig {
-    ReproConfig {
-        spec: BenchSpec {
-            nref_proteins: 400,
-            tpch_scale: 0.002,
-            workload_size: 8,
-            timeout_units: 500.0,
-            seed: 7,
-            threads: Parallelism::new(2),
-            ..BenchSpec::small()
-        },
-        out_dir: out.to_path_buf(),
-        trace: None,
-        faults: None,
-    }
-}
-
-/// Read every output file, excluding `timings.json` (wall-clock, which
-/// varies run to run) and the `BENCH_*` records, compared by name below.
-fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
-    let mut out = BTreeMap::new();
-    for entry in std::fs::read_dir(dir).expect("read output dir") {
-        let entry = entry.expect("dir entry");
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if name == "timings.json" || name.starts_with("BENCH_") {
-            continue;
-        }
-        out.insert(name, std::fs::read(entry.path()).expect("read output file"));
-    }
-    out
-}
-
 #[test]
 fn traced_repro_outputs_are_byte_identical_to_untraced() {
     let base = std::env::temp_dir().join(format!("tab_observability_{}", std::process::id()));
@@ -148,10 +116,10 @@ fn traced_repro_outputs_are_byte_identical_to_untraced() {
     let trace_path = base.join("trace.jsonl");
     std::fs::create_dir_all(&base).expect("create temp base");
 
-    run_all(&tiny(&plain_dir)).expect("untraced run");
+    run_all(&tiny(&plain_dir, 2)).expect("untraced run");
     run_all(&ReproConfig {
         trace: Some(trace_path.clone()),
-        ..tiny(&traced_dir)
+        ..tiny(&traced_dir, 2)
     })
     .expect("traced run");
 
