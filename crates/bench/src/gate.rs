@@ -6,7 +6,7 @@
 //! | row | runs | passes when |
 //! |---|---|---|
 //! | `small` | `repro --small --threads 2 --trace` | every file but `timings.json` equals `golden_small/`; claim verdicts agree with `expected_claims_small.csv`; `timings.json`'s `reused` counts sum to `SMALL_REUSED` |
-//! | `trace` | structural diff of that trace against `golden_trace_small.jsonl`, tolerance 1e-6, then the two as sorted line multisets | clean and byte-equal up to line order; the golden's `tab replay` summary equals `golden_replay_small.txt`; an `IndexScan`→`HashScan` copy fails the diff with the report in `golden_tracediff_small.json`; a copy missing its last 40 bytes fails `replay` |
+//! | `trace` | `replay::line_diff` of that trace against `golden_trace_small.jsonl` (what `tab tracediff` runs) | the same lines, in any order but the `span_*`/`advisor_*` lines in the golden's; the golden's `tab replay` summary equals `golden_replay_small.txt`; an `IndexScan`→`HashScan` copy differs; a copy missing its last 40 bytes is refused as torn |
 //! | `threads` | `repro --small --threads 1 --faults panic:cell:NREF3J/NREF_1C`, then the same run without faults into the same directory | the crash is a typed grid error naming the cell, its 6 siblings completed; the rerun's output equals `golden_small/` |
 //! | `memcap` | `--buffer-pages 64 --charge metered` | output equals `golden_small/` except `BENCH_io.json`, which equals `golden_pool64/` |
 //! | `serve` | in-process server on `nref:800`, 32 requests over 16 NREF2J queries, at 1 and 4 clients | every wire answer is bit-identical to a direct `Session`; the claims equal `expected_serve_small.csv` |
@@ -23,10 +23,6 @@
 //! cp /tmp/pool64/BENCH_io.json ci/golden_pool64/
 //! cd ci
 //! tab replay golden_trace_small.jsonl > golden_replay_small.txt
-//! sed 's/IndexScan/HashScan/' golden_trace_small.jsonl > hashscan.jsonl
-//! tab tracediff golden_trace_small.jsonl hashscan.jsonl --tolerance 1e-6 \
-//!     --report golden_tracediff_small.json
-//! rm hashscan.jsonl
 //! ```
 //!
 //! The fixture pins the WAL's on-disk format across versions: it is what
@@ -49,7 +45,7 @@ use tab_server::{Client, Response, RetryClient};
 use tab_sqlq::{parse_statement, Insert, Query, Statement};
 use tab_storage::Database;
 
-use crate::replay::{diff, render_summary, replay_str, report_json, DiffOptions};
+use crate::replay::{line_diff, render_summary, replay_str, ReplayError};
 use crate::repro::{run_all, ReproConfig, ReproError, ReproSummary};
 use crate::serve_bench::serve_proof;
 
@@ -208,70 +204,50 @@ fn trace(g: &Gate<'_>) -> Result<(), Broken> {
     let golden = replay_str(&golden_text)
         .map_err(|e| broken(&golden_path, format!("replay refused it: {e}")))?;
     let fresh_text = read_text(&fresh_path)?;
-    let tracediff = |text: &str| {
-        replay_str(text)
-            .map(|fresh| diff(&golden, &fresh, DiffOptions { tolerance: 1e-6 }))
-            .map_err(|e| broken(&fresh_path, format!("replay refused it: {e}")))
-    };
-    let findings = tracediff(&fresh_text)?;
-    if let Some(first) = findings.first() {
-        return Err(broken(
-            &golden_path,
-            format!(
-                "{} structural divergence(s) from {}, first: {first}",
-                findings.len(),
-                fresh_path.display()
+    let d = line_diff(&golden_text, &fresh_text).map_err(|e| broken(&fresh_path, e.to_string()))?;
+    if !d.is_empty() {
+        // When both hold the same lines, quote the first span/advisor
+        // line out of the golden's order.
+        let (want, got) = d.reordered.map_or(
+            (
+                d.golden_only.first().copied(),
+                d.fresh_only.first().copied(),
             ),
-        ));
-    }
-    // The diff's tolerance would pass a change in how numbers are
-    // rendered, so the bytes must match too: the same lines, in any
-    // order (parallel workers interleave them).
-    let mut want: Vec<&str> = golden_text.lines().collect();
-    let mut got: Vec<&str> = fresh_text.lines().collect();
-    want.sort_unstable();
-    got.sort_unstable();
-    if want != got {
-        let at = want.iter().zip(&got).take_while(|(a, b)| a == b).count();
+            |(_, want, got)| (Some(want), Some(got)),
+        );
         return Err(broken(
             &golden_path,
             format!(
-                "{} has {} lines, the golden {}; sorted, they first differ at line {}",
+                "{} line(s) only here, {} only in {}; first `{}` against `{}`",
+                d.golden_only.len(),
+                d.fresh_only.len(),
                 fresh_path.display(),
-                got.len(),
-                want.len(),
-                at + 1
+                want.unwrap_or_default(),
+                got.unwrap_or_default()
             ),
         ));
     }
     // What `tab replay` prints for the golden is pinned byte for byte.
     same_as_pinned(g, "golden_replay_small.txt", &render_summary(&golden))?;
-    // The diff must bite: renaming one operator per line is a plan change,
-    // and the report naming every divergence is pinned too.
+    // The comparison must bite: renaming one operator per line is a plan
+    // change ...
     let perturbed: String = fresh_text
         .lines()
         .map(|l| l.replacen("IndexScan", "HashScan", 1) + "\n")
         .collect();
-    let findings = tracediff(&perturbed)?;
-    if findings.is_empty() {
+    if line_diff(&golden_text, &perturbed).is_ok_and(|d| d.is_empty()) {
         return Err(broken(
             &fresh_path,
             "tracediff passed a copy with IndexScan renamed HashScan",
         ));
     }
-    let report = report_json(
-        "golden_trace_small.jsonl",
-        "hashscan.jsonl",
-        1e-6,
-        &findings,
-    );
-    same_as_pinned(g, "golden_tracediff_small.json", &report)?;
-    // And replay must refuse a torn tail rather than half-replay it.
-    let torn = &fresh_text.as_bytes()[..fresh_text.len().saturating_sub(40)];
-    if replay_str(&String::from_utf8_lossy(torn)).is_ok() {
+    // ... and a torn tail is refused rather than half-read.
+    let torn =
+        String::from_utf8_lossy(&fresh_text.as_bytes()[..fresh_text.len().saturating_sub(40)]);
+    if line_diff(&golden_text, &torn) != Err(ReplayError::Torn) {
         return Err(broken(
             &fresh_path,
-            "replay accepted a copy missing its last 40 bytes",
+            "tracediff accepted a copy missing its last 40 bytes",
         ));
     }
     Ok(())
@@ -797,20 +773,22 @@ mod tests {
         };
         // Passing proves the perturbed and torn copies were refused.
         run_row("trace-clean", trace, |_| {}, seed).expect("a trace equal to the golden passes");
+        let mut tampered_line = String::new();
         let rename_one_scan = |ci: &Path| {
             let path = ci.join("golden_trace_small.jsonl");
             let text = std::fs::read_to_string(&path).unwrap();
+            let line = text.lines().find(|l| l.contains("IndexScan")).unwrap();
+            tampered_line = line.replacen("IndexScan", "IndexScam", 1);
             std::fs::write(&path, text.replacen("IndexScan", "IndexScam", 1)).unwrap();
         };
         let b = run_row("trace", trace, rename_one_scan, seed)
             .expect_err("a tampered golden breaks the row");
         assert!(b.file.ends_with("golden_trace_small.jsonl"), "{b:?}");
-        for pinned in ["golden_replay_small.txt", "golden_tracediff_small.json"] {
-            let tamper = |ci: &Path| flip_byte(&ci.join(pinned), 3);
-            let b = run_row("trace-pinned", trace, tamper, seed)
-                .expect_err("a tampered pinned output breaks the row");
-            assert!(b.file.ends_with(pinned), "{b:?}");
-        }
+        assert!(b.message.contains(&tampered_line), "{b:?}");
+        let tamper = |ci: &Path| flip_byte(&ci.join("golden_replay_small.txt"), 3);
+        let b = run_row("trace-pinned", trace, tamper, seed)
+            .expect_err("a tampered pinned output breaks the row");
+        assert!(b.file.ends_with("golden_replay_small.txt"), "{b:?}");
     }
 
     #[test]

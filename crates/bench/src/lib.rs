@@ -8,6 +8,7 @@
 //! [`serve_bench`] is the serving proof behind its `serve` row.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod converge;
 pub mod gate;

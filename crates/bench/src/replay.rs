@@ -1,36 +1,35 @@
-//! Trace replay and structural diff (`tab replay` / `tab tracediff`).
+//! Trace replay and comparison (`tab replay` / `tab tracediff`).
 //!
 //! A `tab-trace-v1` document from a traced grid run carries enough to
 //! reconstruct what happened without re-executing anything: every
 //! `operator` event names its (family, config, query, op) slot with
 //! estimates and actuals, every `query` event its outcome and metered
-//! units, and the advisor events a full round-by-round search history.
-//! [`replay_str`] scans each line once with `framed::Fields` and folds
-//! it straight back into that shape — a [`Replay`] of per-cell operator
-//! trees plus advisor runs — and [`diff`] compares two replays
-//! *structurally*. This is the only reader of `tab-trace-v1`.
+//! units, and the advisor events each search's rounds. [`replay_str`]
+//! scans each line once with `framed::Fields` and folds it straight
+//! back into that shape — a [`Replay`] of per-cell operator trees plus
+//! advisor runs — which [`render_summary`] prints. This is the only
+//! reader of `tab-trace-v1`.
 //!
-//! Structural, not byte-level: parallel grid workers interleave trace
-//! lines nondeterministically, so two traces of the same commit are
-//! line-permutations of each other. Every event carries its identifying
-//! fields precisely so this module can aggregate order-independently
-//! and compare the aggregates. The diff reports plan-shape changes
-//! (operator label sequences), probe/row/unit drift beyond a relative
-//! tolerance, outcome changes, and advisor divergences (round counts,
-//! picks, gains) — each finding naming the (family, config, query, op)
-//! or (advisor run, round) it anchors to. [`report_json`] renders the
-//! findings as a machine-readable `tab-tracediff-v1` document; the CI
-//! trace gate fails on any finding.
+//! Two traces are compared by their bytes, not by their replays: every
+//! run of one commit writes the same lines, so the golden is a contract
+//! byte for byte, and a change in how a number is rendered is as much a
+//! regression as a changed plan. [`line_diff`] is the one comparison,
+//! behind both `tab tracediff` and the `trace` row of `tab gate`. It
+//! compares lines as sorted multisets, because parallel grid workers
+//! interleave `query`, `operator` and `page` lines, and keeps the
+//! harness thread's `span_*` and `advisor_*` lines in file order. Each
+//! event line names its family, config, query and op, so a differing
+//! line says where the runs part.
 //!
 //! A torn trace (the crash signature of `FileTraceSink` or an injected
-//! `truncate:trace` fault) refuses to replay — [`ReplayError::Torn`] —
-//! rather than silently half-replaying; DESIGN.md §10's fault matrix
+//! `truncate:trace` fault) is refused by both — [`ReplayError::Torn`] —
+//! rather than silently half-read; DESIGN.md §10's fault matrix
 //! exercises exactly this path.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use tab_storage::framed::{json_escape, Fields};
+use tab_storage::framed::Fields;
 use tab_storage::trace::SCHEMA_PREFIX;
 
 /// One reconstructed operator slot of an executed plan.
@@ -40,8 +39,6 @@ pub struct ReplayedOp {
     pub label: String,
     /// Planner-estimated cost.
     pub est_cost: Option<f64>,
-    /// Planner-estimated output rows.
-    pub(crate) est_rows: Option<f64>,
     /// Actual input rows (absent past a timeout cutoff).
     pub rows_in: Option<u64>,
     /// Actual output rows.
@@ -63,19 +60,6 @@ pub struct ReplayedQuery {
     pub ops: BTreeMap<u64, ReplayedOp>,
 }
 
-impl ReplayedQuery {
-    /// The plan shape: operator labels in slot order.
-    pub fn plan_shape(&self) -> Vec<&str> {
-        self.ops.values().map(|o| o.label.as_str()).collect()
-    }
-
-    /// Sum of operator actual units (operators past a timeout cutoff
-    /// contribute nothing, matching the live meter).
-    pub fn op_units(&self) -> f64 {
-        self.ops.values().filter_map(|o| o.units).sum()
-    }
-}
-
 /// All queries of one (family, config) grid cell.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellReplay {
@@ -83,59 +67,23 @@ pub struct CellReplay {
     pub queries: BTreeMap<u64, ReplayedQuery>,
 }
 
-impl CellReplay {
-    /// Number of queries that timed out.
-    pub fn timeouts(&self) -> u64 {
-        self.queries
-            .values()
-            .filter(|q| q.outcome == "timeout")
-            .count() as u64
-    }
-
-    /// Total units charged across the cell's queries.
-    pub fn units(&self) -> f64 {
-        self.queries.values().filter_map(|q| q.units).sum()
-    }
-}
-
-/// One reconstructed advisor round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplayedRound {
-    /// Zero-based round index.
-    pub round: u64,
-    /// Picked candidate index.
-    pub candidate: u64,
-    /// Human-readable candidate description.
-    pub(crate) desc: String,
-    /// Estimated gain of the pick.
-    pub gain: Option<f64>,
-    /// Objective after the pick.
-    pub objective_after: Option<f64>,
-    /// What-if requests this round.
-    pub whatif_calls: u64,
-    /// Planner invocations this round.
-    pub planner_calls: u64,
-}
-
 /// One reconstructed greedy search (an `advisor_begin` … `advisor_end`
 /// block; the harness runs searches sequentially, so blocks never
 /// interleave).
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct AdvisorRun {
+pub(crate) struct AdvisorRun {
     /// Advisor name from the events.
-    pub advisor: String,
+    advisor: String,
     /// Candidate structures considered.
-    pub candidates: u64,
+    candidates: u64,
     /// Objective value before the first round.
-    pub(crate) initial_total: Option<f64>,
-    /// Accepted rounds in order.
-    pub rounds: Vec<ReplayedRound>,
+    initial_total: Option<f64>,
+    /// Accepted rounds.
+    rounds: u64,
     /// Final objective from `advisor_end`.
-    pub(crate) objective_final: Option<f64>,
+    objective_final: Option<f64>,
     /// Total what-if requests from `advisor_end`.
-    pub whatif_calls: u64,
-    /// Total planner invocations from `advisor_end`.
-    pub planner_calls: u64,
+    whatif_calls: u64,
 }
 
 /// A structurally reconstructed trace.
@@ -144,7 +92,7 @@ pub struct Replay {
     /// Grid cells by (family, config).
     pub cells: BTreeMap<(String, String), CellReplay>,
     /// Advisor searches in begin order.
-    pub advisor_runs: Vec<AdvisorRun>,
+    pub(crate) advisor_runs: Vec<AdvisorRun>,
     /// Complete lines that did not scan or lacked a required field.
     pub skipped: usize,
 }
@@ -180,20 +128,26 @@ impl std::error::Error for ReplayError {}
 /// ignored, so a schema extension does not turn old readers into false
 /// damage alarms.
 pub fn replay_str(input: &str) -> Result<Replay, ReplayError> {
-    if !input.is_empty() && !input.ends_with('\n') {
-        return Err(ReplayError::Torn);
-    }
     let mut r = Replay::default();
     // The currently open advisor block, if any. Advisor events are
     // emitted sequentially by the harness thread, so one slot suffices.
     let mut open: Option<AdvisorRun> = None;
-    for line in input.lines().filter(|l| !l.is_empty()) {
+    for line in whole(input)?.lines().filter(|l| !l.is_empty()) {
         if fold_line(&mut r, &mut open, line).is_none() {
             r.skipped += 1;
         }
     }
     r.advisor_runs.extend(open);
     Ok(r)
+}
+
+/// `input` if it is empty or ends in `\n`; a torn document otherwise.
+fn whole(input: &str) -> Result<&str, ReplayError> {
+    if input.is_empty() || input.ends_with('\n') {
+        Ok(input)
+    } else {
+        Err(ReplayError::Torn)
+    }
 }
 
 /// Fold one complete line into `r`, `open` being the advisor search in
@@ -216,7 +170,6 @@ fn fold_line(r: &mut Replay, open: &mut Option<AdvisorRun>, line: &str) -> Optio
             let slot = ReplayedOp {
                 label,
                 est_cost: f.f64("est_cost"),
-                est_rows: f.f64("est_rows"),
                 rows_in: f.u64("rows_in"),
                 rows_out: f.u64("rows_out"),
                 probes: f.u64("probes"),
@@ -237,17 +190,9 @@ fn fold_line(r: &mut Replay, open: &mut Option<AdvisorRun>, line: &str) -> Optio
         }
         "advisor_round" => {
             f.str("advisor")?;
-            let round = ReplayedRound {
-                round: f.u64("round")?,
-                candidate: f.u64("candidate")?,
-                desc: f.str("desc").unwrap_or_default(),
-                gain: f.f64("gain"),
-                objective_after: f.f64("objective_after"),
-                whatif_calls: f.u64("whatif_calls").unwrap_or(0),
-                planner_calls: f.u64("planner_calls").unwrap_or(0),
-            };
+            f.u64("round").zip(f.u64("candidate"))?;
             if let Some(run) = open {
-                run.rounds.push(round);
+                run.rounds += 1;
             }
         }
         "advisor_stop" => {
@@ -258,13 +203,12 @@ fn fold_line(r: &mut Replay, open: &mut Option<AdvisorRun>, line: &str) -> Optio
             if let Some(mut run) = open.take() {
                 run.objective_final = f.f64("objective_final");
                 run.whatif_calls = f.u64("whatif_calls").unwrap_or(0);
-                run.planner_calls = f.u64("planner_calls").unwrap_or(0);
                 r.advisor_runs.push(run);
             }
         }
         // Page events are per-access detail under a keyed stream the
         // cell totals already summarize; replay checks their fields and
-        // diffs stay at operator granularity.
+        // the summary stays at operator granularity.
         "page" => {
             f.str("action")?;
             for key in ["rel", "page", "frame", "seq"] {
@@ -290,488 +234,94 @@ fn query_slot<'r>(r: &'r mut Replay, f: &Fields<'_>, query: u64) -> Option<&'r m
     )
 }
 
-/// Options for the structural diff.
-#[derive(Debug, Clone, Copy)]
-pub struct DiffOptions {
-    /// Relative tolerance for float comparisons (units, gains,
-    /// objectives, estimates): values `a`, `b` diverge when
-    /// `|a − b| > tolerance × max(|a|, |b|, 1)`. Plan shapes, row and
-    /// probe counts, outcomes, and advisor picks are always exact. The
-    /// default is `0.0` — byte-faithful floats, which a same-machine
-    /// rerun of a deterministic run satisfies; CI uses a small
-    /// tolerance to absorb cross-libm rounding.
-    pub tolerance: f64,
+/// How a fresh trace's lines differ from its golden's.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LineDiff<'a> {
+    /// Lines the golden holds more often than the fresh trace, sorted.
+    pub golden_only: Vec<&'a str>,
+    /// Lines the fresh trace holds more often than the golden, sorted.
+    pub fresh_only: Vec<&'a str>,
+    /// When the lines agree as multisets but the harness thread's lines
+    /// (`span_*` and `advisor_*` events) do not come in the golden's
+    /// order: the 0-based position among those lines where the two
+    /// files first differ, with the golden's and the fresh trace's line
+    /// there.
+    pub(crate) reordered: Option<(usize, &'a str, &'a str)>,
 }
 
-impl Default for DiffOptions {
-    fn default() -> Self {
-        DiffOptions { tolerance: 0.0 }
-    }
-}
-
-/// One structural divergence between two replays, anchored to the
-/// entity it names.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Finding {
-    /// Divergence kind, e.g. `plan_shape`, `units`, `advisor_pick`.
-    pub kind: String,
-    /// Workload family (grid findings).
-    pub family: Option<String>,
-    /// Configuration name (grid findings).
-    pub config: Option<String>,
-    /// Query index (grid findings).
-    pub query: Option<u64>,
-    /// Operator slot (operator-level findings).
-    pub op: Option<u64>,
-    /// Advisor run index (advisor findings).
-    pub(crate) advisor_run: Option<usize>,
-    /// Advisor round index (advisor findings).
-    pub round: Option<u64>,
-    /// Human-readable golden-vs-fresh detail.
-    pub detail: String,
-}
-
-impl Finding {
-    fn grid(kind: &str, family: &str, config: &str, detail: String) -> Finding {
-        Finding {
-            kind: kind.into(),
-            family: Some(family.into()),
-            config: Some(config.into()),
-            query: None,
-            op: None,
-            advisor_run: None,
-            round: None,
-            detail,
-        }
-    }
-
-    fn query(kind: &str, family: &str, config: &str, query: u64, detail: String) -> Finding {
-        Finding {
-            query: Some(query),
-            ..Finding::grid(kind, family, config, detail)
-        }
-    }
-
-    fn op(kind: &str, family: &str, config: &str, query: u64, op: u64, detail: String) -> Finding {
-        Finding {
-            op: Some(op),
-            ..Finding::query(kind, family, config, query, detail)
-        }
-    }
-
-    fn advisor(kind: &str, run: usize, round: Option<u64>, detail: String) -> Finding {
-        Finding {
-            kind: kind.into(),
-            family: None,
-            config: None,
-            query: None,
-            op: None,
-            advisor_run: Some(run),
-            round,
-            detail,
-        }
+impl LineDiff<'_> {
+    /// Whether the two traces hold the same lines.
+    pub fn is_empty(&self) -> bool {
+        self.golden_only.is_empty() && self.fresh_only.is_empty() && self.reordered.is_none()
     }
 }
 
-impl fmt::Display for Finding {
+/// `- line` for each golden-only line, `+ line` for each fresh-only one,
+/// then the order mismatch, if any.
+impl fmt::Display for LineDiff<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.kind)?;
-        if let (Some(fam), Some(cfg)) = (&self.family, &self.config) {
-            write!(f, " {fam}/{cfg}")?;
-            if let Some(q) = self.query {
-                write!(f, " q{q}")?;
+        for line in &self.golden_only {
+            writeln!(f, "- {line}")?;
+        }
+        for line in &self.fresh_only {
+            writeln!(f, "+ {line}")?;
+        }
+        if let Some((at, golden, fresh)) = self.reordered {
+            writeln!(
+                f,
+                "span/advisor line {} leaves the golden's order:\n- {golden}\n+ {fresh}",
+                at + 1
+            )?;
+        }
+        Ok(())
+    }
+}
+
+/// Compare two `tab-trace-v1` documents line for line: `golden` is the
+/// committed reference, `fresh` the run under test. Both must be whole
+/// ([`ReplayError::Torn`] otherwise). Their lines are compared as sorted
+/// multisets, because parallel grid workers interleave `query`,
+/// `operator` and `page` lines; a duplicated, re-rendered or malformed
+/// line is a difference. When the multisets agree, the harness thread's
+/// lines must also come in the golden's order, so advisor runs compare
+/// in begin order.
+pub fn line_diff<'a>(golden: &'a str, fresh: &'a str) -> Result<LineDiff<'a>, ReplayError> {
+    let sorted = |text: &'a str| {
+        let mut lines: Vec<&str> = text.split_terminator('\n').collect();
+        lines.sort_unstable();
+        lines.into_iter().peekable()
+    };
+    let (mut want, mut got) = (sorted(whole(golden)?), sorted(whole(fresh)?));
+    let mut d = LineDiff::default();
+    loop {
+        match (want.peek(), got.peek()) {
+            (None, None) => break,
+            (Some(a), Some(b)) if a == b => {
+                want.next();
+                got.next();
             }
-            if let Some(op) = self.op {
-                write!(f, " op{op}")?;
-            }
+            (Some(a), b) if b.is_none_or(|b| a < b) => d.golden_only.extend(want.next()),
+            _ => d.fresh_only.extend(got.next()),
         }
-        if let Some(run) = self.advisor_run {
-            write!(f, " advisor#{run}")?;
-            if let Some(rd) = self.round {
-                write!(f, " round{rd}")?;
-            }
-        }
-        write!(f, ": {}", self.detail)
     }
+    if d.golden_only.is_empty() && d.fresh_only.is_empty() {
+        let harness = |text: &'a str| text.split_terminator('\n').filter(|l| harness_line(l));
+        d.reordered = harness(golden)
+            .zip(harness(fresh))
+            .enumerate()
+            .find(|(_, (a, b))| a != b)
+            .map(|(at, (a, b))| (at, a, b));
+    }
+    Ok(d)
 }
 
-/// Whether two optional floats diverge beyond the relative tolerance.
-/// `None` (absent or non-finite in the trace) only matches `None`.
-fn float_diverges(a: Option<f64>, b: Option<f64>, tol: f64) -> bool {
-    match (a, b) {
-        (None, None) => false,
-        (Some(a), Some(b)) => (a - b).abs() > tol * a.abs().max(b.abs()).max(1.0),
-        _ => true,
-    }
-}
-
-/// Render an optional float for finding details.
-fn show_f(v: Option<f64>) -> String {
-    v.map_or_else(|| "absent".into(), |v| format!("{v:.3}"))
-}
-
-/// Render an optional integer for finding details.
-fn show_u(v: Option<u64>) -> String {
-    v.map_or_else(|| "absent".into(), |v| v.to_string())
-}
-
-/// Structurally diff two replays: `golden` is the committed reference,
-/// `fresh` the run under test. Any returned finding is a regression the
-/// trace gate fails on — including cells or advisor runs that exist on
-/// only one side (a stale golden must fail loudly, pointing at the
-/// regeneration recipe, never pass by accident).
-pub fn diff(golden: &Replay, fresh: &Replay, opts: DiffOptions) -> Vec<Finding> {
-    let tol = opts.tolerance;
-    let mut out = Vec::new();
-
-    let keys: std::collections::BTreeSet<_> =
-        golden.cells.keys().chain(fresh.cells.keys()).collect();
-    for key in keys {
-        let (family, config) = key;
-        match (golden.cells.get(key), fresh.cells.get(key)) {
-            (Some(_), None) => out.push(Finding::grid(
-                "missing_cell",
-                family,
-                config,
-                "cell present in golden, absent in fresh".into(),
-            )),
-            (None, Some(_)) => out.push(Finding::grid(
-                "extra_cell",
-                family,
-                config,
-                "cell absent in golden, present in fresh".into(),
-            )),
-            (Some(g), Some(f)) => diff_cell(family, config, g, f, tol, &mut out),
-            (None, None) => unreachable!("key came from one of the maps"),
-        }
-    }
-
-    let runs = golden.advisor_runs.len().max(fresh.advisor_runs.len());
-    for i in 0..runs {
-        match (golden.advisor_runs.get(i), fresh.advisor_runs.get(i)) {
-            (Some(_), None) => out.push(Finding::advisor(
-                "missing_advisor_run",
-                i,
-                None,
-                "advisor run present in golden, absent in fresh".into(),
-            )),
-            (None, Some(_)) => out.push(Finding::advisor(
-                "extra_advisor_run",
-                i,
-                None,
-                "advisor run absent in golden, present in fresh".into(),
-            )),
-            (Some(g), Some(f)) => diff_advisor(i, g, f, tol, &mut out),
-            (None, None) => {}
-        }
-    }
-    out
-}
-
-/// Diff one shared (family, config) cell.
-fn diff_cell(
-    family: &str,
-    config: &str,
-    golden: &CellReplay,
-    fresh: &CellReplay,
-    tol: f64,
-    out: &mut Vec<Finding>,
-) {
-    let keys: std::collections::BTreeSet<_> =
-        golden.queries.keys().chain(fresh.queries.keys()).collect();
-    for qi in keys {
-        match (golden.queries.get(qi), fresh.queries.get(qi)) {
-            (Some(_), None) => out.push(Finding::query(
-                "missing_query",
-                family,
-                config,
-                *qi,
-                "query present in golden, absent in fresh".into(),
-            )),
-            (None, Some(_)) => out.push(Finding::query(
-                "extra_query",
-                family,
-                config,
-                *qi,
-                "query absent in golden, present in fresh".into(),
-            )),
-            (Some(g), Some(f)) => diff_query(family, config, *qi, g, f, tol, out),
-            (None, None) => unreachable!("key came from one of the maps"),
-        }
-    }
-}
-
-/// Diff one shared (cell, query) execution.
-fn diff_query(
-    family: &str,
-    config: &str,
-    qi: u64,
-    golden: &ReplayedQuery,
-    fresh: &ReplayedQuery,
-    tol: f64,
-    out: &mut Vec<Finding>,
-) {
-    if golden.outcome != fresh.outcome {
-        out.push(Finding::query(
-            "outcome",
-            family,
-            config,
-            qi,
-            format!("golden {:?}, fresh {:?}", golden.outcome, fresh.outcome),
-        ));
-    }
-    if float_diverges(golden.units, fresh.units, tol) {
-        out.push(Finding::query(
-            "query_units",
-            family,
-            config,
-            qi,
-            format!(
-                "golden {}, fresh {}",
-                show_f(golden.units),
-                show_f(fresh.units)
-            ),
-        ));
-    }
-    // Plan shape: the operator labels and the slots they sit in must
-    // match exactly. A shape change subsumes per-op comparisons, so stop
-    // here.
-    let (gs, fs) = (golden.plan_shape(), fresh.plan_shape());
-    if gs != fs || !golden.ops.keys().eq(fresh.ops.keys()) {
-        let detail = if gs != fs {
-            format!("golden [{}], fresh [{}]", gs.join(" | "), fs.join(" | "))
-        } else {
-            format!(
-                "[{}] at golden slots {:?}, fresh slots {:?}",
-                gs.join(" | "),
-                golden.ops.keys().collect::<Vec<_>>(),
-                fresh.ops.keys().collect::<Vec<_>>()
-            )
-        };
-        out.push(Finding::query("plan_shape", family, config, qi, detail));
-        return;
-    }
-    for (op, g) in &golden.ops {
-        let f = &fresh.ops[op]; // same shape ⇒ same slots
-        if g.rows_in != f.rows_in || g.rows_out != f.rows_out {
-            out.push(Finding::op(
-                "rows",
-                family,
-                config,
-                qi,
-                *op,
-                format!(
-                    "{}: rows_in golden {} fresh {}, rows_out golden {} fresh {}",
-                    g.label,
-                    show_u(g.rows_in),
-                    show_u(f.rows_in),
-                    show_u(g.rows_out),
-                    show_u(f.rows_out)
-                ),
-            ));
-        }
-        if g.probes != f.probes {
-            out.push(Finding::op(
-                "probes",
-                family,
-                config,
-                qi,
-                *op,
-                format!(
-                    "{}: golden {}, fresh {}",
-                    g.label,
-                    show_u(g.probes),
-                    show_u(f.probes)
-                ),
-            ));
-        }
-        if float_diverges(g.units, f.units, tol) {
-            out.push(Finding::op(
-                "op_units",
-                family,
-                config,
-                qi,
-                *op,
-                format!(
-                    "{}: golden {}, fresh {}",
-                    g.label,
-                    show_f(g.units),
-                    show_f(f.units)
-                ),
-            ));
-        }
-        if float_diverges(g.est_cost, f.est_cost, tol)
-            || float_diverges(g.est_rows, f.est_rows, tol)
-        {
-            out.push(Finding::op(
-                "estimates",
-                family,
-                config,
-                qi,
-                *op,
-                format!(
-                    "{}: est_cost golden {} fresh {}, est_rows golden {} fresh {}",
-                    g.label,
-                    show_f(g.est_cost),
-                    show_f(f.est_cost),
-                    show_f(g.est_rows),
-                    show_f(f.est_rows)
-                ),
-            ));
-        }
-    }
-}
-
-/// Diff one shared advisor run.
-fn diff_advisor(
-    i: usize,
-    golden: &AdvisorRun,
-    fresh: &AdvisorRun,
-    tol: f64,
-    out: &mut Vec<Finding>,
-) {
-    if golden.candidates != fresh.candidates {
-        out.push(Finding::advisor(
-            "advisor_candidates",
-            i,
-            None,
-            format!("golden {}, fresh {}", golden.candidates, fresh.candidates),
-        ));
-    }
-    if float_diverges(golden.initial_total, fresh.initial_total, tol) {
-        out.push(Finding::advisor(
-            "advisor_initial_objective",
-            i,
-            None,
-            format!(
-                "golden {}, fresh {}",
-                show_f(golden.initial_total),
-                show_f(fresh.initial_total)
-            ),
-        ));
-    }
-    if golden.rounds.len() != fresh.rounds.len() {
-        out.push(Finding::advisor(
-            "advisor_rounds",
-            i,
-            None,
-            format!(
-                "golden {} rounds, fresh {} rounds",
-                golden.rounds.len(),
-                fresh.rounds.len()
-            ),
-        ));
-    }
-    for (g, f) in golden.rounds.iter().zip(&fresh.rounds) {
-        if g.candidate != f.candidate || g.desc != f.desc {
-            out.push(Finding::advisor(
-                "advisor_pick",
-                i,
-                Some(g.round),
-                format!(
-                    "golden #{} ({}), fresh #{} ({})",
-                    g.candidate, g.desc, f.candidate, f.desc
-                ),
-            ));
-            // A different pick makes the rest of this run incomparable.
-            break;
-        }
-        if float_diverges(g.gain, f.gain, tol)
-            || float_diverges(g.objective_after, f.objective_after, tol)
-        {
-            out.push(Finding::advisor(
-                "advisor_gain",
-                i,
-                Some(g.round),
-                format!(
-                    "{}: gain golden {} fresh {}, objective golden {} fresh {}",
-                    g.desc,
-                    show_f(g.gain),
-                    show_f(f.gain),
-                    show_f(g.objective_after),
-                    show_f(f.objective_after)
-                ),
-            ));
-        }
-        if g.whatif_calls != f.whatif_calls || g.planner_calls != f.planner_calls {
-            out.push(Finding::advisor(
-                "advisor_calls",
-                i,
-                Some(g.round),
-                format!(
-                    "whatif golden {} fresh {}, planner golden {} fresh {}",
-                    g.whatif_calls, f.whatif_calls, g.planner_calls, f.planner_calls
-                ),
-            ));
-        }
-    }
-    if float_diverges(golden.objective_final, fresh.objective_final, tol) {
-        out.push(Finding::advisor(
-            "advisor_final_objective",
-            i,
-            None,
-            format!(
-                "golden {}, fresh {}",
-                show_f(golden.objective_final),
-                show_f(fresh.objective_final)
-            ),
-        ));
-    }
-}
-
-/// Render findings as a machine-readable `tab-tracediff-v1` document:
-/// one JSON object with a `findings` array, `clean` verdict, and the
-/// inputs it compared.
-pub fn report_json(
-    golden_name: &str,
-    fresh_name: &str,
-    tolerance: f64,
-    findings: &[Finding],
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"tab-tracediff-v1\",\n");
-    out.push_str(&format!(
-        "  \"golden\": \"{}\",\n  \"fresh\": \"{}\",\n",
-        json_escape(golden_name),
-        json_escape(fresh_name)
-    ));
-    out.push_str(&format!("  \"tolerance\": {tolerance:e},\n"));
-    out.push_str(&format!(
-        "  \"clean\": {},\n  \"finding_count\": {},\n",
-        findings.is_empty(),
-        findings.len()
-    ));
-    out.push_str("  \"findings\": [\n");
-    for (i, f) in findings.iter().enumerate() {
-        out.push_str("    {");
-        out.push_str(&format!("\"kind\": \"{}\"", json_escape(&f.kind)));
-        if let Some(v) = &f.family {
-            out.push_str(&format!(", \"family\": \"{}\"", json_escape(v)));
-        }
-        if let Some(v) = &f.config {
-            out.push_str(&format!(", \"config\": \"{}\"", json_escape(v)));
-        }
-        if let Some(v) = f.query {
-            out.push_str(&format!(", \"query\": {v}"));
-        }
-        if let Some(v) = f.op {
-            out.push_str(&format!(", \"op\": {v}"));
-        }
-        if let Some(v) = f.advisor_run {
-            out.push_str(&format!(", \"advisor_run\": {v}"));
-        }
-        if let Some(v) = f.round {
-            out.push_str(&format!(", \"round\": {v}"));
-        }
-        out.push_str(&format!(", \"detail\": \"{}\"", json_escape(&f.detail)));
-        out.push('}');
-        if i + 1 < findings.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// Whether `line` is a `span_*` or `advisor_*` event, the lines only the
+/// harness thread writes.
+fn harness_line(line: &str) -> bool {
+    Fields::scan(line, SCHEMA_PREFIX)
+        .ok()
+        .and_then(|f| f.str("event"))
+        .is_some_and(|e| e.starts_with("span_") || e.starts_with("advisor_"))
 }
 
 /// The operator kind of a label: its leading alphanumeric run, so
@@ -782,6 +332,11 @@ fn op_kind(label: &str) -> &str {
         .find(|c: char| !c.is_ascii_alphanumeric())
         .unwrap_or(label.len());
     &label[..end]
+}
+
+/// Render an optional float for the summary.
+fn show_f(v: Option<f64>) -> String {
+    v.map_or_else(|| "absent".into(), |v| format!("{v:.3}"))
 }
 
 /// Render a human-readable replay summary — what `tab replay` prints:
@@ -806,8 +361,11 @@ pub fn render_summary(r: &Replay) -> String {
             out,
             "{family:<10} {config:<14} {:>7} {:>8} {ops:>7} {:>14.3}",
             cell.queries.len(),
-            cell.timeouts(),
-            cell.units()
+            cell.queries
+                .values()
+                .filter(|q| q.outcome == "timeout")
+                .count(),
+            cell.queries.values().filter_map(|q| q.units).sum::<f64>()
         );
         for op in cell.queries.values().flat_map(|q| q.ops.values()) {
             let k = kinds
@@ -846,7 +404,7 @@ pub fn render_summary(r: &Replay) -> String {
                 "{i:<4} {:<8} {:>10} {:>7} {:>14} {:>14} {:>12}",
                 run.advisor,
                 run.candidates,
-                run.rounds.len(),
+                run.rounds,
                 show_f(run.initial_total),
                 show_f(run.objective_final),
                 run.whatif_calls
@@ -891,13 +449,20 @@ mod tests {
         assert_eq!(cell.queries.len(), 1);
         let q = &cell.queries[&0];
         assert_eq!(q.outcome, "done");
-        assert_eq!(q.plan_shape(), vec!["FreqSetup", "SeqScan(t)"]);
-        assert!((q.op_units() - 4.25).abs() < 1e-9);
+        let labels: Vec<&str> = q.ops.values().map(|o| o.label.as_str()).collect();
+        assert_eq!(labels, ["FreqSetup", "SeqScan(t)"]);
+        assert_eq!(q.ops.values().filter_map(|o| o.units).sum::<f64>(), 4.25);
         assert_eq!(r.advisor_runs.len(), 1);
         let run = &r.advisor_runs[0];
-        assert_eq!(run.advisor, "R");
-        assert_eq!(run.rounds.len(), 1);
-        assert_eq!(run.rounds[0].candidate, 2);
+        assert_eq!(
+            (
+                run.advisor.as_str(),
+                run.candidates,
+                run.rounds,
+                run.whatif_calls
+            ),
+            ("R", 3, 1, 9)
+        );
         assert_eq!(run.objective_final, Some(60.0));
     }
 
@@ -935,9 +500,12 @@ mod tests {
 
     #[test]
     fn torn_trace_refuses_to_replay() {
-        let mut torn = sample_trace();
+        let (whole, mut torn) = (sample_trace(), sample_trace());
         torn.truncate(torn.len() - 20); // cut mid-line, no trailing \n
         assert_eq!(replay_str(&torn), Err(ReplayError::Torn));
+        // The comparison refuses it too, on either side.
+        assert_eq!(line_diff(&whole, &torn), Err(ReplayError::Torn));
+        assert_eq!(line_diff(&torn, &whole), Err(ReplayError::Torn));
     }
 
     /// A torn document is refused whatever its fragment holds, even a
@@ -1001,8 +569,8 @@ mod tests {
                 .int("query", 3)
                 .int("op", 1)
                 .str("label", "IndexScan(\"protein\" cols=[2])")
-                .token("est_cost", Num(12.5))
-                .token("est_rows", Num(f64::INFINITY))
+                .token("est_cost", Num(f64::INFINITY))
+                .token("est_rows", Num(12.5))
                 .int("rows_in", 0)
                 .int("rows_out", 42)
                 .int("probes", 7)
@@ -1011,8 +579,7 @@ mod tests {
         let r = replay_str(&(sink.lines().join("\n") + "\n")).expect("replay");
         let want = ReplayedOp {
             label: "IndexScan(\"protein\" cols=[2])".into(),
-            est_cost: Some(12.5),
-            est_rows: None,
+            est_cost: None,
             rows_in: Some(0),
             rows_out: Some(42),
             probes: Some(7),
@@ -1022,10 +589,10 @@ mod tests {
         assert_eq!((r.skipped, q.ops.get(&1)), (0, Some(&want)));
     }
 
-    /// The same labels in different slots are a plan-shape change, not a
-    /// lookup of a slot the fresh side lacks.
+    /// The same labels in different slots are two differing lines, each
+    /// naming its slot.
     #[test]
-    fn shifted_slots_are_a_plan_shape_finding() {
+    fn shifted_slots_are_a_line_difference() {
         let at0 = concat!(
             r#"{"schema":"tab-trace-v1","event":"operator","family":"F","config":"P","query":0,"op":0,"label":"SeqScan(t)","units":1.000}"#,
             "\n",
@@ -1033,83 +600,91 @@ mod tests {
             "\n",
         );
         let at1 = at0.replace("\"op\":0", "\"op\":1");
-        let (g, f) = (replay_str(at0).unwrap(), replay_str(&at1).unwrap());
-        let fs = diff(&g, &f, DiffOptions::default());
-        assert_eq!(fs.len(), 1, "{fs:?}");
-        assert_eq!((fs[0].kind.as_str(), fs[0].query), ("plan_shape", Some(0)));
-        assert!(fs[0].detail.contains("slots [0]"), "{}", fs[0]);
+        let d = line_diff(at0, &at1).expect("whole documents");
+        let op = at0.lines().next().unwrap();
+        let moved = op.replace("\"op\":0", "\"op\":1");
+        assert_eq!(d.to_string(), format!("- {op}\n+ {moved}\n"));
     }
 
     #[test]
     fn self_diff_is_empty_and_line_order_is_irrelevant() {
-        let r = replay_str(&sample_trace()).expect("replay");
-        assert!(diff(&r, &r, DiffOptions::default()).is_empty());
-        // Permute the grid lines (parallel workers interleave them
-        // arbitrarily); advisor blocks stay in order, as in a real
-        // trace, where the harness emits them sequentially.
         let text = sample_trace();
-        let (grid, advisor): (Vec<&str>, Vec<&str>) = text
-            .lines()
-            .partition(|l| !l.contains("\"event\":\"advisor"));
-        let mut lines: Vec<&str> = grid;
+        assert!(line_diff(&text, &text).expect("whole").is_empty());
+        // Permute the grid lines (parallel workers interleave them
+        // arbitrarily); span and advisor lines stay in order, as in a
+        // real trace, where the harness thread emits them.
+        let (mut lines, harness): (Vec<&str>, Vec<&str>) =
+            text.lines().partition(|l| !harness_line(l));
         lines.reverse();
-        lines.extend(advisor);
+        lines.extend(harness);
         let permuted = lines.join("\n") + "\n";
-        let rp = replay_str(&permuted).expect("replay permuted");
-        assert!(diff(&r, &rp, DiffOptions::default()).is_empty());
+        assert_ne!(permuted, text);
+        let d = line_diff(&text, &permuted).expect("whole");
+        assert!(d.is_empty(), "{d}");
     }
 
     #[test]
     fn perturbations_are_detected_and_named() {
-        let r = replay_str(&sample_trace()).expect("replay");
-
-        // Plan-shape perturbation: a different operator label.
-        let shape = sample_trace().replace("SeqScan(t)", "IndexScan(t cols=[1])");
-        let rs = replay_str(&shape).expect("replay");
-        let fs = diff(&r, &rs, DiffOptions::default());
-        assert_eq!(fs.len(), 1, "{fs:?}");
-        assert_eq!(fs[0].kind, "plan_shape");
-        assert_eq!(fs[0].family.as_deref(), Some("F"));
-        assert_eq!(fs[0].config.as_deref(), Some("P"));
-        assert_eq!(fs[0].query, Some(0));
-        assert!(fs[0].to_string().contains("F/P"), "{}", fs[0]);
-
-        // Unit drift beyond tolerance, caught at op and query level.
-        let units = sample_trace().replace("\"units\":4.250", "\"units\":5.000");
-        let ru = replay_str(&units).expect("replay");
-        let fu = diff(&r, &ru, DiffOptions { tolerance: 1e-6 });
-        assert!(fu.iter().any(|f| f.kind == "op_units"), "{fu:?}");
-        // ... while a generous tolerance absorbs it.
-        assert!(diff(&r, &ru, DiffOptions { tolerance: 0.5 }).is_empty());
-
-        // Advisor pick perturbation.
-        let pick = sample_trace().replace("\"candidate\":2", "\"candidate\":1");
-        let rp = replay_str(&pick).expect("replay");
-        let fp = diff(&r, &rp, DiffOptions::default());
-        assert!(fp.iter().any(|f| f.kind == "advisor_pick"), "{fp:?}");
-
-        // A missing cell (stale golden) fails, both directions.
-        let empty = Replay::default();
-        assert!(diff(&r, &empty, DiffOptions::default())
-            .iter()
-            .any(|f| f.kind == "missing_cell"));
-        assert!(diff(&empty, &r, DiffOptions::default())
-            .iter()
-            .any(|f| f.kind == "extra_cell"));
+        let text = sample_trace();
+        let (op, round) = (text.lines().nth(2).unwrap(), text.lines().nth(5).unwrap());
+        // The trace with `line`'s first `from` made `to`, and the diff.
+        let edit = |line: &str, from: &str, to: &str| {
+            let changed = line.replacen(from, to, 1);
+            (
+                text.replacen(line, &changed, 1),
+                format!("- {line}\n+ {changed}\n"),
+            )
+        };
+        for (fresh, want) in [
+            // A different operator label; the lines name family, config,
+            // query and op.
+            edit(op, "SeqScan(t)", "IndexScan(t cols=[1])"),
+            // A different advisor pick.
+            edit(round, "\"candidate\":2", "\"candidate\":1"),
+            // A re-rendered number, a duplicated line and a malformed
+            // one: the lines must be the golden's byte for byte and as
+            // many times each.
+            edit(op, "\"units\":4.250}", "\"units\":4.2500}"),
+            (format!("{text}{op}\n"), format!("+ {op}\n")),
+            (format!("{text}not json\n"), "+ not json\n".into()),
+        ] {
+            let d = line_diff(&text, &fresh).expect("whole");
+            assert_eq!(d.to_string(), want);
+        }
+        // Unit drift, at the operator and the query.
+        let drift = text.replace("\"units\":4.250", "\"units\":5.000");
+        let d = line_diff(&text, &drift).expect("whole");
+        assert_eq!((d.golden_only.len(), d.fresh_only.len()), (2, 2), "{d}");
+        // A missing trace (stale golden) fails, both directions.
+        let d = line_diff(&text, "").expect("whole");
+        assert_eq!((d.golden_only.len(), d.fresh_only.len()), (7, 0));
+        let d = line_diff("", &text).expect("whole");
+        assert_eq!((d.golden_only.len(), d.fresh_only.len()), (0, 7));
     }
 
+    /// Two advisor runs swapped hold the same lines; only their order
+    /// tells them apart.
     #[test]
-    fn report_json_is_schema_tagged() {
-        let r = replay_str(&sample_trace()).expect("replay");
-        let shape = sample_trace().replace("SeqScan(t)", "HashJoin(x)");
-        let rs = replay_str(&shape).expect("replay");
-        let findings = diff(&r, &rs, DiffOptions::default());
-        let doc = report_json("golden.jsonl", "fresh.jsonl", 0.0, &findings);
-        assert!(doc.contains("\"schema\": \"tab-tracediff-v1\""), "{doc}");
-        assert!(doc.contains("\"clean\": false"), "{doc}");
-        assert!(doc.contains("\"kind\": \"plan_shape\""), "{doc}");
-        assert!(doc.contains("\"family\": \"F\""), "{doc}");
-        let clean = report_json("a", "b", 1e-6, &[]);
-        assert!(clean.contains("\"clean\": true"), "{clean}");
+    fn swapped_advisor_runs_are_an_order_difference() {
+        let text = sample_trace();
+        let run = |name: &str| -> String {
+            let named = format!("\"advisor\":\"{name}\"");
+            let lines = text.lines().filter(|l| l.contains("\"event\":\"advisor"));
+            lines
+                .map(|l| l.replace("\"advisor\":\"R\"", &named) + "\n")
+                .collect()
+        };
+        let (a, b) = (run("A"), run("B"));
+        let (golden, fresh) = (a.clone() + &b, b + &a);
+        let d = line_diff(&golden, &fresh).expect("whole");
+        let (first_a, first_b) = (
+            golden.lines().next().unwrap(),
+            fresh.lines().next().unwrap(),
+        );
+        assert_eq!(d.reordered, Some((0, first_a, first_b)), "{d}");
+        assert_eq!(
+            d.to_string(),
+            format!("span/advisor line 1 leaves the golden's order:\n- {first_a}\n+ {first_b}\n")
+        );
     }
 }

@@ -77,7 +77,7 @@ fn accepts(command: &str) -> Option<Accepts> {
         ),
         "faults" => (&["spec"], true),
         "replay" => (&[], true),
-        "tracediff" => (&["tolerance", "report"], true),
+        "tracediff" => (&[], true),
         "client" => (&["addr"], true),
         "help" => (&[], true),
         "gate" | "" => (&[], false),

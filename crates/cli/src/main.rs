@@ -22,7 +22,7 @@ use std::sync::Arc;
 use args::parse_command;
 use tab_bench_harness::converge::{run_convergence, ConvergenceSpec};
 use tab_bench_harness::gate::run_gate;
-use tab_bench_harness::replay::{diff, render_summary, replay_str, report_json, DiffOptions};
+use tab_bench_harness::replay::{line_diff, render_summary, replay_str};
 use tab_core::convergence::{
     convergence_csv_rows, convergence_json, render_convergence_table, CSV_HEADER,
 };
@@ -53,9 +53,11 @@ USAGE:
   tab replay    TRACE.jsonl           reconstruct a traced run: totals per
                                       cell and per operator kind (exit 1
                                       on a torn trace; never half-replays)
-  tab tracediff GOLDEN FRESH [--tolerance REL] [--report PATH]
-                                      structural diff of two traces; exit 1
-                                      and name every divergence (DESIGN.md §11)
+  tab tracediff GOLDEN FRESH          compare two traces line for line
+                                      (grid lines in any order); print
+                                      `- line` / `+ line` for each line
+                                      only one side has and exit 1 on any
+                                      difference (DESIGN.md §11)
   tab converge  --db SPEC --family NAME [--profiles A,B,C]
                 [--ladder 50,200,800,unlimited] [--max-structures N]
                 [--workload N] [--out DIR]
@@ -547,47 +549,25 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `tab tracediff GOLDEN FRESH` — structural diff of two traces. Exits
-/// 0 when structurally identical, 1 with every divergence named
-/// (family/config/query/op or advisor run/round) otherwise. `--report
-/// PATH` additionally writes the machine-readable `tab-tracediff-v1`
-/// document; `--tolerance REL` sets the relative float tolerance
-/// (plan shapes, row/probe counts, outcomes, and picks stay exact).
+/// `tab tracediff GOLDEN FRESH` — compare two traces with
+/// [`line_diff`]. Prints `- line` for each line only GOLDEN has, `+ line`
+/// for each line only FRESH has, and the first `span_*`/`advisor_*`
+/// line out of GOLDEN's order; exits 0 when there is none, 1 otherwise
+/// or when either trace is torn.
 fn cmd_tracediff(args: &Args) -> Result<ExitCode, String> {
     let [golden, fresh] = args.positional.as_slice() else {
         return Err("tracediff needs GOLDEN and FRESH trace arguments".into());
     };
-    let tolerance: f64 = args.get_parsed("tolerance")?.unwrap_or(0.0);
-    let read = |path: &str| {
-        let input =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        replay_str(&input).map_err(|e| format!("{path}: {e}"))
-    };
-    let g = read(golden)?;
-    let f = read(fresh)?;
-    let findings = diff(&g, &f, DiffOptions { tolerance });
-    if let Some(report) = args.get("report") {
-        let doc = report_json(golden, fresh, tolerance, &findings);
-        std::fs::write(report, doc).map_err(|e| format!("cannot write {report}: {e}"))?;
+    let read =
+        |path: &str| std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
+    let (g, f) = (read(golden)?, read(fresh)?);
+    let d = line_diff(&g, &f).map_err(|e| format!("{golden} vs {fresh}: {e}"))?;
+    if d.is_empty() {
+        println!("traces match");
+        return Ok(ExitCode::SUCCESS);
     }
-    if findings.is_empty() {
-        println!(
-            "traces are structurally identical \
-             ({} cells, {} advisor runs, tolerance {tolerance:e})",
-            g.cells.len(),
-            g.advisor_runs.len()
-        );
-        Ok(ExitCode::SUCCESS)
-    } else {
-        for fd in &findings {
-            println!("{fd}");
-        }
-        eprintln!(
-            "{} structural divergence(s) between {golden} and {fresh}",
-            findings.len()
-        );
-        Ok(ExitCode::FAILURE)
-    }
+    print!("{d}");
+    Ok(ExitCode::FAILURE)
 }
 
 /// `tab converge` — sweep recommender profiles over a what-if budget

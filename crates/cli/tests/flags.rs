@@ -28,6 +28,10 @@ fn misspelled_flags_exit_nonzero_naming_the_flag() {
             ],
             "--confg",
         ),
+        (
+            &["tracediff", "--tolerance", "1e-6", "A", "B"],
+            "--tolerance",
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_tab"))
             .args(args)

@@ -14,6 +14,7 @@ use tab_bench::datagen::{generate_nref, generate_nref_checked, NrefParams};
 use tab_bench::engine::{ChargePolicy, SharedEngine};
 use tab_bench::sqlq::{parse_statement, Statement};
 use tab_bench::storage::{par_map, par_map_catch, FaultPlan, Faults, Parallelism};
+use tab_bench_harness::replay::line_diff;
 use tab_bench_harness::repro::{run_all, ReproConfig, ReproError};
 
 mod common;
@@ -119,14 +120,6 @@ fn injected_enospc_names_the_artifact_and_resume_recovers() {
     std::fs::remove_dir_all(&base).ok();
 }
 
-/// Sorted lines of a published trace: parallel workers interleave them.
-fn sorted_lines(path: &Path) -> Vec<String> {
-    let text = std::fs::read_to_string(path).expect("published trace");
-    let mut lines: Vec<String> = text.lines().map(String::from).collect();
-    lines.sort_unstable();
-    lines
-}
-
 #[test]
 fn torn_trace_fails_after_artifacts_and_a_clean_rerun_publishes_the_full_trace() {
     let base = std::env::temp_dir().join(format!("tab_fault_trace_{}", std::process::id()));
@@ -164,11 +157,14 @@ fn torn_trace_fails_after_artifacts_and_a_clean_rerun_publishes_the_full_trace()
     assert_eq!(partial.lines().count(), 6, "5 whole lines + the torn tail");
     assert!(!partial.ends_with('\n'), "tail line is torn mid-write");
 
-    // A clean rerun re-executes every cell, so its trace holds every
-    // query event a clean traced run's does.
+    // A clean rerun re-executes every cell, so its trace holds the lines
+    // a clean traced run's does.
     cfg.faults = None;
     run_all(&cfg).expect("a clean rerun with a healthy sink");
-    assert_eq!(sorted_lines(&trace_path), sorted_lines(&clean_trace));
+    let read = |path: &Path| std::fs::read_to_string(path).expect("published trace");
+    let (want, got) = (read(&clean_trace), read(&trace_path));
+    let d = line_diff(&want, &got).expect("whole traces");
+    assert!(d.is_empty(), "{d}");
 
     std::fs::remove_dir_all(&base).ok();
 }

@@ -3,8 +3,9 @@
 //! 1. Round trip: replaying a traced grid run reconstructs exactly the
 //!    operator actuals and query outcomes a live instrumented run
 //!    observes (at the trace's 3-decimal rendering).
-//! 2. Self-diff is empty and line order is irrelevant (parallel workers
-//!    interleave lines); a seeded perturbation is detected and named.
+//! 2. A trace compared with itself is clean, a 1-thread and a 2-thread
+//!    trace hold the same lines (parallel workers only interleave them),
+//!    and a seeded perturbation is a differing line that names its slot.
 //! 3. A torn trace — the `truncate:trace` fault's crash signature — is
 //!    refused by replay (and so by `tab replay`), never silently
 //!    half-replayed.
@@ -21,7 +22,7 @@ use tab_bench::eval::{build_1c, build_p, run_grid, BenchSpec, GridCell};
 use tab_bench::families::Family;
 use tab_bench::storage::trace::{event, Num};
 use tab_bench::storage::{FaultPlan, Faults, FileTraceSink, MemoryTraceSink, Parallelism, Trace};
-use tab_bench_harness::replay::{diff, replay_str, DiffOptions, ReplayError};
+use tab_bench_harness::replay::{line_diff, replay_str, ReplayError};
 
 const TIMEOUT: f64 = 500.0;
 
@@ -80,11 +81,8 @@ fn replay_round_trips_live_instrumented_actuals() {
             // Plan shape: the full label sequence, even past a timeout
             // cutoff (labels come from the plan, actuals from execution).
             let labels = result.plan.op_labels();
-            assert_eq!(
-                rq.plan_shape(),
-                labels.iter().map(String::as_str).collect::<Vec<_>>(),
-                "{key:?} q{qi}"
-            );
+            let shape: Vec<&String> = rq.ops.values().map(|o| &o.label).collect();
+            assert_eq!(shape, labels.iter().collect::<Vec<_>>(), "{key:?} q{qi}");
             // Per-operator actuals at the trace's 3-decimal rendering.
             for (op, act) in acts.iter().enumerate() {
                 let ro = &rq.ops[&(op as u64)];
@@ -114,11 +112,11 @@ fn replay_round_trips_live_instrumented_actuals() {
             );
             // The operator slots sum to the meter total for completed
             // queries (within the 3-decimal rendering granularity).
+            let op_units: f64 = rq.ops.values().filter_map(|o| o.units).sum();
             if outcome == "done" {
                 assert!(
-                    (rq.op_units() - units).abs() < 1e-2 * acts.len() as f64,
-                    "{key:?} q{qi}: op sum {} vs meter {units}",
-                    rq.op_units()
+                    (op_units - units).abs() < 1e-2 * acts.len() as f64,
+                    "{key:?} q{qi}: op sum {op_units} vs meter {units}"
                 );
             }
         }
@@ -128,37 +126,36 @@ fn replay_round_trips_live_instrumented_actuals() {
 #[test]
 fn self_diff_is_clean_and_seeded_perturbations_are_named() {
     let text = traced_grid_text(2);
-    let golden = replay_str(&text).expect("replay");
 
-    // Self-diff: clean at zero tolerance.
-    assert!(diff(&golden, &golden, DiffOptions::default()).is_empty());
+    // Self-diff: clean.
+    assert!(line_diff(&text, &text).expect("whole").is_empty());
 
-    // Thread-count / line-order invariance: a 1-thread trace of the
-    // same grid is a line permutation and diffs clean.
-    let fresh = replay_str(&traced_grid_text(1)).expect("replay");
-    let findings = diff(&golden, &fresh, DiffOptions::default());
-    assert!(findings.is_empty(), "{findings:?}");
+    // Thread-count invariance: a 1-thread trace of the same grid holds
+    // the same lines in another order.
+    let fresh = traced_grid_text(1);
+    let d = line_diff(&text, &fresh).expect("whole");
+    assert!(d.is_empty(), "{d}");
 
-    // Seeded plan-shape perturbation: rename an operator label.
+    // Seeded plan-shape perturbation: rename an operator label. The
+    // fresh line names the slot it sits in.
     let perturbed = text.replacen("SeqScan(", "SneakScan(", 1);
     assert_ne!(perturbed, text, "trace must contain a SeqScan");
-    let bad = replay_str(&perturbed).expect("replay");
-    let findings = diff(&golden, &bad, DiffOptions::default());
-    assert!(!findings.is_empty());
-    let f = findings
-        .iter()
-        .find(|f| f.kind == "plan_shape")
-        .expect("plan_shape finding");
-    assert_eq!(f.family.as_deref(), Some("NREF2J"));
-    assert!(f.config.is_some() && f.query.is_some());
-    assert!(f.detail.contains("SneakScan"), "{f}");
+    let d = line_diff(&text, &perturbed).expect("whole");
+    assert_eq!((d.golden_only.len(), d.fresh_only.len()), (1, 1), "{d}");
+    let line = d.fresh_only[0];
+    assert!(line.contains("SneakScan("), "{line}");
+    assert!(line.contains("\"family\":\"NREF2J\""), "{line}");
+    assert!(
+        line.contains("\"config\":") && line.contains("\"query\":"),
+        "{line}"
+    );
 
     // Seeded actuals perturbation: bump one probe count.
     let perturbed = text.replacen("\"probes\":0,", "\"probes\":7,", 1);
     assert_ne!(perturbed, text);
-    let bad = replay_str(&perturbed).expect("replay");
-    let findings = diff(&golden, &bad, DiffOptions { tolerance: 1e-6 });
-    assert!(findings.iter().any(|f| f.kind == "probes"), "{findings:?}");
+    let d = line_diff(&text, &perturbed).expect("whole");
+    assert_eq!((d.golden_only.len(), d.fresh_only.len()), (1, 1), "{d}");
+    assert!(d.fresh_only[0].contains("\"probes\":7,"), "{d}");
 }
 
 #[test]
