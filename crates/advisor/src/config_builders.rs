@@ -37,23 +37,10 @@ pub fn one_column_configuration(db: &Database, name: impl Into<String>) -> Confi
     cfg
 }
 
-/// The paper's space budget: the auxiliary size of `1C` minus that of
-/// `P` ("the difference in size between 1C and P as the space budget",
-/// §3.2.3). Computed on built configurations so the sizes are real.
-pub fn one_column_budget_bytes(
-    p: &tab_storage::BuiltConfiguration,
-    one_c: &tab_storage::BuiltConfiguration,
-) -> u64 {
-    one_c
-        .report
-        .aux_bytes()
-        .saturating_sub(p.report.aux_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tab_storage::{BuiltConfiguration, ColType, ColumnDef, Table, TableSchema, Value};
+    use tab_storage::{ColType, ColumnDef, Table, TableSchema, Value};
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -92,15 +79,5 @@ mod tests {
             .indexes
             .iter()
             .all(|i| i.columns.len() == 1 && i.columns[0] < 2));
-    }
-
-    #[test]
-    fn budget_is_positive_and_matches_difference() {
-        let db = db();
-        let p = BuiltConfiguration::build(p_configuration(&db, "P"), &db);
-        let c1 = BuiltConfiguration::build(one_column_configuration(&db, "1C"), &db);
-        let b = one_column_budget_bytes(&p, &c1);
-        assert!(b > 0);
-        assert_eq!(b, c1.report.aux_bytes() - p.report.aux_bytes());
     }
 }

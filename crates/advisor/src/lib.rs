@@ -4,8 +4,7 @@
 //! `tab-bench`:
 //!
 //! - [`config_builders`]: the paper's `P` (primary keys only) and `1C`
-//!   (all single-column indexes) configurations, and the `size(1C) −
-//!   size(P)` storage budget;
+//!   (all single-column indexes) configurations;
 //! - [`candidates`]: per-workload candidate generation in three styles;
 //! - [`greedy`]: the shared what-if greedy knapsack search;
 //! - [`whatif`]: the memoized, thread-safe what-if evaluation service
@@ -22,7 +21,7 @@ pub mod profiles;
 pub mod whatif;
 
 pub use candidates::{generate as generate_candidates, Candidate, CandidateStyle};
-pub use config_builders::{one_column_budget_bytes, one_column_configuration, p_configuration};
+pub use config_builders::{one_column_configuration, p_configuration};
 pub use greedy::{
     candidate_bytes, greedy_select, GreedyOptions, Objective, RoundStats, SearchStats,
 };

@@ -16,8 +16,8 @@
 
 use tab_advisor::{generate_candidates, greedy_select, CandidateStyle, GreedyOptions, Objective};
 use tab_core::{
-    build_1c, build_p, prepare_workload, run_workload, space_budget, Accepts, Args, BenchSpec,
-    Suite,
+    build_1c, build_p, prepare_workload_db_with, run_workload, space_budget, workload_seed,
+    Accepts, Args, BenchSpec, Faults,
 };
 use tab_families::Family;
 use tab_storage::{BuiltConfiguration, Parallelism, Trace};
@@ -38,12 +38,17 @@ fn main() {
             eprintln!("ablation: {e}\nusage: ablation [--small] [--threads N]");
             std::process::exit(2);
         });
-    let suite = Suite::build(spec);
-    let db = &suite.nref;
+    let nref = spec
+        .database("NREF", &Faults::disabled())
+        .expect("no faults armed");
+    let db = &nref;
     let p = build_p(db, "NREF");
     let c1 = build_1c(db, "NREF");
     let budget = space_budget(db, "NREF");
-    let w = prepare_workload(&suite, Family::Nref3J, &p);
+    let family = Family::Nref3J;
+    let seed = workload_seed(spec.seed, family);
+    let w = prepare_workload_db_with(db, family, &p, spec.workload_size, seed, spec.threads)
+        .unwrap_or_default();
     let cands = generate_candidates(db, &w, CandidateStyle::Covering);
 
     let seq = Parallelism::sequential();

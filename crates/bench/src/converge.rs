@@ -8,8 +8,8 @@
 //! search under successively larger what-if budgets and keeps the whole
 //! objective trajectory. The result is a set of
 //! [`ConvergenceCurve`]s — objective vs. accepted round and vs.
-//! cumulative planner budget — rendered to `convergence.csv` and
-//! `BENCH_convergence.json` by `tab-core`'s convergence module.
+//! cumulative planner budget — rendered to `convergence.csv` by
+//! `tab-core`'s convergence module.
 //!
 //! Budgeted searches are *prefixes* of the unbudgeted search (the
 //! budget gates round entry on deterministic counters), so the curves
@@ -169,8 +169,8 @@ mod tests {
         let c8 = run(8);
         assert_eq!(c1, c8);
         assert_eq!(
-            tab_core::convergence_json(&c1),
-            tab_core::convergence_json(&c8)
+            tab_core::convergence_csv_rows(&c1),
+            tab_core::convergence_csv_rows(&c8)
         );
     }
 

@@ -12,8 +12,8 @@ use std::time::Instant;
 use crate::converge::{run_convergence, ConvergenceSpec};
 use tab_advisor::{AdvisorInput, Recommender, SystemA, SystemB, SystemC};
 use tab_core::convergence::{
-    convergence_csv_rows, convergence_json, fig12_csv_rows, render_convergence_curve,
-    render_convergence_table, CSV_HEADER, FIG12_HEADER,
+    convergence_csv_rows, fig12_csv_rows, render_convergence_curve, render_convergence_table,
+    CSV_HEADER, FIG12_HEADER,
 };
 use tab_core::report::{
     cfc_csv_rows, render_cfc_ascii, render_histogram_ascii, write_bytes, write_csv,
@@ -24,9 +24,6 @@ use tab_core::{
     table1_row, timings_json, workload_seed, Accepts, Args, BenchSpec, CellTiming, Cfc, FaultPlan,
     Faults, FileTraceSink, Goal, GridCell, GridError, IoBenchCell, LogHistogram, RatioHistogram,
     Trace, WorkloadRun,
-};
-use tab_datagen::{
-    generate_nref_checked, generate_tpch_checked, Distribution, NrefParams, TpchParams,
 };
 use tab_families::Family;
 use tab_sqlq::Query;
@@ -418,15 +415,7 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
     // to bound resident memory.
     trace.span_begin("NREF");
     ctx.log("NREF: generating database");
-    let nref_db = generate_step("NREF", || {
-        generate_nref_checked(
-            NrefParams {
-                proteins: spec.nref_proteins,
-                seed: spec.seed,
-            },
-            &faults,
-        )
-    })?;
+    let nref_db = generate_step("NREF", || spec.database("NREF", &faults))?;
     let nref = &nref_db;
     ctx.log("NREF: building P and 1C");
     let p = build_p(nref, "NREF");
@@ -972,26 +961,13 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
     ctx.log_section_end("NREF: section done");
 
     // ================= TPC-H (System C) =================
-    for (dist, label, families) in [
-        (
-            Distribution::Zipf(1.0),
-            "SkTH",
-            vec![Family::SkTH3J, Family::SkTH3Js],
-        ),
-        (Distribution::Uniform, "UnTH", vec![Family::UnTH3J]),
+    for (label, families) in [
+        ("SkTH", vec![Family::SkTH3J, Family::SkTH3Js]),
+        ("UnTH", vec![Family::UnTH3J]),
     ] {
         trace.span_begin(label);
         ctx.log(&format!("{label}: generating database"));
-        let tpch_db = generate_step(label, || {
-            generate_tpch_checked(
-                TpchParams {
-                    scale: spec.tpch_scale,
-                    distribution: dist,
-                    seed: spec.seed + if label == "SkTH" { 1 } else { 2 },
-                },
-                &faults,
-            )
-        })?;
+        let tpch_db = generate_step(label, || spec.database(label, &faults))?;
         let db = &tpch_db;
         ctx.log(&format!("{label}: building P and 1C"));
         let p = build_p(db, label);
@@ -1191,20 +1167,13 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
         &totals_csv,
     )?;
 
-    // Convergence curves (profiles x what-if ladder). Both artifacts
-    // carry no wall-clock: `convergence.csv` participates in the
-    // determinism byte-compare like every other CSV, and
-    // `BENCH_convergence.json` is deterministic too (covered by an
-    // explicit test, since `BENCH_*` names are skipped by the generic
-    // byte-compare).
+    // Convergence curves (profiles x what-if ladder). No wall-clock:
+    // `convergence.csv` participates in the determinism byte-compare
+    // like every other CSV.
     ctx.csv(
         "convergence.csv",
         &CSV_HEADER,
         &convergence_csv_rows(&convergence),
-    )?;
-    ctx.bytes(
-        "BENCH_convergence.json",
-        convergence_json(&convergence).as_bytes(),
     )?;
 
     // Figure 12 companion artifacts: the convergence trajectories as a
@@ -1252,7 +1221,7 @@ pub fn run_all(cfg: &ReproConfig) -> Result<ReproSummary, ReproError> {
     // documented on `io_bench_json`). Wall-clock-free: eviction is a
     // pure function of the logical access stream, so the file
     // byte-compares across thread counts (`tests/determinism.rs` holds
-    // us to it, like `BENCH_convergence.json`).
+    // us to it).
     let io_bench = io_bench_json(spec, &ctx.io_cells);
     ctx.bytes("BENCH_io.json", io_bench.as_bytes())?;
 

@@ -23,9 +23,7 @@ use args::parse_command;
 use tab_bench_harness::converge::{run_convergence, ConvergenceSpec};
 use tab_bench_harness::gate::run_gate;
 use tab_bench_harness::replay::{line_diff, render_summary, replay_str};
-use tab_core::convergence::{
-    convergence_csv_rows, convergence_json, render_convergence_table, CSV_HEADER,
-};
+use tab_core::convergence::{convergence_csv_rows, render_convergence_table, CSV_HEADER};
 use tab_core::report::render_cfc_ascii;
 use tab_core::{
     build_config, prepare_workload_db_with, run_workload, served_state, Args, BenchSpec, Goal,
@@ -124,10 +122,13 @@ fn main() -> ExitCode {
             Ok(ExitCode::SUCCESS)
         }
     };
+    // The help goes only with a command line `parse_command` refused; a
+    // command's own error (an unreadable file, a torn trace, a failed
+    // run) is one line.
     match result {
         Ok(code) => code,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
@@ -624,10 +625,7 @@ fn cmd_converge(args: &Args) -> Result<(), String> {
             tab_core::Faults::disabled(),
         )
         .map_err(|e| format!("cannot write {}: {e}", csv.display()))?;
-        let json = dir.join("BENCH_convergence.json");
-        std::fs::write(&json, convergence_json(&curves))
-            .map_err(|e| format!("cannot write {}: {e}", json.display()))?;
-        println!("\nwrote {} and {}", csv.display(), json.display());
+        println!("\nwrote {}", csv.display());
     }
     Ok(())
 }

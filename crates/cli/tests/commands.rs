@@ -94,6 +94,8 @@ fn tracediff_prints_the_lines_one_side_lacks() {
             fresh == torn_path,
             "{stderr}"
         );
+        // A torn trace is a data error: it names itself, not the usage.
+        assert!(!stderr.contains("USAGE:"), "{stderr}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -43,6 +43,10 @@ fn misspelled_flags_exit_nonzero_naming_the_flag() {
             stderr.contains(&format!("unknown flag `{flag}`")),
             "{stderr}"
         );
+        assert!(
+            stderr.contains("USAGE:"),
+            "a usage error prints the help: {stderr}"
+        );
         assert!(out.stdout.is_empty(), "{args:?} ran anyway");
     }
 }

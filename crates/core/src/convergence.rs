@@ -1,5 +1,4 @@
-//! Convergence curves for recommender searches
-//! (`convergence.csv` / `BENCH_convergence.json`).
+//! Convergence curves for recommender searches (`convergence.csv`).
 //!
 //! The paper compares recommenders by their *final* picks; this module
 //! keeps the whole trajectory — objective value vs. accepted round and
@@ -11,10 +10,12 @@
 //! at any thread count), so the rendered artifacts contain **no
 //! wall-clock** and are byte-identical across runs and thread counts —
 //! unlike the `BENCH_*` timing records, these participate in the
-//! determinism byte-compare.
+//! determinism byte-compare. `convergence.csv` is the one data
+//! rendering: a curve that gave up is its `gave_up` row, its initial
+//! objective is its round-0 row, and its final objective is its last
+//! row.
 
 use tab_advisor::SearchStats;
-use tab_storage::framed::json_escape;
 
 /// One accepted round on a convergence curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -168,47 +169,6 @@ pub fn convergence_csv_rows(curves: &[ConvergenceCurve]) -> Vec<Vec<String>> {
         }
     }
     rows
-}
-
-/// Render curves as the `tab-convergence-v1` JSON document. Contains no
-/// wall-clock, so the document is deterministic — CI byte-compares it
-/// across thread counts.
-pub fn convergence_json(curves: &[ConvergenceCurve]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n  \"schema\": \"tab-convergence-v1\",\n  \"curves\": [\n");
-    for (i, c) in curves.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"profile\": \"{}\", \"family\": \"{}\", \"whatif_budget\": {}, \
-             \"gave_up\": {}, \"initial_objective\": {:.3}, \"final_objective\": {:.3}, \
-             \"rounds\": [",
-            json_escape(&c.profile),
-            json_escape(&c.family),
-            c.whatif_budget
-                .map_or_else(|| "null".to_string(), |b| b.to_string()),
-            c.gave_up,
-            c.initial_objective,
-            c.final_objective(),
-        ));
-        for (j, p) in c.points.iter().enumerate() {
-            s.push_str(&format!(
-                "{}{{\"round\": {}, \"candidate\": {}, \"gain\": {:.3}, \
-                 \"objective\": {:.3}, \"whatif_calls\": {}, \"planner_calls\": {}}}",
-                if j == 0 { "" } else { ", " },
-                p.round,
-                p.candidate,
-                p.gain,
-                p.objective,
-                p.whatif_calls,
-                p.planner_calls,
-            ));
-        }
-        s.push_str(&format!(
-            "]}}{}\n",
-            if i + 1 < curves.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
 }
 
 /// Render curves as a compact fixed-width table for terminals and CI
@@ -496,19 +456,5 @@ mod tests {
         assert!(!a.contains("wall"), "no wall-clock: {a}");
         let empty = render_convergence_curve(&[ConvergenceCurve::gave_up("A", "F", None)]);
         assert!(empty.contains("gave up"), "{empty}");
-    }
-
-    #[test]
-    fn json_is_schema_tagged_and_wall_clock_free() {
-        let curves = vec![
-            ConvergenceCurve::from_stats("B", "NREF2J", Some(50), &stats()),
-            ConvergenceCurve::gave_up("A", "NREF3J", Some(50)),
-        ];
-        let j = convergence_json(&curves);
-        assert!(j.contains("\"schema\": \"tab-convergence-v1\""), "{j}");
-        assert!(j.contains("\"whatif_budget\": 50"), "{j}");
-        assert!(j.contains("\"gave_up\": true"), "{j}");
-        assert!(j.contains("\"final_objective\": 50.000"), "{j}");
-        assert!(!j.contains("wall"), "must carry no wall-clock: {j}");
     }
 }

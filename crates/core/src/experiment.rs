@@ -8,13 +8,17 @@
 //! family, and the measurement protocol (30-minute timeout, statistics
 //! collected before recommending and before running).
 
+use std::io;
+
 use tab_advisor::{one_column_configuration, p_configuration, profile, AdvisorInput, SearchStats};
-use tab_datagen::{generate_nref, generate_tpch, Distribution, NrefParams, TpchParams};
+use tab_datagen::{
+    generate_nref_checked, generate_tpch_checked, Distribution, NrefParams, TpchParams,
+};
 use tab_engine::{ChargePolicy, EngineState, ExecOpts, PoolOpts, RANDOM_PAGE_COST, SEQ_PAGE_COST};
 use tab_families::{sample_preserving, Family};
 use tab_sqlq::Query;
 use tab_storage::{
-    par_run, BuiltConfiguration, Configuration, Database, IndexSpec, Parallelism, Trace, PAGE_SIZE,
+    BuiltConfiguration, Configuration, Database, Faults, IndexSpec, Parallelism, Trace, PAGE_SIZE,
 };
 
 use crate::args::Args;
@@ -122,6 +126,42 @@ impl BenchSpec {
         Ok(spec)
     }
 
+    /// The benchmark database `label` names (§4.1): `NREF` is synthetic
+    /// NREF at `nref_proteins` with `seed`; `SkTH` is TPC-H at
+    /// `tpch_scale` with Zipf(1.0) values and `seed + 1`; `UnTH` is
+    /// uniform TPC-H with `seed + 2`. The one owner of that rule: each
+    /// database owns its seed, so it is the same whichever others a
+    /// caller generates. `faults` arms the generator's
+    /// `panic:build:<table>` and `enospc:datagen` sites; any other label
+    /// is an `InvalidInput` error.
+    pub fn database(&self, label: &str, faults: &Faults) -> io::Result<Database> {
+        let tpch = |distribution, seed| {
+            generate_tpch_checked(
+                TpchParams {
+                    scale: self.tpch_scale,
+                    distribution,
+                    seed,
+                },
+                faults,
+            )
+        };
+        match label {
+            "NREF" => generate_nref_checked(
+                NrefParams {
+                    proteins: self.nref_proteins,
+                    seed: self.seed,
+                },
+                faults,
+            ),
+            "SkTH" => tpch(Distribution::Zipf(1.0), self.seed + 1),
+            "UnTH" => tpch(Distribution::Uniform, self.seed + 2),
+            other => Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("no benchmark database is labelled `{other}`"),
+            )),
+        }
+    }
+
     /// The options one measured query executes under, with its pool
     /// when `buffer_pages > 0`. Tracing and fault sites start disabled;
     /// the grid arms them per job.
@@ -135,67 +175,6 @@ impl BenchSpec {
             morsel_rows: self.morsel_rows,
             pool,
             ..ExecOpts::default()
-        }
-    }
-}
-
-/// The three benchmark databases, statistics collected.
-pub struct Suite {
-    /// The spec the suite was built from.
-    pub spec: BenchSpec,
-    /// Synthetic NREF.
-    pub nref: Database,
-    /// Skewed TPC-H (Zipf θ=1).
-    pub skth: Database,
-    /// Uniform TPC-H.
-    pub unth: Database,
-}
-
-impl Suite {
-    /// Generate all three databases, concurrently when `spec.threads`
-    /// allows. Each generator owns its seed, so the databases are
-    /// independent of how the builds are scheduled.
-    pub fn build(spec: BenchSpec) -> Self {
-        let jobs: Vec<Box<dyn FnOnce() -> Database + Send>> = vec![
-            Box::new(move || {
-                generate_nref(NrefParams {
-                    proteins: spec.nref_proteins,
-                    seed: spec.seed,
-                })
-            }),
-            Box::new(move || {
-                generate_tpch(TpchParams {
-                    scale: spec.tpch_scale,
-                    distribution: Distribution::Zipf(1.0),
-                    seed: spec.seed + 1,
-                })
-            }),
-            Box::new(move || {
-                generate_tpch(TpchParams {
-                    scale: spec.tpch_scale,
-                    distribution: Distribution::Uniform,
-                    seed: spec.seed + 2,
-                })
-            }),
-        ];
-        let mut dbs = par_run(spec.threads, jobs).into_iter();
-        let nref = dbs.next().expect("three jobs");
-        let skth = dbs.next().expect("three jobs");
-        let unth = dbs.next().expect("three jobs");
-        Suite {
-            spec,
-            nref,
-            skth,
-            unth,
-        }
-    }
-
-    /// The database a family runs on.
-    pub(crate) fn db_for(&self, family: Family) -> &Database {
-        match family.database_label() {
-            "NREF" => &self.nref,
-            "SkTH" => &self.skth,
-            _ => &self.unth,
         }
     }
 }
@@ -271,23 +250,11 @@ pub fn workload_seed(seed: u64, family: Family) -> u64 {
     seed ^ family.name().len() as u64
 }
 
-/// Enumerate a family and sample the benchmark workload from it,
-/// preserving the family's cost distribution (§4.1.1; stratified on
-/// estimated cost in `P` — see `tab-families::sample`).
-pub fn prepare_workload(suite: &Suite, family: Family, p_built: &BuiltConfiguration) -> Vec<Query> {
-    prepare_workload_db_with(
-        suite.db_for(family),
-        family,
-        p_built,
-        suite.spec.workload_size,
-        workload_seed(suite.spec.seed, family),
-        suite.spec.threads,
-    )
-    .unwrap_or_default()
-}
-
-/// [`prepare_workload`] against an explicit database instance, for
-/// callers that build databases one at a time to bound memory.
+/// The benchmark workload of a run with master seed `seed`: `family`
+/// enumerated on `db` and sampled with [`workload_seed`], preserving
+/// the family's cost distribution (§4.1.1; stratified on estimated cost
+/// in `p_built`, see `tab-families::sample`). Sequential; see
+/// [`prepare_workload_db_with`] for the draw itself.
 pub fn prepare_workload_db(
     db: &Database,
     family: Family,
@@ -509,82 +476,87 @@ mod tests {
         }
     }
 
-    fn tiny_suite() -> Suite {
-        Suite::build(tiny_params())
+    fn tiny_nref() -> Database {
+        tiny_params()
+            .database("NREF", &Faults::disabled())
+            .expect("no faults armed")
     }
 
     #[test]
-    fn parallel_suite_matches_sequential() {
-        let seq = tiny_suite();
-        let par = Suite::build(BenchSpec {
-            threads: Parallelism::new(3),
-            ..seq.spec
-        });
-        for (a, b) in [
-            (&seq.nref, &par.nref),
-            (&seq.skth, &par.skth),
-            (&seq.unth, &par.unth),
-        ] {
-            for name in a.table_names() {
-                assert_eq!(
-                    a.table(name).unwrap().n_rows(),
-                    b.table(name).unwrap().n_rows(),
-                    "{name}"
-                );
-            }
-        }
-        let p = build_p(&seq.nref, "NREF");
-        let w_seq = prepare_workload(&seq, Family::Nref2J, &p);
-        let w_par = prepare_workload(&par, Family::Nref2J, &p);
-        assert_eq!(w_seq, w_par);
+    fn database_maps_each_label_to_its_generator() {
+        let spec = tiny_params();
+        let db = |label| spec.database(label, &Faults::disabled());
+        let nref = db("NREF").unwrap();
+        assert_eq!(nref.table_names().count(), 6);
+        assert!(nref.table("neighboring_seq").is_some());
+        let skth = db("SkTH").unwrap();
+        assert_eq!(skth.table_names().count(), 8);
+        let unth = db("UnTH").unwrap();
+        assert_eq!(unth.table_names().count(), 8);
+        assert_eq!(
+            skth.table("lineitem").unwrap().n_rows(),
+            unth.table("lineitem").unwrap().n_rows()
+        );
+        let err = db("NREF2J").expect_err("a family is not a database label");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]
-    fn suite_builds_three_databases() {
-        let s = tiny_suite();
-        assert!(s.nref.table("neighboring_seq").is_some());
-        assert!(s.skth.table("lineitem").is_some());
-        assert!(s.unth.table("lineitem").is_some());
-        assert_eq!(s.db_for(Family::Nref2J).table_names().count(), 6);
-        assert_eq!(s.db_for(Family::SkTH3Js).table_names().count(), 8);
+    fn workload_draw_is_identical_at_one_and_three_threads() {
+        let spec = tiny_params();
+        let db = tiny_nref();
+        let p = build_p(&db, "NREF");
+        let seed = workload_seed(spec.seed, Family::Nref2J);
+        let draw = |n| {
+            prepare_workload_db_with(
+                &db,
+                Family::Nref2J,
+                &p,
+                spec.workload_size,
+                seed,
+                Parallelism::new(n),
+            )
+        };
+        assert_eq!(draw(1).unwrap(), draw(3).unwrap());
     }
 
     #[test]
     fn workload_prepared_at_requested_size() {
-        let s = tiny_suite();
-        let p = build_p(&s.nref, "NREF");
-        let w = prepare_workload(&s, Family::Nref2J, &p);
+        let spec = tiny_params();
+        let db = tiny_nref();
+        let p = build_p(&db, "NREF");
+        let w = prepare_workload_db(&db, Family::Nref2J, &p, spec.workload_size, spec.seed);
         assert_eq!(w.len(), 10);
     }
 
     #[test]
     fn one_c_is_larger_and_slower_to_build_than_p() {
-        let s = tiny_suite();
-        let p = build_p(&s.nref, "NREF");
-        let c1 = build_1c(&s.nref, "NREF");
-        let rp = table1_row(&s.nref, &p);
-        let r1 = table1_row(&s.nref, &c1);
+        let db = tiny_nref();
+        let p = build_p(&db, "NREF");
+        let c1 = build_1c(&db, "NREF");
+        let rp = table1_row(&db, &p);
+        let r1 = table1_row(&db, &c1);
         assert!(r1.size_mib > rp.size_mib);
         assert!(r1.build_sim_minutes > rp.build_sim_minutes);
-        assert!(space_budget(&s.nref, "NREF") > 0);
+        assert!(space_budget(&db, "NREF") > 0);
     }
 
     #[test]
     fn space_budget_equals_the_built_difference() {
         for (nref_proteins, tpch_scale) in [(150, 0.001), (400, 0.003)] {
-            let s = Suite::build(BenchSpec {
+            let spec = BenchSpec {
                 nref_proteins,
                 tpch_scale,
                 ..tiny_params()
-            });
-            for (db, label) in [(&s.nref, "NREF"), (&s.skth, "SkTH"), (&s.unth, "UnTH")] {
-                let built = tab_advisor::one_column_budget_bytes(
-                    &build_p(db, label),
-                    &build_1c_par(db, label, Parallelism::new(3), &[]),
-                );
+            };
+            for label in ["NREF", "SkTH", "UnTH"] {
+                let db = spec.database(label, &Faults::disabled()).unwrap();
+                let p = build_p(&db, label);
+                let c1 = build_1c_par(&db, label, Parallelism::new(3), &[]);
+                let built = c1.report.aux_bytes() - p.report.aux_bytes();
                 assert!(built > 0, "{label} at {nref_proteins}/{tpch_scale}");
                 assert_eq!(
-                    space_budget(db, label),
+                    space_budget(&db, label),
                     built,
                     "{label} at {nref_proteins}/{tpch_scale}"
                 );
@@ -594,9 +566,9 @@ mod tests {
 
     #[test]
     fn insertion_breakeven_math() {
-        let s = tiny_suite();
-        let p = build_p(&s.nref, "NREF");
-        let c1 = build_1c(&s.nref, "NREF");
+        let db = tiny_nref();
+        let p = build_p(&db, "NREF");
+        let c1 = build_1c(&db, "NREF");
         // Synthetic runs: R slower on queries, cheaper on inserts.
         let run_r = WorkloadRun {
             config: "R".into(),

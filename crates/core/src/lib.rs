@@ -12,7 +12,8 @@
 //! - [`measure`] — workload-level `A`/`E`/`H` measurement, timeout lower
 //!   bounds (§4.3), and improvement ratios AIR/EIR/HIR (§5.2);
 //! - [`experiment`] — the benchmark suite: the [`BenchSpec`] every run
-//!   is measured under, the three databases, the `P`/`1C`
+//!   is measured under and the one rule that generates each of its
+//!   three databases, the `P`/`1C`
 //!   configurations (and the one `p`/`1c` name table, with the state
 //!   `tab serve` boots), space budgets, the one workload draw, and the
 //!   §4.4 insertion break-even analysis, and [`advise`], the one
@@ -40,13 +41,13 @@ pub mod report;
 pub use args::{Accepts, Args};
 pub use cfc::Cfc;
 pub use convergence::{
-    convergence_csv_rows, convergence_json, fig12_csv_rows, render_convergence_curve,
-    render_convergence_table, ConvergenceCurve, CurvePoint, FIG12_HEADER,
+    convergence_csv_rows, fig12_csv_rows, render_convergence_curve, render_convergence_table,
+    ConvergenceCurve, CurvePoint, FIG12_HEADER,
 };
 pub use experiment::{
     advise, build_1c, build_1c_par, build_config, build_p, insertion_breakeven, per_insert_cost,
-    prepare_workload, prepare_workload_db, prepare_workload_db_with, served_state, space_budget,
-    table1_row, workload_seed, Advice, BenchSpec, InsertionAnalysis, Suite, Table1Row, DRAW_SEED,
+    prepare_workload_db, prepare_workload_db_with, served_state, space_budget, table1_row,
+    workload_seed, Advice, BenchSpec, InsertionAnalysis, Table1Row, DRAW_SEED,
 };
 pub use goal::Goal;
 pub use grid::{

@@ -24,7 +24,7 @@ use tab_bench::engine::{
     bind, execute, naive, ChargePolicy, CostMeter, ExecOpts, OpActuals, PoolOpts, Resolver,
     Session, DEFAULT_MORSEL_ROWS,
 };
-use tab_bench::eval::{build_1c, build_p, prepare_workload, BenchSpec, Suite};
+use tab_bench::eval::{build_1c, build_p, prepare_workload_db, BenchSpec, Faults};
 use tab_bench::families::Family;
 use tab_bench::sqlq::{CmpOp, Predicate, Query};
 use tab_bench::storage::{BuiltConfiguration, Database, Parallelism, Table, Value};
@@ -370,17 +370,20 @@ fn tpch_families_match_naive() {
 #[test]
 fn small_timeouts_report_the_leading_slots_of_an_unbudgeted_run() {
     let spec = BenchSpec::small();
-    let suite = Suite::build(spec);
     let (mut timeouts, mut row_capped) = (0, 0);
-    for (family, label, db) in [
-        (Family::Nref3J, "NREF", &suite.nref),
-        (Family::SkTH3Js, "SkTH", &suite.skth),
-        (Family::UnTH3J, "UnTH", &suite.unth),
+    for (family, label) in [
+        (Family::Nref3J, "NREF"),
+        (Family::SkTH3Js, "SkTH"),
+        (Family::UnTH3J, "UnTH"),
     ] {
+        let db = &spec
+            .database(label, &Faults::disabled())
+            .expect("no faults armed");
         let p = build_p(db, label);
         let c1 = build_1c(db, label);
+        let w = prepare_workload_db(db, family, &p, spec.workload_size, spec.seed);
         let mut seen = HashSet::new();
-        for (qi, q) in prepare_workload(&suite, family, &p).iter().enumerate() {
+        for (qi, q) in w.iter().enumerate() {
             for (cname, built) in [("P", &p), ("1C", &c1)] {
                 let session = Session::new(db, built);
                 let plan = session.plan_query(q).expect("family query plans");

@@ -4,33 +4,44 @@
 use tab_bench::advisor::{AdvisorInput, Recommender, SystemB, SystemC};
 use tab_bench::engine::Session;
 use tab_bench::eval::{
-    build_1c, build_p, estimate_workload, prepare_workload, run_workload, space_budget, BenchSpec,
-    Parallelism, Suite,
+    build_1c, build_p, estimate_workload, prepare_workload_db, run_workload, space_budget,
+    BenchSpec, Faults, Parallelism,
 };
 use tab_bench::families::Family;
-use tab_bench::storage::BuiltConfiguration;
+use tab_bench::sqlq::Query;
+use tab_bench::storage::{BuiltConfiguration, Database};
 
-fn small_suite() -> Suite {
-    Suite::build(BenchSpec {
+fn spec() -> BenchSpec {
+    BenchSpec {
         nref_proteins: 2_000,
         tpch_scale: 0.005,
         workload_size: 25,
         timeout_units: 3_000.0,
         seed: 42,
         ..BenchSpec::small()
-    })
+    }
+}
+
+fn database(label: &str) -> Database {
+    spec()
+        .database(label, &Faults::disabled())
+        .expect("no faults armed")
+}
+
+fn workload(db: &Database, family: Family, p: &BuiltConfiguration) -> Vec<Query> {
+    prepare_workload_db(db, family, p, spec().workload_size, spec().seed)
 }
 
 #[test]
 fn one_c_beats_p_on_nref2j() {
     let seq = Parallelism::sequential();
-    let suite = small_suite();
-    let db = &suite.nref;
+    let nref = database("NREF");
+    let db = &nref;
     let p = build_p(db, "NREF");
     let c1 = build_1c(db, "NREF");
-    let w = prepare_workload(&suite, Family::Nref2J, &p);
-    let run_p = run_workload(db, &p, &w, suite.spec.timeout_units, seq);
-    let run_1c = run_workload(db, &c1, &w, suite.spec.timeout_units, seq);
+    let w = workload(db, Family::Nref2J, &p);
+    let run_p = run_workload(db, &p, &w, spec().timeout_units, seq);
+    let run_1c = run_workload(db, &c1, &w, spec().timeout_units, seq);
     let total_p = run_p.total_lower_bound_sim_seconds();
     let total_1c = run_1c.total_lower_bound_sim_seconds();
     assert!(
@@ -42,11 +53,11 @@ fn one_c_beats_p_on_nref2j() {
 
 #[test]
 fn results_identical_across_all_configurations() {
-    let suite = small_suite();
-    let db = &suite.nref;
+    let nref = database("NREF");
+    let db = &nref;
     let p = build_p(db, "NREF");
     let c1 = build_1c(db, "NREF");
-    let w = prepare_workload(&suite, Family::Nref3J, &p);
+    let w = workload(db, Family::Nref3J, &p);
     let sp = Session::new(db, &p);
     let s1 = Session::new(db, &c1);
     let mut compared = 0;
@@ -65,11 +76,11 @@ fn results_identical_across_all_configurations() {
 
 #[test]
 fn recommended_configuration_stays_within_budget() {
-    let suite = small_suite();
-    let db = &suite.skth;
+    let skth = database("SkTH");
+    let db = &skth;
     let p = build_p(db, "SkTH");
     let budget = space_budget(db, "SkTH");
-    let w = prepare_workload(&suite, Family::SkTH3Js, &p);
+    let w = workload(db, Family::SkTH3Js, &p);
     for rec in [&SystemB as &dyn Recommender, &SystemC] {
         let cfg = rec
             .recommend(&AdvisorInput {
@@ -98,11 +109,11 @@ fn recommended_configuration_stays_within_budget() {
 #[test]
 fn estimates_rank_1c_at_or_below_p() {
     let seq = Parallelism::sequential();
-    let suite = small_suite();
-    let db = &suite.nref;
+    let nref = database("NREF");
+    let db = &nref;
     let p = build_p(db, "NREF");
     let c1 = build_1c(db, "NREF");
-    let w = prepare_workload(&suite, Family::Nref2J, &p);
+    let w = workload(db, Family::Nref2J, &p);
     let e_p: f64 = estimate_workload(db, &p, &w, seq).iter().sum();
     let e_1c: f64 = estimate_workload(db, &c1, &w, seq).iter().sum();
     assert!(
@@ -114,10 +125,10 @@ fn estimates_rank_1c_at_or_below_p() {
 #[test]
 fn timeouts_abort_and_are_reported() {
     let seq = Parallelism::sequential();
-    let suite = small_suite();
-    let db = &suite.nref;
+    let nref = database("NREF");
+    let db = &nref;
     let p = build_p(db, "NREF");
-    let w = prepare_workload(&suite, Family::Nref2J, &p);
+    let w = workload(db, Family::Nref2J, &p);
     // A budget so small everything times out.
     let run = run_workload(db, &p, &w, 0.01, seq);
     assert_eq!(run.timeout_count(), w.len());
@@ -126,8 +137,8 @@ fn timeouts_abort_and_are_reported() {
 
 #[test]
 fn insertion_costs_order_p_r_1c() {
-    let suite = small_suite();
-    let db = &suite.nref;
+    let nref = database("NREF");
+    let db = &nref;
     let p = build_p(db, "NREF");
     let c1 = build_1c(db, "NREF");
     let ip = tab_bench::eval::per_insert_cost(&p, "neighboring_seq");

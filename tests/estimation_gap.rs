@@ -3,20 +3,32 @@
 //! skewed data, and the gap shrinks on uniform data.
 
 use tab_bench::eval::{
-    build_1c, build_p, estimate_workload, estimate_workload_hypothetical, prepare_workload,
-    BenchSpec, Parallelism, Suite,
+    build_1c, build_p, estimate_workload, estimate_workload_hypothetical, prepare_workload_db,
+    BenchSpec, Faults, Parallelism,
 };
 use tab_bench::families::Family;
+use tab_bench::sqlq::Query;
+use tab_bench::storage::{BuiltConfiguration, Database};
 
-fn suite() -> Suite {
-    Suite::build(BenchSpec {
+fn spec() -> BenchSpec {
+    BenchSpec {
         nref_proteins: 2_000,
         tpch_scale: 0.005,
         workload_size: 25,
         timeout_units: 3_000.0,
         seed: 7,
         ..BenchSpec::small()
-    })
+    }
+}
+
+fn database(label: &str) -> Database {
+    spec()
+        .database(label, &Faults::disabled())
+        .expect("no faults armed")
+}
+
+fn workload(db: &Database, family: Family, p: &BuiltConfiguration) -> Vec<Query> {
+    prepare_workload_db(db, family, p, spec().workload_size, spec().seed)
 }
 
 /// Median of a sample.
@@ -36,11 +48,11 @@ fn hypothetical_1c_more_conservative_than_real_1c() {
     let seq = Parallelism::sequential();
     // Figure 10's key contrast: H1C is "much more conservative about the
     // advantages of 1C than E1C".
-    let s = suite();
-    let db = &s.nref;
+    let nref = database("NREF");
+    let db = &nref;
     let p = build_p(db, "NREF");
     let c1 = build_1c(db, "NREF");
-    let w = prepare_workload(&s, Family::Nref3J, &p);
+    let w = workload(db, Family::Nref3J, &p);
 
     let e1c = estimate_workload(db, &c1, &w, seq);
     let h1c = estimate_workload_hypothetical(db, &p, &c1.config, &w, seq);
@@ -65,11 +77,11 @@ fn estimates_order_p_above_1c() {
     let seq = Parallelism::sequential();
     // Figure 10: "The optimizer correctly estimates that the behavior of
     // R improves over P and that 1C improves even further."
-    let s = suite();
-    let db = &s.nref;
+    let nref = database("NREF");
+    let db = &nref;
     let p = build_p(db, "NREF");
     let c1 = build_1c(db, "NREF");
-    let w = prepare_workload(&s, Family::Nref3J, &p);
+    let w = workload(db, Family::Nref3J, &p);
     // At the selective quartile the probe-based 1C plans are estimated
     // far cheaper than P's scans (the head of Figure 10's curves).
     let ep = quantile(&estimate_workload(db, &p, &w, seq), 0.25);
@@ -85,14 +97,13 @@ fn hypothetical_gap_smaller_on_uniform_data() {
     let seq = Parallelism::sequential();
     // The uniformity assumption is *correct* on UnTH, so H should track
     // E much more closely there than on NREF (skewed).
-    let s = suite();
 
     // Gap metric: median absolute log-ratio between H and E — zero when
     // hypothetical estimates are perfect, large under estimation error.
     let gap = |db: &tab_bench::storage::Database, label: &str, fam: Family| {
         let p = build_p(db, label);
         let c1 = build_1c(db, label);
-        let w = prepare_workload(&s, fam, &p);
+        let w = workload(db, fam, &p);
         let e = estimate_workload(db, &c1, &w, seq);
         let h = estimate_workload_hypothetical(db, &p, &c1.config, &w, seq);
         let devs: Vec<f64> = e
@@ -104,8 +115,8 @@ fn hypothetical_gap_smaller_on_uniform_data() {
         median(&devs)
     };
 
-    let gap_skewed = gap(&s.nref, "NREF", Family::Nref3J);
-    let gap_uniform = gap(&s.unth, "UnTH", Family::UnTH3J);
+    let gap_skewed = gap(&database("NREF"), "NREF", Family::Nref3J);
+    let gap_uniform = gap(&database("UnTH"), "UnTH", Family::UnTH3J);
     assert!(
         gap_uniform < gap_skewed,
         "uniform-data hypothetical gap ({gap_uniform:.3}) should be below skewed ({gap_skewed:.3})"

@@ -15,10 +15,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
-use tab_bench::datagen::{generate_tpch, Distribution, TpchParams};
 use tab_bench::engine::plan::JoinMethod;
 use tab_bench::engine::{ExecOpts, PoolOpts, Session, ROW_COST};
-use tab_bench::eval::{build_p, BenchSpec};
+use tab_bench::eval::{build_p, BenchSpec, Faults};
 use tab_bench::sqlq::{parse, Query};
 use tab_bench::storage::{
     BuiltConfiguration, ColType, ColumnDef, Configuration, Database, IndexSpec, RowId, Table,
@@ -102,11 +101,9 @@ fn assert_never_fills(session: &Session<'_>, q: &Query, budget: f64, hash: bool)
 #[test]
 fn a_certain_timeout_never_fills_its_last_join_step() {
     let spec = BenchSpec::small();
-    let db = generate_tpch(TpchParams {
-        scale: spec.tpch_scale,
-        distribution: Distribution::Zipf(1.0),
-        seed: spec.seed + 1,
-    });
+    let db = spec
+        .database("SkTH", &Faults::disabled())
+        .expect("no faults armed");
     let p = build_p(&db, "SkTH");
     let q = parse(
         "SELECT t.o_orderkey, t.o_custkey, COUNT(*) FROM partsupp r, lineitem s, orders t \
